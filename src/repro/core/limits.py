@@ -21,8 +21,9 @@ module supplies the vocabulary:
 The engines in ``repro.datalog`` never import this module (that would
 create an import cycle through ``repro.core``); they accept any object
 with ``check_round``/``check_batch`` methods.  Evaluation is staged on a
-``database.copy()`` throughout the codebase, so an exception raised here
-aborts cleanly: nothing is installed, no version counter moves.
+snapshot throughout the codebase, so an exception raised here aborts
+cleanly: it leaves the caller's facts and version untouched and at most
+valid extra indexes.
 """
 
 from __future__ import annotations

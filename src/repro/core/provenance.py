@@ -83,7 +83,7 @@ class RewrittenProgram:
 
     ``seed_facts`` are the query-specific seeds (the paper keeps them out
     of ``P^mg`` so the rewrite can be reused across queries of the same
-    form); :meth:`seeded_database` merges them into a database copy.
+    form); :meth:`seeded_database` adds them to a database snapshot.
 
     Answer extraction: the rewritten program computes the query's
     predicate under ``answer_pred_key``; rows are filtered by
@@ -112,7 +112,10 @@ class RewrittenProgram:
         return Program(tuple(rr.rule for rr in self.rules))
 
     def seeded_database(self, database: Database) -> Database:
-        """A copy of ``database`` with the seed facts added.
+        """A snapshot of ``database`` with the seed facts added.
+
+        Base relations are shared with ``database`` (copy-on-write);
+        only the seed and mirrored relations are created here.
 
         Facts asserted under an *original derived* predicate name
         (``q(b).`` alongside rules for ``q``) participate in bottom-up
@@ -126,7 +129,7 @@ class RewrittenProgram:
         Index-carrying counting predicates have different names or
         arities and are never mirrored.
         """
-        seeded = database.copy()
+        seeded = database.snapshot()
         for seed in self.seed_facts:
             seeded.add_fact(seed)
         mirror: Dict[str, Set[Tuple[str, int]]] = {}

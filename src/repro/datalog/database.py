@@ -36,21 +36,56 @@ evaluation results are resolved back to terms only when answers are
 materialized (``answer_tuples``, ``QSQResult.query_answers``, session
 answer sets, derivation/provenance reconstruction).
 
+Index ownership
+---------------
+
+Indexes are a cache owned by the relation: an index on a position set
+is built on first request by *any* evaluator (the bottom-up planner's
+``register_indexes``, QSQ's, incremental maintenance, or a lazy
+:meth:`Relation.lookup_ids` probe), kept current by every write,
+shared by every snapshot that shares the relation, and copied by
+:meth:`Relation.copy`.  Building one never changes a relation's facts
+or version, so an evaluator may register an index on a relation it
+only reads.  Nothing evicts them: a relation carries at most one index
+per distinct position set the compiled plans probe (bounded by
+2^arity, in practice one or two), and :meth:`Relation.estimated_bytes`
+charges each of them to the memory budget.
+
 Copy-on-write snapshots
 -----------------------
 
-:meth:`Database.snapshot` produces a frozen, relation-sharing view of
-the database in O(#relations): the snapshot's relation dict references
-the *same* :class:`Relation` objects, and both sides mark those keys
-*shared*.  The first mutation of a shared relation **through the
-database's methods** (``relation()``, ``retract_fact``, ...) clones it
-for the mutating side first (:meth:`Relation.copy` preserves indexes),
-so the other side never observes the change -- this is the MVCC
-substrate the query server (:mod:`repro.server`) builds on: readers pin
-a snapshot version while the single writer clones only the relations a
-mutation actually touches.  Direct ``Relation`` method calls on objects
-obtained *before* the snapshot bypass the guard; the server only
-mutates through ``Session``/``Database`` methods, which honor it.
+:meth:`Database.snapshot` produces a relation-sharing view of the
+database in O(#relations): the snapshot's relation dict references the
+*same* :class:`Relation` objects and registers the snapshot, weakly,
+as a *holder* of each.  A relation is mutated in place only by the
+database that owns it (the one that created or cloned it) and only
+while it has no live holder; otherwise the first mutation **through
+the database's methods** (``relation()``, ``retract_fact``, ...)
+clones it for the mutating side first, so no other side ever observes
+the change.  Every evaluation runs on such a snapshot
+(``evaluate_naive``/``evaluate_seminaive``, ``seeded_database``): base
+relations are shared, never copied, and only seed and derived
+relations are created in it.
+
+A snapshot is as free to drop as it is to take.  Nothing references a
+database strongly except its callers (a relation's ``owner`` is a
+small cell, not the database), so the snapshot is released by
+reference count the moment the last caller lets go, its holder
+registrations vanish with it, and the owner is back to writing in
+place.  The one trade a caller can observe: holding a whole
+``QueryResult`` (its ``answer.evaluation.database``, not just
+``rows``) across a write makes that write clone the touched relation
+once.  Direct ``Relation`` method calls on objects obtained *before*
+a snapshot bypass the guard; ``Session``/``Database`` methods honor it.
+
+This is also the MVCC substrate of the query server
+(:mod:`repro.server`), and what keeps it lock-free: readers only ever
+snapshot a *published* snapshot.  The holder sets of its relations
+were created by the writer's ``publish``, and the manager's current
+snapshot (or the reader's own pin) keeps them non-empty for as long as
+a reader can reach those relations, so the writer's "no holder" test
+never races a first registration -- it clones exactly the relations a
+mutation touches, once per publish.
 
 Versioning
 ----------
@@ -61,7 +96,9 @@ tuple inserted, an existing tuple retracted); no-op mutations -- adding
 a duplicate, retracting an absent tuple -- leave it untouched.  A
 database's :attr:`Database.version` is the sum of its relations'
 counters, maintained as an O(1) cached counter: relations created by a
-:class:`Database` carry an owner backreference and bump the database
+:class:`Database` carry an ``owner`` backreference -- to the small
+cell holding the database's counter and mutation logs, not to the
+database, so there is no reference cycle -- and bump the database
 counter in the same mutation, so *any* mutation path (the ``Database``
 convenience methods as well as direct ``database.relation(key).add(...)``
 calls) advances it without re-summing all relations per check.  The
@@ -84,6 +121,7 @@ from typing import (
     Tuple,
     Union,
 )
+from weakref import WeakSet
 
 from .ast import Literal
 from .catalog import term_catalog
@@ -108,6 +146,22 @@ _EMPTY_SLOTS: Tuple[int, ...] = ()
 _COMPACT_MIN_DEAD = 16
 
 
+class _OwnerCell:
+    """What a relation reaches of its owning database on every mutation:
+    the database's version counter and its active mutation logs.
+
+    A cell rather than the database itself, so that ``Database ->
+    Relation -> owner`` is not a reference cycle and a dropped database
+    (every evaluation's snapshot) is freed by reference count.
+    """
+
+    __slots__ = ("version", "logs")
+
+    def __init__(self):
+        self.version = 0
+        self.logs: Tuple[List["MutationEntry"], ...] = ()
+
+
 class Relation:
     """A set of ground tuples stored as ID columns with hash indexes.
 
@@ -118,7 +172,9 @@ class Relation:
     :attr:`version` counts the mutations that changed the tuple set
     (inserts of new tuples, retractions of present ones); it is monotone
     and feeds :attr:`Database.version` through the ``owner``
-    backreference.
+    backreference.  ``_holders`` is the weak set of live databases that
+    share this relation without owning it (see "Copy-on-write
+    snapshots" in the module docstring), None until first snapshotted.
     """
 
     __slots__ = (
@@ -126,6 +182,7 @@ class Relation:
         "arity",
         "version",
         "owner",
+        "_holders",
         "_columns",
         "_rowmap",
         "_live",
@@ -138,7 +195,8 @@ class Relation:
         self.name = name
         self.arity = arity
         self.version = 0
-        self.owner: Optional["Database"] = None
+        self.owner: Optional[_OwnerCell] = None
+        self._holders: Optional["WeakSet[Database]"] = None
         self._columns: Optional[List[array]] = (
             None if arity is None else [array("q") for _ in range(arity)]
         )
@@ -167,7 +225,7 @@ class Relation:
         self.version += count
         owner = self.owner
         if owner is not None:
-            owner._version += count
+            owner.version += count
 
     def _capture(self, idrows: Iterable[IdTuple], sign: int) -> None:
         """Append actual set changes to the owner's active mutation logs.
@@ -179,7 +237,7 @@ class Relation:
         owner = self.owner
         if owner is None:
             return
-        logs = owner._mutation_logs
+        logs = owner.logs
         if not logs:
             return
         name = self.name
@@ -676,9 +734,10 @@ class Relation:
         """An independent copy.
 
         Registered index positions *and* their buckets are carried over
-        (raw ``array`` copies -- no Term is touched), so consumers of
-        ``Database.copy()``/``seeded_database`` never pay lazy O(n)
-        index rebuilds mid-join.
+        (raw ``array`` copies -- no Term is touched), so neither side of
+        a copy-on-write clone nor a consumer of ``Database.copy()`` pays
+        an O(n) index rebuild afterwards.  The copy has no owner and no
+        holders until a database adopts it.
 
         Safe to call on a snapshot-shared relation while other reader
         threads probe it: the index dicts are materialized with
@@ -691,6 +750,7 @@ class Relation:
         duplicate.arity = self.arity
         duplicate.version = self.version
         duplicate.owner = None
+        duplicate._holders = None
         columns = self._columns
         duplicate._columns = (
             None if columns is None else [column[:] for column in columns]
@@ -867,56 +927,58 @@ MutationEntry = Tuple[str, IdTuple, int]
 class Database:
     """A named collection of relations, keyed by predicate key."""
 
-    __slots__ = ("_relations", "_version", "_mutation_logs", "_shared")
+    __slots__ = ("_relations", "_cell", "__weakref__")
 
     def __init__(self):
         self._relations: Dict[str, Relation] = {}
-        self._version = 0
-        #: active mutation logs (incremental-view-maintenance capture):
-        #: every actual set change on an owned relation appends a
-        #: ``(pred_key, idrow, sign)`` entry to each
-        self._mutation_logs: Tuple[List[MutationEntry], ...] = ()
-        #: predicate keys whose Relation object is shared with a live
-        #: :meth:`snapshot`; mutation paths clone these first (COW)
-        self._shared: Set[str] = set()
+        #: the version counter and the active mutation logs (incremental-
+        #: view-maintenance capture: every actual set change on an owned
+        #: relation appends a ``(pred_key, idrow, sign)`` entry to each),
+        #: in the cell this database's relations point back at
+        self._cell = _OwnerCell()
 
     # ------------------------------------------------------------------
     # copy-on-write snapshots (the MVCC substrate of repro.server)
     # ------------------------------------------------------------------
     def snapshot(self) -> "Database":
-        """A frozen, relation-sharing snapshot of this database.
+        """A relation-sharing snapshot of this database.
 
         O(#relations): no tuple is copied.  The snapshot references the
-        same :class:`Relation` objects; both databases mark those keys
-        shared, and the first mutation of a shared relation *through
-        either database's methods* clones it for the mutating side
-        before touching it, so the other side keeps observing the state
-        at snapshot time.  A writer that touches k of n relations
-        between snapshots therefore pays k relation copies, not n.
-
-        Shared relations keep their ``owner`` backreference to the
-        database that created them (their version bumps -- which can
-        only happen after a clone replaced them on the owning side --
-        never corrupt the snapshot), and :meth:`check_integrity`
-        accepts foreign ownership exactly for keys marked shared.
+        same :class:`Relation` objects and registers itself, weakly, as
+        a holder of each; while it is alive, the first mutation of such
+        a relation *through either database's methods* clones it for
+        the mutating side before touching it, so the other side keeps
+        observing the state at snapshot time.  Dropping the snapshot
+        unregisters it (by reference count, no collector involved), and
+        this database mutates in place again.  Indexes built through
+        either side land on the shared relation and serve both.
         """
         snap = Database()
         snap._relations = dict(self._relations)
-        snap._version = self._version
-        snap._shared = set(self._relations)
-        self._shared = set(self._relations)
+        snap._cell.version = self._cell.version
+        for rel in snap._relations.values():
+            holders = rel._holders
+            if holders is None:
+                holders = rel._holders = WeakSet()
+            holders.add(snap)
         return snap
 
     def _writable(self, pred_key: str) -> Optional[Relation]:
-        """The relation for a mutation path: clones a snapshot-shared
-        one (preserving its indexes) before handing it out."""
+        """The relation for a mutation path: handed out as is when this
+        database owns it and no snapshot holds it, cloned (indexes
+        preserved) for this database otherwise."""
         rel = self._relations.get(pred_key)
-        if rel is not None and pred_key in self._shared:
-            rel = rel.copy()
-            rel.owner = self
-            self._relations[pred_key] = rel
-            self._shared.discard(pred_key)
-        return rel
+        if rel is None:
+            return None
+        owned = rel.owner is self._cell
+        if owned and not rel._holders:
+            return rel
+        clone = rel.copy()
+        clone.owner = self._cell
+        self._relations[pred_key] = clone
+        if not owned:
+            rel._holders.discard(self)
+        return clone
 
     # ------------------------------------------------------------------
     # mutation capture (incremental view maintenance)
@@ -934,14 +996,19 @@ class Database:
         same list to detach it.  Multiple concurrent logs are allowed.
         """
         log: List[MutationEntry] = []
-        self._mutation_logs = self._mutation_logs + (log,)
+        self._cell.logs = self._cell.logs + (log,)
         return log
 
     def stop_mutation_log(self, log: List[MutationEntry]) -> None:
         """Detach a log returned by :meth:`start_mutation_log`."""
-        self._mutation_logs = tuple(
-            active for active in self._mutation_logs if active is not log
+        self._cell.logs = tuple(
+            active for active in self._cell.logs if active is not log
         )
+
+    @property
+    def _mutation_logs(self) -> Tuple[List[MutationEntry], ...]:
+        """The logs currently attached (read-only introspection)."""
+        return self._cell.logs
 
     # ------------------------------------------------------------------
     # construction
@@ -949,14 +1016,14 @@ class Database:
     def relation(self, pred_key: str) -> Relation:
         """Get (or create) the relation for a predicate key.
 
-        This is a mutation entry point: a snapshot-shared relation is
-        cloned for this database first (copy-on-write), so callers may
-        freely mutate the returned object.
+        This is a mutation entry point: a relation shared with a live
+        snapshot is cloned for this database first (copy-on-write), so
+        callers may freely mutate the returned object.
         """
         rel = self._writable(pred_key)
         if rel is None:
             rel = Relation(pred_key)
-            rel.owner = self
+            rel.owner = self._cell
             self._relations[pred_key] = rel
         return rel
 
@@ -1026,7 +1093,7 @@ class Database:
         not bump it, which is exactly the invariant the answer memo in
         :mod:`repro.session` relies on.
         """
-        return self._version
+        return self._cell.version
 
     def predicate_keys(self) -> Set[str]:
         return set(self._relations)
@@ -1049,11 +1116,12 @@ class Database:
 
     def copy(self) -> "Database":
         duplicate = Database()
+        cell = duplicate._cell
         for key, rel in self._relations.items():
             dup_rel = rel.copy()
-            dup_rel.owner = duplicate
+            dup_rel.owner = cell
             duplicate._relations[key] = dup_rel
-        duplicate._version = self._version
+        cell.version = self._cell.version
         return duplicate
 
     def estimated_bytes(self) -> int:
@@ -1070,19 +1138,22 @@ class Database:
         atomicity property asserts after every aborted evaluation.
         """
         total = 0
+        cell = self._cell
         for key, rel in self._relations.items():
             rel.check_invariants()
-            if rel.owner is not self and key not in self._shared:
+            if rel.owner is not cell and (
+                rel._holders is None or self not in rel._holders
+            ):
                 raise IntegrityError(
-                    f"relation {key}: owner backreference does not point "
-                    f"at this database",
+                    f"relation {key}: neither owned by this database "
+                    f"nor shared with it by a snapshot",
                     relation=key,
                     invariant="owner",
                 )
             total += rel.version
-        if total != self._version:
+        if total != cell.version:
             raise IntegrityError(
-                f"database version {self._version} != sum of relation "
+                f"database version {cell.version} != sum of relation "
                 f"versions {total}",
                 invariant="version",
             )

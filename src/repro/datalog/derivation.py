@@ -107,7 +107,7 @@ def fact_stages(
         for row in base_relation:
             stages[key][row] = 0
 
-    working = base.copy()
+    working = base.snapshot()
     stats = EvaluationStats()
     round_number = 0
     for stratum in _evaluation_strata(program, None):
@@ -117,13 +117,13 @@ def fact_stages(
             round_number += 1
             # evaluate the whole round against the previous round's
             # facts so that stages are simultaneous (a fact's supporters
-            # always have a strictly smaller stage)
-            snapshot = working.copy()
+            # always have a strictly smaller stage): nothing is added
+            # to ``working`` until every rule's rows are collected
             pending: List[Tuple[str, FactTuple]] = []
             for rule_index in stratum:
                 rule = program.rules[rule_index]
                 head_key = rule.head.pred_key
-                for row in _evaluate_rule(rule, snapshot, stats):
+                for row in _evaluate_rule(rule, working, stats):
                     pending.append((head_key, row))
             for head_key, row in pending:
                 if working.relation(head_key).add(row):

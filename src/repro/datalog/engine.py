@@ -302,7 +302,13 @@ def _evaluate_rule(
             if extended is not None:
                 extend(position + 1, extended)
 
-    extend(0, {})
+    try:
+        extend(0, {})
+    finally:
+        # ``extend`` reaches itself through its own closure; emptying
+        # the cell lets ``database`` (an evaluation's snapshot) go by
+        # reference count instead of waiting for the cyclic collector
+        del extend
     return produced
 
 
@@ -412,7 +418,8 @@ def evaluate_naive(
     never imports :mod:`repro.core.limits`): ``check_round`` runs at
     every fixpoint-round boundary and ``check_batch`` at rule/batch
     boundaries, each free to abort by raising.  Evaluation runs on a
-    copy of ``database``, so an abort installs nothing.
+    snapshot of ``database`` (base relations shared, derived ones
+    created in the snapshot), so an abort installs nothing.
 
     ``workers`` > 1 runs each round's batches on the parallel tier
     (:mod:`repro.datalog.parallel`); fact sets and the solution counters
@@ -427,7 +434,7 @@ def evaluate_naive(
             backend=parallel_backend, max_iterations=max_iterations,
             max_facts=max_facts, plan_cache=plan_cache, meter=meter,
         )
-    working = database.copy()
+    working = database.snapshot()
     stats = EvaluationStats()
     if workers is not None and workers > 1:
         stats.parallel_fallback = "row path is serial-only"
@@ -620,7 +627,7 @@ def evaluate_seminaive(
             backend=parallel_backend, max_iterations=max_iterations,
             max_facts=max_facts, plan_cache=plan_cache, meter=meter,
         )
-    working = database.copy()
+    working = database.snapshot()
     stats = EvaluationStats()
     if workers is not None and workers > 1:
         stats.parallel_fallback = "row path is serial-only"

@@ -402,8 +402,8 @@ class MaterializedProgram:
         self.last_elapsed = 0.0
         self.synced_version = database.version
         #: capture starts *before* the initial evaluation: the
-        #: evaluation works on a copy (whose own log tuple is empty, so
-        #: nothing internal is captured), and no mutation can slip
+        #: evaluation works on a snapshot (whose own log tuple is empty,
+        #: so nothing internal is captured), and no mutation can slip
         #: between log start and materialization
         self.log = database.start_mutation_log()
         result = evaluate_seminaive(

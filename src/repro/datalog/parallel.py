@@ -878,7 +878,7 @@ def evaluate_parallel(
     workers = int(workers)
     if workers < 2:
         raise ValueError("evaluate_parallel needs workers >= 2")
-    working = database.copy()
+    working = database.snapshot()
     stats = EvaluationStats()
     derived_keys = program.derived_predicates()
     compiled = _compiled_for(program, working, stats, plan_cache)

@@ -733,7 +733,13 @@ class JoinPlan:
                 if ok:
                     run(next_depth)
 
-        run(0)
+        try:
+            run(0)
+        finally:
+            # ``run`` reaches itself through its own closure; emptying
+            # the cell lets ``database`` (an evaluation's snapshot) go
+            # by reference count, not by the cyclic collector
+            del run
         return produced
 
     # ------------------------------------------------------------------

@@ -1169,13 +1169,14 @@ class Session:
         The freshly returned (cold) result keeps its full
         ``QueryAnswer`` -- including the evaluation's working database
         and the raw QSQ Q/F sets -- but retaining those in up to
-        ``memo_size`` entries would pin a derived database copy per
-        entry.  Memo hits therefore expose ``rows``/``stats`` and the
-        summary counters only.  The rows are snapshotted into a
-        frozenset: the memo must not alias the mutable set handed to
-        the cold caller (mutating a returned result would otherwise
-        corrupt every later hit), and an immutable snapshot can be
-        served to all hits by reference.
+        ``memo_size`` entries would pin an evaluation snapshot per
+        entry, and a live snapshot makes the next write to each
+        relation it shares clone that relation.  Memo hits therefore
+        expose ``rows``/``stats`` and the summary counters only.  The
+        rows are snapshotted into a frozenset: the memo must not alias
+        the mutable set handed to the cold caller (mutating a returned
+        result would otherwise corrupt every later hit), and an
+        immutable snapshot can be served to all hits by reference.
         """
         rows = frozenset(result.rows)
         answer = result.answer

@@ -1,4 +1,5 @@
-"""Shared test helpers: canonical rule strings for appendix comparisons.
+"""Shared test helpers: canonical rule strings for appendix comparisons,
+and a collector-off context for the snapshot release tests.
 
 The appendix-comparison tests check that our rewriters regenerate the
 paper's rule sets *structurally*: rules are compared after renaming
@@ -8,6 +9,8 @@ so tests are robust to the generator's variable names.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import string
 from typing import Iterable, List
 
@@ -54,3 +57,20 @@ def assert_rules_equal(actual, expected: Iterable[str]) -> None:
 @pytest.fixture
 def canon():
     return canonical_rule
+
+
+@contextlib.contextmanager
+def refcount_only():
+    """Run a block with the cyclic collector off.
+
+    The snapshot-sharing contract promises that a dropped snapshot is
+    released by reference count alone; a test that passes in here
+    proves no collector pass was needed.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

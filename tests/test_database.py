@@ -2,12 +2,14 @@
 
 import pytest
 
+from conftest import refcount_only
 from repro import (
     Constant,
     Database,
     IntegrityError,
     Literal,
     Relation,
+    Session,
     Variable,
 )
 
@@ -351,7 +353,8 @@ class TestIntegrityOracle:
     def test_database_version_drift(self):
         db = Database()
         db.add_values("par", [("a", "b")])
-        db._version += 1
+        # a relation counter the database never heard about
+        db.relation("par").version += 1
         with pytest.raises(IntegrityError) as info:
             db.check_integrity()
         assert info.value.invariant == "version"
@@ -359,7 +362,9 @@ class TestIntegrityOracle:
     def test_database_owner_backreference(self):
         db = Database()
         db.add_values("par", [("a", "b")])
-        db.relation("par").owner = Database()
+        # a relation detached from its database, as Relation.copy()
+        # hands one out
+        db.relation("par").owner = None
         with pytest.raises(IntegrityError) as info:
             db.check_integrity()
         assert info.value.invariant == "owner"
@@ -485,3 +490,214 @@ class TestEstimatedBytes:
         base = db.estimated_bytes()
         db.relation("par").register_index((0,))
         assert db.estimated_bytes() > base
+
+
+# ----------------------------------------------------------------------
+# the snapshot-sharing contract and the index-ownership rule
+# ----------------------------------------------------------------------
+FAMILY = """
+par(a, b). par(b, c). par(c, d). par(b, e).
+person(a). person(b).
+anc(X, Y) :- par(X, Y).
+anc(X, Z) :- par(X, Y), anc(Y, Z).
+"""
+
+
+def _facts(db):
+    return {key: db.tuples(key) for key in db.predicate_keys()}
+
+
+def _relations(db):
+    return {key: db.get(key) for key in db.predicate_keys()}
+
+
+class TestSharingContract:
+    """A snapshot is free to take and free to drop.
+
+    Every test runs with the cyclic collector off: a dropped snapshot
+    must be released -- and the owner back to in-place writes -- by
+    reference count alone.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _collector_off(self):
+        with refcount_only():
+            yield
+
+    def test_dropped_snapshot_restores_in_place_writes(self):
+        db = Database()
+        db.add_values("par", [("a", "b")])
+        par = db.get("par")
+        snap = db.snapshot()
+        db.add_values("par", [("b", "c")])
+        cloned = db.get("par")
+        assert cloned is not par and snap.get("par") is par
+        # the clone is unshared; the held snapshot costs nothing more
+        db.add_values("par", [("c", "d")])
+        assert db.get("par") is cloned
+        snap = db.snapshot()
+        del snap
+        db.add_values("par", [("d", "e")])
+        assert db.get("par") is cloned
+        assert db.check_integrity()
+
+    def test_held_result_never_observes_later_writes(self):
+        session = Session(FAMILY)
+        db = session.database
+        result = session.query("anc(a, Y)?", method="supplementary_magic")
+        held = result.answer.evaluation.database
+        frozen = _facts(held)
+        before = _relations(db)
+        assert held.get("par") is before["par"]  # shared, not copied
+        session.assert_("par(e, f)")
+        session.retract("par(a, b)")
+        assert _facts(held) == frozen
+        assert held.get("par") is before["par"]
+        # the live side cloned exactly the touched relation, once
+        after = _relations(db)
+        assert after["par"] is not before["par"]
+        assert after["person"] is before["person"]
+        assert db.tuples("par") == frozen["par"] - {(c("a"), c("b"))} | {
+            (c("e"), c("f"))
+        }
+        assert held.check_integrity() and db.check_integrity()
+
+    def test_dropped_result_costs_the_next_write_nothing(self):
+        session = Session(FAMILY)
+        db = session.database
+        rows = session.query("anc(a, Y)?", method="supplementary_magic").rows
+        assert len(rows) == 4
+        par = db.get("par")
+        indexes = dict(par._indexes)
+        assert indexes  # the evaluation left its index on the base relation
+        session.assert_("par(e, f)")
+        session.retract("par(a, b)")
+        assert db.get("par") is par
+        assert all(par._indexes[p] is index for p, index in indexes.items())
+        # ... and the writes kept it current
+        assert par.lookup((0,), (c("e"),)) == [(c("e"), c("f"))]
+        assert par.lookup((0,), (c("a"),)) == []
+        assert db.check_integrity()
+
+    def test_snapshot_of_snapshot_outlives_the_middle_one(self):
+        db = Database()
+        db.add_values("par", [("a", "b"), ("b", "c")])
+        seeded = db.snapshot()
+        seeded.add_values("seed", [("a",)])
+        working = seeded.snapshot()
+        del seeded
+        frozen = working.tuples("par")
+        # `seed` belonged to the dead middle snapshot: still cloned
+        seed = working.get("seed")
+        working.add_values("seed", [("b",)])
+        assert working.get("seed") is not seed
+        db.add_values("par", [("c", "d")])
+        db.retract_values("par", [("a", "b")])
+        working.add_values("par", [("x", "y")])
+        assert working.tuples("par") == frozen | {(c("x"), c("y"))}
+        assert len(db.get("par")) == 2
+        assert working.check_integrity() and db.check_integrity()
+        del working
+        par = db.get("par")
+        db.add_values("par", [("d", "e")])
+        assert db.get("par") is par
+
+
+class TestIndexOwnership:
+    """Indexes are a cache owned by the relation (ROADMAP 7g): whoever
+    asks first builds one on the caller's relation, and that is all an
+    evaluation ever leaves behind."""
+
+    @staticmethod
+    def _requests(session, query_text, rewritten):
+        """(pred, positions) every plan behind the three routes probes."""
+        from repro.core.adornment import adorn_program
+        from repro.datalog.planner import (
+            compiled_program_for,
+            subquery_program_for,
+        )
+
+        cache = session.plan_cache
+        query = session._as_query(query_text)
+        requests = set()
+        for program in (rewritten.program, session.program):
+            compiled, _ = compiled_program_for(program, cache)
+            for rule_index in range(len(program.rules)):
+                for delta in (None, *compiled.delta_occurrences(rule_index)):
+                    requests.update(
+                        compiled.plan(rule_index, delta).index_requests()
+                    )
+        for plan in session._materializer._extra_plans.values():
+            requests.update(plan.index_requests())
+        adorned = adorn_program(session.program, query)
+        subqueries, _ = subquery_program_for(adorned.program, cache)
+        for plan in subqueries.plans:
+            requests.update(
+                (step.pred_key, step.lookup_positions)
+                for step in plan.steps
+                if not step.is_derived and step.lookup_positions
+            )
+        return requests
+
+    def test_evaluators_leave_only_their_indexes_behind(self):
+        session = Session(FAMILY)
+        db = session.database
+
+        def registered():
+            return {
+                (key, positions)
+                for key, rel in _relations(db).items()
+                for positions in rel._indexes
+            }
+
+        def read_only(run):
+            facts, version = _facts(db), db.version
+            result = run()
+            assert _facts(db) == facts and db.version == version
+            assert db.check_integrity()
+            return result
+
+        query = "anc(a, Y)?"
+
+        def bottom_up():
+            return session.query(query, method="supplementary_magic")
+
+        def top_down():
+            return session.query(query, method="qsq")
+
+        def maintained():
+            return session.query(query)
+
+        rewritten = read_only(bottom_up).answer.rewritten
+        read_only(top_down)
+        read_only(lambda: session.materialize("anc"))
+        session.assert_("par(e, f)")
+        assert read_only(maintained).maintained
+        assert registered() == {
+            request
+            for request in self._requests(session, query, rewritten)
+            if request[0] in db
+        }
+        # a second identical round adds nothing and rebuilds nothing
+        first = {
+            request: db.get(request[0])._indexes[request[1]]
+            for request in registered()
+        }
+        read_only(bottom_up)
+        read_only(top_down)
+        assert read_only(maintained).maintained
+        assert set(first) == registered()
+        assert all(
+            db.get(pred)._indexes[positions] is index
+            for (pred, positions), index in first.items()
+        )
+        # estimated_bytes() grew by exactly the indexes' charge: a
+        # database built from the same facts weighs the same once the
+        # same indexes are registered on it, and less before
+        twin = Database()
+        for key, rows in _facts(db).items():
+            twin.add_tuples(key, rows)
+        assert twin.estimated_bytes() < db.estimated_bytes()
+        for pred, positions in registered():
+            twin.relation(pred).register_index(positions)
+        assert twin.estimated_bytes() == db.estimated_bytes()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import refcount_only
 from repro import (
     BudgetExceeded,
     CancellationToken,
@@ -604,6 +605,54 @@ class TestFaultInjectionAtomicity:
             use_planner=False,
         )
         assert clean.rows == oracle.answers
+
+    @given(edges=edges_strategy, seed=st.integers(0, 10_000))
+    @SETTINGS
+    def test_abort_leaks_no_holder(self, edges, seed):
+        """With the cyclic collector off: after every injected abort the
+        source database still holds the very same Relation objects with
+        the same facts and version, and its next write is in place --
+        the exception path left no evaluation snapshot registered as a
+        holder of the caller's relations."""
+        program = ancestor_program()
+        db = edge_db(edges)
+        session = Session(program=program, database=db)
+
+        def engine_run(method, use_planner, vectorized):
+            return lambda plan: evaluate(
+                program,
+                db,
+                method=method,
+                use_planner=use_planner,
+                vectorized=vectorized,
+                meter=EvaluationBudget(fault_plan=plan).start(),
+            )
+
+        def session_run(method):
+            return lambda plan: session.query(
+                "anc(v0, Y)?",
+                method=method,
+                budget=EvaluationBudget(fault_plan=plan),
+            )
+
+        def relations():
+            return {key: db.get(key) for key in db.predicate_keys()}
+
+        runs = [engine_run(*config) for config in ENGINE_CONFIGS]
+        runs += [session_run(m) for m in ("auto", "magic", "qsq")]
+        with refcount_only():
+            for i, run in enumerate(runs):
+                held, before, version = relations(), _snapshot(db), db.version
+                try:
+                    run(FaultPlan.randomized(seed))
+                except InjectedFault:
+                    pass
+                assert relations() == held
+                assert _snapshot(db) == before
+                assert db.version == version
+                assert db.check_integrity()
+                db.add_values("par", [("w", f"w{i}")])
+                assert db.get("par") is held["par"]
 
     def test_env_knob_reaches_the_session(self, monkeypatch):
         """REPRO_FAULT_INJECT plants a fault without touching call sites."""

@@ -26,6 +26,7 @@ Five layers of guarantees:
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -33,6 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import refcount_only
 from repro.datalog.database import Database
 from repro.session import Session
 from repro.server import (
@@ -143,9 +145,13 @@ class TestCopyOnWrite:
 
     def test_copy_starts_unshared(self):
         db = chain_db(2)
-        db.snapshot()
+        snap = db.snapshot()
         dup = db.copy()
-        assert dup._shared == set()
+        before = dup.get("par")
+        dup.add_values("par", [("x", "y")])
+        # the copy shares nothing, so its write is in place
+        assert dup.get("par") is before
+        assert len(snap.get("par")) == len(db.get("par")) == 2
         assert dup.check_integrity()
 
 
@@ -592,6 +598,99 @@ class TestSnapshotIsolation:
         assert _rows(pinned.db, _QUERY_TEXT, "seminaive") == expected
         assert db.check_integrity()
         pinned.release()
+
+    def test_cold_readers_share_a_published_snapshot_with_the_writer(self):
+        """Two readers cold-evaluate on whatever snapshot is current --
+        building indexes on, and registering their evaluation snapshots
+        with, relations the live database still shares -- while the
+        writer commits through ``Database`` methods.  Every read must
+        equal the serial oracle for the version it pinned."""
+        _, db = _isolation_fixture(depth=12)
+        # a second chain hanging off n12 grows two edges and loses the
+        # newest one, over and over: every write changes the answer
+        script = [("assert", ("n12", "m0"))]
+        tip = 0
+        for step in range(30):
+            if step % 3 == 2:
+                script.append(("retract", (f"m{tip - 1}", f"m{tip}")))
+                tip -= 1
+            else:
+                script.append(("assert", (f"m{tip}", f"m{tip + 1}")))
+                tip += 1
+
+        def commit(database, op, row):
+            if op == "assert":
+                database.add_values("par", [row])
+            else:
+                database.retract_values("par", [row])
+
+        # serial oracle: replay the script on a private copy
+        replay = db.copy()
+        oracle = {replay.version: _rows(replay, _QUERY_TEXT, "seminaive")}
+        for op, row in script:
+            commit(replay, op, row)
+            oracle[replay.version] = _rows(replay, _QUERY_TEXT, "seminaive")
+
+        manager = SnapshotManager(db)
+        manager.publish()
+        baseline = manager.live_count
+        stop = threading.Event()
+        failures = []
+        versions_read = []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    pinned = manager.current()
+                    try:
+                        got = _rows(
+                            pinned.db, _QUERY_TEXT, "supplementary_magic"
+                        )
+                        if got != oracle[pinned.version]:
+                            failures.append((pinned.version, got))
+                            return
+                        versions_read.append(pinned.version)
+                    finally:
+                        pinned.release()
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with refcount_only():
+                for t in threads:
+                    t.start()
+                for op, row in script:
+                    # let a read finish between consecutive commits
+                    done = len(versions_read)
+                    deadline = time.monotonic() + 5
+                    while (
+                        len(versions_read) == done
+                        and not failures
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.0005)
+                    commit(db, op, row)
+                    manager.publish()
+                stop.set()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert not failures
+                assert len(set(versions_read)) > len(script) // 2
+                assert manager.live_count == baseline
+                current = manager.current()
+                assert current.db.check_integrity()
+                assert db.check_integrity()
+                assert _rows(
+                    current.db, _QUERY_TEXT, "supplementary_magic"
+                ) == oracle[db.version]
+                current.release()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
 
     def test_view_served_path_is_isolated(self):
         with ServerHandle.start(
