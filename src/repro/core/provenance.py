@@ -152,11 +152,10 @@ class RewrittenProgram:
 
     def extract_answers(self, result: EvaluationResult) -> Set[Tuple[Term, ...]]:
         """Answers for the query from an evaluation of the program."""
-        answers: Set[Tuple[Term, ...]] = set()
-        for row in result.database.tuples(self.answer_pred_key):
-            if all(row[i] == value for i, value in self.answer_selection):
-                answers.add(tuple(row[i] for i in self.answer_projection))
-        return answers
+        rel = result.database.get(self.answer_pred_key)
+        if rel is None:
+            return set()
+        return rel.select(self.answer_selection, self.answer_projection)
 
     # ------------------------------------------------------------------
     # fact accounting (Sections 9 and 11 measure facts, not time)

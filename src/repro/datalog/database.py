@@ -33,23 +33,28 @@ outside the planner has to change.  The batch-vectorized join executor
 (:mod:`repro.datalog.planner`) bypasses the view and works on ID
 batches directly via ``lookup_ids``/``add_id_row``/``id_rows``;
 evaluation results are resolved back to terms only when answers are
-materialized (``answer_tuples``, ``QSQResult.query_answers``, session
-answer sets, derivation/provenance reconstruction).
+materialized: in :meth:`Relation.select` for every bottom-up answer
+(``answer_tuples``, ``extract_answers``, view reads in the session and
+the server), which resolves only the distinct answer rows, so a read
+costs its answer and not the relation; ``QSQResult.query_answers`` and
+derivation/provenance reconstruction resolve their own rows.
 
 Index ownership
 ---------------
 
 Indexes are a cache owned by the relation: an index on a position set
-is built on first request by *any* evaluator (the bottom-up planner's
-``register_indexes``, QSQ's, incremental maintenance, or a lazy
+is built on first request by *any* reader (the bottom-up planner's
+``register_indexes``, QSQ's, incremental maintenance, answer selection
+through :meth:`Relation.select`, or any other lazy
 :meth:`Relation.lookup_ids` probe), kept current by every write,
 shared by every snapshot that shares the relation, and copied by
 :meth:`Relation.copy`.  Building one never changes a relation's facts
-or version, so an evaluator may register an index on a relation it
-only reads.  Nothing evicts them: a relation carries at most one index
-per distinct position set the compiled plans probe (bounded by
-2^arity, in practice one or two), and :meth:`Relation.estimated_bytes`
-charges each of them to the memory budget.
+or version, so a reader may register an index on a relation it only
+reads (a materialized view thereby keeps the index for each query
+shape it has served).  Nothing evicts them: a relation carries at most
+one index per distinct position set the plans and queries probe
+(bounded by 2^arity, in practice one or two), and
+:meth:`Relation.estimated_bytes` charges each to the memory budget.
 
 Copy-on-write snapshots
 -----------------------
@@ -65,7 +70,10 @@ clones it for the mutating side first, so no other side ever observes
 the change.  Every evaluation runs on such a snapshot
 (``evaluate_naive``/``evaluate_seminaive``, ``seeded_database``): base
 relations are shared, never copied, and only seed and derived
-relations are created in it.
+relations are created in it.  Maintained views are published to the
+query server the same way (``Session.materialized_relations`` is a
+snapshot of the materializer's derived relations), so the next
+maintenance pass clones only the views it touches.
 
 A snapshot is as free to drop as it is to take.  Nothing references a
 database strongly except its callers (a relation's ``owner`` is a
@@ -126,7 +134,8 @@ from weakref import WeakSet
 from .ast import Literal
 from .catalog import term_catalog
 from .errors import IntegrityError
-from .terms import Constant, Term
+from .terms import Constant, Term, Variable
+from .unify import match_sequences
 
 __all__ = ["Relation", "Database", "FactTuple", "IdTuple", "MutationEntry"]
 
@@ -634,6 +643,73 @@ class Relation:
         id_key: IndexKey = ids[0] if len(ids) == 1 else ids
         return [term_row(slot) for slot in self.lookup_ids(positions, id_key)]
 
+    def select(
+        self,
+        bound: Union[Dict[int, Term], Iterable[Tuple[int, Term]]],
+        project: Sequence[int],
+    ) -> Set[FactTuple]:
+        """The distinct projections on ``project`` of the rows holding
+        the ground term ``bound[p]`` at every bound position ``p``.
+
+        The one place a (relation, selection, projection) becomes
+        answers.  Constants are looked up, never interned (a read must
+        not grow the catalog): a never-seen constant, or one position
+        constrained to two constants, answers empty without touching a
+        row.  Rows come from the hash index on the bound positions (the
+        rowmap when every position is bound) and are projected and
+        deduplicated as ID rows; only the distinct ones are resolved to
+        terms, unmemoized.  Positions out of range raise ``ValueError``
+        as in :meth:`lookup`.
+        """
+        pairs = tuple(bound.items() if isinstance(bound, dict) else bound)
+        project = self._normalize_positions(project)
+        self._normalize_positions([position for position, _ in pairs])
+        id_of = _CATALOG.id_of
+        wanted: Dict[int, int] = {}
+        for position, term in pairs:
+            term_id = id_of(term)
+            if term_id < 0 or wanted.setdefault(position, term_id) != term_id:
+                return set()
+        columns = self._columns
+        if columns is None:
+            return set()
+        positions = tuple(sorted(wanted))
+        ids = tuple(wanted[position] for position in positions)
+        if len(ids) == self.arity:
+            slot = self._rowmap.get(ids)
+            slots: Sequence[int] = () if slot is None else (slot,)
+        else:
+            slots = self.lookup_ids(positions, ids[0] if len(ids) == 1 else ids)
+        picked = [columns[position] for position in project]
+        id_rows = {tuple([column[slot] for column in picked]) for slot in slots}
+        resolve = _CATALOG.resolve
+        return {tuple(map(resolve, id_row)) for id_row in id_rows}
+
+    def answers(self, literal: Literal) -> Set[FactTuple]:
+        """The bindings of ``literal``'s non-ground positions that make
+        it true over this relation (the *answer* of Section 1.1).
+
+        Ground arguments become the selection of :meth:`select`, the
+        other positions its projection.  A repeated variable or a
+        ``Struct``/``LinExpr`` pattern is a residual filter, by
+        ``match_sequences``, over the rows the index already narrowed.
+        A literal of another arity has no answers.
+        """
+        args = literal.args
+        if len(args) != self.arity:
+            return set()
+        bound = {i: arg for i, arg in enumerate(args) if arg.is_ground()}
+        free = [i for i in range(len(args)) if i not in bound]
+        patterns = [args[i] for i in free]
+        rows = self.select(bound, free)
+        if len(set(patterns)) == len(patterns) and all(
+            isinstance(pattern, Variable) for pattern in patterns
+        ):
+            return rows
+        return {
+            row for row in rows if match_sequences(patterns, row) is not None
+        }
+
     # ------------------------------------------------------------------
     # retraction
     # ------------------------------------------------------------------
@@ -940,8 +1016,9 @@ class Database:
     # ------------------------------------------------------------------
     # copy-on-write snapshots (the MVCC substrate of repro.server)
     # ------------------------------------------------------------------
-    def snapshot(self) -> "Database":
-        """A relation-sharing snapshot of this database.
+    def snapshot(self, keys: Optional[Iterable[str]] = None) -> "Database":
+        """A relation-sharing snapshot of this database (of the relations
+        under ``keys`` only, when given).
 
         O(#relations): no tuple is copied.  The snapshot references the
         same :class:`Relation` objects and registers itself, weakly, as
@@ -954,8 +1031,18 @@ class Database:
         either side land on the shared relation and serve both.
         """
         snap = Database()
-        snap._relations = dict(self._relations)
-        snap._cell.version = self._cell.version
+        if keys is None:
+            snap._relations = dict(self._relations)
+            snap._cell.version = self._cell.version
+        else:
+            snap._relations = {
+                key: self._relations[key]
+                for key in keys
+                if key in self._relations
+            }
+            snap._cell.version = sum(
+                rel.version for rel in snap._relations.values()
+            )
         for rel in snap._relations.values():
             holders = rel._holders
             if holders is None:
@@ -1107,6 +1194,11 @@ class Database:
         if rel is None:
             return set()
         return set(rel)
+
+    def answers(self, literal: Literal) -> Set[FactTuple]:
+        """:meth:`Relation.answers` over the literal's relation."""
+        rel = self._relations.get(literal.pred_key)
+        return set() if rel is None else rel.answers(literal)
 
     def total_facts(self) -> int:
         return sum(len(rel) for rel in self._relations.values())

@@ -819,13 +819,4 @@ def answer_tuples(
     *answer* of Section 1.1 ("the set of bindings to the vector of
     variables X that make the query expression true").
     """
-    free_positions = [
-        i for i, arg in enumerate(query_literal.args) if not arg.is_ground()
-    ]
-    answers: Set[FactTuple] = set()
-    for row in result.database.tuples(query_literal.pred_key):
-        binding = match_sequences(query_literal.args, row)
-        if binding is None:
-            continue
-        answers.add(tuple(row[i] for i in free_positions))
-    return answers
+    return result.database.answers(query_literal)

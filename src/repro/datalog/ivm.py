@@ -735,7 +735,7 @@ class MaterializedProgram:
         if pos == n:
             return True
         spec = specs[order[pos]]
-        rel = working.relation(spec.pred)
+        rel = working.get(spec.pred)
         if spec.negated:
             if rel is not None and rel.has_id_row(spec.ground(subst)):
                 return False
@@ -1064,7 +1064,6 @@ class MaterializedProgram:
         for ri in stratum:
             rule = program.rules[ri]
             head_spec, body_specs = self._specs[ri]
-            relation = working.relation(head_spec.pred)
             for j, literal in enumerate(rule.body):
                 delta = changed.get(literal.pred_key)
                 if delta is None:
@@ -1073,6 +1072,10 @@ class MaterializedProgram:
                     meter.check_batch(
                         stats.facts_derived, stats.tuples_scanned
                     )
+                # fetched per delta, not per rule: relation() clones a
+                # relation a published snapshot shares, and a head no
+                # delta reaches must stay shared
+                relation = working.relation(head_spec.pred)
                 if literal.negated:
                     # a removal under a negated literal enables
                     # solutions; interpreted join, everything-new
@@ -1122,7 +1125,6 @@ class MaterializedProgram:
             for ri in stratum:
                 rule = program.rules[ri]
                 head_key = rule.head.pred_key
-                relation = working.relation(head_key)
                 for j in self.compiled.delta_occurrences(ri):
                     batch = previous_batches.get(rule.body[j].pred_key)
                     if batch is None:
@@ -1132,7 +1134,7 @@ class MaterializedProgram:
                     )
                     if not rows:
                         continue
-                    fresh = relation.add_id_rows(rows)
+                    fresh = working.relation(head_key).add_id_rows(rows)
                     stats.duplicate_derivations += len(rows) - len(fresh)
                     if fresh:
                         record_fresh(head_key, fresh)

@@ -19,8 +19,8 @@ Two schedulers share one :class:`~repro.server.snapshot.SnapshotManager`:
     new snapshot is published only after a *successful* batch, no
     reader ever observes a partially applied mutation.  A committed
     batch runs incremental view maintenance (via ``Session.batch``)
-    and publishes the next version with frozen copies of whatever
-    views came out fresh.
+    and publishes the next version together with whatever views came
+    out fresh, shared copy-on-write.
 """
 
 from __future__ import annotations
@@ -29,15 +29,13 @@ import asyncio
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.limits import BudgetExceeded, EvaluationCancelled
-from ..datalog.ast import Query
-from ..datalog.database import Database, FactTuple
+from ..datalog.database import Database
 from ..datalog.errors import ParseError, ReproError
 from ..datalog.parser import parse_query
 from ..datalog.planner import PlanCache
-from ..datalog.unify import match_sequences
 from ..core.pipeline import unwrap_values
 from ..session import SESSION_METHODS, Session
 from .protocol import ProtocolError, sorted_rows
@@ -72,25 +70,6 @@ def _to_protocol_error(exc: BaseException) -> ProtocolError:
     return ProtocolError(
         "internal_error", f"{type(exc).__name__}: {exc}"
     )
-
-
-def _select_from_relation(
-    relation, query: Query
-) -> Set[FactTuple]:
-    """Selection/projection of a query literal over one frozen relation
-    (same answer shape as the evaluation paths)."""
-    literal = query.literal
-    free_positions = [
-        i for i, arg in enumerate(literal.args) if not arg.is_ground()
-    ]
-    answers: Set[FactTuple] = set()
-    for row in relation:
-        if len(row) != len(literal.args):
-            continue
-        if match_sequences(literal.args, row) is None:
-            continue
-        answers.add(tuple(row[i] for i in free_positions))
-    return answers
 
 
 class QueryScheduler:
@@ -240,11 +219,11 @@ class QueryScheduler:
             "version": snapshot.version,
             "query": query_text.strip(),
         }
-        # a maintained view frozen into this snapshot answers by pure
-        # selection -- no evaluation, no database copy
+        # a maintained view published with this snapshot answers by
+        # indexed selection -- no evaluation, no database copy
         view_rel = snapshot.views.get(query.literal.pred_key)
         if view_rel is not None and method in ("auto", "materialized"):
-            rows = _select_from_relation(view_rel, query)
+            rows = view_rel.answers(query.literal)
             base.update(
                 served="view",
                 method="materialized",
@@ -349,7 +328,7 @@ class MutationScheduler:
             "changed": changed,
             "requested": len(facts),
             "version": snap.version,
-            "views_published": sorted(views),
+            "views_published": sorted(views.predicate_keys()),
         }
 
     @staticmethod

@@ -3,25 +3,29 @@
 The server's concurrency model is single-writer / multi-reader over
 *versions*: readers never look at the live database.  They acquire the
 current :class:`Snapshot` -- a frozen ``Database.snapshot()`` (O(#
-relations), no tuple copied) plus the frozen materialized-view
-relations that were fresh at publish time -- and evaluate against it
-in a worker thread while the writer mutates the live database and,
-when a mutation batch commits, publishes the next version.
+relations), no tuple copied) plus a second such snapshot holding the
+materialized-view relations that were fresh at publish time -- and
+evaluate against it in a worker thread while the writer mutates the
+live database and, when a mutation batch commits, publishes the next
+version.
 
 Snapshots are refcounted: the manager holds one reference on the
 current version, every in-flight read holds one more, and a version
 retires (drops out of ``live_count``) when its last reference is
 released.  Memory behaves like the write rate, not the read rate: a
 writer touching k of n relations between publishes costs k relation
-clones, and a retired snapshot's unshared relations free with it.
+clones -- base relations and views alike: a view the maintenance pass
+did not touch is the same ``Relation`` object in consecutive versions,
+and an index a reader built on it serves every later version -- and a
+retired snapshot's unshared relations free with it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Optional
 
-from ..datalog.database import Database, Relation
+from ..datalog.database import Database
 
 __all__ = ["Snapshot", "SnapshotManager"]
 
@@ -30,12 +34,15 @@ class Snapshot:
     """One published, immutable version of the served database.
 
     ``db`` is a copy-on-write ``Database.snapshot()`` of the live
-    database at publish time; ``views`` maps derived predicate keys to
-    frozen :class:`Relation` copies of the maintained materialized
-    views *iff* they were fresh when this version was published (an
-    aborted maintenance pass publishes with no views -- stale answers
-    are never served).  Reads must hold a reference (``acquire`` /
-    ``release``) for as long as they use either.
+    database at publish time; ``views`` is the copy-on-write snapshot
+    ``Session.materialized_relations`` took of the maintained derived
+    relations, holding them *iff* they were fresh when this version
+    was published (an aborted maintenance pass publishes with no views
+    -- stale answers are never served).  The snapshot keeps ``views``
+    alive, and with it the holder registration that makes the writer
+    clone a view before maintaining it, for exactly as long as a reader
+    can reach the relations.  Reads must hold a reference (``acquire``
+    / ``release``) for as long as they use either.
     """
 
     __slots__ = ("version", "db", "views", "_refs", "_manager", "_lock")
@@ -44,7 +51,7 @@ class Snapshot:
         self,
         version: int,
         db: Database,
-        views: Dict[str, Relation],
+        views: Database,
         manager: "SnapshotManager",
     ):
         self.version = version
@@ -77,7 +84,8 @@ class Snapshot:
     def __repr__(self) -> str:
         return (
             f"Snapshot(v{self.version}, {len(self.db.predicate_keys())} "
-            f"relations, {len(self.views)} views, refs={self._refs})"
+            f"relations, {len(self.views.predicate_keys())} views, "
+            f"refs={self._refs})"
         )
 
 
@@ -100,15 +108,13 @@ class SnapshotManager:
         #: versions published over the manager's lifetime
         self.published = 0
 
-    def publish(
-        self, views: Optional[Dict[str, Relation]] = None
-    ) -> Snapshot:
+    def publish(self, views: Optional[Database] = None) -> Snapshot:
         """Freeze the live database as the new current snapshot."""
         with self._lock:
             snap = Snapshot(
                 self._database.version,
                 self._database.snapshot(),
-                views or {},
+                Database() if views is None else views,
                 self,
             )
             previous = self._current

@@ -71,7 +71,7 @@ from .core.provenance import RewrittenProgram
 from .core.sips import SipBuilder, build_full_sip
 from .datalog.analysis import reachable_predicates
 from .datalog.ast import Literal, Program, Query
-from .datalog.database import Database, FactTuple, Relation
+from .datalog.database import Database, FactTuple
 from .datalog.derivation import DerivationNode
 from .datalog.engine import EvaluationStats, evaluate
 from .datalog.errors import (
@@ -87,7 +87,6 @@ from .datalog.parser import parse_literal, parse_program, parse_query
 from .datalog.planner import PlanCache, shared_plan_cache
 from .datalog.terms import Term, Variable
 from .datalog.topdown import QSQResult, qsq_evaluate
-from .datalog.unify import match_sequences
 
 __all__ = [
     "Session",
@@ -248,23 +247,6 @@ class QueryResult:
 def _mentioned_relations(program: Program, extra=()) -> frozenset:
     """Every relation key an evaluation of ``program`` can touch."""
     return frozenset(program.predicates()) | frozenset(extra)
-
-
-def _select_rows(database: Database, query_literal: Literal):
-    """Selection/projection of a query against materialized relations:
-    the bindings of the query's free positions (same shape the
-    evaluation paths produce via ``answer_tuples``)."""
-    free_positions = [
-        i
-        for i, arg in enumerate(query_literal.args)
-        if not arg.is_ground()
-    ]
-    answers: Set[FactTuple] = set()
-    for row in database.tuples(query_literal.pred_key):
-        if match_sequences(query_literal.args, row) is None:
-            continue
-        answers.add(tuple(row[i] for i in free_positions))
-    return answers
 
 
 class MaterializedView:
@@ -531,25 +513,23 @@ class Session:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def materialized_relations(self) -> Dict[str, "Relation"]:
-        """Frozen copies of the fresh maintained derived relations.
+    def materialized_relations(self) -> Database:
+        """The fresh maintained derived relations, shared copy-on-write.
 
-        Empty when no views are live or the materializer is stale or
-        has unapplied deltas -- never a stale answer.  Each value is an
-        independent :class:`Relation` copy (indexes carried over), so
-        the caller may hand them to concurrent readers while this
-        session keeps mutating; this is the publish hook the query
-        server uses to serve view-covered queries from a snapshot.
+        A :meth:`Database.snapshot` of the materializer's derived
+        relations: nothing is copied here, and for as long as the
+        caller holds the returned database the next maintenance pass
+        clones the views it touches before changing them, so the caller
+        may hand it to concurrent readers while this session keeps
+        mutating.  Empty when no views are live or the materializer is
+        stale or has unapplied deltas -- never a stale answer.  This is
+        the publish hook the query server uses to serve view-covered
+        queries from a snapshot.
         """
         m = self._materializer
         if m is None or not self._views or not m.fresh:
-            return {}
-        out: Dict[str, Relation] = {}
-        for pred_key in m.derived_keys:
-            rel = m.working.get(pred_key)
-            if rel is not None:
-                out[pred_key] = rel.copy()
-        return out
+            return Database()
+        return m.working.snapshot(m.derived_keys)
 
     # ------------------------------------------------------------------
     # mutation (assertion / retraction)
@@ -901,7 +881,7 @@ class Session:
         if m.stale or m.pending:
             m.maintain(meter=meter)
             maintenance_elapsed = m.last_elapsed
-        rows = _select_rows(m.working, query.literal)
+        rows = m.working.answers(query.literal)
         return QueryResult(
             rows=rows,
             method="materialized",

@@ -1,5 +1,6 @@
 """Shared test helpers: canonical rule strings for appendix comparisons,
-and a collector-off context for the snapshot release tests.
+a collector-off context for the snapshot release tests, and the
+reference scan that answer selection is compared against.
 
 The appendix-comparison tests check that our rewriters regenerate the
 paper's rule sets *structurally*: rules are compared after renaming
@@ -18,6 +19,7 @@ import pytest
 
 from repro import Program, Rule, Variable
 from repro.core.provenance import RewrittenProgram
+from repro.datalog.unify import match_sequences
 
 
 def canonical_rule(rule: Rule) -> str:
@@ -74,3 +76,15 @@ def refcount_only():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def reference_scan(relation, literal):
+    """The answers of ``literal`` over ``relation`` by definition: decode
+    every row, keep those the literal matches, project the non-ground
+    positions.  The oracle for ``Relation.select`` / ``answers``."""
+    free = [i for i, arg in enumerate(literal.args) if not arg.is_ground()]
+    return {
+        tuple(row[i] for i in free)
+        for row in relation
+        if match_sequences(literal.args, row) is not None
+    }

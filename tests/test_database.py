@@ -701,3 +701,35 @@ class TestIndexOwnership:
         for pred, positions in registered():
             twin.relation(pred).register_index(positions)
         assert twin.estimated_bytes() == db.estimated_bytes()
+
+    def test_answer_selection_is_a_legitimate_requester(self):
+        """``Relation.select`` asks for the index on the query's bound
+        positions like any other reader: on the caller's relation, once."""
+        session = Session(FAMILY)
+        db = session.database
+        par = db.get("par")
+
+        def read(query_text):
+            # a fresh session each time: no memo, select runs every time
+            reader = Session(program=session.program, database=db)
+            return reader.query(query_text, method="seminaive").values()
+
+        # an all-free read selects nothing: what is registered after it
+        # is what the evaluation's own plans asked for
+        assert len(read("par(X, Y)?")) == 4
+        planned = set(par._indexes)
+        assert (0,) not in planned
+        facts, version = _facts(db), db.version
+        before = db.estimated_bytes()
+        assert read("par(a, Y)?") == {("b",)}
+        assert db.get("par") is par
+        assert set(par._indexes) == planned | {(0,)}
+        assert _facts(db) == facts and db.version == version
+        index = par._indexes[(0,)]
+        grown = db.estimated_bytes()
+        assert grown - before == 8 * len(par._live) + 114 * len(index)
+        assert read("par(a, Y)?") == {("b",)}
+        assert set(par._indexes) == planned | {(0,)}
+        assert par._indexes[(0,)] is index
+        assert db.estimated_bytes() == grown
+        assert db.check_integrity()

@@ -34,8 +34,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import refcount_only
-from repro.datalog.database import Database
+from conftest import refcount_only, reference_scan
+from repro.datalog.database import Database, Relation
 from repro.session import Session
 from repro.server import (
     ERROR_EXIT_CODES,
@@ -699,7 +699,7 @@ class TestSnapshotIsolation:
             server = handle.server
             pinned = server.snapshots.current()
             try:
-                frozen_view = pinned.views["anc"]
+                frozen_view = pinned.views.get("anc")
                 before = set(frozen_view)
                 handle.request(
                     {"op": "assert", "facts": ["par(zoe, ann)."]}
@@ -744,13 +744,10 @@ class TestSnapshotIsolation:
             method: _rows(pinned.db, _QUERY_TEXT, method)
             for method in ("seminaive", "supplementary_magic")
         }
-        from repro.server.scheduler import _select_from_relation
         from repro.datalog.parser import parse_query
 
-        query = parse_query(_QUERY_TEXT)
-        expected_view = _select_from_relation(
-            pinned.views["anc"], query
-        )
+        query = parse_query(_QUERY_TEXT).literal
+        expected_view = reference_scan(pinned.views.get("anc"), query)
         assert expected_view == expected["seminaive"]
         for op, a, b in script:
             fact = ("par", f"p{a}", f"p{b}")
@@ -762,12 +759,278 @@ class TestSnapshotIsolation:
             for method, rows in expected.items():
                 assert _rows(pinned.db, _QUERY_TEXT, method) == rows
             assert (
-                _select_from_relation(pinned.views["anc"], query)
+                reference_scan(pinned.views.get("anc"), query)
                 == expected_view
             )
+            assert pinned.views.get("anc").answers(query) == expected_view
         assert db.check_integrity()
         assert pinned.db.check_integrity()
         pinned.release()
+
+
+# ----------------------------------------------------------------------
+# views published by copy-on-write
+# ----------------------------------------------------------------------
+TWO_VIEWS = ANCESTOR + """
+likes(john, tea). likes(zoe, mate).
+fan(X, Y) :- likes(X, Y).
+"""
+
+
+class TestCowPublishedViews:
+    """``Session.materialized_relations`` is a ``Database.snapshot`` of
+    the maintained relations and ``Snapshot.views`` holds it: views are
+    shared with the writer exactly as base relations are."""
+
+    def test_pinned_view_never_observes_later_writes(self):
+        with refcount_only(), ServerHandle.start(
+            ANCESTOR, materialize=["anc"]
+        ) as handle:
+            server = handle.server
+            baseline = handle.stats()["snapshots_live"]
+            pinned = server.snapshots.current()
+            view = pinned.views.get("anc")
+            before, version = set(view), view.version
+            for step in range(3):
+                handle.request(
+                    {"op": "assert", "facts": [f"par(zoe, k{step})."]}
+                )
+                handle.request(
+                    {"op": "retract", "facts": ["par(john, alice)."]}
+                    if step == 1
+                    else {"op": "assert", "facts": [f"par(k{step}, john)."]}
+                )
+                assert pinned.views.get("anc") is view
+                assert set(view) == before and view.version == version
+            assert server.session._materializer.working.get("anc") is not view
+            assert pinned.views.check_integrity()
+            assert handle.stats()["snapshots_live"] == baseline + 1
+            pinned.release()
+            assert handle.stats()["snapshots_live"] == baseline
+
+    def test_indexes_and_untouched_views_survive_a_publish(self, monkeypatch):
+        builds = []
+        build_index = Relation._build_index
+
+        def recording(self, positions):
+            builds.append((self.name, positions))
+            return build_index(self, positions)
+
+        with ServerHandle.start(
+            TWO_VIEWS, materialize=["anc", "fan"]
+        ) as handle:
+            snapshots = handle.server.snapshots
+            monkeypatch.setattr(Relation, "_build_index", recording)
+            for query in ("anc(X, zoe)?", "fan(X, tea)?"):
+                out = handle.request({"op": "query", "query": query})
+                assert out["served"] == "view"
+            # evaluation probes neither view on its second column
+            assert sorted(builds) == [("anc", (1,)), ("fan", (1,))]
+            older = snapshots.current()
+            anc, fan = older.views.get("anc"), older.views.get("fan")
+            done = handle.request(
+                {"op": "assert", "facts": ["par(zoe, ann)."]}
+            )
+            assert done["views_published"] == ["anc", "fan"]
+            newer = snapshots.current()
+            # the write touched anc: cloned for the writer, index and all
+            assert newer.views.get("anc") is not anc
+            assert (1,) in newer.views.get("anc")._indexes
+            # it did not touch fan: the same object is published again
+            assert newer.views.get("fan") is fan
+            for query, rows in (
+                ("anc(X, ann)?", [["alice"], ["john"], ["ted"], ["zoe"]]),
+                ("anc(X, zoe)?", [["alice"], ["john"], ["ted"]]),
+                ("fan(X, tea)?", [["john"]]),
+            ):
+                out = handle.request({"op": "query", "query": query})
+                assert out["served"] == "view" and out["rows"] == rows
+            # the carried index answered the new version: nothing rebuilt
+            assert len(builds) == 2
+            assert len(anc) == 6 and len(newer.views.get("anc")) == 10
+            older.release()
+            newer.release()
+
+    def test_no_holder_outlives_the_last_published_view(self):
+        with refcount_only():
+            session = Session(TWO_VIEWS)
+            session.materialize()
+            working = session._materializer.working
+            manager = SnapshotManager(session.database)
+            manager.publish(session.materialized_relations())
+            held = working.get("anc")
+            # (these first writes also give ``working`` its own copy of
+            # each base relation it shared with the live database)
+            session.assert_("par(zoe, ann)")
+            session.assert_("likes(ann, tea)")
+            # the current snapshot holds the views: anc was cloned
+            assert working.get("anc") is not held
+            current = manager.current()
+            assert current.views.get("anc") is held
+            current.release()
+            del current
+            # the last snapshot holding views goes away
+            manager.publish()
+            relations = {
+                key: working.get(key) for key in working.predicate_keys()
+            }
+            indexes = {
+                key: dict(rel._indexes) for key, rel in relations.items()
+            }
+            session.assert_("par(ann, bob)")
+            session.retract("likes(zoe, mate)")
+            assert session._materializer.fresh
+            for key, rel in relations.items():
+                assert working.get(key) is rel, key
+                assert all(
+                    rel._indexes[positions] is index
+                    for positions, index in indexes[key].items()
+                )
+            assert ("zoe", "bob") in {
+                tuple(term.value for term in row) for row in relations["anc"]
+            }
+            assert working.check_integrity()
+
+    def test_bound_view_reads_race_the_writer(self):
+        from repro.datalog.parser import parse_query
+
+        _, db = _isolation_fixture(depth=12)
+        view_session = Session(program=_PROGRAM, database=db)
+        view_session.materialize("anc")
+        literal = parse_query(_QUERY_TEXT).literal
+        script = [("assert", ("n12", "m0"))]
+        tip = 0
+        for step in range(30):
+            if step % 3 == 2:
+                script.append(("retract", (f"m{tip - 1}", f"m{tip}")))
+                tip -= 1
+            else:
+                script.append(("assert", (f"m{tip}", f"m{tip + 1}")))
+                tip += 1
+
+        # serial oracle: replay the script on a private copy
+        replay = db.copy()
+        oracle = {replay.version: _rows(replay, _QUERY_TEXT, "seminaive")}
+        for op, row in script:
+            if op == "assert":
+                replay.add_values("par", [row])
+            else:
+                replay.retract_values("par", [row])
+            oracle[replay.version] = _rows(replay, _QUERY_TEXT, "seminaive")
+
+        manager = SnapshotManager(db)
+        manager.publish(view_session.materialized_relations())
+        baseline = manager.live_count
+        stop = threading.Event()
+        failures = []
+        versions_read = []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    pinned = manager.current()
+                    try:
+                        got = pinned.views.get("anc").answers(literal)
+                        if got != oracle[pinned.version]:
+                            failures.append((pinned.version, got))
+                            return
+                        versions_read.append(pinned.version)
+                    finally:
+                        pinned.release()
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with refcount_only():
+                for t in threads:
+                    t.start()
+                for op, row in script:
+                    # let a read finish between consecutive commits
+                    done = len(versions_read)
+                    deadline = time.monotonic() + 5
+                    while (
+                        len(versions_read) == done
+                        and not failures
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.0005)
+                    if op == "assert":
+                        view_session.assert_("par", *row)
+                    else:
+                        view_session.retract("par", *row)
+                    manager.publish(view_session.materialized_relations())
+                stop.set()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert not failures
+                assert len(set(versions_read)) > len(script) // 2
+                assert manager.live_count == baseline
+                current = manager.current()
+                assert current.views.check_integrity()
+                assert current.db.check_integrity()
+                assert db.check_integrity()
+                working = view_session._materializer.working
+                assert working.check_integrity()
+                assert current.views.get("anc") is working.get("anc")
+                assert (
+                    current.views.get("anc").answers(literal)
+                    == oracle[db.version]
+                )
+                current.release()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+
+    def test_aborted_maintenance_publishes_no_views(self):
+        with ServerHandle.start(
+            TWO_VIEWS, materialize=["anc", "fan"]
+        ) as handle:
+            server = handle.server
+            pinned = server.snapshots.current()
+            before = {
+                key: set(pinned.views.get(key))
+                for key in pinned.views.predicate_keys()
+            }
+            assert set(before) == {"anc", "fan"}
+            os.environ["REPRO_FAULT_INJECT"] = "any:1"
+            try:
+                done = handle.request(
+                    {"op": "assert", "facts": ["par(zoe, ann)."]}
+                )
+            finally:
+                del os.environ["REPRO_FAULT_INJECT"]
+            assert done["ok"] and done["views_published"] == []
+            aborted = server.snapshots.current()
+            assert aborted.views.predicate_keys() == set()
+            for key, rows in before.items():
+                assert set(pinned.views.get(key)) == rows
+            working = server.session._materializer.working
+            for side in (
+                server.session.database,
+                working,
+                pinned.views,
+                pinned.db,
+                aborted.views,
+                aborted.db,
+            ):
+                assert side.check_integrity()
+            # the next clean write rebuilds and publishes views again
+            done = handle.request(
+                {"op": "assert", "facts": ["par(ann, bob)."]}
+            )
+            assert done["views_published"] == ["anc", "fan"]
+            out = handle.request({"op": "query", "query": "anc(zoe, X)?"})
+            assert out["served"] == "view"
+            assert out["rows"] == [["ann"], ["bob"]]
+            for key, rows in before.items():
+                assert set(pinned.views.get(key)) == rows
+            assert pinned.views.check_integrity()
+            pinned.release()
+            aborted.release()
 
 
 # ----------------------------------------------------------------------

@@ -640,20 +640,20 @@ class TestLifecycle:
         assert not session._adorned
         assert not session._auto_choice
 
-    def test_materialized_relations_publishes_fresh_copies(self):
+    def test_materialized_relations_publishes_isolated_views(self):
         session = ancestor_session()
         session.materialize("anc")
         published = session.materialized_relations()
-        assert set(published) == {"anc"}
-        frozen = published["anc"]
+        assert published.predicate_keys() == {"anc"}
+        frozen = published.get("anc")
         session.assert_("par(ann, zoe)")
-        # the copy is frozen; the maintained state moved on
+        # the published view is frozen; the maintained state moved on
         assert len(frozen) == 6
-        assert len(session.materialized_relations()["anc"]) == 10
+        assert len(session.materialized_relations().get("anc")) == 10
 
     def test_materialized_relations_empty_when_stale_or_absent(self):
         session = ancestor_session()
-        assert session.materialized_relations() == {}
+        assert session.materialized_relations().predicate_keys() == set()
         session.materialize("anc")
         os.environ["REPRO_FAULT_INJECT"] = "any:1"
         try:
@@ -661,4 +661,4 @@ class TestLifecycle:
         finally:
             del os.environ["REPRO_FAULT_INJECT"]
         # the maintenance pass aborted: stale state is never published
-        assert session.materialized_relations() == {}
+        assert session.materialized_relations().predicate_keys() == set()
