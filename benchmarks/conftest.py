@@ -1,7 +1,8 @@
 """Shared benchmark fixtures and reporting helpers.
 
 Every benchmark regenerates one of the paper's evaluation artifacts
-(see DESIGN.md's experiment index).  Besides timing via
+(each module's docstring names its artifact; README.md's repository
+layout lists the modules).  Besides timing via
 pytest-benchmark, each bench *asserts the shape* of the paper's claim
 and prints the regenerated table with ``-s``.
 

@@ -386,7 +386,8 @@ class Relation:
         The batch engine's insert path: duplicates cost one ``_rowmap``
         membership check, fresh rows are appended to the columns in one
         pass, and each registered index is brought up to date in a
-        single batch pass over the fresh slots.
+        single batch pass over the fresh slots.  A row of the wrong
+        arity raises with the relation untouched, like :meth:`add_many`.
         """
         arity = self.arity
         rowmap = self._rowmap
@@ -398,9 +399,12 @@ class Relation:
                 continue
             if len(idrow) != arity:
                 if arity is None:
-                    arity = self.arity = len(idrow)
-                    self._columns = [array("q") for _ in range(arity)]
+                    arity = len(idrow)
                 else:
+                    # earlier rows of the batch already claimed rowmap
+                    # slots nothing else backs yet: give them back
+                    for claimed in fresh_rows:
+                        del rowmap[claimed]
                     raise ValueError(
                         f"relation {self.name}: arity mismatch, expected "
                         f"{arity}, got tuple of length {len(idrow)}"
@@ -412,6 +416,7 @@ class Relation:
         n_fresh = len(fresh_rows)
         if not n_fresh:
             return fresh_rows
+        self.arity = arity
         columns = self._columns
         if columns is None:
             columns = self._columns = [array("q") for _ in range(arity)]

@@ -54,6 +54,15 @@ solutions, which join order cannot change), while ``join_probes`` and
 ``tuples_scanned`` measure the work actually done -- the planner's whole
 point is that they shrink.
 
+The default batch path gets a rule's head instances from
+:meth:`JoinPlan.execute_batch <repro.datalog.planner.JoinPlan.execute_batch>`
+as ID rows that may repeat, each standing for one or more body solutions
+(equal frames are merged mid-join and carry a multiplicity); the
+multiplicities sum to the exact number of body solutions.  The drivers
+below therefore count duplicates as ``solutions - fresh``, never from a
+row-list length, and ``tuples_scanned`` on this path counts the rows
+touched *after* merging -- at or below the row path's.
+
 Testing gotcha: run the suite as ``python -m pytest`` from the repo root
 (``pyproject.toml`` pins ``testpaths = ["tests"]``).  Without that
 pinning, pytest also collects ``benchmarks/``, whose sibling
@@ -117,7 +126,7 @@ class EvaluationStats:
     parallel_ship_seconds: float = 0.0
     #: why a requested parallel run fell back ("" = none needed)
     parallel_fallback: str = ""
-    #: rows emitted per worker index (shard-balance instrumentation)
+    #: body solutions per worker index (shard-balance instrumentation)
     parallel_worker_rows: Dict[int, int] = field(default_factory=dict)
 
     def record_fact(self, pred_key: str) -> None:
@@ -468,13 +477,13 @@ def evaluate_naive(
                 head_key = rule.head.pred_key
                 relation = working.relation(head_key)
                 if batch:
-                    rows = compiled.plan(rule_index).execute_batch(
-                        working, stats, meter=meter
-                    )
+                    rows, _, solutions = compiled.plan(
+                        rule_index
+                    ).execute_batch(working, stats, meter=meter)
                     if rows:
                         fresh = relation.add_id_rows(rows)
                         n_fresh = len(fresh)
-                        stats.duplicate_derivations += len(rows) - n_fresh
+                        stats.duplicate_derivations += solutions - n_fresh
                         if n_fresh:
                             stats.record_facts(head_key, n_fresh)
                             changed = True
@@ -665,13 +674,13 @@ def evaluate_seminaive(
             head_key = rule.head.pred_key
             relation = working.relation(head_key)
             if batch:
-                rows = compiled.plan(rule_index).execute_batch(
+                rows, _, solutions = compiled.plan(rule_index).execute_batch(
                     working, stats, meter=meter
                 )
                 if rows:
                     fresh = relation.add_id_rows(rows)
                     n_fresh = len(fresh)
-                    stats.duplicate_derivations += len(rows) - n_fresh
+                    stats.duplicate_derivations += solutions - n_fresh
                     if n_fresh:
                         stats.record_facts(head_key, n_fresh)
                         delta_rel = deltas.get(head_key)
@@ -733,14 +742,14 @@ def evaluate_seminaive(
                         continue
                     delta_rel = deltas[literal.pred_key]
                     if batch:
-                        rows = compiled.plan(
+                        rows, _, solutions = compiled.plan(
                             rule_index, index
                         ).execute_batch(working, stats, delta_rel, meter=meter)
                         if rows:
                             fresh = relation.add_id_rows(rows)
                             n_fresh = len(fresh)
                             stats.duplicate_derivations += (
-                                len(rows) - n_fresh
+                                solutions - n_fresh
                             )
                             if n_fresh:
                                 stats.record_facts(head_key, n_fresh)

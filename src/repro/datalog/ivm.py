@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .analysis import stratify_rules
@@ -509,15 +510,15 @@ class MaterializedProgram:
                 continue
             for ri in stratum:
                 rule = self.program.rules[ri]
-                # execute_batch returns one ID row per body solution
-                # (duplicates included): exactly the multiset the
-                # counts need
-                rows = self.compiled.plan(ri).execute_batch(
+                # execute_batch returns head ID rows (which may repeat)
+                # with the number of body solutions each stands for:
+                # summed per row, exactly the multiset the counts need
+                rows, mults, _ = self.compiled.plan(ri).execute_batch(
                     self.working, stats
                 )
                 counts = self._counts.setdefault(rule.head.pred_key, {})
-                for idrow in rows:
-                    counts[idrow] = counts.get(idrow, 0) + 1
+                for idrow, mult in zip(rows, mults or repeat(1)):
+                    counts[idrow] = counts.get(idrow, 0) + mult
             for pred in self._stratum_heads[s]:
                 base_rel = self.base.get(pred)
                 if base_rel is not None and len(base_rel):
@@ -967,7 +968,7 @@ class MaterializedProgram:
                         continue
                     seed = _IdDeltaBatch()
                     seed.extend(list(delta.removed))
-                    rows = self._insert_plan(ri, j).execute_batch(
+                    rows, _, _ = self._insert_plan(ri, j).execute_batch(
                         working, stats, seed, meter=meter
                     )
                     od_push(relation_name, rows)
@@ -990,7 +991,7 @@ class MaterializedProgram:
                         batch = previous.get(rule.body[j].pred_key)
                         if batch is None:
                             continue
-                        rows = self.compiled.plan(ri, j).execute_batch(
+                        rows, _, _ = self.compiled.plan(ri, j).execute_batch(
                             working, stats, batch, meter=meter
                         )
                         od_push(head_key, rows)
@@ -1103,12 +1104,12 @@ class MaterializedProgram:
                     continue
                 seed = _IdDeltaBatch()
                 seed.extend(list(delta.added))
-                rows = self._insert_plan(ri, j).execute_batch(
+                rows, _, solutions = self._insert_plan(ri, j).execute_batch(
                     working, stats, seed, meter=meter
                 )
                 if rows:
                     fresh = relation.add_id_rows(rows)
-                    stats.duplicate_derivations += len(rows) - len(fresh)
+                    stats.duplicate_derivations += solutions - len(fresh)
                     push(head_spec.pred, fresh)
 
         while batches:
@@ -1129,13 +1130,13 @@ class MaterializedProgram:
                     batch = previous_batches.get(rule.body[j].pred_key)
                     if batch is None:
                         continue
-                    rows = self.compiled.plan(ri, j).execute_batch(
-                        working, stats, batch, meter=meter
-                    )
+                    rows, _, solutions = self.compiled.plan(
+                        ri, j
+                    ).execute_batch(working, stats, batch, meter=meter)
                     if not rows:
                         continue
                     fresh = working.relation(head_key).add_id_rows(rows)
-                    stats.duplicate_derivations += len(rows) - len(fresh)
+                    stats.duplicate_derivations += solutions - len(fresh)
                     if fresh:
                         record_fresh(head_key, fresh)
                         nxt = batches.get(head_key)

@@ -367,7 +367,12 @@ def _visibility_groups(tasks: List[_BatchTask]) -> List[List[_BatchTask]]:
 # ----------------------------------------------------------------------
 
 def _execute_shard(plan, database, rows, deadline):
-    """Run one plan over one input shard; returns (rows, probes, scanned).
+    """Run one plan over one input shard.
+
+    Returns ``(rows, solutions, probes, scanned)``.  ``rows`` may
+    repeat and each may stand for several body solutions
+    (:meth:`JoinPlan.execute_batch`); the merge needs only the row set
+    and the solution count, so the per-row multiplicities stop here.
 
     ``rows is None`` executes the plan as a plain full batch (the solo
     path for rules with no shardable pivot).  Returns None when the
@@ -378,12 +383,14 @@ def _execute_shard(plan, database, rows, deadline):
         return None
     lstats = EvaluationStats()
     if rows is None:
-        out = plan.execute_batch(database, lstats)
+        out, _, solutions = plan.execute_batch(database, lstats)
     else:
         if not rows:
-            return ([], 0, 0)
-        out = plan.execute_batch(database, lstats, _rows_batch(rows))
-    return (out, lstats.join_probes, lstats.tuples_scanned)
+            return ([], 0, 0, 0)
+        out, _, solutions = plan.execute_batch(
+            database, lstats, _rows_batch(rows)
+        )
+    return (out, solutions, lstats.join_probes, lstats.tuples_scanned)
 
 
 # ----------------------------------------------------------------------
@@ -454,17 +461,17 @@ class _ThreadBackend:
             if out is None:
                 aborted = True
                 continue
-            rows_out, probes, scanned = out
+            rows_out, solutions, probes, scanned = out
             n_emitted, merged = results[task.task_id]
             merged.extend(rows_out)
-            results[task.task_id] = (n_emitted + len(rows_out), merged)
-            stats.rule_firings += len(rows_out)
+            results[task.task_id] = (n_emitted + solutions, merged)
+            stats.rule_firings += solutions
             stats.join_probes += probes
             stats.tuples_scanned += scanned
             stats.parallel_tasks += 1
             stats.parallel_rows_shipped += len(rows_out)
             stats.parallel_worker_rows[w] = (
-                stats.parallel_worker_rows.get(w, 0) + len(rows_out)
+                stats.parallel_worker_rows.get(w, 0) + solutions
             )
         return results, aborted
 
@@ -522,8 +529,9 @@ def _worker_run_task(descriptor, state, deltas, shadow, w):
             rows_in = list(islice(iter(all_rows), w, None, state.workers))
         if not rows_in:
             return None
-    out = _execute_shard(plan, working, rows_in, None)
-    rows_out, probes, scanned = out
+    rows_out, solutions, probes, scanned = _execute_shard(
+        plan, working, rows_in, None
+    )
     # pre-dedup against the replica's group-start state (plus this
     # task's own emissions) so only candidate-fresh rows cross the
     # pipe; the parent's rowmap merge stays the single source of truth
@@ -542,7 +550,7 @@ def _worker_run_task(descriptor, state, deltas, shadow, w):
         seen.add(row)
         fresh.append(row)
     arity = len(fresh[0]) if fresh else 0
-    return (task_id, len(rows_out), probes, scanned, len(fresh), arity,
+    return (task_id, solutions, probes, scanned, len(fresh), arity,
             _flatten(fresh))
 
 

@@ -35,6 +35,16 @@ join-order independent (they count body solutions, which reordering does not
 change), while ``join_probes`` / ``tuples_scanned`` measure the work the plan
 actually performs -- the quantity the planner is built to shrink.
 
+The batch executor (:meth:`JoinPlan.execute_batch`) pushes that further the
+way the paper's supplementary predicates do for a rule prefix: after a
+non-final step at which a frame slot goes dead, frames that agree on every
+live slot are merged into one frame carrying an integer *multiplicity*, so the
+remaining steps probe once per distinct live binding.  Its contract: the head
+ID rows it returns may repeat, each comes with the number of body solutions it
+stands for, the multiplicities sum to the exact number of body solutions
+(which is what ``rule_firings`` gains), and ``tuples_scanned`` counts the rows
+touched *after* merging.
+
 Two further layers serve the top-down side and repeated evaluations:
 
 * **Subquery plans** (:class:`SubqueryPlan`, :func:`compile_subquery_rule`)
@@ -53,7 +63,7 @@ Two further layers serve the top-down side and repeated evaluations:
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from itertools import repeat as _repeat
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -420,6 +430,42 @@ def _scan_batch_step(relation, positions, keys, b_row_ops, n_stores,
     return sel, stores, probes, scanned
 
 
+def _merge_frames(cols, weights, n):
+    """Merge the frames of a batch that agree on every live slot.
+
+    ``cols`` holds the live slots' columns and ``weights`` the frames'
+    multiplicities (None = all 1).  Returns the merged ``(cols,
+    weights, n)``: one frame per distinct live binding, in first-seen
+    order, weighing the sum of the frames it replaces -- so the solution
+    multiset downstream is unchanged while every later step touches
+    each binding once.  A batch that is already distinct is returned as
+    it came.  (A dead column that a skipped anti-join left in ``cols``
+    only lets fewer frames coincide; the result is still exact.)
+    """
+    slots = list(cols)
+    if not slots:
+        # no live slot left: the frames are indistinguishable
+        return cols, [n if weights is None else sum(weights)], 1
+    if len(slots) == 1:
+        keys = cols[slots[0]]
+    else:
+        keys = zip(*cols.values())
+    if weights is None:
+        merged = Counter(keys)  # counts at C level
+    else:
+        merged = {}
+        get = merged.get
+        for key, weight in zip(keys, weights):
+            merged[key] = get(key, 0) + weight
+    if len(merged) == n:
+        return cols, weights, n
+    if len(slots) == 1:
+        cols = {slots[0]: list(merged)}
+    else:
+        cols = dict(zip(slots, map(list, zip(*merged))))
+    return cols, list(merged.values()), len(merged)
+
+
 def _key_ops_for(literal, slots, bound):
     """Index positions and key ops for the compile-time-ground arguments.
 
@@ -552,7 +598,7 @@ class JoinStep:
     __slots__ = ("literal", "pred_key", "is_delta", "negated",
                  "index_positions", "key_ops", "row_ops",
                  "b_key_ops", "b_row_ops", "b_store_slots",
-                 "b_carry_out", "b_store_out")
+                 "b_carry_out", "b_store_out", "b_merge")
 
     def __init__(self, literal, pred_key, is_delta, negated,
                  index_positions, key_ops, row_ops):
@@ -572,6 +618,9 @@ class JoinStep:
         self.b_store_slots = ()
         self.b_carry_out = ()
         self.b_store_out = ()
+        #: merge equal frames after this step (set at plan build: a
+        #: non-final step at which some frame slot goes dead)
+        self.b_merge = False
 
     def __repr__(self):
         flag = " delta" if self.is_delta else ""
@@ -601,6 +650,14 @@ class JoinPlan:
         self.b_head_ops, self.b_head_slots, _ = _attach_batch_ops(
             steps, head_ops
         )
+        # merge points of execute_batch: a step's live-out slots are a
+        # subset of its live-in slots plus its stores, so a smaller
+        # count means a slot died there and frames may now coincide
+        live = 0
+        for step in steps[:-1]:
+            live_out = len(step.b_carry_out) + len(step.b_store_out)
+            step.b_merge = live_out < live + len(step.b_store_slots)
+            live = live_out
 
     # ------------------------------------------------------------------
     # execution
@@ -751,18 +808,31 @@ class JoinPlan:
         stats,
         delta_relation: Optional[Relation] = None,
         meter=None,
-    ) -> List[IdTuple]:
-        """All head instances derivable from this plan, as ID rows.
+    ) -> Tuple[List[IdTuple], Optional[List[int]], int]:
+        """The plan's head instances as ``(rows, multiplicities, solutions)``.
 
         The batch-vectorized twin of :meth:`execute`: partial matches
         travel as parallel columns of term IDs (one list per live frame
         slot), and each step probes its relation's int-ID index once per
         *distinct* key in the batch instead of once per frame, emitting
-        the next batch.  Solution multiplicities -- and therefore
-        ``rule_firings`` / ``facts_derived`` / ``duplicate_derivations``
-        -- are identical to :meth:`execute` by construction (grouping
-        only reorders frames within a round); ``join_probes`` counts the
-        deduplicated probes, which is the quantity batching shrinks.
+        the next batch.  After a non-final step at which a frame slot
+        goes dead (``step.b_merge``), frames that agree on every live
+        slot are merged into one frame carrying an integer multiplicity,
+        so the remaining steps run once per distinct live binding rather
+        than once per partial match.
+
+        ``rows`` are head ID rows and may repeat (nothing is merged
+        after the last step; the head insert deduplicates).
+        ``multiplicities`` is aligned with ``rows`` -- how many body
+        solutions each row stands for -- or None when every row stands
+        for exactly one (no merge happened).  ``solutions`` is their
+        sum, the exact number of body solutions, and is what this call
+        adds to ``stats.rule_firings``: ``rule_firings`` /
+        ``facts_derived`` / ``duplicate_derivations`` are therefore
+        identical to :meth:`execute` by construction, while
+        ``join_probes`` counts the deduplicated probes and
+        ``tuples_scanned`` the rows touched *after* merging -- the two
+        quantities batching and merging shrink.
 
         ``meter``, when given, is consulted once at entry (a batch
         boundary for the resource governor) and may abort by raising.
@@ -770,6 +840,7 @@ class JoinPlan:
         if meter is not None:
             meter.check_batch(stats.facts_derived, stats.tuples_scanned)
         cols: Dict[int, List[int]] = {}
+        weights: Optional[List[int]] = None
         n = 1
         rule = self.rule
         resolve_id = _CATALOG.resolve
@@ -787,49 +858,55 @@ class JoinPlan:
                 if relation is None or len(relation) == 0:
                     continue  # nothing to refute: all frames survive
                 if not step.index_positions:
-                    return []  # 0-ary atom holds: negation fails
+                    return [], None, 0  # 0-ary atom holds: negation fails
                 keys = _batch_keys(step.b_key_ops, cols, n, True, id_of)
                 rowmap = relation._rowmap
                 stats.join_probes += n
                 sel = [i for i in range(n) if keys[i] not in rowmap]
                 if not sel:
-                    return []
+                    return [], None, 0
                 cols = {
                     s: [cols[s][i] for i in sel] for s in step.b_carry_out
                 }
-                n = len(sel)
-                continue
-            if relation is None or len(relation) == 0:
-                return []
-            b_key_ops = step.b_key_ops
-            if b_key_ops:
-                keys = _batch_keys(b_key_ops, cols, n, False, id_of)
             else:
-                keys = None
-            sel, stores, probes, scanned = _scan_batch_step(
-                relation, step.index_positions, keys,
-                step.b_row_ops, len(step.b_store_slots), cols, n,
-            )
-            stats.join_probes += probes
-            stats.tuples_scanned += scanned
-            if not sel:
-                return []
-            next_cols: Dict[int, List[int]] = {
-                s: [cols[s][i] for i in sel] for s in step.b_carry_out
-            }
-            for j, s in step.b_store_out:
-                next_cols[s] = stores[j]
-            cols = next_cols
+                if relation is None or len(relation) == 0:
+                    return [], None, 0
+                b_key_ops = step.b_key_ops
+                if b_key_ops:
+                    keys = _batch_keys(b_key_ops, cols, n, False, id_of)
+                else:
+                    keys = None
+                sel, stores, probes, scanned = _scan_batch_step(
+                    relation, step.index_positions, keys,
+                    step.b_row_ops, len(step.b_store_slots), cols, n,
+                )
+                stats.join_probes += probes
+                stats.tuples_scanned += scanned
+                if not sel:
+                    return [], None, 0
+                next_cols: Dict[int, List[int]] = {
+                    s: [cols[s][i] for i in sel] for s in step.b_carry_out
+                }
+                for j, s in step.b_store_out:
+                    next_cols[s] = stores[j]
+                cols = next_cols
             n = len(sel)
+            if weights is not None:
+                weights = [weights[i] for i in sel]
+            if step.b_merge:
+                cols, weights, n = _merge_frames(cols, weights, n)
 
+        solutions = n if weights is None else sum(weights)
+        stats.rule_firings += solutions
         head_slots = self.b_head_slots
         if head_slots is not None:
-            stats.rule_firings += n
             if not head_slots:
-                return [()] * n
-            if len(head_slots) == 1:
-                return [(value,) for value in cols[head_slots[0]]]
-            return list(zip(*(cols[s] for s in head_slots)))
+                rows = [()] * n
+            elif len(head_slots) == 1:
+                rows = [(value,) for value in cols[head_slots[0]]]
+            else:
+                rows = list(zip(*(cols[s] for s in head_slots)))
+            return rows, weights, solutions
         produced: List[IdTuple] = []
         b_head_ops = self.b_head_ops
         for i in range(n):
@@ -857,9 +934,8 @@ class JoinPlan:
                         f"{payload}; the rule is not range-restricted for "
                         "this database"
                     )
-            stats.rule_firings += 1
             produced.append(tuple(args))
-        return produced
+        return produced, weights, solutions
 
     # ------------------------------------------------------------------
     # index registration

@@ -88,3 +88,15 @@ def reference_scan(relation, literal):
         for row in relation
         if match_sequences(literal.args, row) is not None
     }
+
+
+def solution_counters(stats):
+    """The counters every execution path must agree on exactly: they
+    count body solutions and fixpoint rounds, not the work spent."""
+    return (
+        stats.facts_derived,
+        stats.rule_firings,
+        stats.duplicate_derivations,
+        stats.iterations,
+        dict(stats.facts_by_predicate),
+    )

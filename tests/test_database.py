@@ -32,6 +32,26 @@ class TestRelation:
         with pytest.raises(ValueError):
             rel.add((c("a"),))
 
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_add_id_rows_arity_mismatch_leaves_relation_untouched(
+        self, seeded
+    ):
+        """Regression: rows ahead of the bad one kept their ``_rowmap``
+        claims, so they looked present but were never stored."""
+        db = Database()
+        rel = db.relation("r")
+        if seeded:
+            rel.add_id_rows([(1, 2)])
+        before = list(rel.id_rows()), rel.arity, rel.version
+        with pytest.raises(ValueError):
+            rel.add_id_rows([(5, 6), (7,)])
+        assert (list(rel.id_rows()), rel.arity, rel.version) == before
+        assert not rel.has_id_row((5, 6))
+        assert db.check_integrity()
+        # a retry of the good row is a real insert, not a phantom duplicate
+        assert rel.add_id_rows([(5, 6)]) == [(5, 6)]
+        assert db.check_integrity()
+
     def test_rejects_non_ground(self):
         rel = Relation("par")
         with pytest.raises(ValueError):

@@ -19,6 +19,8 @@ from repro.workloads import (
     samegen_query,
 )
 
+from conftest import solution_counters
+
 # small node universe so that random graphs are dense enough to recurse
 NODES = [f"v{i}" for i in range(8)]
 
@@ -237,16 +239,6 @@ FORK_SETTINGS = settings(
 )
 
 
-def _stat_counters(stats):
-    return (
-        stats.facts_derived,
-        stats.rule_firings,
-        stats.duplicate_derivations,
-        stats.iterations,
-        dict(stats.facts_by_predicate),
-    )
-
-
 class TestParallelEquivalenceProperty:
     """The worker pool is invisible: on random safe stratified programs,
     ``workers=4`` derives exactly the same relations *and the same work
@@ -291,7 +283,7 @@ class TestParallelEquivalenceProperty:
                 ) == serial.database.tuples(pred), (method, pred)
             # stats determinism: the shard merge replays the serial
             # derivation order, so the counters match exactly
-            assert _stat_counters(parallel.stats) == _stat_counters(
+            assert solution_counters(parallel.stats) == solution_counters(
                 serial.stats
             ), method
             assert database.check_integrity()

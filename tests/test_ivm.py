@@ -135,6 +135,39 @@ class TestDeltaPropagation:
         }
         assert mp.check_consistency()
 
+    def test_counts_come_from_batch_multiplicities(self):
+        # both rules drop Y and Z mid-join.  p's plan ends there, so its
+        # rows simply repeat; q's goes on to g(X), so the batch executor
+        # merges the frames of each X and hands the counts one row with
+        # the number of (Y, Z) solutions behind it
+        parsed = parse_program(
+            """
+            p(X) :- e(X, Y), f(Y, Z).
+            q(X) :- e(X, Y), f(Y, Z), g(X).
+            e(a, y1). e(a, y2). e(b, y1).
+            f(y1, z1). f(y1, z2). f(y2, z1).
+            g(a). g(b).
+            """
+        )
+        database = Database()
+        database.add_facts(parsed.facts)
+        mp = MaterializedProgram(parsed.program, database)
+        assert any(step.b_merge for step in mp.compiled.plan(1).steps)
+
+        def counts(pred):
+            return sorted(mp._counts[pred].values())
+
+        assert counts("p") == counts("q") == [2, 3]
+        database.retract_values("f", [("y1", "z2")])
+        mp.maintain()
+        assert counts("p") == counts("q") == [1, 2]
+        assert mp.check_consistency()
+        database.retract_values("f", [("y1", "z1")])
+        result = mp.maintain()
+        assert result.facts_removed == 2  # p(b) and q(b) lose their support
+        assert counts("p") == counts("q") == [1]
+        assert mp.check_consistency()
+
     def test_mutation_under_derived_name(self):
         # facts asserted/retracted under a derived predicate route
         # through its stratum as external deltas

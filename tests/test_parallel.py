@@ -54,6 +54,8 @@ from repro.datalog.terms import Constant
 from repro.workloads.bom import bom_database, bom_program
 from repro.workloads.graphs import chain_edges, load_edges
 
+from conftest import solution_counters as _counters
+
 BACKENDS = ("fork", "thread")
 
 TC = """
@@ -96,17 +98,6 @@ def _snapshot(result):
         rel = result.database.get(key)
         out[key] = frozenset(rel.id_rows()) if rel is not None else frozenset()
     return out
-
-
-def _counters(stats):
-    """The solution counters that must match serial exactly."""
-    return (
-        stats.facts_derived,
-        stats.rule_firings,
-        stats.duplicate_derivations,
-        stats.iterations,
-        dict(stats.facts_by_predicate),
-    )
 
 
 def _db_fingerprint(db):

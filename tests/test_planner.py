@@ -6,6 +6,8 @@ compiled plans, the delta handling for rules with two occurrences of the
 same recursive predicate, and the function-symbol / LinExpr fallbacks.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro import (
     Constant,
     Database,
     EvaluationError,
+    EvaluationStats,
     Literal,
     Program,
     Rule,
@@ -25,11 +28,16 @@ from repro import (
     evaluate_seminaive,
     order_body,
     parse_program,
+    parse_query,
     parse_rule,
+    rewrite,
 )
+from repro.datalog.catalog import term_catalog
 from repro.workloads import (
+    BOM,
     ancestor_program,
     ancestor_query,
+    bom_database,
     chain_database,
     cycle_database,
     integer_list,
@@ -39,7 +47,10 @@ from repro.workloads import (
     random_dag_database,
     reverse_query,
     samegen_database,
+    samegen_query,
 )
+
+from conftest import solution_counters
 
 
 def c(value):
@@ -126,29 +137,97 @@ def both_paths(program, db, strategy):
     return legacy, planned
 
 
-WORKLOADS = [
-    ("chain", lambda: chain_database(8)),
-    ("cycle", lambda: cycle_database(6)),
-    ("dag", lambda: random_dag_database(12, 0.3, seed=7)),
+def all_paths(program, db, strategy):
+    """One program through every execution path: the legacy interpretive
+    join, the compiled row path, the batch path and a 2-thread pool."""
+    evaluate = evaluate_naive if strategy == "naive" else evaluate_seminaive
+    return {
+        "legacy": evaluate(program, db, use_planner=False),
+        "row": evaluate(program, db, vectorized=False),
+        "batch": evaluate(program, db),
+        "threads": evaluate(
+            program, db, workers=2, parallel_backend="thread"
+        ),
+    }
+
+
+#: BOM plus a rule whose full plan merges frames (``M`` dies at the
+#: second ``component`` step) *before* its anti-join, so a multiplicity
+#: has to survive the filter
+BOM_VIA = BOM + "via(P, S) :- component(P, M), component(M, S), not tainted(S).\n"
+
+MAGIC = ("magic", "supplementary_magic")
+REWRITES = MAGIC + ("counting", "supplementary_counting")
+
+#: (name, program, database, query, rewrites the pair admits; None =
+#: the program as written)
+PROGRAMS = [
+    ("chain", ancestor, lambda: chain_database(8), None, (None,)),
+    ("cycle", ancestor, lambda: cycle_database(6), None, (None,)),
+    (
+        "dag", ancestor, lambda: random_dag_database(12, 0.3, seed=7),
+        None, (None,),
+    ),
+    (
+        "samegen", nonlinear_samegen_program,
+        lambda: samegen_database(3, 4), lambda: samegen_query("L0_0"),
+        (None,) + REWRITES,
+    ),
+    (  # counting does not terminate on cyclic data
+        "nonlinear-cycle", nonlinear_ancestor_program,
+        lambda: cycle_database(6), lambda: ancestor_query("n0"),
+        (None,) + MAGIC,
+    ),
+    (
+        "bom", lambda: parse_program(BOM_VIA).program,
+        lambda: bom_database(3, 2, 0.3, seed=1),
+        lambda: parse_query("via(p0, S)?"), (None,) + MAGIC,
+    ),
+    (  # _MATCH row ops and an _EVAL head; unsafe bottom-up as written
+        "reverse", list_reverse_program, Database,
+        lambda: reverse_query(integer_list(5)), REWRITES,
+    ),
 ]
+
+CASES = [
+    pytest.param(
+        make_program, make_db, make_query, method,
+        id=name if method is None else f"{name}-{method}",
+    )
+    for name, make_program, make_db, make_query, methods in PROGRAMS
+    for method in methods
+]
+
+
+def build_case(make_program, make_db, make_query, method):
+    program, db = make_program(), make_db()
+    if method is None:
+        return program, db
+    rewritten = rewrite(program, make_query(), method=method)
+    return rewritten.program, rewritten.seeded_database(db)
 
 
 class TestLegacyEquivalence:
     @pytest.mark.parametrize("strategy", ["naive", "seminaive"])
-    @pytest.mark.parametrize("name,make_db", WORKLOADS, ids=[w[0] for w in WORKLOADS])
+    @pytest.mark.parametrize(
+        "make_program,make_db,make_query,method", CASES
+    )
     def test_identical_facts_and_solution_counters(
-        self, strategy, name, make_db
+        self, strategy, make_program, make_db, make_query, method
     ):
-        legacy, planned = both_paths(ancestor(), make_db(), strategy)
-        assert planned.derived_tuples("anc") == legacy.derived_tuples("anc")
-        # solution counters are join-order independent, so they must agree
-        assert planned.stats.rule_firings == legacy.stats.rule_firings
-        assert planned.stats.facts_derived == legacy.stats.facts_derived
-        assert (
-            planned.stats.duplicate_derivations
-            == legacy.stats.duplicate_derivations
-        )
-        assert planned.stats.iterations == legacy.stats.iterations
+        program, db = build_case(make_program, make_db, make_query, method)
+        paths = all_paths(program, db, strategy)
+        legacy = paths.pop("legacy")
+        for path, result in paths.items():
+            for key in program.derived_predicates():
+                assert result.derived_tuples(key) == legacy.derived_tuples(
+                    key
+                ), (path, key)
+            # solution counters are join-order independent (and batch
+            # rows carry multiplicities), so they must agree exactly
+            assert solution_counters(result.stats) == solution_counters(
+                legacy.stats
+            ), path
 
     def test_mutual_recursion(self):
         program = parse_program(
@@ -177,6 +256,82 @@ class TestLegacyEquivalence:
         db = chain_database(40)
         legacy, planned = both_paths(program, db, "seminaive")
         assert planned.stats.tuples_scanned < legacy.stats.tuples_scanned
+
+    def test_merged_frames_scan_less_than_the_row_path(self):
+        # the batch path merges equal frames before the last probes;
+        # the row path extends every partial match on its own
+        program, db = build_case(
+            nonlinear_samegen_program,
+            lambda: samegen_database(3, 4),
+            lambda: samegen_query("L0_0"),
+            "supplementary_magic",
+        )
+        row = evaluate_seminaive(program, db, vectorized=False).stats
+        batch = evaluate_seminaive(program, db).stats
+        assert batch.tuples_scanned < row.tuples_scanned
+        assert batch.rule_firings == row.rule_firings
+        assert batch.duplicate_derivations == row.duplicate_derivations
+
+
+class TestBatchMultiplicities:
+    """``execute_batch`` merges frames that agree on every live slot and
+    returns head rows with the number of body solutions each stands
+    for."""
+
+    RULE = "p(X, W) :- e(X, Y), f(Y, Z), not bad(Z), h(Z, W)."
+
+    def database(self):
+        db = Database()
+        db.add_values("e", [("a", "b1"), ("a", "b2")])
+        db.add_values("f", [("b1", "c"), ("b2", "c"), ("b1", "d")])
+        db.add_values("bad", [("d",)])
+        db.add_values("h", [("c", "w1"), ("c", "w2")])
+        return db
+
+    def test_merge_flag_marks_dropping_nonfinal_steps(self):
+        plan = compile_rule(parse_rule(self.RULE))
+        assert [str(step.literal) for step in plan.steps] == [
+            "e(X, Y)", "f(Y, Z)", "not bad(Z)", "h(Z, W)",
+        ]
+        # Y dies at f; Z dies at h, but h is the last step
+        assert [step.b_merge for step in plan.steps] == [
+            False, True, False, False,
+        ]
+        chain = compile_rule(parse_rule("anc(X, Y) :- par(X, Z), anc(Z, Y)."))
+        assert not any(step.b_merge for step in chain.steps)
+
+    def test_rows_carry_solution_multiplicities(self):
+        plan = compile_rule(parse_rule(self.RULE))
+        db = self.database()
+        stats = EvaluationStats()
+        rows, mults, solutions = plan.execute_batch(db, stats)
+        # (a, c) is reached through b1 and b2; (a, d) is refuted
+        assert len(rows) == 2 and mults == [2, 2]
+        assert solutions == stats.rule_firings == 4
+        row_stats = EvaluationStats()
+        produced = plan.execute(db, row_stats)
+        resolve = term_catalog().resolve
+        decoded = [tuple(resolve(i) for i in row) for row in rows]
+        assert dict(zip(decoded, mults)) == Counter(produced)
+        assert row_stats.rule_firings == 4
+        # h is probed for one merged frame instead of two
+        assert (stats.tuples_scanned, row_stats.tuples_scanned) == (7, 9)
+
+    def test_plan_without_a_merge_reports_no_multiplicities(self):
+        plan = compile_rule(parse_rule("p(X) :- e(X, Y)."))
+        rows, mults, solutions = plan.execute_batch(
+            self.database(), EvaluationStats()
+        )
+        assert mults is None and solutions == len(rows) == 2
+
+    def test_all_slots_dead_merges_to_one_frame(self):
+        # a cross product: nothing of e(X, Y) is read again
+        plan = compile_rule(parse_rule("q(W) :- e(X, Y), h(Z, W)."))
+        assert plan.steps[0].b_merge
+        stats = EvaluationStats()
+        rows, mults, solutions = plan.execute_batch(self.database(), stats)
+        assert len(rows) == 2 and mults == [2, 2] and solutions == 4
+        assert stats.tuples_scanned == 2 + 2  # h scanned once, not per e row
 
 
 class TestDeltaStats:
