@@ -291,12 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple:
+def _load_database(args) -> tuple:
+    """``(parsed program file, database)``: the program file's facts
+    plus those of the optional ``--facts`` file, which may not contain
+    rules."""
     with open(args.program) as handle:
         parsed = parse_program(handle.read())
-    program = parsed.program
     database = Database()
-    database.add_facts(parsed.facts)
+    database.add_fact_rows(parsed.fact_rows)
     if getattr(args, "facts", None):
         with open(args.facts) as handle:
             extra = parse_program(handle.read())
@@ -305,7 +307,12 @@ def _load(args) -> tuple:
                 f"facts file {args.facts} contains rules; put rules in "
                 "the program file"
             )
-        database.add_facts(extra.facts)
+        database.add_fact_rows(extra.fact_rows)
+    return parsed, database
+
+
+def _load(args) -> tuple:
+    parsed, database = _load_database(args)
     if args.query:
         query = parse_query(args.query)
     elif parsed.queries:
@@ -314,7 +321,7 @@ def _load(args) -> tuple:
         raise ReproError(
             "no query: pass --query or put one in the program file"
         )
-    return program, database, query
+    return parsed.program, database, query
 
 
 def _cmd_rewrite(args) -> int:
@@ -577,19 +584,7 @@ def _cmd_serve(args) -> int:
 
     from .server import ReproServer, ServerConfig
 
-    with open(args.program) as handle:
-        parsed = parse_program(handle.read())
-    database = Database()
-    database.add_facts(parsed.facts)
-    if args.facts:
-        with open(args.facts) as handle:
-            extra = parse_program(handle.read())
-        if extra.program.rules:
-            raise ReproError(
-                f"facts file {args.facts} contains rules; put rules in "
-                "the program file"
-            )
-        database.add_facts(extra.facts)
+    parsed, database = _load_database(args)
     config = ServerConfig(
         host=args.host,
         port=args.port,

@@ -1,16 +1,24 @@
 """One-call public API: rewrite a program for a query and answer it.
 
-The typical use is two lines::
+The typical use::
 
-    from repro import parse_program, parse_query, pipeline
+    from repro import Database, parse_program, parse_query
+    from repro.core import pipeline
 
     source = '''
         anc(X, Y) :- par(X, Y).
         anc(X, Y) :- par(X, Z), anc(Z, Y).
+        par(john, mary).
     '''
-    program, facts, _ = parse_program(source)
-    ...
-    answer = pipeline.answer_query(program, db, parse_query("anc(john, Y)?"))
+    parsed = parse_program(source)
+    db = Database()
+    db.add_fact_rows(parsed.fact_rows)  # the bulk load, by term ID
+    answer = pipeline.answer_query(
+        parsed.program, db, parse_query("anc(john, Y)?")
+    )
+
+(``program, facts, queries = parse_program(source)`` still unpacks, and
+``db.add_facts(facts)`` still loads the decoded literals one by one.)
 
 ``rewrite`` builds the adorned program (Section 3) and dispatches to one
 of the four rewriting algorithms (Sections 4-7), optionally followed by

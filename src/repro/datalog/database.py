@@ -137,7 +137,14 @@ from .errors import IntegrityError
 from .terms import Constant, Term, Variable
 from .unify import match_sequences
 
-__all__ = ["Relation", "Database", "FactTuple", "IdTuple", "MutationEntry"]
+__all__ = [
+    "Relation",
+    "Database",
+    "FactTuple",
+    "IdTuple",
+    "MutationEntry",
+    "FactRow",
+]
 
 FactTuple = Tuple[Term, ...]
 IdTuple = Tuple[int, ...]
@@ -1004,6 +1011,10 @@ class Relation:
 #: One captured mutation: ``(pred_key, id_row, +1 | -1)``.
 MutationEntry = Tuple[str, IdTuple, int]
 
+#: One interned ground fact, as the parser hands them over:
+#: ``(pred_key, id_row)``.
+FactRow = Tuple[str, IdTuple]
+
 
 class Database:
     """A named collection of relations, keyed by predicate key."""
@@ -1130,6 +1141,31 @@ class Database:
 
     def add_facts(self, literals: Iterable[Literal]) -> int:
         return sum(1 for lit in literals if self.add_fact(lit))
+
+    def add_fact_rows(self, fact_rows: Iterable[FactRow]) -> int:
+        """Bulk-load interned facts -- ``(pred_key, id_row)`` pairs, the
+        form :func:`~repro.datalog.parser.parse_program` produces as
+        ``ParsedSource.fact_rows``; returns the number that were new.
+
+        The rows of each predicate go through one
+        :meth:`Relation.add_id_rows` call, in the order given, so
+        deduplication, the arity check (a ``ValueError`` naming the
+        relation, which is left as it was; predicates loaded before it
+        stay loaded), index maintenance, the version bump and
+        mutation-log capture are that method's.  The result equals
+        ``add_facts`` over the decoded literals, except that log entries
+        arrive grouped by predicate and no term row is memoized.
+        """
+        grouped: Dict[str, List[IdTuple]] = {}
+        for pred_key, id_row in fact_rows:
+            rows = grouped.get(pred_key)
+            if rows is None:
+                rows = grouped[pred_key] = []
+            rows.append(id_row)
+        return sum(
+            len(self.relation(pred_key).add_id_rows(rows))
+            for pred_key, rows in grouped.items()
+        )
 
     def add_tuples(self, pred_key: str, rows: Iterable[Iterable[Term]]) -> int:
         return self.relation(pred_key).add_many(rows)

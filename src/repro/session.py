@@ -409,7 +409,7 @@ class Session:
             queries = parsed.queries
             if database is None:
                 database = Database()
-            database.add_facts(parsed.facts)
+            database.add_fact_rows(parsed.fact_rows)
         elif program is None:
             raise ValueError("pass a source string or program=...")
         if database is None:

@@ -1,5 +1,7 @@
 """Unit tests for relations and databases (repro.datalog.database)."""
 
+import uuid
+
 import pytest
 
 from conftest import refcount_only
@@ -10,7 +12,10 @@ from repro import (
     Literal,
     Relation,
     Session,
+    Struct,
     Variable,
+    parse_program,
+    term_catalog,
 )
 
 
@@ -226,6 +231,99 @@ class TestDatabase:
         merged = db1.merged_with(db2)
         assert merged.total_facts() == 2
         assert db1.total_facts() == 1
+
+
+class TestBulkLoad:
+    """``add_fact_rows(parsed.fact_rows)`` against ``add_facts(parsed.facts)``
+    on a twin database that already has rows, an index and a log."""
+
+    SOURCE = """
+        par(a, b). par(b, c). size(b, 3).
+        par(a, b).            % a duplicate within the source
+        par(x, y).            % a row the database already holds
+        name(b, "bee"). par(c, d). size(c, 4). tag(f(a)). done.
+    """
+
+    @staticmethod
+    def seeded():
+        db = Database()
+        db.add_values("par", [("x", "y"), ("y", "z")])
+        db.relation("par").register_index((0,))
+        return db, db.start_mutation_log()
+
+    def test_equals_add_facts(self):
+        parsed = parse_program(self.SOURCE)
+        bulk, bulk_log = self.seeded()
+        twin, twin_log = self.seeded()
+        before = bulk.version
+        assert bulk.add_fact_rows(parsed.fact_rows) == 8
+        assert twin.add_facts(parsed.facts) == 8
+        assert bulk.version == twin.version == before + 8
+        assert bulk.predicate_keys() == twin.predicate_keys()
+        for key in twin.predicate_keys():
+            assert bulk.tuples(key) == twin.tuples(key)
+            assert bulk.get(key).version == twin.get(key).version
+            assert bulk.get(key).check_invariants()
+            # in source order within a predicate; only the interleaving
+            # of predicates differs (the bulk load goes one at a time)
+            assert [e for e in bulk_log if e[0] == key] == [
+                e for e in twin_log if e[0] == key
+            ]
+        assert len(bulk_log) == len(twin_log) == 8
+        assert set(bulk.get("par")._indexes) == {(0,)}
+        assert bulk.get("par")._indexes == twin.get("par")._indexes
+        assert bulk.get("par").lookup((0,), (c("a"),)) == [(c("a"), c("b"))]
+        assert bulk.check_integrity() and twin.check_integrity()
+
+    def test_reloading_is_a_no_op(self):
+        parsed = parse_program(self.SOURCE)
+        db, log = self.seeded()
+        db.add_fact_rows(parsed.fact_rows)
+        version = db.version
+        del log[:]
+        assert db.add_fact_rows(parsed.fact_rows) == 0
+        assert db.version == version and not log
+
+    def test_arity_mismatch_names_the_relation(self):
+        parsed = parse_program("q(a). p(a). r(b). p(a, b).")
+        db = Database()
+        with pytest.raises(ValueError, match="relation p: arity mismatch"):
+            db.add_fact_rows(parsed.fact_rows)
+        assert db.tuples("q") == {(c("a"),)}  # loaded before p
+        assert db.tuples("p") == set() and "r" not in db
+        assert db.check_integrity()
+
+    def test_catalog_grows_by_the_distinct_terms_as_add_facts_does(self):
+        catalog = term_catalog()
+
+        def growth(load, tag):
+            before = len(catalog)
+            load(Database(), tag)
+            return len(catalog) - before
+
+        def by_text(db, tag):
+            db.add_fact_rows(
+                parse_program(
+                    f'e({tag}1, {tag}2). e({tag}2, {tag}1). '
+                    f'e({tag}1, "{tag} 3"). e("{tag}1", {tag}2). '
+                    f"t(f({tag}1))."
+                ).fact_rows
+            )
+
+        def by_literal(db, tag):
+            one, two, three = c(f"{tag}1"), c(f"{tag}2"), c(f"{tag} 3")
+            db.add_facts(
+                [
+                    Literal("e", (one, two)),
+                    Literal("e", (two, one)),
+                    Literal("e", (one, three)),
+                    Literal("e", (c(f"{tag}1"), two)),
+                    Literal("t", (Struct("f", (one,)),)),
+                ]
+            )
+
+        first, second = (f"k{uuid.uuid4().hex}" for _ in range(2))
+        assert growth(by_text, first) == growth(by_literal, second) == 4
 
 
 class TestRetraction:

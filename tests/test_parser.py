@@ -1,10 +1,16 @@
 """Unit tests for the surface-syntax parser (repro.datalog.parser)."""
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Constant,
+    Literal,
     ParseError,
+    Session,
     Struct,
     Variable,
     parse_literal,
@@ -12,8 +18,11 @@ from repro import (
     parse_query,
     parse_rule,
     parse_term,
+    term_catalog,
 )
+from repro.datalog.parser import _Parser, _Token
 from repro.datalog.terms import EMPTY_LIST
+from repro.workloads.bom import bom_source
 
 
 class TestTerms:
@@ -135,3 +144,284 @@ class TestPrograms:
     def test_empty_source(self):
         program, facts, queries = parse_program("")
         assert len(program) == 0 and not facts and not queries
+
+
+def quoted(value):
+    """The STRING spelling of a Python string."""
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+class TestStringConstants:
+    """Each case holds on the fact pattern (a flat fact) and on the
+    general path (the same fact with a variable beside it)."""
+
+    CASES = [
+        ('"hello world"', "hello world"),
+        ('""', ""),
+        (r'"say \"hi\""', 'say "hi"'),
+        (r'"a\\b"', "a\\b"),
+        (r'"\\"', "\\"),
+        (r'"ends in \\"', "ends in \\"),
+        (r'"\\\""', '\\"'),
+        (r'"tab\tstays"', "tab\\tstays"),
+        ('"x)."', "x)."),
+        ('"a, b"', "a, b"),
+        ('"100% % no comment"', "100% % no comment"),
+        ('"two\nlines"', "two\nlines"),
+    ]
+
+    @pytest.mark.parametrize("spelling, value", CASES)
+    def test_decoding(self, spelling, value):
+        assert parse_term(spelling) == Constant(value)
+        assert parse_program(f"p({spelling}).").facts == (
+            Literal("p", (Constant(value),)),
+        )
+        (rule,) = parse_program(f"p({spelling}, X).").program.rules
+        assert rule.head.args == (Constant(value), Variable("X"))
+
+    @pytest.mark.parametrize("spelling, value", CASES)
+    def test_quoting_round_trips(self, spelling, value):
+        assert parse_term(quoted(value)) == Constant(value)
+
+    def test_clause_end_inside_a_string_is_not_a_clause_end(self):
+        for source in ('p("x).", b).', 'p("x).", b) % general path\n.'):
+            program, facts, queries = parse_program(source)
+            assert facts == (Literal("p", (Constant("x)."), Constant("b"))),)
+            assert not program.rules and not queries
+
+    def test_two_spellings_of_one_constant_share_an_id(self):
+        first, second = parse_program('p(abc). p("abc").').fact_rows
+        assert first == second
+
+    def test_unterminated_string(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program('p(a).\np(b, "abc).\n')
+        assert (excinfo.value.line, excinfo.value.column) == (2, 6)
+        with pytest.raises(ParseError):
+            parse_term('"ends in an escaped quote\\"')
+
+
+class TestErrorPositions:
+    def test_end_of_input_has_a_position(self):
+        for source, where in (
+            ("p(a, ", (1, 6)),
+            ("p(a)", (1, 5)),
+            ("p(a).\nq(b)\n", (3, 1)),
+        ):
+            with pytest.raises(ParseError) as excinfo:
+                parse_program(source)
+            assert "unexpected end of input" in str(excinfo.value)
+            assert (excinfo.value.line, excinfo.value.column) == where
+        with pytest.raises(ParseError) as excinfo:
+            parse_literal("p(a")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 4)
+
+    # the expected positions below are what the eager whole-file
+    # tokenizer this parser replaced reported for the same sources
+    def test_line_5000_of_a_fact_file(self):
+        lines = [f"par(t{i}, t{i + 1})." for i in range(6000)]
+        lines[4999] = "par(t1, 1a)."
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("\n".join(lines) + "\n")
+        assert str(excinfo.value) == (
+            "expected ')', found 'a' at line 5000, column 10"
+        )
+        assert (excinfo.value.line, excinfo.value.column) == (5000, 10)
+
+    def test_bad_character_after_a_run_of_facts(self):
+        facts = "".join(f"par(t{i}, t{i + 1}).\n" for i in range(100))
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(facts + "q(b,\n  @).\n")
+        assert str(excinfo.value) == (
+            "unexpected character '@' at line 102, column 3"
+        )
+
+    def test_position_inside_a_general_clause_between_facts(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("p(a).\n  q(b :- r.\np(c).\n")
+        assert str(excinfo.value) == (
+            "expected ')', found ':-' at line 2, column 7"
+        )
+
+    def test_errors_surface_in_source_order(self):
+        # lexing is on demand: the syntax error on line 1 is reported,
+        # not the bad character after it
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("p(a :- b.\nq(@).\n")
+        assert excinfo.value.line == 1
+
+
+# ----------------------------------------------------------------------
+# the fact pattern recognizes exactly what the grammar parses
+# ----------------------------------------------------------------------
+def general_outcome(source):
+    """``source`` through :class:`_Parser` alone, clause by clause."""
+    parser = _Parser(source)
+    rules, facts, queries = [], [], []
+    try:
+        while parser.peek() is not None:
+            kind, payload = parser.parse_clause()
+            if kind == "query":
+                queries.append(payload)
+            elif payload.is_fact() and payload.head.is_ground():
+                facts.append(payload.head)
+            else:
+                rules.append(payload)
+    except ParseError as error:
+        return ("error", str(error), error.line, error.column)
+    return ("parsed", rules, facts, queries)
+
+
+def outcome(source):
+    try:
+        program, facts, queries = parse_program(source)
+    except ParseError as error:
+        return ("error", str(error), error.line, error.column)
+    return ("parsed", list(program.rules), list(facts), list(queries))
+
+
+names = st.from_regex(r"[a-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+constants = st.one_of(
+    names,
+    st.from_regex(r"-?[0-9]{1,3}", fullmatch=True),
+    st.text(alphabet='ab \\").,%\n', max_size=5).map(quoted),
+)
+padding = st.sampled_from(["", "", " ", "  ", "\n", "\t"])
+
+
+@st.composite
+def fast_facts(draw):
+    def pad():
+        return draw(padding)
+
+    args = draw(st.lists(constants, min_size=1, max_size=4))
+    inner = ",".join(f"{pad()}{arg}{pad()}" for arg in args)
+    return f"{draw(names)}{pad()}({inner}){pad()}."
+
+
+near_misses = st.sampled_from(
+    (
+        "p(X). | p(f(a)). | p([a|T]). | p([a, b]). | p. | p(). | p(a)? | "
+        "p(a)?. | ?- p(a). | p(a) :- q(a). | not(a). | p(-3). | p(- 3). | "
+        "p(3-1). | p(a) % c\n. | p(a % c\n). | p(Abc). | p(_a, b). | "
+        "p(a,). | p(,a). | p(a b). | p(1a). | p(a, f(b), c). | p(\"abc). | "
+        "p(a | p(a,  | p(a) | @ | P(a). | p(a)) | p(a).. | p(1.5). | "
+        "p(a) :- not q(a), \\+ r(a). | p(a) :- not(a). | p(a) :- . | "
+        "p(X) :- q(X, Y), r(Y)."
+    ).split(" | ")
+)
+separators = st.sampled_from(
+    "\n|\n| ||\t|\n\n|  \n  |% c\n|% p(z).\n| % q(a).\n\n|\r\n".split("|")
+)
+
+
+@st.composite
+def sources(draw):
+    clauses = draw(st.lists(st.one_of(fast_facts(), near_misses), max_size=8))
+    text = draw(separators)
+    for clause in clauses:
+        text += clause + draw(separators)
+    return text.rstrip("\n") if draw(st.booleans()) else text
+
+
+class TestPatternIsTheGrammar:
+    @settings(max_examples=400, deadline=None)
+    @given(sources())
+    def test_parse_program_agrees_with_the_general_path(self, source):
+        assert outcome(source) == general_outcome(source)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(fast_facts(), min_size=1, max_size=6), separators)
+    def test_fast_shape_facts_never_become_tokens(
+        self, facts, separator
+    ):
+        source = separator.join(facts)
+        made = []
+        init = _Token.__init__
+
+        def counting(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        _Token.__init__ = counting
+        try:
+            parsed = parse_program(source)
+        finally:
+            _Token.__init__ = init
+        assert len(parsed.fact_rows) == len(facts)
+        assert not made
+
+    def test_near_misses_fall_through(self):
+        program, facts, queries = parse_program(
+            "p(X). p(f(a)). p([a|T]). p. p(a)? p(a)?. ?- p(a). "
+            "p(a) :- q(a). not(a). p(-3). p(a) % c\n. p(Abc)."
+        )
+        assert "; ".join(str(rule) for rule in program.rules) == (
+            "p(X).; p([a | T]).; p(a) :- q(a).; p(Abc)."
+        )
+        assert "; ".join(str(fact) for fact in facts) == (
+            "p(f(a)); p; not(a); p(-3); p(a)"
+        )
+        assert [str(query.literal) for query in queries] == ["p(a)"] * 3
+
+    def test_facts_keep_source_order_across_both_paths(self):
+        source = "p(a). q(f(b)). p(c). r. p(d) % general\n. p(e)."
+        parsed = parse_program(source)
+        assert "; ".join(str(fact) for fact in parsed.facts) == (
+            "p(a); q(f(b)); p(c); r; p(d); p(e)"
+        )
+        catalog = term_catalog()
+        assert parsed.fact_rows[0] == ("p", (catalog.id_of(Constant("a")),))
+        assert parsed.fact_rows[3] == ("r", ())
+        assert parsed.facts is parsed.facts  # decoded once
+
+    def test_near_misses_are_rejected_in_linear_time(self):
+        started = time.perf_counter()
+        wide = "p(" + "abc , " * 5000 + "X)."
+        (rule,) = parse_program(wide).program.rules
+        assert len(rule.head.args) == 5001
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("p(" + '"s\\"t" , ' * 5000 + "1a).")
+        assert "expected ')', found 'a'" in str(excinfo.value)
+        with pytest.raises(ParseError) as excinfo:
+            parse_program('p(a).\np(b, "' + "x" * 1_000_000)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 6)
+        assert time.perf_counter() - started < 1.0
+
+
+# ----------------------------------------------------------------------
+# the deterministic work gate
+# ----------------------------------------------------------------------
+class TestWorkGate:
+    """Loading a source costs objects for its rules and queries only."""
+
+    @staticmethod
+    def load(depth, monkeypatch):
+        made = {"literals": 0, "tokens": 0}
+        literal_init, token_init = Literal.__init__, _Token.__init__
+
+        def literal(self, *args, **kwargs):
+            made["literals"] += 1
+            literal_init(self, *args, **kwargs)
+
+        def token(self, *args):
+            made["tokens"] += 1
+            token_init(self, *args)
+
+        source = bom_source(depth, fanout=2, exception_rate=0.1, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(Literal, "__init__", literal)
+            patch.setattr(_Token, "__init__", token)
+            session = Session(source)
+        return session, made
+
+    def test_facts_cost_no_literal_no_token_no_term_row(self, monkeypatch):
+        small, made_small = self.load(6, monkeypatch)
+        large, made_large = self.load(8, monkeypatch)
+        assert large.database.total_facts() > 3 * small.database.total_facts()
+        assert made_large == made_small
+        assert made_small["literals"] and made_small["tokens"]
+        for key in large.database.predicate_keys():
+            relation = large.database.get(key)
+            assert len(relation) and not any(relation._term_rows)
+        assert large.query().rows  # buildable(P)? over the loaded facts
