@@ -51,9 +51,13 @@ shared by every snapshot that shares the relation, and copied by
 :meth:`Relation.copy`.  Building one never changes a relation's facts
 or version, so a reader may register an index on a relation it only
 reads (a materialized view thereby keeps the index for each query
-shape it has served).  Nothing evicts them: a relation carries at most
-one index per distinct position set the plans and queries probe
-(bounded by 2^arity, in practice one or two), and
+shape it has served).  Never full-width: a key that covers every
+column is the ID row itself, so ``lookup_ids`` answers it with one
+``_rowmap`` probe, ``probe_index`` and ``register_index`` build
+nothing for it, and ``check_invariants`` rejects such an index.
+Nothing evicts the others: a relation carries at most one index per
+distinct proper position set the plans and queries probe (bounded by
+2^arity, in practice one or two), and
 :meth:`Relation.estimated_bytes` charges each to the memory budget.
 
 Copy-on-write snapshots
@@ -319,7 +323,7 @@ class Relation:
         self.arity = arity
         columns = self._columns
         if columns is None:
-            columns = self._columns = [array("q") for _ in range(arity)]
+            columns = self._first_columns(arity)
         rowmap = self._rowmap
         live = self._live
         base = len(live)
@@ -426,7 +430,7 @@ class Relation:
         self.arity = arity
         columns = self._columns
         if columns is None:
-            columns = self._columns = [array("q") for _ in range(arity)]
+            columns = self._first_columns(arity)
         for p, column in enumerate(columns):
             column.extend([row[p] for row in fresh_rows])
         live.extend(b"\x01" * n_fresh)
@@ -453,13 +457,21 @@ class Relation:
                         bucket.append(base + offset)
         return fresh_rows
 
+    def _first_columns(self, arity: int) -> List[array]:
+        """The columns of a relation created without an arity, as its
+        first row arrives.  An index registered on every position while
+        the arity was unknown goes: the rowmap serves those probes."""
+        self._indexes.pop(tuple(range(arity)), None)
+        columns = self._columns = [array("q") for _ in range(arity)]
+        return columns
+
     def _insert(self, idrow: IdTuple, term_row: Optional[FactTuple]) -> bool:
         rowmap = self._rowmap
         if idrow in rowmap:
             return False
         columns = self._columns
         if columns is None:
-            columns = self._columns = [array("q") for _ in range(len(idrow))]
+            columns = self._first_columns(len(idrow))
         live = self._live
         slot = len(live)
         rowmap[idrow] = slot
@@ -511,11 +523,16 @@ class Relation:
 
         ``positions`` must already be normalized (sorted, unique);
         ``key`` is a bare int for a single position, an ID tuple
-        otherwise.  Tombstoned slots are pruned from the probed bucket
-        in place, so a bucket is paid for at most once per retraction.
+        otherwise.  A key covering every column is the ID row itself:
+        one ``_rowmap`` probe, no index.  Tombstoned slots are pruned
+        from the probed bucket in place, so a bucket is paid for at
+        most once per retraction.
         """
         if not positions:
             return self.all_slots()
+        if len(positions) == self.arity:
+            slot = self._rowmap.get(key if self.arity > 1 else (key,))
+            return _EMPTY_SLOTS if slot is None else (slot,)
         index = self._indexes.get(positions)
         if index is None:
             index = self._build_index(positions)
@@ -543,11 +560,12 @@ class Relation:
         The batch executor's bulk-probe fast path: when no slot is
         tombstoned every bucket is exact, so the executor can hash keys
         straight into the dict without a :meth:`lookup_ids` call per
-        distinct key.  Returns None for empty positions or while
+        distinct key.  Returns None for empty positions, for positions
+        covering every column (no such index exists) or while
         tombstones exist (callers then fall back to :meth:`lookup_ids`,
-        which prunes lazily).
+        which probes the rowmap, or prunes lazily).
         """
-        if not positions or self._dead:
+        if not positions or self._dead or len(positions) == self.arity:
             return None
         index = self._indexes.get(positions)
         if index is None:
@@ -563,10 +581,15 @@ class Relation:
         The join planner calls this up front for every index position
         tuple its plans will probe, so fixpoint rounds never pay the
         one-off O(n) lazy build mid-join.  Registered indexes are kept
-        current incrementally by :meth:`add`.
+        current incrementally by :meth:`add`.  Positions covering every
+        column are served by the rowmap and never indexed.
         """
         positions = tuple(sorted(set(self._normalize_positions(positions))))
-        if positions and positions not in self._indexes:
+        if (
+            positions
+            and len(positions) != self.arity
+            and positions not in self._indexes
+        ):
             self._build_index(positions)
 
     def _normalize_positions(
@@ -687,11 +710,7 @@ class Relation:
             return set()
         positions = tuple(sorted(wanted))
         ids = tuple(wanted[position] for position in positions)
-        if len(ids) == self.arity:
-            slot = self._rowmap.get(ids)
-            slots: Sequence[int] = () if slot is None else (slot,)
-        else:
-            slots = self.lookup_ids(positions, ids[0] if len(ids) == 1 else ids)
+        slots = self.lookup_ids(positions, ids[0] if len(ids) == 1 else ids)
         picked = [columns[position] for position in project]
         id_rows = {tuple([column[slot] for column in picked]) for slot in slots}
         resolve = _CATALOG.resolve
@@ -886,11 +905,12 @@ class Relation:
         The oracle behind ``Database.check_integrity`` and the
         fault-injection atomicity property: columns equal-length,
         rowmap and columns agree, liveness flags match the tombstone
-        count, memoized term rows resolve to their ID rows, every index
-        bucket references in-range slots whose live members project to
-        the bucket key and covers every live row, and the version
-        counter has kept pace with the live tuple count.  Returns True
-        so ``assert rel.check_invariants()`` reads naturally.
+        count, memoized term rows resolve to their ID rows, no index
+        covers every column, every index bucket references in-range
+        slots whose live members project to the bucket key and covers
+        every live row, and the version counter has kept pace with the
+        live tuple count.  Returns True so
+        ``assert rel.check_invariants()`` reads naturally.
         """
 
         def fail(invariant: str, detail: str):
@@ -961,6 +981,8 @@ class Relation:
                         f"{resolved}",
                     )
         for positions, index in self._indexes.items():
+            if len(positions) == self.arity:
+                fail("index", f"index {positions} covers every column")
             covered = set()
             for key, bucket in index.items():
                 for slot in bucket:

@@ -14,38 +14,54 @@ attaches a mutation log to the source database
 drains the log into a net per-relation delta and repairs the strata in
 order:
 
-* **Insertions** propagate through the existing semi-naive delta
-  machinery: the added rows seed an
-  :class:`~repro.datalog.engine._IdDeltaBatch` and the compiled
-  ``JoinPlan`` delta plans run columnar batch rounds against ``working``
-  (base-relation delta occurrences, which the semi-naive engine never
-  needs, are compiled on demand via
-  :func:`~repro.datalog.planner.compile_rule`).
+* **Insertions** propagate through the semi-naive delta machinery: the
+  added rows seed an :class:`~repro.datalog.engine._IdDeltaBatch` and
+  the compiled ``JoinPlan`` delta plans run columnar batch rounds
+  against ``working``.
 * **Deletions** from *flat* strata (no rule reads a same-stratum head:
   the non-recursive case) use **counting**: a per-derived-row derivation
-  count is maintained by exact finite differencing -- for the rule body
-  ``B1 .. Bn`` and a delta at position ``j``, positions before ``j``
-  join the new state and positions after ``j`` the old state, so every
-  (dis)appearing body solution is counted exactly once.  A row is
-  removed exactly when its count reaches zero.
+  count is maintained by exact finite differencing, one changed input
+  *relation* at a time.  While relation R's delta runs, the relations
+  ordered before R are in their new state and those after it in their
+  old state, so every (dis)appearing body solution is counted exactly
+  once.  A row is removed exactly when its count reaches zero.
 * **Deletions** from recursive strata use **DRed** (delete and
   rederive): overdelete every derivation that *may* have depended on a
-  deleted fact (joining old states, reconstructed from the recorded
-  deltas), remove the overdeleted rows, rederive the ones that are still
-  base facts or still one-step derivable (bound-head derivability
-  checks, not a stratum re-evaluation), and feed the survivors into the
-  insertion rounds, which restore any row they transitively support.
+  deleted fact (joining old states), remove the overdeleted rows,
+  rederive the ones that are still base facts or still one-step
+  derivable, and feed the survivors into the insertion rounds, which
+  restore any row they transitively support.
 * **Negation** is handled stratum by stratum: an *addition* to a negated
   relation deletes downstream (the anti-join loses solutions) and a
   *removal* inserts downstream, with the negated relation complete --
   its stratum is strictly lower, so it has already been repaired -- by
   the time the dependent stratum runs.
 
-The delta-side joins the compiled plans cannot run (old-state
-reconstruction, bound-head derivability) are interpreted over interned
-term IDs: bindings map variables to ints, relations are probed through
-their int-keyed hash indexes, and no :class:`~repro.datalog.terms.Term`
-object is touched until answers are read back out.
+One join mechanism serves all of it.  Every join is "the plan of rule
+*r* seeded at body position *j*" (:meth:`MaterializedProgram._plan`), a
+compiled ``JoinPlan`` run through ``execute_batch`` with the delta's ID
+rows as its seed, so bindings travel as sets, the way the paper's magic
+sets do, and never one row at a time:
+
+* *Old state* is obtained by physically undoing a relation's recorded
+  delta in ``working`` for as long as it is needed (O(|delta|) row
+  flips, :meth:`MaterializedProgram._flip`), so plans probe the real
+  indexes.  DRed's overdeletion flips every changed relation; counting
+  orders the changed relations largest delta first, so the largest is
+  never flipped, and flips each of the others back as its turn comes.
+* *A delta under a negated literal* is the same plan compiled from the
+  rule with that literal taken positive; the caller owns the sign.
+* *A predicate occurring k >= 2 times in one counting rule* sits between
+  its two deltas during its turn (old minus removed = new minus added)
+  and runs one plan per non-empty subset of its occurrences, the further
+  seeded occurrences renamed to a reserved key that :class:`_Seeded`
+  resolves to the same batch.  Exact, and proportional to the delta.
+* *Rederive* is, per rule of the overdeleted predicate, the plan of
+  ``h :- seed(h's args), body`` seeded with the overdeleted rows:
+  Section 4's magic-guarded rule with the overdeleted set as the magic
+  set of the all-bound adornment.  Its output rows are the survivors;
+  it enumerates each row's one-step derivations rather than stopping at
+  the first, the same order of work as the overdeletion behind the row.
 
 Maintenance runs under an optional budget meter; any abort (budget trip,
 cancellation, injected fault) leaves the *source* database untouched --
@@ -57,26 +73,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .analysis import stratify_rules
-from .ast import Literal, Program
-from .catalog import term_catalog
-from .database import Database, FactTuple, IdTuple, Relation
+from .ast import Literal, Program, Rule
+from .database import Database, FactTuple, IdTuple
 from .engine import EvaluationStats, _IdDeltaBatch, evaluate_seminaive
-from .errors import EvaluationError
 from .planner import (
     JoinPlan,
     PlanCache,
     compile_rule,
     compiled_program_for,
 )
-from .terms import Variable
 
 __all__ = ["MaterializedProgram", "MaintenanceResult"]
-
-_CATALOG = term_catalog()
 
 
 @dataclass
@@ -120,199 +131,51 @@ class _Delta:
         return not (self.added or self.removed)
 
 
-class _LitSpec:
-    """One literal lowered to ID-level ops.
+#: The predicate key of the literals a seeded plan adds or renames: the
+#: head-shaped seed of a rederive plan, and every seeded position after
+#: the first.  No program can name it: the grammar's predicate names
+#: start with a lowercase letter.
+_SEED = "$seed"
 
-    ``ops`` holds one ``(position, is_var, slot_or_id)`` triple per
-    argument: constants are pre-interned to their catalog IDs, variables
-    mapped to integer slots of the rule's binding list.  Everything the
-    maintenance joins do with a literal -- seed matching, index probes,
-    head construction, negated membership -- runs on these triples and
-    plain ints; a binding is a list indexed by slot, ``None`` = unbound.
+
+class _Seeded:
+    """``working`` with :data:`_SEED` resolved to the running batch.
+
+    ``execute_batch`` only ever calls ``database.get``, so this is all a
+    plan seeded at several body positions needs to read one delta at
+    each of them.
     """
 
-    __slots__ = ("pred", "negated", "ops", "nvars")
+    __slots__ = ("working", "seed")
 
-    def __init__(
-        self, literal: Literal, var_slots: Dict[Variable, int]
-    ) -> None:
-        self.pred = literal.pred_key
-        self.negated = literal.negated
-        self.nvars = len(var_slots)
-        intern = _CATALOG.intern
-        self.ops = tuple(
-            (pos, True, var_slots[arg])
-            if isinstance(arg, Variable)
-            else (pos, False, intern(arg))
-            for pos, arg in enumerate(literal.args)
-        )
+    def __init__(self, working: Database, seed: _IdDeltaBatch) -> None:
+        self.working = working
+        self.seed = seed
 
-    def match(
-        self, idrow: IdTuple, subst: Optional[List] = None
-    ) -> Optional[List]:
-        """Bind this literal against a ground ID row (seed matching)."""
-        out = [None] * self.nvars if subst is None else list(subst)
-        for pos, is_var, key in self.ops:
-            value = idrow[pos]
-            if is_var:
-                bound = out[key]
-                if bound is None:
-                    out[key] = value
-                elif bound != value:
-                    return None
-            elif key != value:
-                return None
-        return out
-
-    def ground(self, subst: List) -> Optional[IdTuple]:
-        """The literal's ID row under ``subst`` (None if not ground)."""
-        row = []
-        for _, is_var, key in self.ops:
-            value = subst[key] if is_var else key
-            if value is None:
-                return None
-            row.append(value)
-        return tuple(row)
-
-    def probe_parts(self, subst: List):
-        """Split the args by ``subst``: (positions, key, unbound pairs).
-
-        ``positions``/``key`` feed :meth:`Relation.lookup_ids`
-        (positions arrive sorted by construction); ``unbound`` lists the
-        ``(position, slot)`` pairs a matching row must bind.
-        """
-        positions: List[int] = []
-        key: List[int] = []
-        unbound: List[Tuple[int, int]] = []
-        for pos, is_var, k in self.ops:
-            if is_var:
-                value = subst[k]
-                if value is None:
-                    unbound.append((pos, k))
-                    continue
-                positions.append(pos)
-                key.append(value)
-            else:
-                positions.append(pos)
-                key.append(k)
-        return tuple(positions), tuple(key), unbound
+    def get(self, pred_key: str):
+        if pred_key == _SEED:
+            return self.seed
+        return self.working.get(pred_key)
 
 
-def _rel_rows(rel: Relation, positions, key) -> List[IdTuple]:
-    """ID rows of ``rel`` matching an ID key (index-probed)."""
-    if not positions:
-        return list(rel.id_rows())
-    id_key = key[0] if len(key) == 1 else key
-    cols = rel._columns
-    return [
-        tuple(col[slot] for col in cols)
-        for slot in rel.lookup_ids(positions, id_key)
-    ]
+def _batch(idrows: Iterable[IdTuple]) -> _IdDeltaBatch:
+    """The ID rows of a delta as the seed of a plan."""
+    batch = _IdDeltaBatch()
+    batch.extend(list(idrows))
+    return batch
 
 
-class _NewView:
-    """The current state of one relation (possibly absent)."""
-
-    __slots__ = ("rel",)
-
-    def __init__(self, rel: Optional[Relation]) -> None:
-        self.rel = rel
-
-    def rows(
-        self, positions, key, stats: EvaluationStats
-    ) -> List[IdTuple]:
-        rel = self.rel
-        if rel is None or not len(rel):
-            return []
-        stats.join_probes += 1
-        return _rel_rows(rel, positions, key)
-
-    def contains(self, idrow: IdTuple) -> bool:
-        rel = self.rel
-        return rel is not None and rel.has_id_row(idrow)
-
-
-class _OldView:
-    """A relation's *pre-delta* state, reconstructed on the fly.
-
-    The working database already holds the new state; the old state is
-    (new minus added) union removed, applied per probe -- the deltas are
-    small, so this costs O(|bucket| + |delta|) per probe.
-    """
-
-    __slots__ = ("rel", "delta")
-
-    def __init__(self, rel: Optional[Relation], delta: _Delta) -> None:
-        self.rel = rel
-        self.delta = delta
-
-    def rows(
-        self, positions, key, stats: EvaluationStats
-    ) -> List[IdTuple]:
-        stats.join_probes += 1
-        rel = self.rel
-        delta = self.delta
-        out = (
-            _rel_rows(rel, positions, key)
-            if rel is not None and len(rel)
-            else []
-        )
-        if delta.added and out:
-            added = delta.added
-            out = [idrow for idrow in out if idrow not in added]
-        for idrow in delta.removed:
-            if all(idrow[p] == key[i] for i, p in enumerate(positions)):
-                out.append(idrow)
-        return out
-
-    def contains(self, idrow: IdTuple) -> bool:
-        delta = self.delta
-        if idrow in delta.removed:
-            return True
-        if idrow in delta.added:
-            return False
-        rel = self.rel
-        return rel is not None and rel.has_id_row(idrow)
-
-
-def _safe_order(
-    rule, skip: Optional[int], initial_bound: Iterable
-) -> Tuple[int, ...]:
-    """Join order over the body positions excluding ``skip``.
-
-    Positive literals keep source order; negated literals defer until
-    their variables are bound (by ``initial_bound`` -- the delta or head
-    bindings -- or the positive prefix).
-    """
-    body = rule.body
-    order: List[int] = []
-    bound = set(initial_bound)
-    pending = [
-        i for i, lit in enumerate(body) if lit.negated and i != skip
-    ]
-
-    def flush() -> None:
-        kept = []
-        for i in pending:
-            if all(v in bound for v in body[i].variables()):
-                order.append(i)
-            else:
-                kept.append(i)
-        pending[:] = kept
-
-    flush()
-    for i, literal in enumerate(body):
-        if i == skip or literal.negated:
-            continue
-        order.append(i)
-        bound.update(literal.variables())
-        flush()
-    if pending:
-        raise EvaluationError(
-            f"rule {rule}: no maintenance join order binds every negated "
-            "variable (the rule is not safely negated)"
-        )
-    return tuple(order)
+def _tally(
+    counts: Dict[IdTuple, int],
+    idrows: Iterable[IdTuple],
+    multiplicities: Optional[List[int]],
+    sign: int,
+) -> None:
+    """Add ``sign`` times each row's multiplicity (None = all 1) to
+    ``counts``."""
+    get = counts.get
+    for idrow, mult in zip(idrows, multiplicities or repeat(1)):
+        counts[idrow] = get(idrow, 0) + sign * mult
 
 
 class MaterializedProgram:
@@ -340,63 +203,42 @@ class MaterializedProgram:
         self.derived_keys = program.derived_predicates()
         self.predicate_stratum, self.rule_strata = stratify_rules(program)
         self.compiled, _ = compiled_program_for(program, plan_cache)
-        #: per-rule ID-level literal specs: (head_spec, body_specs);
-        #: each rule's variables map to slots of one binding list
-        self._specs: List[Tuple[_LitSpec, Tuple[_LitSpec, ...]]] = []
-        for rule in program.rules:
-            var_slots: Dict[Variable, int] = {}
-            for literal in (rule.head, *rule.body):
-                for var in literal.variables():
-                    if var not in var_slots:
-                        var_slots[var] = len(var_slots)
-            self._specs.append(
-                (
-                    _LitSpec(rule.head, var_slots),
-                    tuple(
-                        _LitSpec(lit, var_slots) for lit in rule.body
-                    ),
-                )
-            )
-        #: per-stratum head predicates and body inputs
+        #: per-stratum head predicates
         self._stratum_heads: List[frozenset] = []
-        self._stratum_inputs: List[frozenset] = []
         #: True for strata no rule of which reads a same-stratum head
         #: (the non-recursive case: counting deletion applies)
         self._flat: List[bool] = []
+        #: per stratum, input predicate -> ``(rule index, the body
+        #: positions it occupies in that rule)`` pairs: what a delta of
+        #: the predicate seeds when the stratum is maintained by counting
+        self._occurrences: List[
+            Dict[str, List[Tuple[int, Tuple[int, ...]]]]
+        ] = []
         for stratum in self.rule_strata:
             heads = frozenset(
                 program.rules[ri].head.pred_key for ri in stratum
             )
-            inputs = frozenset(
-                lit.pred_key
-                for ri in stratum
-                for lit in program.rules[ri].body
-            )
+            occurrences: Dict[str, List[Tuple[int, Tuple[int, ...]]]] = {}
+            for ri in stratum:
+                positions: Dict[str, Tuple[int, ...]] = {}
+                for j, literal in enumerate(program.rules[ri].body):
+                    key = literal.pred_key
+                    positions[key] = positions.get(key, ()) + (j,)
+                for key, occupied in positions.items():
+                    occurrences.setdefault(key, []).append((ri, occupied))
             self._stratum_heads.append(heads)
-            self._stratum_inputs.append(inputs)
-            self._flat.append(not (heads & inputs))
+            self._flat.append(heads.isdisjoint(occurrences))
+            self._occurrences.append(occurrences)
         self._rules_by_head: Dict[str, Tuple[int, ...]] = {}
         for ri, rule in enumerate(program.rules):
             key = rule.head.pred_key
             self._rules_by_head[key] = self._rules_by_head.get(key, ()) + (
                 ri,
             )
-        #: join orders for the interpreted delta joins, keyed by
-        #: (rule_index, delta position or None-for-derivability)
-        self._orders: Dict[Tuple[int, Optional[int]], Tuple[int, ...]] = {}
-        #: delta plans for base-relation occurrences (the semi-naive
-        #: engine never compiles those; insertion propagation needs them)
-        self._extra_plans: Dict[Tuple[int, int], JoinPlan] = {}
-        #: per-stratum view cache for the interpreted joins
-        self._views: Dict[Tuple[str, bool], object] = {}
-        #: per-head-predicate (head_spec, body_specs, order, n) rows for
-        #: the rederive derivability walk
-        self._derive_cache: Dict[str, list] = {}
-        #: derivation counts for flat-stratum heads (counting deletion);
-        #: a row's count is its number of body solutions across the
-        #: stratum's rules, plus one if it is also a base fact
-        self._counts: Dict[str, Dict[IdTuple, int]] = {}
-
+        #: seeded plans compiled on demand, keyed as :meth:`_plan` is called
+        self._plans: Dict[
+            Tuple[int, Optional[Tuple[int, ...]]], JoinPlan
+        ] = {}
         self.stale = False
         self.passes = 0
         self.rebuilds = 0
@@ -415,7 +257,8 @@ class MaterializedProgram:
         )
         self.working = result.database
         self.stats = result.stats
-        self._init_counts()
+        #: derivation counts for flat-stratum heads (counting deletion)
+        self._counts = self._flat_counts(self.working)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -486,11 +329,10 @@ class MaterializedProgram:
             meter=meter,
         )
         self.working = result.database
-        for plan in self._extra_plans.values():
+        for plan in self._plans.values():
             plan.register_indexes(self.working)
         del self.log[:]
-        self._counts = {}
-        self._init_counts()
+        self._counts = self._flat_counts(self.working)
         self.stale = False
         self.rebuilds += 1
         elapsed = time.perf_counter() - started
@@ -501,30 +343,46 @@ class MaterializedProgram:
         )
 
     # ------------------------------------------------------------------
-    # initial derivation counts (counting deletion)
+    # derivation counts (counting deletion)
     # ------------------------------------------------------------------
-    def _init_counts(self) -> None:
+    def _flat_counts(
+        self, database: Database
+    ) -> Dict[str, Dict[IdTuple, int]]:
+        """The derivation counts of the flat-stratum heads over an
+        evaluated ``database``: a row's count is its number of body
+        solutions across its predicate's rules, plus one if it is also
+        a base fact.  Predicates without rows are left out."""
         stats = EvaluationStats()
+        counts: Dict[str, Dict[IdTuple, int]] = {}
         for s, stratum in enumerate(self.rule_strata):
             if not self._flat[s]:
                 continue
             for ri in stratum:
-                rule = self.program.rules[ri]
                 # execute_batch returns head ID rows (which may repeat)
                 # with the number of body solutions each stands for:
                 # summed per row, exactly the multiset the counts need
                 rows, mults, _ = self.compiled.plan(ri).execute_batch(
-                    self.working, stats
+                    database, stats
                 )
-                counts = self._counts.setdefault(rule.head.pred_key, {})
-                for idrow, mult in zip(rows, mults or repeat(1)):
-                    counts[idrow] = counts.get(idrow, 0) + mult
+                if rows:
+                    _tally(
+                        counts.setdefault(
+                            self.program.rules[ri].head.pred_key, {}
+                        ),
+                        rows,
+                        mults,
+                        1,
+                    )
             for pred in self._stratum_heads[s]:
                 base_rel = self.base.get(pred)
                 if base_rel is not None and len(base_rel):
-                    counts = self._counts.setdefault(pred, {})
-                    for idrow in base_rel.id_rows():
-                        counts[idrow] = counts.get(idrow, 0) + 1
+                    _tally(
+                        counts.setdefault(pred, {}),
+                        base_rel.id_rows(),
+                        None,
+                        1,
+                    )
+        return counts
 
     # ------------------------------------------------------------------
     # the incremental pass
@@ -570,15 +428,10 @@ class MaterializedProgram:
             ext = {
                 pred: external[pred] for pred in heads if pred in external
             }
-            inputs_changed = any(
-                pred in changed and not changed[pred].empty
-                for pred in self._stratum_inputs[s]
-            )
-            if not ext and not inputs_changed:
+            if not ext and not self._changed_inputs(s, changed):
                 result.strata_skipped += 1
                 continue
             result.strata_maintained += 1
-            self._views.clear()
             if meter is not None:
                 result.rounds += 1
                 meter.check_round(
@@ -590,7 +443,7 @@ class MaterializedProgram:
                 )
             if self._flat[s]:
                 added, removed = self._maintain_flat(
-                    stratum, changed, ext, stats, meter
+                    s, changed, ext, stats, meter
                 )
             else:
                 added, removed, rounds = self._maintain_dred(
@@ -601,305 +454,277 @@ class MaterializedProgram:
             result.facts_removed += removed
         return result
 
-    # ------------------------------------------------------------------
-    # interpreted ID-level delta joins
-    # ------------------------------------------------------------------
-    def _order(self, ri: int, skip: Optional[int]) -> Tuple[int, ...]:
-        key = (ri, skip)
-        order = self._orders.get(key)
-        if order is None:
-            rule = self.program.rules[ri]
-            initial = (
-                rule.head.variables()
-                if skip is None
-                else rule.body[skip].variables()
-            )
-            order = self._orders[key] = _safe_order(rule, skip, initial)
-        return order
+    def _changed_inputs(self, s: int, changed) -> List[str]:
+        """The predicates stratum ``s`` reads whose delta is not empty."""
+        return [
+            pred
+            for pred in self._occurrences[s]
+            if pred in changed and not changed[pred].empty
+        ]
 
-    def _view_of(self, pred: str, changed, old: bool):
-        key = (pred, old)
-        view = self._views.get(key)
-        if view is not None:
-            return view
-        rel = self.working.get(pred)
-        if old and changed is not None:
-            delta = changed.get(pred)
-            if delta is not None and not delta.empty:
-                view = _OldView(rel, delta)
+    # ------------------------------------------------------------------
+    # seeded plans: the one join mechanism of every phase
+    # ------------------------------------------------------------------
+    def _plan(
+        self, ri: int, seeded: Optional[Tuple[int, ...]]
+    ) -> JoinPlan:
+        """The plan of rule ``ri`` seeded at body positions ``seeded``.
+
+        The seeded literals are taken positive -- a delta under a
+        negated literal runs the same join, and the caller owns its
+        sign.  The first is the plan's delta occurrence; any further
+        ones (one predicate occurring several times in a counting rule)
+        are renamed to :data:`_SEED`, which :class:`_Seeded` resolves
+        to the same batch.  ``seeded=None`` is the rederive plan
+        ``h :- seed(h's args), body``: Section 4's magic-guarded rule
+        with the seed as the magic set of the all-bound adornment, so
+        its output is the seed rows the rule still derives.
+
+        A single positive derived occurrence comes precompiled with the
+        program; every other plan is compiled on first use and cached.
+        """
+        rule = self.program.rules[ri]
+        if seeded is not None and len(seeded) == 1:
+            literal = rule.body[seeded[0]]
+            if (
+                not literal.negated
+                and literal.pred_key in self.derived_keys
+            ):
+                return self.compiled.plan(ri, seeded[0])
+        plan = self._plans.get((ri, seeded))
+        if plan is None:
+            body = list(rule.body)
+            if seeded is None:
+                first = 0
+                body.insert(0, Literal(_SEED, rule.head.args))
             else:
-                view = _NewView(rel)
-        else:
-            view = _NewView(rel)
-        if rel is not None:
-            # a missing relation may spring into existence mid-stratum
-            # (first derived row of a predicate); don't cache absence
-            self._views[key] = view
-        return view
+                first = seeded[0]
+                body[first] = body[first].as_positive()
+                for j in seeded[1:]:
+                    body[j] = Literal(_SEED, body[j].args)
+            plan = compile_rule(Rule(rule.head, body), first)
+            plan.register_indexes(self.working)
+            self._plans[(ri, seeded)] = plan
+        return plan
 
-    def _delta_solutions(
+    def _run(
         self,
         ri: int,
-        skip: Optional[int],
-        subst: List,
-        changed: Optional[Dict[str, _Delta]],
+        seeded: Optional[Tuple[int, ...]],
+        seed: _IdDeltaBatch,
         stats: EvaluationStats,
-        discipline: str,
-    ):
-        """Complete a body match with position ``skip`` pre-bound.
+        meter,
+    ) -> Tuple[List[IdTuple], Optional[List[int]], int]:
+        """``execute_batch`` of :meth:`_plan` over ``working``: head ID
+        rows, their multiplicities, the number of body solutions."""
+        database = self.working
+        if seeded is not None and len(seeded) > 1:
+            database = _Seeded(database, seed)
+        return self._plan(ri, seeded).execute_batch(
+            database, stats, seed, meter=meter
+        )
 
-        ``discipline`` picks the state each remaining position reads:
-        ``"counting"`` (positions before the delta read the new state,
-        positions after it the old -- the exact finite-differencing
-        rule) or ``"new"`` (insertion and derivability).  Negated
-        positions become membership checks against the same state.
-        Bindings are slot lists of term IDs.
-        """
-        specs = self._specs[ri][1]
-        order = self._order(ri, skip)
-        n = len(order)
-        counting = discipline == "counting"
-
-        def extend(pos: int, subst: List):
-            if pos == n:
-                yield subst
-                return
-            k = order[pos]
-            spec = specs[k]
-            view = self._view_of(
-                spec.pred, changed, counting and k > skip
-            )
-            if spec.negated:
-                idrow = spec.ground(subst)
-                if idrow is None or not view.contains(idrow):
-                    yield from extend(pos + 1, subst)
-                return
-            positions, key, unbound = spec.probe_parts(subst)
-            if not unbound:
-                # fully bound: membership, not enumeration
-                stats.join_probes += 1
-                if view.contains(tuple(key)):
-                    yield from extend(pos + 1, subst)
-                return
-            for idrow in view.rows(positions, key, stats):
-                stats.tuples_scanned += 1
-                out = list(subst)
-                for p, slot in unbound:
-                    value = idrow[p]
-                    bound = out[slot]
-                    if bound is None:
-                        out[slot] = value
-                    elif bound != value:
-                        out = None
-                        break
-                if out is not None:
-                    yield from extend(pos + 1, out)
-
-        yield from extend(0, subst)
-
-    def _derivable(
-        self, pred: str, idrow: IdTuple, stats: EvaluationStats
-    ) -> bool:
-        """Does any rule derive ``idrow`` one-step from current state?
-
-        The rederive inner loop: same join as :meth:`_delta_solutions`
-        with the head pre-bound and all-new views, but returning on the
-        first solution without generator machinery.
-        """
-        working = self.working
-        for head_spec, specs, order, n in self._derive_info(pred):
-            subst = head_spec.match(idrow)
-            if subst is not None and self._derive_rec(
-                specs, order, n, 0, subst, working, stats
-            ):
-                return True
-        return False
-
-    def _derive_info(self, pred: str):
-        info = self._derive_cache.get(pred)
-        if info is None:
-            info = [
-                (
-                    self._specs[ri][0],
-                    self._specs[ri][1],
-                    self._order(ri, None),
-                    len(self._specs[ri][1]),
-                )
-                for ri in self._rules_by_head.get(pred, ())
-            ]
-            self._derive_cache[pred] = info
-        return info
-
-    def _derive_rec(
-        self, specs, order, n, pos, subst, working, stats
-    ) -> bool:
-        if pos == n:
-            return True
-        spec = specs[order[pos]]
-        rel = working.get(spec.pred)
-        if spec.negated:
-            if rel is not None and rel.has_id_row(spec.ground(subst)):
-                return False
-            return self._derive_rec(
-                specs, order, n, pos + 1, subst, working, stats
-            )
-        if rel is None:
-            return False
-        positions, key, unbound = spec.probe_parts(subst)
-        if not unbound:
-            stats.join_probes += 1
-            return rel.has_id_row(tuple(key)) and self._derive_rec(
-                specs, order, n, pos + 1, subst, working, stats
-            )
-        for row in _rel_rows(rel, positions, key):
-            stats.tuples_scanned += 1
-            out = list(subst)
-            for p, slot in unbound:
-                value = row[p]
-                bound = out[slot]
-                if bound is None:
-                    out[slot] = value
-                elif bound != value:
-                    out = None
-                    break
-            if out is not None and self._derive_rec(
-                specs, order, n, pos + 1, out, working, stats
-            ):
-                return True
-        return False
+    def _flip(self, pred: str, delta: _Delta, to_old: bool) -> None:
+        """Roll one relation of ``working`` to its pre-delta state (or
+        back): the recorded delta is physically undone, O(|delta|) row
+        flips, so the compiled plans read an old state straight from
+        ``working`` rather than through a wrapper on every probe."""
+        rel = self.working.relation(pred)
+        gone, back = (
+            (delta.added, delta.removed)
+            if to_old
+            else (delta.removed, delta.added)
+        )
+        if gone:
+            rel.discard_id_rows(gone)
+        if back:
+            rel.add_id_rows(back)
 
     # ------------------------------------------------------------------
     # counting maintenance (flat strata)
     # ------------------------------------------------------------------
     def _maintain_flat(
-        self, stratum, changed, ext, stats, meter
+        self, s: int, changed, ext, stats, meter
     ) -> Tuple[int, int]:
         """Exact count maintenance for a non-recursive stratum.
 
-        For every rule and every body position whose relation changed,
-        the signed delta solutions adjust the head row's derivation
-        count; rows cross zero exactly when they (dis)appear.  Negated
-        positions flip the sign: an added fact under a negated literal
-        *removes* solutions, a removed one adds them.
+        Finite differencing, one changed input *relation* at a time:
+        while relation R's added and removed batches run through the
+        plans seeded at R's occurrences, the relations ordered before R
+        are in their new state and those after it in their old state,
+        so every (dis)appearing body solution is counted exactly once.
+        The largest delta goes first and is never flipped.  Each plan's
+        rows and multiplicities are signed count changes -- negative
+        for removed rows, and once more for each negated seeded
+        literal: an added fact under ``not`` *removes* solutions.
+
+        R's own state only matters to a rule R occurs in more than
+        once.  R then sits *between* its deltas (old minus removed =
+        new minus added = M) and one plan runs per non-empty subset T
+        of the occurrences: those in T read the batch, the others M.
+        With R = M + batch on either side, the subsets partition the
+        solutions that touch the batch, so the sum is exact and
+        delta-proportional.
+
+        Head rows whose count crosses zero (dis)appear.
         """
-        program = self.program
+        working = self.working
+        rules = self.program.rules
+        occurrences = self._occurrences[s]
+        order = sorted(
+            self._changed_inputs(s, changed),
+            key=lambda pred: len(changed[pred].added)
+            + len(changed[pred].removed),
+            reverse=True,
+        )
+        for pred in order[1:]:
+            self._flip(pred, changed[pred], True)
         deltas: Dict[str, Dict[IdTuple, int]] = {}
-        for ri in stratum:
-            rule = program.rules[ri]
-            head_spec, body_specs = self._specs[ri]
-            for j, literal in enumerate(rule.body):
-                delta = changed.get(literal.pred_key)
-                if delta is None or delta.empty:
-                    continue
-                if meter is not None:
-                    meter.check_batch(
-                        stats.facts_derived, stats.tuples_scanned
-                    )
-                spec = body_specs[j]
-                if literal.negated:
-                    pairs = ((delta.added, -1), (delta.removed, 1))
-                else:
-                    pairs = ((delta.added, 1), (delta.removed, -1))
-                head_deltas = deltas.setdefault(rule.head.pred_key, {})
-                for idrows, sign in pairs:
-                    for idrow in idrows:
-                        subst = spec.match(idrow)
-                        if subst is None:
-                            continue
-                        for final in self._delta_solutions(
-                            ri, j, subst, changed, stats, "counting"
-                        ):
-                            stats.rule_firings += 1
-                            hid = head_spec.ground(final)
-                            head_deltas[hid] = (
-                                head_deltas.get(hid, 0) + sign
+        for turn, pred in enumerate(order):
+            delta = changed[pred]
+            uses = occurrences[pred]
+            between = turn > 0 or any(
+                [len(positions) > 1 for _, positions in uses]
+            )
+            if between:
+                working.relation(pred).discard_id_rows(
+                    delta.removed if turn else delta.added
+                )
+            seeds = [
+                (_batch(idrows), sign)
+                for idrows, sign in ((delta.added, 1), (delta.removed, -1))
+                if idrows
+            ]
+            for ri, positions in uses:
+                body = rules[ri].body
+                head_deltas = deltas.setdefault(rules[ri].head.pred_key, {})
+                for size in range(1, len(positions) + 1):
+                    for seeded in combinations(positions, size):
+                        negations = sum([body[j].negated for j in seeded])
+                        parity = -1 if negations % 2 else 1
+                        for seed, sign in seeds:
+                            rows, mults, _ = self._run(
+                                ri, seeded, seed, stats, meter
                             )
+                            if rows:
+                                _tally(head_deltas, rows, mults, sign * parity)
+            if between:
+                working.relation(pred).add_id_rows(delta.added)
         for pred, delta in ext.items():
             head_deltas = deltas.setdefault(pred, {})
-            for idrow in delta.added:
-                head_deltas[idrow] = head_deltas.get(idrow, 0) + 1
-            for idrow in delta.removed:
-                head_deltas[idrow] = head_deltas.get(idrow, 0) - 1
+            _tally(head_deltas, delta.added, None, 1)
+            _tally(head_deltas, delta.removed, None, -1)
 
         added = removed = 0
         for pred, head_deltas in deltas.items():
             counts = self._counts.setdefault(pred, {})
-            rel = self.working.relation(pred)
-            out = changed.get(pred)
-            if out is None:
-                out = changed[pred] = _Delta()
-            for idrow, dc in head_deltas.items():
-                if not dc:
+            appear: List[IdTuple] = []
+            vanish: List[IdTuple] = []
+            for idrow, change in head_deltas.items():
+                if not change:
                     continue
                 old = counts.get(idrow, 0)
-                new = old + dc
+                new = old + change
                 if new > 0:
                     counts[idrow] = new
                 else:
                     counts.pop(idrow, None)
                 if old <= 0 < new:
-                    rel.add_id_row(idrow)
-                    out.added.add(idrow)
-                    stats.record_facts(pred, 1)
-                    added += 1
+                    appear.append(idrow)
                 elif new <= 0 < old:
-                    rel.discard_id_row(idrow)
-                    out.removed.add(idrow)
-                    removed += 1
+                    vanish.append(idrow)
+            if not (appear or vanish):
+                continue
+            # fetched only now: relation() clones a relation a published
+            # snapshot shares, and a head nothing reaches stays shared
+            rel = working.relation(pred)
+            out = changed.setdefault(pred, _Delta())
+            if appear:
+                rel.add_id_rows(appear)
+                out.added.update(appear)
+                stats.record_facts(pred, len(appear))
+                added += len(appear)
+            if vanish:
+                rel.discard_id_rows(vanish)
+                out.removed.update(vanish)
+                removed += len(vanish)
         return added, removed
 
     # ------------------------------------------------------------------
     # DRed maintenance (recursive strata)
     # ------------------------------------------------------------------
-    def _insert_plan(self, ri: int, j: int) -> JoinPlan:
-        """The delta plan for body position ``j`` of rule ``ri``.
+    def _seed_changed(
+        self, stratum, changed, dying: bool, emit, stats, meter
+    ) -> None:
+        """Run every changed body occurrence of the stratum's rules
+        through its seeded plan and hand ``emit`` the head rows.
 
-        Derived occurrences come precompiled with the program; base
-        occurrences (which semi-naive evaluation never deltas) are
-        compiled on first use and cached.
+        ``dying`` picks the side of each delta under which solutions
+        disappear (removed rows under a positive literal, added rows
+        under a negated one) rather than the side under which they
+        appear.
         """
-        literal = self.program.rules[ri].body[j]
-        if literal.pred_key in self.derived_keys:
-            return self.compiled.plan(ri, j)
-        plan = self._extra_plans.get((ri, j))
-        if plan is None:
-            plan = compile_rule(self.program.rules[ri], j)
-            plan.register_indexes(self.working)
-            self._extra_plans[(ri, j)] = plan
-        return plan
+        for ri in stratum:
+            rule = self.program.rules[ri]
+            for j, literal in enumerate(rule.body):
+                delta = changed.get(literal.pred_key)
+                if delta is None:
+                    continue
+                idrows = (
+                    delta.removed
+                    if dying != literal.negated
+                    else delta.added
+                )
+                if idrows:
+                    rows, _, solutions = self._run(
+                        ri, (j,), _batch(idrows), stats, meter
+                    )
+                    emit(rule.head.pred_key, rows, solutions)
 
-    def _flip(self, changed: Dict[str, _Delta], to_old: bool) -> None:
-        """Roll ``working`` to the pre-delta state of every changed
-        relation (or back).
+    def _propagate(
+        self, s, stratum, batches, emit, stats, meter, rounds_before: int
+    ) -> int:
+        """Semi-naive rounds over the stratum's derived occurrences.
 
-        Overdeletion must join *old* states everywhere.  Rather than
-        wrapping every probe, the recorded deltas are physically undone
-        for the duration of phase 1 -- O(|delta|) row flips each way --
-        so the compiled batch plans can run against ``working``
-        directly.  Same-stratum relations are untouched until phase 2,
-        hence already old.
+        Each round runs the previous round's ``batches`` through the
+        compiled delta plans; ``emit`` turns the head rows into the next
+        round's batches.  Returns the number of rounds run.
         """
-        for pred, delta in changed.items():
-            if delta.empty:
-                continue
-            rel = self.working.relation(pred)
-            if to_old:
-                if delta.added:
-                    rel.discard_id_rows(delta.added)
-                if delta.removed:
-                    rel.add_id_rows(delta.removed)
-            else:
-                if delta.removed:
-                    rel.discard_id_rows(delta.removed)
-                if delta.added:
-                    rel.add_id_rows(delta.added)
+        rounds = 0
+        while batches:
+            rounds += 1
+            if meter is not None:
+                meter.check_round(
+                    stats.facts_derived,
+                    stats.tuples_scanned,
+                    s,
+                    rounds_before + rounds,
+                    self.working,
+                )
+            previous = dict(batches)
+            batches.clear()
+            for ri in stratum:
+                rule = self.program.rules[ri]
+                for j in self.compiled.delta_occurrences(ri):
+                    batch = previous.get(rule.body[j].pred_key)
+                    if batch is not None:
+                        rows, _, solutions = self._run(
+                            ri, (j,), batch, stats, meter
+                        )
+                        emit(rule.head.pred_key, rows, solutions)
+        return rounds
 
     def _maintain_dred(
         self, s, stratum, heads, changed, ext, stats, meter, result
     ) -> Tuple[int, int, int]:
-        program = self.program
         working = self.working
-        rounds = 0
+        batches: Dict[str, _IdDeltaBatch] = {}
+
+        def enqueue(pred: str, fresh: List[IdTuple]) -> None:
+            batch = batches.get(pred)
+            if batch is None:
+                batch = batches[pred] = _IdDeltaBatch()
+            batch.extend(fresh)
 
         # ---- phase 1: overdelete.  Every join reads *old* state:
         # working is flipped back to the pre-delta picture (same-stratum
@@ -908,245 +733,103 @@ class MaterializedProgram:
         # derivation that may have used a deleted fact -- including
         # through several recursive steps.
         od: Dict[str, Set[IdTuple]] = {}
-        batches: Dict[str, _IdDeltaBatch] = {}
 
-        def od_push(pred: str, idrows) -> None:
-            bucket = od.setdefault(pred, set())
+        def overdelete(pred: str, idrows, _solutions=0) -> None:
             rel = working.get(pred)
-            if rel is None:
+            if rel is None or not idrows:
                 return
-            has = rel.has_id_row
-            fresh = []
-            for idrow in idrows:
-                if idrow not in bucket and has(idrow):
-                    bucket.add(idrow)
-                    fresh.append(idrow)
-            if not fresh:
-                return
-            batch = batches.get(pred)
-            if batch is None:
-                batch = batches[pred] = _IdDeltaBatch()
-            batch.extend(fresh)
+            bucket = od.get(pred, ())
+            rowmap = rel._rowmap
+            fresh = {
+                idrow
+                for idrow in idrows
+                if idrow in rowmap and idrow not in bucket
+            }
+            if fresh:
+                od.setdefault(pred, set()).update(fresh)
+                enqueue(pred, list(fresh))
 
-        self._flip(changed, True)
-        self._views.clear()
+        flipped = self._changed_inputs(s, changed)
+        for pred in flipped:
+            self._flip(pred, changed[pred], True)
         try:
             for pred, delta in ext.items():
-                od_push(pred, delta.removed)
-
-            for ri in stratum:
-                rule = program.rules[ri]
-                head_spec, body_specs = self._specs[ri]
-                relation_name = head_spec.pred
-                for j, literal in enumerate(rule.body):
-                    delta = changed.get(literal.pred_key)
-                    if delta is None:
-                        continue
-                    if meter is not None:
-                        meter.check_batch(
-                            stats.facts_derived, stats.tuples_scanned
-                        )
-                    if literal.negated:
-                        # an *addition* under a negated literal kills
-                        # solutions; interpreted join against the
-                        # flipped (old) state
-                        if not delta.added:
-                            continue
-                        spec = body_specs[j]
-                        produced = []
-                        for idrow in delta.added:
-                            subst = spec.match(idrow)
-                            if subst is None:
-                                continue
-                            for final in self._delta_solutions(
-                                ri, j, subst, changed, stats, "new"
-                            ):
-                                produced.append(head_spec.ground(final))
-                        od_push(relation_name, produced)
-                        continue
-                    if not delta.removed:
-                        continue
-                    seed = _IdDeltaBatch()
-                    seed.extend(list(delta.removed))
-                    rows, _, _ = self._insert_plan(ri, j).execute_batch(
-                        working, stats, seed, meter=meter
-                    )
-                    od_push(relation_name, rows)
-
-            while batches:
-                rounds += 1
-                if meter is not None:
-                    meter.check_round(
-                        stats.facts_derived,
-                        stats.tuples_scanned,
-                        s,
-                        result.rounds + rounds,
-                        working,
-                    )
-                previous, batches = batches, {}
-                for ri in stratum:
-                    rule = program.rules[ri]
-                    head_key = rule.head.pred_key
-                    for j in self.compiled.delta_occurrences(ri):
-                        batch = previous.get(rule.body[j].pred_key)
-                        if batch is None:
-                            continue
-                        rows, _, _ = self.compiled.plan(ri, j).execute_batch(
-                            working, stats, batch, meter=meter
-                        )
-                        od_push(head_key, rows)
+                overdelete(pred, delta.removed)
+            self._seed_changed(
+                stratum, changed, True, overdelete, stats, meter
+            )
+            rounds = self._propagate(
+                s, stratum, batches, overdelete, stats, meter, result.rounds
+            )
         finally:
-            self._flip(changed, False)
-            self._views.clear()
+            for pred in flipped:
+                self._flip(pred, changed[pred], False)
 
-        # ---- phase 2: remove the overdeleted rows
+        # ---- phase 2: remove the overdeleted rows.  From here on
+        # ``od`` is the net removal: a row rederived or inserted again
+        # below leaves it
         for pred, bucket in od.items():
             working.relation(pred).discard_id_rows(bucket)
 
-        removed_final: Dict[str, Set[IdTuple]] = {
-            pred: set(bucket) for pred, bucket in od.items()
-        }
         added_net: Dict[str, Set[IdTuple]] = {}
 
-        def record_fresh(pred: str, fresh) -> None:
+        def push(pred: str, fresh: List[IdTuple]) -> None:
+            if not fresh:
+                return
             stats.record_facts(pred, len(fresh))
-            out_removed = removed_final.get(pred)
+            out_removed = od.get(pred)
             out_added = added_net.setdefault(pred, set())
             for idrow in fresh:
                 if out_removed and idrow in out_removed:
                     out_removed.discard(idrow)
                 else:
                     out_added.add(idrow)
+            enqueue(pred, fresh)
 
-        batches: Dict[str, _IdDeltaBatch] = {}
+        def insert(pred: str, rows, solutions: int) -> None:
+            # the head is fetched only when there are rows to write:
+            # relation() clones a relation a published snapshot shares,
+            # and a head no delta reaches must stay shared
+            if rows:
+                fresh = working.relation(pred).add_id_rows(rows)
+                stats.duplicate_derivations += solutions - len(fresh)
+                push(pred, fresh)
 
-        def push(pred: str, fresh) -> None:
-            if not fresh:
-                return
-            record_fresh(pred, fresh)
-            batch = batches.get(pred)
-            if batch is None:
-                batch = batches[pred] = _IdDeltaBatch()
-            batch.extend(fresh)
-
-        # ---- phase 3: rederive.  One sweep of bound-head one-step
-        # derivability checks against the deleted state; survivors are
-        # pushed into the insertion batches, so anything they (or later
-        # insertions) transitively support is restored by the compiled
-        # rounds below rather than by repeated sweeps.
-        self._views.clear()
+        # ---- phase 3: rederive.  The overdeleted rows that are still
+        # base facts survive as they are; the others seed, per rule of
+        # their predicate, the plan ``h :- seed(h's args), body`` over
+        # the deleted state, whose output is the rows still one-step
+        # derivable.  It enumerates each such derivation rather than
+        # stopping at the first -- the same order of work as the
+        # overdeletion that produced the row.  Survivors are pushed into
+        # the insertion batches, so anything they (or later insertions)
+        # transitively support is restored by the rounds below rather
+        # than by repeated sweeps.
         for pred, bucket in od.items():
-            if meter is not None:
-                meter.check_batch(
-                    stats.facts_derived, stats.tuples_scanned
-                )
-            rel = working.relation(pred)
             base_rel = self.base.get(pred)
-            survivors = []
-            for idrow in bucket:
-                if (
-                    base_rel is not None and base_rel.has_id_row(idrow)
-                ) or self._derivable(pred, idrow, stats):
-                    survivors.append(idrow)
+            base_rows = () if base_rel is None else base_rel._rowmap
+            survivors = [row for row in bucket if row in base_rows]
+            lost = [row for row in bucket if row not in base_rows]
+            if lost:
+                seed = _batch(lost)
+                for ri in self._rules_by_head[pred]:
+                    survivors += self._run(ri, None, seed, stats, meter)[0]
             if survivors:
-                for idrow in survivors:
-                    rel.add_id_row(idrow)
-                push(pred, survivors)
+                push(pred, working.relation(pred).add_id_rows(survivors))
 
         # ---- phase 4: insertion propagation through the compiled
         # columnar delta plans (the semi-naive batch machinery)
         for pred, delta in ext.items():
-            rel = working.relation(pred)
-            fresh = [
-                idrow for idrow in delta.added if rel.add_id_row(idrow)
-            ]
-            push(pred, fresh)
-
-        for ri in stratum:
-            rule = program.rules[ri]
-            head_spec, body_specs = self._specs[ri]
-            for j, literal in enumerate(rule.body):
-                delta = changed.get(literal.pred_key)
-                if delta is None:
-                    continue
-                if meter is not None:
-                    meter.check_batch(
-                        stats.facts_derived, stats.tuples_scanned
-                    )
-                # fetched per delta, not per rule: relation() clones a
-                # relation a published snapshot shares, and a head no
-                # delta reaches must stay shared
-                relation = working.relation(head_spec.pred)
-                if literal.negated:
-                    # a removal under a negated literal enables
-                    # solutions; interpreted join, everything-new
-                    if not delta.removed:
-                        continue
-                    spec = body_specs[j]
-                    produced: List[IdTuple] = []
-                    for idrow in delta.removed:
-                        subst = spec.match(idrow)
-                        if subst is None:
-                            continue
-                        for final in self._delta_solutions(
-                            ri, j, subst, changed, stats, "new"
-                        ):
-                            stats.rule_firings += 1
-                            produced.append(head_spec.ground(final))
-                    if produced:
-                        fresh = relation.add_id_rows(produced)
-                        stats.duplicate_derivations += len(produced) - len(
-                            fresh
-                        )
-                        push(head_spec.pred, fresh)
-                    continue
-                if not delta.added:
-                    continue
-                seed = _IdDeltaBatch()
-                seed.extend(list(delta.added))
-                rows, _, solutions = self._insert_plan(ri, j).execute_batch(
-                    working, stats, seed, meter=meter
-                )
-                if rows:
-                    fresh = relation.add_id_rows(rows)
-                    stats.duplicate_derivations += solutions - len(fresh)
-                    push(head_spec.pred, fresh)
-
-        while batches:
-            rounds += 1
-            if meter is not None:
-                meter.check_round(
-                    stats.facts_derived,
-                    stats.tuples_scanned,
-                    s,
-                    result.rounds + rounds,
-                    working,
-                )
-            previous_batches, batches = batches, {}
-            for ri in stratum:
-                rule = program.rules[ri]
-                head_key = rule.head.pred_key
-                for j in self.compiled.delta_occurrences(ri):
-                    batch = previous_batches.get(rule.body[j].pred_key)
-                    if batch is None:
-                        continue
-                    rows, _, solutions = self.compiled.plan(
-                        ri, j
-                    ).execute_batch(working, stats, batch, meter=meter)
-                    if not rows:
-                        continue
-                    fresh = working.relation(head_key).add_id_rows(rows)
-                    stats.duplicate_derivations += solutions - len(fresh)
-                    if fresh:
-                        record_fresh(head_key, fresh)
-                        nxt = batches.get(head_key)
-                        if nxt is None:
-                            nxt = batches[head_key] = _IdDeltaBatch()
-                        nxt.extend(fresh)
+            if delta.added:
+                push(pred, working.relation(pred).add_id_rows(delta.added))
+        self._seed_changed(stratum, changed, False, insert, stats, meter)
+        rounds += self._propagate(
+            s, stratum, batches, insert, stats, meter, result.rounds + rounds
+        )
 
         added = removed = 0
         for pred in heads:
-            net_removed = removed_final.get(pred) or set()
+            net_removed = od.get(pred) or set()
             net_added = added_net.get(pred) or set()
             if not net_removed and not net_added:
                 continue
@@ -1167,8 +850,9 @@ class MaterializedProgram:
 
         The testing oracle: recompute the program from the source
         database and verify every derived relation matches, and that the
-        flat-stratum counts agree with membership.  Raises AssertionError
-        on mismatch; returns True (pending mutations are applied first).
+        flat-stratum derivation counts equal the ones recomputed over
+        that cold result.  Raises AssertionError on mismatch; returns
+        True (pending mutations are applied first).
         """
         if self.stale or self.log:
             self.maintain()
@@ -1184,14 +868,10 @@ class MaterializedProgram:
                 f"(missing={sorted(map(str, expected - actual))[:5]}, "
                 f"extra={sorted(map(str, actual - expected))[:5]})"
             )
-        for pred, counts in self._counts.items():
-            rel = self.working.get(pred)
-            members = set(rel.id_rows()) if rel is not None else set()
-            assert set(counts) == members, (
-                f"derivation counts for {pred} diverged from membership"
-            )
-            assert all(c > 0 for c in counts.values()), (
-                f"non-positive derivation count recorded for {pred}"
+        recount = self._flat_counts(cold.database)
+        for pred in set(self._counts) | set(recount):
+            assert self._counts.get(pred, {}) == recount.get(pred, {}), (
+                f"derivation counts for {pred} diverged from a recount"
             )
         return True
 

@@ -139,13 +139,27 @@ class TestLookupNormalization:
         unsorted_rows = rel.lookup((1, 0), (c("b"), c("a")))
         assert sorted_rows == unsorted_rows == [(c("a"), c("b"))]
 
+    def ternary_relation(self):
+        # two bound positions of three: a key on all of them would be
+        # answered by the rowmap and build no index (TestNeverFullWidth)
+        rel = Relation("edge")
+        rel.add_many(
+            [
+                (c("a"), c("b"), c(1)),
+                (c("a"), c("x"), c(2)),
+                (c("b"), c("a"), c(3)),
+            ]
+        )
+        return rel
+
     def test_unsorted_after_sorted_shares_index(self):
-        rel = self.fixture_relation()
+        rel = self.ternary_relation()
         rel.lookup((0, 1), (c("a"), c("b")))  # builds the sorted index
-        assert len(rel._indexes) == 1
-        rel.lookup((1, 0), (c("x"), c("a")))
+        assert list(rel._indexes) == [(0, 1)]
+        rows = rel.lookup((1, 0), (c("x"), c("a")))
+        assert rows == [(c("a"), c("x"), c(2))]
         # normalization reuses the sorted index, no shadow index appears
-        assert len(rel._indexes) == 1
+        assert list(rel._indexes) == [(0, 1)]
 
     def test_duplicate_positions_consistent(self):
         rel = self.fixture_relation()
@@ -177,13 +191,88 @@ class TestLookupNormalization:
         assert len(rel.lookup((1,), (c("b"),))) == 2
 
     def test_register_index_normalizes_like_lookup(self):
-        rel = Relation("par")
-        rel.add((c("a"), c("b")))
+        rel = self.ternary_relation()
         rel.register_index((1, 0, 1))  # unsorted, duplicated
         assert list(rel._indexes) == [(0, 1)]
         # lookup consults the registered index, no shadow index appears
-        assert rel.lookup((1, 0), (c("b"), c("a"))) == [(c("a"), c("b"))]
+        rows = rel.lookup((1, 0), (c("b"), c("a")))
+        assert rows == [(c("a"), c("b"), c(1))]
         assert list(rel._indexes) == [(0, 1)]
+
+
+class TestNeverFullWidth:
+    """A key covering every column is the ID row itself: one rowmap
+    probe answers it, and no index on all positions is ever built."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_full_width_lookup_probes_the_rowmap(self, arity):
+        rel = Relation("r")
+        rows = [tuple(c(10 * i + p) for p in range(arity)) for i in range(40)]
+        rel.add_many(rows)
+        rel.discard_many(rows[::3])  # tombstones, below the compaction bar
+        assert rel._dead
+        full = tuple(range(arity))
+        rel.register_index(full)
+        assert rel.probe_index(full) is None
+        intern = term_catalog().intern
+        for i, row in enumerate(rows):
+            ids = tuple(intern(term) for term in row)
+            slots = rel.lookup_ids(full, ids if arity > 1 else ids[0])
+            # what the full-width hash index used to answer: the one
+            # live slot holding the row, nothing for a retracted one
+            assert [rel.term_row(slot) for slot in slots] == (
+                [] if i % 3 == 0 else [row]
+            )
+            assert rel.lookup(full, row) == ([] if i % 3 == 0 else [row])
+        absent = tuple(intern(c(-1 - p)) for p in range(arity))
+        assert not rel.lookup_ids(full, absent if arity > 1 else absent[0])
+        assert rel._indexes == {}
+        assert rel.check_invariants()
+
+    def test_index_registered_before_the_arity_is_known_is_dropped(self):
+        rel = Relation("answers")
+        rel.register_index((0, 1))  # e.g. QSQ's ``bb`` answer store
+        rel.register_index((0,))
+        rel.add((c("a"), c("b")))
+        assert list(rel._indexes) == [(0,)]
+        assert rel.lookup((0, 1), (c("a"), c("b"))) == [(c("a"), c("b"))]
+        assert rel.check_invariants()
+
+    def test_oracle_rejects_a_full_width_index(self):
+        rel = Relation("par")
+        rel.add((c("a"), c("b")))
+        rel._build_index((0, 1))
+        with pytest.raises(IntegrityError) as info:
+            rel.check_invariants()
+        assert info.value.invariant == "index"
+
+    def test_maintenance_builds_none(self):
+        """BOM maintenance probes ``component``, ``clean`` and
+        ``subpart`` with every position bound (positive-ised
+        ``not clean(P, S)``, head-seeded rederive plans)."""
+        import random
+
+        from repro.workloads import bom_source
+
+        depth = 6
+        session = Session(bom_source(depth, 2, 0.1, 3))
+        session.materialize()
+        rng = random.Random(3)
+        parent = {part: (part - 1) // 2 for part in range(1, 2 ** (depth + 1) - 1)}
+        movable = range(2 ** (depth - 2) - 1, 2 ** (depth - 1) - 1)
+        parents = range(2 ** (depth - 3) - 1, 2 ** (depth - 2) - 1)
+        for _ in range(50):
+            part = rng.choice(movable)
+            new = rng.choice([p for p in parents if p != parent[part]])
+            with session.batch():
+                session.retract(f"subpart(p{parent[part]}, p{part})")
+                session.assert_(f"subpart(p{new}, p{part})")
+            parent[part] = new
+        materializer = session._materializer
+        assert materializer.passes == 50 and not materializer.stale
+        for rel in _relations(materializer.working).values():
+            assert all(len(positions) < rel.arity for positions in rel._indexes)
+        assert materializer.check_consistency()
 
 
 class TestDatabase:
@@ -745,7 +834,7 @@ class TestIndexOwnership:
                     requests.update(
                         compiled.plan(rule_index, delta).index_requests()
                     )
-        for plan in session._materializer._extra_plans.values():
+        for plan in session._materializer._plans.values():
             requests.update(plan.index_requests())
         adorned = adorn_program(session.program, query)
         subqueries, _ = subquery_program_for(adorned.program, cache)

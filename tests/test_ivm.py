@@ -21,9 +21,18 @@ Four layers of guarantees:
   random assert/retract sequences -- with faults injected into some
   maintenance passes -- the maintained state, cold compiled semi-naive,
   and the legacy interpretive oracle agree after every step.
+
+Every maintenance join is a compiled plan on the batch executor, which
+three more groups pin: rules with ``Struct`` / list arguments maintain
+(``TestStructuredTerms``), derivation counts stay *exact* where one
+predicate occurs several times in a rule in both polarities
+(``test_counts_stay_exact_...``, with ``check_consistency`` comparing
+count values), and the Python-level work of a pass does not grow with
+the delta (``TestWorkGate``).
 """
 
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +53,8 @@ from repro import (
     parse_rule,
 )
 from repro.core.limits import BudgetExceeded
-from repro.workloads import chain_database
+from repro.datalog import ivm
+from repro.workloads import bom_database, bom_program, chain_database
 
 ANCESTOR = """
     anc(X, Y) :- par(X, Y).
@@ -207,6 +217,194 @@ class TestDeltaPropagation:
         assert mp.check_consistency()
 
 
+class TestStructuredTerms:
+    """Regression: constructing a ``MaterializedProgram`` -- hence
+    ``session.materialize()`` and ``repro serve --materialize`` --
+    raised ``ValueError: cannot intern non-ground term s(X)`` for any
+    program with a ``Struct`` or list argument in a rule; the compiled
+    plans match and build such terms (``_MATCH`` / ``_EVAL`` ops)."""
+
+    @staticmethod
+    def _texts(view):
+        return {tuple(map(str, row)) for row in view.tuples()}
+
+    def test_successor_program(self):
+        session = Session(
+            """
+            nat(s(X)) :- nat(X), small(X).
+            nat(z). small(z). small(s(z)).
+            """
+        )
+        view = session.materialize("nat")
+        assert self._texts(view) == {("z",), ("s(z)",), ("s(s(z))",)}
+        session.assert_("small(s(s(z)))")
+        assert ("s(s(s(z)))",) in self._texts(view)
+        session.retract("small(z)")  # DRed through the Struct head
+        assert self._texts(view) == {("z",)}
+        materializer = session._materializer
+        assert materializer.check_consistency()
+        assert materializer.rebuilds == 0
+
+    def test_list_program(self):
+        session = Session(
+            """
+            suffix(L, L) :- lst(L).
+            suffix(L, T) :- suffix(L, [H | T]).
+            lst([a, b, c]).
+            """
+        )
+        view = session.materialize("suffix")
+        whole = "[a, b, c]"
+        assert self._texts(view) == {
+            (whole, whole), (whole, "[b, c]"), (whole, "[c]"), (whole, "[]"),
+        }
+        session.assert_("lst([b, c])")
+        assert ("[b, c]", "[c]") in self._texts(view)
+        session.retract("lst([a, b, c])")
+        assert self._texts(view) == {
+            ("[b, c]", "[b, c]"), ("[b, c]", "[c]"), ("[b, c]", "[]"),
+        }
+        materializer = session._materializer
+        assert materializer.check_consistency()
+        assert materializer.rebuilds == 0
+
+    def test_struct_head_counted_over_a_recursive_relation(self):
+        parsed = parse_program(
+            """
+            r(X, Y) :- e(X, Y).
+            r(X, Y) :- e(X, Z), r(Z, Y).
+            w(pair(X, Y)) :- r(X, Y), not e(X, Y).
+            e(a, b). e(b, c). e(c, d).
+            """
+        )
+        database = Database()
+        database.add_facts(parsed.facts)
+        mp = MaterializedProgram(parsed.program, database)
+
+        def pairs():
+            return {str(row[0]) for row in mp.tuples("w")}
+
+        assert pairs() == {"pair(a, c)", "pair(a, d)", "pair(b, d)"}
+        database.add_values("e", [("a", "c")])  # an addition under ``not``
+        mp.maintain()
+        assert pairs() == {"pair(a, d)", "pair(b, d)"}
+        database.retract_values("e", [("b", "c")])
+        mp.maintain()
+        assert pairs() == {"pair(a, d)"}
+        assert mp.check_consistency()
+        assert mp.rebuilds == 0
+
+
+class TestCountValues:
+    def test_check_consistency_compares_the_counts_themselves(self):
+        """An off-by-one count keeps membership intact and used to pass;
+        it surfaces passes later as a row that will not disappear."""
+        parsed = parse_program(
+            "p(X) :- e(X, Y). e(a, b). e(a, c). e(d, b)."
+        )
+        database = Database()
+        database.add_facts(parsed.facts)
+        mp = MaterializedProgram(parsed.program, database)
+        assert mp.check_consistency()
+        (row,) = [r for r, n in mp._counts["p"].items() if n == 2]
+        mp._counts["p"][row] = 3
+        with pytest.raises(AssertionError, match="derivation counts for p"):
+            mp.check_consistency()
+        mp._counts["p"][row] = 2
+        assert mp.check_consistency()
+
+
+SELF_JOINS = """
+    p(X, Z) :- e(X, Y), e(Y, Z).
+    t(X, W) :- e(X, Y), e(Y, Z), e(Z, W).
+    q(X) :- e(X, Y), not e(Y, X).
+    r(X) :- e(X, Y), f(Y), not e(Y, X), not g(X).
+    u(X) :- p(X, Y), not t(Y, X), e(Y, Y).
+"""
+
+DOMAIN = ("c0", "c1", "c2", "c3")
+_NODE = st.sampled_from(DOMAIN)
+_MUTATION = st.tuples(
+    st.booleans(),  # assert (else retract)
+    st.one_of(
+        st.tuples(st.just("e"), _NODE, _NODE),
+        st.tuples(st.sampled_from(["f", "g"]), _NODE),
+    ),
+)
+
+
+def _nonempty(counts):
+    return {pred: rows for pred, rows in counts.items() if rows}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(_NODE, _NODE), max_size=6),
+    st.lists(st.lists(_MUTATION, min_size=1, max_size=4), min_size=1, max_size=8),
+)
+def test_counts_stay_exact_under_self_joins_and_mixed_polarity(edges, batches):
+    """A predicate occurring two or three times in one counting rule, in
+    both polarities: after every batch the maintained derivation counts
+    equal those of a program materialized from scratch."""
+    program = parse_program(SELF_JOINS).program
+    database = Database()
+    database.add_values("e", edges)
+    mp = MaterializedProgram(program, database)
+    for batch in batches:
+        for positive, (pred, *row) in batch:
+            if positive:
+                database.add_values(pred, [row])
+            else:
+                database.retract_values(pred, [row])
+        mp.maintain()
+        fresh = MaterializedProgram(program, database)
+        assert _nonempty(mp._counts) == _nonempty(fresh._counts)
+        fresh.close()
+    assert mp.rebuilds == 0 and mp.check_consistency()
+    mp.close()
+
+
+class TestWorkGate:
+    """Maintenance work in ``ivm.py`` is per batch, not per fact (the
+    deterministic, host-independent twin of the ``write_p50_s`` claim,
+    after ``test_select.py``'s ``TestWorkGate``)."""
+
+    @staticmethod
+    def _move(depth, rate):
+        database = bom_database(depth, 2, rate, 3)
+        mp = MaterializedProgram(bom_program(), database)
+        database.retract_values("subpart", [("p3", "p8")])
+        database.add_values("subpart", [("p5", "p8")])
+        calls = 0
+
+        def count(frame, event, _arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename == ivm.__file__:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            result = mp.maintain()
+        finally:
+            sys.setprofile(None)
+        assert mp.check_consistency()
+        mp.close()
+        return calls, result
+
+    @pytest.mark.parametrize(
+        "rate, changed", [(0, [28, 124, 508]), (0.1, [22, 112, 434])]
+    )
+    def test_calls_do_not_grow_with_the_delta(self, rate, changed):
+        runs = [self._move(depth, rate) for depth in (5, 7, 9)]
+        # p8's subtree leaves three ancestors and joins three others:
+        # that many component / clean / blocked / buildable rows each way
+        assert [result.facts_added for _, result in runs] == changed
+        assert [result.facts_removed for _, result in runs] == changed
+        assert [result.rounds for _, result in runs] == [6, 6, 6]
+        calls = [n for n, _ in runs]
+        assert calls[0] == calls[1] == calls[2] < 200, calls
+
+
 class TestAtomicity:
     def test_injected_fault_marks_stale_and_rebuild_heals(self):
         program, database, mp = ancestor_mp()
@@ -358,9 +556,6 @@ class TestSessionViews:
 # ----------------------------------------------------------------------
 # interleaving property: maintained == cold == legacy oracle
 # ----------------------------------------------------------------------
-
-DOMAIN = ("c0", "c1", "c2", "c3")
-
 
 @st.composite
 def ivm_case(draw):

@@ -851,6 +851,35 @@ class TestCowPublishedViews:
             older.release()
             newer.release()
 
+    def test_a_move_deriving_nothing_for_a_view_leaves_it_shared(self):
+        """Maintenance fetches a head for writing only once it has rows
+        to write: ``tainted``'s rules are reached by every ``subpart``
+        delta, but moving an exception-free subtree derives nothing for
+        it, so it must not be cloned away from the published snapshot."""
+        from repro.workloads import bom_source
+
+        source = bom_source(4, 2, 0.0, 0) + "exception(p2).\n"
+        with ServerHandle.start(source, materialize=["clean"]) as handle:
+            snapshots = handle.server.snapshots
+            older = snapshots.current()
+            tainted, clean = older.views.get("tainted"), older.views.get("clean")
+            assert {str(row[0]) for row in tainted} == {"p0", "p2"}
+            for op, fact in (
+                ("retract", "subpart(p3, p7)."),
+                ("assert", "subpart(p4, p7)."),
+            ):
+                done = handle.request({"op": op, "facts": [fact]})
+                assert done["changed"] == 1
+            newer = snapshots.current()
+            assert newer.views.get("tainted") is tainted
+            assert newer.views.get("clean") is not clean
+            out = handle.request({"op": "query", "query": "clean(p4, S)?"})
+            assert out["served"] == "view"
+            assert ["p7"] in out["rows"] and ["p15"] in out["rows"]
+            assert handle.server.session._materializer.check_consistency()
+            older.release()
+            newer.release()
+
     def test_no_holder_outlives_the_last_published_view(self):
         with refcount_only():
             session = Session(TWO_VIEWS)
