@@ -47,17 +47,19 @@ is built on first request by *any* reader (the bottom-up planner's
 ``register_indexes``, QSQ's, incremental maintenance, answer selection
 through :meth:`Relation.select`, or any other lazy
 :meth:`Relation.lookup_ids` probe), kept current by every write,
-shared by every snapshot that shares the relation, and copied by
-:meth:`Relation.copy`.  Building one never changes a relation's facts
-or version, so a reader may register an index on a relation it only
-reads (a materialized view thereby keeps the index for each query
-shape it has served).  Never full-width: a key that covers every
-column is the ID row itself, so ``lookup_ids`` answers it with one
-``_rowmap`` probe, ``probe_index`` and ``register_index`` build
-nothing for it, and ``check_invariants`` rejects such an index.
-Nothing evicts the others: a relation carries at most one index per
-distinct proper position set the plans and queries probe (bounded by
-2^arity, in practice one or two), and
+shared by every snapshot that shares the relation, and carried over by
+:meth:`Relation.copy`: the index dicts are copied, their buckets are
+shared by both sides until one of them appends to a bucket, which
+copies that bucket first (see "Copy-on-write snapshots").  Building an
+index never changes a relation's facts or version, so a reader may
+register one on a relation it only reads (a materialized view thereby
+keeps the index for each query shape it has served).  Never
+full-width: a key that covers every column is the ID row itself, so
+``lookup_ids`` answers it with one ``_rowmap`` probe, ``probe_index``
+and ``register_index`` build nothing for it, and ``check_invariants``
+rejects such an index.  Nothing evicts the others: a relation carries
+at most one index per distinct proper position set the plans and
+queries probe (bounded by 2^arity, in practice one or two), and
 :meth:`Relation.estimated_bytes` charges each to the memory budget.
 
 Copy-on-write snapshots
@@ -78,6 +80,17 @@ relations are created in it.  Maintained views are published to the
 query server the same way (``Session.materialized_relations`` is a
 snapshot of the materializer's derived relations), so the next
 maintenance pass clones only the views it touches.
+
+What a clone costs: :meth:`Relation.copy` copies the columns, the
+liveness flags, the rowmap, the term-row memo list and each index's
+dict (C level, O(rows)) but no bucket -- a write copies exactly the
+buckets it appends to, so in index storage a published version costs
+its delta.  Weighed and not taken: immutable tuple buckets (O(bucket)
+per append; a one-constant magic seed keeps all of ``anc^bf`` in one
+bucket: quadratic); owned-key sets per index (per-key state the slot
+watermark of :meth:`Relation.copy` makes unnecessary); row-versioned
+MVCC (a second read path under ``probe_index``); publishing only the
+requested views (a served workload's hot reads would turn cold).
 
 A snapshot is as free to drop as it is to take.  Nothing references a
 database strongly except its callers (a relation's ``owner`` is a
@@ -209,6 +222,7 @@ class Relation:
         "_dead",
         "_term_rows",
         "_indexes",
+        "_copied_at",
     )
 
     def __init__(self, name: str, arity: Optional[int] = None):
@@ -225,6 +239,9 @@ class Relation:
         self._dead = 0
         self._term_rows: List[Optional[FactTuple]] = []
         self._indexes: Dict[Tuple[int, ...], Dict[IndexKey, array]] = {}
+        #: slot count at the last :meth:`copy` (0: never copied, or
+        #: compacted since): a bucket ending below it may be shared
+        self._copied_at = 0
 
     def __len__(self) -> int:
         return len(self._rowmap)
@@ -346,35 +363,7 @@ class Relation:
         self._term_rows.extend(fresh_terms)
         self._bump(n_fresh)
         self._capture(fresh_ids, 1)
-        for positions, index in self._indexes.items():
-            # specialized key construction: nearly all registered
-            # indexes cover one or two positions
-            if len(positions) == 1:
-                (p0,) = positions
-                for offset, idrow in enumerate(fresh_ids):
-                    key: IndexKey = idrow[p0]
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = array("q", (base + offset,))
-                    else:
-                        bucket.append(base + offset)
-            elif len(positions) == 2:
-                p0, p1 = positions
-                for offset, idrow in enumerate(fresh_ids):
-                    key = (idrow[p0], idrow[p1])
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = array("q", (base + offset,))
-                    else:
-                        bucket.append(base + offset)
-            else:
-                for offset, idrow in enumerate(fresh_ids):
-                    key = tuple(idrow[i] for i in positions)
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = array("q", (base + offset,))
-                    else:
-                        bucket.append(base + offset)
+        self._index_rows(base, fresh_ids)
         return n_fresh
 
     # ------------------------------------------------------------------
@@ -437,25 +426,36 @@ class Relation:
         self._term_rows.extend([None] * n_fresh)
         self._bump(n_fresh)
         self._capture(fresh_rows, 1)
+        self._index_rows(base, fresh_rows)
+        return fresh_rows
+
+    def _index_rows(self, base: int, idrows: List[IdTuple]) -> None:
+        """Enter ``idrows``, stored at slots ``base``, ``base + 1``, ...,
+        into every index.  A bucket that ends below the copy watermark
+        is borrowed (see :meth:`copy`): it is copied before the first
+        append, which puts its end above the watermark for good."""
+        copied_at = self._copied_at
         for positions, index in self._indexes.items():
+            # specialized key construction: nearly all registered
+            # indexes cover one or two positions
             if len(positions) == 1:
                 (p0,) = positions
-                for offset, idrow in enumerate(fresh_rows):
-                    key = idrow[p0]
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = array("q", (base + offset,))
-                    else:
-                        bucket.append(base + offset)
+                keys: List[IndexKey] = [idrow[p0] for idrow in idrows]
+            elif len(positions) == 2:
+                p0, p1 = positions
+                keys = [(idrow[p0], idrow[p1]) for idrow in idrows]
             else:
-                for offset, idrow in enumerate(fresh_rows):
-                    key = tuple(idrow[i] for i in positions)
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = array("q", (base + offset,))
-                    else:
-                        bucket.append(base + offset)
-        return fresh_rows
+                keys = [
+                    tuple([idrow[i] for i in positions]) for idrow in idrows
+                ]
+            for slot, key in enumerate(keys, base):
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = array("q", (slot,))
+                else:
+                    if bucket[-1] < copied_at:
+                        bucket = index[key] = bucket[:]
+                    bucket.append(slot)
 
     def _first_columns(self, arity: int) -> List[array]:
         """The columns of a relation created without an arity, as its
@@ -492,6 +492,8 @@ class Relation:
             if bucket is None:
                 index[key] = array("q", (slot,))
             else:
+                if bucket[-1] < self._copied_at:  # borrowed: see copy()
+                    bucket = index[key] = bucket[:]
                 bucket.append(slot)
         return True
 
@@ -833,24 +835,37 @@ class Relation:
         self._dead = 0
         for positions in list(self._indexes):
             self._build_index(positions)
+        self._copied_at = 0  # every bucket is freshly built: none shared
 
     # ------------------------------------------------------------------
     # copying
     # ------------------------------------------------------------------
     def copy(self) -> "Relation":
-        """An independent copy.
+        """An independent copy that shares this relation's index buckets.
 
-        Registered index positions *and* their buckets are carried over
-        (raw ``array`` copies -- no Term is touched), so neither side of
-        a copy-on-write clone nor a consumer of ``Database.copy()`` pays
-        an O(n) index rebuild afterwards.  The copy has no owner and no
-        holders until a database adopts it.
+        Columns, rowmap, liveness flags and the term-row memo are copied
+        (C level -- no Term is touched) and each index dict shallowly:
+        no bucket is copied here and neither side pays an O(n) index
+        rebuild afterwards.  The copy has no owner and no holders until
+        a database adopts it.
 
-        Safe to call on a snapshot-shared relation while other reader
-        threads probe it: the index dicts are materialized with
-        ``list()`` before iteration, so a concurrent lazy index build
-        or bucket prune (both value-idempotent under the GIL) cannot
-        raise ``RuntimeError: dict changed size during iteration``.
+        Both sides borrow the buckets they have now: neither may append
+        to one in place, whichever writes first (``Database.copy()``
+        leaves both mutable).  Slots are handed out in ascending order
+        and every bucket lists its slots ascending (an append adds the
+        highest slot so far, a prune keeps the order, a rebuild walks
+        the rowmap in slot order), so a bucket's last slot dates it:
+        both sides set ``_copied_at`` to the current slot count, an
+        append copies the bucket first iff its last slot is below that
+        watermark, and the appended slot lies above it -- copied once,
+        appended to in place from then on, no per-key ownership state.
+        Every other bucket write replaces the bucket (the prune in
+        :meth:`lookup_ids`, :meth:`_build_index`); :meth:`_compact`
+        rebuilds them all and resets the watermark.
+
+        Safe on a snapshot-shared relation while reader threads prune
+        or build indexes on it: ``dict(index)`` is atomic under the GIL
+        and ``list()`` materializes the outer dict before iteration.
         """
         duplicate = Relation.__new__(Relation)
         duplicate.name = self.name
@@ -867,11 +882,10 @@ class Relation:
         duplicate._dead = self._dead
         duplicate._term_rows = list(self._term_rows)
         duplicate._indexes = {
-            positions: {
-                key: bucket[:] for key, bucket in list(index.items())
-            }
+            positions: dict(index)
             for positions, index in list(self._indexes.items())
         }
+        self._copied_at = duplicate._copied_at = len(self._live)
         return duplicate
 
     # ------------------------------------------------------------------
@@ -890,7 +904,9 @@ class Relation:
         by several x.  ``len(index)`` is the bucket count, so this stays
         O(#indexes) and never walks buckets -- cheap enough for a
         per-round check.  A flat per-row charge covers the rowmap entry
-        (key tuple + dict slot).
+        (key tuple + dict slot).  A bucket shared between copies is
+        charged to every relation that references it: conservative on
+        purpose, any of them may outlive the others.
         """
         n = len(self._live)
         arity = self.arity or 0

@@ -238,28 +238,30 @@ class QueryScheduler:
                 f"no maintained view covers {query.literal.pred_key!r} "
                 "in the current snapshot",
             )
-        session = Session(
+        # closed on the way out: its memo <-> QueryResult cycle would keep
+        # this version's database alive until a collector pass
+        with Session(
             program=self._program,
             database=snapshot.db,
             plan_cache=self._plan_cache,
             memo_size=1,  # the server memo caches; per-request sessions
-        )
-        result = session.query(
-            query,
-            method=method,
-            engine=options.get("engine", "seminaive"),
-            workers=self._workers,
-            timeout=timeout,
-            max_facts=max_facts,
-        )
-        base.update(
-            served="cold",
-            method=result.method,
-            degraded=result.degraded,
-            rows=sorted_rows(result.values()),
-            row_count=len(result.rows),
-            elapsed=time.perf_counter() - started,
-        )
+        ) as session:
+            result = session.query(
+                query,
+                method=method,
+                engine=options.get("engine", "seminaive"),
+                workers=self._workers,
+                timeout=timeout,
+                max_facts=max_facts,
+            )
+            base.update(
+                served="cold",
+                method=result.method,
+                degraded=result.degraded,
+                rows=sorted_rows(result.values()),
+                row_count=len(result.rows),
+                elapsed=time.perf_counter() - started,
+            )
         return base
 
     def shutdown(self) -> None:

@@ -17,7 +17,11 @@ writer touching k of n relations between publishes costs k relation
 clones -- base relations and views alike: a view the maintenance pass
 did not touch is the same ``Relation`` object in consecutive versions,
 and an index a reader built on it serves every later version -- and a
-retired snapshot's unshared relations free with it.
+retired snapshot's unshared relations free with it.  A clone does not
+walk its indexes: it shares every index bucket with the version it was
+cloned from and copies only the buckets the write appends to, so
+consecutive versions differ in bucket storage by the write's delta
+(``Relation.copy``; the rows themselves are still copied).
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@ Five layers of guarantees:
 """
 
 import os
+import random
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -307,6 +309,38 @@ class TestServerHandle:
                 assert key in stats, key
             assert stats["queries"] == 2
             assert stats["memo_hits"] == 1
+
+    def test_a_retired_version_is_freed_without_the_collector(self):
+        """The per-request session of a cold read is closed: its memo
+        and the ``QueryResult`` in it reference each other, and left
+        open that cycle kept the version's database, the evaluation's
+        snapshot of it and their holder registrations until a collector
+        pass."""
+        with refcount_only(), ServerHandle.start(
+            ANCESTOR, listen=False
+        ) as handle:
+            pinned = handle.server.snapshots.current()
+            version_db = weakref.ref(pinned.db)
+            par = pinned.db.get("par")
+            pinned.release()
+            del pinned
+            out = handle.request({"op": "query", "query": "anc(john, X)?"})
+            assert out["served"] == "cold" and out["row_count"] == 3
+            # the write clones par for the live database and retires
+            # the version the read ran on
+            handle.request({"op": "assert", "facts": ["par(zoe, ann)."]})
+            live_par = handle.server.session.database.get("par")
+            assert live_par is not par
+            # the reader thread may still be unwinding; with the
+            # collector off, a cycle would never pass this wait
+            deadline = time.monotonic() + 5
+            while (
+                version_db() is not None or par._holders
+            ) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert version_db() is None
+            assert not par._holders
+            assert len(live_par._holders) == 1
 
     def test_drain_refuses_new_requests(self):
         with ServerHandle.start(ANCESTOR) as handle:
@@ -879,6 +913,74 @@ class TestCowPublishedViews:
             assert handle.server.session._materializer.check_consistency()
             older.release()
             newer.release()
+
+    def test_every_pinned_version_survives_the_moves_after_it(self):
+        """The writer's clones share index buckets with the versions
+        they were cloned from -- the indexes served reads built on them
+        included.  Every version published during 30 subtree moves stays
+        pinned to the end, and must then still be what it was."""
+        from repro.datalog.parser import parse_query
+        from repro.workloads import bom_program, bom_source
+
+        program = bom_program()
+        probes = ("clean(p1, S)?", "component(p2, S)?")
+
+        def cold(database):
+            with Session(program=program, database=database) as session:
+                return [
+                    session.query(query, method="seminaive").rows
+                    for query in probes
+                ]
+
+        rng = random.Random(22)
+        parent = {part: (part - 1) // 2 for part in range(7, 15)}
+        with ServerHandle.start(
+            bom_source(4, 2, 0.2, 3), materialize=["clean"], listen=False
+        ) as handle:
+            snapshots = handle.server.snapshots
+            replay = handle.server.session.database.copy()
+            baseline = handle.stats()["snapshots_live"]
+            pinned = [(snapshots.current(), cold(replay))]
+            for _ in range(30):
+                part = rng.choice(sorted(parent))
+                old = parent[part]
+                new = parent[part] = rng.choice(
+                    [p for p in range(3, 7) if p != old]
+                )
+                for op, change, at in (
+                    ("retract", replay.retract_values, old),
+                    ("assert", replay.add_values, new),
+                ):
+                    # reads on either column of both views: the indexes
+                    # they build belong to the version being cloned next
+                    for query in (
+                        f"clean(p{at}, S)?",
+                        f"clean(P, p{part})?",
+                        f"component(p{at}, S)?",
+                        f"component(P, p{part})?",
+                    ):
+                        out = handle.request({"op": "query", "query": query})
+                        assert out["served"] in ("view", "memo")
+                    done = handle.request(
+                        {"op": op, "facts": [f"subpart(p{at}, p{part})."]}
+                    )
+                    assert done["changed"] == 1
+                    change("subpart", [(f"p{at}", f"p{part}")])
+                    pinned.append((snapshots.current(), cold(replay)))
+            assert len({snap.version for snap, _ in pinned}) == 61
+            assert handle.stats()["snapshots_live"] == baseline + 60
+            assert len({tuple(map(frozenset, rows)) for _, rows in pinned}) > 20
+            literals = [parse_query(query).literal for query in probes]
+            for snap, expected in pinned:
+                assert snap.db.check_integrity()
+                assert snap.views.check_integrity()
+                assert [
+                    snap.views.answers(literal) for literal in literals
+                ] == expected
+                assert cold(snap.db) == expected
+                snap.release()
+            assert handle.stats()["snapshots_live"] == baseline
+            assert handle.server.session._materializer.check_consistency()
 
     def test_no_holder_outlives_the_last_published_view(self):
         with refcount_only():
