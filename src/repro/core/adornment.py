@@ -41,7 +41,9 @@ unsafe rules (:class:`~repro.datalog.errors.UnsafeNegationError`).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Set, Tuple
 
 from ..datalog.analysis import stratify_or_raise
@@ -85,9 +87,25 @@ class AdornedProgram:
     query_literal: Literal  # the adorned query literal
     original: Program
 
-    @property
+    @cached_property
     def program(self) -> Program:
         return Program(tuple(ar.rule for ar in self.rules))
+
+    def bind(self, query: Query) -> "AdornedProgram":
+        """This adorned program, asked ``query`` instead.
+
+        ``query`` must have the shape this program was adorned for (same
+        predicate, the same arguments ground): the rules and their sips
+        depend on nothing else, so the copy shares them -- and the one
+        :attr:`program` object, which keeps plan-cache lookups an
+        identity hit -- and only the query literal carries constants.
+        """
+        bound = copy.copy(self)
+        bound.query = query
+        bound.query_literal = query.literal.with_adornment(
+            self.query_literal.adornment
+        )
+        return bound
 
     def adorned_predicates(self) -> Set[str]:
         return {ar.head.pred_key for ar in self.rules}

@@ -146,6 +146,10 @@ class QueryAnswer:
     evaluation: Optional[EvaluationResult] = None
     #: the raw Q/F sets when the strategy was top-down QSQ
     qsq: Optional[QSQResult] = None
+    #: relation names the answers were computed from, where the strategy
+    #: knows them (a Session's rewrite methods and QSQ); a Session drops
+    #: a memoized answer when one of them changes
+    footprint: Optional[frozenset] = None
 
     def values(self) -> Set[Tuple[object, ...]]:
         """Answers with plain Python values in place of Constants."""
@@ -205,9 +209,10 @@ def answer_query(
 
     This is now a thin shim over :class:`repro.session.Session`, which
     is the surface shaped for repeated traffic (stateful database,
-    cross-evaluation answer memo, cached rewrites); a one-shot call
-    constructs an ephemeral session, so it pays the rewrite and the
-    evaluation every time but still shares the process-wide plan cache.
+    cross-evaluation answer memo); a one-shot call constructs an
+    ephemeral session, so it pays the evaluation every time, but the
+    rewrite of the query's shape and the plans compiled from it come
+    from the process-wide plan cache.
 
     Returns a :class:`repro.session.QueryResult` -- the same answer
     type every Session path produces (memo hits, materialized views,

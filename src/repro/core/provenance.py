@@ -9,7 +9,9 @@ written against this metadata.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..datalog.ast import Literal, Program, Query, Rule
@@ -81,17 +83,29 @@ class RewrittenRule:
 class RewrittenProgram:
     """The output of a rewriting algorithm, ready for bottom-up evaluation.
 
-    ``seed_facts`` are the query-specific seeds (the paper keeps them out
+    ``seed_facts`` are the query-specific seeds: the paper keeps them out
     of ``P^mg`` so the rewrite can be reused across queries of the same
-    form); :meth:`seeded_database` adds them to a database snapshot.
+    form, and :meth:`bind` is that reuse -- the query's constants appear
+    in ``seed_facts``, ``answer_selection``, ``query`` and
+    ``adorned.query_literal`` and nowhere else, so a rewrite of a
+    :meth:`~repro.datalog.ast.Query.shape` serves every query of the
+    shape (:class:`repro.session.Session` rewrites once per shape and
+    binds per query).  :meth:`seeded_database` adds the seeds to a
+    database snapshot.
 
     Answer extraction: the rewritten program computes the query's
     predicate under ``answer_pred_key``; rows are filtered by
-    ``answer_selection`` (position -> required constant) and projected on
+    ``answer_selection`` (position -> required constant), projected on
     ``answer_projection`` (positions listed in the order of the query's
-    free variables).  The counting rewrites prefix index fields and the
-    semijoin optimization may drop bound argument positions; both adjust
-    this metadata rather than burden the caller.
+    non-ground arguments) and matched against those arguments.  The
+    counting rewrites prefix index fields and the semijoin optimization
+    may drop bound argument positions; both adjust this metadata rather
+    than burden the caller.
+
+    ``rules`` and ``registry`` are not to be changed once the rewrite is
+    built: :attr:`program` and the mirror table of
+    :meth:`seeded_database` are computed from them once, and bound
+    copies share all four.
     """
 
     method: str
@@ -107,9 +121,51 @@ class RewrittenProgram:
     #: original predicate, adornment); used by the semijoin optimization
     registry: Dict[str, Tuple[str, str, str]] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def program(self) -> Program:
         return Program(tuple(rr.rule for rr in self.rules))
+
+    def bind(self, query: Query) -> "RewrittenProgram":
+        """This rewrite of a query shape, with ``query``'s constants in
+        place of the placeholders.
+
+        The copy shares the rules and what is derived from them (one
+        :attr:`program` object for every query of the shape, so the
+        compiled plans are found by identity); the receiver is left as
+        it was.
+        """
+        bound = copy.copy(self)
+        bound.query = query
+        bound.adorned = self.adorned.bind(query)
+        bound.seed_facts = tuple(
+            Literal(
+                seed.pred,
+                tuple(query.fill(arg) for arg in seed.args),
+                seed.adornment,
+            )
+            for seed in self.seed_facts
+        )
+        bound.answer_selection = tuple(
+            (position, query.fill(term))
+            for position, term in self.answer_selection
+        )
+        return bound
+
+    @cached_property
+    def mirror_targets(self) -> Tuple[Tuple[str, tuple], ...]:
+        """``(original derived predicate, its adorned versions as
+        sorted (pred_key, arity) pairs)``, for :meth:`seeded_database`."""
+        mirror: Dict[str, Set[Tuple[str, int]]] = {}
+        for rewritten_rule in self.rules:
+            head = rewritten_rule.rule.head
+            if head.adornment is None or head.pred_key == head.pred:
+                continue
+            mirror.setdefault(head.pred, set()).add(
+                (head.pred_key, head.arity)
+            )
+        return tuple(
+            (pred, tuple(sorted(targets))) for pred, targets in mirror.items()
+        )
 
     def seeded_database(self, database: Database) -> Database:
         """A snapshot of ``database`` with the seed facts added.
@@ -132,20 +188,12 @@ class RewrittenProgram:
         seeded = database.snapshot()
         for seed in self.seed_facts:
             seeded.add_fact(seed)
-        mirror: Dict[str, Set[Tuple[str, int]]] = {}
-        for rewritten_rule in self.rules:
-            head = rewritten_rule.rule.head
-            if head.adornment is None or head.pred_key == head.pred:
-                continue
-            mirror.setdefault(head.pred, set()).add(
-                (head.pred_key, head.arity)
-            )
-        for pred, targets in mirror.items():
+        for pred, targets in self.mirror_targets:
             rows = database.tuples(pred)
             if not rows:
                 continue
             arity = len(next(iter(rows)))
-            for key, head_arity in sorted(targets):
+            for key, head_arity in targets:
                 if head_arity == arity:
                     seeded.add_tuples(key, rows)
         return seeded
@@ -155,7 +203,11 @@ class RewrittenProgram:
         rel = result.database.get(self.answer_pred_key)
         if rel is None:
             return set()
-        return rel.select(self.answer_selection, self.answer_projection)
+        return rel.matching(
+            self.answer_selection,
+            self.answer_projection,
+            [arg for arg in self.query.literal.args if not arg.is_ground()],
+        )
 
     # ------------------------------------------------------------------
     # fact accounting (Sections 9 and 11 measure facts, not time)

@@ -19,7 +19,17 @@ literals with generated names (see ``repro.core.naming``).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .errors import (
     AdornmentError,
@@ -27,13 +37,14 @@ from .errors import (
     UnsafeNegationError,
     WellFormednessError,
 )
-from .terms import LinExpr, Struct, Term, Variable, term_variables
+from .terms import Constant, LinExpr, Struct, Term, Variable, term_variables
 
 __all__ = [
     "Literal",
     "Rule",
     "Program",
     "Query",
+    "ShapeSlot",
     "ALL_FREE",
     "adornment_for_args",
     "validate_adornment",
@@ -583,6 +594,21 @@ def _contains_struct(term: Term) -> bool:
     return False
 
 
+class ShapeSlot(NamedTuple):
+    """The value of a shape placeholder: "whatever ground term the
+    query holds at argument ``position``" (:meth:`Query.shape`).
+
+    Neither a string nor a number, so no parsed constant equals a
+    placeholder; placeholders never reach a database or the term
+    catalog.
+    """
+
+    position: int
+
+    def __str__(self):
+        return f"${self.position}"
+
+
 class Query:
     """A query ``q(c, X)?``: one predicate occurrence, constants = bound.
 
@@ -640,6 +666,37 @@ class Query:
 
     def adorned_literal(self) -> Literal:
         return self.literal.with_adornment(self.adornment)
+
+    def shape(self) -> "Query":
+        """This query with a placeholder for each ground argument.
+
+        Everything adornment and rewriting make of a query depends on
+        its predicate and on which arguments are ground (Section 4: the
+        constants enter ``P^mg`` only as the seed *fact*), so all
+        queries of one shape share one adorned and one rewritten
+        program.  Arguments that are not ground -- variables, partially
+        ground terms like ``f(a, X)`` -- belong to the shape as they
+        are.
+        """
+        args = self.literal.args
+        if not any(arg.is_ground() for arg in args):
+            return self
+        return Query(
+            Literal(
+                self.literal.pred,
+                tuple(
+                    Constant(ShapeSlot(i)) if arg.is_ground() else arg
+                    for i, arg in enumerate(args)
+                ),
+            )
+        )
+
+    def fill(self, term: Term) -> Term:
+        """``term``, or the argument of this query it stands for when
+        it is a placeholder of :meth:`shape`."""
+        if isinstance(term, Constant) and isinstance(term.value, ShapeSlot):
+            return self.literal.args[term.value.position]
+        return term
 
     def __eq__(self, other):
         return isinstance(other, Query) and other.literal == self.literal

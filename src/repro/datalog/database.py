@@ -718,23 +718,20 @@ class Relation:
         resolve = _CATALOG.resolve
         return {tuple(map(resolve, id_row)) for id_row in id_rows}
 
-    def answers(self, literal: Literal) -> Set[FactTuple]:
-        """The bindings of ``literal``'s non-ground positions that make
-        it true over this relation (the *answer* of Section 1.1).
+    def matching(
+        self,
+        bound: Union[Dict[int, Term], Iterable[Tuple[int, Term]]],
+        project: Sequence[int],
+        patterns: Sequence[Term],
+    ) -> Set[FactTuple]:
+        """:meth:`select`, keeping the rows that ``patterns`` (one per
+        projected position) match.
 
-        Ground arguments become the selection of :meth:`select`, the
-        other positions its projection.  A repeated variable or a
+        Distinct variables match anything; a repeated variable or a
         ``Struct``/``LinExpr`` pattern is a residual filter, by
         ``match_sequences``, over the rows the index already narrowed.
-        A literal of another arity has no answers.
         """
-        args = literal.args
-        if len(args) != self.arity:
-            return set()
-        bound = {i: arg for i, arg in enumerate(args) if arg.is_ground()}
-        free = [i for i in range(len(args)) if i not in bound]
-        patterns = [args[i] for i in free]
-        rows = self.select(bound, free)
+        rows = self.select(bound, project)
         if len(set(patterns)) == len(patterns) and all(
             isinstance(pattern, Variable) for pattern in patterns
         ):
@@ -742,6 +739,21 @@ class Relation:
         return {
             row for row in rows if match_sequences(patterns, row) is not None
         }
+
+    def answers(self, literal: Literal) -> Set[FactTuple]:
+        """The bindings of ``literal``'s non-ground positions that make
+        it true over this relation (the *answer* of Section 1.1).
+
+        Ground arguments become the selection of :meth:`matching`, the
+        other positions its projection and their terms its patterns.
+        A literal of another arity has no answers.
+        """
+        args = literal.args
+        if len(args) != self.arity:
+            return set()
+        bound = {i: arg for i, arg in enumerate(args) if arg.is_ground()}
+        free = [i for i in range(len(args)) if i not in bound]
+        return self.matching(bound, free, [args[i] for i in free])
 
     # ------------------------------------------------------------------
     # retraction

@@ -263,6 +263,12 @@ def _batch_keys(b_key_ops, cols, n, as_tuple, evaluate):
             ))
             for i in range(n)
         ]
+    if all(tag != _EVAL for tag, _ in b_key_ops):
+        # slots and constants only: the keys are the columns, zipped
+        return list(zip(*(
+            cols[payload] if tag == _SLOT else _repeat(payload, n)
+            for tag, payload in b_key_ops
+        )))
     keys = []
     for i in range(n):
         key = []
@@ -1453,14 +1459,28 @@ class SubqueryProgram:
 # ----------------------------------------------------------------------
 
 class PlanCache:
-    """An LRU cache of compiled programs, keyed by program identity.
+    """An LRU cache of what is compiled from a program, keyed by
+    ``(kind, program)``.
 
     Programs hash structurally, so two parses of the same source share
-    an entry.  Both execution paths use one cache (the key includes the
-    compilation kind), which is what lets benchmark loops and repeated
-    CLI queries stop recompiling: ``evaluate*`` and ``qsq_evaluate``
-    consult the shared module-level cache by default and report
-    hits/misses through their stats objects.
+    an entry.  Every stage that depends on the program but not on the
+    facts uses this one cache, told apart by ``kind``:
+
+    * ``"bottom-up"`` -- a :class:`CompiledProgram` (``evaluate*``);
+    * ``"qsq"`` -- a :class:`SubqueryProgram` (``qsq_evaluate``);
+    * ``("query-shape", shape literal, sip builder, method, mode,
+      optimize, semijoin)`` -- the adorned and rewritten program of one
+      query shape (:class:`repro.session.Session`), whose ``program``
+      is in turn the key of a ``"bottom-up"`` / ``"qsq"`` entry.
+
+    That is what lets benchmark loops, repeated CLI queries and the
+    server's per-request sessions stop re-rewriting and recompiling.
+    Every lookup, of any kind, counts in ``hits`` / ``misses``;
+    ``evaluate*`` and ``qsq_evaluate`` consult the shared module-level
+    cache by default and report their own lookups' hits/misses through
+    their stats objects (``EvaluationStats.plan_cache_*`` therefore
+    count compiled-plan lookups only).  Entries are immutable once
+    published.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_entries", "_lock")
@@ -1471,7 +1491,7 @@ class PlanCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[Tuple[str, Program], object]" = (
+        self._entries: "OrderedDict[Tuple[object, Program], object]" = (
             OrderedDict()
         )
         # OrderedDict relinking (move_to_end / insert / popitem) is not
@@ -1481,8 +1501,9 @@ class PlanCache:
         # and the first published entry wins.
         self._lock = threading.Lock()
 
-    def get(self, kind: str, program: Program, factory):
-        """The cached compilation for ``(kind, program)``.
+    def get(self, kind, program: Program, factory):
+        """The cached compilation for ``(kind, program)``; ``kind`` is
+        any hashable.
 
         Returns ``(compiled, hit)``; on a miss, ``factory(program)``
         builds the entry (evicting the least recently used one past

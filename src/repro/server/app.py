@@ -211,7 +211,10 @@ class ReproServer:
 
     def stats(self) -> Dict[str, Any]:
         out = self.metrics.summary()
+        plan_cache = self.session.plan_cache
         out.update(
+            plan_cache_hits=plan_cache.hits,
+            plan_cache_misses=plan_cache.misses,
             protocol=PROTOCOL_VERSION,
             version=self.snapshots.current_version,
             snapshots_live=self.snapshots.live_count,

@@ -21,10 +21,21 @@ scratch, and the caller has to know which methods tolerate negation.
   identical query on an unchanged database is a dictionary hit, and a
   mutation drops exactly the entries whose relation footprint it
   touches (out-of-band mutations still flush everything);
-* adorned and rewritten programs are cached per query signature, so a
-  re-query after a mutation pays evaluation but not rewriting, and the
-  compiled join/subquery plans come from the shared
-  :class:`~repro.datalog.planner.PlanCache`.
+* what depends only on the program and the query's *shape* -- its
+  predicate, which arguments are ground, the sip builder, the method
+  and its options -- is built once and kept in the shared
+  :class:`~repro.datalog.planner.PlanCache`: the adorned program, the
+  rewritten program with its one ``Program`` object (under which the
+  compiled join/subquery plans are cached in turn), the mirror table
+  of ``seeded_database`` and the memo footprint.  Section 4 keeps the
+  constants out of ``P^mg``, so the entry is adorned and rewritten for
+  :meth:`Query.shape() <repro.datalog.ast.Query.shape>`, a query with
+  placeholders for the ground arguments.  What is left per query is:
+  parse, look the shape up, ``bind`` the constants into a copy (seed
+  facts, answer selection, query literal), snapshot, fixpoint, select.
+  The entry outlives the session and mutations, and every session over
+  the same program and cache -- the server builds one per request --
+  shares it.
 
 Quickstart::
 
@@ -52,7 +63,16 @@ import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .core.adornment import AdornedProgram, adorn_program
 from .core.limits import (
@@ -249,6 +269,24 @@ def _mentioned_relations(program: Program, extra=()) -> frozenset:
     return frozenset(program.predicates()) | frozenset(extra)
 
 
+class _QueryShape(NamedTuple):
+    """What adornment and rewriting make of one query *shape*.
+
+    One entry of the shared :class:`~repro.datalog.planner.PlanCache`
+    per (program, :meth:`Query.shape`, sip builder, method, mode,
+    optimize, semijoin); nothing in it depends on the query's constants,
+    which stand in it as placeholders.  Published entries are never
+    changed: a query gets its own copy through ``bind(query)``.
+    """
+
+    adorned: AdornedProgram
+    #: None under QSQ, which evaluates the adorned program itself
+    rewritten: Optional[RewrittenProgram]
+    #: relation names an answer of this shape depends on (memo
+    #: invalidation), see :meth:`Session._footprint_for`
+    footprint: frozenset
+
+
 class MaterializedView:
     """A handle on incrementally maintained derived relations.
 
@@ -435,12 +473,10 @@ class Session:
         #: memo key -> the relation names its rows depend on
         self._memo_footprints: Dict[tuple, frozenset] = {}
         self._memo_version = database.version
-        #: per-signature auto-dispatch decisions and per-query compiled
-        #: artifacts; all depend only on the (immutable) program and the
-        #: query, never on the facts, so mutations do not drop them
+        #: per-signature auto-dispatch decisions; they depend only on
+        #: the (immutable) program and the query signature, never on the
+        #: facts, so mutations do not drop them
         self._auto_choice: Dict[tuple, str] = {}
-        self._adorned: Dict[tuple, AdornedProgram] = {}
-        self._rewritten: Dict[tuple, RewrittenProgram] = {}
         #: one shared MaterializedProgram backs every live view; created
         #: lazily by materialize(), closed when the last view drops
         self._materializer: Optional[MaterializedProgram] = None
@@ -491,10 +527,12 @@ class Session:
         Drops every live :class:`MaterializedView` (closing the shared
         materializer, which detaches its mutation log from the
         database), clears the answer memo and its footprints, and
-        forgets the per-query dispatch/rewrite caches.  The program and
-        database are untouched -- a closed session can be queried again
-        (state simply rebuilds), which is what lets a server pool and
-        recycle sessions without leaking materialized state.
+        forgets the auto-dispatch decisions.  The program and database
+        are untouched -- a closed session can be queried again (state
+        simply rebuilds), which is what lets a server pool and recycle
+        sessions without leaking materialized state.  The adorned and
+        rewritten programs live in the plan cache, which outlives the
+        session: the next session over the same program finds them.
         """
         for view in list(self._views):
             view.drop()
@@ -504,8 +542,6 @@ class Session:
         self._memo.clear()
         self._memo_footprints.clear()
         self._auto_choice.clear()
-        self._adorned.clear()
-        self._rewritten.clear()
 
     def __enter__(self) -> "Session":
         return self
@@ -1175,35 +1211,16 @@ class Session:
     def _footprint_for(self, query: Query, answer: QueryAnswer) -> frozenset:
         """Relation names the memoized rows depend on.
 
-        The rewrite methods read the relations their rewritten program
-        mentions, plus every original name reachable from the query
-        predicate (``seeded_database`` mirrors facts asserted under
-        original derived names into the adorned relations) -- so
-        mutating a relation outside the query's cone leaves the entry
-        valid.  QSQ reads the adorned program's relations.  The
+        A rewrite method or QSQ: the footprint of the query's shape,
+        which the answer carries (see :meth:`_build_shape`).  The
         bottom-up baselines evaluate the original program and extract
         from the query predicate's relation, so everything reachable
         from the query predicate participates (derived names included:
         evaluation seeds derived relations with any pre-existing facts
         under those names).
         """
-        rewritten = answer.rewritten
-        if rewritten is not None:
-            return _mentioned_relations(
-                rewritten.program,
-                extra=(rewritten.answer_pred_key,)
-                + tuple(seed.pred_key for seed in rewritten.seed_facts),
-            ) | frozenset(
-                reachable_predicates(
-                    self._program, [query.literal.pred_key]
-                )
-            )
-        if answer.qsq is not None:
-            adorned = self._adorned_for(query)
-            return _mentioned_relations(
-                adorned.program,
-                extra=(adorned.query_literal.pred_key,),
-            )
+        if answer.footprint is not None:
+            return answer.footprint
         return frozenset(
             reachable_predicates(self._program, [query.literal.pred_key])
         )
@@ -1358,7 +1375,8 @@ class Session:
                 workers=workers,
             )
         if method == "qsq":
-            adorned = self._adorned_for(query)
+            shape = self._shape_for(query, "qsq", None, None, None)
+            adorned = shape.adorned.bind(query)
             qsq = qsq_evaluate(
                 adorned.program,
                 self._database,
@@ -1379,10 +1397,10 @@ class Session:
                 strategy="qsq",
                 stats=stats,
                 qsq=qsq,
+                footprint=shape.footprint,
             )
-        rewritten = self._rewritten_for(
-            query, method, mode, optimize, semijoin
-        )
+        shape = self._shape_for(query, method, mode, optimize, semijoin)
+        rewritten = shape.rewritten.bind(query)
         seeded = rewritten.seeded_database(self._database)
         result = evaluate(
             rewritten.program,
@@ -1400,55 +1418,83 @@ class Session:
             stats=result.stats,
             rewritten=rewritten,
             evaluation=result,
+            footprint=shape.footprint,
         )
 
-    def _adorned_for(self, query: Query) -> AdornedProgram:
-        """The adorned program for a query, cached per full query.
+    def _shape_for(
+        self, query: Query, method: str, mode, optimize, semijoin
+    ) -> _QueryShape:
+        """The plan-cache entry for a query's shape, built on first use.
 
-        Keyed by the query literal (not just the signature): the
-        adorned *rules* depend only on the bound/free pattern, but the
-        adorned query literal carries the constants.
+        The key is the cache's own ``(kind, program)`` with the shape in
+        ``kind``, so every session over this program and plan cache
+        (the server builds one per request) shares the entry.  QSQ
+        reads none of ``mode`` / ``optimize`` / ``semijoin`` and is
+        looked up with ``None`` for each.
         """
-        key = (query.literal, self._sip_builder)
-        adorned = self._adorned.get(key)
-        if adorned is None:
-            adorned = adorn_program(
-                self._program, query, self._sip_builder
-            )
-            if len(self._adorned) >= 256:
-                self._adorned.pop(next(iter(self._adorned)))
-            self._adorned[key] = adorned
-        return adorned
-
-    def _rewritten_for(
-        self, query, method, mode, optimize, semijoin
-    ) -> RewrittenProgram:
-        """The rewritten program for a query, cached per full query
-        (the seed facts embed the query constants)."""
-        key = (
-            query.literal,
-            method,
+        shape = query.shape()
+        kind = (
+            "query-shape",
+            shape.literal,
             self._sip_builder,
+            method,
             mode,
             optimize,
             semijoin,
         )
-        rewritten = self._rewritten.get(key)
-        if rewritten is None:
-            rewritten = rewrite(
-                self._program,
-                query,
-                method=method,
-                sip_builder=self._sip_builder,
-                mode=mode,
-                optimize=optimize,
-                semijoin=semijoin,
-                adorned=self._adorned_for(query),
+        entry, _ = self._plan_cache.get(
+            kind,
+            self._program,
+            lambda program: self._build_shape(
+                shape, method, mode, optimize, semijoin
+            ),
+        )
+        return entry
+
+    def _build_shape(
+        self, shape: Query, method: str, mode, optimize, semijoin
+    ) -> _QueryShape:
+        """Adorn and rewrite a shape query (the plan-cache factory).
+
+        The footprint: a rewrite method reads the relations its
+        rewritten program mentions, plus every original name reachable
+        from the query predicate (``seeded_database`` mirrors facts
+        asserted under original derived names into the adorned
+        relations) -- so mutating a relation outside the query's cone
+        leaves a memo entry valid.  QSQ reads the adorned program's
+        relations.
+        """
+        adorned = adorn_program(self._program, shape, self._sip_builder)
+        if method == "qsq":
+            return _QueryShape(
+                adorned,
+                None,
+                _mentioned_relations(
+                    adorned.program, extra=(adorned.query_literal.pred_key,)
+                ),
             )
-            if len(self._rewritten) >= 256:
-                self._rewritten.pop(next(iter(self._rewritten)))
-            self._rewritten[key] = rewritten
-        return rewritten
+        rewritten = rewrite(
+            self._program,
+            shape,
+            method=method,
+            sip_builder=self._sip_builder,
+            mode=mode,
+            optimize=optimize,
+            semijoin=semijoin,
+            adorned=adorned,
+        )
+        # .program and .mirror_targets are computed on first reading:
+        # read both before the entry is published, so that every bound
+        # copy carries the one Program object and the one table
+        program, _ = rewritten.program, rewritten.mirror_targets
+        footprint = _mentioned_relations(
+            program,
+            extra=(rewritten.answer_pred_key,)
+            + tuple(seed.pred_key for seed in rewritten.seed_facts),
+        ) | frozenset(
+            reachable_predicates(self._program, [shape.literal.pred_key])
+        )
+        return _QueryShape(adorned, rewritten, footprint)
 
     # ------------------------------------------------------------------
     # explanation

@@ -17,8 +17,9 @@ from typing import Iterable, List
 
 import pytest
 
-from repro import Program, Rule, Variable
+from repro import Constant, Program, Rule, Struct, Variable
 from repro.core.provenance import RewrittenProgram
+from repro.datalog.ast import ShapeSlot
 from repro.datalog.unify import match_sequences
 
 
@@ -53,6 +54,15 @@ def assert_rules_equal(actual, expected: Iterable[str]) -> None:
         + "\n".join(got)
         + "\n--- want ---\n"
         + "\n".join(want)
+    )
+
+
+def mentions_placeholder(term) -> bool:
+    """True when a shape placeholder (``Query.shape``) occurs in ``term``."""
+    if isinstance(term, Constant):
+        return isinstance(term.value, ShapeSlot)
+    return isinstance(term, Struct) and any(
+        mentions_placeholder(arg) for arg in term.args
     )
 
 

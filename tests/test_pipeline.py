@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro import Database, answer_query, bottom_up_answer
+from repro import Database, Session, answer_query, bottom_up_answer
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
@@ -192,3 +192,48 @@ class TestDispatch:
         naive = answer_query(program, db, query, method="naive")
         semi = answer_query(program, db, query, method="seminaive")
         assert naive.answers == semi.answers
+
+
+class TestPartiallyBoundStructuredArgument:
+    """``has(p(a,N), I)?``: the argument ``p(a,N)`` is not ground, so it
+    is free for adornment and selects nothing -- the answer relation
+    holds every ``has`` fact the cone reaches, and extraction has to
+    match the pattern itself."""
+
+    SOURCE = """
+        owns(p(a,1), x). owns(p(b,1), z).
+        has(P, I) :- owns(P, I).
+    """
+
+    @pytest.mark.parametrize(
+        "method,semijoin",
+        [(method, False) for method in ("auto", "seminaive") + ALL_METHODS]
+        + [("counting", True), ("supplementary_counting", True)],
+    )
+    def test_every_method_matches_the_pattern(self, method, semijoin):
+        session = Session(self.SOURCE)
+        result = session.query(
+            "has(p(a,N), I)?", method=method, semijoin=semijoin
+        )
+        assert {tuple(map(str, row)) for row in result.rows} == {
+            ("p(a, 1)", "x")
+        }
+
+    def test_a_materialized_view_agrees(self):
+        session = Session(self.SOURCE)
+        session.materialize("has")
+        result = session.query("has(p(a,N), I)?")
+        assert result.maintained
+        assert {tuple(map(str, row)) for row in result.rows} == {
+            ("p(a, 1)", "x")
+        }
+
+    def test_repeated_variable_inside_the_pattern(self):
+        session = Session(
+            "owns(p(a,a), x). owns(p(a,b), y). has(P, I) :- owns(P, I)."
+        )
+        for method in ("auto", "counting", "seminaive", "qsq"):
+            result = session.query("has(p(N,N), I)?", method=method)
+            assert {tuple(map(str, row)) for row in result.rows} == {
+                ("p(a, a)", "x")
+            }, method

@@ -26,6 +26,8 @@ from repro import (
 )
 from repro.workloads import bom_source
 
+from conftest import mentions_placeholder
+
 ANCESTOR = """
     anc(X, Y) :- par(X, Y).
     anc(X, Y) :- par(X, Z), anc(Z, Y).
@@ -585,24 +587,147 @@ class TestLegacyShims:
         assert answer.values() == {("c",)}
 
 
-class TestRewriteCaches:
-    def test_rewritten_program_is_cached_across_mutations(self):
-        session = ancestor_session()
-        session.query("anc(john, X)?", method="supplementary_magic")
-        assert len(session._rewritten) == 1
-        cached = next(iter(session._rewritten.values()))
-        session.assert_("par(ann, zoe)")  # drops the memo, not the rewrite
-        session.query("anc(john, X)?", method="supplementary_magic")
-        assert next(iter(session._rewritten.values())) is cached
+CHAIN = 60
+CHAIN_SOURCE = (
+    "anc(X, Y) :- par(X, Y).\nanc(X, Y) :- par(X, Z), anc(Z, Y).\n"
+    + "".join(f"par(n{i}, n{i + 1}).\n" for i in range(CHAIN))
+)
 
-    def test_adorned_program_cached_for_qsq(self):
-        session = ancestor_session()
-        session.query("anc(john, X)?", method="qsq")
-        assert len(session._adorned) == 1
-        session.assert_("par(ann, zoe)")
-        result = session.query("anc(john, X)?", method="qsq")
-        assert len(session._adorned) == 1
-        assert ("zoe",) in result.values()
+
+@pytest.fixture
+def front_end_calls(monkeypatch):
+    """Count the calls Session makes to ``adorn_program`` /
+    ``pipeline.rewrite`` (the names ``repro.session`` dispatches
+    through)."""
+    import repro.session as session_module
+
+    calls = {"adorn": 0, "rewrite": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        session_module,
+        "adorn_program",
+        counting("adorn", session_module.adorn_program),
+    )
+    monkeypatch.setattr(
+        session_module, "rewrite", counting("rewrite", session_module.rewrite)
+    )
+    return calls
+
+
+def _chain_answer(k):
+    return {(f"n{j}",) for j in range(k + 1, CHAIN + 1)}
+
+
+class TestShapeCacheWorkGate:
+    """The query front end runs once per query *shape*, not per
+    constant: a deterministic gate on calls, no wall clock."""
+
+    def test_fifty_constants_adorn_and_rewrite_once_per_shape_and_method(
+        self, front_end_calls
+    ):
+        session = Session(CHAIN_SOURCE, plan_cache=PlanCache())
+        expected = {"adorn": 0, "rewrite": 0}
+        for method, rewrites in (
+            ("supplementary_magic", 1),
+            ("counting", 1),
+            ("qsq", 0),
+        ):
+            expected["adorn"] += 1
+            expected["rewrite"] += rewrites
+            for k in range(50):
+                result = session.query(f"anc(n{k}, Y)?", method=method)
+                assert not result.from_memo
+                assert result.values() == _chain_answer(k)
+            assert front_end_calls == expected, method
+        # the other argument order is another shape
+        session.query(f"anc(X, n{CHAIN})?", method="supplementary_magic")
+        assert front_end_calls == {"adorn": 4, "rewrite": 3}
+
+    def test_per_request_sessions_share_one_entry(self, front_end_calls):
+        """As ``QueryScheduler._evaluate`` builds them: a new Session
+        per request over one program and one PlanCache."""
+        parsed = parse_program(CHAIN_SOURCE)
+        db = Database()
+        db.add_fact_rows(parsed.fact_rows)
+        cache = PlanCache()
+        programs, tables = set(), []
+        for k in range(50):
+            with Session(
+                program=parsed.program,
+                database=db.snapshot(),
+                plan_cache=cache,
+                memo_size=1,
+            ) as session:
+                result = session.query(
+                    f"anc(n{k}, Y)?", method="supplementary_magic"
+                )
+                assert result.values() == _chain_answer(k)
+                assert result.rewritten.query == parse_query(
+                    f"anc(n{k}, Y)?"
+                )
+                programs.add(id(result.rewritten.program))
+                tables.append(result.rewritten.mirror_targets)
+                keep = result.rewritten.program  # ids stay comparable
+        assert front_end_calls == {"adorn": 1, "rewrite": 1}
+        assert programs == {id(keep)}
+        # ... and the one mirror table, built before publication
+        assert all(table is tables[0] for table in tables)
+        # one shape entry + its one compiled program
+        assert len(cache) == 2 and cache.misses == 2
+
+    def test_reads_intern_no_placeholder(self):
+        from repro.datalog.catalog import term_catalog
+
+        session = Session(CHAIN_SOURCE, plan_cache=PlanCache())
+        catalog = term_catalog()
+        before = len(catalog)
+        for k in range(50):
+            for method in ("supplementary_magic", "magic", "qsq"):
+                session.query(f"anc(n{k}, Y)?", method=method)
+        # every constant asked about is in the database already, so --
+        # as before the shape cache -- 150 cold reads intern nothing
+        assert len(catalog) == before
+        # the counting rewrites intern the index values they compute
+        # (plain integers), and nothing else
+        for k in range(50):
+            session.query(f"anc(n{k}, Y)?", method="counting")
+        assert all(
+            type(term.value) is int
+            for term in catalog.export_state()[before:]
+        )
+        before = len(catalog)
+        # a constant nobody has seen is interned by its seed fact: that
+        # one term, not a placeholder
+        session.query("anc(nobody_knows_me, Y)?", method="magic")
+        grown = catalog.export_state()[before:]
+        assert [str(term) for term in grown] == ["nobody_knows_me"]
+        assert not any(
+            mentions_placeholder(term) for term in catalog.export_state()
+        )
+
+    def test_a_mutation_between_reads_keeps_the_entry(self, front_end_calls):
+        session = Session(CHAIN_SOURCE, plan_cache=PlanCache())
+        first = session.query("anc(n3, Y)?", method="supplementary_magic")
+        program = first.rewritten.program
+        session.assert_(f"par(n{CHAIN}, zoe)")  # drops the memo, not the rewrite
+        second = session.query("anc(n3, Y)?", method="supplementary_magic")
+        assert not second.from_memo
+        assert ("zoe",) in second.values()
+        assert second.rewritten.program is program
+        assert front_end_calls == {"adorn": 1, "rewrite": 1}
+        # QSQ's adorned program lives in the same cache
+        session.query("anc(n3, Y)?", method="qsq")
+        session.retract(f"par(n{CHAIN}, zoe)")
+        result = session.query("anc(n3, Y)?", method="qsq")
+        assert ("zoe",) not in result.values()
+        assert front_end_calls == {"adorn": 2, "rewrite": 1}
 
 
 class TestLifecycle:
@@ -631,14 +756,24 @@ class TestLifecycle:
         assert result.values() == {("mary",), ("sue",), ("ann",)}
         assert not result.maintained
 
-    def test_close_drops_dispatch_caches(self):
-        session = ancestor_session()
-        session.query("anc(john, X)?", method="supplementary_magic")
-        assert session._rewritten
+    def test_close_drops_dispatch_caches(self, front_end_calls):
+        """close() forgets the session's own decisions; the shape
+        entries belong to the (shared) plan cache and stay."""
+        cache = PlanCache()
+        session = ancestor_session(plan_cache=cache)
+        session.query("anc(john, X)?")
+        assert session._auto_choice
+        entries = len(cache)
         session.close()
-        assert not session._rewritten
-        assert not session._adorned
         assert not session._auto_choice
+        assert len(cache) == entries
+        other = ancestor_session(plan_cache=cache)
+        for each in (session, other):
+            assert each.query("anc(mary, X)?").values() == {
+                ("sue",),
+                ("ann",),
+            }
+        assert front_end_calls == {"adorn": 1, "rewrite": 1}
 
     def test_materialized_relations_publishes_isolated_views(self):
         session = ancestor_session()
