@@ -10,7 +10,7 @@ one subtree while full bottom-up explodes every part.
 
 Grid: point queries at tree levels 2 and 3, supplementary-magic vs the
 compiled semi-naive baseline, answers checked against the stratum-wise
-naive oracle (legacy join, no planner).  The gate is on *tuples
+naive baseline (``method="naive"``).  The gate is on *tuples
 scanned* -- deterministic work, not wall clock -- and arms at
 depth >= 9: the rewrite must scan at least 2x fewer tuples than full
 bottom-up on every point query in the grid.
@@ -53,13 +53,11 @@ def point_query_roots():
     return (f"p{level2}", f"p{level3}")
 
 
-def run(database, query, method, use_planner=True):
+def run(database, query, method):
     """One cold evaluation on a fresh session (no memo interference)."""
     session = Session(program=bom_program(), database=database)
     start = time.perf_counter()
-    result = session.query(
-        query, method=method, use_planner=use_planner
-    )
+    result = session.query(query, method=method)
     return result, time.perf_counter() - start
 
 
@@ -72,7 +70,7 @@ def test_point_queries_scan_less(benchmark):
         query = parse_query(f"clean({root}, S)?")
         magic, magic_s = run(database, query, "supplementary_magic")
         base, base_s = run(database, query, "seminaive")
-        oracle, _ = run(database, query, "naive", use_planner=False)
+        oracle, _ = run(database, query, "naive")
         assert magic.rows == oracle.rows, f"magic wrong on {query}"
         assert base.rows == oracle.rows, f"baseline wrong on {query}"
         # auto must route the stratified point query to the rewrite
@@ -148,7 +146,7 @@ def test_buildable_queries_agree_without_gate(benchmark):
     for text in ("buildable(P)?", f"buildable({point})?"):
         query = parse_query(text)
         magic, magic_s = run(database, query, "supplementary_magic")
-        oracle, _ = run(database, query, "naive", use_planner=False)
+        oracle, _ = run(database, query, "naive")
         base, base_s = run(database, query, "seminaive")
         assert magic.rows == oracle.rows
         assert base.rows == oracle.rows

@@ -126,8 +126,8 @@ def test_counting_on_unique_derivations(benchmark):
 def test_cross_strategy_compiled_vs_compiled(benchmark):
     """Theorem 9.1's substrate check, timed: QSQ (top-down, compiled
     subquery plans) vs the rewrites (bottom-up, compiled join plans) vs
-    plain semi-naive, all answering the same query identically; the
-    legacy QSQ path is asserted equivalent so CI catches divergence."""
+    plain semi-naive, all answering the same query identically, and
+    the naive baseline agrees so CI catches divergence."""
     depth = int(os.environ.get("QSQ_BENCH_DEPTH", "80"))
     query = ancestor_query("n0")
     session = Session(
@@ -141,8 +141,8 @@ def test_cross_strategy_compiled_vs_compiled(benchmark):
         result = session.query(query, method=method)
         timings[method] = time.perf_counter() - t0
         answers[method] = result.rows
-    legacy_qsq = session.query(query, method="qsq", use_planner=False)
-    assert legacy_qsq.rows == answers["qsq"]
+    naive = session.query(query, method="naive")
+    assert naive.rows == answers["qsq"]
     baseline = answers["qsq"]
     for method, got in answers.items():
         assert got == baseline, f"{method} diverged from qsq"

@@ -5,7 +5,7 @@ The package has three layers:
 * :mod:`repro.datalog` -- a from-scratch deductive-database substrate:
   terms (with function symbols), Horn-clause AST, parser, unification,
   columnar indexed fact storage over interned term IDs, naive/semi-naive
-  bottom-up evaluation with batch-vectorized compiled joins, and a
+  bottom-up evaluation with batch compiled joins, and a
   QSQ-style top-down evaluator;
 * :mod:`repro.core` -- the paper's contribution: sideways information
   passing strategies (Section 2), the adorned program (Section 3), the

@@ -175,11 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default 1 = in-process serial)",
     )
     p_query.add_argument(
-        "--no-planner", action="store_true",
-        help="run the legacy interpretive join instead of compiled join "
-        "plans (A/B comparison; answers are identical)",
-    )
-    p_query.add_argument(
         "--repeat",
         type=int,
         default=1,
@@ -349,7 +344,6 @@ def _cmd_query(args) -> int:
     session = Session(
         program=program,
         database=database,
-        use_planner=not args.no_planner,
         sip_builder=_SIP_BUILDERS[args.sip],
     )
     repeat = max(1, args.repeat)

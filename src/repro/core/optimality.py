@@ -56,29 +56,24 @@ def check_optimality(
     rewritten: RewrittenProgram,
     database: Database,
     max_iterations: Optional[int] = None,
-    use_planner: bool = True,
 ) -> OptimalityReport:
     """Check Theorem 9.1 on a concrete database.
 
     Evaluates both the rewritten program (bottom-up) and the QSQ oracle
     (the least sip-strategy sets ``Q`` and ``F``) and compares relation
     by relation.  Meaningful for the ``magic`` and
-    ``supplementary_magic`` methods with full sips.  ``use_planner``
-    selects compiled or legacy execution on *both* sides, so the
-    theorem can be checked on either substrate.
+    ``supplementary_magic`` methods with full sips.
     """
     adorned: AdornedProgram = rewritten.adorned
     seeded = rewritten.seeded_database(database)
     bottom_up = evaluate(
-        rewritten.program, seeded, max_iterations=max_iterations,
-        use_planner=use_planner,
+        rewritten.program, seeded, max_iterations=max_iterations
     )
     oracle: QSQResult = qsq_evaluate(
         adorned.program,
         database,
         adorned.query_literal,
         max_iterations=max_iterations,
-        use_planner=use_planner,
     )
 
     mismatches = []
@@ -128,7 +123,6 @@ def compare_sips(
     partial: RewrittenProgram,
     database: Database,
     max_iterations: Optional[int] = None,
-    use_planner: bool = True,
 ) -> SipComparison:
     """Check Lemma 9.3: the fuller sip's facts are contained in the
     partial sip's facts, predicate by predicate.
@@ -141,8 +135,7 @@ def compare_sips(
     for name, rewritten in (("fuller", fuller), ("partial", partial)):
         seeded = rewritten.seeded_database(database)
         results[name] = evaluate(
-            rewritten.program, seeded, max_iterations=max_iterations,
-            use_planner=use_planner,
+            rewritten.program, seeded, max_iterations=max_iterations
         )
 
     contained = True

@@ -180,7 +180,6 @@ def answer_query(
     semijoin: bool = False,
     max_iterations: Optional[int] = None,
     max_facts: Optional[int] = None,
-    use_planner: bool = True,
     plan_cache=None,
     workers: int = 1,
     timeout: Optional[float] = None,
@@ -202,11 +201,6 @@ def answer_query(
     rewrites and ``qsq`` raise
     :class:`~repro.datalog.errors.UnsupportedProgramError`.
 
-    ``use_planner`` selects the execution path for both bottom-up and
-    QSQ strategies: compiled plans (default) or the legacy interpretive
-    evaluators -- the two are answer-equivalent, so A/B comparisons only
-    move the work counters.
-
     This is now a thin shim over :class:`repro.session.Session`, which
     is the surface shaped for repeated traffic (stateful database,
     cross-evaluation answer memo); a one-shot call constructs an
@@ -226,7 +220,6 @@ def answer_query(
     session = Session(
         program=program,
         database=database,
-        use_planner=use_planner,
         sip_builder=sip_builder,
         plan_cache=plan_cache,
     )
@@ -253,7 +246,6 @@ def bottom_up_answer(
     engine: str = "seminaive",
     max_iterations: Optional[int] = None,
     max_facts: Optional[int] = None,
-    use_planner: bool = True,
     plan_cache=None,
     meter=None,
     workers: int = 1,
@@ -272,7 +264,6 @@ def bottom_up_answer(
         method=engine,
         max_iterations=max_iterations,
         max_facts=max_facts,
-        use_planner=use_planner,
         plan_cache=plan_cache,
         meter=meter,
         workers=workers,

@@ -29,7 +29,7 @@ The row-level API (``__iter__``, ``__contains__``, :meth:`Relation.lookup`,
 ``add``/``add_many``/``discard``/...) is preserved exactly as a *view*:
 terms are interned on the way in and IDs resolved back to canonical
 ``Term`` objects on the way out (memoized per slot), so no caller
-outside the planner has to change.  The batch-vectorized join executor
+outside the planner has to change.  The batch join executor
 (:mod:`repro.datalog.planner`) bypasses the view and works on ID
 batches directly via ``lookup_ids``/``add_id_row``/``id_rows``;
 evaluation results are resolved back to terms only when answers are

@@ -23,15 +23,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .ast import Literal, Program, Rule
+from .catalog import term_catalog
 from .database import Database, FactTuple
-from .engine import (
-    EvaluationResult,
-    EvaluationStats,
-    _evaluate_rule,
-    _evaluation_strata,
-    _negation_sequence,
-)
-from .errors import EvaluationError
+from .engine import EvaluationResult, EvaluationStats
+from .errors import EvaluationError, UnsafeNegationError
+from .planner import compiled_program_for
 from .unify import match_sequences, resolve
 
 __all__ = ["DerivationNode", "explain", "fact_stages"]
@@ -109,8 +105,11 @@ def fact_stages(
 
     working = base.snapshot()
     stats = EvaluationStats()
+    compiled, _ = compiled_program_for(program)
+    compiled.register_indexes(working)
+    resolve_row = term_catalog().resolve_row
     round_number = 0
-    for stratum in _evaluation_strata(program, None):
+    for stratum in compiled.strata:
         changed = True
         while changed:
             changed = False
@@ -119,15 +118,21 @@ def fact_stages(
             # facts so that stages are simultaneous (a fact's supporters
             # always have a strictly smaller stage): nothing is added
             # to ``working`` until every rule's rows are collected
-            pending: List[Tuple[str, FactTuple]] = []
+            pending = []
             for rule_index in stratum:
-                rule = program.rules[rule_index]
-                head_key = rule.head.pred_key
-                for row in _evaluate_rule(rule, working, stats):
-                    pending.append((head_key, row))
-            for head_key, row in pending:
-                if working.relation(head_key).add(row):
-                    stages.setdefault(head_key, {})[row] = round_number
+                rows, _, _ = compiled.plan(rule_index).execute_batch(
+                    working, stats
+                )
+                if rows:
+                    pending.append(
+                        (program.rules[rule_index].head.pred_key, rows)
+                    )
+            for head_key, rows in pending:
+                fresh = working.relation(head_key).add_id_rows(rows)
+                if fresh:
+                    stage_map = stages.setdefault(head_key, {})
+                    for idrow in fresh:
+                        stage_map[resolve_row(idrow)] = round_number
                     changed = True
     return stages
 
@@ -213,6 +218,44 @@ def _explain_rec(
         f"no rule instance re-derives {fact}; the result database does "
         "not match the program"
     )
+
+
+def _negation_sequence(rule: Rule) -> Tuple[int, ...]:
+    """Body indexes in source order, each negated literal deferred.
+
+    Positive literals keep their source order; each negated literal is
+    deferred to the earliest point where the positive prefix has bound
+    all its variables (safe negation guarantees that point exists).
+    """
+    body = rule.body
+    order: List[int] = []
+    bound: Set = set()
+    pending = [i for i, lit in enumerate(body) if lit.negated]
+
+    def flush() -> None:
+        kept = []
+        for i in pending:
+            if all(v in bound for v in body[i].variables()):
+                order.append(i)
+            else:
+                kept.append(i)
+        pending[:] = kept
+
+    flush()
+    for i, literal in enumerate(body):
+        if literal.negated:
+            continue
+        order.append(i)
+        bound.update(literal.variables())
+        flush()
+    if pending:
+        rule.check_safe_negation()  # raises with the offending variables
+        raise UnsafeNegationError(
+            f"rule {rule}: no join order binds every negated variable "
+            "before its anti-join runs",
+            rule=rule,
+        )
+    return tuple(order)
 
 
 def _find_supporting_instance(

@@ -37,31 +37,24 @@ an anti-join against the -- by then complete -- relation of a strictly
 lower stratum, so negation-as-failure coincides with set complement.
 Positive programs form a single stratum and behave exactly as before.
 
-Execution paths
----------------
+Execution
+---------
 
-Both strategies run, by default, on **compiled join plans**
+Both strategies run on **compiled join plans**
 (:mod:`repro.datalog.planner`): each rule is compiled once -- per
 delta-literal choice -- into a :class:`~repro.datalog.planner.JoinPlan`
 with a greedily reordered body (delta occurrence first, then maximally
-bound literals), precomputed index-position tuples registered on the
-:class:`Relation` objects up front, and slot-based variable frames in
-place of per-row dict substitutions.  Pass ``use_planner=False`` to run
-the original interpretive join (:func:`_evaluate_rule`) instead; the two
-paths derive identical fact sets and identical ``rule_firings`` /
-``facts_derived`` / ``duplicate_derivations`` counters (those count body
-solutions, which join order cannot change), while ``join_probes`` and
-``tuples_scanned`` measure the work actually done -- the planner's whole
-point is that they shrink.
-
-The default batch path gets a rule's head instances from
+bound literals) and precomputed index-position tuples registered on the
+:class:`Relation` objects up front.  A rule's head instances come from
 :meth:`JoinPlan.execute_batch <repro.datalog.planner.JoinPlan.execute_batch>`
 as ID rows that may repeat, each standing for one or more body solutions
 (equal frames are merged mid-join and carry a multiplicity); the
 multiplicities sum to the exact number of body solutions.  The drivers
 below therefore count duplicates as ``solutions - fresh``, never from a
-row-list length, and ``tuples_scanned`` on this path counts the rows
-touched *after* merging -- at or below the row path's.
+row-list length, and ``tuples_scanned`` counts the rows touched *after*
+merging.  ``rule_firings`` / ``facts_derived`` /
+``duplicate_derivations`` count body solutions, which join order cannot
+change; ``join_probes`` and ``tuples_scanned`` measure the work done.
 
 Testing gotcha: run the suite as ``python -m pytest`` from the repo root
 (``pyproject.toml`` pins ``testpaths = ["tests"]``).  Without that
@@ -73,15 +66,12 @@ breaks collection with an ImportError on ``assert_rules_equal``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .analysis import stratify_rules
-from .ast import Literal, Program, Rule
+from .ast import Literal, Program
 from .database import Database, FactTuple, Relation
-from .errors import EvaluationError, NonTerminationError, UnsafeNegationError
+from .errors import NonTerminationError
 from .planner import CompiledProgram, PlanCache, compiled_program_for
-from .terms import Term
-from .unify import Substitution, match_sequences, resolve
 
 __all__ = [
     "EvaluationStats",
@@ -129,14 +119,8 @@ class EvaluationStats:
     #: body solutions per worker index (shard-balance instrumentation)
     parallel_worker_rows: Dict[int, int] = field(default_factory=dict)
 
-    def record_fact(self, pred_key: str) -> None:
-        self.facts_derived += 1
-        self.facts_by_predicate[pred_key] = (
-            self.facts_by_predicate.get(pred_key, 0) + 1
-        )
-
     def record_facts(self, pred_key: str, count: int) -> None:
-        """Bulk :meth:`record_fact` (the batch engine's accounting)."""
+        """Count ``count`` new facts of ``pred_key``."""
         self.facts_derived += count
         self.facts_by_predicate[pred_key] = (
             self.facts_by_predicate.get(pred_key, 0) + count
@@ -163,162 +147,6 @@ class EvaluationResult:
         return sum(
             len(self.database.tuples(key)) for key in self.derived_keys
         )
-
-
-# ----------------------------------------------------------------------
-# single-rule evaluation (the join)
-# ----------------------------------------------------------------------
-
-def _literal_rows(
-    literal: Literal,
-    subst: Substitution,
-    database: Database,
-    override: Optional[Tuple[str, Relation]],
-    stats: EvaluationStats,
-) -> Tuple[List[FactTuple], Tuple[Term, ...]]:
-    """Rows that may match a body literal under the current bindings.
-
-    Returns the candidate rows (narrowed through an index on the
-    currently-ground argument positions) and the resolved argument
-    patterns to finish the match with.
-    """
-    if override is not None and literal.pred_key == override[0]:
-        relation: Optional[Relation] = override[1]
-    else:
-        relation = database.get(literal.pred_key)
-    if relation is None or len(relation) == 0:
-        return [], ()
-    resolved = tuple(resolve(arg, subst) for arg in literal.args)
-    bound_positions = tuple(
-        i for i, arg in enumerate(resolved) if arg.is_ground()
-    )
-    key = tuple(resolved[i] for i in bound_positions)
-    stats.join_probes += 1
-    rows = relation.lookup(bound_positions, key)
-    return rows, resolved
-
-
-def _negation_sequence(rule: Rule) -> Tuple[int, ...]:
-    """Body indexes in legacy evaluation order under negation.
-
-    Positive literals keep their source order; each negated literal is
-    deferred to the earliest point where the positive prefix has bound
-    all its variables (safe negation guarantees that point exists).
-    """
-    body = rule.body
-    order: List[int] = []
-    bound: Set = set()
-    pending = [i for i, lit in enumerate(body) if lit.negated]
-
-    def flush() -> None:
-        kept = []
-        for i in pending:
-            if all(v in bound for v in body[i].variables()):
-                order.append(i)
-            else:
-                kept.append(i)
-        pending[:] = kept
-
-    flush()
-    for i, literal in enumerate(body):
-        if literal.negated:
-            continue
-        order.append(i)
-        bound.update(literal.variables())
-        flush()
-    if pending:
-        rule.check_safe_negation()  # raises with the offending variables
-        raise UnsafeNegationError(
-            f"rule {rule}: no join order binds every negated variable "
-            "before its anti-join runs",
-            rule=rule,
-        )
-    return tuple(order)
-
-
-def _evaluate_rule(
-    rule: Rule,
-    database: Database,
-    stats: EvaluationStats,
-    delta: Optional[Tuple[int, str, Relation]] = None,
-) -> List[FactTuple]:
-    """All head instances derivable from one rule (one delta choice).
-
-    ``delta``, when given, is ``(occurrence_index, pred_key, relation)``:
-    the body literal at that index is matched against the delta relation
-    instead of the full one.  The join proceeds left-to-right, carrying a
-    substitution; index lookups narrow each literal to the rows agreeing
-    with the currently-ground argument positions.  Negated literals are
-    anti-joins, deferred until their variables are bound
-    (:func:`_negation_sequence`).
-    """
-    produced: List[FactTuple] = []
-    body = rule.body
-    if rule.has_negation():
-        sequence: Sequence[int] = _negation_sequence(rule)
-    else:
-        sequence = range(len(body))
-
-    def extend(position: int, subst: Substitution) -> None:
-        if position == len(body):
-            head_args = tuple(resolve(arg, subst) for arg in rule.head.args)
-            for value in head_args:
-                if not value.is_ground():
-                    raise EvaluationError(
-                        f"rule {rule} produced a non-ground head argument "
-                        f"{value}; the rule is not range-restricted for "
-                        "this database"
-                    )
-            stats.rule_firings += 1
-            produced.append(head_args)
-            return
-        index = sequence[position]
-        literal = body[index]
-        if literal.negated:
-            # anti-join: the tuple must be ground here (safe negation);
-            # the branch survives only when it is absent from the
-            # completed lower-stratum relation
-            resolved = tuple(resolve(arg, subst) for arg in literal.args)
-            for value in resolved:
-                if not value.is_ground():
-                    raise UnsafeNegationError(
-                        f"rule {rule}: negated literal {literal} reached "
-                        f"with non-ground argument {value}; negated "
-                        "variables must be bound by positive literals",
-                        rule=rule,
-                    )
-            relation = database.get(literal.pred_key)
-            if relation is not None and len(relation) > 0:
-                stats.join_probes += 1
-                positions = tuple(range(len(resolved)))
-                if relation.lookup(positions, resolved):
-                    return
-            extend(position + 1, subst)
-            return
-        override = None
-        if delta is not None and index == delta[0]:
-            override = (delta[1], delta[2])
-        elif delta is not None and literal.pred_key == delta[1]:
-            # non-delta occurrence of the delta predicate: use the full
-            # relation (which already includes the delta facts)
-            override = None
-        rows, resolved = _literal_rows(
-            literal, subst, database, override, stats
-        )
-        for row in rows:
-            stats.tuples_scanned += 1
-            extended = match_sequences(resolved, row, subst)
-            if extended is not None:
-                extend(position + 1, extended)
-
-    try:
-        extend(0, {})
-    finally:
-        # ``extend`` reaches itself through its own closure; emptying
-        # the cell lets ``database`` (an evaluation's snapshot) go by
-        # reference count instead of waiting for the cyclic collector
-        del extend
-    return produced
 
 
 # ----------------------------------------------------------------------
@@ -364,40 +192,22 @@ def _compiled_for(
     return compiled
 
 
-def _evaluation_strata(
-    program: Program, compiled: Optional[CompiledProgram]
-) -> Tuple[Tuple[int, ...], ...]:
-    """The stratum partition of the program's rule indexes.
-
-    The compiled program carries it precomputed (and plan-cached); the
-    legacy path stratifies here, first re-checking safe negation so
-    unsafe rules fail with :class:`UnsafeNegationError` before any
-    evaluation work happens.  Positive programs yield one stratum.
-    """
-    if compiled is not None:
-        return compiled.strata
-    if not program.has_negation():
-        # positive program: single stratum, no graph work on the legacy
-        # path (it is the A/B timing baseline and must stay lean)
-        return (tuple(range(len(program.rules))),)
-    for rule in program.rules:
-        rule.check_safe_negation()
-    _, rule_strata = stratify_rules(program)
-    return rule_strata
-
-
-def _parallel_requested(
-    workers: Optional[int], use_planner: bool, vectorized: bool
-) -> bool:
-    """Whether a ``workers=N`` request can take the parallel tier.
-
-    The pool executes compiled batch plans only; the legacy and
-    row-at-a-time paths are A/B baselines and stay serial (the request
-    is recorded on the stats as a fallback instead of erroring).
-    """
-    return (
-        workers is not None and workers > 1 and use_planner and vectorized
-    )
+def _install(
+    relation: Relation,
+    head_key: str,
+    rows: List[Tuple[int, ...]],
+    solutions: int,
+    stats: EvaluationStats,
+) -> List[Tuple[int, ...]]:
+    """Add one batch's ID rows to ``relation``; return the fresh ones."""
+    if not rows:
+        return []
+    fresh = relation.add_id_rows(rows)
+    n_fresh = len(fresh)
+    stats.duplicate_derivations += solutions - n_fresh
+    if n_fresh:
+        stats.record_facts(head_key, n_fresh)
+    return fresh
 
 
 def evaluate_naive(
@@ -405,9 +215,7 @@ def evaluate_naive(
     database: Database,
     max_iterations: Optional[int] = None,
     max_facts: Optional[int] = None,
-    use_planner: bool = True,
     plan_cache: Optional[PlanCache] = None,
-    vectorized: bool = True,
     meter=None,
     workers: Optional[int] = None,
     parallel_backend: str = "auto",
@@ -417,11 +225,6 @@ def evaluate_naive(
     With negation, each stratum's rules run to their joint fixpoint
     before the next stratum starts (``stats.iterations`` accumulates
     rounds across strata).
-
-    ``vectorized`` (planner path only) selects batch execution over ID
-    columns (:meth:`JoinPlan.execute_batch`); pass False to run the
-    compiled plans row-at-a-time at the term level instead.  Both derive
-    identical fact sets and solution counters.
 
     ``meter`` is an optional budget meter (duck-typed so this module
     never imports :mod:`repro.core.limits`): ``check_round`` runs at
@@ -435,7 +238,7 @@ def evaluate_naive(
     (``facts_derived`` / ``rule_firings`` / ``duplicate_derivations`` /
     ``iterations``) are identical to the serial run by construction.
     """
-    if _parallel_requested(workers, use_planner, vectorized):
+    if workers is not None and workers > 1:
         from .parallel import evaluate_parallel
 
         return evaluate_parallel(
@@ -445,16 +248,9 @@ def evaluate_naive(
         )
     working = database.snapshot()
     stats = EvaluationStats()
-    if workers is not None and workers > 1:
-        stats.parallel_fallback = "row path is serial-only"
     derived_keys = program.derived_predicates()
-    compiled: Optional[CompiledProgram] = None
-    if use_planner:
-        compiled = _compiled_for(program, working, stats, plan_cache)
-    batch = compiled is not None and vectorized
-    for stratum_index, stratum in enumerate(
-        _evaluation_strata(program, compiled)
-    ):
+    compiled = _compiled_for(program, working, stats, plan_cache)
+    for stratum_index, stratum in enumerate(compiled.strata):
         changed = True
         round_in_stratum = 0
         while changed:
@@ -473,37 +269,15 @@ def evaluate_naive(
                     working,
                 )
             for rule_index in stratum:
-                rule = program.rules[rule_index]
-                head_key = rule.head.pred_key
-                relation = working.relation(head_key)
-                if batch:
-                    rows, _, solutions = compiled.plan(
-                        rule_index
-                    ).execute_batch(working, stats, meter=meter)
-                    if rows:
-                        fresh = relation.add_id_rows(rows)
-                        n_fresh = len(fresh)
-                        stats.duplicate_derivations += solutions - n_fresh
-                        if n_fresh:
-                            stats.record_facts(head_key, n_fresh)
-                            changed = True
-                    continue
-                if compiled is not None:
-                    rows = compiled.plan(rule_index).execute(
-                        working, stats, meter=meter
-                    )
-                else:
-                    if meter is not None:
-                        meter.check_batch(
-                            stats.facts_derived, stats.tuples_scanned
-                        )
-                    rows = _evaluate_rule(rule, working, stats)
-                for row in rows:
-                    if relation.add(row):
-                        stats.record_fact(head_key)
-                        changed = True
-                    else:
-                        stats.duplicate_derivations += 1
+                head_key = program.rules[rule_index].head.pred_key
+                rows, _, solutions = compiled.plan(rule_index).execute_batch(
+                    working, stats, meter=meter
+                )
+                if _install(
+                    working.relation(head_key), head_key, rows, solutions,
+                    stats,
+                ):
+                    changed = True
             if max_facts is not None and stats.facts_derived > max_facts:
                 _check_budget(stats, stats.facts_derived, None, max_facts)
     return EvaluationResult(working, derived_keys, stats)
@@ -576,34 +350,12 @@ class _IdDeltaBatch:
         return self.probe_index(positions).get(key, [])
 
 
-def _new_delta_relation(
-    head_key: str,
-    delta_positions: Dict[str, Tuple[Tuple[int, ...], ...]],
-) -> Relation:
-    """A per-round delta relation, pre-indexed for the delta plans.
-
-    Delta literals that carry constants (magic seeds) probe the delta on
-    those positions.  :meth:`Relation.lookup` would build the index
-    lazily on the first probe anyway (once per round, same total cost);
-    registering it at creation moves that build out of the join path so
-    every delta probe -- including the first -- is a plain hash lookup,
-    maintained incrementally by :meth:`Relation.add` as the round's
-    facts arrive.
-    """
-    relation = Relation(head_key)
-    for positions in delta_positions.get(head_key, ()):
-        relation.register_index(positions)
-    return relation
-
-
 def evaluate_seminaive(
     program: Program,
     database: Database,
     max_iterations: Optional[int] = None,
     max_facts: Optional[int] = None,
-    use_planner: bool = True,
     plan_cache: Optional[PlanCache] = None,
-    vectorized: bool = True,
     meter=None,
     workers: Optional[int] = None,
     parallel_backend: str = "auto",
@@ -613,13 +365,9 @@ def evaluate_seminaive(
     For each rule and each body occurrence of a derived predicate, a
     delta version of the rule matches that occurrence against the facts
     new in the previous round.  Rules whose body mentions no derived
-    predicate fire once, in round one.
-
-    ``vectorized`` (planner path only) selects batch execution over ID
-    columns: rule solutions and the per-round deltas then travel as ID
-    rows end to end, and terms are only resolved back when answers are
-    materialized.  Pass False for the row-at-a-time compiled path; both
-    derive identical fact sets and solution counters.
+    predicate fire once, in round one.  Rule solutions and the
+    per-round deltas travel as ID rows end to end; terms are only
+    resolved back when answers are materialized.
 
     ``meter`` -- optional budget meter checked at round and rule/batch
     boundaries, as in :func:`evaluate_naive`.
@@ -628,7 +376,7 @@ def evaluate_seminaive(
     tier (:mod:`repro.datalog.parallel`), preserving fact sets and the
     solution counters exactly; see :func:`evaluate_naive`.
     """
-    if _parallel_requested(workers, use_planner, vectorized):
+    if workers is not None and workers > 1:
         from .parallel import evaluate_parallel
 
         return evaluate_parallel(
@@ -638,19 +386,10 @@ def evaluate_seminaive(
         )
     working = database.snapshot()
     stats = EvaluationStats()
-    if workers is not None and workers > 1:
-        stats.parallel_fallback = "row path is serial-only"
     derived_keys = program.derived_predicates()
-    compiled: Optional[CompiledProgram] = None
-    delta_positions: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
-    if use_planner:
-        compiled = _compiled_for(program, working, stats, plan_cache)
-        delta_positions = compiled.delta_index_positions()
-    batch = compiled is not None and vectorized
+    compiled = _compiled_for(program, working, stats, plan_cache)
 
-    for stratum_index, stratum in enumerate(
-        _evaluation_strata(program, compiled)
-    ):
+    for stratum_index, stratum in enumerate(compiled.strata):
         # round 1 of the stratum: all its rules against the current
         # database (derived relations of this stratum are empty, so only
         # rules over base/lower-stratum facts can fire; rules with
@@ -658,7 +397,7 @@ def evaluate_seminaive(
         # already hold facts, which we support by simply evaluating every
         # rule naively once).  Negated literals probe lower strata, which
         # are complete by now.
-        deltas: Dict[str, Relation] = {}
+        deltas: Dict[str, _IdDeltaBatch] = {}
         stats.iterations += 1
         round_in_stratum = 1
         if meter is not None:
@@ -670,46 +409,15 @@ def evaluate_seminaive(
                 working,
             )
         for rule_index in stratum:
-            rule = program.rules[rule_index]
-            head_key = rule.head.pred_key
-            relation = working.relation(head_key)
-            if batch:
-                rows, _, solutions = compiled.plan(rule_index).execute_batch(
-                    working, stats, meter=meter
-                )
-                if rows:
-                    fresh = relation.add_id_rows(rows)
-                    n_fresh = len(fresh)
-                    stats.duplicate_derivations += solutions - n_fresh
-                    if n_fresh:
-                        stats.record_facts(head_key, n_fresh)
-                        delta_rel = deltas.get(head_key)
-                        if delta_rel is None:
-                            delta_rel = deltas[head_key] = _IdDeltaBatch()
-                        delta_rel.extend(fresh)
-                continue
-            if compiled is not None:
-                rows = compiled.plan(rule_index).execute(
-                    working, stats, meter=meter
-                )
-            else:
-                if meter is not None:
-                    meter.check_batch(
-                        stats.facts_derived, stats.tuples_scanned
-                    )
-                rows = _evaluate_rule(rule, working, stats)
-            for row in rows:
-                if relation.add(row):
-                    stats.record_fact(head_key)
-                    delta_rel = deltas.get(head_key)
-                    if delta_rel is None:
-                        delta_rel = _new_delta_relation(
-                            head_key, delta_positions
-                        )
-                        deltas[head_key] = delta_rel
-                    delta_rel.add(row)
-                else:
-                    stats.duplicate_derivations += 1
+            head_key = program.rules[rule_index].head.pred_key
+            rows, _, solutions = compiled.plan(rule_index).execute_batch(
+                working, stats, meter=meter
+            )
+            fresh = _install(
+                working.relation(head_key), head_key, rows, solutions, stats
+            )
+            if fresh:
+                deltas.setdefault(head_key, _IdDeltaBatch()).extend(fresh)
 
         # subsequent rounds: delta-driven (deltas only ever hold
         # same-stratum predicates, so negated literals -- strictly lower
@@ -728,7 +436,7 @@ def evaluate_seminaive(
                     round_in_stratum,
                     working,
                 )
-            new_deltas: Dict[str, Relation] = {}
+            new_deltas: Dict[str, _IdDeltaBatch] = {}
             for rule_index in stratum:
                 rule = program.rules[rule_index]
                 head_key = rule.head.pred_key
@@ -740,51 +448,18 @@ def evaluate_seminaive(
                         continue
                     if literal.pred_key not in derived_keys:
                         continue
-                    delta_rel = deltas[literal.pred_key]
-                    if batch:
-                        rows, _, solutions = compiled.plan(
-                            rule_index, index
-                        ).execute_batch(working, stats, delta_rel, meter=meter)
-                        if rows:
-                            fresh = relation.add_id_rows(rows)
-                            n_fresh = len(fresh)
-                            stats.duplicate_derivations += (
-                                solutions - n_fresh
-                            )
-                            if n_fresh:
-                                stats.record_facts(head_key, n_fresh)
-                                new_rel = new_deltas.get(head_key)
-                                if new_rel is None:
-                                    new_rel = new_deltas[head_key] = (
-                                        _IdDeltaBatch()
-                                    )
-                                new_rel.extend(fresh)
-                        continue
-                    if compiled is not None:
-                        rows = compiled.plan(rule_index, index).execute(
-                            working, stats, delta_rel, meter=meter
-                        )
-                    else:
-                        if meter is not None:
-                            meter.check_batch(
-                                stats.facts_derived, stats.tuples_scanned
-                            )
-                        delta_spec = (index, literal.pred_key, delta_rel)
-                        rows = _evaluate_rule(
-                            rule, working, stats, delta_spec
-                        )
-                    for row in rows:
-                        if relation.add(row):
-                            stats.record_fact(head_key)
-                            new_rel = new_deltas.get(head_key)
-                            if new_rel is None:
-                                new_rel = _new_delta_relation(
-                                    head_key, delta_positions
-                                )
-                                new_deltas[head_key] = new_rel
-                            new_rel.add(row)
-                        else:
-                            stats.duplicate_derivations += 1
+                    rows, _, solutions = compiled.plan(
+                        rule_index, index
+                    ).execute_batch(
+                        working, stats, deltas[literal.pred_key], meter=meter
+                    )
+                    fresh = _install(
+                        relation, head_key, rows, solutions, stats
+                    )
+                    if fresh:
+                        new_deltas.setdefault(
+                            head_key, _IdDeltaBatch()
+                        ).extend(fresh)
             deltas = new_deltas
             if max_facts is not None and stats.facts_derived > max_facts:
                 _check_budget(stats, stats.facts_derived, None, max_facts)
@@ -797,25 +472,22 @@ def evaluate(
     method: str = "seminaive",
     max_iterations: Optional[int] = None,
     max_facts: Optional[int] = None,
-    use_planner: bool = True,
     plan_cache: Optional[PlanCache] = None,
-    vectorized: bool = True,
     meter=None,
     workers: Optional[int] = None,
     parallel_backend: str = "auto",
 ) -> EvaluationResult:
     """Dispatch to a bottom-up strategy by name."""
     if method == "naive":
-        return evaluate_naive(
-            program, database, max_iterations, max_facts, use_planner,
-            plan_cache, vectorized, meter, workers, parallel_backend,
-        )
-    if method == "seminaive":
-        return evaluate_seminaive(
-            program, database, max_iterations, max_facts, use_planner,
-            plan_cache, vectorized, meter, workers, parallel_backend,
-        )
-    raise ValueError(f"unknown evaluation method {method!r}")
+        strategy = evaluate_naive
+    elif method == "seminaive":
+        strategy = evaluate_seminaive
+    else:
+        raise ValueError(f"unknown evaluation method {method!r}")
+    return strategy(
+        program, database, max_iterations, max_facts, plan_cache, meter,
+        workers, parallel_backend,
+    )
 
 
 def answer_tuples(

@@ -1,14 +1,8 @@
-"""Join-plan compiler for the bottom-up engine.
+"""Join-plan compiler and batch executor for the bottom-up engine.
 
-The legacy executor (:func:`repro.datalog.engine._evaluate_rule`) re-derives
-its join strategy from scratch for every candidate row, every iteration: it
-resolves each body literal's arguments through a dict substitution, recomputes
-which argument positions are ground, and lets :class:`Relation` discover the
-needed hash index lazily on first probe.  The paper measures rewriting
-strategies by the *number of facts computed*, so the substrate executing those
-strategies should spend its time on facts, not on rediscovering structure that
-is invariant across the whole fixpoint.
-
+The paper measures rewriting strategies by the *number of facts computed*, so
+the substrate executing those strategies should spend its time on facts, not
+on rediscovering join structure that is invariant across the whole fixpoint.
 This module compiles each rule **once** -- and once more per delta-literal
 choice for semi-naive evaluation -- into a :class:`JoinPlan`:
 
@@ -22,12 +16,11 @@ choice for semi-naive evaluation -- into a :class:`JoinPlan`:
   of argument positions that are ground when the step runs, so the needed
   :class:`Relation` indexes can be registered up front
   (:meth:`CompiledProgram.register_indexes`) instead of discovered per probe.
-* **Slot-based variable frames.**  The rule's variables are numbered into a
-  flat frame (a Python list); the inner loop executes tiny precompiled ops
-  (store slot / compare slot / match pattern) instead of copying a dict
-  substitution per candidate row.  Function terms and
-  :class:`~repro.datalog.terms.LinExpr` index expressions fall back to the
-  generic one-way matcher for just the affected position.
+* **Slot-based variable frames.**  The rule's variables are numbered into
+  frame slots, and each step carries tiny precompiled ops (store slot /
+  compare slot / match pattern) instead of a dict substitution.  Function
+  terms and :class:`~repro.datalog.terms.LinExpr` index expressions fall
+  back to the generic one-way matcher for just the affected position.
 
 Plans preserve the semantics of :class:`~repro.datalog.engine.EvaluationStats`
 exactly: ``rule_firings``, ``facts_derived`` and ``duplicate_derivations`` are
@@ -35,7 +28,8 @@ join-order independent (they count body solutions, which reordering does not
 change), while ``join_probes`` / ``tuples_scanned`` measure the work the plan
 actually performs -- the quantity the planner is built to shrink.
 
-The batch executor (:meth:`JoinPlan.execute_batch`) pushes that further the
+Plans execute in batches (:meth:`JoinPlan.execute_batch`): partial matches
+travel as columns of term IDs, and the executor goes further the
 way the paper's supplementary predicates do for a rule prefix: after a
 non-final step at which a frame slot goes dead, frames that agree on every
 live slot are merged into one frame carrying an integer *multiplicity*, so the
@@ -70,13 +64,13 @@ from typing import Dict, List, Optional, Set, Tuple
 from .analysis import stratify_rules
 from .ast import Program, Rule
 from .catalog import term_catalog
-from .database import Database, FactTuple, IdTuple, Relation
+from .database import Database, IdTuple, Relation
 from .errors import (
     EvaluationError,
     UnsafeNegationError,
     UnsupportedProgramError,
 )
-from .terms import Term, Variable
+from .terms import Variable
 from .unify import match_into, resolve
 
 __all__ = [
@@ -668,146 +662,6 @@ class JoinPlan:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        database: Database,
-        stats,
-        delta_relation: Optional[Relation] = None,
-        meter=None,
-    ) -> List[FactTuple]:
-        """All head instances derivable from this plan.
-
-        ``delta_relation`` replaces the full relation at the step compiled
-        as the delta occurrence (other occurrences of the same predicate
-        still see the full relation, which includes the delta facts).
-
-        ``meter``, when given, is consulted once at entry (a batch/rule
-        boundary for the resource governor) and may abort by raising.
-        """
-        if meter is not None:
-            meter.check_batch(stats.facts_derived, stats.tuples_scanned)
-        frame: List[Optional[Term]] = [None] * self.n_slots
-        produced: List[FactTuple] = []
-        steps = self.steps
-        depth_count = len(steps)
-        head_ops = self.head_ops
-        rule = self.rule
-
-        def emit() -> None:
-            args = []
-            for tag, payload in head_ops:
-                if tag == _SLOT:
-                    args.append(frame[payload])
-                elif tag == _CONST:
-                    args.append(payload)
-                elif tag == _EVAL:
-                    term, pairs = payload
-                    value = resolve(
-                        term, {v: frame[s] for v, s in pairs}
-                    )
-                    if not value.is_ground():
-                        raise EvaluationError(
-                            f"rule {rule} produced a non-ground head "
-                            f"argument {value}; the rule is not "
-                            "range-restricted for this database"
-                        )
-                    args.append(value)
-                else:  # _UNBOUND
-                    raise EvaluationError(
-                        f"rule {rule} produced a non-ground head argument "
-                        f"{payload}; the rule is not range-restricted for "
-                        "this database"
-                    )
-            stats.rule_firings += 1
-            produced.append(tuple(args))
-
-        def run(depth: int) -> None:
-            if depth == depth_count:
-                emit()
-                return
-            step = steps[depth]
-            if step.is_delta:
-                relation = delta_relation
-            else:
-                relation = database.get(step.pred_key)
-            if step.negated:
-                # anti-join: the key covers every position (the tuple is
-                # fully ground here), so the probe is a membership test
-                # against the completed lower-stratum relation
-                if relation is not None and len(relation) > 0:
-                    if not step.index_positions:
-                        return  # 0-ary atom holds: negation fails
-                    key = []
-                    for tag, payload in step.key_ops:
-                        if tag == _SLOT:
-                            key.append(frame[payload])
-                        elif tag == _CONST:
-                            key.append(payload)
-                        else:  # _EVAL
-                            term, pairs = payload
-                            key.append(
-                                resolve(term, {v: frame[s] for v, s in pairs})
-                            )
-                    stats.join_probes += 1
-                    if relation.lookup(step.index_positions, tuple(key)):
-                        return
-                run(depth + 1)
-                return
-            if relation is None or len(relation) == 0:
-                return
-            key = []
-            for tag, payload in step.key_ops:
-                if tag == _SLOT:
-                    key.append(frame[payload])
-                elif tag == _CONST:
-                    key.append(payload)
-                else:  # _EVAL
-                    term, pairs = payload
-                    key.append(
-                        resolve(term, {v: frame[s] for v, s in pairs})
-                    )
-            stats.join_probes += 1
-            rows = relation.lookup(step.index_positions, tuple(key))
-            row_ops = step.row_ops
-            next_depth = depth + 1
-            for row in rows:
-                stats.tuples_scanned += 1
-                ok = True
-                for pos, tag, payload in row_ops:
-                    value = row[pos]
-                    if tag == _STORE:
-                        frame[payload] = value
-                    elif tag == _EQ:
-                        if frame[payload] != value:
-                            ok = False
-                            break
-                    elif tag == _EQC:
-                        if payload != value:
-                            ok = False
-                            break
-                    else:  # _MATCH
-                        pattern, bound_pairs, free_pairs = payload
-                        seed = {v: frame[s] for v, s in bound_pairs}
-                        if not match_into(pattern, value, seed):
-                            ok = False
-                            break
-                        for v, s in free_pairs:
-                            frame[s] = seed[v]
-                if ok:
-                    run(next_depth)
-
-        try:
-            run(0)
-        finally:
-            # ``run`` reaches itself through its own closure; emptying
-            # the cell lets ``database`` (an evaluation's snapshot) go
-            # by reference count, not by the cyclic collector
-            del run
-        return produced
-
-    # ------------------------------------------------------------------
-    # batch execution
-    # ------------------------------------------------------------------
     def execute_batch(
         self,
         database: Database,
@@ -817,8 +671,7 @@ class JoinPlan:
     ) -> Tuple[List[IdTuple], Optional[List[int]], int]:
         """The plan's head instances as ``(rows, multiplicities, solutions)``.
 
-        The batch-vectorized twin of :meth:`execute`: partial matches
-        travel as parallel columns of term IDs (one list per live frame
+        Partial matches travel as parallel columns of term IDs (one list per live frame
         slot), and each step probes its relation's int-ID index once per
         *distinct* key in the batch instead of once per frame, emitting
         the next batch.  After a non-final step at which a frame slot
@@ -835,8 +688,7 @@ class JoinPlan:
         sum, the exact number of body solutions, and is what this call
         adds to ``stats.rule_firings``: ``rule_firings`` /
         ``facts_derived`` / ``duplicate_derivations`` are therefore
-        identical to :meth:`execute` by construction, while
-        ``join_probes`` counts the deduplicated probes and
+        join-order independent, while ``join_probes`` counts the deduplicated probes and
         ``tuples_scanned`` the rows touched *after* merging -- the two
         quantities batching and merging shrink.
 
@@ -1125,7 +977,7 @@ class CompiledProgram:
     """
 
     __slots__ = ("program", "derived_keys", "strata", "_plans",
-                 "_delta_occurrences", "_delta_index_positions")
+                 "_delta_occurrences")
 
     def __init__(self, program: Program):
         self.program = program
@@ -1133,9 +985,6 @@ class CompiledProgram:
         _, self.strata = stratify_rules(program)
         self._plans: Dict[Tuple[int, Optional[int]], JoinPlan] = {}
         self._delta_occurrences: Dict[int, Tuple[int, ...]] = {}
-        self._delta_index_positions: Optional[
-            Dict[str, Tuple[Tuple[int, ...], ...]]
-        ] = None
         for rule_index, rule in enumerate(program.rules):
             self._plans[(rule_index, None)] = compile_rule(rule)
             occurrences = tuple(
@@ -1155,34 +1004,6 @@ class CompiledProgram:
     def delta_occurrences(self, rule_index: int) -> Tuple[int, ...]:
         """Body indexes of derived predicates (candidate delta literals)."""
         return self._delta_occurrences[rule_index]
-
-    def delta_index_positions(self) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
-        """Index positions the delta plans probe on delta relations.
-
-        A delta occurrence runs first in its plan, so its only ground
-        positions are constants known at plan time (magic seeds and
-        the like).  The semi-naive driver registers these on each
-        per-round delta :class:`Relation` at creation, so every delta
-        probe -- including the round's first, which would otherwise pay
-        the lazy index build inside the join -- is a plain hash lookup.
-        """
-        cached = self._delta_index_positions
-        if cached is None:
-            gathered: Dict[str, Set[Tuple[int, ...]]] = {}
-            for (_, delta_index), plan in self._plans.items():
-                if delta_index is None:
-                    continue
-                step = plan.steps[0]  # the delta occurrence runs first
-                if step.index_positions:
-                    gathered.setdefault(step.pred_key, set()).add(
-                        step.index_positions
-                    )
-            cached = {
-                key: tuple(sorted(values))
-                for key, values in gathered.items()
-            }
-            self._delta_index_positions = cached
-        return cached
 
     def register_indexes(self, database: Database) -> None:
         """Register every plan's index positions on existing relations.
@@ -1266,8 +1087,8 @@ class SubqueryPlan:
     bound vector (one op per vector position); ``steps`` run the body in
     sip order; ``head_ops`` emit the full head tuple.  Unlike
     :class:`JoinPlan`, non-ground head arguments skip the emission
-    instead of raising: the QSQ evaluator mirrors the legacy
-    ``_solve_rule``, which silently drops non-ground rows.
+    instead of raising: the QSQ evaluator silently drops non-ground
+    answer rows.
     """
 
     __slots__ = ("rule", "head_key", "entry_ops", "steps", "derived_steps",

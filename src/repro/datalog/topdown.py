@@ -21,10 +21,10 @@ rewrite produces *exactly* the facts corresponding to ``Q`` (the magic
 relations) and ``F`` (the adorned relations); ``repro.core.optimality``
 checks this equivalence experimentally.
 
-Compiled architecture
----------------------
+Architecture
+------------
 
-The default execution path mirrors the bottom-up engine's join planner
+Execution mirrors the bottom-up engine's join planner
 (:mod:`repro.datalog.planner`).  Each adorned rule is compiled **once**
 into a :class:`~repro.datalog.planner.SubqueryPlan`:
 
@@ -57,12 +57,11 @@ into a :class:`~repro.datalog.planner.SubqueryPlan`:
   ``QSQResult.plan_cache_hits``/``plan_cache_misses`` report what
   happened.
 
-``use_planner=False`` selects the legacy interpretive evaluator (dict
-substitutions, full replay).  Both paths produce identical ``Q`` and
-``F`` sets and identical ``subqueries_generated`` (distinct subqueries);
-``iterations`` keeps its meaning -- global propagation rounds until the
-fixpoint -- but the compiled path typically needs fewer of them because
-answers flow as soon as their delta round fires.
+``iterations`` counts global propagation rounds until the fixpoint;
+answers flow as soon as their delta round fires.  Derived steps whose
+subquery key is not ground at run time (a maybe-unground ``Struct``
+argument) take a generic slow path: no subquery is generated and the
+resolved pattern is matched against every stored answer.
 
 Open items noticed while profiling: the round loop is still global (a
 true QSQR scheduler would recurse per subquery and could terminate
@@ -104,7 +103,6 @@ from .unify import (
     match_into,
     match_sequences,
     resolve,
-    unify_sequences,
 )
 
 __all__ = ["QSQResult", "qsq_evaluate"]
@@ -188,7 +186,6 @@ def qsq_evaluate(
     query_literal: Literal,
     max_iterations: Optional[int] = None,
     max_facts: Optional[int] = None,
-    use_planner: bool = True,
     plan_cache: Optional[PlanCache] = None,
     meter=None,
 ) -> QSQResult:
@@ -199,10 +196,7 @@ def qsq_evaluate(
     with rule bodies in sip order.  ``query_literal`` is the adorned
     query, whose ground arguments form the initial subquery.
 
-    ``use_planner`` selects compiled, delta-driven execution (default)
-    or the legacy interpretive evaluator; both compute identical ``Q``
-    and ``F``.  ``plan_cache`` overrides the shared compiled-plan cache
-    (compiled path only).
+    ``plan_cache`` overrides the shared compiled-plan cache.
 
     ``meter`` is an optional budget meter (duck-typed, see
     :mod:`repro.core.limits`): ``check_round`` runs at every QSQ round
@@ -224,30 +218,16 @@ def qsq_evaluate(
         raise EvaluationError(
             f"query predicate {query_key} is not defined by the program"
         )
-    if use_planner:
-        return _qsq_evaluate_compiled(
-            adorned_program,
-            database,
-            query_literal,
-            max_iterations,
-            max_facts,
-            plan_cache,
-            meter,
-        )
-    return _qsq_evaluate_legacy(
+    return _qsq_evaluate_compiled(
         adorned_program,
         database,
         query_literal,
-        derived,
         max_iterations,
         max_facts,
+        plan_cache,
         meter,
     )
 
-
-# ----------------------------------------------------------------------
-# compiled, delta-driven path
-# ----------------------------------------------------------------------
 
 class _QSQExecutor:
     """Mutable evaluation state for one compiled QSQ run.
@@ -285,7 +265,7 @@ class _QSQExecutor:
         Entry ops filter each (small, term-level) input vector on a
         scratch frame exactly as the per-frame interpreter did;
         survivors are interned into the plan's entry-slot columns and
-        the body runs batch-vectorized over term IDs
+        the body runs in batches over term IDs
         (:meth:`_run_batch`).
         """
         if self.meter is not None:
@@ -329,7 +309,7 @@ class _QSQExecutor:
 
     # ------------------------------------------------------------------
     def _run_batch(self, plan, cols, n, delta_depth, delta_rel) -> None:
-        """Batch-vectorized body execution over ID columns.
+        """Batch body execution over ID columns.
 
         The batch twin of the per-frame :meth:`_run` recursion: partial
         matches travel as parallel columns of term IDs, each step probes
@@ -437,8 +417,8 @@ class _QSQExecutor:
                             {v: resolve_id(cols[s][i]) for v, s in pairs},
                         )
                         if not value.is_ground():
-                            # mirror the legacy _solve_rule: silently
-                            # drop non-ground rows
+                            # a non-ground answer row is silently
+                            # dropped
                             ok = False
                             break
                         args.append(intern(value))
@@ -545,8 +525,7 @@ class _QSQExecutor:
                      delta_rel) -> None:
         """Slow path for a derived step whose subquery key is not ground.
 
-        Mirrors the legacy evaluator: no subquery is generated, and the
-        literal's resolved pattern is matched against every stored
+        No subquery is generated, and the literal's resolved pattern is matched against every stored
         answer (new bindings written back into the frame).
         """
         step = plan.steps[depth]
@@ -693,118 +672,3 @@ def _qsq_evaluate_compiled(
     for pred, relation in executor.answer_rels.items():
         result.answers[pred] = set(relation)
     return result
-
-
-# ----------------------------------------------------------------------
-# legacy interpretive path
-# ----------------------------------------------------------------------
-
-def _qsq_evaluate_legacy(
-    adorned_program: Program,
-    database: Database,
-    query_literal: Literal,
-    derived: Set[str],
-    max_iterations: Optional[int],
-    max_facts: Optional[int],
-    meter=None,
-) -> QSQResult:
-    result = QSQResult()
-    query_key = query_literal.pred_key
-    seed = tuple(arg for arg in query_literal.args if arg.is_ground())
-    result.queries.setdefault(query_key, set()).add(seed)
-    result.subqueries_generated += 1
-
-    rules_by_head: Dict[str, List] = {}
-    for rule in adorned_program.rules:
-        rules_by_head.setdefault(rule.head.pred_key, []).append(rule)
-
-    changed = True
-    while changed:
-        changed = False
-        result.iterations += 1
-        if max_iterations is not None and result.iterations > max_iterations:
-            raise NonTerminationError(
-                f"QSQ evaluation exceeded {max_iterations} iterations",
-                iterations=result.iterations,
-                facts=result.answer_count(),
-            )
-        if meter is not None:
-            meter.check_round(
-                result.answer_count(), round_=result.iterations
-            )
-        for pred_key, inputs in list(result.queries.items()):
-            for rule in rules_by_head.get(pred_key, ()):
-                for bound_vector in list(inputs):
-                    if _solve_rule(
-                        rule, bound_vector, database, derived, result
-                    ):
-                        changed = True
-        if max_facts is not None and result.answer_count() > max_facts:
-            raise NonTerminationError(
-                f"QSQ evaluation exceeded {max_facts} facts",
-                iterations=result.iterations,
-                facts=result.answer_count(),
-            )
-    return result
-
-
-def _solve_rule(
-    rule,
-    bound_vector: FactTuple,
-    database: Database,
-    derived: Set[str],
-    result: QSQResult,
-) -> bool:
-    """Push one input binding through one rule; True when anything new."""
-    head = rule.head
-    bound_args = head.bound_args()
-    subst = unify_sequences(bound_args, bound_vector)
-    if subst is None:
-        return False
-    changed = False
-    # relational set of partial substitutions, advanced literal by literal
-    frontier: List[Substitution] = [subst]
-    for literal in rule.body:
-        if not frontier:
-            break
-        next_frontier: List[Substitution] = []
-        if literal.pred_key in derived:
-            answers = result.answers.get(literal.pred_key, set())
-            inputs = result.queries.setdefault(literal.pred_key, set())
-            for binding in frontier:
-                resolved_bound = tuple(
-                    resolve(arg, binding) for arg in literal.bound_args()
-                )
-                if all(arg.is_ground() for arg in resolved_bound):
-                    if resolved_bound not in inputs:
-                        inputs.add(resolved_bound)
-                        result.subqueries_generated += 1
-                        changed = True
-                resolved_all = tuple(
-                    resolve(arg, binding) for arg in literal.args
-                )
-                for row in answers:
-                    extended = match_sequences(resolved_all, row, binding)
-                    if extended is not None:
-                        next_frontier.append(extended)
-        else:
-            relation = database.get(literal.pred_key)
-            rows = list(relation) if relation is not None else []
-            for binding in frontier:
-                resolved_all = tuple(
-                    resolve(arg, binding) for arg in literal.args
-                )
-                for row in rows:
-                    extended = match_sequences(resolved_all, row, binding)
-                    if extended is not None:
-                        next_frontier.append(extended)
-        frontier = next_frontier
-    if not frontier:
-        return changed
-    answer_set = result.answers.setdefault(head.pred_key, set())
-    for binding in frontier:
-        row = tuple(resolve(arg, binding) for arg in head.args)
-        if all(t.is_ground() for t in row) and row not in answer_set:
-            answer_set.add(row)
-            changed = True
-    return changed

@@ -59,7 +59,6 @@ Quickstart::
 from __future__ import annotations
 
 import time
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -105,7 +104,7 @@ from .datalog.errors import (
 from .datalog.ivm import MaintenanceResult, MaterializedProgram
 from .datalog.parser import parse_literal, parse_program, parse_query
 from .datalog.planner import PlanCache, shared_plan_cache
-from .datalog.terms import Term, Variable
+from .datalog.terms import Variable
 from .datalog.topdown import QSQResult, qsq_evaluate
 
 __all__ = [
@@ -409,10 +408,7 @@ class Session:
 
     Facts are asserted and retracted between queries through
     :meth:`assert_` and :meth:`retract` (one fact, an iterable of
-    facts, or ``(pred, *values)``; the pre-IVM names ``add`` /
-    ``add_facts`` / ``add_values`` / ``add_many`` / ``retract_facts`` /
-    ``retract_values`` / ``retract_many`` remain as deprecated
-    aliases); every mutation bumps the database version and drops the
+    facts, or ``(pred, *values)``); every mutation bumps the database version and drops the
     memoized answers whose relation footprint it touches (out-of-band
     mutations through direct ``Relation`` access drop all of them).
     ``session.query(...)`` accepts the query as text or as a parsed
@@ -433,7 +429,6 @@ class Session:
         *,
         program: Optional[Program] = None,
         database: Optional[Database] = None,
-        use_planner: bool = True,
         sip_builder: SipBuilder = build_full_sip,
         plan_cache: Optional[PlanCache] = None,
         memo_size: int = 1024,
@@ -454,7 +449,6 @@ class Session:
             database = Database()
         self._program = program
         self._database = database
-        self._use_planner = use_planner
         self._sip_builder = sip_builder
         self._plan_cache = (
             plan_cache if plan_cache is not None else shared_plan_cache()
@@ -597,8 +591,7 @@ class Session:
         return self._mutate(False, args)
 
     def _mutate(self, asserting: bool, args: tuple) -> Union[bool, int]:
-        """The one dispatch point behind assert_/retract and every
-        deprecated alias."""
+        """The one dispatch point behind assert_/retract."""
         kind, payload = self._dispatch_mutation(args)
         db = self._database
         self._note_mutation()  # reconcile out-of-band drift first
@@ -648,74 +641,6 @@ class Session:
                 f"got {pred_key!r}"
             )
         return "values", (pred_key, tuple(args[1:]))
-
-    def _mutate_rows(
-        self, asserting: bool, pred_key: str, rows, typed: bool
-    ) -> int:
-        """Bulk per-predicate path kept for the deprecated aliases."""
-        db = self._database
-        if typed:
-            fn = db.add_tuples if asserting else db.retract_tuples
-        else:
-            fn = db.add_values if asserting else db.retract_values
-        self._note_mutation()
-        count = fn(pred_key, rows)
-        self._note_mutation({pred_key})
-        self._after_mutation()
-        return count
-
-    # -- deprecated aliases (the pre-IVM mutation surface) --------------
-    @staticmethod
-    def _deprecated(old: str, new: str) -> None:
-        warnings.warn(
-            f"Session.{old}() is deprecated; use Session.{new}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def add(self, fact: Union[str, Literal]) -> bool:
-        """Deprecated alias for :meth:`assert_` on one fact."""
-        self._deprecated("add", "assert_(fact)")
-        return self.assert_(fact)
-
-    def add_facts(self, facts: Iterable[Union[str, Literal]]) -> int:
-        """Deprecated alias for :meth:`assert_` on an iterable."""
-        self._deprecated("add_facts", "assert_(facts)")
-        return self.assert_(list(facts))
-
-    def add_values(
-        self, pred_key: str, rows: Iterable[Iterable[object]]
-    ) -> int:
-        """Deprecated alias: assert rows of raw values under one
-        predicate (``assert_(pred, *values)`` per row)."""
-        self._deprecated("add_values", "assert_(pred, *values)")
-        return self._mutate_rows(True, pred_key, rows, typed=False)
-
-    def add_many(
-        self, pred_key: str, rows: Iterable[Iterable[Term]]
-    ) -> int:
-        """Deprecated alias: assert rows of ground Terms."""
-        self._deprecated("add_many", "assert_(pred, *values)")
-        return self._mutate_rows(True, pred_key, rows, typed=True)
-
-    def retract_facts(self, facts: Iterable[Union[str, Literal]]) -> int:
-        """Deprecated alias for :meth:`retract` on an iterable."""
-        self._deprecated("retract_facts", "retract(facts)")
-        return self.retract(list(facts))
-
-    def retract_values(
-        self, pred_key: str, rows: Iterable[Iterable[object]]
-    ) -> int:
-        """Deprecated alias: retract rows of raw values."""
-        self._deprecated("retract_values", "retract(pred, *values)")
-        return self._mutate_rows(False, pred_key, rows, typed=False)
-
-    def retract_many(
-        self, pred_key: str, rows: Iterable[Iterable[Term]]
-    ) -> int:
-        """Deprecated alias: retract rows of ground Terms."""
-        self._deprecated("retract_many", "retract(pred, *values)")
-        return self._mutate_rows(False, pred_key, rows, typed=True)
 
     @staticmethod
     def _as_fact(fact: Union[str, Literal]) -> Literal:
@@ -956,7 +881,6 @@ class Session:
         semijoin: bool = False,
         max_iterations: Optional[int] = None,
         max_facts: Optional[int] = None,
-        use_planner: Optional[bool] = None,
         workers: int = 1,
         timeout: Optional[float] = None,
         cancellation: Optional[CancellationToken] = None,
@@ -1009,8 +933,6 @@ class Session:
                 f"unknown on_budget_exceeded policy "
                 f"{on_budget_exceeded!r}; expected 'degrade' or 'raise'"
             )
-        if use_planner is None:
-            use_planner = self._use_planner
         budget = EvaluationBudget.from_options(
             budget=budget,
             timeout=timeout,
@@ -1057,7 +979,6 @@ class Session:
             optimize,
             semijoin,
             max_iterations,
-            use_planner,
             workers,
             version,
         )
@@ -1085,7 +1006,6 @@ class Session:
                     optimize,
                     semijoin,
                     max_iterations,
-                    use_planner,
                     workers,
                     meter,
                 )
@@ -1098,7 +1018,6 @@ class Session:
                     optimize,
                     semijoin,
                     max_iterations,
-                    use_planner,
                     workers,
                     meter,
                 )
@@ -1119,7 +1038,6 @@ class Session:
                 optimize,
                 semijoin,
                 max_iterations,
-                use_planner,
                 workers,
                 meter,
             )
@@ -1257,7 +1175,6 @@ class Session:
         optimize,
         semijoin,
         max_iterations,
-        use_planner,
         workers,
         meter=None,
     ) -> Tuple[str, QueryAnswer]:
@@ -1280,7 +1197,6 @@ class Session:
                     optimize,
                     semijoin,
                     max_iterations,
-                    use_planner,
                     workers,
                     meter,
                 )
@@ -1302,7 +1218,6 @@ class Session:
             optimize,
             semijoin,
             max_iterations,
-            use_planner,
             workers,
             meter,
         )
@@ -1317,7 +1232,6 @@ class Session:
         optimize,
         semijoin,
         max_iterations,
-        use_planner,
         workers,
         meter=None,
     ) -> QueryAnswer:
@@ -1339,7 +1253,6 @@ class Session:
                 optimize,
                 semijoin,
                 max_iterations,
-                use_planner,
                 workers,
                 meter,
             )
@@ -1357,7 +1270,6 @@ class Session:
         optimize,
         semijoin,
         max_iterations,
-        use_planner,
         workers,
         meter,
     ) -> QueryAnswer:
@@ -1369,7 +1281,6 @@ class Session:
                 method,
                 max_iterations,
                 None,
-                use_planner,
                 plan_cache=self._plan_cache,
                 meter=meter,
                 workers=workers,
@@ -1382,7 +1293,6 @@ class Session:
                 self._database,
                 adorned.query_literal,
                 max_iterations=max_iterations,
-                use_planner=use_planner,
                 plan_cache=self._plan_cache,
                 meter=meter,
             )
@@ -1407,7 +1317,6 @@ class Session:
             seeded,
             method=engine,
             max_iterations=max_iterations,
-            use_planner=use_planner,
             plan_cache=self._plan_cache,
             meter=meter,
             workers=workers,

@@ -1,6 +1,8 @@
 """Shared test helpers: canonical rule strings for appendix comparisons,
-a collector-off context for the snapshot release tests, and the
-reference scan that answer selection is compared against.
+a collector-off context for the snapshot release tests, the reference
+scan that answer selection is compared against, and the reference
+evaluator (:func:`oracle_facts`) every bottom-up and top-down path is
+checked against.
 
 The appendix-comparison tests check that our rewriters regenerate the
 paper's rule sets *structurally*: rules are compared after renaming
@@ -20,7 +22,8 @@ import pytest
 from repro import Constant, Program, Rule, Struct, Variable
 from repro.core.provenance import RewrittenProgram
 from repro.datalog.ast import ShapeSlot
-from repro.datalog.unify import match_sequences
+from repro.datalog.analysis import stratify_rules
+from repro.datalog.unify import match_sequences, resolve
 
 
 def canonical_rule(rule: Rule) -> str:
@@ -110,3 +113,75 @@ def solution_counters(stats):
         stats.iterations,
         dict(stats.facts_by_predicate),
     )
+
+
+# ----------------------------------------------------------------------
+# reference evaluator
+# ----------------------------------------------------------------------
+
+def oracle_facts(program, database):
+    """The stratified model of ``program`` over ``database``, by definition.
+
+    Naive rounds stratum by stratum: every rule is re-joined against
+    full scans of every relation with the one-way matcher
+    (``resolve`` / ``match_sequences``, so structs, lists and
+    ``LinExpr`` arguments need no special case), and negated literals
+    are anti-joins against the lower strata, which are complete by
+    then.  Returns ``{pred_key: set of term tuples}`` for every base
+    and derived predicate.  No planning, indexing, IDs or deltas: slow
+    and obviously right.
+    """
+    facts = {key: database.tuples(key) for key in database.predicate_keys()}
+    for key in program.derived_predicates():
+        facts.setdefault(key, set())
+    _, strata = stratify_rules(program)
+    for stratum in strata:
+        rules = [program.rules[i] for i in stratum]
+        changed = True
+        while changed:
+            derived = [
+                (rule.head.pred_key, row)
+                for rule in rules
+                for row in _oracle_heads(rule, facts)
+            ]
+            changed = False
+            for key, row in derived:
+                if row not in facts[key]:
+                    facts[key].add(row)
+                    changed = True
+    return facts
+
+
+def _oracle_heads(rule, facts):
+    """Every head instance of ``rule`` over ``facts`` (one naive round)."""
+    substs = [{}]
+    # safe negation: every negated variable is bound by some positive
+    # literal, so running the anti-joins last sees them ground
+    for literal in sorted(rule.body, key=lambda lit: lit.negated):
+        rows = facts.get(literal.pred_key, set())
+        extended = []
+        for subst in substs:
+            args = tuple(resolve(arg, subst) for arg in literal.args)
+            if literal.negated:
+                if args not in rows:
+                    extended.append(subst)
+                continue
+            for row in rows:
+                match = match_sequences(args, row, subst)
+                if match is not None:
+                    extended.append(match)
+        substs = extended
+    return [tuple(resolve(arg, s) for arg in rule.head.args) for s in substs]
+
+
+def oracle_answers(program, database, query):
+    """The oracle's answers to ``query`` (free positions projected)."""
+    facts = oracle_facts(program, database)[query.literal.pred_key]
+    return reference_scan(facts, query.literal)
+
+
+def assert_matches_oracle(result, program, database):
+    """Every derived relation of an evaluation equals the oracle's."""
+    expected = oracle_facts(program, database)
+    for key in program.derived_predicates():
+        assert result.database.tuples(key) == expected[key], key

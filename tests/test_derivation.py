@@ -5,8 +5,10 @@ fact at the root and base facts at the leaves.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import Constant, EvaluationError, Literal, parse_program
+from repro import Constant, Database, EvaluationError, Literal, parse_program
 from repro.datalog.derivation import explain, fact_stages
 from repro.datalog.engine import evaluate
 from repro.workloads import ancestor_program, chain_database
@@ -148,3 +150,72 @@ class TestExplain:
         )
         text = tree.render()
         assert "[by anc(X, Y) :- par(X, Z), anc(Z, Y).]" in text
+
+
+# ----------------------------------------------------------------------
+# property: every reconstructed tree is a derivation
+# ----------------------------------------------------------------------
+
+NODES = [f"v{i}" for i in range(6)]
+
+STRATIFIED = """
+anc(X, Y) :- par(X, Y).
+anc(X, Y) :- anc(X, Z), anc(Z, Y).
+node(X) :- par(X, Y).
+node(Y) :- par(X, Y).
+apart(X, Y) :- node(X), node(Y), not anc(X, Y).
+"""
+
+
+def assert_derivation(node, program, database, result, stages):
+    """Each internal node is a rule instance over strictly earlier
+    facts; each leaf is a base fact or a negated fact that is absent."""
+    fact = node.literal
+    if node.rule is None:
+        if fact.negated:
+            assert not result.database.has_fact(fact.as_positive())
+        else:
+            assert database.has_fact(fact)
+        return
+    stage = stages[fact.pred_key][tuple(fact.args)]
+    assert node.rule.head.pred_key == fact.pred_key
+    assert len(node.children) == len(node.rule.body)
+    for child in node.children:
+        child_stage = stages.get(child.literal.pred_key, {}).get(
+            tuple(child.literal.args)
+        )
+        if child_stage is not None and not child.literal.negated:
+            assert child_stage < stage
+        assert_derivation(child, program, database, result, stages)
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    edges=st.lists(
+        st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)),
+        max_size=12,
+    )
+)
+@pytest.mark.parametrize("rewritten", [False, True], ids=["plain", "magic"])
+def test_every_derived_fact_has_a_well_founded_tree(rewritten, edges):
+    program = parse_program(STRATIFIED).program
+    database = Database()
+    database.add_values("par", set(edges))
+    if rewritten:
+        from repro import parse_query, rewrite
+
+        magic = rewrite(program, parse_query("apart(v0, Y)?"), "magic")
+        program, database = magic.program, magic.seeded_database(database)
+    result = evaluate(program, database)
+    stages = fact_stages(program, database, result)
+    for key in result.derived_keys:
+        assert set(stages[key]) == result.database.tuples(key)
+        for row in result.database.tuples(key):
+            tree = explain(
+                program, database, result, Literal(key, row), stages
+            )
+            assert_derivation(tree, program, database, result, stages)

@@ -19,7 +19,7 @@ from repro.workloads import (
     samegen_query,
 )
 
-from conftest import solution_counters
+from conftest import assert_matches_oracle, solution_counters
 
 # small node universe so that random graphs are dense enough to recurse
 NODES = [f"v{i}" for i in range(8)]
@@ -160,7 +160,8 @@ class TestEngineAgreementProperty:
 # Safe stratified rule groups over a single edge relation ``e``.  A
 # random program is a dependency-closed subset of these, so every
 # sampled program is safe and stratified by construction while still
-# exercising recursion, negation, and multi-literal joins.
+# exercising recursion, negation, multi-literal joins, struct and list
+# terms, and counting-style ``LinExpr`` index arguments.
 RULE_GROUPS = {
     "node": ("node(X) :- e(X, Y).", "node(Y) :- e(X, Y)."),
     "tc": ("tc(X, Y) :- e(X, Y).", "tc(X, Z) :- e(X, Y), tc(Y, Z)."),
@@ -169,17 +170,44 @@ RULE_GROUPS = {
     "acyc": ("acyc(X) :- node(X), not selfloop(X).",),
     "nontc": ("nontc(X, Y) :- node(X), node(Y), not tc(X, Y).",),
     "far": ("far(X, Y) :- tc(X, Y), not e(X, Y).",),
+    "wrap": (
+        "wrap(f(X), [X | Y]) :- tc(X, Y).",
+        "bare(X) :- wrap(f(X), L), not selfloop(X).",
+    ),
+    "hops": ("hop(X, Y, 0) :- e(X, Y).",),
 }
 GROUP_DEPS = {
     "selfloop": ("tc",),
     "acyc": ("node", "selfloop", "tc"),
     "nontc": ("node", "tc"),
     "far": ("tc",),
+    "wrap": ("tc", "selfloop"),
 }
 
 
+def _hop_rules():
+    """``hop2(X, Z, I+1) :- hop(X, Y, I), e(Y, Z).`` and
+    ``odd(X, J) :- hop2(X, Z, 2*J+1).``: a counting-style index in a
+    head and an inverted one in a body (the parser has no syntax for
+    ``LinExpr``)."""
+    from repro import Literal, Rule, Variable
+    from repro.datalog.terms import LinExpr
+
+    x, y, z, i, j = (Variable(name) for name in "XYZIJ")
+    return [
+        Rule(
+            Literal("hop2", (x, z, LinExpr(i, 1, 1))),
+            [Literal("hop", (x, y, i)), Literal("e", (y, z))],
+        ),
+        Rule(
+            Literal("odd", (x, j)),
+            [Literal("hop2", (x, z, LinExpr(j, 2, 1)))],
+        ),
+    ]
+
+
 def _closed_program(picks):
-    from repro import parse_program
+    from repro import Program, parse_program
 
     names = set(picks) | {"tc"}  # recursion always present
     for name in picks:
@@ -187,45 +215,35 @@ def _closed_program(picks):
     rules = [
         rule for name in sorted(names) for rule in RULE_GROUPS[name]
     ]
-    return parse_program("\n".join(rules)).program
+    program = parse_program("\n".join(rules)).program
+    if "hops" in names:
+        program = Program(list(program.rules) + _hop_rules())
+    return program
 
 
-class TestColumnarBatchEquivalence:
-    """The columnar/batch execution layer is invisible: every engine
-    config -- batch-vectorized or row-compiled, naive or semi-naive --
-    derives exactly what the legacy row-at-a-time interpreter
-    (``use_planner=False``) derives, on random safe stratified
-    programs."""
+class TestOracleEquivalence:
+    """Every engine config -- naive, semi-naive, and semi-naive on a
+    2-thread pool -- derives exactly what the reference evaluator in
+    ``conftest`` derives, on random safe stratified programs."""
 
     @given(
         edges=edges_strategy,
         picks=st.sets(st.sampled_from(sorted(RULE_GROUPS))),
     )
     @SETTINGS
-    def test_columnar_batch_matches_legacy(self, edges, picks):
-        from repro import evaluate
+    def test_every_engine_matches_the_oracle(self, edges, picks):
+        from repro import evaluate_naive, evaluate_seminaive
 
         program = _closed_program(picks)
         database = edge_db(edges, relation="e")
-        legacy = evaluate(
-            program, database, method="naive", use_planner=False
-        )
-        derived = program.derived_predicates()
-        for method in ("naive", "seminaive"):
-            for vectorized in (True, False):
-                result = evaluate(
-                    program,
-                    database,
-                    method=method,
-                    use_planner=True,
-                    vectorized=vectorized,
-                )
-                for pred in derived:
-                    assert result.database.tuples(
-                        pred
-                    ) == legacy.database.tuples(pred), (
-                        method, vectorized, pred
-                    )
+        for result in (
+            evaluate_naive(program, database),
+            evaluate_seminaive(program, database),
+            evaluate_seminaive(
+                program, database, workers=2, parallel_backend="thread"
+            ),
+        ):
+            assert_matches_oracle(result, program, database)
 
 
 # ----------------------------------------------------------------------

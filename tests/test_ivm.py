@@ -20,7 +20,7 @@ Four layers of guarantees:
 * **Interleaving property.**  On random safe stratified programs and
   random assert/retract sequences -- with faults injected into some
   maintenance passes -- the maintained state, cold compiled semi-naive,
-  and the legacy interpretive oracle agree after every step.
+  and the reference evaluator in ``conftest`` agree after every step.
 
 Every maintenance join is a compiled plan on the batch executor, which
 three more groups pin: rules with ``Struct`` / list arguments maintain
@@ -47,7 +47,6 @@ from repro import (
     Program,
     ReproError,
     Session,
-    evaluate,
     evaluate_seminaive,
     parse_program,
     parse_rule,
@@ -55,6 +54,8 @@ from repro import (
 from repro.core.limits import BudgetExceeded
 from repro.datalog import ivm
 from repro.workloads import bom_database, bom_program, chain_database
+
+from conftest import oracle_facts
 
 ANCESTOR = """
     anc(X, Y) :- par(X, Y).
@@ -554,7 +555,7 @@ class TestSessionViews:
 
 
 # ----------------------------------------------------------------------
-# interleaving property: maintained == cold == legacy oracle
+# interleaving property: maintained == cold == reference oracle
 # ----------------------------------------------------------------------
 
 @st.composite
@@ -619,14 +620,9 @@ def _derived_state(program, database):
 
 
 def _oracle_state(program, database):
-    """The legacy interpretive (naive, row-at-a-time) oracle."""
-    result = evaluate(
-        program, database.copy(), method="naive", use_planner=False
-    )
-    return {
-        pred: set(result.database.tuples(pred))
-        for pred in program.derived_predicates()
-    }
+    """The reference evaluator's state of every derived predicate."""
+    facts = oracle_facts(program, database)
+    return {pred: facts[pred] for pred in program.derived_predicates()}
 
 
 @settings(max_examples=40, deadline=None)

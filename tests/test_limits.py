@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import refcount_only
+from conftest import oracle_answers, oracle_facts, refcount_only
 from repro import (
     BudgetExceeded,
     CancellationToken,
@@ -26,7 +26,6 @@ from repro import (
     Session,
     Variable,
     adorn_program,
-    bottom_up_answer,
     evaluate,
     qsq_evaluate,
 )
@@ -36,13 +35,8 @@ from repro.datalog.ast import Program, Rule
 from repro.datalog.terms import Constant, Struct
 from repro.workloads import ancestor_program, ancestor_query, chain_database
 
-# every bottom-up execution path: naive/seminaive x batch-vectorized,
-# row-compiled, and the legacy row-at-a-time interpreter
-ENGINE_CONFIGS = [
-    (method, use_planner, vectorized)
-    for method in ("naive", "seminaive")
-    for use_planner, vectorized in ((True, True), (True, False), (False, False))
-]
+# every bottom-up strategy
+ENGINE_METHODS = ("naive", "seminaive")
 
 SETTINGS = settings(
     max_examples=25,
@@ -181,34 +175,28 @@ class TestBudgetMeter:
 
 
 class TestEngineBudgets:
-    @pytest.mark.parametrize("method,use_planner,vectorized", ENGINE_CONFIGS)
-    def test_max_facts_trips(self, method, use_planner, vectorized):
+    @pytest.mark.parametrize("method", ENGINE_METHODS)
+    def test_max_facts_trips(self, method):
         meter = EvaluationBudget(max_facts=5).start()
         with pytest.raises(BudgetExceeded) as info:
             evaluate(
                 ancestor_program(),
                 chain_database(30),
                 method=method,
-                use_planner=use_planner,
-                vectorized=vectorized,
                 meter=meter,
             )
         exc = info.value
         assert exc.limit == "max_facts" and exc.facts > 5
         assert str(exc).startswith("budget exceeded: max_facts after ")
 
-    @pytest.mark.parametrize("method,use_planner,vectorized", ENGINE_CONFIGS)
-    def test_wall_clock_trips_on_nonterminating_program(
-        self, method, use_planner, vectorized
-    ):
+    @pytest.mark.parametrize("method", ENGINE_METHODS)
+    def test_wall_clock_trips_on_nonterminating_program(self, method):
         meter = EvaluationBudget(timeout=0.05).start()
         with pytest.raises(BudgetExceeded) as info:
             evaluate(
                 growing_program(),
                 growing_db(),
                 method=method,
-                use_planner=use_planner,
-                vectorized=vectorized,
                 meter=meter,
             )
         assert info.value.limit == "wall_clock"
@@ -229,8 +217,7 @@ class TestEngineBudgets:
         )
         assert meter.spent()["facts"] == governed.stats.facts_derived
 
-    @pytest.mark.parametrize("use_planner", [True, False])
-    def test_qsq_trips_max_facts(self, use_planner):
+    def test_qsq_trips_max_facts(self):
         adorned = adorn_program(ancestor_program(), ancestor_query("n0"))
         meter = EvaluationBudget(max_facts=3).start()
         with pytest.raises(BudgetExceeded) as info:
@@ -238,7 +225,6 @@ class TestEngineBudgets:
                 adorned.program,
                 chain_database(30),
                 adorned.query_literal,
-                use_planner=use_planner,
                 meter=meter,
             )
         assert info.value.limit == "max_facts"
@@ -259,10 +245,8 @@ class TestCancellation:
         assert token.cancelled
         assert "cancelled" in repr(token)
 
-    @pytest.mark.parametrize("method,use_planner,vectorized", ENGINE_CONFIGS)
-    def test_precancelled_token_aborts_every_engine(
-        self, method, use_planner, vectorized
-    ):
+    @pytest.mark.parametrize("method", ENGINE_METHODS)
+    def test_precancelled_token_aborts_every_engine(self, method):
         token = CancellationToken()
         token.cancel()
         meter = EvaluationBudget(token=token).start()
@@ -271,8 +255,19 @@ class TestCancellation:
                 ancestor_program(),
                 chain_database(10),
                 method=method,
-                use_planner=use_planner,
-                vectorized=vectorized,
+                meter=meter,
+            )
+
+    def test_precancelled_token_aborts_qsq(self):
+        token = CancellationToken()
+        token.cancel()
+        adorned = adorn_program(ancestor_program(), ancestor_query("n0"))
+        meter = EvaluationBudget(token=token).start()
+        with pytest.raises(EvaluationCancelled):
+            qsq_evaluate(
+                adorned.program,
+                chain_database(10),
+                adorned.query_literal,
                 meter=meter,
             )
 
@@ -504,39 +499,24 @@ class TestFaultInjectionAtomicity:
         """After an injected abort on ANY execution path, the source
         database passes its integrity oracle, its version is unmoved,
         its facts are untouched, and a clean re-run agrees with the
-        legacy naive oracle."""
+        reference oracle."""
         program = ancestor_program()
         db = edge_db(edges)
         before = _snapshot(db)
         version = db.version
-        oracle = evaluate(program, db, method="naive", use_planner=False)
-        for method, use_planner, vectorized in ENGINE_CONFIGS:
+        oracle = oracle_facts(program, db)["anc"]
+        for method in ENGINE_METHODS:
             plan = FaultPlan.randomized(seed)
             meter = EvaluationBudget(fault_plan=plan).start()
             try:
-                evaluate(
-                    program,
-                    db,
-                    method=method,
-                    use_planner=use_planner,
-                    vectorized=vectorized,
-                    meter=meter,
-                )
+                evaluate(program, db, method=method, meter=meter)
             except InjectedFault:
                 pass
             assert db.check_integrity()
             assert db.version == version
             assert _snapshot(db) == before
-            retry = evaluate(
-                program,
-                db,
-                method=method,
-                use_planner=use_planner,
-                vectorized=vectorized,
-            )
-            assert retry.database.tuples("anc") == oracle.database.tuples(
-                "anc"
-            ), (method, use_planner, vectorized)
+            retry = evaluate(program, db, method=method)
+            assert retry.database.tuples("anc") == oracle, method
 
     @given(edges=edges_strategy, seed=st.integers(0, 10_000))
     @SETTINGS
@@ -547,31 +527,20 @@ class TestFaultInjectionAtomicity:
         db = edge_db(edges)
         before = _snapshot(db)
         version = db.version
-        oracle = bottom_up_answer(
-            program, db, query, engine="naive", use_planner=False
-        )
-        for use_planner in (True, False):
-            plan = FaultPlan.randomized(seed)
-            meter = EvaluationBudget(fault_plan=plan).start()
-            try:
-                qsq_evaluate(
-                    adorned.program,
-                    db,
-                    adorned.query_literal,
-                    use_planner=use_planner,
-                    meter=meter,
-                )
-            except InjectedFault:
-                pass
-            assert db.check_integrity()
-            assert db.version == version
-            assert _snapshot(db) == before
-            clean = qsq_evaluate(
-                adorned.program, db, adorned.query_literal, use_planner=use_planner
+        oracle = oracle_answers(program, db, query)
+        plan = FaultPlan.randomized(seed)
+        meter = EvaluationBudget(fault_plan=plan).start()
+        try:
+            qsq_evaluate(
+                adorned.program, db, adorned.query_literal, meter=meter
             )
-            assert (
-                clean.query_answers(adorned.query_literal) == oracle.answers
-            ), use_planner
+        except InjectedFault:
+            pass
+        assert db.check_integrity()
+        assert db.version == version
+        assert _snapshot(db) == before
+        clean = qsq_evaluate(adorned.program, db, adorned.query_literal)
+        assert clean.query_answers(adorned.query_literal) == oracle
 
     @given(
         edges=edges_strategy,
@@ -582,7 +551,8 @@ class TestFaultInjectionAtomicity:
     def test_session_abort_leaves_no_trace(self, edges, picks, seed):
         """The whole stack, on random safe stratified programs (with
         negation): an aborted query corrupts nothing, memoizes nothing,
-        and a clean re-query agrees with the stratum-wise naive oracle."""
+        and a clean re-query agrees with the stratum-wise reference
+        oracle."""
         program = _closed_program(picks)
         db = edge_db(edges, relation="e")
         session = Session(program=program, database=db)
@@ -600,11 +570,8 @@ class TestFaultInjectionAtomicity:
         if aborted:
             assert session.counters()["memo_entries"] == 0
         clean = session.query("tc(X, Y)?")
-        oracle = bottom_up_answer(
-            program, db, session._as_query("tc(X, Y)?"), engine="naive",
-            use_planner=False,
-        )
-        assert clean.rows == oracle.answers
+        oracle = oracle_answers(program, db, session._as_query("tc(X, Y)?"))
+        assert clean.rows == oracle
 
     @given(edges=edges_strategy, seed=st.integers(0, 10_000))
     @SETTINGS
@@ -618,13 +585,11 @@ class TestFaultInjectionAtomicity:
         db = edge_db(edges)
         session = Session(program=program, database=db)
 
-        def engine_run(method, use_planner, vectorized):
+        def engine_run(method):
             return lambda plan: evaluate(
                 program,
                 db,
                 method=method,
-                use_planner=use_planner,
-                vectorized=vectorized,
                 meter=EvaluationBudget(fault_plan=plan).start(),
             )
 
@@ -638,7 +603,7 @@ class TestFaultInjectionAtomicity:
         def relations():
             return {key: db.get(key) for key in db.predicate_keys()}
 
-        runs = [engine_run(*config) for config in ENGINE_CONFIGS]
+        runs = [engine_run(method) for method in ENGINE_METHODS]
         runs += [session_run(m) for m in ("auto", "magic", "qsq")]
         with refcount_only():
             for i, run in enumerate(runs):

@@ -4,8 +4,8 @@ Three guarantees are pinned down here:
 
 * **Answer equivalence.**  On random safe stratified programs, the
   supplementary-magic and magic rewrites agree exactly with the
-  stratum-wise naive oracle (legacy join, no planner) -- for bound and
-  free query patterns alike.
+  stratum-wise naive reference evaluator in ``conftest`` -- for bound
+  and free query patterns alike.
 * **Re-stratifiability.**  The conservative rewrite never turns a
   stratified program into an unstratifiable one:
   ``pipeline.rewrite`` re-stratifies its output through
@@ -33,6 +33,8 @@ from repro import (
 from repro.core.stratify import stratify_or_raise
 from repro.datalog.analysis import stratify_or_raise as stratify_pair
 from repro.workloads import bom_database, bom_program
+
+from conftest import oracle_answers
 
 DOMAIN = ("c0", "c1", "c2", "c3")
 
@@ -128,14 +130,12 @@ def stratified_query_case(draw):
 @given(stratified_query_case())
 def test_rewrites_match_stratumwise_naive_oracle(case):
     program, database, query = case
-    oracle = answer_query(
-        program, database, query, method="naive", use_planner=False
-    )
+    oracle = oracle_answers(program, database, query)
     for method in ("supplementary_magic", "magic"):
         answer = answer_query(
             program, database, query, method=method
         )
-        assert answer.answers == oracle.answers, (
+        assert answer.answers == oracle, (
             f"{method} disagrees with the stratum-wise naive oracle "
             f"on {query} over {program}"
         )
@@ -194,14 +194,12 @@ class TestBomRewrites:
         database = bom_database(4, 2, 0.25, seed=11)
         program = bom_program()
         query = parse_query(query_text)
-        oracle = answer_query(
-            program, database, query, method="naive", use_planner=False
-        )
+        oracle = oracle_answers(program, database, query)
         for method in ("supplementary_magic", "magic", "auto"):
             answer = answer_query(
                 program, database, query, method=method
             )
-            assert answer.answers == oracle.answers
+            assert answer.answers == oracle
 
     def test_negated_occurrences_probe_complete_relations(self):
         # the all-free tainted cone inside the rewritten program must
@@ -239,16 +237,13 @@ class TestDerivedNameFacts:
         database = db(e=["a", "b"], g=["a"])
         database.add_facts(parsed.facts)
         query = parse_query("p(X)?")
-        oracle = answer_query(
-            parsed.program, database, query,
-            method="naive", use_planner=False,
-        )
-        assert oracle.answers == set()  # q(b) blocks p(b)
+        oracle = oracle_answers(parsed.program, database, query)
+        assert oracle == set()  # q(b) blocks p(b)
         for method in ("supplementary_magic", "magic", "auto"):
             answer = answer_query(
                 parsed.program, database, query, method=method
             )
-            assert answer.answers == oracle.answers, method
+            assert answer.answers == oracle, method
 
     def test_positive_derived_fact_reaches_the_rewrite(self):
         parsed = parse_program(

@@ -1,7 +1,7 @@
 """Stratified negation: parser, safety, engines, pipeline, CLI, property.
 
 The correctness oracle throughout is the stratum-wise naive reference
-(``evaluate_naive`` with ``use_planner=False``): every other engine
+evaluator in ``conftest`` (:func:`oracle_facts`): every engine
 configuration must derive exactly the same relations.
 """
 
@@ -33,12 +33,22 @@ from repro.cli import main
 from repro.core.safety import check_safe_negation, negation_safety
 from repro.workloads import bom_database, bom_program, bom_source
 
+from conftest import assert_matches_oracle
+
+#: (method, workers): serial and on a 2-thread pool
 ENGINES = (
-    ("naive", False),  # the stratum-wise naive reference oracle first
-    ("naive", True),
-    ("seminaive", False),
-    ("seminaive", True),
+    ("naive", None),
+    ("naive", 2),
+    ("seminaive", None),
+    ("seminaive", 2),
 )
+
+
+def run_engine(program, database, method, workers):
+    return evaluate(
+        program, database, method=method, workers=workers,
+        parallel_backend="thread",
+    )
 
 
 def prog(text: str) -> Program:
@@ -55,19 +65,15 @@ def db(**relations) -> Database:
 
 
 def all_engines_agree(program, database):
-    """Evaluate on every engine config; assert agreement; return oracle."""
+    """Evaluate on every engine config; assert each equals the oracle;
+    return the first result."""
     results = [
-        evaluate(program, database, method=method, use_planner=planner)
-        for method, planner in ENGINES
+        run_engine(program, database, method, workers)
+        for method, workers in ENGINES
     ]
-    oracle = results[0]
-    derived = program.derived_predicates()
-    for result in results[1:]:
-        for pred in derived:
-            assert result.database.tuples(pred) == oracle.database.tuples(
-                pred
-            )
-    return oracle
+    for result in results:
+        assert_matches_oracle(result, program, database)
+    return results[0]
 
 
 def values(result, pred):
@@ -160,20 +166,16 @@ class TestSafeNegation:
     def test_engines_reject_unsafe_negation(self):
         program = prog("p(X, Y) :- e(X), not r(X, Y).")
         database = db(e=["a"])
-        for method, planner in ENGINES:
+        for method, workers in ENGINES:
             with pytest.raises(UnsafeNegationError):
-                evaluate(
-                    program, database, method=method, use_planner=planner
-                )
+                run_engine(program, database, method, workers)
 
     def test_engines_reject_unstratified(self):
         program = prog("win(X) :- move(X, Y), not win(Y).")
         database = db(move=[("a", "b")])
-        for method, planner in ENGINES:
+        for method, workers in ENGINES:
             with pytest.raises(StratificationError):
-                evaluate(
-                    program, database, method=method, use_planner=planner
-                )
+                run_engine(program, database, method, workers)
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +227,7 @@ class TestEngineSemantics:
         assert ("c", "a") in unreached
 
     def test_negated_literal_before_binder_in_source_order(self):
-        # legacy join must defer the anti-join until X is bound
+        # the planner must defer the anti-join until X is bound
         program = prog("p(X) :- not q(X), e(X).")
         database = db(e=["a", "b"], q=["a"])
         oracle = all_engines_agree(program, database)

@@ -374,12 +374,12 @@ class TestSerialEquivalence:
         assert _snapshot(semi) == _snapshot(base)
         assert _snapshot(naive) == _snapshot(base)
 
-    def test_row_path_falls_back_to_serial(self):
+    def test_one_worker_stays_serial(self):
         program = _program(TC)
         db = _tc_db(10)
-        result = evaluate(program, db, workers=4, vectorized=False)
+        result = evaluate(program, db, workers=1)
         assert result.stats.parallel_workers == 0
-        assert result.stats.parallel_fallback == "row path is serial-only"
+        assert result.stats.parallel_fallback == ""
         assert _snapshot(result) == _snapshot(evaluate(program, db))
 
     def test_source_database_never_mutated(self):

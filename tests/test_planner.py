@@ -1,12 +1,10 @@
 """Unit + property tests for the join-plan compiler (repro.datalog.planner).
 
 Covers plan structure (ordering, precomputed index positions, slot
-frames), exact stats equivalence between the legacy interpretive join and
-compiled plans, the delta handling for rules with two occurrences of the
+frames), fact-for-fact agreement of every strategy with the reference
+evaluator in ``conftest``, pinned work counters, the delta handling for rules with two occurrences of the
 same recursive predicate, and the function-symbol / LinExpr fallbacks.
 """
-
-from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -50,7 +48,7 @@ from repro.workloads import (
     samegen_query,
 )
 
-from conftest import solution_counters
+from conftest import assert_matches_oracle, oracle_facts, solution_counters
 
 
 def c(value):
@@ -127,24 +125,14 @@ class TestPlanStructure:
 
 
 # ----------------------------------------------------------------------
-# equivalence with the legacy interpretive join
+# agreement with the reference evaluator
 # ----------------------------------------------------------------------
 
-def both_paths(program, db, strategy):
-    evaluate = evaluate_naive if strategy == "naive" else evaluate_seminaive
-    legacy = evaluate(program, db, use_planner=False)
-    planned = evaluate(program, db, use_planner=True)
-    return legacy, planned
-
-
 def all_paths(program, db, strategy):
-    """One program through every execution path: the legacy interpretive
-    join, the compiled row path, the batch path and a 2-thread pool."""
+    """One program serially and on a 2-thread pool."""
     evaluate = evaluate_naive if strategy == "naive" else evaluate_seminaive
     return {
-        "legacy": evaluate(program, db, use_planner=False),
-        "row": evaluate(program, db, vectorized=False),
-        "batch": evaluate(program, db),
+        "serial": evaluate(program, db),
         "threads": evaluate(
             program, db, workers=2, parallel_backend="thread"
         ),
@@ -207,7 +195,7 @@ def build_case(make_program, make_db, make_query, method):
     return rewritten.program, rewritten.seeded_database(db)
 
 
-class TestLegacyEquivalence:
+class TestOracleEquivalence:
     @pytest.mark.parametrize("strategy", ["naive", "seminaive"])
     @pytest.mark.parametrize(
         "make_program,make_db,make_query,method", CASES
@@ -217,17 +205,13 @@ class TestLegacyEquivalence:
     ):
         program, db = build_case(make_program, make_db, make_query, method)
         paths = all_paths(program, db, strategy)
-        legacy = paths.pop("legacy")
-        for path, result in paths.items():
-            for key in program.derived_predicates():
-                assert result.derived_tuples(key) == legacy.derived_tuples(
-                    key
-                ), (path, key)
-            # solution counters are join-order independent (and batch
-            # rows carry multiplicities), so they must agree exactly
-            assert solution_counters(result.stats) == solution_counters(
-                legacy.stats
-            ), path
+        for result in paths.values():
+            assert_matches_oracle(result, program, db)
+        # solution counters are join-order independent (and batch rows
+        # carry multiplicities), so the pool must agree exactly
+        assert solution_counters(paths["threads"].stats) == (
+            solution_counters(paths["serial"].stats)
+        )
 
     def test_mutual_recursion(self):
         program = parse_program(
@@ -240,37 +224,38 @@ class TestLegacyEquivalence:
         from repro.workloads import chain_edges, load_edges
 
         db = load_edges(chain_edges(6), relation="edge")
-        legacy, planned = both_paths(program, db, "seminaive")
-        for key in ("even", "odd"):
-            assert planned.derived_tuples(key) == legacy.derived_tuples(key)
+        assert_matches_oracle(evaluate_seminaive(program, db), program, db)
 
     def test_samegen(self):
         program = nonlinear_samegen_program()
         db = samegen_database(layers=3, width=4)
-        legacy, planned = both_paths(program, db, "seminaive")
-        assert planned.derived_tuples("sg") == legacy.derived_tuples("sg")
-        assert planned.stats.facts_derived == legacy.stats.facts_derived
+        planned = evaluate_seminaive(program, db)
+        assert_matches_oracle(planned, program, db)
+        assert planned.stats.facts_derived == len(
+            oracle_facts(program, db)["sg"]
+        )
 
-    def test_planner_does_less_scan_work(self):
-        program = ancestor()
-        db = chain_database(40)
-        legacy, planned = both_paths(program, db, "seminaive")
-        assert planned.stats.tuples_scanned < legacy.stats.tuples_scanned
+    def test_planner_scan_work_is_pinned(self):
+        # ancestor over a 40-chain: the delta-first plan probes par per
+        # delta row instead of scanning it every round
+        stats = evaluate_seminaive(ancestor(), chain_database(40)).stats
+        assert (stats.tuples_scanned, stats.join_probes) == (1719, 862)
+        assert (stats.rule_firings, stats.facts_derived) == (859, 820)
 
-    def test_merged_frames_scan_less_than_the_row_path(self):
-        # the batch path merges equal frames before the last probes;
-        # the row path extends every partial match on its own
+    def test_merged_frames_scan_work_is_pinned(self):
+        # frames merged before the last probes: 290 rows touched for
+        # 150 body solutions (extending every partial match on its own
+        # would touch 293)
         program, db = build_case(
             nonlinear_samegen_program,
             lambda: samegen_database(3, 4),
             lambda: samegen_query("L0_0"),
             "supplementary_magic",
         )
-        row = evaluate_seminaive(program, db, vectorized=False).stats
-        batch = evaluate_seminaive(program, db).stats
-        assert batch.tuples_scanned < row.tuples_scanned
-        assert batch.rule_firings == row.rule_firings
-        assert batch.duplicate_derivations == row.duplicate_derivations
+        stats = evaluate_seminaive(program, db).stats
+        assert stats.tuples_scanned == 290
+        assert stats.rule_firings == 150
+        assert stats.duplicate_derivations == 71
 
 
 class TestBatchMultiplicities:
@@ -308,14 +293,14 @@ class TestBatchMultiplicities:
         # (a, c) is reached through b1 and b2; (a, d) is refuted
         assert len(rows) == 2 and mults == [2, 2]
         assert solutions == stats.rule_firings == 4
-        row_stats = EvaluationStats()
-        produced = plan.execute(db, row_stats)
         resolve = term_catalog().resolve
         decoded = [tuple(resolve(i) for i in row) for row in rows]
-        assert dict(zip(decoded, mults)) == Counter(produced)
-        assert row_stats.rule_firings == 4
-        # h is probed for one merged frame instead of two
-        assert (stats.tuples_scanned, row_stats.tuples_scanned) == (7, 9)
+        assert dict(zip(decoded, mults)) == {
+            (c("a"), c("w1")): 2, (c("a"), c("w2")): 2,
+        }
+        # h is probed for one merged frame instead of two: 2 e rows +
+        # 3 f rows + 2 h rows (9 without the merge)
+        assert stats.tuples_scanned == 7
 
     def test_plan_without_a_merge_reports_no_multiplicities(self):
         plan = compile_rule(parse_rule("p(X) :- e(X, Y)."))
@@ -338,34 +323,28 @@ class TestDeltaStats:
     """Semi-naive delta handling for a rule with TWO occurrences of the
     same recursive predicate (nonlinear ancestor)."""
 
-    def test_duplicates_and_probes_match_legacy(self):
+    def test_duplicates_and_probes_match_the_oracle(self):
         program = nonlinear_ancestor_program()
         db = chain_database(6)
-        legacy, planned = both_paths(program, db, "seminaive")
-        assert planned.derived_tuples("anc") == legacy.derived_tuples("anc")
-        # both delta variants re-derive overlapping facts: duplicates are
-        # join-order independent and must agree exactly
-        assert legacy.stats.duplicate_derivations > 0
-        assert (
-            planned.stats.duplicate_derivations
-            == legacy.stats.duplicate_derivations
-        )
+        planned = evaluate_seminaive(program, db)
+        assert_matches_oracle(planned, program, db)
+        # both delta variants re-derive overlapping facts
+        assert planned.stats.duplicate_derivations > 0
         # each variant probes at least once per round per step
         assert planned.stats.join_probes > 0
-        assert legacy.stats.join_probes > 0
 
     def test_both_delta_variants_contribute(self):
         # a chain needs the second delta occurrence to close long pairs
         program = nonlinear_ancestor_program()
         db = chain_database(5)
-        planned = evaluate_seminaive(program, db, use_planner=True)
+        planned = evaluate_seminaive(program, db)
         assert len(planned.derived_tuples("anc")) == 15  # C(6, 2)
 
     def test_naive_and_seminaive_planner_agree(self):
         program = nonlinear_ancestor_program()
         db = chain_database(6)
-        naive = evaluate_naive(program, db, use_planner=True)
-        semi = evaluate_seminaive(program, db, use_planner=True)
+        naive = evaluate_naive(program, db)
+        semi = evaluate_seminaive(program, db)
         assert naive.derived_tuples("anc") == semi.derived_tuples("anc")
 
 
@@ -374,69 +353,54 @@ class TestDeltaStats:
 # ----------------------------------------------------------------------
 
 class TestStructuredTerms:
-    def test_list_reverse_via_magic_matches_legacy(self):
-        program = list_reverse_program()
-        query = reverse_query(integer_list(5))
-        db = Database()
-        legacy = answer_query(
-            program, db, query, method="magic", use_planner=False
+    def test_list_reverse_via_magic_matches_the_oracle(self):
+        rewritten = rewrite(
+            list_reverse_program(),
+            reverse_query(integer_list(5)),
+            method="magic",
         )
-        planned = answer_query(
-            program, db, query, method="magic", use_planner=True
-        )
-        assert planned.answers == legacy.answers
-        assert len(planned.answers) == 1
+        db = rewritten.seeded_database(Database())
+        result = evaluate_seminaive(rewritten.program, db)
+        assert_matches_oracle(result, rewritten.program, db)
+        assert len(rewritten.extract_answers(result)) == 1
 
-    def test_counting_linexpr_matches_legacy(self):
-        program = ancestor()
-        query = ancestor_query("n0")
-        db = chain_database(8)
-        legacy = answer_query(
-            program, db, query, method="counting", use_planner=False
+    def test_counting_linexpr_matches_the_oracle(self):
+        rewritten = rewrite(
+            ancestor(), ancestor_query("n0"), method="counting"
         )
-        planned = answer_query(
-            program, db, query, method="counting", use_planner=True
-        )
-        assert planned.answers == legacy.answers
-        assert (
-            planned.stats.facts_derived == legacy.stats.facts_derived
-        )
+        db = rewritten.seeded_database(chain_database(8))
+        result = evaluate_seminaive(rewritten.program, db)
+        assert_matches_oracle(result, rewritten.program, db)
+        assert len(rewritten.extract_answers(result)) == 8
 
     def test_repeated_variable_in_literal(self):
         program = parse_program("loop(X) :- par(X, X).").program
         db = Database()
         db.add_values("par", [("a", "a"), ("a", "b"), ("c", "c")])
-        legacy = evaluate_seminaive(program, db, use_planner=False)
-        planned = evaluate_seminaive(program, db, use_planner=True)
-        assert (
-            planned.derived_tuples("loop")
-            == legacy.derived_tuples("loop")
-            == {(c("a"),), (c("c"),)}
-        )
+        planned = evaluate_seminaive(program, db)
+        assert planned.derived_tuples("loop") == {(c("a"),), (c("c"),)}
 
     def test_constant_in_head(self):
         program = parse_program("flag(yes, X) :- par(X, Y).").program
         db = Database()
         db.add_values("par", [("a", "b")])
-        planned = evaluate_seminaive(program, db, use_planner=True)
+        planned = evaluate_seminaive(program, db)
         assert planned.derived_tuples("flag") == {(c("yes"), c("a"))}
 
     def test_range_restriction_error_preserved(self):
         program = Program([Rule(Literal("p", (Variable("X"),)))])
-        for use_planner in (False, True):
-            with pytest.raises(EvaluationError):
-                evaluate_naive(program, Database(), use_planner=use_planner)
+        with pytest.raises(EvaluationError):
+            evaluate_naive(program, Database())
 
     def test_struct_head_argument(self):
         # head wraps a bound variable in a function term
         program = parse_program("wrapped(f(X)) :- par(X, Y).").program
         db = Database()
         db.add_values("par", [("a", "b")])
-        legacy = evaluate_seminaive(program, db, use_planner=False)
-        planned = evaluate_seminaive(program, db, use_planner=True)
-        assert planned.derived_tuples("wrapped") == legacy.derived_tuples(
-            "wrapped"
-        )
+        planned = evaluate_seminaive(program, db)
+        assert planned.derived_tuples("wrapped") == {
+            (parse_query("w(f(a))?").literal.args[0],)
+        }
 
 
 # ----------------------------------------------------------------------
@@ -467,38 +431,31 @@ def edge_db(edges, relation="par"):
 class TestPlannerProperty:
     @given(edges=edges_strategy)
     @SETTINGS
-    def test_planner_equals_legacy_linear(self, edges):
+    def test_planner_equals_oracle_linear(self, edges):
         program = ancestor()
         db = edge_db(edges)
-        legacy, planned = both_paths(program, db, "seminaive")
-        assert planned.derived_tuples("anc") == legacy.derived_tuples("anc")
-        assert planned.stats.facts_derived == legacy.stats.facts_derived
+        planned = evaluate_seminaive(program, db)
+        assert_matches_oracle(planned, program, db)
+        assert planned.stats.facts_derived == len(planned.derived_tuples("anc"))
 
     @given(edges=edges_strategy)
     @SETTINGS
-    def test_planner_equals_legacy_nonlinear(self, edges):
+    def test_planner_equals_oracle_nonlinear(self, edges):
         program = nonlinear_ancestor_program()
         db = edge_db(edges)
-        legacy, planned = both_paths(program, db, "seminaive")
-        assert planned.derived_tuples("anc") == legacy.derived_tuples("anc")
-        assert (
-            planned.stats.duplicate_derivations
-            == legacy.stats.duplicate_derivations
-        )
+        assert_matches_oracle(evaluate_seminaive(program, db), program, db)
 
     @given(edges=edges_strategy, root=st.sampled_from(NODES))
     @SETTINGS
     def test_planner_preserves_magic_answers(self, edges, root):
         program = ancestor()
-        query = ancestor_query(root)
         db = edge_db(edges)
-        legacy = answer_query(
-            program, db, query, method="magic", use_planner=False
-        )
         planned = answer_query(
-            program, db, query, method="magic", use_planner=True
+            program, db, ancestor_query(root), method="magic"
         )
-        assert planned.answers == legacy.answers
+        assert planned.answers == {
+            (y,) for x, y in oracle_facts(program, db)["anc"] if x == c(root)
+        }
 
 
 class TestProgramHashCache:

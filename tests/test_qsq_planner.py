@@ -1,16 +1,15 @@
-"""The compiled QSQ evaluator: equivalence, plan cache, delta indexes.
+"""The compiled QSQ evaluator: equivalence, plan cache, delta probes.
 
 Three layers of guarantees:
 
-* the compiled, delta-driven ``qsq_evaluate`` computes exactly the
-  legacy evaluator's ``Q``/``F`` sets (same dicts, same
-  ``subqueries_generated``) across workloads, sip families, and random
-  databases (hypothesis);
-* per Theorem 9.1, both execution paths match bottom-up magic
-  evaluation (``check_optimality``);
+* per Theorem 9.1, the compiled, delta-driven ``qsq_evaluate`` computes
+  exactly the ``Q``/``F`` sets of bottom-up magic evaluation under the
+  same sip builder (``check_optimality``), across workloads, sip
+  families, and random databases (hypothesis);
+* its answers equal the reference evaluator's (``conftest``);
 * the infrastructure rides along: the shared :class:`PlanCache` stops
   recompilation (visible through evaluation stats), semi-naive delta
-  relations are pre-indexed for constant-carrying delta literals, and
+  batches answer constant-carrying delta literals, and
   :meth:`Relation.add_many` keeps indexes consistent on its bulk path.
 """
 
@@ -19,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    CompiledProgram,
     Constant,
     Database,
     Literal,
@@ -37,10 +35,12 @@ from repro import (
     rewrite,
     subquery_program_for,
 )
+from repro.datalog.ast import Program, Rule
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
     chain_database,
+    constant_list,
     cycle_database,
     integer_list,
     list_reverse_program,
@@ -52,35 +52,40 @@ from repro.workloads import (
     samegen_query,
 )
 
+from conftest import oracle_facts, reference_scan
+
 
 def c(value):
     return Constant(value)
 
 
-def run_both(program, query, db, sip_builder=build_full_sip, **kwargs):
+def run_qsq(program, query, db, sip_builder=build_full_sip, **kwargs):
     adorned = adorn_program(program, query, sip_builder)
-    legacy = qsq_evaluate(
-        adorned.program, db, adorned.query_literal,
-        use_planner=False, **kwargs
+    result = qsq_evaluate(
+        adorned.program, db, adorned.query_literal, **kwargs
     )
-    compiled = qsq_evaluate(
-        adorned.program, db, adorned.query_literal,
-        use_planner=True, **kwargs
-    )
-    return adorned, legacy, compiled
+    return adorned, result
 
 
-def assert_same_qf(adorned, legacy, compiled):
-    assert compiled.queries == legacy.queries
-    assert compiled.answers == legacy.answers
-    assert compiled.subqueries_generated == legacy.subqueries_generated
-    assert compiled.query_answers(adorned.query_literal) == (
-        legacy.query_answers(adorned.query_literal)
-    )
+def assert_sound_qf(program, query, db, sip_builder=build_full_sip,
+                    bottom_up_safe=True):
+    """``Q``/``F`` equal magic's under the same sips (Theorem 9.1), and
+    the answers equal the oracle's on the program as written (when its
+    unrestricted bottom-up evaluation terminates)."""
+    adorned, result = run_qsq(program, query, db, sip_builder)
+    for method in ("magic", "supplementary_magic"):
+        rewritten = rewrite(program, query, method, sip_builder)
+        report = check_optimality(rewritten, db)
+        assert report.sip_optimal, (method, report.mismatches)
+    answers = result.query_answers(adorned.query_literal)
+    if bottom_up_safe:
+        expected = oracle_facts(program, db)[query.literal.pred_key]
+        assert answers == reference_scan(expected, query.literal)
+    return adorned, result
 
 
 # ----------------------------------------------------------------------
-# legacy vs compiled equivalence
+# Theorem 9.1 and the oracle
 # ----------------------------------------------------------------------
 
 WORKLOADS = [
@@ -101,32 +106,28 @@ class TestCompiledEquivalence:
         ids=[w[0] for w in WORKLOADS],
     )
     def test_workloads(self, name, make_program, make_query, make_db):
-        adorned, legacy, compiled = run_both(
-            make_program(), make_query(), make_db()
-        )
-        assert_same_qf(adorned, legacy, compiled)
+        assert_sound_qf(make_program(), make_query(), make_db())
 
     @pytest.mark.parametrize(
         "sip_builder", [build_full_sip, build_chain_sip, build_empty_sip],
         ids=["full", "chain", "empty"],
     )
     def test_sip_families(self, sip_builder):
-        adorned, legacy, compiled = run_both(
+        assert_sound_qf(
             nonlinear_samegen_program(),
             samegen_query("L0_0"),
             samegen_database(3, 3, flat_edges=4),
             sip_builder=sip_builder,
         )
-        assert_same_qf(adorned, legacy, compiled)
 
     def test_function_symbols_list_reverse(self):
-        adorned, legacy, compiled = run_both(
+        # unsafe bottom-up as written: checked against magic only
+        adorned, result = assert_sound_qf(
             list_reverse_program(), reverse_query(integer_list(5)),
-            Database(),
+            Database(), bottom_up_safe=False,
         )
-        assert_same_qf(adorned, legacy, compiled)
-        answers = compiled.query_answers(adorned.query_literal)
-        assert len(answers) == 1
+        answers = result.query_answers(adorned.query_literal)
+        assert answers == {(constant_list([4, 3, 2, 1, 0]),)}
 
     def test_constant_in_rule_body(self):
         # a derived body literal carrying a constant at a free position
@@ -142,11 +143,10 @@ class TestCompiledEquivalence:
         db.add_values("e", [("one", "two"), ("two", "three")])
         from repro import parse_query
 
-        adorned, legacy, compiled = run_both(
+        adorned, result = assert_sound_qf(
             program, parse_query("p(one, Y)?"), db
         )
-        assert_same_qf(adorned, legacy, compiled)
-        assert compiled.query_answers(adorned.query_literal) == {
+        assert result.query_answers(adorned.query_literal) == {
             (c("two"),), (c("three"),),
         }
 
@@ -162,24 +162,20 @@ class TestCompiledEquivalence:
         db = Database()
         db.add_values("base", [("q", "nil")])
         adorned = adorn_program(program, parse_query("s(q, Y)?"))
-        for use_planner in (False, True):
-            with pytest.raises(NonTerminationError):
-                qsq_evaluate(
-                    adorned.program, db, adorned.query_literal,
-                    max_iterations=25, use_planner=use_planner,
-                )
-            with pytest.raises(NonTerminationError):
-                qsq_evaluate(
-                    adorned.program, db, adorned.query_literal,
-                    max_facts=10, use_planner=use_planner,
-                )
+        with pytest.raises(NonTerminationError):
+            qsq_evaluate(
+                adorned.program, db, adorned.query_literal,
+                max_iterations=25,
+            )
+        with pytest.raises(NonTerminationError):
+            qsq_evaluate(
+                adorned.program, db, adorned.query_literal, max_facts=10,
+            )
 
     def test_unbound_bound_position_falls_back(self):
         # hand-built adorned rule whose bound position the sip never
-        # binds: both paths must agree (and derive nothing, since no
-        # ground subquery for q^b can ever be issued)
-        from repro.datalog.ast import Program, Rule
-
+        # binds: the generic slow path derives nothing, since no
+        # ground subquery for q^b can ever be issued
         x, y = Variable("X"), Variable("Y")
         program = Program([
             Rule(Literal("p", (x,), "f"),
@@ -190,40 +186,33 @@ class TestCompiledEquivalence:
         db.add_values("e", [("a",)])
         db.add_values("f", [("b",)])
         query = Literal("p", (Variable("Z"),), "f")
-        legacy = qsq_evaluate(program, db, query, use_planner=False)
-        compiled = qsq_evaluate(program, db, query, use_planner=True)
-        assert compiled.answers == legacy.answers
-        assert compiled.queries == legacy.queries
+        result = qsq_evaluate(program, db, query)
+        assert not any(result.answers.values())
+        assert not result.queries.get("q^b")
 
-
-# ----------------------------------------------------------------------
-# Theorem 9.1 against bottom-up magic
-# ----------------------------------------------------------------------
 
 class TestTheorem91:
-    @pytest.mark.parametrize("use_planner", [False, True],
-                             ids=["legacy", "compiled"])
-    def test_ancestor(self, use_planner):
+    @pytest.mark.parametrize("method", ["magic", "supplementary_magic"])
+    def test_ancestor(self, method):
         program = ancestor_program()
         query = ancestor_query("n0")
         db = chain_database(10)
-        rewritten = rewrite(program, query, method="magic")
-        report = check_optimality(rewritten, db, use_planner=use_planner)
+        rewritten = rewrite(program, query, method=method)
+        report = check_optimality(rewritten, db)
         assert report.sip_optimal, report.mismatches
 
-    @pytest.mark.parametrize("use_planner", [False, True],
-                             ids=["legacy", "compiled"])
-    def test_samegen(self, use_planner):
+    @pytest.mark.parametrize("method", ["magic", "supplementary_magic"])
+    def test_samegen(self, method):
         program = nonlinear_samegen_program()
         query = samegen_query("L0_0")
         db = samegen_database(3, 3, flat_edges=4)
-        rewritten = rewrite(program, query, method="magic")
-        report = check_optimality(rewritten, db, use_planner=use_planner)
+        rewritten = rewrite(program, query, method=method)
+        report = check_optimality(rewritten, db)
         assert report.sip_optimal, report.mismatches
 
 
 # ----------------------------------------------------------------------
-# property tests: compiled == legacy == bottom-up magic
+# property tests: QSQ == bottom-up magic, answers == oracle
 # ----------------------------------------------------------------------
 
 NODES = [f"v{i}" for i in range(7)]
@@ -251,19 +240,17 @@ class TestQSQProperty:
     @given(edges=edges_strategy, root=st.sampled_from(NODES))
     @SETTINGS
     def test_linear_ancestor(self, edges, root):
-        adorned, legacy, compiled = run_both(
+        assert_sound_qf(
             ancestor_program(), ancestor_query(root), edge_db(edges)
         )
-        assert_same_qf(adorned, legacy, compiled)
 
     @given(edges=edges_strategy, root=st.sampled_from(NODES))
     @SETTINGS
     def test_nonlinear_ancestor(self, edges, root):
-        adorned, legacy, compiled = run_both(
+        assert_sound_qf(
             nonlinear_ancestor_program(), ancestor_query(root),
             edge_db(edges),
         )
-        assert_same_qf(adorned, legacy, compiled)
 
     @given(edges=edges_strategy, root=st.sampled_from(NODES))
     @SETTINGS
@@ -271,12 +258,9 @@ class TestQSQProperty:
         program = ancestor_program()
         query = ancestor_query(root)
         db = edge_db(edges)
-        rewritten = rewrite(program, query, method="magic")
-        for use_planner in (False, True):
-            report = check_optimality(
-                rewritten, db, use_planner=use_planner
-            )
-            assert report.sip_optimal, report.mismatches
+        rewritten = rewrite(program, query, "magic", build_chain_sip)
+        report = check_optimality(rewritten, db)
+        assert report.sip_optimal, report.mismatches
 
 
 # ----------------------------------------------------------------------
@@ -363,25 +347,11 @@ class TestPlanCache:
 
 
 # ----------------------------------------------------------------------
-# semi-naive delta indexes
+# semi-naive delta probes
 # ----------------------------------------------------------------------
 
-class TestDeltaIndexes:
-    def test_constant_carrying_delta_literal_is_indexed(self):
-        program = parse_program(
-            """
-            r(X) :- s(X).
-            r(X) :- r(a), t(X).
-            """
-        ).program
-        compiled = CompiledProgram(program)
-        assert compiled.delta_index_positions() == {"r": ((0,),)}
-
-    def test_variable_only_delta_literals_need_no_index(self):
-        compiled = CompiledProgram(ancestor_program())
-        assert compiled.delta_index_positions() == {}
-
-    def test_evaluation_unchanged(self):
+class TestDeltaProbes:
+    def test_constant_carrying_delta_literal(self):
         program = parse_program(
             """
             r(X) :- s(X).
@@ -391,12 +361,20 @@ class TestDeltaIndexes:
         db = Database()
         db.add_values("s", [("a",), ("b",)])
         db.add_values("t", [("c",), ("d",)])
-        legacy = evaluate_seminaive(program, db, use_planner=False)
-        planned = evaluate_seminaive(program, db, use_planner=True)
-        assert planned.derived_tuples("r") == legacy.derived_tuples("r")
+        planned = evaluate_seminaive(program, db)
+        assert planned.derived_tuples("r") == oracle_facts(program, db)["r"]
         assert planned.derived_tuples("r") == {
             (c("a"),), (c("b",),), (c("c"),), (c("d"),),
         }
+
+    def test_variable_only_delta_literals(self):
+        # anc(X,Z) :- anc(X,Y), anc(Y,Z): both body literals take the
+        # delta in turn, and neither carries a constant to probe on
+        program = nonlinear_ancestor_program()
+        db = cycle_database(6)
+        planned = evaluate_seminaive(program, db)
+        assert planned.derived_tuples("anc") == oracle_facts(program, db)["anc"]
+        assert len(planned.derived_tuples("anc")) == 36
 
 
 # ----------------------------------------------------------------------
@@ -462,13 +440,15 @@ class TestAddManyBulk:
 
 class TestQueryAnswers:
     def test_indexed_filter_matches_generic(self):
-        adorned, legacy, compiled = run_both(
-            ancestor_program(), ancestor_query("n0"), chain_database(8)
-        )
-        fast = compiled.query_answers(adorned.query_literal)
-        generic = compiled._query_answers_generic(adorned.query_literal)
+        program, query = ancestor_program(), ancestor_query("n0")
+        db = chain_database(8)
+        adorned, result = run_qsq(program, query, db)
+        fast = result.query_answers(adorned.query_literal)
+        generic = result._query_answers_generic(adorned.query_literal)
         assert fast == generic
-        assert fast == legacy.query_answers(adorned.query_literal)
+        assert fast == reference_scan(
+            oracle_facts(program, db)["anc"], query.literal
+        )
 
     def test_repeated_variable_falls_back(self):
         from repro.datalog.topdown import QSQResult

@@ -47,11 +47,12 @@ STRATIFIED = """
 """
 
 #: the four bottom-up engine configurations (method x execution path)
+#: (bottom-up engine, workers): serial and on the worker pool
 ENGINE_CONFIGS = [
-    ("naive", True),
-    ("naive", False),
-    ("seminaive", True),
-    ("seminaive", False),
+    ("naive", 1),
+    ("naive", 2),
+    ("seminaive", 1),
+    ("seminaive", 2),
 ]
 
 #: every way to answer a positive query
@@ -146,14 +147,12 @@ class TestAutoDispatch:
         explicit = session.query("anc(john, X)?", method=method)
         assert explicit.rows == auto.rows
 
-    @pytest.mark.parametrize("engine,use_planner", ENGINE_CONFIGS)
-    def test_auto_identical_to_bottom_up_stratified(
-        self, engine, use_planner
-    ):
+    @pytest.mark.parametrize("engine,workers", ENGINE_CONFIGS)
+    def test_auto_identical_to_bottom_up_stratified(self, engine, workers):
         source = bom_source(depth=4, fanout=2, exception_rate=0.25, seed=3)
-        session = Session(source, use_planner=use_planner)
+        session = Session(source)
         auto = session.query()
-        explicit = session.query(method=engine, use_planner=use_planner)
+        explicit = session.query(method=engine, workers=workers)
         assert auto.rows == explicit.rows
 
     def test_auto_decision_is_cached_per_signature(self):
@@ -209,7 +208,7 @@ class TestMemo:
         session = ancestor_session()
         session.query("anc(john, X)?", method="seminaive")
         miss = session.query(
-            "anc(john, X)?", method="seminaive", use_planner=False
+            "anc(john, X)?", method="seminaive", max_iterations=50
         )
         assert not miss.from_memo
 
@@ -281,23 +280,6 @@ class TestInvalidation:
         "retract_row": lambda s: s.retract("par", "sue", "ann"),
     }
 
-    #: the pre-IVM names, kept as deprecated aliases
-    DEPRECATED = {
-        "add": lambda s: s.add("par(ann, zoe)"),
-        "add_facts": lambda s: s.add_facts(["par(ann, zoe)"]),
-        "add_values": lambda s: s.add_values("par", [("ann", "zoe")]),
-        "add_many": lambda s: s.add_many(
-            "par", [parse_query("par(ann, zoe)?").literal.args]
-        ),
-        "retract_facts": lambda s: s.retract_facts(["par(sue, ann)"]),
-        "retract_values": lambda s: s.retract_values(
-            "par", [("sue", "ann")]
-        ),
-        "retract_many": lambda s: s.retract_many(
-            "par", [parse_query("par(sue, ann)?").literal.args]
-        ),
-    }
-
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_every_mutation_path_bumps_and_drops_memo(self, mutation):
         session = ancestor_session()
@@ -312,14 +294,22 @@ class TestInvalidation:
         result = session.query("anc(john, X)?")
         assert not result.from_memo
 
-    @pytest.mark.parametrize("alias", sorted(DEPRECATED))
-    def test_deprecated_alias_warns_and_still_mutates(self, alias):
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_repeated_mutation_is_a_no_op(self, mutation):
         session = ancestor_session()
+        assert self.MUTATIONS[mutation](session) in (True, 1)
+        session.query("anc(john, X)?")
         before = session.version
-        with pytest.warns(DeprecationWarning, match=f"Session.{alias}"):
-            changed = self.DEPRECATED[alias](session)
-        assert changed in (True, 1)
-        assert session.version > before
+        assert self.MUTATIONS[mutation](session) in (False, 0)
+        assert session.version == before
+        assert session.query("anc(john, X)?").from_memo
+
+    def test_pre_ivm_mutation_names_are_gone(self):
+        for name in (
+            "add", "add_facts", "add_values", "add_many",
+            "retract_facts", "retract_values", "retract_many",
+        ):
+            assert not hasattr(Session, name), name
 
     def test_bad_mutation_shapes_are_rejected(self):
         session = ancestor_session()
@@ -362,21 +352,21 @@ class TestInvalidation:
         assert not result.from_memo
         assert ("zoe",) in result.values()
 
-    @pytest.mark.parametrize("engine,use_planner", ENGINE_CONFIGS)
-    def test_retract_then_requery_bottom_up(self, engine, use_planner):
+    @pytest.mark.parametrize("engine,workers", ENGINE_CONFIGS)
+    def test_retract_then_requery_bottom_up(self, engine, workers):
         session = ancestor_session()
         full = session.query(
-            "anc(john, X)?", method=engine, use_planner=use_planner
+            "anc(john, X)?", method=engine, workers=workers
         )
         assert full.values() == {("mary",), ("sue",), ("ann",)}
         assert session.retract("par(sue, ann)")
         trimmed = session.query(
-            "anc(john, X)?", method=engine, use_planner=use_planner
+            "anc(john, X)?", method=engine, workers=workers
         )
         assert trimmed.values() == {("mary",), ("sue",)}
         assert session.assert_("par(sue, ann)")
         restored = session.query(
-            "anc(john, X)?", method=engine, use_planner=use_planner
+            "anc(john, X)?", method=engine, workers=workers
         )
         assert restored.values() == full.values()
 
@@ -392,16 +382,16 @@ class TestInvalidation:
         assert not trimmed.from_memo
         assert full.values() - trimmed.values() == {("ann",)}
 
-    @pytest.mark.parametrize("engine,use_planner", ENGINE_CONFIGS)
+    @pytest.mark.parametrize("engine,workers", ENGINE_CONFIGS)
     def test_retract_then_requery_stratified_bottom_up(
-        self, engine, use_planner
+        self, engine, workers
     ):
-        session = Session(STRATIFIED, use_planner=use_planner)
-        before = session.query(method=engine, use_planner=use_planner)
+        session = Session(STRATIFIED)
+        before = session.query(method=engine, workers=workers)
         assert before.values() == {("c",)}
         # lift the recall: everything is ok again
         session.retract("recalled(c)")
-        after = session.query(method=engine, use_planner=use_planner)
+        after = session.query(method=engine, workers=workers)
         assert after.values() == {("a",), ("b",), ("c",)}
 
     @pytest.mark.parametrize("method", ("auto", "magic"))
