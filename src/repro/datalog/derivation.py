@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .ast import Literal, Program, Rule
 from .catalog import term_catalog
-from .database import Database, FactTuple
-from .engine import EvaluationResult, EvaluationStats
+from .database import Database, FactTuple, IdTuple
+from .engine import EvaluationResult, EvaluationStats, fixpoint
 from .errors import EvaluationError, UnsafeNegationError
 from .planner import compiled_program_for
 from .unify import match_sequences, resolve
@@ -87,7 +87,8 @@ def fact_stages(
     Base facts (and seeded facts present in ``base``) have stage 0.
     Replays a naive fixpoint over the (already computed) result, which
     terminates in at most as many rounds as the original evaluation.
-    The replay is stratum-wise (round numbers keep increasing across
+    The replay runs on the engine's round driver with a simultaneous
+    round executor, stratum-wise (round numbers keep increasing across
     strata), so anti-joins of negated literals probe lower-stratum
     relations only after those are complete -- exactly like the engines.
     """
@@ -108,32 +109,32 @@ def fact_stages(
     compiled, _ = compiled_program_for(program)
     compiled.register_indexes(working)
     resolve_row = term_catalog().resolve_row
-    round_number = 0
-    for stratum in compiled.strata:
-        changed = True
-        while changed:
-            changed = False
-            round_number += 1
-            # evaluate the whole round against the previous round's
-            # facts so that stages are simultaneous (a fact's supporters
-            # always have a strictly smaller stage): nothing is added
-            # to ``working`` until every rule's rows are collected
-            pending = []
-            for rule_index in stratum:
-                rows, _, _ = compiled.plan(rule_index).execute_batch(
-                    working, stats
-                )
-                if rows:
-                    pending.append(
-                        (program.rules[rule_index].head.pred_key, rows)
-                    )
-            for head_key, rows in pending:
-                fresh = working.relation(head_key).add_id_rows(rows)
-                if fresh:
-                    stage_map = stages.setdefault(head_key, {})
-                    for idrow in fresh:
-                        stage_map[resolve_row(idrow)] = round_number
-                    changed = True
+
+    def simultaneous(tasks, _deltas):
+        # evaluate the whole round against the previous round's facts so
+        # that stages are simultaneous (a fact's supporters always have
+        # a strictly smaller stage): nothing is added to ``working``
+        # until every rule's rows are collected
+        pending = [
+            (
+                program.rules[rule_index].head.pred_key,
+                compiled.plan(rule_index).execute_batch(working, stats)[0],
+            )
+            for rule_index, _ in tasks
+        ]
+        fresh_by_head: Dict[str, List[IdTuple]] = {}
+        for head_key, rows in pending:
+            if not rows:
+                continue
+            fresh = working.relation(head_key).add_id_rows(rows)
+            if fresh:
+                stage_map = stages.setdefault(head_key, {})
+                for idrow in fresh:
+                    stage_map[resolve_row(idrow)] = stats.iterations
+                fresh_by_head.setdefault(head_key, []).extend(fresh)
+        return fresh_by_head
+
+    fixpoint(compiled, working, stats, simultaneous, seminaive=False)
     return stages
 
 

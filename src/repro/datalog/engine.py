@@ -49,12 +49,29 @@ bound literals) and precomputed index-position tuples registered on the
 :meth:`JoinPlan.execute_batch <repro.datalog.planner.JoinPlan.execute_batch>`
 as ID rows that may repeat, each standing for one or more body solutions
 (equal frames are merged mid-join and carry a multiplicity); the
-multiplicities sum to the exact number of body solutions.  The drivers
-below therefore count duplicates as ``solutions - fresh``, never from a
-row-list length, and ``tuples_scanned`` counts the rows touched *after*
-merging.  ``rule_firings`` / ``facts_derived`` /
+multiplicities sum to the exact number of body solutions.  The round
+executors therefore count duplicates as ``solutions - fresh``, never
+from a row-list length, and ``tuples_scanned`` counts the rows touched
+*after* merging.  ``rule_firings`` / ``facts_derived`` /
 ``duplicate_derivations`` count body solutions, which join order cannot
 change; ``join_probes`` and ``tuples_scanned`` measure the work done.
+
+The round driver
+----------------
+
+Every bottom-up fixpoint in the package runs on one stratum/round loop,
+:func:`fixpoint`, which owns rounds, budgets, termination and the choice
+of each round's tasks.  How the tasks execute is passed in as one of
+four round executors:
+
+* **serial** -- ``execute_batch``, then install, task by task
+  (:func:`serial_executor`);
+* **pool** -- sharded batches on workers, merged in serial order
+  (:func:`repro.datalog.parallel.pool_executor`);
+* **simultaneous** -- every rule's rows collected, then installed
+  (:func:`repro.datalog.derivation.fact_stages`);
+* **IVM** -- the serial executor with DRed's overdelete or insert
+  emitter (:class:`repro.datalog.ivm.MaterializedProgram`).
 
 Testing gotcha: run the suite as ``python -m pytest`` from the repo root
 (``pyproject.toml`` pins ``testpaths = ["tests"]``).  Without that
@@ -65,11 +82,13 @@ breaks collection with an ImportError on ``assert_rules_equal``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .ast import Literal, Program
-from .database import Database, FactTuple, Relation
+from .database import Database, FactTuple, IdTuple
 from .errors import NonTerminationError
 from .planner import CompiledProgram, PlanCache, compiled_program_for
 
@@ -98,7 +117,7 @@ class EvaluationStats:
     join_probes: int = 0
     #: tuples scanned while extending partial matches
     tuples_scanned: int = 0
-    #: plan-cache outcome for this evaluation (planner path only)
+    #: plan-cache outcome for this evaluation
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     facts_by_predicate: Dict[str, int] = field(default_factory=dict)
@@ -155,10 +174,10 @@ class EvaluationResult:
 
 def _check_budget(
     stats: EvaluationStats,
-    total_derived: int,
     max_iterations: Optional[int],
     max_facts: Optional[int],
 ) -> None:
+    total_derived = stats.facts_derived
     if max_iterations is not None and stats.iterations > max_iterations:
         raise NonTerminationError(
             f"bottom-up evaluation exceeded {max_iterations} iterations "
@@ -176,33 +195,17 @@ def _check_budget(
         )
 
 
-def _compiled_for(
-    program: Program,
+def _install(
     working: Database,
     stats: EvaluationStats,
-    plan_cache: Optional[PlanCache],
-) -> CompiledProgram:
-    """Fetch (or build) the program's plans and register their indexes."""
-    compiled, cache_hit = compiled_program_for(program, plan_cache)
-    if cache_hit:
-        stats.plan_cache_hits += 1
-    else:
-        stats.plan_cache_misses += 1
-    compiled.register_indexes(working)
-    return compiled
-
-
-def _install(
-    relation: Relation,
     head_key: str,
-    rows: List[Tuple[int, ...]],
+    rows: List[IdTuple],
     solutions: int,
-    stats: EvaluationStats,
-) -> List[Tuple[int, ...]]:
-    """Add one batch's ID rows to ``relation``; return the fresh ones."""
-    if not rows:
-        return []
-    fresh = relation.add_id_rows(rows)
+) -> List[IdTuple]:
+    """Add one batch's ID rows, standing for ``solutions`` body
+    solutions, to ``working``; return the fresh ones."""
+    relation = working.relation(head_key)
+    fresh = relation.add_id_rows(rows) if rows else []
     n_fresh = len(fresh)
     stats.duplicate_derivations += solutions - n_fresh
     if n_fresh:
@@ -210,105 +213,26 @@ def _install(
     return fresh
 
 
-def evaluate_naive(
-    program: Program,
-    database: Database,
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
-    meter=None,
-    workers: Optional[int] = None,
-    parallel_backend: str = "auto",
-) -> EvaluationResult:
-    """Naive bottom-up fixpoint: all rules against all facts, each round.
-
-    With negation, each stratum's rules run to their joint fixpoint
-    before the next stratum starts (``stats.iterations`` accumulates
-    rounds across strata).
-
-    ``meter`` is an optional budget meter (duck-typed so this module
-    never imports :mod:`repro.core.limits`): ``check_round`` runs at
-    every fixpoint-round boundary and ``check_batch`` at rule/batch
-    boundaries, each free to abort by raising.  Evaluation runs on a
-    snapshot of ``database`` (base relations shared, derived ones
-    created in the snapshot), so an abort installs nothing.
-
-    ``workers`` > 1 runs each round's batches on the parallel tier
-    (:mod:`repro.datalog.parallel`); fact sets and the solution counters
-    (``facts_derived`` / ``rule_firings`` / ``duplicate_derivations`` /
-    ``iterations``) are identical to the serial run by construction.
-    """
-    if workers is not None and workers > 1:
-        from .parallel import evaluate_parallel
-
-        return evaluate_parallel(
-            program, database, method="naive", workers=workers,
-            backend=parallel_backend, max_iterations=max_iterations,
-            max_facts=max_facts, plan_cache=plan_cache, meter=meter,
-        )
-    working = database.snapshot()
-    stats = EvaluationStats()
-    derived_keys = program.derived_predicates()
-    compiled = _compiled_for(program, working, stats, plan_cache)
-    for stratum_index, stratum in enumerate(compiled.strata):
-        changed = True
-        round_in_stratum = 0
-        while changed:
-            changed = False
-            stats.iterations += 1
-            round_in_stratum += 1
-            _check_budget(
-                stats, stats.facts_derived, max_iterations, max_facts
-            )
-            if meter is not None:
-                meter.check_round(
-                    stats.facts_derived,
-                    stats.tuples_scanned,
-                    stratum_index,
-                    round_in_stratum,
-                    working,
-                )
-            for rule_index in stratum:
-                head_key = program.rules[rule_index].head.pred_key
-                rows, _, solutions = compiled.plan(rule_index).execute_batch(
-                    working, stats, meter=meter
-                )
-                if _install(
-                    working.relation(head_key), head_key, rows, solutions,
-                    stats,
-                ):
-                    changed = True
-            if max_facts is not None and stats.facts_derived > max_facts:
-                _check_budget(stats, stats.facts_derived, None, max_facts)
-    return EvaluationResult(working, derived_keys, stats)
-
-
 class _IdDeltaBatch:
     """A per-round delta of fresh ID rows, for the batch executor.
 
     Duck-types the slice of the :class:`Relation` interface the batch
-    join steps touch (``__len__``, ``lookup_ids``, ``_columns``):
-    fresh rows are collected by plain list extension during a round and
-    the columns / probe index are built in one pass at the first probe
-    of the *next* round -- a delta is never probed and extended in the
-    same round, so nothing is maintained incrementally and the
+    join steps touch (``__len__``, ``lookup_ids``, ``_columns``): the
+    rows are a plain list, and the columns / probe index are built in
+    one pass at the first probe -- a delta is never probed and extended
+    in the same round, so nothing is maintained incrementally and the
     per-row insert cost of a full :class:`Relation` disappears.
     """
 
     __slots__ = ("rows", "_cols", "_indexes")
 
-    def __init__(self) -> None:
-        self.rows: List[Tuple[int, ...]] = []
+    def __init__(self, rows: List[IdTuple]) -> None:
+        self.rows = rows
         self._cols: Optional[List[List[int]]] = None
         self._indexes: Dict[Tuple[int, ...], Dict[object, List[int]]] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def extend(self, fresh: List[Tuple[int, ...]]) -> None:
-        self.rows.extend(fresh)
-        self._cols = None
-        self._indexes.clear()
 
     @property
     def _columns(self) -> List[List[int]]:
@@ -350,6 +274,194 @@ class _IdDeltaBatch:
         return self.probe_index(positions).get(key, [])
 
 
+# ----------------------------------------------------------------------
+# the round driver
+# ----------------------------------------------------------------------
+
+#: One unit of a round: ``(rule index, delta occurrence)``, the
+#: occurrence None for the rule's full plan.
+Task = Tuple[int, Optional[int]]
+#: Runs one round's tasks against the round's deltas (None in a full
+#: round) and returns the fresh head rows per predicate.
+RoundExecutor = Callable[
+    [List[Task], Optional[Dict[str, _IdDeltaBatch]]],
+    Dict[str, List[IdTuple]],
+]
+
+
+def fixpoint(
+    compiled: CompiledProgram,
+    working: Database,
+    stats: EvaluationStats,
+    execute: RoundExecutor,
+    seminaive: bool = True,
+    meter=None,
+    max_iterations: Optional[int] = None,
+    max_facts: Optional[int] = None,
+    stratum: Optional[int] = None,
+    seeds: Optional[Dict[str, List[IdTuple]]] = None,
+    first_round: int = 0,
+) -> None:
+    """Run each stratum, in order, until a round derives nothing.
+
+    A stratum's first round runs every rule's full plan, or, given
+    ``seeds`` (fresh rows per predicate), only the delta plans those
+    rows feed.  After it, a semi-naive round runs the delta plans of the
+    predicates the previous round derived rows for, and a naive round
+    every full plan again.  Every round counts one ``stats.iterations``
+    (accumulating across strata), checks the iteration / fact budget
+    and reports ``check_round(stratum, round)`` to ``meter``, rounds
+    numbered per stratum from ``first_round + 1``; the fact budget is
+    checked again after the round.  ``stratum`` runs only that stratum
+    (IVM propagation).
+    """
+    rules = compiled.program.rules
+    strata = range(len(compiled.strata)) if stratum is None else (stratum,)
+    for stratum_index in strata:
+        full = seeds is None
+        fresh = seeds or {}
+        round_number = first_round
+        while full or fresh:
+            stats.iterations += 1
+            round_number += 1
+            _check_budget(stats, max_iterations, max_facts)
+            if meter is not None:
+                meter.check_round(
+                    stats.facts_derived,
+                    stats.tuples_scanned,
+                    stratum_index,
+                    round_number,
+                    working,
+                )
+            if full:
+                tasks: List[Task] = [
+                    (ri, None) for ri in compiled.strata[stratum_index]
+                ]
+                deltas = None
+            else:
+                deltas = {
+                    pred: _IdDeltaBatch(rows) for pred, rows in fresh.items()
+                }
+                tasks = [
+                    (ri, j)
+                    for ri in compiled.strata[stratum_index]
+                    for j in compiled.delta_occurrences(ri)
+                    if rules[ri].body[j].pred_key in deltas
+                ]
+            fresh = execute(tasks, deltas)
+            _check_budget(stats, None, max_facts)
+            full = not seminaive and bool(fresh)
+
+
+def serial_executor(
+    compiled: CompiledProgram,
+    working: Database,
+    stats: EvaluationStats,
+    meter,
+    emit: Callable[[str, List[IdTuple], int], List[IdTuple]],
+) -> RoundExecutor:
+    """The serial round executor: each task's plan runs through
+    ``execute_batch`` and ``emit(head, rows, solutions)`` installs its
+    rows, returning the fresh ones, before the next task runs."""
+    rules = compiled.program.rules
+
+    def execute(tasks, deltas):
+        fresh_by_head: Dict[str, List[IdTuple]] = {}
+        for ri, j in tasks:
+            rule = rules[ri]
+            head_key = rule.head.pred_key
+            rows, _, solutions = compiled.plan(ri, j).execute_batch(
+                working,
+                stats,
+                None if j is None else deltas[rule.body[j].pred_key],
+                meter=meter,
+            )
+            fresh = emit(head_key, rows, solutions)
+            if fresh:
+                fresh_by_head.setdefault(head_key, []).extend(fresh)
+        return fresh_by_head
+
+    return execute
+
+
+def evaluate(
+    program: Program,
+    database: Database,
+    method: str = "seminaive",
+    max_iterations: Optional[int] = None,
+    max_facts: Optional[int] = None,
+    plan_cache: Optional[PlanCache] = None,
+    meter=None,
+    workers: Optional[int] = None,
+    parallel_backend: str = "auto",
+) -> EvaluationResult:
+    """Bottom-up evaluation by strategy name (``"naive"`` or
+    ``"seminaive"``) on a snapshot of ``database``: fetch (or build) the
+    program's plans, pick the serial or the pool executor, and run
+    :func:`fixpoint`."""
+    if method not in ("naive", "seminaive"):
+        raise ValueError(f"unknown evaluation method {method!r}")
+    working = database.snapshot()
+    stats = EvaluationStats()
+    compiled, cache_hit = compiled_program_for(program, plan_cache)
+    if cache_hit:
+        stats.plan_cache_hits += 1
+    else:
+        stats.plan_cache_misses += 1
+    compiled.register_indexes(working)
+    if workers is not None and workers > 1:
+        from .parallel import pool_executor
+
+        executor = pool_executor(
+            program, compiled, working, stats, meter, int(workers),
+            parallel_backend,
+        )
+    else:
+        executor = nullcontext(serial_executor(
+            compiled, working, stats, meter, partial(_install, working, stats)
+        ))
+    with executor as execute:
+        fixpoint(
+            compiled, working, stats, execute, method == "seminaive", meter,
+            max_iterations, max_facts,
+        )
+    return EvaluationResult(working, program.derived_predicates(), stats)
+
+
+def evaluate_naive(
+    program: Program,
+    database: Database,
+    max_iterations: Optional[int] = None,
+    max_facts: Optional[int] = None,
+    plan_cache: Optional[PlanCache] = None,
+    meter=None,
+    workers: Optional[int] = None,
+    parallel_backend: str = "auto",
+) -> EvaluationResult:
+    """Naive bottom-up fixpoint: all rules against all facts, each round.
+
+    With negation, each stratum's rules run to their joint fixpoint
+    before the next stratum starts (``stats.iterations`` accumulates
+    rounds across strata).
+
+    ``meter`` is an optional budget meter (duck-typed so this module
+    never imports :mod:`repro.core.limits`): ``check_round`` runs at
+    every fixpoint-round boundary and ``check_batch`` at rule/batch
+    boundaries, each free to abort by raising.  Evaluation runs on a
+    snapshot of ``database`` (base relations shared, derived ones
+    created in the snapshot), so an abort installs nothing.
+
+    ``workers`` > 1 runs each round's batches on the parallel tier
+    (:mod:`repro.datalog.parallel`); fact sets and the solution counters
+    (``facts_derived`` / ``rule_firings`` / ``duplicate_derivations`` /
+    ``iterations``) are identical to the serial run by construction.
+    """
+    return evaluate(
+        program, database, "naive", max_iterations, max_facts, plan_cache,
+        meter, workers, parallel_backend,
+    )
+
+
 def evaluate_seminaive(
     program: Program,
     database: Database,
@@ -364,129 +476,19 @@ def evaluate_seminaive(
 
     For each rule and each body occurrence of a derived predicate, a
     delta version of the rule matches that occurrence against the facts
-    new in the previous round.  Rules whose body mentions no derived
-    predicate fire once, in round one.  Rule solutions and the
-    per-round deltas travel as ID rows end to end; terms are only
-    resolved back when answers are materialized.
+    new in the previous round.  Every rule runs its full plan once, in
+    a stratum's first round: derived relations of the stratum are empty
+    then, and negated literals probe lower strata, which are complete.
+    Deltas only ever hold same-stratum predicates, so a negated literal
+    never matches one.  Rule solutions and the per-round deltas travel
+    as ID rows end to end; terms are only resolved back when answers
+    are materialized.
 
-    ``meter`` -- optional budget meter checked at round and rule/batch
-    boundaries, as in :func:`evaluate_naive`.
-
-    ``workers`` > 1 fans each round's delta batches out to the parallel
-    tier (:mod:`repro.datalog.parallel`), preserving fact sets and the
-    solution counters exactly; see :func:`evaluate_naive`.
+    ``meter`` and ``workers`` as in :func:`evaluate_naive`.
     """
-    if workers is not None and workers > 1:
-        from .parallel import evaluate_parallel
-
-        return evaluate_parallel(
-            program, database, method="seminaive", workers=workers,
-            backend=parallel_backend, max_iterations=max_iterations,
-            max_facts=max_facts, plan_cache=plan_cache, meter=meter,
-        )
-    working = database.snapshot()
-    stats = EvaluationStats()
-    derived_keys = program.derived_predicates()
-    compiled = _compiled_for(program, working, stats, plan_cache)
-
-    for stratum_index, stratum in enumerate(compiled.strata):
-        # round 1 of the stratum: all its rules against the current
-        # database (derived relations of this stratum are empty, so only
-        # rules over base/lower-stratum facts can fire; rules with
-        # same-stratum derived body literals fire iff those relations
-        # already hold facts, which we support by simply evaluating every
-        # rule naively once).  Negated literals probe lower strata, which
-        # are complete by now.
-        deltas: Dict[str, _IdDeltaBatch] = {}
-        stats.iterations += 1
-        round_in_stratum = 1
-        if meter is not None:
-            meter.check_round(
-                stats.facts_derived,
-                stats.tuples_scanned,
-                stratum_index,
-                round_in_stratum,
-                working,
-            )
-        for rule_index in stratum:
-            head_key = program.rules[rule_index].head.pred_key
-            rows, _, solutions = compiled.plan(rule_index).execute_batch(
-                working, stats, meter=meter
-            )
-            fresh = _install(
-                working.relation(head_key), head_key, rows, solutions, stats
-            )
-            if fresh:
-                deltas.setdefault(head_key, _IdDeltaBatch()).extend(fresh)
-
-        # subsequent rounds: delta-driven (deltas only ever hold
-        # same-stratum predicates, so negated literals -- strictly lower
-        # stratum -- never match one)
-        while deltas:
-            stats.iterations += 1
-            round_in_stratum += 1
-            _check_budget(
-                stats, stats.facts_derived, max_iterations, max_facts
-            )
-            if meter is not None:
-                meter.check_round(
-                    stats.facts_derived,
-                    stats.tuples_scanned,
-                    stratum_index,
-                    round_in_stratum,
-                    working,
-                )
-            new_deltas: Dict[str, _IdDeltaBatch] = {}
-            for rule_index in stratum:
-                rule = program.rules[rule_index]
-                head_key = rule.head.pred_key
-                relation = working.relation(head_key)
-                for index, literal in enumerate(rule.body):
-                    if literal.negated:
-                        continue
-                    if literal.pred_key not in deltas:
-                        continue
-                    if literal.pred_key not in derived_keys:
-                        continue
-                    rows, _, solutions = compiled.plan(
-                        rule_index, index
-                    ).execute_batch(
-                        working, stats, deltas[literal.pred_key], meter=meter
-                    )
-                    fresh = _install(
-                        relation, head_key, rows, solutions, stats
-                    )
-                    if fresh:
-                        new_deltas.setdefault(
-                            head_key, _IdDeltaBatch()
-                        ).extend(fresh)
-            deltas = new_deltas
-            if max_facts is not None and stats.facts_derived > max_facts:
-                _check_budget(stats, stats.facts_derived, None, max_facts)
-    return EvaluationResult(working, derived_keys, stats)
-
-
-def evaluate(
-    program: Program,
-    database: Database,
-    method: str = "seminaive",
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
-    meter=None,
-    workers: Optional[int] = None,
-    parallel_backend: str = "auto",
-) -> EvaluationResult:
-    """Dispatch to a bottom-up strategy by name."""
-    if method == "naive":
-        strategy = evaluate_naive
-    elif method == "seminaive":
-        strategy = evaluate_seminaive
-    else:
-        raise ValueError(f"unknown evaluation method {method!r}")
-    return strategy(
-        program, database, max_iterations, max_facts, plan_cache, meter,
-        workers, parallel_backend,
+    return evaluate(
+        program, database, "seminaive", max_iterations, max_facts,
+        plan_cache, meter, workers, parallel_backend,
     )
 
 

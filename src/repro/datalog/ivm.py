@@ -15,9 +15,10 @@ drains the log into a net per-relation delta and repairs the strata in
 order:
 
 * **Insertions** propagate through the semi-naive delta machinery: the
-  added rows seed an :class:`~repro.datalog.engine._IdDeltaBatch` and
-  the compiled ``JoinPlan`` delta plans run columnar batch rounds
-  against ``working``.
+  added rows seed the engine's round driver
+  (:func:`~repro.datalog.engine.fixpoint`), whose rounds run the
+  compiled ``JoinPlan`` delta plans as columnar batches against
+  ``working``.
 * **Deletions** from *flat* strata (no rule reads a same-stratum head:
   the non-recursive case) use **counting**: a per-derived-row derivation
   count is maintained by exact finite differencing, one changed input
@@ -76,10 +77,15 @@ from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .analysis import stratify_rules
 from .ast import Literal, Program, Rule
 from .database import Database, FactTuple, IdTuple
-from .engine import EvaluationStats, _IdDeltaBatch, evaluate_seminaive
+from .engine import (
+    EvaluationStats,
+    _IdDeltaBatch,
+    evaluate_seminaive,
+    fixpoint,
+    serial_executor,
+)
 from .planner import (
     JoinPlan,
     PlanCache,
@@ -99,7 +105,8 @@ class MaintenanceResult:
     re-evaluated cold).  ``facts_added``/``facts_removed`` count derived
     rows the repair actually changed in the materialization;
     ``strata_skipped`` counts strata whose inputs the delta never
-    touched (the delta-proportionality win).
+    touched (the delta-proportionality win).  ``rounds`` counts the
+    propagation rounds of the recursive strata, with or without a meter.
     """
 
     action: str
@@ -158,11 +165,12 @@ class _Seeded:
         return self.working.get(pred_key)
 
 
-def _batch(idrows: Iterable[IdTuple]) -> _IdDeltaBatch:
-    """The ID rows of a delta as the seed of a plan."""
-    batch = _IdDeltaBatch()
-    batch.extend(list(idrows))
-    return batch
+def _collect(
+    seeds: Dict[str, List[IdTuple]], pred: str, fresh: List[IdTuple]
+) -> None:
+    """Append ``fresh`` rows of ``pred`` to the seeds of a round."""
+    if fresh:
+        seeds.setdefault(pred, []).extend(fresh)
 
 
 def _tally(
@@ -201,8 +209,8 @@ class MaterializedProgram:
         self.base = database
         self._plan_cache = plan_cache
         self.derived_keys = program.derived_predicates()
-        self.predicate_stratum, self.rule_strata = stratify_rules(program)
         self.compiled, _ = compiled_program_for(program, plan_cache)
+        self.rule_strata = self.compiled.strata
         #: per-stratum head predicates
         self._stratum_heads: List[frozenset] = []
         #: True for strata no rule of which reads a same-stratum head
@@ -423,8 +431,7 @@ class MaterializedProgram:
             if delta.removed:
                 rel.discard_id_rows(delta.removed)
 
-        for s, stratum in enumerate(self.rule_strata):
-            heads = self._stratum_heads[s]
+        for s, heads in enumerate(self._stratum_heads):
             ext = {
                 pred: external[pred] for pred in heads if pred in external
             }
@@ -433,12 +440,13 @@ class MaterializedProgram:
                 continue
             result.strata_maintained += 1
             if meter is not None:
-                result.rounds += 1
+                # a stratum boundary, numbered with the propagation
+                # rounds in one sequence across the pass
                 meter.check_round(
                     stats.facts_derived,
                     stats.tuples_scanned,
                     s,
-                    result.rounds,
+                    result.strata_maintained + stats.iterations,
                     self.working,
                 )
             if self._flat[s]:
@@ -446,12 +454,13 @@ class MaterializedProgram:
                     s, changed, ext, stats, meter
                 )
             else:
-                added, removed, rounds = self._maintain_dred(
-                    s, stratum, heads, changed, ext, stats, meter, result
+                added, removed = self._maintain_dred(
+                    s, heads, changed, ext, stats, meter, result
                 )
-                result.rounds += rounds
             result.facts_added += added
             result.facts_removed += removed
+        # the round driver counts every propagation round
+        result.rounds = stats.iterations
         return result
 
     def _changed_inputs(self, s: int, changed) -> List[str]:
@@ -591,7 +600,7 @@ class MaterializedProgram:
                     delta.removed if turn else delta.added
                 )
             seeds = [
-                (_batch(idrows), sign)
+                (_IdDeltaBatch(list(idrows)), sign)
                 for idrows, sign in ((delta.added, 1), (delta.removed, -1))
                 if idrows
             ]
@@ -653,18 +662,21 @@ class MaterializedProgram:
     # ------------------------------------------------------------------
     # DRed maintenance (recursive strata)
     # ------------------------------------------------------------------
-    def _seed_changed(
-        self, stratum, changed, dying: bool, emit, stats, meter
+    def _repair(
+        self, s, changed, dying: bool, emit, seeds, stats, meter, result
     ) -> None:
-        """Run every changed body occurrence of the stratum's rules
-        through its seeded plan and hand ``emit`` the head rows.
+        """One DRed phase of stratum ``s``: run every changed body
+        occurrence of its rules through its seeded plan, hand ``emit``
+        the head rows, and propagate the rows ``emit`` returns, with
+        ``seeds``, through the stratum's semi-naive rounds on the
+        engine's round driver.
 
         ``dying`` picks the side of each delta under which solutions
         disappear (removed rows under a positive literal, added rows
         under a negated one) rather than the side under which they
         appear.
         """
-        for ri in stratum:
+        for ri in self.rule_strata[s]:
             rule = self.program.rules[ri]
             for j, literal in enumerate(rule.body):
                 delta = changed.get(literal.pred_key)
@@ -677,54 +689,29 @@ class MaterializedProgram:
                 )
                 if idrows:
                     rows, _, solutions = self._run(
-                        ri, (j,), _batch(idrows), stats, meter
+                        ri, (j,), _IdDeltaBatch(list(idrows)), stats, meter
                     )
-                    emit(rule.head.pred_key, rows, solutions)
-
-    def _propagate(
-        self, s, stratum, batches, emit, stats, meter, rounds_before: int
-    ) -> int:
-        """Semi-naive rounds over the stratum's derived occurrences.
-
-        Each round runs the previous round's ``batches`` through the
-        compiled delta plans; ``emit`` turns the head rows into the next
-        round's batches.  Returns the number of rounds run.
-        """
-        rounds = 0
-        while batches:
-            rounds += 1
-            if meter is not None:
-                meter.check_round(
-                    stats.facts_derived,
-                    stats.tuples_scanned,
-                    s,
-                    rounds_before + rounds,
-                    self.working,
-                )
-            previous = dict(batches)
-            batches.clear()
-            for ri in stratum:
-                rule = self.program.rules[ri]
-                for j in self.compiled.delta_occurrences(ri):
-                    batch = previous.get(rule.body[j].pred_key)
-                    if batch is not None:
-                        rows, _, solutions = self._run(
-                            ri, (j,), batch, stats, meter
-                        )
-                        emit(rule.head.pred_key, rows, solutions)
-        return rounds
+                    _collect(
+                        seeds,
+                        rule.head.pred_key,
+                        emit(rule.head.pred_key, rows, solutions),
+                    )
+        fixpoint(
+            self.compiled,
+            self.working,
+            stats,
+            serial_executor(self.compiled, self.working, stats, meter, emit),
+            meter=meter,
+            stratum=s,
+            seeds=seeds,
+            first_round=result.strata_maintained + stats.iterations,
+        )
 
     def _maintain_dred(
-        self, s, stratum, heads, changed, ext, stats, meter, result
-    ) -> Tuple[int, int, int]:
+        self, s, heads, changed, ext, stats, meter, result
+    ) -> Tuple[int, int]:
         working = self.working
-        batches: Dict[str, _IdDeltaBatch] = {}
-
-        def enqueue(pred: str, fresh: List[IdTuple]) -> None:
-            batch = batches.get(pred)
-            if batch is None:
-                batch = batches[pred] = _IdDeltaBatch()
-            batch.extend(fresh)
+        seeds: Dict[str, List[IdTuple]] = {}
 
         # ---- phase 1: overdelete.  Every join reads *old* state:
         # working is flipped back to the pre-delta picture (same-stratum
@@ -734,10 +721,10 @@ class MaterializedProgram:
         # through several recursive steps.
         od: Dict[str, Set[IdTuple]] = {}
 
-        def overdelete(pred: str, idrows, _solutions=0) -> None:
+        def overdelete(pred: str, idrows, _solutions=0) -> List[IdTuple]:
             rel = working.get(pred)
             if rel is None or not idrows:
-                return
+                return []
             bucket = od.get(pred, ())
             rowmap = rel._rowmap
             fresh = {
@@ -747,19 +734,16 @@ class MaterializedProgram:
             }
             if fresh:
                 od.setdefault(pred, set()).update(fresh)
-                enqueue(pred, list(fresh))
+            return list(fresh)
 
         flipped = self._changed_inputs(s, changed)
         for pred in flipped:
             self._flip(pred, changed[pred], True)
         try:
             for pred, delta in ext.items():
-                overdelete(pred, delta.removed)
-            self._seed_changed(
-                stratum, changed, True, overdelete, stats, meter
-            )
-            rounds = self._propagate(
-                s, stratum, batches, overdelete, stats, meter, result.rounds
+                _collect(seeds, pred, overdelete(pred, delta.removed))
+            self._repair(
+                s, changed, True, overdelete, seeds, stats, meter, result
             )
         finally:
             for pred in flipped:
@@ -773,9 +757,9 @@ class MaterializedProgram:
 
         added_net: Dict[str, Set[IdTuple]] = {}
 
-        def push(pred: str, fresh: List[IdTuple]) -> None:
+        def push(pred: str, fresh: List[IdTuple]) -> List[IdTuple]:
             if not fresh:
-                return
+                return fresh
             stats.record_facts(pred, len(fresh))
             out_removed = od.get(pred)
             out_added = added_net.setdefault(pred, set())
@@ -784,16 +768,17 @@ class MaterializedProgram:
                     out_removed.discard(idrow)
                 else:
                     out_added.add(idrow)
-            enqueue(pred, fresh)
+            return fresh
 
-        def insert(pred: str, rows, solutions: int) -> None:
+        def insert(pred: str, rows, solutions: int) -> List[IdTuple]:
             # the head is fetched only when there are rows to write:
             # relation() clones a relation a published snapshot shares,
             # and a head no delta reaches must stay shared
-            if rows:
-                fresh = working.relation(pred).add_id_rows(rows)
-                stats.duplicate_derivations += solutions - len(fresh)
-                push(pred, fresh)
+            if not rows:
+                return []
+            fresh = working.relation(pred).add_id_rows(rows)
+            stats.duplicate_derivations += solutions - len(fresh)
+            return push(pred, fresh)
 
         # ---- phase 3: rederive.  The overdeleted rows that are still
         # base facts survive as they are; the others seed, per rule of
@@ -801,31 +786,33 @@ class MaterializedProgram:
         # the deleted state, whose output is the rows still one-step
         # derivable.  It enumerates each such derivation rather than
         # stopping at the first -- the same order of work as the
-        # overdeletion that produced the row.  Survivors are pushed into
-        # the insertion batches, so anything they (or later insertions)
+        # overdeletion that produced the row.  Survivors seed the
+        # insertion rounds, so anything they (or later insertions)
         # transitively support is restored by the rounds below rather
         # than by repeated sweeps.
+        seeds = {}
         for pred, bucket in od.items():
             base_rel = self.base.get(pred)
             base_rows = () if base_rel is None else base_rel._rowmap
             survivors = [row for row in bucket if row in base_rows]
             lost = [row for row in bucket if row not in base_rows]
             if lost:
-                seed = _batch(lost)
+                seed = _IdDeltaBatch(lost)
                 for ri in self._rules_by_head[pred]:
                     survivors += self._run(ri, None, seed, stats, meter)[0]
             if survivors:
-                push(pred, working.relation(pred).add_id_rows(survivors))
+                _collect(seeds, pred, push(
+                    pred, working.relation(pred).add_id_rows(survivors)
+                ))
 
         # ---- phase 4: insertion propagation through the compiled
         # columnar delta plans (the semi-naive batch machinery)
         for pred, delta in ext.items():
             if delta.added:
-                push(pred, working.relation(pred).add_id_rows(delta.added))
-        self._seed_changed(stratum, changed, False, insert, stats, meter)
-        rounds += self._propagate(
-            s, stratum, batches, insert, stats, meter, result.rounds + rounds
-        )
+                _collect(seeds, pred, push(
+                    pred, working.relation(pred).add_id_rows(delta.added)
+                ))
+        self._repair(s, changed, False, insert, seeds, stats, meter, result)
 
         added = removed = 0
         for pred in heads:
@@ -840,7 +827,7 @@ class MaterializedProgram:
             out.removed |= net_removed
             added += len(net_added)
             removed += len(net_removed)
-        return added, removed, rounds
+        return added, removed
 
     # ------------------------------------------------------------------
     # diagnostics

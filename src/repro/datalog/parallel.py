@@ -12,7 +12,9 @@ and the solution counters (``facts_derived`` / ``rule_firings`` /
 engine *by construction*, because sharding partitions each batch's
 input rows exactly and merging replays the serial batch order.
 
-Two backends share one driver:
+Both backends run a round's tasks for the engine's one round driver
+(:func:`repro.datalog.engine.fixpoint`), which hands them to
+:func:`pool_executor`:
 
 * **fork** (default on CPython with the GIL): worker processes are
   forked *after* the working copy, the compiled plans, and all
@@ -70,32 +72,26 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import time
-from itertools import islice
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from itertools import count, islice
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from concurrent.futures import ThreadPoolExecutor
 
 from .ast import Program
 from .catalog import term_catalog
 from .database import Database, IdTuple
-from .engine import (
-    EvaluationResult,
-    EvaluationStats,
-    _check_budget,
-    _compiled_for,
-    _IdDeltaBatch,
-)
+from .engine import EvaluationStats, _IdDeltaBatch, _install
 from .errors import EvaluationError
 from .planner import (
     CompiledProgram,
     JoinPlan,
-    PlanCache,
     compile_rule,
     partition_columns,
     plan_interns_terms,
 )
 
-__all__ = ["evaluate_parallel", "resolve_backend"]
+__all__ = ["pool_executor", "resolve_backend"]
 
 from array import array
 
@@ -146,26 +142,14 @@ def _shard_index(row: IdTuple, pcols: Tuple[int, ...], workers: int) -> int:
     return (h >> 32) % workers
 
 
-def _hash_filter(rows, pcols, workers: int, w: int) -> List[IdTuple]:
-    """The shard of ``rows`` worker ``w`` owns under hash partitioning.
+def _hash_shards(rows, pcols, workers: int) -> List[List[IdTuple]]:
+    """Hash-partition ``rows`` on the columns ``pcols``: one shard per
+    worker.
 
     Term IDs are small dense ints, so the raw value mod ``workers``
     would stripe structured workloads badly; a Fibonacci-style mix of
     the partition columns spreads them.
     """
-    if len(pcols) == 1:
-        (p,) = pcols
-        return [
-            r for r in rows
-            if (((r[p] * _MIX) & _MASK) >> 32) % workers == w
-        ]
-    return [
-        r for r in rows if _shard_index(r, pcols, workers) == w
-    ]
-
-
-def _hash_shards(rows, pcols, workers: int) -> List[List[IdTuple]]:
-    """All workers' hash shards at once (the parent-side splitter)."""
     shards: List[List[IdTuple]] = [[] for _ in range(workers)]
     if len(pcols) == 1:
         (p,) = pcols
@@ -175,12 +159,6 @@ def _hash_shards(rows, pcols, workers: int) -> List[List[IdTuple]]:
         for r in rows:
             shards[_shard_index(r, pcols, workers)].append(r)
     return shards
-
-
-def _rows_batch(rows: List[IdTuple]) -> _IdDeltaBatch:
-    batch = _IdDeltaBatch()
-    batch.rows = rows
-    return batch
 
 
 # ----------------------------------------------------------------------
@@ -283,57 +261,53 @@ class _BatchTask:
     """One batch of one round: a rule (full) or rule/delta work item."""
 
     __slots__ = ("task_id", "rule_index", "delta_index", "head_key",
-                 "kind", "input_pred", "mode", "pcols", "solo", "reads")
+                 "input_pred", "mode", "pcols", "solo", "reads")
 
-    def __init__(self, task_id, rule_index, delta_index, head_key, kind,
+    def __init__(self, task_id, rule_index, delta_index, head_key,
                  input_pred, mode, pcols, solo, reads):
         self.task_id = task_id
         self.rule_index = rule_index
+        #: None for a full batch (input = the pivot relation), else the
+        #: delta occurrence (input = the delta)
         self.delta_index = delta_index
         self.head_key = head_key
-        #: "full" (input = the pivot relation) or "delta" (= the delta)
-        self.kind = kind
         self.input_pred = input_pred
         #: "hash" / "chunk" / "solo" (see module docstring)
         self.mode = mode
         self.pcols = pcols
         #: worker index owning the batch when mode == "solo"
         self.solo = solo
-        #: same-stratum heads this batch probes as full relations; the
-        #: grouping uses it to replay serial within-round visibility
+        #: predicates this batch probes as full relations; the grouping
+        #: uses it to replay serial within-round visibility
         self.reads = reads
 
     def descriptor(self):
-        return (self.task_id, self.rule_index, self.delta_index, self.kind,
+        return (self.task_id, self.rule_index, self.delta_index,
                 self.input_pred, self.mode, self.pcols, self.solo)
 
 
-def _full_task(task_id, rule_index, program, shards, stratum_heads, workers):
+def _batch_task(task_id, rule_index, occ, program, compiled, shards,
+                workers):
+    """The work item of one engine task: rule ``rule_index``'s full
+    plan (``occ`` None) or its delta plan at body position ``occ``."""
     rule = program.rules[rule_index]
-    mode, pcols = shards.full_modes[rule_index]
-    pivot = shards.full_pivot[rule_index]
-    input_pred = rule.body[pivot].pred_key if pivot is not None else None
-    reads = frozenset(
-        literal.pred_key for literal in rule.body if not literal.negated
-    ) & stratum_heads
+    if occ is None:
+        mode, pcols = shards.full_modes[rule_index]
+        pivot = shards.full_pivot[rule_index]
+        input_pred = rule.body[pivot].pred_key if pivot is not None else None
+        reads = frozenset(
+            literal.pred_key for literal in rule.body if not literal.negated
+        )
+    else:
+        mode, pcols = shards.delta_modes[(rule_index, occ)]
+        input_pred = rule.body[occ].pred_key
+        reads = frozenset(
+            step.pred_key for step in compiled.plan(rule_index, occ).steps
+            if not step.is_delta and not step.negated
+        )
     return _BatchTask(
-        task_id, rule_index, None, rule.head.pred_key, "full", input_pred,
-        mode, pcols, task_id % workers, reads,
-    )
-
-
-def _delta_task(task_id, rule_index, occ, program, compiled, shards,
-                stratum_heads, workers):
-    rule = program.rules[rule_index]
-    plan = compiled.plan(rule_index, occ)
-    mode, pcols = shards.delta_modes[(rule_index, occ)]
-    reads = frozenset(
-        step.pred_key for step in plan.steps
-        if not step.is_delta and not step.negated
-    ) & stratum_heads
-    return _BatchTask(
-        task_id, rule_index, occ, rule.head.pred_key, "delta",
-        rule.body[occ].pred_key, mode, pcols, task_id % workers, reads,
+        task_id, rule_index, occ, rule.head.pred_key, input_pred, mode,
+        pcols, task_id % workers, reads,
     )
 
 
@@ -388,9 +362,26 @@ def _execute_shard(plan, database, rows, deadline):
         if not rows:
             return ([], 0, 0, 0)
         out, _, solutions = plan.execute_batch(
-            database, lstats, _rows_batch(rows)
+            database, lstats, _IdDeltaBatch(rows)
         )
     return (out, solutions, lstats.join_probes, lstats.tuples_scanned)
+
+
+def _merge_shard(results, stats, task_id, w, rows, solutions, probes,
+                 scanned):
+    """Fold one shard's result from worker ``w`` into its task's
+    ``(solutions, rows)`` entry and the parent's counters."""
+    n_emitted, merged = results[task_id]
+    merged.extend(rows)
+    results[task_id] = (n_emitted + solutions, merged)
+    stats.rule_firings += solutions
+    stats.join_probes += probes
+    stats.tuples_scanned += scanned
+    stats.parallel_tasks += 1
+    stats.parallel_rows_shipped += len(rows)
+    stats.parallel_worker_rows[w] = (
+        stats.parallel_worker_rows.get(w, 0) + solutions
+    )
 
 
 # ----------------------------------------------------------------------
@@ -405,33 +396,31 @@ class _ThreadBackend:
     are value-idempotent); actually parallel on free-threaded CPython.
     """
 
-    kind = "thread"
-
     def __init__(self, working, compiled, shards, workers):
         self.working = working
         self.compiled = compiled
         self.shards = shards
         self.workers = workers
-        self.deltas: Dict[str, List[IdTuple]] = {}
+        self.deltas: Optional[Dict[str, _IdDeltaBatch]] = None
         self.pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-parallel"
         )
 
-    def roll_round(self, deltas: Dict[str, List[IdTuple]]) -> None:
+    def roll_round(self, deltas: Optional[Dict[str, _IdDeltaBatch]]) -> None:
         self.deltas = deltas
 
     def apply_fresh(self, updates, stats) -> None:
         pass  # shared memory: the parent's merge is already visible
 
     def _plan_and_rows(self, task):
-        if task.kind == "full":
+        if task.delta_index is None:
             if task.mode == "solo":
                 return self.compiled.plan(task.rule_index), None
             relation = self.working.get(task.input_pred)
             rows = list(relation.id_rows()) if relation is not None else []
             return self.shards.shard_plans[task.rule_index], rows
         plan = self.compiled.plan(task.rule_index, task.delta_index)
-        return plan, self.deltas.get(task.input_pred, [])
+        return plan, self.deltas[task.input_pred].rows
 
     def run_group(self, group, stats, deadline):
         submit = self.pool.submit
@@ -461,18 +450,7 @@ class _ThreadBackend:
             if out is None:
                 aborted = True
                 continue
-            rows_out, solutions, probes, scanned = out
-            n_emitted, merged = results[task.task_id]
-            merged.extend(rows_out)
-            results[task.task_id] = (n_emitted + solutions, merged)
-            stats.rule_firings += solutions
-            stats.join_probes += probes
-            stats.tuples_scanned += scanned
-            stats.parallel_tasks += 1
-            stats.parallel_rows_shipped += len(rows_out)
-            stats.parallel_worker_rows[w] = (
-                stats.parallel_worker_rows.get(w, 0) + solutions
-            )
+            _merge_shard(results, stats, task.task_id, w, *out)
         return results, aborted
 
     def close(self) -> None:
@@ -502,17 +480,17 @@ class _WorkerState:
 
 
 def _worker_run_task(descriptor, state, deltas, shadow, w):
-    (task_id, rule_index, delta_index, kind, input_pred, mode, pcols,
+    (task_id, rule_index, delta_index, input_pred, mode, pcols,
      solo) = descriptor
     working = state.working
     rows_in: Optional[List[IdTuple]]
-    if kind == "full" and mode == "solo":
+    if delta_index is None and mode == "solo":
         if w != solo:
             return None
         plan = state.compiled.plan(rule_index)
         rows_in = None
     else:
-        if kind == "full":
+        if delta_index is None:
             plan = state.shards.shard_plans[rule_index]
             relation = working.get(input_pred)
             all_rows = relation.id_rows() if relation is not None else ()
@@ -524,7 +502,7 @@ def _worker_run_task(descriptor, state, deltas, shadow, w):
                 return None
             rows_in = list(all_rows)
         elif mode == "hash":
-            rows_in = _hash_filter(all_rows, pcols, state.workers, w)
+            rows_in = _hash_shards(all_rows, pcols, state.workers)[w]
         else:
             rows_in = list(islice(iter(all_rows), w, None, state.workers))
         if not rows_in:
@@ -609,8 +587,6 @@ def _worker_main(conn, state: _WorkerState, w: int) -> None:
 class _ForkBackend:
     """Workers as forked processes with copy-on-write replicas."""
 
-    kind = "fork"
-
     def __init__(self, working, compiled, shards, replica_preds, workers):
         self.workers = workers
         ctx = multiprocessing.get_context("fork")
@@ -675,17 +651,9 @@ class _ForkBackend:
             t0 = time.perf_counter()
             for (task_id, n_emitted, probes, scanned, count, arity,
                  buf) in entries:
-                rows = _unflatten(buf, arity, count)
-                total, merged = results[task_id]
-                merged.extend(rows)
-                results[task_id] = (total + n_emitted, merged)
-                stats.rule_firings += n_emitted
-                stats.join_probes += probes
-                stats.tuples_scanned += scanned
-                stats.parallel_tasks += 1
-                stats.parallel_rows_shipped += count
-                stats.parallel_worker_rows[w] = (
-                    stats.parallel_worker_rows.get(w, 0) + n_emitted
+                _merge_shard(
+                    results, stats, task_id, w,
+                    _unflatten(buf, arity, count), n_emitted, probes, scanned,
                 )
             stats.parallel_ship_seconds += time.perf_counter() - t0
         return results, aborted
@@ -711,17 +679,15 @@ class _ForkBackend:
 
 
 # ----------------------------------------------------------------------
-# the parallel fixpoint drivers
+# the pool round executor
 # ----------------------------------------------------------------------
 
-def _run_groups(tasks, working, stats, meter, backend, sink) -> bool:
+def _run_groups(tasks, working, stats, meter, backend):
     """One round's batches: group, dispatch, merge, broadcast.
 
-    ``sink(head_key, fresh)`` collects the round's new rows (the next
-    delta for semi-naive; ignored by naive).  Returns whether any batch
-    derived a new fact.
+    Returns the round's fresh rows per head predicate.
     """
-    changed = False
+    fresh_by_head: Dict[str, List[IdTuple]] = {}
     deadline = getattr(meter, "deadline", None) if meter is not None else None
     for group in _visibility_groups(tasks):
         if meter is not None:
@@ -745,151 +711,36 @@ def _run_groups(tasks, working, stats, meter, backend, sink) -> bool:
             n_emitted, rows = results[task.task_id]
             if not n_emitted:
                 continue
-            relation = working.relation(task.head_key)
-            fresh = relation.add_id_rows(rows) if rows else []
-            n_fresh = len(fresh)
-            stats.duplicate_derivations += n_emitted - n_fresh
-            if n_fresh:
-                stats.record_facts(task.head_key, n_fresh)
-                sink(task.head_key, fresh)
+            fresh = _install(working, stats, task.head_key, rows, n_emitted)
+            if fresh:
+                fresh_by_head.setdefault(task.head_key, []).extend(fresh)
                 updates.append((task.head_key, fresh))
-                changed = True
         backend.apply_fresh(updates, stats)
-    return changed
+    return fresh_by_head
 
 
-def _run_seminaive(program, working, compiled, shards, stats, backend,
-                   max_iterations, max_facts, meter) -> None:
-    task_id = 0
-    for stratum_index, stratum in enumerate(compiled.strata):
-        stratum_heads = frozenset(
-            program.rules[i].head.pred_key for i in stratum
-        )
-        deltas: Dict[str, List[IdTuple]] = {}
-
-        def sink(head_key, fresh, _deltas=deltas):
-            _deltas.setdefault(head_key, []).extend(fresh)
-
-        stats.iterations += 1
-        round_in_stratum = 1
-        if meter is not None:
-            meter.check_round(
-                stats.facts_derived, stats.tuples_scanned,
-                stratum_index, round_in_stratum, working,
-            )
-        tasks = []
-        for rule_index in stratum:
-            tasks.append(_full_task(
-                task_id, rule_index, program, shards, stratum_heads,
-                backend.workers,
-            ))
-            task_id += 1
-        _run_groups(tasks, working, stats, meter, backend, sink)
-
-        while deltas:
-            stats.iterations += 1
-            round_in_stratum += 1
-            _check_budget(
-                stats, stats.facts_derived, max_iterations, max_facts
-            )
-            if meter is not None:
-                meter.check_round(
-                    stats.facts_derived, stats.tuples_scanned,
-                    stratum_index, round_in_stratum, working,
-                )
-            backend.roll_round(deltas)
-            new_deltas: Dict[str, List[IdTuple]] = {}
-
-            def sink(head_key, fresh, _deltas=new_deltas):
-                _deltas.setdefault(head_key, []).extend(fresh)
-
-            tasks = []
-            for rule_index in stratum:
-                rule = program.rules[rule_index]
-                for occ in compiled.delta_occurrences(rule_index):
-                    if rule.body[occ].pred_key not in deltas:
-                        continue
-                    tasks.append(_delta_task(
-                        task_id, rule_index, occ, program, compiled,
-                        shards, stratum_heads, backend.workers,
-                    ))
-                    task_id += 1
-            _run_groups(tasks, working, stats, meter, backend, sink)
-            deltas = new_deltas
-            if max_facts is not None and stats.facts_derived > max_facts:
-                _check_budget(stats, stats.facts_derived, None, max_facts)
-
-
-def _run_naive(program, working, compiled, shards, stats, backend,
-               max_iterations, max_facts, meter) -> None:
-    task_id = 0
-
-    def sink(head_key, fresh):
-        pass
-
-    for stratum_index, stratum in enumerate(compiled.strata):
-        stratum_heads = frozenset(
-            program.rules[i].head.pred_key for i in stratum
-        )
-        changed = True
-        round_in_stratum = 0
-        while changed:
-            stats.iterations += 1
-            round_in_stratum += 1
-            _check_budget(
-                stats, stats.facts_derived, max_iterations, max_facts
-            )
-            if meter is not None:
-                meter.check_round(
-                    stats.facts_derived, stats.tuples_scanned,
-                    stratum_index, round_in_stratum, working,
-                )
-            backend.roll_round({})
-            tasks = []
-            for rule_index in stratum:
-                tasks.append(_full_task(
-                    task_id, rule_index, program, shards, stratum_heads,
-                    backend.workers,
-                ))
-                task_id += 1
-            changed = _run_groups(
-                tasks, working, stats, meter, backend, sink
-            )
-            if max_facts is not None and stats.facts_derived > max_facts:
-                _check_budget(stats, stats.facts_derived, None, max_facts)
-
-
-def evaluate_parallel(
+@contextmanager
+def pool_executor(
     program: Program,
-    database: Database,
-    method: str = "seminaive",
-    workers: int = 2,
+    compiled: CompiledProgram,
+    working: Database,
+    stats: EvaluationStats,
+    meter,
+    workers: int,
     backend: str = "auto",
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
-    meter=None,
-) -> EvaluationResult:
-    """Bottom-up evaluation on the worker pool.
+):
+    """The round executor of ``evaluate*(..., workers=N)``, N >= 2.
 
-    Called through ``evaluate*(..., workers=N)`` -- the engine routes
-    here when N > 1 and the batch planner path is active.  Fact sets
-    and solution counters match the serial engine exactly; the parallel
-    counters (``parallel_*`` on :class:`EvaluationStats`) record the
-    pool's shape and traffic.  The pool lives for exactly one
-    evaluation -- "persistent" across all its rounds, torn down in a
-    ``finally`` so budget trips, cancellations, injected faults, and
-    worker crashes leave only the untouched caller database behind.
+    Yields an executor for :func:`repro.datalog.engine.fixpoint` that
+    runs each round's tasks as sharded batches on a pool of ``workers``
+    workers.  Fact sets and solution counters match the serial executor
+    exactly; the parallel counters (``parallel_*`` on
+    :class:`EvaluationStats`) record the pool's shape and traffic.  The
+    pool lives for exactly one evaluation -- "persistent" across all
+    its rounds, torn down on exit so budget trips, cancellations,
+    injected faults, and worker crashes leave only the untouched caller
+    database behind.
     """
-    if method not in ("naive", "seminaive"):
-        raise ValueError(f"unknown evaluation method {method!r}")
-    workers = int(workers)
-    if workers < 2:
-        raise ValueError("evaluate_parallel needs workers >= 2")
-    working = database.snapshot()
-    stats = EvaluationStats()
-    derived_keys = program.derived_predicates()
-    compiled = _compiled_for(program, working, stats, plan_cache)
     shards = _ProgramShards(program, compiled)
     resolved = resolve_backend(backend)
     if resolved == "fork" and any(
@@ -909,13 +760,19 @@ def evaluate_parallel(
         )
     else:
         pool = _ThreadBackend(working, compiled, shards, workers)
+    task_ids = count()
+
+    def execute(tasks, deltas):
+        pool.roll_round(deltas)
+        batches = [
+            _batch_task(
+                next(task_ids), ri, j, program, compiled, shards, workers
+            )
+            for ri, j in tasks
+        ]
+        return _run_groups(batches, working, stats, meter, pool)
+
     try:
-        if method == "naive":
-            _run_naive(program, working, compiled, shards, stats, pool,
-                       max_iterations, max_facts, meter)
-        else:
-            _run_seminaive(program, working, compiled, shards, stats, pool,
-                           max_iterations, max_facts, meter)
+        yield execute
     finally:
         pool.close()
-    return EvaluationResult(working, derived_keys, stats)

@@ -52,7 +52,7 @@ from repro import (
     parse_rule,
 )
 from repro.core.limits import BudgetExceeded
-from repro.datalog import ivm
+from repro.datalog import engine, ivm
 from repro.workloads import bom_database, bom_program, chain_database
 
 from conftest import oracle_facts
@@ -366,9 +366,11 @@ def test_counts_stay_exact_under_self_joins_and_mixed_polarity(edges, batches):
 
 
 class TestWorkGate:
-    """Maintenance work in ``ivm.py`` is per batch, not per fact (the
-    deterministic, host-independent twin of the ``write_p50_s`` claim,
-    after ``test_select.py``'s ``TestWorkGate``)."""
+    """Maintenance work in ``ivm.py`` and in the engine's round driver
+    (``engine.py``), which runs its propagation rounds, is per batch,
+    not per fact (the deterministic, host-independent twin of the
+    ``write_p50_s`` claim, after ``test_select.py``'s
+    ``TestWorkGate``)."""
 
     @staticmethod
     def _move(depth, rate):
@@ -377,10 +379,11 @@ class TestWorkGate:
         database.retract_values("subpart", [("p3", "p8")])
         database.add_values("subpart", [("p5", "p8")])
         calls = 0
+        counted = {ivm.__file__, engine.__file__}
 
         def count(frame, event, _arg):
             nonlocal calls
-            if event == "call" and frame.f_code.co_filename == ivm.__file__:
+            if event == "call" and frame.f_code.co_filename in counted:
                 calls += 1
 
         sys.setprofile(count)
@@ -403,7 +406,8 @@ class TestWorkGate:
         assert [result.facts_removed for _, result in runs] == changed
         assert [result.rounds for _, result in runs] == [6, 6, 6]
         calls = [n for n, _ in runs]
-        assert calls[0] == calls[1] == calls[2] < 200, calls
+        # measured: 285 calls at rate 0, 337 at rate 0.1, at every depth
+        assert calls[0] == calls[1] == calls[2] < 400, calls
 
 
 class TestAtomicity:

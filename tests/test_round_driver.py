@@ -1,0 +1,130 @@
+"""The round boundaries every bottom-up route shares.
+
+Naive and semi-naive evaluation, serial or on the worker pool, and IVM
+propagation all run their rounds through one driver in
+``repro.datalog.engine``.  A recording meter (duck-typed, like every
+meter the engine accepts) pins where that driver puts its boundaries:
+the exact ``check_round(stratum, round)`` sequence, the number of batch
+checks, and the iteration at which ``max_iterations`` trips.  The
+expected values are literals; any route that moves a boundary fails
+here first.
+"""
+
+import pytest
+
+from repro import (
+    Database,
+    EvaluationBudget,
+    MaterializedProgram,
+    evaluate,
+    parse_program,
+)
+from repro.datalog.errors import NonTerminationError
+
+#: three strata: {reach, node} (recursive), {gap} (negates reach) and
+#: {linked} (recursive, negates gap)
+PROGRAM = """
+    reach(X, Y) :- edge(X, Y).
+    reach(X, Z) :- edge(X, Y), reach(Y, Z).
+    node(X) :- edge(X, Y).
+    node(Y) :- edge(X, Y).
+    gap(X, Y) :- node(X), node(Y), not reach(X, Y).
+    linked(X, Y) :- reach(X, Y), not gap(Y, X).
+    linked(X, Z) :- linked(X, Y), linked(Y, Z).
+    edge(a0, a1). edge(a1, a2). edge(a2, a3). edge(a3, a4).
+    edge(a4, a5). edge(a3, a1).
+"""
+
+#: serial, and the worker pool on each backend
+ROUTES = (None, "thread", "fork")
+
+
+class RecordingMeter:
+    """Records every boundary the engine reports and never trips."""
+
+    deadline = None
+
+    def __init__(self):
+        self.rounds = []
+        self.batches = 0
+
+    def check_round(self, facts, tuples=0, stratum=None, round_=None,
+                    database=None):
+        self.rounds.append((stratum, round_))
+
+    def check_batch(self, facts, tuples=0):
+        self.batches += 1
+
+
+def _parsed():
+    parsed = parse_program(PROGRAM)
+    database = Database()
+    database.add_facts(parsed.facts)
+    return parsed.program, database
+
+
+def _route_kwargs(backend):
+    if backend is None:
+        return {}
+    return {"workers": 2, "parallel_backend": backend}
+
+
+#: every route numbers its rounds per stratum; semi-naive runs a second,
+#: task-free round in stratum 1 because its first round derived rows
+ROUNDS = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+    (1, 1), (1, 2),
+    (2, 1), (2, 2),
+]
+EXPECTED_BATCHES = {"naive": 26, "seminaive": 13}
+
+
+@pytest.mark.parametrize("backend", ROUTES, ids=("serial", "thread", "fork"))
+@pytest.mark.parametrize("method", ("naive", "seminaive"))
+class TestEvaluationBoundaries:
+    def test_round_checks(self, method, backend):
+        program, database = _parsed()
+        meter = RecordingMeter()
+        result = evaluate(
+            program, database, method=method, meter=meter,
+            **_route_kwargs(backend),
+        )
+        assert meter.rounds == ROUNDS
+        assert result.stats.iterations == len(ROUNDS)
+        assert meter.batches == EXPECTED_BATCHES[method]
+
+    def test_max_iterations_trip(self, method, backend):
+        program, database = _parsed()
+        with pytest.raises(NonTerminationError) as info:
+            evaluate(
+                program, database, method=method, max_iterations=3,
+                **_route_kwargs(backend),
+            )
+        assert (info.value.iterations, info.value.facts) == (4, 26)
+
+
+class TestMaintenanceBoundaries:
+    def test_dred_pass_round_checks(self):
+        program, database = _parsed()
+        mp = MaterializedProgram(program, database)
+        database.retract_values("edge", [("a3", "a1")])
+        meter = RecordingMeter()
+        result = mp.maintain(meter=meter)
+        assert meter.rounds == [
+            (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+            (0, 8), (0, 9),
+            (1, 10),
+            (2, 11), (2, 12),
+        ]
+        assert meter.batches == 23
+        assert result.rounds == 9
+        assert mp.check_consistency()
+
+    def test_rounds_do_not_depend_on_the_meter(self):
+        program, database = _parsed()
+        plain = MaterializedProgram(program, database)
+        metered = MaterializedProgram(program, database)
+        database.retract_values("edge", [("a3", "a1")])
+        unmetered_rounds = plain.maintain().rounds
+        budget = EvaluationBudget(timeout=100).start()
+        assert metered.maintain(meter=budget).rounds == unmetered_rounds
