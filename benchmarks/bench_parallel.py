@@ -7,7 +7,7 @@ Two workloads drive the grid, each over ``workers`` in {1, 2, 4}:
   hash-shard perfectly, so this measures the pool's best case;
 * the stratified bill-of-materials workload (recursion + negation
   across strata), whose mixed rule shapes exercise chunk sharding and
-  visibility groups.
+  one merge per rule in serial rule order.
 
 Every cell asserts *answer-set identity* (frozen ID rows per derived
 relation) and *work-counter identity* against the serial run -- those

@@ -135,6 +135,7 @@ the version it was computed at is still current.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import (
     Dict,
     Iterable,
@@ -507,6 +508,39 @@ class Relation:
     def all_slots(self) -> List[int]:
         """The live slots (insertion order)."""
         return list(self._rowmap.values())
+
+    def slot_count(self) -> int:
+        """Slots handed out so far, live or tombstoned.  Inserts only
+        append, so until the next retraction every earlier state of the
+        relation is a slot prefix ``[0, n)`` of it."""
+        return len(self._live)
+
+    def window_ids(
+        self, positions: Tuple[int, ...], key: IndexKey, lo: int, hi: int
+    ) -> Sequence[int]:
+        """:meth:`lookup_ids` restricted to the slots in ``[lo, hi)``.
+
+        Slots are handed out ascending and every bucket lists them
+        ascending, so a bucket is cut with two bisections.
+        """
+        slots = self.lookup_ids(positions, key)
+        if not slots or (slots[0] >= lo and slots[-1] < hi):
+            return slots
+        return slots[bisect_left(slots, lo):bisect_left(slots, hi)]
+
+    def window_rows(self, lo: int, hi: int) -> List[IdTuple]:
+        """The live ID rows stored in slots ``[lo, hi)``, in slot order."""
+        columns = self._columns
+        if columns is None or lo >= hi:
+            return []
+        if columns:
+            rows = list(zip(*[column[lo:hi] for column in columns]))
+        else:  # 0-ary: one empty row per slot
+            rows = [()] * (hi - lo)
+        if self._dead:
+            live = self._live
+            rows = [row for slot, row in enumerate(rows, lo) if live[slot]]
+        return rows
 
     def term_row(self, slot: int) -> FactTuple:
         """Resolve a slot back to its tuple of terms (memoized)."""

@@ -110,7 +110,7 @@ def fact_stages(
     compiled.register_indexes(working)
     resolve_row = term_catalog().resolve_row
 
-    def simultaneous(tasks, _deltas):
+    def simultaneous(groups):
         # evaluate the whole round against the previous round's facts so
         # that stages are simultaneous (a fact's supporters always have
         # a strictly smaller stage): nothing is added to ``working``
@@ -120,7 +120,8 @@ def fact_stages(
                 program.rules[rule_index].head.pred_key,
                 compiled.plan(rule_index).execute_batch(working, stats)[0],
             )
-            for rule_index, _ in tasks
+            for group in groups
+            for rule_index, _, _, _ in group
         ]
         fresh_by_head: Dict[str, List[IdTuple]] = {}
         for head_key, rows in pending:

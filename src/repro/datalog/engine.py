@@ -10,9 +10,10 @@ Two strategies are provided:
 
 * :func:`evaluate_naive` -- recompute every rule against the whole
   database each iteration (the paper's strawman in Section 1);
-* :func:`evaluate_seminaive` -- the standard differential evaluation: a
-  rule fires only when at least one derived body literal is matched
-  against the *delta* (facts new in the previous iteration).
+* :func:`evaluate_seminaive` -- exact differential evaluation: after
+  its first run a rule fires only on body solutions that use at least
+  one derived fact it has not joined yet, and finds each of those
+  exactly once.
 
 Both are instrumented (:class:`EvaluationStats`): the paper's claims are
 about the *number of facts computed* (Sections 9 and 11), so counting
@@ -56,22 +57,38 @@ from a row-list length, and ``tuples_scanned`` counts the rows touched
 ``duplicate_derivations`` count body solutions, which join order cannot
 change; ``join_probes`` and ``tuples_scanned`` measure the work done.
 
+Semi-naive evaluation is exact: each body solution over the final model
+is found once, so ``rule_firings`` *equals* the number of body
+solutions of every rule over the final model, whatever order the rows
+arrived in (serial or on the pool), and ``duplicate_derivations`` is
+``rule_firings - facts_derived``.  A plan reads *slot windows* of its
+relations for that: a relation only grows by appending slots during a
+fixpoint, so "the rows new since the rule last ran" and "the rows it
+had seen" are slot ranges, read in place (no delta relation is built),
+an index bucket cut by bisection.
+
 The round driver
 ----------------
 
 Every bottom-up fixpoint in the package runs on one stratum/round loop,
-:func:`fixpoint`, which owns rounds, budgets, termination and the choice
-of each round's tasks.  How the tasks execute is passed in as one of
-four round executors:
+:func:`fixpoint`, which owns rounds, budgets, termination, the choice
+of each round's tasks and, for semi-naive, each rule's slot
+watermarks.  Rules run in stratum order and see what earlier rules
+installed in the same round (Gauss--Seidel order), which cuts the
+round count.  How the tasks execute is passed in as one of four round
+executors:
 
 * **serial** -- ``execute_batch``, then install, task by task
   (:func:`serial_executor`);
-* **pool** -- sharded batches on workers, merged in serial order
+* **pool** -- a rule's tasks as sharded batches on workers, merged in
+  serial order before the next rule's turn
   (:func:`repro.datalog.parallel.pool_executor`);
 * **simultaneous** -- every rule's rows collected, then installed
-  (:func:`repro.datalog.derivation.fact_stages`);
-* **IVM** -- the serial executor with DRed's overdelete or insert
-  emitter (:class:`repro.datalog.ivm.MaterializedProgram`).
+  (:func:`repro.datalog.derivation.fact_stages`, naive rounds);
+* **IVM** -- the serial executor with DRed's insert emitter (exact, from
+  slot marks) or its overdelete emitter, which installs nothing and so
+  hands its fresh rows to the next round as delta batches
+  (:class:`repro.datalog.ivm.MaterializedProgram`).
 
 Testing gotcha: run the suite as ``python -m pytest`` from the repo root
 (``pyproject.toml`` pins ``testpaths = ["tests"]``).  Without that
@@ -85,7 +102,8 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .ast import Literal, Program
 from .database import Database, FactTuple, IdTuple
@@ -106,12 +124,16 @@ __all__ = [
 class EvaluationStats:
     """Work counters for one bottom-up evaluation."""
 
+    #: fixpoint rounds, summed over strata
     iterations: int = 0
-    #: successful body matches (head instances produced, incl. duplicates)
+    #: body solutions found (head instances produced, incl. duplicates);
+    #: semi-naive finds each one over the final model exactly once
     rule_firings: int = 0
     #: facts that were new when derived
     facts_derived: int = 0
-    #: head instances that had already been derived
+    #: head instances that had already been derived: ``rule_firings -
+    #: facts_derived``, two solutions of one fact or a solution of a
+    #: fact the input already held
     duplicate_derivations: int = 0
     #: index lookups performed during joins
     join_probes: int = 0
@@ -214,7 +236,9 @@ def _install(
 
 
 class _IdDeltaBatch:
-    """A per-round delta of fresh ID rows, for the batch executor.
+    """A delta given as explicit ID rows, for the batch executor: IVM's
+    seeds and overdeletion rounds, and the pool's input shards (a
+    semi-naive delta installed in a relation is read there in place).
 
     Duck-types the slice of the :class:`Relation` interface the batch
     join steps touch (``__len__``, ``lookup_ids``, ``_columns``): the
@@ -278,15 +302,63 @@ class _IdDeltaBatch:
 # the round driver
 # ----------------------------------------------------------------------
 
-#: One unit of a round: ``(rule index, delta occurrence)``, the
-#: occurrence None for the rule's full plan.
-Task = Tuple[int, Optional[int]]
-#: Runs one round's tasks against the round's deltas (None in a full
-#: round) and returns the fresh head rows per predicate.
-RoundExecutor = Callable[
-    [List[Task], Optional[Dict[str, _IdDeltaBatch]]],
-    Dict[str, List[IdTuple]],
-]
+#: Slot windows ``{body index: (lo, hi)}`` a task's plan reads
+#: (:meth:`~repro.datalog.planner.JoinPlan.execute_batch`).
+Windows = Dict[int, Tuple[int, int]]
+#: One unit of a round: ``(rule index, delta occurrence, windows,
+#: delta batch)`` -- the occurrence None for the rule's full plan, the
+#: windows None when the plan reads whole relations, the batch None
+#: unless the delta comes as explicit rows.
+Task = Tuple[int, Optional[int], Optional[Windows], Optional[_IdDeltaBatch]]
+#: Runs one round: pulls the round's task groups, one per rule in
+#: stratum order, running and installing each group before pulling the
+#: next, and returns the fresh head rows per predicate.
+RoundExecutor = Callable[[Iterable[List[Task]]], Dict[str, List[IdTuple]]]
+
+
+def _slot_counts(
+    working: Database, reads: Tuple[Tuple[int, str], ...]
+) -> Dict[str, int]:
+    """The slot count of each predicate of ``reads`` (0 for a relation
+    not created yet)."""
+    counts = {}
+    for _, pred in reads:
+        relation = working.get(pred)
+        counts[pred] = 0 if relation is None else relation.slot_count()
+    return counts
+
+
+def _delta_tasks(
+    ri: int,
+    reads: Tuple[Tuple[int, str], ...],
+    seen: Dict[str, int],
+    now: Dict[str, int],
+) -> List[Task]:
+    """Rule ``ri``'s exact semi-naive tasks, given its positive body
+    occurrences ``(j, predicate)`` of the stratum's heads and their slot
+    counts at its previous run (``seen``) and now.
+
+    The plan for occurrence ``j`` reads the rows new since then
+    (``[seen, now)``) at ``j``, the old ones (``[0, seen)``) at the
+    occurrences before ``j`` and everything (``[0, now)``) after it, so
+    a body solution is found by the plan of the first occurrence whose
+    row is new -- exactly once.  Other body literals read relations the
+    stratum does not change.
+    """
+    tasks: List[Task] = []
+    for j, pred in reads:
+        if now[pred] == seen[pred]:
+            continue
+        windows: Windows = {}
+        for k, other in reads:
+            if k < j:
+                windows[k] = (0, seen[other])
+            elif k == j:
+                windows[k] = (seen[other], now[other])
+            else:
+                windows[k] = (0, now[other])
+        tasks.append((ri, j, windows, None))
+    return tasks
 
 
 def fixpoint(
@@ -300,28 +372,89 @@ def fixpoint(
     max_facts: Optional[int] = None,
     stratum: Optional[int] = None,
     seeds: Optional[Dict[str, List[IdTuple]]] = None,
+    marks: Optional[Dict[str, int]] = None,
     first_round: int = 0,
 ) -> None:
-    """Run each stratum, in order, until a round derives nothing.
+    """Run each stratum, in order, to its fixpoint.
 
-    A stratum's first round runs every rule's full plan, or, given
-    ``seeds`` (fresh rows per predicate), only the delta plans those
-    rows feed.  After it, a semi-naive round runs the delta plans of the
-    predicates the previous round derived rows for, and a naive round
-    every full plan again.  Every round counts one ``stats.iterations``
-    (accumulating across strata), checks the iteration / fact budget
-    and reports ``check_round(stratum, round)`` to ``meter``, rounds
-    numbered per stratum from ``first_round + 1``; the fact budget is
-    checked again after the round.  ``stratum`` runs only that stratum
-    (IVM propagation).
+    A stratum's first round runs every rule's full plan, and so does
+    every naive round, until one derives nothing.  Semi-naive is exact:
+    during a fixpoint a derived relation only grows by appending slots,
+    so the driver keeps, per rule, the slot count of each body predicate
+    its stratum defines as of the rule's previous run, and a later run
+    reads the windows of :func:`_delta_tasks`.  Rules run in stratum order and
+    each sees what earlier rules installed in the same round; a
+    semi-naive stratum ends when no rule has rows it has not seen.
+    ``marks`` (slot counts per predicate) starts every rule there
+    instead of with a full round: the rows installed since are the
+    delta (IVM insertion).
+
+    ``seeds`` (rows per predicate) is for an executor that installs
+    nothing (IVM overdeletion): rounds then run the delta plans the
+    previous round's fresh rows feed, as batches, against whole
+    relations, until a round emits nothing.
+
+    Every round counts one ``stats.iterations`` (accumulating across
+    strata), checks the iteration / fact budget and reports
+    ``check_round(stratum, round)`` to ``meter``, rounds numbered per
+    stratum from ``first_round + 1``; the fact budget is checked again
+    after the round.  ``stratum`` runs only that stratum (IVM).
     """
-    rules = compiled.program.rules
     strata = range(len(compiled.strata)) if stratum is None else (stratum,)
     for stratum_index in strata:
-        full = seeds is None
-        fresh = seeds or {}
+        members = compiled.strata[stratum_index]
+        reads = {ri: compiled.recursive_occurrences(ri) for ri in members}
+        #: per rule, the slot counts of what it reads as of its previous
+        #: run (None: it has not run, its next run is the full plan)
+        seen: Dict[int, Optional[Dict[str, int]]] = dict.fromkeys(members)
+        if marks is not None:
+            for ri in members:
+                now = _slot_counts(working, reads[ri])
+                seen[ri] = {pred: marks.get(pred, n) for pred, n in now.items()}
+
+        def windowed_groups():
+            # lazily: a rule's windows are fixed at its turn, after the
+            # executor installed every earlier rule's rows
+            for ri in members:
+                occurrences = reads[ri]
+                last = seen[ri]
+                if not seminaive or last is None:
+                    now = _slot_counts(working, occurrences)
+                    yield [(ri, None, None, None)]
+                elif not occurrences:
+                    continue  # it read nothing that grows: done
+                else:
+                    now = _slot_counts(working, occurrences)
+                    if now == last:
+                        continue
+                    yield _delta_tasks(ri, occurrences, last, now)
+                seen[ri] = now
+
+        deltas = seeds
         round_number = first_round
-        while full or fresh:
+        while True:
+            if deltas is not None:
+                if not deltas:
+                    break
+                batches = {
+                    pred: _IdDeltaBatch(rows) for pred, rows in deltas.items()
+                }
+                groups = [
+                    [
+                        (ri, j, None, batches[pred])
+                        for j, pred in reads[ri]
+                        if pred in batches
+                    ]
+                    for ri in members
+                ]
+            else:
+                # a round exists iff some rule has a task: peek at the
+                # first group (nothing is installed before it runs)
+                groups = windowed_groups()
+                first = next(groups, None)
+                if first is None:
+                    break
+                groups = chain((first,), groups)
             stats.iterations += 1
             round_number += 1
             _check_budget(stats, max_iterations, max_facts)
@@ -333,24 +466,12 @@ def fixpoint(
                     round_number,
                     working,
                 )
-            if full:
-                tasks: List[Task] = [
-                    (ri, None) for ri in compiled.strata[stratum_index]
-                ]
-                deltas = None
-            else:
-                deltas = {
-                    pred: _IdDeltaBatch(rows) for pred, rows in fresh.items()
-                }
-                tasks = [
-                    (ri, j)
-                    for ri in compiled.strata[stratum_index]
-                    for j in compiled.delta_occurrences(ri)
-                    if rules[ri].body[j].pred_key in deltas
-                ]
-            fresh = execute(tasks, deltas)
+            fresh = execute(groups)
             _check_budget(stats, None, max_facts)
-            full = not seminaive and bool(fresh)
+            if deltas is not None:
+                deltas = fresh
+            elif not seminaive and not fresh:
+                break
 
 
 def serial_executor(
@@ -365,20 +486,17 @@ def serial_executor(
     rows, returning the fresh ones, before the next task runs."""
     rules = compiled.program.rules
 
-    def execute(tasks, deltas):
+    def execute(groups):
         fresh_by_head: Dict[str, List[IdTuple]] = {}
-        for ri, j in tasks:
-            rule = rules[ri]
-            head_key = rule.head.pred_key
-            rows, _, solutions = compiled.plan(ri, j).execute_batch(
-                working,
-                stats,
-                None if j is None else deltas[rule.body[j].pred_key],
-                meter=meter,
-            )
-            fresh = emit(head_key, rows, solutions)
-            if fresh:
-                fresh_by_head.setdefault(head_key, []).extend(fresh)
+        for group in groups:
+            for ri, j, windows, delta in group:
+                head_key = rules[ri].head.pred_key
+                rows, _, solutions = compiled.plan(ri, j).execute_batch(
+                    working, stats, delta, meter, windows
+                )
+                fresh = emit(head_key, rows, solutions)
+                if fresh:
+                    fresh_by_head.setdefault(head_key, []).extend(fresh)
         return fresh_by_head
 
     return execute
@@ -472,17 +590,20 @@ def evaluate_seminaive(
     workers: Optional[int] = None,
     parallel_backend: str = "auto",
 ) -> EvaluationResult:
-    """Semi-naive bottom-up fixpoint (differential evaluation).
+    """Semi-naive bottom-up fixpoint (exact differential evaluation).
 
-    For each rule and each body occurrence of a derived predicate, a
-    delta version of the rule matches that occurrence against the facts
-    new in the previous round.  Every rule runs its full plan once, in
-    a stratum's first round: derived relations of the stratum are empty
-    then, and negated literals probe lower strata, which are complete.
-    Deltas only ever hold same-stratum predicates, so a negated literal
-    never matches one.  Rule solutions and the per-round deltas travel
-    as ID rows end to end; terms are only resolved back when answers
-    are materialized.
+    Every rule runs its full plan once, in a stratum's first round;
+    negated literals probe lower strata, which are complete.  After
+    that, for each body occurrence of a derived predicate that gained
+    rows since the rule last ran, a delta version of the rule matches
+    that occurrence against those rows, the earlier derived occurrences
+    against the rows the rule had already seen and the later ones
+    against everything (:func:`fixpoint`): each body solution is found
+    once, and ``rule_firings`` equals the body solutions over the final
+    model.  Only same-stratum predicates ever gain rows, so a negated
+    literal never sees a delta.  Rule solutions and deltas travel as ID
+    rows end to end; terms are only resolved back when answers are
+    materialized.
 
     ``meter`` and ``workers`` as in :func:`evaluate_naive`.
     """

@@ -663,18 +663,21 @@ class MaterializedProgram:
     # DRed maintenance (recursive strata)
     # ------------------------------------------------------------------
     def _repair(
-        self, s, changed, dying: bool, emit, seeds, stats, meter, result
+        self, s, changed, dying: bool, emit, start, stats, meter, result
     ) -> None:
         """One DRed phase of stratum ``s``: run every changed body
         occurrence of its rules through its seeded plan, hand ``emit``
-        the head rows, and propagate the rows ``emit`` returns, with
-        ``seeds``, through the stratum's semi-naive rounds on the
-        engine's round driver.
+        the head rows, and propagate from there through the stratum's
+        semi-naive rounds on the engine's round driver.
 
         ``dying`` picks the side of each delta under which solutions
         disappear (removed rows under a positive literal, added rows
         under a negated one) rather than the side under which they
-        appear.
+        appear.  The dying phase installs nothing: ``start`` holds the
+        emitted rows per predicate, and the rows ``emit`` returns join
+        them.  The other phase installs: ``start`` holds each head's
+        slot count before the phase's first install, and every row
+        installed since is the delta the rounds start from.
         """
         for ri in self.rule_strata[s]:
             rule = self.program.rules[ri]
@@ -691,11 +694,9 @@ class MaterializedProgram:
                     rows, _, solutions = self._run(
                         ri, (j,), _IdDeltaBatch(list(idrows)), stats, meter
                     )
-                    _collect(
-                        seeds,
-                        rule.head.pred_key,
-                        emit(rule.head.pred_key, rows, solutions),
-                    )
+                    fresh = emit(rule.head.pred_key, rows, solutions)
+                    if dying:
+                        _collect(start, rule.head.pred_key, fresh)
         fixpoint(
             self.compiled,
             self.working,
@@ -703,7 +704,8 @@ class MaterializedProgram:
             serial_executor(self.compiled, self.working, stats, meter, emit),
             meter=meter,
             stratum=s,
-            seeds=seeds,
+            seeds=start if dying else None,
+            marks=None if dying else start,
             first_round=result.strata_maintained + stats.iterations,
         )
 
@@ -751,9 +753,14 @@ class MaterializedProgram:
 
         # ---- phase 2: remove the overdeleted rows.  From here on
         # ``od`` is the net removal: a row rederived or inserted again
-        # below leaves it
+        # below leaves it.  Only appends follow, so every row the
+        # stratum's heads gain from here lies past these slot counts
         for pred, bucket in od.items():
             working.relation(pred).discard_id_rows(bucket)
+        marks = {}
+        for pred in heads:
+            rel = working.get(pred)
+            marks[pred] = 0 if rel is None else rel.slot_count()
 
         added_net: Dict[str, Set[IdTuple]] = {}
 
@@ -786,11 +793,10 @@ class MaterializedProgram:
         # the deleted state, whose output is the rows still one-step
         # derivable.  It enumerates each such derivation rather than
         # stopping at the first -- the same order of work as the
-        # overdeletion that produced the row.  Survivors seed the
-        # insertion rounds, so anything they (or later insertions)
-        # transitively support is restored by the rounds below rather
-        # than by repeated sweeps.
-        seeds = {}
+        # overdeletion that produced the row.  Survivors are installed
+        # and so seed the insertion rounds, which restore anything they
+        # (or later insertions) transitively support rather than
+        # repeated sweeps.
         for pred, bucket in od.items():
             base_rel = self.base.get(pred)
             base_rows = () if base_rel is None else base_rel._rowmap
@@ -801,18 +807,14 @@ class MaterializedProgram:
                 for ri in self._rules_by_head[pred]:
                     survivors += self._run(ri, None, seed, stats, meter)[0]
             if survivors:
-                _collect(seeds, pred, push(
-                    pred, working.relation(pred).add_id_rows(survivors)
-                ))
+                push(pred, working.relation(pred).add_id_rows(survivors))
 
         # ---- phase 4: insertion propagation through the compiled
         # columnar delta plans (the semi-naive batch machinery)
         for pred, delta in ext.items():
             if delta.added:
-                _collect(seeds, pred, push(
-                    pred, working.relation(pred).add_id_rows(delta.added)
-                ))
-        self._repair(s, changed, False, insert, seeds, stats, meter, result)
+                push(pred, working.relation(pred).add_id_rows(delta.added))
+        self._repair(s, changed, False, insert, marks, stats, meter, result)
 
         added = removed = 0
         for pred in heads:

@@ -1,16 +1,17 @@
 """Parallel bottom-up evaluation: a sharded worker pool over columns.
 
-Within one semi-naive round, rule firings are independent given the
-previous delta: every batch (one compiled :class:`JoinPlan` against one
-delta or one full relation) computes a solution multiset that depends
-only on the database state at the start of the round's current *group*
-(below).  This module exploits that by fanning each round's batches out
-to a persistent pool of workers and merging the derived ID rows back
-through the existing dedup/rowmap path in the parent -- the fact set
-and the solution counters (``facts_derived`` / ``rule_firings`` /
+The round driver hands a round's work over one rule at a time, in
+serial order, and the tasks of one rule are independent: each reads
+slot windows (:func:`repro.datalog.engine._delta_tasks`) fixed when the
+rule's turn came, so no task sees another's installs.  This module
+exploits that by fanning a rule's tasks out, as one group with no
+barrier inside it, to a persistent pool of workers and merging the
+derived ID rows back through the existing dedup/rowmap path in the
+parent before the next rule's turn -- the fact set and the solution
+counters (``facts_derived`` / ``rule_firings`` /
 ``duplicate_derivations`` / ``iterations``) are identical to the serial
 engine *by construction*, because sharding partitions each batch's
-input rows exactly and merging replays the serial batch order.
+input rows exactly and merging replays the serial install order.
 
 Both backends run a round's tasks for the engine's one round driver
 (:func:`repro.datalog.engine.fixpoint`), which hands them to
@@ -24,17 +25,19 @@ Both backends run a round's tasks for the engine's one round driver
   explicit ``shared_memory`` export of the big EDB relations; the
   catalog's pinned prefix is the one-shot export --
   :meth:`TermCatalog.export_state` is the spawn-ready equivalent).  Per
-  round, the parent broadcasts only the *fresh* rows of each merge as
+  group, the parent broadcasts only the *fresh* rows of each merge as
   flat ``array('q')`` buffers (pickled as raw bytes) so worker replicas
-  stay in lockstep, and workers return candidate-fresh rows the same
-  way, pre-deduplicated against their replica to cut return traffic.
+  stay in lockstep -- in the parent's install order, so a worker reads
+  a delta's slot window from what it was sent -- and workers return
+  candidate-fresh rows the same way, pre-deduplicated against their
+  replica to cut return traffic.
   Workers never intern: plans that allocate term IDs at run time
   (:func:`~repro.datalog.planner.plan_interns_terms`) would grow
   worker-local ID spaces that disagree with the parent, so such
   programs fall back to the thread backend.
 * **thread** (auto-selected on free-threaded builds, and the fallback
   wherever fork is unavailable or unsafe): workers execute against the
-  *shared* working database between merge barriers -- no replicas, no
+  *shared* working database between merges -- no replicas, no
   broadcasts; real parallelism arrives when the GIL is off.
 
 Work splitting per batch, chosen by the join planner
@@ -47,16 +50,12 @@ Work splitting per batch, chosen by the join planner
   pure filters) -- any split is equally good, so rows round-robin;
 * **solo**: a downstream step probes on keys the input does not supply
   (partitioning cannot co-locate them) -- the whole batch goes to one
-  worker and parallelism comes from running *rules* side by side.
+  worker and parallelism comes from running a rule's tasks side by side.
 
-Visibility groups keep the serial semantics exact: the serial engine
-merges each batch before the next batch runs, so a batch that probes a
-relation an *earlier* batch of the same round writes must observe that
-merge.  Batches are therefore grouped greedily -- a batch joins the
-current group unless it reads a head some earlier group member writes
--- and the parent merges (and, on fork, broadcasts) at each group
-boundary.  Linear recursions parallelize whole rounds; non-linear ones
-degrade to per-batch barriers, never to wrong answers.
+Linear and non-linear rules alike run their tasks without a barrier:
+the windows already keep a non-linear rule's delta plans from seeing
+each other's rows, so there is one merge (and, on fork, one broadcast)
+per rule and round.
 
 The budget regime stays in the parent: ``meter.check_round`` /
 ``check_batch`` run at exactly the serial boundaries (one batch check
@@ -260,16 +259,18 @@ def _replica_preds(
 class _BatchTask:
     """One batch of one round: a rule (full) or rule/delta work item."""
 
-    __slots__ = ("task_id", "rule_index", "delta_index", "head_key",
-                 "input_pred", "mode", "pcols", "solo", "reads")
+    __slots__ = ("task_id", "rule_index", "delta_index", "windows",
+                 "head_key", "input_pred", "mode", "pcols", "solo")
 
-    def __init__(self, task_id, rule_index, delta_index, head_key,
-                 input_pred, mode, pcols, solo, reads):
+    def __init__(self, task_id, rule_index, delta_index, windows, head_key,
+                 input_pred, mode, pcols, solo):
         self.task_id = task_id
         self.rule_index = rule_index
         #: None for a full batch (input = the pivot relation), else the
-        #: delta occurrence (input = the delta)
+        #: delta occurrence (input = its slot window)
         self.delta_index = delta_index
+        #: the engine task's slot windows (None for a full batch)
+        self.windows = windows
         self.head_key = head_key
         self.input_pred = input_pred
         #: "hash" / "chunk" / "solo" (see module docstring)
@@ -277,16 +278,14 @@ class _BatchTask:
         self.pcols = pcols
         #: worker index owning the batch when mode == "solo"
         self.solo = solo
-        #: predicates this batch probes as full relations; the grouping
-        #: uses it to replay serial within-round visibility
-        self.reads = reads
 
     def descriptor(self):
         return (self.task_id, self.rule_index, self.delta_index,
-                self.input_pred, self.mode, self.pcols, self.solo)
+                self.windows, self.input_pred, self.mode, self.pcols,
+                self.solo)
 
 
-def _batch_task(task_id, rule_index, occ, program, compiled, shards,
+def _batch_task(task_id, rule_index, occ, windows, program, shards,
                 workers):
     """The work item of one engine task: rule ``rule_index``'s full
     plan (``occ`` None) or its delta plan at body position ``occ``."""
@@ -295,53 +294,22 @@ def _batch_task(task_id, rule_index, occ, program, compiled, shards,
         mode, pcols = shards.full_modes[rule_index]
         pivot = shards.full_pivot[rule_index]
         input_pred = rule.body[pivot].pred_key if pivot is not None else None
-        reads = frozenset(
-            literal.pred_key for literal in rule.body if not literal.negated
-        )
     else:
         mode, pcols = shards.delta_modes[(rule_index, occ)]
         input_pred = rule.body[occ].pred_key
-        reads = frozenset(
-            step.pred_key for step in compiled.plan(rule_index, occ).steps
-            if not step.is_delta and not step.negated
-        )
     return _BatchTask(
-        task_id, rule_index, occ, rule.head.pred_key, input_pred, mode,
-        pcols, task_id % workers, reads,
+        task_id, rule_index, occ, windows, rule.head.pred_key, input_pred,
+        mode, pcols, task_id % workers,
     )
-
-
-def _visibility_groups(tasks: List[_BatchTask]) -> List[List[_BatchTask]]:
-    """Split a round's batches into serial-order barrier groups.
-
-    A batch joins the current group unless it reads (as a full
-    relation) a head some earlier member writes; the serial engine
-    would have merged that head before this batch ran, so the group
-    flushes first.  Within a group nothing is merged, so every member
-    sees exactly the group-start state -- the state the serial engine
-    shows it too.
-    """
-    groups: List[List[_BatchTask]] = []
-    current: List[_BatchTask] = []
-    heads: Set[str] = set()
-    for task in tasks:
-        if current and (task.reads & heads):
-            groups.append(current)
-            current = []
-            heads = set()
-        current.append(task)
-        heads.add(task.head_key)
-    if current:
-        groups.append(current)
-    return groups
 
 
 # ----------------------------------------------------------------------
 # shard execution (shared by both backends; runs inside workers)
 # ----------------------------------------------------------------------
 
-def _execute_shard(plan, database, rows, deadline):
-    """Run one plan over one input shard.
+def _execute_shard(plan, database, rows, windows, deadline):
+    """Run one plan over one input shard, reading ``windows`` at its
+    other steps.
 
     Returns ``(rows, solutions, probes, scanned)``.  ``rows`` may
     repeat and each may stand for several body solutions
@@ -362,7 +330,7 @@ def _execute_shard(plan, database, rows, deadline):
         if not rows:
             return ([], 0, 0, 0)
         out, _, solutions = plan.execute_batch(
-            database, lstats, _IdDeltaBatch(rows)
+            database, lstats, _IdDeltaBatch(rows), windows=windows
         )
     return (out, solutions, lstats.join_probes, lstats.tuples_scanned)
 
@@ -391,9 +359,9 @@ def _merge_shard(results, stats, task_id, w, rows, solutions, probes,
 class _ThreadBackend:
     """Workers as threads over the *shared* working database.
 
-    Correct on any build (group barriers mean workers only read while
-    the parent only writes between groups; concurrent lazy index builds
-    are value-idempotent); actually parallel on free-threaded CPython.
+    Correct on any build (workers only read while the parent only
+    writes between groups; concurrent lazy index builds are
+    value-idempotent); actually parallel on free-threaded CPython.
     """
 
     def __init__(self, working, compiled, shards, workers):
@@ -401,26 +369,22 @@ class _ThreadBackend:
         self.compiled = compiled
         self.shards = shards
         self.workers = workers
-        self.deltas: Optional[Dict[str, _IdDeltaBatch]] = None
         self.pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-parallel"
         )
-
-    def roll_round(self, deltas: Optional[Dict[str, _IdDeltaBatch]]) -> None:
-        self.deltas = deltas
 
     def apply_fresh(self, updates, stats) -> None:
         pass  # shared memory: the parent's merge is already visible
 
     def _plan_and_rows(self, task):
+        relation = self.working.get(task.input_pred)
         if task.delta_index is None:
             if task.mode == "solo":
                 return self.compiled.plan(task.rule_index), None
-            relation = self.working.get(task.input_pred)
             rows = list(relation.id_rows()) if relation is not None else []
             return self.shards.shard_plans[task.rule_index], rows
         plan = self.compiled.plan(task.rule_index, task.delta_index)
-        return plan, self.deltas[task.input_pred].rows
+        return plan, relation.window_rows(*task.windows[task.delta_index])
 
     def run_group(self, group, stats, deadline):
         submit = self.pool.submit
@@ -429,7 +393,8 @@ class _ThreadBackend:
             plan, rows = self._plan_and_rows(task)
             if rows is None or task.mode == "solo":
                 pending.append((task, task.solo, submit(
-                    _execute_shard, plan, self.working, rows, deadline,
+                    _execute_shard, plan, self.working, rows, task.windows,
+                    deadline,
                 )))
                 continue
             if task.mode == "hash":
@@ -441,7 +406,8 @@ class _ThreadBackend:
             for w, shard in enumerate(per_worker):
                 if shard:
                     pending.append((task, w, submit(
-                        _execute_shard, plan, self.working, shard, deadline,
+                        _execute_shard, plan, self.working, shard,
+                        task.windows, deadline,
                     )))
         results = {task.task_id: (0, []) for task in group}
         aborted = False
@@ -465,7 +431,7 @@ class _WorkerState:
     """Everything a forked worker inherits by copy-on-write."""
 
     __slots__ = ("working", "compiled", "shards", "replica_preds",
-                 "workers", "catalog_pin")
+                 "workers", "catalog_pin", "bases")
 
     def __init__(self, working, compiled, shards, replica_preds, workers,
                  catalog_pin):
@@ -477,10 +443,17 @@ class _WorkerState:
         #: catalog length at the export point; workers assert their
         #: inherited prefix covers it and never intern past it
         self.catalog_pin = catalog_pin
+        #: slot count per derived predicate at the fork: the parent's
+        #: later installs reach a worker in slot order from here on
+        self.bases = {
+            pred: working.get(pred).slot_count()
+            for pred in compiled.derived_keys
+            if working.get(pred) is not None
+        }
 
 
-def _worker_run_task(descriptor, state, deltas, shadow, w):
-    (task_id, rule_index, delta_index, input_pred, mode, pcols,
+def _worker_run_task(descriptor, state, applied, shadow, w):
+    (task_id, rule_index, delta_index, windows, input_pred, mode, pcols,
      solo) = descriptor
     working = state.working
     rows_in: Optional[List[IdTuple]]
@@ -496,7 +469,11 @@ def _worker_run_task(descriptor, state, deltas, shadow, w):
             all_rows = relation.id_rows() if relation is not None else ()
         else:
             plan = state.compiled.plan(rule_index, delta_index)
-            all_rows = deltas.get(input_pred, ())
+            # a delta window starts at or after the rule's first (full)
+            # run, which came after the fork
+            base = state.bases.get(input_pred, 0)
+            lo, hi = windows[delta_index]
+            all_rows = applied.get(input_pred, ())[lo - base:hi - base]
         if mode == "solo":
             if w != solo:
                 return None
@@ -508,7 +485,7 @@ def _worker_run_task(descriptor, state, deltas, shadow, w):
         if not rows_in:
             return None
     rows_out, solutions, probes, scanned = _execute_shard(
-        plan, working, rows_in, None
+        plan, working, rows_in, windows, None
     )
     # pre-dedup against the replica's group-start state (plus this
     # task's own emissions) so only candidate-fresh rows cross the
@@ -540,8 +517,9 @@ def _worker_main(conn, state: _WorkerState, w: int) -> None:
         )))
         return
     shadow: Dict[str, Set[IdTuple]] = {}
-    deltas: Dict[str, List[IdTuple]] = {}
-    next_deltas: Dict[str, List[IdTuple]] = {}
+    #: every row applied since the fork, per predicate, in the parent's
+    #: install order: slot ``state.bases[pred] + i`` is ``applied[pred][i]``
+    applied: Dict[str, List[IdTuple]] = {}
     while True:
         try:
             msg = conn.recv()
@@ -550,14 +528,10 @@ def _worker_main(conn, state: _WorkerState, w: int) -> None:
         tag = msg[0]
         if tag == "stop":
             break
-        if tag == "roll":
-            deltas = next_deltas
-            next_deltas = {}
-            continue
         if tag == "apply":
             for pred, count, arity, buf in msg[1]:
                 rows = _unflatten(buf, arity, count)
-                next_deltas.setdefault(pred, []).extend(rows)
+                applied.setdefault(pred, []).extend(rows)
                 if pred in state.replica_preds:
                     state.working.relation(pred).add_id_rows(rows)
                 else:
@@ -572,7 +546,9 @@ def _worker_main(conn, state: _WorkerState, w: int) -> None:
                 if deadline is not None and time.monotonic() > deadline:
                     aborted = True
                     break
-                entry = _worker_run_task(descriptor, state, deltas, shadow, w)
+                entry = _worker_run_task(
+                    descriptor, state, applied, shadow, w
+                )
                 if entry is not None:
                     entries.append(entry)
         except BaseException as exc:
@@ -606,10 +582,6 @@ class _ForkBackend:
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
-
-    def roll_round(self, deltas) -> None:
-        for conn in self._conns:
-            conn.send(("roll",))
 
     def apply_fresh(self, updates, stats) -> None:
         if not updates:
@@ -682,41 +654,38 @@ class _ForkBackend:
 # the pool round executor
 # ----------------------------------------------------------------------
 
-def _run_groups(tasks, working, stats, meter, backend):
-    """One round's batches: group, dispatch, merge, broadcast.
+def _run_group(group, working, stats, meter, backend, fresh_by_head):
+    """One rule's batches: dispatch, merge, broadcast.
 
-    Returns the round's fresh rows per head predicate.
+    Adds the fresh rows to ``fresh_by_head``, per head predicate.
     """
-    fresh_by_head: Dict[str, List[IdTuple]] = {}
     deadline = getattr(meter, "deadline", None) if meter is not None else None
-    for group in _visibility_groups(tasks):
+    if meter is not None:
+        # one check per batch, at the same cadence the serial
+        # executor checks inside execute_batch
+        for _task in group:
+            meter.check_batch(stats.facts_derived, stats.tuples_scanned)
+    results, aborted = backend.run_group(group, stats, deadline)
+    if aborted:
+        # workers hit the wall-clock deadline between work items;
+        # the meter raises the same structured error the serial
+        # path would (the deadline that stopped them has passed)
         if meter is not None:
-            # one check per batch, at the same cadence the serial
-            # executor checks inside execute_batch
-            for _task in group:
-                meter.check_batch(stats.facts_derived, stats.tuples_scanned)
-        results, aborted = backend.run_group(group, stats, deadline)
-        if aborted:
-            # workers hit the wall-clock deadline between work items;
-            # the meter raises the same structured error the serial
-            # path would (the deadline that stopped them has passed)
-            if meter is not None:
-                meter.check_batch(stats.facts_derived, stats.tuples_scanned)
-            raise EvaluationError(
-                "parallel workers aborted on a deadline no meter owns"
-            )
-        stats.parallel_batches += len(group)
-        updates = []
-        for task in group:
-            n_emitted, rows = results[task.task_id]
-            if not n_emitted:
-                continue
-            fresh = _install(working, stats, task.head_key, rows, n_emitted)
-            if fresh:
-                fresh_by_head.setdefault(task.head_key, []).extend(fresh)
-                updates.append((task.head_key, fresh))
-        backend.apply_fresh(updates, stats)
-    return fresh_by_head
+            meter.check_batch(stats.facts_derived, stats.tuples_scanned)
+        raise EvaluationError(
+            "parallel workers aborted on a deadline no meter owns"
+        )
+    stats.parallel_batches += len(group)
+    updates = []
+    for task in group:
+        n_emitted, rows = results[task.task_id]
+        if not n_emitted:
+            continue
+        fresh = _install(working, stats, task.head_key, rows, n_emitted)
+        if fresh:
+            fresh_by_head.setdefault(task.head_key, []).extend(fresh)
+            updates.append((task.head_key, fresh))
+    backend.apply_fresh(updates, stats)
 
 
 @contextmanager
@@ -732,8 +701,9 @@ def pool_executor(
     """The round executor of ``evaluate*(..., workers=N)``, N >= 2.
 
     Yields an executor for :func:`repro.datalog.engine.fixpoint` that
-    runs each round's tasks as sharded batches on a pool of ``workers``
-    workers.  Fact sets and solution counters match the serial executor
+    runs each rule's tasks as one group of sharded batches on a pool of
+    ``workers`` workers, installing the group's rows before it pulls
+    the next rule's.  Fact sets and solution counters match the serial executor
     exactly; the parallel counters (``parallel_*`` on
     :class:`EvaluationStats`) record the pool's shape and traffic.  The
     pool lives for exactly one evaluation -- "persistent" across all
@@ -762,15 +732,17 @@ def pool_executor(
         pool = _ThreadBackend(working, compiled, shards, workers)
     task_ids = count()
 
-    def execute(tasks, deltas):
-        pool.roll_round(deltas)
-        batches = [
-            _batch_task(
-                next(task_ids), ri, j, program, compiled, shards, workers
-            )
-            for ri, j in tasks
-        ]
-        return _run_groups(batches, working, stats, meter, pool)
+    def execute(groups):
+        fresh_by_head: Dict[str, List[IdTuple]] = {}
+        for group in groups:
+            batches = [
+                _batch_task(
+                    next(task_ids), ri, j, windows, program, shards, workers
+                )
+                for ri, j, windows, _ in group
+            ]
+            _run_group(batches, working, stats, meter, pool, fresh_by_head)
+        return fresh_by_head
 
     try:
         yield execute

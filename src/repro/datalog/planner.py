@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
+from functools import partial
 from itertools import repeat as _repeat
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -282,11 +283,13 @@ def _batch_keys(b_key_ops, cols, n, as_tuple, evaluate):
 
 
 def _scan_batch_step(relation, positions, keys, b_row_ops, n_stores,
-                     cols, n):
+                     cols, n, window=None):
     """Run one positive batch join step over ``n`` frames.
 
     ``keys`` holds one lookup key per frame (None = full scan for every
-    frame).  Returns ``(sel, stores, probes, scanned)``: the surviving
+    frame); ``window``, when given, is the ``(lo, hi)`` slot range of
+    ``relation`` the step may match (:meth:`Relation.window_ids`).
+    Returns ``(sel, stores, probes, scanned)``: the surviving
     frame indexes in batch order (one per matched row), the per-store
     value columns aligned with ``sel``, and the probe / row-scan counts
     for stats.
@@ -299,9 +302,25 @@ def _scan_batch_step(relation, positions, keys, b_row_ops, n_stores,
     """
     resolve_id = _CATALOG.resolve
     intern = _CATALOG.intern
-    index = relation.probe_index(positions) if positions else None
+    index = None
     lookup_ids = relation.lookup_ids
     row_cols = relation._columns
+    if window is None:
+        if positions:
+            index = relation.probe_index(positions)
+    elif keys is None:
+        # a keyless scan of a window reads contiguous slots: slice the
+        # columns once (C level) and index the slices from 0
+        lo, hi = window
+        rows = range(hi - lo)
+        if relation._dead:
+            live = relation._live[lo:hi]
+            if 0 in live:
+                rows = [i for i in rows if live[i]]
+        index = {(): rows}
+        row_cols = [column[lo:hi].tolist() for column in row_cols]
+    else:
+        lookup_ids = partial(relation.window_ids, lo=window[0], hi=window[1])
     stores: List[List[int]] = [[] for _ in range(n_stores)]
     sel: List[int] = []
     probes = 0
@@ -604,7 +623,8 @@ class JoinStep:
                  index_positions, key_ops, row_ops):
         self.literal = literal
         self.pred_key = pred_key
-        #: match this occurrence against the delta relation, not the full one
+        #: the occurrence the delta arrives at: a batch, or a slot window
+        #: of the relation itself (see JoinPlan.execute_batch)
         self.is_delta = is_delta
         #: anti-join: emit on miss, bind nothing
         self.negated = negated
@@ -668,8 +688,16 @@ class JoinPlan:
         stats,
         delta_relation: Optional[Relation] = None,
         meter=None,
+        windows: Optional[Dict[int, Tuple[int, int]]] = None,
     ) -> Tuple[List[IdTuple], Optional[List[int]], int]:
         """The plan's head instances as ``(rows, multiplicities, solutions)``.
+
+        The delta step reads ``delta_relation`` when one is given.  Any
+        other step -- and the delta step without one -- reads its
+        relation in ``database``, restricted to the slot window
+        ``windows[body index]`` when there is one: the semi-naive round
+        driver reads a predicate's fresh rows in place this way, and the
+        old state of the others as a slot prefix.
 
         Partial matches travel as parallel columns of term IDs (one list per live frame
         slot), and each step probes its relation's int-ID index once per
@@ -705,11 +733,19 @@ class JoinPlan:
         id_of = _CATALOG.id_of
         intern = _CATALOG.intern
 
-        for step in self.steps:
-            if step.is_delta:
+        for body_index, step in zip(self.order, self.steps):
+            window = None
+            if step.is_delta and delta_relation is not None:
                 relation = delta_relation
             else:
                 relation = database.get(step.pred_key)
+                if windows is not None and relation is not None:
+                    window = windows.get(body_index)
+                    if window is not None:
+                        if window[0] >= window[1]:
+                            return [], None, 0
+                        if not window[0] and window[1] >= len(relation._live):
+                            window = None  # the whole relation
             if step.negated:
                 # anti-join: the key covers every position, so it *is*
                 # the candidate ID row; membership is one _rowmap probe
@@ -737,6 +773,7 @@ class JoinPlan:
                 sel, stores, probes, scanned = _scan_batch_step(
                     relation, step.index_positions, keys,
                     step.b_row_ops, len(step.b_store_slots), cols, n,
+                    window,
                 )
                 stats.join_probes += probes
                 stats.tuples_scanned += scanned
@@ -977,7 +1014,7 @@ class CompiledProgram:
     """
 
     __slots__ = ("program", "derived_keys", "strata", "_plans",
-                 "_delta_occurrences")
+                 "_delta_occurrences", "_recursive_occurrences")
 
     def __init__(self, program: Program):
         self.program = program
@@ -995,6 +1032,18 @@ class CompiledProgram:
             self._delta_occurrences[rule_index] = occurrences
             for i in occurrences:
                 self._plans[(rule_index, i)] = compile_rule(rule, i)
+        self._recursive_occurrences: Dict[
+            int, Tuple[Tuple[int, str], ...]
+        ] = {}
+        for stratum in self.strata:
+            heads = {program.rules[ri].head.pred_key for ri in stratum}
+            for ri in stratum:
+                body = program.rules[ri].body
+                self._recursive_occurrences[ri] = tuple(
+                    (i, body[i].pred_key)
+                    for i in self._delta_occurrences[ri]
+                    if body[i].pred_key in heads
+                )
 
     def plan(
         self, rule_index: int, delta_index: Optional[int] = None
@@ -1004,6 +1053,14 @@ class CompiledProgram:
     def delta_occurrences(self, rule_index: int) -> Tuple[int, ...]:
         """Body indexes of derived predicates (candidate delta literals)."""
         return self._delta_occurrences[rule_index]
+
+    def recursive_occurrences(
+        self, rule_index: int
+    ) -> Tuple[Tuple[int, str], ...]:
+        """``(body index, predicate)`` of the positive body literals whose
+        predicate a rule of the same stratum defines: the only relations
+        that grow while the rule's stratum runs."""
+        return self._recursive_occurrences[rule_index]
 
     def register_indexes(self, database: Database) -> None:
         """Register every plan's index positions on existing relations.

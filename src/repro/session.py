@@ -59,6 +59,7 @@ Quickstart::
 from __future__ import annotations
 
 import time
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -195,7 +196,9 @@ class QueryResult:
     #: seconds the serving maintenance pass took (0.0 when the view was
     #: already fresh, or when ``maintained`` is False)
     maintenance_elapsed: float = 0.0
-    _session: Optional["Session"] = field(
+    #: a weak reference: the session memoizes its results, so a strong
+    #: one would keep a never-closed session alive past its last user
+    _session: Optional["weakref.ref[Session]"] = field(
         default=None, repr=False, compare=False
     )
 
@@ -255,12 +258,13 @@ class QueryResult:
         differ.  Each returned :class:`DerivationNode` renders with
         ``.render()``.
         """
-        if self._session is None:
+        session = self._session() if self._session is not None else None
+        if session is None:
             raise ReproError(
                 "this QueryResult is detached from its Session; "
                 "explain() needs the session's program and database"
             )
-        return self._session.explain(self.query, limit=limit)
+        return session.explain(self.query, limit=limit)
 
 
 def _mentioned_relations(program: Program, extra=()) -> frozenset:
@@ -856,7 +860,7 @@ class Session:
             memo_misses=self.memo_misses,
             maintained=True,
             maintenance_elapsed=maintenance_elapsed,
-            _session=self,
+            _session=weakref.ref(self),
         )
 
     def _view_covering(self, query: Query) -> Optional[MaterializedView]:
@@ -1062,7 +1066,7 @@ class Session:
             memo_misses=self.memo_misses,
             degraded=degraded,
             budget_spent=meter.spent() if meter is not None else None,
-            _session=self,
+            _session=weakref.ref(self),
         )
         assert executed != "auto"
         if not degraded:

@@ -1,8 +1,9 @@
 """Shared test helpers: canonical rule strings for appendix comparisons,
 a collector-off context for the snapshot release tests, the reference
-scan that answer selection is compared against, and the reference
-evaluator (:func:`oracle_facts`) every bottom-up and top-down path is
-checked against.
+scan that answer selection is compared against, the body-solution count
+exact semi-naive is checked against, and the reference evaluator
+(:func:`oracle_facts`) every bottom-up and top-down path is checked
+against.
 
 The appendix-comparison tests check that our rewriters regenerate the
 paper's rule sets *structurally*: rules are compared after renaming
@@ -23,6 +24,8 @@ from repro import Constant, Program, Rule, Struct, Variable
 from repro.core.provenance import RewrittenProgram
 from repro.datalog.ast import ShapeSlot
 from repro.datalog.analysis import stratify_rules
+from repro.datalog.engine import EvaluationStats
+from repro.datalog.planner import compiled_program_for
 from repro.datalog.unify import match_sequences, resolve
 
 
@@ -112,6 +115,18 @@ def solution_counters(stats):
         stats.duplicate_derivations,
         stats.iterations,
         dict(stats.facts_by_predicate),
+    )
+
+
+def body_solutions(program, database):
+    """The body solutions of every rule of ``program`` over ``database``
+    (each rule's full plan run once): what exact semi-naive evaluation
+    reports as ``rule_firings`` when ``database`` is its final model."""
+    compiled, _ = compiled_program_for(program)
+    stats = EvaluationStats()
+    return sum(
+        compiled.plan(ri).execute_batch(database, stats)[2]
+        for ri in range(len(program.rules))
     )
 
 

@@ -406,7 +406,9 @@ class TestWorkGate:
         assert [result.facts_removed for _, result in runs] == changed
         assert [result.rounds for _, result in runs] == [6, 6, 6]
         calls = [n for n, _ in runs]
-        # measured: 285 calls at rate 0, 337 at rate 0.1, at every depth
+        # measured: 295 calls at rate 0, 342 at rate 0.1, at every depth
+        # (the round driver's per-rule slot bookkeeping: 285 / 337 before
+        # semi-naive was exact)
         assert calls[0] == calls[1] == calls[2] < 400, calls
 
 

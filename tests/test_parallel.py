@@ -38,8 +38,8 @@ from repro.datalog.parallel import (
     _ProgramShards,
     _replica_preds,
     _shard_mode,
+    _ThreadBackend,
     _unflatten,
-    _visibility_groups,
     resolve_backend,
 )
 from repro.datalog.planner import (
@@ -217,42 +217,41 @@ class TestRowShipping:
 
 
 # ----------------------------------------------------------------------
-# visibility groups
+# rule groups: one merge per rule and round, in serial rule order
 # ----------------------------------------------------------------------
-def _task(task_id, head, reads):
-    return _BatchTask(
-        task_id, 0, None, head, None, "chunk", None, 0,
-        frozenset(reads),
-    )
+class TestRuleGroups:
+    def _groups(self, monkeypatch, source, db):
+        """The rule indexes of every group the thread backend ran."""
+        seen = []
+        run_group = _ThreadBackend.run_group
 
+        def recording(self, group, stats, deadline):
+            seen.append([task.rule_index for task in group])
+            return run_group(self, group, stats, deadline)
 
-class TestVisibilityGroups:
-    def test_independent_tasks_share_one_group(self):
-        tasks = [_task(0, "a", ()), _task(1, "b", ()), _task(2, "c", ())]
-        assert [len(g) for g in _visibility_groups(tasks)] == [3]
+        monkeypatch.setattr(_ThreadBackend, "run_group", recording)
+        evaluate(
+            _program(source), db, workers=2, parallel_backend="thread"
+        )
+        return seen
 
-    def test_reader_of_earlier_head_starts_new_group(self):
-        # serial order: b's batch sees a's merge, so they cannot run
-        # in the same group
-        tasks = [_task(0, "a", ()), _task(1, "b", ("a",))]
-        groups = _visibility_groups(tasks)
-        assert [[t.task_id for t in g] for g in groups] == [[0], [1]]
+    def test_nonlinear_delta_plans_share_one_group(self, monkeypatch):
+        # the windows keep the two sg delta plans from seeing each
+        # other's rows, so they run without a barrier between them
+        groups = self._groups(monkeypatch, NONLINEAR_SG, _sg_db())
+        assert all(len(set(group)) == 1 for group in groups)
+        assert [1, 1] in groups
 
-    def test_nonlinear_self_reads_serialize(self):
-        # two delta occurrences of one recursive predicate: the second
-        # probes the first's merge (the serial engine merges per batch)
-        tasks = [_task(0, "sg", ("sg",)), _task(1, "sg", ("sg",))]
-        groups = _visibility_groups(tasks)
-        assert [len(g) for g in groups] == [1, 1]
+    def test_rules_keep_serial_order(self, monkeypatch):
+        groups = self._groups(monkeypatch, TC, _tc_db(8))
+        # round 1 runs both full plans, each in its own group; then the
+        # recursive rule alone, once per round
+        assert groups[:2] == [[0], [1]]
+        assert all(group == [1] for group in groups[2:])
 
-    def test_later_nonconflicting_tasks_rejoin(self):
-        tasks = [
-            _task(0, "a", ()),
-            _task(1, "b", ("a",)),  # flush
-            _task(2, "c", ()),      # joins b's group
-        ]
-        groups = _visibility_groups(tasks)
-        assert [[t.task_id for t in g] for g in groups] == [[0], [1, 2]]
+    def test_descriptor_carries_the_windows(self):
+        task = _BatchTask(0, 1, 1, {1: (3, 7)}, "anc", "anc", "hash", (0,), 0)
+        assert task.descriptor()[3] == {1: (3, 7)}
 
 
 # ----------------------------------------------------------------------

@@ -69,14 +69,23 @@ def _route_kwargs(backend):
     return {"workers": 2, "parallel_backend": backend}
 
 
-#: every route numbers its rounds per stratum; semi-naive runs a second,
-#: task-free round in stratum 1 because its first round derived rows
-ROUNDS = [
-    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
-    (1, 1), (1, 2),
-    (2, 1), (2, 2),
-]
-EXPECTED_BATCHES = {"naive": 26, "seminaive": 13}
+#: every route numbers its rounds per stratum.  A naive stratum ends
+#: with a round that derives nothing; a semi-naive one as soon as no
+#: rule has rows it has not seen, so the flat stratum 1 and stratum 2
+#: (whose full first round already reached the fixpoint) take one round
+ROUNDS = {
+    "naive": [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+        (1, 1), (1, 2),
+        (2, 1), (2, 2),
+    ],
+    "seminaive": [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+        (1, 1),
+        (2, 1),
+    ],
+}
+EXPECTED_BATCHES = {"naive": 26, "seminaive": 11}
 
 
 @pytest.mark.parametrize("backend", ROUTES, ids=("serial", "thread", "fork"))
@@ -89,8 +98,8 @@ class TestEvaluationBoundaries:
             program, database, method=method, meter=meter,
             **_route_kwargs(backend),
         )
-        assert meter.rounds == ROUNDS
-        assert result.stats.iterations == len(ROUNDS)
+        assert meter.rounds == ROUNDS[method]
+        assert result.stats.iterations == len(ROUNDS[method])
         assert meter.batches == EXPECTED_BATCHES[method]
 
     def test_max_iterations_trip(self, method, backend):

@@ -9,6 +9,7 @@ answer-identical.
 """
 
 import os
+import weakref
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro import (
 )
 from repro.workloads import bom_source
 
-from conftest import mentions_placeholder
+from conftest import mentions_placeholder, refcount_only
 
 ANCESTOR = """
     anc(X, Y) :- par(X, Y).
@@ -735,6 +736,20 @@ class TestLifecycle:
         assert view.dropped
         # the mutation log is detached from the database
         assert session.database._mutation_logs == ()
+
+    def test_unclosed_session_is_freed_by_refcount(self):
+        # the memo holds the session's results; their back-reference to
+        # the session must not close a cycle
+        with refcount_only():
+            session = ancestor_session()
+            result = session.query("anc(john, X)?")
+            assert session._memo
+            assert result.explain()
+            ref = weakref.ref(session)
+            del session
+            assert ref() is None
+        with pytest.raises(ReproError, match="detached"):
+            result.explain()
 
     def test_close_is_idempotent_and_session_stays_usable(self):
         session = ancestor_session()
