@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--readers", type=int, default=4, metavar="N",
-        help="reader worker threads (default 4)",
+        help="reader threads for cold evaluations (default 4; memo "
+        "hits and view-covered reads are answered on the event loop)",
     )
     p_serve.add_argument(
         "--workers", type=int, default=1, metavar="N",

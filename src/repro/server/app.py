@@ -3,8 +3,9 @@
 :class:`ReproServer` wires the pieces together: one writer
 :class:`~repro.session.Session` owning the live database, a
 :class:`~repro.server.snapshot.SnapshotManager` publishing frozen
-versions, a :class:`~repro.server.scheduler.QueryScheduler` running
-reads in a thread pool with memoization and coalescing, and a
+versions, a :class:`~repro.server.scheduler.QueryScheduler` answering
+memo hits and view-covered reads on the event loop and running cold
+evaluations in a thread pool, with coalescing, and a
 :class:`~repro.server.scheduler.MutationScheduler` serializing writes.
 The TCP front end speaks the line-oriented JSON protocol of
 :mod:`repro.server.protocol`; :class:`ServerHandle` runs the same
@@ -29,6 +30,7 @@ from ..datalog.database import Database
 from ..datalog.planner import PlanCache
 from ..session import Session
 from .protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_line,
@@ -238,7 +240,10 @@ class ReproServer:
         self._idle.set()
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._serve_connection, self.config.host, self.config.port
+            self._serve_connection,
+            self.config.host,
+            self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         host, port = self._server.sockets[0].getsockname()[:2]
         return host, port
@@ -249,6 +254,9 @@ class ReproServer:
                 try:
                     line = await reader.readline()
                 except (ConnectionError, asyncio.IncompleteReadError):
+                    break
+                except ValueError:  # the line overran MAX_LINE_BYTES
+                    await self._refuse_oversized_line(reader, writer)
                     break
                 if not line:
                     break
@@ -271,6 +279,30 @@ class ReproServer:
                 writer.close()
             except Exception:
                 pass
+
+    async def _refuse_oversized_line(self, reader, writer) -> None:
+        """Answer an overlong line once, then end the conversation.
+
+        The stream reader has dropped the part of the line it read, so
+        the next line boundary is unknown.  The reply is followed by
+        end-of-file, and whatever the client still sends is read and
+        dropped until it closes: closing with unread input would reset
+        the connection and could destroy the reply in flight.
+        """
+        self.metrics.errors += 1
+        error = ProtocolError(
+            "bad_request",
+            f"request line longer than {MAX_LINE_BYTES} bytes; "
+            "closing the connection",
+            detail={"limit": MAX_LINE_BYTES},
+        )
+        try:
+            writer.write(encode_message(error_response(None, error)))
+            writer.write_eof()
+            while await reader.read(MAX_LINE_BYTES):
+                pass
+        except ConnectionError:
+            pass
 
     async def stop(self) -> None:
         """Graceful drain: refuse new work, finish in-flight, close."""

@@ -29,6 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_LINE_BYTES",
     "ERROR_EXIT_CODES",
     "QUERY_OPTION_FIELDS",
     "ProtocolError",
@@ -41,6 +42,11 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
+
+#: the longest request line the server reads (asyncio's default stream
+#: limit); a longer one is answered with one ``bad_request`` error, and
+#: the server then closes the connection
+MAX_LINE_BYTES = 64 * 1024
 
 #: error code -> the exit code a CLI front end should surface.  The
 #: mapping intentionally matches ``repro.cli.main``: 2 is argparse-style

@@ -3,12 +3,15 @@
 Two schedulers share one :class:`~repro.server.snapshot.SnapshotManager`:
 
 :class:`QueryScheduler`
-    Runs reads in a worker-thread pool, each against the snapshot that
-    was current when the request arrived.  All bookkeeping -- the
-    answer memo keyed ``(query, options, version)`` and the in-flight
-    table that coalesces identical cold queries into one evaluation --
-    lives on the asyncio event loop, so it needs no locks: only the
-    evaluation itself leaves the loop.
+    Answers each read against the snapshot that was current when the
+    request arrived.  Everything but evaluation runs on the asyncio
+    event loop: the answer memo keyed ``(query, options, version)``,
+    parsing, the in-flight table that coalesces identical cold queries
+    into one evaluation, and reads a published view covers -- an
+    indexed selection, whose cost is bounded by the reply the loop
+    encodes anyway.  All of it is loop-confined and needs no locks.
+    Only a cold evaluation, whose cost the reply does not bound, leaves
+    the loop, for the reader thread pool.
 
 :class:`MutationScheduler`
     Serializes every mutation through one writer: an ``asyncio.Lock``
@@ -32,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.limits import BudgetExceeded, EvaluationCancelled
+from ..datalog.ast import Query
 from ..datalog.database import Database
 from ..datalog.errors import ParseError, ReproError
 from ..datalog.parser import parse_query
@@ -75,8 +79,11 @@ def _to_protocol_error(exc: BaseException) -> ProtocolError:
 class QueryScheduler:
     """Executes reads against pinned snapshots, with memo + coalescing.
 
-    Must be used from a single asyncio event loop (the server's); the
-    memo and in-flight tables are loop-confined by construction.
+    Memo hits, view-covered reads and requests that fail before
+    evaluation are answered on the loop; the reader pool only
+    evaluates cold queries.  Must be used from a single asyncio event
+    loop (the server's); the memo and in-flight tables are
+    loop-confined by construction.
     """
 
     def __init__(
@@ -137,7 +144,11 @@ class QueryScheduler:
     async def execute(
         self, query_text: str, options: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """Answer one query request; returns the response payload."""
+        """Answer one query request; returns the response payload.
+
+        Everything but a cold evaluation is answered here, on the loop,
+        and every exit releases the snapshot the request pinned.
+        """
         method = options.get("method", "auto")
         if method not in SESSION_METHODS:
             raise ProtocolError(
@@ -145,26 +156,70 @@ class QueryScheduler:
                 f"unknown method {method!r}; expected one of "
                 f"{SESSION_METHODS}",
             )
-        loop = asyncio.get_running_loop()
         snapshot = self._snapshots.current()
-        key = (
-            query_text.strip(),
-            method,
-            options.get("engine", "seminaive"),
-            snapshot.version,
-        )
-        cached = self._memo.get(key)
-        if cached is not None:
-            snapshot.release()
-            self._memo.move_to_end(key)
-            self.memo_hits += 1
-            return dict(cached, served="memo")
-        pending = self._inflight.get(key)
-        if pending is not None:
-            snapshot.release()
+        try:
+            text = query_text.strip()
+            key = (
+                text,
+                method,
+                options.get("engine", "seminaive"),
+                snapshot.version,
+            )
+            cached = self._memo.get(key)
+            if cached is not None:
+                self._memo.move_to_end(key)
+                self.memo_hits += 1
+                return dict(cached, served="memo")
+            started = time.perf_counter()
+            try:
+                query = parse_query(text)
+            except ParseError as exc:
+                raise _to_protocol_error(exc)
+            base: Dict[str, Any] = {"version": snapshot.version, "query": text}
+            # a maintained view published with this snapshot answers by
+            # indexed selection, whose cost is the answer the loop
+            # encodes next -- no evaluation, no database copy, no thread
+            view_rel = snapshot.views.get(query.literal.pred_key)
+            if view_rel is not None and method in ("auto", "materialized"):
+                rows = view_rel.answers(query.literal)
+                base.update(
+                    served="view",
+                    method="materialized",
+                    rows=sorted_rows(unwrap_values(rows)),
+                    row_count=len(rows),
+                    elapsed=time.perf_counter() - started,
+                )
+                self.view_serves += 1
+                self._remember(key, base)
+                return dict(base)
+            if method == "materialized":
+                raise ProtocolError(
+                    "bad_request",
+                    f"no maintained view covers {query.literal.pred_key!r} "
+                    "in the current snapshot",
+                )
+            pending = self._inflight.get(key)
+            if pending is None:
+                return await self._evaluate_cold(
+                    key, base, query, method, options, snapshot
+                )
             self.coalesced += 1
-            payload = await asyncio.shield(pending)
-            return dict(payload, served="coalesced")
+        finally:
+            snapshot.release()
+        payload = await asyncio.shield(pending)
+        return dict(payload, served="coalesced")
+
+    async def _evaluate_cold(
+        self,
+        key: tuple,
+        base: Dict[str, Any],
+        query: Query,
+        method: str,
+        options: Dict[str, Any],
+        snapshot: Snapshot,
+    ) -> Dict[str, Any]:
+        """Evaluate on the reader pool; identical requests coalesce."""
+        loop = asyncio.get_running_loop()
         future: "asyncio.Future" = loop.create_future()
         self._inflight[key] = future
         timeout, max_facts = self._capped_budget_options(options)
@@ -172,7 +227,8 @@ class QueryScheduler:
             payload = await loop.run_in_executor(
                 self._pool,
                 self._evaluate,
-                query_text,
+                base,
+                query,
                 method,
                 options,
                 timeout,
@@ -189,55 +245,31 @@ class QueryScheduler:
                 future.exception()
             raise error
         else:
-            if payload.get("served") == "view":
-                self.view_serves += 1
-            else:
-                self.cold_evaluations += 1
-            self._memo[key] = payload
-            while len(self._memo) > self._memo_size:
-                self._memo.popitem(last=False)
+            self.cold_evaluations += 1
+            self._remember(key, payload)
             if not future.cancelled():
                 future.set_result(payload)
             return dict(payload)
         finally:
             self._inflight.pop(key, None)
-            snapshot.release()
+
+    def _remember(self, key: tuple, payload: Dict[str, Any]) -> None:
+        self._memo[key] = payload
+        while len(self._memo) > self._memo_size:
+            self._memo.popitem(last=False)
 
     def _evaluate(
         self,
-        query_text: str,
+        base: Dict[str, Any],
+        query: Query,
         method: str,
         options: Dict[str, Any],
         timeout: Optional[float],
         max_facts: Optional[int],
         snapshot: Snapshot,
     ) -> Dict[str, Any]:
-        """Worker-thread body: parse, then view-serve or evaluate cold."""
+        """Worker-thread body: evaluate ``query`` cold on ``snapshot``."""
         started = time.perf_counter()
-        query = parse_query(query_text)
-        base: Dict[str, Any] = {
-            "version": snapshot.version,
-            "query": query_text.strip(),
-        }
-        # a maintained view published with this snapshot answers by
-        # indexed selection -- no evaluation, no database copy
-        view_rel = snapshot.views.get(query.literal.pred_key)
-        if view_rel is not None and method in ("auto", "materialized"):
-            rows = view_rel.answers(query.literal)
-            base.update(
-                served="view",
-                method="materialized",
-                rows=sorted_rows(unwrap_values(rows)),
-                row_count=len(rows),
-                elapsed=time.perf_counter() - started,
-            )
-            return base
-        if method == "materialized":
-            raise ProtocolError(
-                "bad_request",
-                f"no maintained view covers {query.literal.pred_key!r} "
-                "in the current snapshot",
-            )
         # closed on the way out: its memo <-> QueryResult cycle would keep
         # this version's database alive until a collector pass
         with Session(

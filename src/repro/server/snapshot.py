@@ -5,9 +5,9 @@ The server's concurrency model is single-writer / multi-reader over
 current :class:`Snapshot` -- a frozen ``Database.snapshot()`` (O(#
 relations), no tuple copied) plus a second such snapshot holding the
 materialized-view relations that were fresh at publish time -- and
-evaluate against it in a worker thread while the writer mutates the
-live database and, when a mutation batch commits, publishes the next
-version.
+read it (a view by selection on the event loop, a cold evaluation in a
+worker thread) while the writer mutates the live database and, when a
+mutation batch commits, publishes the next version.
 
 Snapshots are refcounted: the manager holds one reference on the
 current version, every in-flight read holds one more, and a version

@@ -18,6 +18,7 @@ served views (the server's view path), ``answer_tuples`` and
   without a timing.
 """
 
+import asyncio
 import dataclasses
 
 import pytest
@@ -401,7 +402,8 @@ class TestRoutesAgree:
         session.database.add_tuples("r", rows)
         session.materialize("v")
         manager = SnapshotManager(session.database)
-        scheduler = QueryScheduler(session.program, manager)
+        # no memo: a repeated query must be served by the view again
+        scheduler = QueryScheduler(session.program, manager, memo_size=0)
         try:
             for step in range(2):
                 manager.publish(session.materialized_relations())
@@ -419,9 +421,10 @@ class TestRoutesAgree:
                     before = (session.database.version, len(catalog))
                     viewed = session.query(query)
                     assert viewed.maintained and viewed.rows == expected
-                    served = scheduler._evaluate(
-                        f"{query.literal}?", "auto", {}, None, None, pinned
+                    served = asyncio.run(
+                        scheduler.execute(f"{query.literal}?", {})
                     )
+                    assert served["version"] == pinned.version
                     assert served["served"] == "view"
                     assert served["row_count"] == len(expected)
                     assert {tuple(row) for row in served["rows"]} == (

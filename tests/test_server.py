@@ -7,8 +7,9 @@ Five layers of guarantees:
   through either database's methods clones the touched relation for
   the mutating side only, and ``check_integrity()`` stays clean on
   both sides throughout.
-* **Scheduling.**  Reads run against pinned refcounted snapshots;
-  identical in-flight cold queries coalesce into exactly one
+* **Scheduling.**  Reads run against pinned refcounted snapshots and
+  release them on every exit; only cold evaluations reach the reader
+  pool; identical in-flight cold queries coalesce into exactly one
   evaluation; mutations serialize through one writer and publish
   atomically; budgets are capped by server config.
 * **Snapshot isolation.**  A reader pinned at version V observes
@@ -22,11 +23,13 @@ Five layers of guarantees:
   version is published, and published snapshots never show a partial
   batch.
 * **The wire.**  Request validation, structured errors carrying
-  CLI-compatible exit codes, the TCP client, stats, graceful drain.
+  CLI-compatible exit codes, the TCP client, stats, graceful drain,
+  oversized request lines and clients that disconnect mid-query.
 """
 
 import os
 import random
+import socket
 import sys
 import threading
 import time
@@ -50,6 +53,7 @@ from repro.server import (
     SnapshotManager,
 )
 from repro.server.protocol import (
+    MAX_LINE_BYTES,
     decode_line,
     encode_message,
     normalize_options,
@@ -78,6 +82,11 @@ def chain_db(depth):
     db = Database()
     db.add_values("par", [(f"n{i}", f"n{i + 1}") for i in range(depth)])
     return db
+
+
+def _pins(server):
+    """References on the current snapshot beyond the manager's own."""
+    return server.snapshots._current.refs - 1
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +432,60 @@ class TestTcp:
                     "engine", "piston"
                 ]
 
+    def test_an_oversized_line_is_refused_then_the_connection_closes(
+        self, caplog
+    ):
+        facts = [f"par(x{i}, x{i + 1})." for i in range(8000)]
+        line = encode_message({"id": 1, "op": "assert", "facts": facts})
+        assert len(line) > MAX_LINE_BYTES
+        with ServerHandle.start(ANCESTOR) as handle:
+            version = handle.server.snapshots.current_version
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                sock.sendall(line)
+                stream = sock.makefile("rb")
+                reply = decode_line(stream.readline())
+                assert stream.readline() == b""  # end of file, not a reset
+                stream.close()
+            assert not reply["ok"]
+            assert reply["error"]["code"] == "bad_request"
+            assert reply["error"]["exit_code"] == 2
+            assert str(MAX_LINE_BYTES) in reply["error"]["message"]
+            # a fresh connection is served; the assert was never applied
+            with ReproClient(*handle.address) as client:
+                assert client.ping()["version"] == version
+                assert client.query("anc(john, X)?")["row_count"] == 3
+                assert client.stats()["errors"] == 1
+            assert handle.server.snapshots.current_version == version
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_clients_that_disconnect_mid_query_release_their_snapshots(self):
+        depth = 400
+        source = "".join(
+            f"par(n{i}, n{i + 1}).\n" for i in range(depth)
+        ) + ANCESTOR
+        with ServerHandle.start(source) as handle:
+            baseline = handle.stats()["snapshots_live"]
+            for k in range(5):
+                request = {
+                    "id": k, "op": "query", "query": f"anc(n{k * 50}, X)?",
+                    "options": {"method": "seminaive"},
+                }
+                with socket.create_connection(handle.address) as sock:
+                    sock.sendall(encode_message(request))
+            deadline = time.monotonic() + 60
+            while (
+                handle.stats()["cold_evaluations"] < 5
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            stats = handle.stats()
+            assert stats["cold_evaluations"] == 5
+            assert stats["snapshots_live"] == baseline
+            assert _pins(handle.server) == 0
+            with ReproClient(*handle.address) as client:
+                out = client.query("anc(n390, X)?")
+            assert out["row_count"] == depth - 390
+
 
 # ----------------------------------------------------------------------
 # view serving
@@ -483,6 +546,65 @@ class TestViewServing:
             out = handle.request({"op": "query", "query": "anc(john, X)?"})
             assert out["served"] == "cold"
             assert out["row_count"] == 4
+
+    def test_published_reads_never_reach_the_reader_pool(self, monkeypatch):
+        """Memo hits, view reads and requests that fail before any
+        evaluation are answered on the event loop; only a cold
+        evaluation is submitted to the reader pool.  Every one of them
+        releases the snapshot it pinned."""
+        with ServerHandle.start(
+            ANCESTOR, materialize=["anc"], listen=False
+        ) as handle:
+            server = handle.server
+            pool = server.queries._pool
+            submitted = []
+            submit = pool.submit
+
+            def counting(fn, *args, **kwargs):
+                submitted.append(fn)
+                return submit(fn, *args, **kwargs)
+
+            monkeypatch.setattr(pool, "submit", counting)
+            baseline = handle.stats()["snapshots_live"]
+            for query, served, rows in (
+                ("anc(X, Y)?", "view", 6),  # free
+                ("anc(john, X)?", "view", 3),  # bound
+                ("anc(john, zoe)?", "view", 1),  # boolean yes
+                ("anc(zoe, john)?", "view", 0),  # boolean no
+                ("anc(john, X)?", "memo", 3),
+            ):
+                out = handle.request({"op": "query", "query": query})
+                assert out["ok"], out
+                assert (out["served"], out["row_count"]) == (served, rows)
+                assert _pins(server) == 0, query
+                assert handle.stats()["snapshots_live"] == baseline
+            for query, method, code in (
+                ("anc(john, X", "auto", "parse_error"),
+                ("par(john, X)?", "materialized", "bad_request"),
+                ("anc(john, X)?", "nope", "bad_request"),
+            ):
+                out = handle.request(
+                    {"op": "query", "query": query,
+                     "options": {"method": method}}
+                )
+                assert not out["ok"] and out["error"]["code"] == code, out
+                assert _pins(server) == 0, query
+                assert handle.stats()["snapshots_live"] == baseline
+            assert submitted == []
+            out = handle.request(
+                {"op": "query", "query": "anc(john, X)?",
+                 "options": {"method": "seminaive"}}
+            )
+            assert out["served"] == "cold" and out["row_count"] == 3
+            assert len(submitted) == 1
+            assert _pins(server) == 0
+            stats = handle.stats()
+            assert stats["snapshots_live"] == baseline
+            assert (
+                stats["view_serves"], stats["memo_hits"],
+                stats["cold_evaluations"], stats["coalesced"],
+                stats["errors"],
+            ) == (4, 1, 1, 0, 3)
 
 
 # ----------------------------------------------------------------------
