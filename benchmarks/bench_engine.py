@@ -8,7 +8,7 @@ This bench quantifies both steps so the E6/E11 numbers have a baseline.
 
 import pytest
 
-from repro import answer_query, bottom_up_answer
+from repro import QueryOptions, answer_query, bottom_up_answer
 from repro.workloads import ancestor_program, ancestor_query, chain_database
 
 from conftest import print_table, record_bench
@@ -25,7 +25,7 @@ def test_engine_scaling(benchmark, size):
     rows = []
     firings = {}
     for method in ("naive", "seminaive", "magic"):
-        answer = answer_query(program, db, query, method=method)
+        answer = answer_query(program, db, query, QueryOptions(method=method))
         firings[method] = answer.stats.rule_firings
         rows.append(
             [

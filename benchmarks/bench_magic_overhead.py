@@ -9,7 +9,7 @@ subquery yields at least one answer on average).
 
 import pytest
 
-from repro import answer_query
+from repro import QueryOptions, answer_query
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
@@ -53,7 +53,10 @@ def test_magic_fact_fraction(benchmark, name):
     program, query, db = program_maker(), query_maker(), db_maker()
     answer = benchmark(
         lambda: answer_query(
-            program, db, query, method="magic", max_iterations=2000
+            program,
+            db,
+            query,
+            QueryOptions(method="magic", max_iterations=2000),
         )
     )
     breakdown = answer.rewritten.fact_breakdown(answer.evaluation)

@@ -6,10 +6,10 @@ builds ever-larger lists.  The magic rewrite makes it terminate -- the
 binding graph's cycles all have positive length (Theorem 10.1): every
 recursive call strips one cons cell off the bound argument.
 
-This example deliberately stays on the *legacy* module-level API
-(``adorn_program`` / ``rewrite`` / ``answer_query``): those functions
-are now thin shims over :class:`repro.Session` (see the other examples
-for the session-first style), and this script keeps them exercised.
+This example stays on the module-level pipeline (``adorn_program`` /
+``rewrite`` / ``answer_query``), the stages :class:`repro.Session` runs
+a cold query through (see the other examples for the session-first
+style); ``answer_query`` takes its options as one ``QueryOptions``.
 
 Run::
 
@@ -18,6 +18,7 @@ Run::
 
 from repro import (
     EvaluationError,
+    QueryOptions,
     adorn_program,
     answer_query,
     counting_safety,
@@ -69,7 +70,10 @@ def main() -> None:
 
     for method in ("magic", "counting", "qsq"):
         answer = answer_query(
-            program, Database(), query, method=method, max_iterations=300
+            program,
+            Database(),
+            query,
+            QueryOptions(method=method, max_iterations=300),
         )
         value = next(iter(answer.answers))[0]
         print(f"{method:<10} reverse([a, b, c, d]) = {value}")

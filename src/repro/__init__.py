@@ -17,9 +17,10 @@ The package has three layers:
   benchmark harness.
 
 The public surface is the stateful :class:`repro.Session` (versioned
-database, auto-dispatched queries, cross-evaluation answer memo); the
-module-level functions (``parse_program`` + ``answer_query``) remain as
-one-shot shims over it.
+database, auto-dispatched queries, cross-evaluation answer memo).
+Underneath it, ``answer_query(program, database, query, QueryOptions(...))``
+is the one evaluation path -- adorn, rewrite, evaluate, select -- that
+the session, the query server and the benchmarks all call.
 
 Quickstart::
 
@@ -109,6 +110,7 @@ from .core import (
     FaultPlan,
     InjectedFault,
     QueryAnswer,
+    QueryOptions,
     REWRITE_METHODS,
     RewrittenProgram,
     Stratification,
@@ -185,7 +187,7 @@ __all__ = [
     "check_stratified",
     "check_optimality", "compare_sips",
     "rewrite", "answer_query", "bottom_up_answer", "unwrap_values",
-    "RewrittenProgram", "QueryAnswer", "REWRITE_METHODS",
+    "RewrittenProgram", "QueryAnswer", "QueryOptions", "REWRITE_METHODS",
     # resource governance
     "EvaluationBudget", "BudgetMeter", "BudgetExceeded",
     "EvaluationCancelled", "CancellationToken", "FaultPlan",

@@ -48,7 +48,7 @@ import sys
 from typing import List, Optional
 
 from .core.adornment import adorn_program
-from .core.pipeline import REWRITE_METHODS, rewrite
+from .core.pipeline import BASELINE_METHODS, REWRITE_METHODS, rewrite
 from .core.safety import counting_safety, magic_safety, negation_safety
 from .core.stratify import stratify
 from .core.sips import build_chain_sip, build_empty_sip, build_full_sip
@@ -56,7 +56,7 @@ from .datalog.database import Database
 from .core.limits import BudgetExceeded
 from .datalog.errors import ReproError
 from .datalog.parser import parse_program, parse_query
-from .session import BASELINE_METHODS, Session
+from .session import Session
 from .workloads.bom import bom_source
 
 __all__ = ["main", "build_parser"]
@@ -66,9 +66,6 @@ _SIP_BUILDERS = {
     "chain": build_chain_sip,
     "empty": build_empty_sip,
 }
-
-#: baseline strategies Session accepts besides the rewrite methods
-_BASELINE_METHODS = BASELINE_METHODS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_method:
             p.add_argument(
                 "--method",
-                choices=("auto",) + REWRITE_METHODS + _BASELINE_METHODS,
+                choices=("auto",) + REWRITE_METHODS + BASELINE_METHODS,
                 default="supplementary_magic",
                 help="rewrite method, a baseline (plain bottom-up "
                 "naive/seminaive or top-down qsq), or auto: magic-"
@@ -322,7 +319,7 @@ def _load(args) -> tuple:
 
 def _cmd_rewrite(args) -> int:
     program, _, query = _load(args)
-    if args.method in _BASELINE_METHODS + ("auto",):
+    if args.method in BASELINE_METHODS + ("auto",):
         raise ReproError(
             f"--method {args.method} is an evaluation strategy, not a "
             "rewrite; use it with the query command"

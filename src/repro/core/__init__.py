@@ -30,6 +30,7 @@ from .limits import (
 )
 from .pipeline import (
     QueryAnswer,
+    QueryOptions,
     REWRITE_METHODS,
     answer_query,
     bottom_up_answer,
@@ -96,6 +97,7 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "QueryAnswer",
+    "QueryOptions",
     "REWRITE_METHODS",
     "answer_query",
     "bottom_up_answer",

@@ -72,8 +72,9 @@ class BudgetExceeded(NonTerminationError):
 
     Attributes: ``limit`` (``"wall_clock"``/``"max_facts"``/
     ``"max_tuples_scanned"``/``"max_memory"``), ``facts``, ``stratum``,
-    ``round``, ``elapsed`` seconds, and ``method`` (filled in by the
-    Session so degradation policy can tell which strategy tripped).
+    ``round``, ``elapsed`` seconds, and ``method`` (filled in by
+    ``answer_query`` so degradation policy can tell which strategy
+    tripped).
     """
 
     def __init__(self, limit, facts=0, stratum=None, round_=None, elapsed=None):
@@ -92,8 +93,8 @@ class EvaluationCancelled(EvaluationError):
     """The cooperative :class:`CancellationToken` was triggered.
 
     Deliberately *not* a :class:`BudgetExceeded`: cancellation is a
-    caller decision, so the Session never degrades it into a fallback
-    evaluation -- it propagates.
+    caller decision, so ``answer_query`` never degrades it into a
+    fallback evaluation -- it propagates.
     """
 
     def __init__(self, facts=0, stratum=None, round_=None, elapsed=None):
@@ -254,8 +255,9 @@ class EvaluationBudget:
         ``max_facts`` / ``cancellation`` plus any ``REPRO_FAULT_INJECT``
         fault plan in the environment.  Returns ``None`` when every
         input is unset -- the caller runs ungoverned.  This is the one
-        assembly point shared by ``Session.query`` and the incremental
-        maintenance passes, so fault injection reaches both.
+        assembly point shared by ``Session.query``, the query server's
+        cold reads and the incremental maintenance passes, so fault
+        injection reaches all three.
         """
         if budget is not None:
             if (

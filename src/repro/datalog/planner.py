@@ -1348,11 +1348,12 @@ class PlanCache:
     * ``"qsq"`` -- a :class:`SubqueryProgram` (``qsq_evaluate``);
     * ``("query-shape", shape literal, sip builder, method, mode,
       optimize, semijoin)`` -- the adorned and rewritten program of one
-      query shape (:class:`repro.session.Session`), whose ``program``
-      is in turn the key of a ``"bottom-up"`` / ``"qsq"`` entry.
+      query shape, or the error that rejected it
+      (:func:`repro.core.pipeline.answer_query`), whose ``program`` is
+      in turn the key of a ``"bottom-up"`` / ``"qsq"`` entry.
 
     That is what lets benchmark loops, repeated CLI queries and the
-    server's per-request sessions stop re-rewriting and recompiling.
+    server's cold reads stop re-rewriting and recompiling.
     Every lookup, of any kind, counts in ``hits`` / ``misses``;
     ``evaluate*`` and ``qsq_evaluate`` consult the shared module-level
     cache by default and report their own lookups' hits/misses through

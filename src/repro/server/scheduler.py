@@ -5,13 +5,17 @@ Two schedulers share one :class:`~repro.server.snapshot.SnapshotManager`:
 :class:`QueryScheduler`
     Answers each read against the snapshot that was current when the
     request arrived.  Everything but evaluation runs on the asyncio
-    event loop: the answer memo keyed ``(query, options, version)``,
+    event loop: the answer memo keyed ``(query text, QueryOptions,
+    version)``,
     parsing, the in-flight table that coalesces identical cold queries
     into one evaluation, and reads a published view covers -- an
     indexed selection, whose cost is bounded by the reply the loop
     encodes anyway.  All of it is loop-confined and needs no locks.
     Only a cold evaluation, whose cost the reply does not bound, leaves
-    the loop, for the reader thread pool.
+    the loop, for the reader thread pool, where it is one
+    :func:`~repro.core.pipeline.answer_query` call on the pinned
+    snapshot's database -- sharing the server's plan cache, so a shape
+    is adorned and rewritten (or rejected) once per process.
 
 :class:`MutationScheduler`
     Serializes every mutation through one writer: an ``asyncio.Lock``
@@ -34,14 +38,14 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.limits import BudgetExceeded, EvaluationCancelled
+from ..core.limits import BudgetExceeded, EvaluationBudget, EvaluationCancelled
+from ..core.pipeline import QueryOptions, answer_query, unwrap_values
 from ..datalog.ast import Query
 from ..datalog.database import Database
 from ..datalog.errors import ParseError, ReproError
 from ..datalog.parser import parse_query
 from ..datalog.planner import PlanCache
-from ..core.pipeline import unwrap_values
-from ..session import SESSION_METHODS, Session
+from ..session import Session
 from .protocol import ProtocolError, sorted_rows
 from .snapshot import Snapshot, SnapshotManager
 
@@ -149,22 +153,19 @@ class QueryScheduler:
         Everything but a cold evaluation is answered here, on the loop,
         and every exit releases the snapshot the request pinned.
         """
-        method = options.get("method", "auto")
-        if method not in SESSION_METHODS:
-            raise ProtocolError(
-                "bad_request",
-                f"unknown method {method!r}; expected one of "
-                f"{SESSION_METHODS}",
+        try:
+            query_options = QueryOptions(
+                method=options.get("method", "auto"),
+                engine=options.get("engine", "seminaive"),
+                workers=self._workers,
             )
+        except ValueError as exc:
+            raise ProtocolError("bad_request", str(exc))
+        method = query_options.method
         snapshot = self._snapshots.current()
         try:
             text = query_text.strip()
-            key = (
-                text,
-                method,
-                options.get("engine", "seminaive"),
-                snapshot.version,
-            )
+            key = (text, query_options, snapshot.version)
             cached = self._memo.get(key)
             if cached is not None:
                 self._memo.move_to_end(key)
@@ -201,7 +202,7 @@ class QueryScheduler:
             pending = self._inflight.get(key)
             if pending is None:
                 return await self._evaluate_cold(
-                    key, base, query, method, options, snapshot
+                    key, base, query, query_options, options, snapshot
                 )
             self.coalesced += 1
         finally:
@@ -214,7 +215,7 @@ class QueryScheduler:
         key: tuple,
         base: Dict[str, Any],
         query: Query,
-        method: str,
+        query_options: QueryOptions,
         options: Dict[str, Any],
         snapshot: Snapshot,
     ) -> Dict[str, Any]:
@@ -229,8 +230,7 @@ class QueryScheduler:
                 self._evaluate,
                 base,
                 query,
-                method,
-                options,
+                query_options,
                 timeout,
                 max_facts,
                 snapshot,
@@ -262,38 +262,32 @@ class QueryScheduler:
         self,
         base: Dict[str, Any],
         query: Query,
-        method: str,
-        options: Dict[str, Any],
+        query_options: QueryOptions,
         timeout: Optional[float],
         max_facts: Optional[int],
         snapshot: Snapshot,
     ) -> Dict[str, Any]:
         """Worker-thread body: evaluate ``query`` cold on ``snapshot``."""
         started = time.perf_counter()
-        # closed on the way out: its memo <-> QueryResult cycle would keep
-        # this version's database alive until a collector pass
-        with Session(
-            program=self._program,
-            database=snapshot.db,
+        budget = EvaluationBudget.from_options(
+            timeout=timeout, max_facts=max_facts
+        )
+        answer = answer_query(
+            self._program,
+            snapshot.db,
+            query,
+            query_options,
             plan_cache=self._plan_cache,
-            memo_size=1,  # the server memo caches; per-request sessions
-        ) as session:
-            result = session.query(
-                query,
-                method=method,
-                engine=options.get("engine", "seminaive"),
-                workers=self._workers,
-                timeout=timeout,
-                max_facts=max_facts,
-            )
-            base.update(
-                served="cold",
-                method=result.method,
-                degraded=result.degraded,
-                rows=sorted_rows(result.values()),
-                row_count=len(result.rows),
-                elapsed=time.perf_counter() - started,
-            )
+            meter=budget.start() if budget is not None else None,
+        )
+        base.update(
+            served="cold",
+            method=answer.strategy,
+            degraded=answer.degraded,
+            rows=sorted_rows(answer.values()),
+            row_count=len(answer.answers),
+            elapsed=time.perf_counter() - started,
+        )
         return base
 
     def shutdown(self) -> None:

@@ -1,9 +1,9 @@
 """A stateful session: versioned database, auto-dispatch, answer memo.
 
-The module-level functions (:func:`repro.answer_query` and friends) are
-one-shot: every call re-adorns, re-rewrites, and re-evaluates from
-scratch, and the caller has to know which methods tolerate negation.
-:class:`Session` is the surface shaped for repeated traffic:
+:func:`repro.answer_query` is the one evaluation path: it answers one
+query against one database, with no memory of earlier calls beyond the
+plan cache.  :class:`Session` is the surface shaped for repeated traffic
+around it:
 
 * it owns a :class:`~repro.datalog.database.Database` whose monotone
   ``version`` counter is bumped by every mutation, and supports
@@ -14,28 +14,24 @@ scratch, and the caller has to know which methods tolerate negation.
   rewriting through the shared plan cache -- for positive *and*
   stratified programs (the conservative negation extension) -- falling
   back to compiled stratified semi-naive only when the adornment
-  machinery genuinely rejects the program, with QSQ selectable
+  machinery genuinely rejects the query's shape, with QSQ selectable
   explicitly;
 * answers are memoized across evaluations, keyed by
-  ``(program, database version, query signature, options)``: a repeated
-  identical query on an unchanged database is a dictionary hit, and a
-  mutation drops exactly the entries whose relation footprint it
-  touches (out-of-band mutations still flush everything);
-* what depends only on the program and the query's *shape* -- its
+  ``(query, QueryOptions, database version)``: a repeated identical
+  query on an unchanged database is a dictionary hit, and a mutation
+  drops exactly the entries whose relation footprint it touches
+  (out-of-band mutations still flush everything);
+* a cold query goes to :func:`~repro.core.pipeline.answer_query`, which
+  keeps what depends only on the program and the query's *shape* -- its
   predicate, which arguments are ground, the sip builder, the method
-  and its options -- is built once and kept in the shared
+  and its rewrite options -- in the shared
   :class:`~repro.datalog.planner.PlanCache`: the adorned program, the
   rewritten program with its one ``Program`` object (under which the
   compiled join/subquery plans are cached in turn), the mirror table
-  of ``seeded_database`` and the memo footprint.  Section 4 keeps the
-  constants out of ``P^mg``, so the entry is adorned and rewritten for
-  :meth:`Query.shape() <repro.datalog.ast.Query.shape>`, a query with
-  placeholders for the ground arguments.  What is left per query is:
-  parse, look the shape up, ``bind`` the constants into a copy (seed
-  facts, answer selection, query literal), snapshot, fixpoint, select.
-  The entry outlives the session and mutations, and every session over
-  the same program and cache -- the server builds one per request --
-  shares it.
+  of ``seeded_database``, the memo footprint and ``auto``'s verdict.
+  The entry outlives the session and mutations, and every session and
+  the query server's cold reads over the same program and cache share
+  it.
 
 Quickstart::
 
@@ -63,50 +59,29 @@ import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .core.adornment import AdornedProgram, adorn_program
-from .core.limits import (
-    BudgetExceeded,
-    CancellationToken,
-    EvaluationBudget,
-)
+from .core.limits import CancellationToken, EvaluationBudget
 from .core.pipeline import (
-    REWRITE_METHODS,
+    BASELINE_METHODS,
+    SESSION_METHODS,
     QueryAnswer,
-    bottom_up_answer,
-    rewrite,
+    QueryOptions,
+    answer_query,
     unwrap_values,
 )
-from .core.provenance import RewrittenProgram
 from .core.sips import SipBuilder, build_full_sip
 from .datalog.analysis import reachable_predicates
 from .datalog.ast import Literal, Program, Query
 from .datalog.database import Database, FactTuple
 from .datalog.derivation import DerivationNode
 from .datalog.engine import EvaluationStats, evaluate
-from .datalog.errors import (
-    AdornmentError,
-    ConnectivityError,
-    ReproError,
-    RewriteError,
-    SipValidationError,
-    UnsupportedProgramError,
-)
+from .datalog.errors import ReproError
 from .datalog.ivm import MaintenanceResult, MaterializedProgram
 from .datalog.parser import parse_literal, parse_program, parse_query
 from .datalog.planner import PlanCache, shared_plan_cache
 from .datalog.terms import Variable
-from .datalog.topdown import QSQResult, qsq_evaluate
+from .datalog.topdown import QSQResult
 
 __all__ = [
     "Session",
@@ -115,37 +90,6 @@ __all__ = [
     "SESSION_METHODS",
     "BASELINE_METHODS",
 ]
-
-#: evaluation baselines answer_query/Session accept besides the rewrites
-BASELINE_METHODS = ("naive", "seminaive", "qsq")
-
-#: everything Session.query accepts for ``method``: the rewrites, the
-#: baselines, plus "materialized" (answer from a covering maintained
-#: view, never a fresh evaluation)
-SESSION_METHODS = (
-    ("auto",) + REWRITE_METHODS + BASELINE_METHODS + ("materialized",)
-)
-
-#: what ``method="auto"`` tries first -- on positive AND stratified
-#: programs (the conservative magic extension handles negation)
-_AUTO_PRIMARY = "supplementary_magic"
-
-#: what it falls back to (compiled bottom-up, stratum by stratum)
-_AUTO_FALLBACK = "seminaive"
-
-#: errors that route auto-dispatch to the bottom-up fallback AND cache
-#: the decision: the adornment machinery declining the *program* (not
-#: evaluation failures -- those propagate, the fallback would hit them
-#: too).  RewriteError is handled separately: it can be option-level
-#: (e.g. ``semijoin=True`` with a magic method), so it falls back for
-#: the call at hand but never poisons the cached decision.
-_AUTO_PROGRAM_REJECTIONS = (
-    UnsupportedProgramError,
-    AdornmentError,
-    ConnectivityError,
-    SipValidationError,
-)
-
 
 @dataclass
 class QueryResult:
@@ -210,27 +154,6 @@ class QueryResult:
     def plan_cache_misses(self) -> int:
         return self.stats.plan_cache_misses if self.stats is not None else 0
 
-    # -- legacy QueryAnswer attribute names -----------------------------
-    # answer_query() used to return the evaluation-level QueryAnswer;
-    # now that QueryResult is the single answer type everywhere, the old
-    # attribute spellings stay available so callers never branch on
-    # which layer produced the result.
-    @property
-    def answers(self) -> Set[FactTuple]:
-        return self.rows
-
-    @property
-    def strategy(self) -> str:
-        return self.method
-
-    @property
-    def rewritten(self):
-        return self.answer.rewritten if self.answer is not None else None
-
-    @property
-    def evaluation(self):
-        return self.answer.evaluation if self.answer is not None else None
-
     @property
     def qsq(self):
         return self.answer.qsq if self.answer is not None else None
@@ -265,29 +188,6 @@ class QueryResult:
                 "explain() needs the session's program and database"
             )
         return session.explain(self.query, limit=limit)
-
-
-def _mentioned_relations(program: Program, extra=()) -> frozenset:
-    """Every relation key an evaluation of ``program`` can touch."""
-    return frozenset(program.predicates()) | frozenset(extra)
-
-
-class _QueryShape(NamedTuple):
-    """What adornment and rewriting make of one query *shape*.
-
-    One entry of the shared :class:`~repro.datalog.planner.PlanCache`
-    per (program, :meth:`Query.shape`, sip builder, method, mode,
-    optimize, semijoin); nothing in it depends on the query's constants,
-    which stand in it as placeholders.  Published entries are never
-    changed: a query gets its own copy through ``bind(query)``.
-    """
-
-    adorned: AdornedProgram
-    #: None under QSQ, which evaluates the adorned program itself
-    rewritten: Optional[RewrittenProgram]
-    #: relation names an answer of this shape depends on (memo
-    #: invalidation), see :meth:`Session._footprint_for`
-    footprint: frozenset
 
 
 class MaterializedView:
@@ -471,10 +371,6 @@ class Session:
         #: memo key -> the relation names its rows depend on
         self._memo_footprints: Dict[tuple, frozenset] = {}
         self._memo_version = database.version
-        #: per-signature auto-dispatch decisions; they depend only on
-        #: the (immutable) program and the query signature, never on the
-        #: facts, so mutations do not drop them
-        self._auto_choice: Dict[tuple, str] = {}
         #: one shared MaterializedProgram backs every live view; created
         #: lazily by materialize(), closed when the last view drops
         self._materializer: Optional[MaterializedProgram] = None
@@ -524,13 +420,13 @@ class Session:
 
         Drops every live :class:`MaterializedView` (closing the shared
         materializer, which detaches its mutation log from the
-        database), clears the answer memo and its footprints, and
-        forgets the auto-dispatch decisions.  The program and database
-        are untouched -- a closed session can be queried again (state
-        simply rebuilds), which is what lets a server pool and recycle
-        sessions without leaking materialized state.  The adorned and
-        rewritten programs live in the plan cache, which outlives the
-        session: the next session over the same program finds them.
+        database) and clears the answer memo and its footprints.  The
+        program and database are untouched -- a closed session can be
+        queried again (state simply rebuilds), which is what lets a
+        server pool and recycle sessions without leaking materialized
+        state.  The adorned and rewritten programs and ``auto``'s
+        verdicts live in the plan cache, which outlives the session: the
+        next session over the same program finds them.
         """
         for view in list(self._views):
             view.drop()
@@ -539,7 +435,6 @@ class Session:
             self._materializer = None
         self._memo.clear()
         self._memo_footprints.clear()
-        self._auto_choice.clear()
 
     def __enter__(self) -> "Session":
         return self
@@ -735,7 +630,7 @@ class Session:
                 predicates = frozenset((text,))
         else:
             predicates = frozenset(target)
-        known = _mentioned_relations(self._program) | frozenset(
+        known = frozenset(self._program.predicates()) | frozenset(
             self._database.predicate_keys()
         )
         unknown = predicates - known
@@ -896,8 +791,10 @@ class Session:
         ``query`` may be text (``"anc(john, X)?"``), a parsed
         :class:`Query`, or None to use the first query embedded in the
         session source.  ``method`` is ``"auto"`` (default), a rewrite
-        method, or a baseline; the remaining options mirror
-        :func:`repro.answer_query` and participate in the memo key.
+        method, or a baseline; with the remaining options up to
+        ``workers`` it forms the :class:`~repro.core.pipeline.QueryOptions`
+        that a cold query hands to :func:`repro.answer_query` and that
+        keys the memo.
 
         Resource governance: ``timeout`` (seconds of wall clock),
         ``max_facts`` (derived-fact cap), and ``cancellation`` (a
@@ -927,16 +824,6 @@ class Session:
         produced them.
         """
         query = self._as_query(query)
-        if method not in SESSION_METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of "
-                f"{SESSION_METHODS}"
-            )
-        if on_budget_exceeded not in (None, "degrade", "raise"):
-            raise ValueError(
-                f"unknown on_budget_exceeded policy "
-                f"{on_budget_exceeded!r}; expected 'degrade' or 'raise'"
-            )
         budget = EvaluationBudget.from_options(
             budget=budget,
             timeout=timeout,
@@ -974,18 +861,12 @@ class Session:
                         # trip / injected fault): the state is stale
                         # now, answer cold below
                         pass
-        version = self._memo_version
-        key = (
-            query,
-            method,
-            engine,
-            mode,
-            optimize,
-            semijoin,
-            max_iterations,
-            workers,
-            version,
+        # an unknown method reaches this line too: QueryOptions rejects it
+        options = QueryOptions(
+            method, engine, mode, optimize, semijoin, max_iterations, workers
         )
+        version = self._memo_version
+        key = (query, options, version)
         cached = self._memo.get(key)
         if cached is not None:
             self._memo.move_to_end(key)
@@ -999,59 +880,16 @@ class Session:
                 budget_spent=meter.spent() if meter is not None else None,
             )
         self.memo_misses += 1
-        executed = method
-        degraded = False
-        try:
-            if method == "auto":
-                executed, answer = self._execute_auto(
-                    query,
-                    engine,
-                    mode,
-                    optimize,
-                    semijoin,
-                    max_iterations,
-                    workers,
-                    meter,
-                )
-            else:
-                answer = self._execute(
-                    query,
-                    method,
-                    engine,
-                    mode,
-                    optimize,
-                    semijoin,
-                    max_iterations,
-                    workers,
-                    meter,
-                )
-        except BudgetExceeded as exc:
-            fallback = self._degradation_fallback(
-                method, exc, on_budget_exceeded
-            )
-            if fallback is None:
-                raise
-            # retry once with compiled semi-naive under the same meter:
-            # the wall-clock deadline is absolute, fact/tuple caps apply
-            # to the retry's fresh statistics
-            answer = self._execute(
-                query,
-                fallback,
-                engine,
-                mode,
-                optimize,
-                semijoin,
-                max_iterations,
-                workers,
-                meter,
-            )
-            executed = fallback
-            degraded = True
-        if meter is not None:
-            # install boundary: the last abort point before the answer
-            # is published and memoized -- an injected fault here must
-            # still leave the memo without the entry
-            meter.tick_install()
+        answer = answer_query(
+            self._program,
+            self._database,
+            query,
+            options,
+            sip_builder=self._sip_builder,
+            plan_cache=self._plan_cache,
+            meter=meter,
+            on_budget_exceeded=on_budget_exceeded,
+        )
         result = QueryResult(
             rows=answer.answers,
             method=answer.strategy,
@@ -1064,40 +902,17 @@ class Session:
             answer=answer,
             memo_hits=self.memo_hits,
             memo_misses=self.memo_misses,
-            degraded=degraded,
+            degraded=answer.degraded,
             budget_spent=meter.spent() if meter is not None else None,
             _session=weakref.ref(self),
         )
-        assert executed != "auto"
-        if not degraded:
+        if not answer.degraded:
             self._memo[key] = self._slim_for_memo(result)
             self._memo_footprints[key] = self._footprint_for(query, answer)
             while len(self._memo) > self._memo_size:
                 evicted, _ = self._memo.popitem(last=False)
                 self._memo_footprints.pop(evicted, None)
         return result
-
-    @staticmethod
-    def _degradation_fallback(
-        requested: str, exc: BudgetExceeded, policy: Optional[str]
-    ) -> Optional[str]:
-        """The method to retry with after a budget trip, or None.
-
-        Degradation applies only when the strategy that tripped was a
-        rewrite method (the fallback is a genuinely different plan;
-        re-running a tripped baseline would just trip again), and only
-        under auto-dispatch by default -- an explicitly requested
-        rewrite method degrades only with ``on_budget_exceeded=
-        "degrade"``.  ``"raise"`` disables degradation everywhere.
-        """
-        if policy == "raise":
-            return None
-        tripped = getattr(exc, "method", None)
-        if tripped not in REWRITE_METHODS or tripped == _AUTO_FALLBACK:
-            return None
-        if requested == "auto" or policy == "degrade":
-            return _AUTO_FALLBACK
-        return None
 
     @staticmethod
     def _slim_for_memo(result: QueryResult) -> QueryResult:
@@ -1134,7 +949,7 @@ class Session:
         """Relation names the memoized rows depend on.
 
         A rewrite method or QSQ: the footprint of the query's shape,
-        which the answer carries (see :meth:`_build_shape`).  The
+        which the answer carries.  The
         bottom-up baselines evaluate the original program and extract
         from the query predicate's relation, so everything reachable
         from the query predicate participates (derived names included:
@@ -1158,256 +973,6 @@ class Session:
         if isinstance(query, str):
             return parse_query(query)
         return query
-
-    # ------------------------------------------------------------------
-    # dispatch + execution
-    # ------------------------------------------------------------------
-    def _signature(self, query: Query) -> tuple:
-        """What auto-dispatch and the program caches key on: the
-        predicate and the bound/free pattern (adornment), not the
-        constants."""
-        return (
-            query.literal.pred_key,
-            tuple(arg.is_ground() for arg in query.literal.args),
-        )
-
-    def _execute_auto(
-        self,
-        query,
-        engine,
-        mode,
-        optimize,
-        semijoin,
-        max_iterations,
-        workers,
-        meter=None,
-    ) -> Tuple[str, QueryAnswer]:
-        # the decision depends on the query signature AND the options
-        # that feed the rewrite, so one option set cannot poison the
-        # dispatch of another (notably plain default-option queries)
-        decision_key = (self._signature(query), mode, optimize, semijoin)
-        # stratified programs get the rewrite attempt too (conservative
-        # magic extension); only a genuine adornment-level rejection --
-        # cached per signature -- routes a query to the bottom-up
-        # fallback permanently
-        choice = self._auto_choice.get(decision_key, _AUTO_PRIMARY)
-        if choice == _AUTO_PRIMARY:
-            try:
-                answer = self._execute(
-                    query,
-                    _AUTO_PRIMARY,
-                    engine,
-                    mode,
-                    optimize,
-                    semijoin,
-                    max_iterations,
-                    workers,
-                    meter,
-                )
-            except _AUTO_PROGRAM_REJECTIONS:
-                choice = _AUTO_FALLBACK
-                self._auto_choice[decision_key] = choice
-            except RewriteError:
-                # option-level incompatibility: answer via the fallback
-                # for this call, but re-attempt the rewrite next time
-                choice = _AUTO_FALLBACK
-            else:
-                self._auto_choice[decision_key] = _AUTO_PRIMARY
-                return _AUTO_PRIMARY, answer
-        answer = self._execute(
-            query,
-            choice,
-            engine,
-            mode,
-            optimize,
-            semijoin,
-            max_iterations,
-            workers,
-            meter,
-        )
-        return choice, answer
-
-    def _execute(
-        self,
-        query,
-        method,
-        engine,
-        mode,
-        optimize,
-        semijoin,
-        max_iterations,
-        workers,
-        meter=None,
-    ) -> QueryAnswer:
-        """One evaluation, no memo: the consolidated dispatch that used
-        to be duplicated across pipeline.answer_query, the CLI, and the
-        benchmark drivers.
-
-        A :class:`BudgetExceeded` escaping any path is tagged with the
-        method that tripped it, so the degradation policy upstream can
-        tell a tripped rewrite (worth retrying semi-naive) from a
-        tripped baseline (not worth retrying).
-        """
-        try:
-            return self._execute_inner(
-                query,
-                method,
-                engine,
-                mode,
-                optimize,
-                semijoin,
-                max_iterations,
-                workers,
-                meter,
-            )
-        except BudgetExceeded as exc:
-            if exc.method is None:
-                exc.method = method
-            raise
-
-    def _execute_inner(
-        self,
-        query,
-        method,
-        engine,
-        mode,
-        optimize,
-        semijoin,
-        max_iterations,
-        workers,
-        meter,
-    ) -> QueryAnswer:
-        if method in ("naive", "seminaive"):
-            return bottom_up_answer(
-                self._program,
-                self._database,
-                query,
-                method,
-                max_iterations,
-                None,
-                plan_cache=self._plan_cache,
-                meter=meter,
-                workers=workers,
-            )
-        if method == "qsq":
-            shape = self._shape_for(query, "qsq", None, None, None)
-            adorned = shape.adorned.bind(query)
-            qsq = qsq_evaluate(
-                adorned.program,
-                self._database,
-                adorned.query_literal,
-                max_iterations=max_iterations,
-                plan_cache=self._plan_cache,
-                meter=meter,
-            )
-            stats = EvaluationStats(
-                iterations=qsq.iterations,
-                facts_derived=qsq.answer_count(),
-                plan_cache_hits=qsq.plan_cache_hits,
-                plan_cache_misses=qsq.plan_cache_misses,
-            )
-            return QueryAnswer(
-                answers=qsq.query_answers(adorned.query_literal),
-                strategy="qsq",
-                stats=stats,
-                qsq=qsq,
-                footprint=shape.footprint,
-            )
-        shape = self._shape_for(query, method, mode, optimize, semijoin)
-        rewritten = shape.rewritten.bind(query)
-        seeded = rewritten.seeded_database(self._database)
-        result = evaluate(
-            rewritten.program,
-            seeded,
-            method=engine,
-            max_iterations=max_iterations,
-            plan_cache=self._plan_cache,
-            meter=meter,
-            workers=workers,
-        )
-        return QueryAnswer(
-            answers=rewritten.extract_answers(result),
-            strategy=method,
-            stats=result.stats,
-            rewritten=rewritten,
-            evaluation=result,
-            footprint=shape.footprint,
-        )
-
-    def _shape_for(
-        self, query: Query, method: str, mode, optimize, semijoin
-    ) -> _QueryShape:
-        """The plan-cache entry for a query's shape, built on first use.
-
-        The key is the cache's own ``(kind, program)`` with the shape in
-        ``kind``, so every session over this program and plan cache
-        (the server builds one per request) shares the entry.  QSQ
-        reads none of ``mode`` / ``optimize`` / ``semijoin`` and is
-        looked up with ``None`` for each.
-        """
-        shape = query.shape()
-        kind = (
-            "query-shape",
-            shape.literal,
-            self._sip_builder,
-            method,
-            mode,
-            optimize,
-            semijoin,
-        )
-        entry, _ = self._plan_cache.get(
-            kind,
-            self._program,
-            lambda program: self._build_shape(
-                shape, method, mode, optimize, semijoin
-            ),
-        )
-        return entry
-
-    def _build_shape(
-        self, shape: Query, method: str, mode, optimize, semijoin
-    ) -> _QueryShape:
-        """Adorn and rewrite a shape query (the plan-cache factory).
-
-        The footprint: a rewrite method reads the relations its
-        rewritten program mentions, plus every original name reachable
-        from the query predicate (``seeded_database`` mirrors facts
-        asserted under original derived names into the adorned
-        relations) -- so mutating a relation outside the query's cone
-        leaves a memo entry valid.  QSQ reads the adorned program's
-        relations.
-        """
-        adorned = adorn_program(self._program, shape, self._sip_builder)
-        if method == "qsq":
-            return _QueryShape(
-                adorned,
-                None,
-                _mentioned_relations(
-                    adorned.program, extra=(adorned.query_literal.pred_key,)
-                ),
-            )
-        rewritten = rewrite(
-            self._program,
-            shape,
-            method=method,
-            sip_builder=self._sip_builder,
-            mode=mode,
-            optimize=optimize,
-            semijoin=semijoin,
-            adorned=adorned,
-        )
-        # .program and .mirror_targets are computed on first reading:
-        # read both before the entry is published, so that every bound
-        # copy carries the one Program object and the one table
-        program, _ = rewritten.program, rewritten.mirror_targets
-        footprint = _mentioned_relations(
-            program,
-            extra=(rewritten.answer_pred_key,)
-            + tuple(seed.pred_key for seed in rewritten.seed_facts),
-        ) | frozenset(
-            reachable_predicates(self._program, [shape.literal.pred_key])
-        )
-        return _QueryShape(adorned, rewritten, footprint)
 
     # ------------------------------------------------------------------
     # explanation

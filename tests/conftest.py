@@ -1,7 +1,8 @@
 """Shared test helpers: canonical rule strings for appendix comparisons,
 a collector-off context for the snapshot release tests, the reference
 scan that answer selection is compared against, the body-solution count
-exact semi-naive is checked against, and the reference evaluator
+exact semi-naive is checked against, the count of query front-end
+calls (:func:`front_end_calls`), and the reference evaluator
 (:func:`oracle_facts`) every bottom-up and top-down path is checked
 against.
 
@@ -21,6 +22,7 @@ from typing import Iterable, List
 import pytest
 
 from repro import Constant, Program, Rule, Struct, Variable
+from repro.core import pipeline
 from repro.core.provenance import RewrittenProgram
 from repro.datalog.ast import ShapeSlot
 from repro.datalog.analysis import stratify_rules
@@ -75,6 +77,29 @@ def mentions_placeholder(term) -> bool:
 @pytest.fixture
 def canon():
     return canonical_rule
+
+
+@pytest.fixture
+def front_end_calls(monkeypatch):
+    """Count the calls ``answer_query`` makes to ``adorn_program`` /
+    ``pipeline.rewrite`` (the names ``repro.core.pipeline`` builds a
+    shape with)."""
+    calls = {"adorn": 0, "rewrite": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        pipeline, "adorn_program", counting("adorn", pipeline.adorn_program)
+    )
+    monkeypatch.setattr(
+        pipeline, "rewrite", counting("rewrite", pipeline.rewrite)
+    )
+    return calls
 
 
 @contextlib.contextmanager

@@ -6,6 +6,7 @@ from repro import (
     Constant,
     Database,
     Literal,
+    QueryOptions,
     Struct,
     Variable,
     answer_query,
@@ -32,7 +33,9 @@ class TestConstantsInRules:
         query = parse_query("reach(alice, Y)?")
         baseline = bottom_up_answer(program, db, query)
         for method in ("magic", "supplementary_magic"):
-            answer = answer_query(program, db, query, method=method)
+            answer = answer_query(
+                program, db, query, QueryOptions(method=method)
+            )
             assert answer.answers == baseline.answers
         assert {str(r[0]) for r in baseline.answers} == {"bob", "eve", "dan"}
 
@@ -47,7 +50,7 @@ class TestConstantsInRules:
         db.add_values("e", [("a", "hub"), ("hub", "b"), ("a", "c")])
         query = parse_query("t(a, Y)?")
         baseline = bottom_up_answer(program, db, query)
-        answer = answer_query(program, db, query, method="magic")
+        answer = answer_query(program, db, query, QueryOptions(method="magic"))
         assert answer.answers == baseline.answers
         assert {str(r[0]) for r in answer.answers} == {"hub", "c", "b"}
 
@@ -113,7 +116,7 @@ class TestStructuredFacts:
 
         query = Query(Literal("boxed", (level2, Variable("X"))))
         baseline = bottom_up_answer(program, db, query)
-        answer = answer_query(program, db, query, method="magic")
+        answer = answer_query(program, db, query, QueryOptions(method="magic"))
         assert answer.answers == baseline.answers
         assert len(answer.answers) == 2
 
@@ -129,7 +132,7 @@ class TestRepeatedVariables:
         db = Database()
         db.add_values("e", [("a", "a"), ("a", "b"), ("b", "c")])
         query = parse_query("twice(a, Y)?")
-        answer = answer_query(program, db, query, method="magic")
+        answer = answer_query(program, db, query, QueryOptions(method="magic"))
         assert {str(r[0]) for r in answer.answers} == {"a", "b"}
 
     def test_repeated_variable_in_rule_head(self):
@@ -220,8 +223,7 @@ class TestDeepRecursion:
             list_reverse_program(),
             Database(),
             reverse_query(integer_list(25)),
-            method="supplementary_magic",
-            max_iterations=3000,
+            QueryOptions(method="supplementary_magic", max_iterations=3000),
         )
         term = next(iter(answer.answers))[0]
         assert str(term).startswith("[24, 23, 22")

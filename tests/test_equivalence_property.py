@@ -9,7 +9,7 @@ check every method against the naive bottom-up baseline.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import answer_query, bottom_up_answer
+from repro import QueryOptions, answer_query, bottom_up_answer
 from repro.datalog.database import Database
 from repro.workloads import (
     ancestor_program,
@@ -52,7 +52,9 @@ class TestAncestorEquivalence:
         db = edge_db(edges)
         baseline = bottom_up_answer(program, db, query)
         for method in ("magic", "supplementary_magic", "qsq"):
-            answer = answer_query(program, db, query, method=method)
+            answer = answer_query(
+                program, db, query, QueryOptions(method=method)
+            )
             assert answer.answers == baseline.answers, method
 
     @given(edges=edges_strategy, root=st.sampled_from(NODES))
@@ -63,7 +65,9 @@ class TestAncestorEquivalence:
         db = edge_db(edges)
         baseline = bottom_up_answer(program, db, query)
         for method in ("magic", "supplementary_magic"):
-            answer = answer_query(program, db, query, method=method)
+            answer = answer_query(
+                program, db, query, QueryOptions(method=method)
+            )
             assert answer.answers == baseline.answers, method
 
     @given(edges=edges_strategy, root=st.sampled_from(NODES))
@@ -78,7 +82,10 @@ class TestAncestorEquivalence:
         baseline = bottom_up_answer(program, db, query)
         for method in ("counting", "supplementary_counting"):
             answer = answer_query(
-                program, db, query, method=method, max_iterations=200
+                program,
+                db,
+                query,
+                QueryOptions(method=method, max_iterations=200),
             )
             assert answer.answers == baseline.answers, method
 
@@ -112,7 +119,10 @@ class TestSameGenerationEquivalence:
         baseline = bottom_up_answer(program, db, query)
         for method in ("magic", "supplementary_magic"):
             answer = answer_query(
-                program, db, query, method=method, max_iterations=400
+                program,
+                db,
+                query,
+                QueryOptions(method=method, max_iterations=400),
             )
             assert answer.answers == baseline.answers, method
 

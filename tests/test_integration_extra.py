@@ -10,6 +10,7 @@ import pytest
 
 from repro import (
     Database,
+    QueryOptions,
     answer_query,
     bottom_up_answer,
     evaluate,
@@ -68,7 +69,10 @@ class TestCountingOnMultiPredicatePrograms:
         db = acyclic_nested_database()
         baseline = bottom_up_answer(program, db, query)
         answer = answer_query(
-            program, db, query, method=method, mode=mode, max_iterations=500
+            program,
+            db,
+            query,
+            QueryOptions(method=method, mode=mode, max_iterations=500),
         )
         assert answer.answers == baseline.answers
 
@@ -136,7 +140,11 @@ class TestReverseDirectionQueries:
         baseline = bottom_up_answer(program, db, query)
         builder = sip_builder_with_order(build_full_sip, greedy_order)
         answer = answer_query(
-            program, db, query, method="magic", sip_builder=builder
+            program,
+            db,
+            query,
+            QueryOptions(method="magic"),
+            sip_builder=builder,
         )
         assert answer.answers == baseline.answers
         # the inverted traversal touches only the ancestors of the leaf
@@ -153,9 +161,8 @@ class TestReverseDirectionQueries:
             program,
             db,
             query,
-            method=method,
+            QueryOptions(method=method, max_iterations=300),
             sip_builder=builder,
-            max_iterations=300,
         )
         assert answer.answers == baseline.answers
 
@@ -176,9 +183,8 @@ class TestReverseDirectionQueries:
                 program,
                 db,
                 query,
-                method="counting",
+                QueryOptions(method="counting", max_iterations=200),
                 sip_builder=builder,
-                max_iterations=200,
             )
 
 
@@ -203,7 +209,7 @@ class TestMutualRecursionThroughRewrites:
         db = self.database()
         query = parse_query('reach_odd("m0", Y)?')
         baseline = bottom_up_answer(program, db, query)
-        answer = answer_query(program, db, query, method=method)
+        answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
         # odd reachability from m0 on a chain: m1, m3, m5, m7
         names = {str(row[0]) for row in answer.answers}
@@ -241,7 +247,7 @@ class TestThreeAryAdornments:
         program = parse_program(self.PROGRAM).program
         db = self.database()
         query = parse_query(query_text)
-        answer = answer_query(program, db, query, method=method)
+        answer = answer_query(program, db, query, QueryOptions(method=method))
         assert {str(row[0]) for row in answer.answers} == expected
 
     def test_bfb_adornment_created(self):

@@ -26,12 +26,15 @@ class TestReverseProperty:
     @given(values=st.lists(atoms, max_size=6))
     @SETTINGS
     def test_magic_reverse_equals_python_reverse(self, values):
-        from repro import answer_query
+        from repro import QueryOptions, answer_query
 
         program = list_reverse_program()
         query = reverse_query(constant_list(values))
         answer = answer_query(
-            program, Database(), query, method="magic", max_iterations=200
+            program,
+            Database(),
+            query,
+            QueryOptions(method="magic", max_iterations=200),
         )
         assert len(answer.answers) == 1
         term = next(iter(answer.answers))[0]
@@ -41,14 +44,17 @@ class TestReverseProperty:
     @given(values=st.lists(atoms, max_size=5))
     @SETTINGS
     def test_counting_agrees_with_magic(self, values):
-        from repro import answer_query
+        from repro import QueryOptions, answer_query
 
         program = list_reverse_program()
         query = reverse_query(constant_list(values))
         answers = {}
         for method in ("magic", "counting"):
             result = answer_query(
-                program, Database(), query, method=method, max_iterations=200
+                program,
+                Database(),
+                query,
+                QueryOptions(method=method, max_iterations=200),
             )
             answers[method] = result.answers
         assert answers["magic"] == answers["counting"]

@@ -204,14 +204,14 @@ class TestAllFreeQuery:
         )
 
     def test_full_sip_still_correct_on_all_free_query(self):
-        from repro import answer_query, bottom_up_answer
+        from repro import QueryOptions, answer_query, bottom_up_answer
         from repro.workloads import chain_database
 
         program = ancestor_program()
         query = parse_query("?- anc(X, Y).")
         db = chain_database(6)
         baseline = bottom_up_answer(program, db, query)
-        answer = answer_query(program, db, query, method="magic")
+        answer = answer_query(program, db, query, QueryOptions(method="magic"))
         assert answer.answers == baseline.answers
 
 

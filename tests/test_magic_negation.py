@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro import (
     Database,
     Program,
+    QueryOptions,
     Session,
     StratificationError,
     answer_query,
@@ -133,7 +134,7 @@ def test_rewrites_match_stratumwise_naive_oracle(case):
     oracle = oracle_answers(program, database, query)
     for method in ("supplementary_magic", "magic"):
         answer = answer_query(
-            program, database, query, method=method
+            program, database, query, QueryOptions(method=method)
         )
         assert answer.answers == oracle, (
             f"{method} disagrees with the stratum-wise naive oracle "
@@ -197,7 +198,7 @@ class TestBomRewrites:
         oracle = oracle_answers(program, database, query)
         for method in ("supplementary_magic", "magic", "auto"):
             answer = answer_query(
-                program, database, query, method=method
+                program, database, query, QueryOptions(method=method)
             )
             assert answer.answers == oracle
 
@@ -241,7 +242,7 @@ class TestDerivedNameFacts:
         assert oracle == set()  # q(b) blocks p(b)
         for method in ("supplementary_magic", "magic", "auto"):
             answer = answer_query(
-                parsed.program, database, query, method=method
+                parsed.program, database, query, QueryOptions(method=method)
             )
             assert answer.answers == oracle, method
 
@@ -255,8 +256,10 @@ class TestDerivedNameFacts:
         database.add_facts(parsed.facts)
         for method in ("supplementary_magic", "magic", "seminaive"):
             answer = answer_query(
-                parsed.program, database,
-                parse_query("anc(zeus, Y)?"), method=method,
+                parsed.program,
+                database,
+                parse_query("anc(zeus, Y)?"),
+                QueryOptions(method=method),
             )
             assert answer.values() == {("ares",)}, method
 

@@ -14,6 +14,7 @@ from repro import (
     Literal,
     Program,
     Query,
+    QueryOptions,
     Rule,
     StratificationError,
     UnsafeNegationError,
@@ -341,7 +342,10 @@ class TestStageSupport:
         database = db(e=["a", "b"], q=["a"])
         for method in ("magic", "supplementary_magic"):
             answer = answer_query(
-                program, database, parse_query("p(X)?"), method=method
+                program,
+                database,
+                parse_query("p(X)?"),
+                QueryOptions(method=method),
             )
             assert answer.values() == {("b",)}
             assert answer.strategy == method
@@ -369,7 +373,9 @@ class TestStageSupport:
         database = db(e=["a", "b"], q=["a"])
         query = parse_query("p(X)?")
         for method in ("naive", "seminaive"):
-            answer = answer_query(program, database, query, method=method)
+            answer = answer_query(
+                program, database, query, QueryOptions(method=method)
+            )
             assert answer.values() == {("b",)}
 
     def test_answer_query_default_method_works(self):

@@ -3,7 +3,13 @@
 
 import pytest
 
-from repro import Database, Session, answer_query, bottom_up_answer
+from repro import (
+    Database,
+    QueryOptions,
+    Session,
+    answer_query,
+    bottom_up_answer,
+)
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
@@ -48,7 +54,7 @@ class TestAncestor:
         query = ancestor_query(root)
         db = db_maker()
         baseline = bottom_up_answer(program, db, query)
-        answer = answer_query(program, db, query, method=method)
+        answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
 
     @pytest.mark.parametrize("method", MAGIC_METHODS)
@@ -57,7 +63,7 @@ class TestAncestor:
         query = ancestor_query("n0")
         db = cycle_database(6)
         baseline = bottom_up_answer(program, db, query)
-        answer = answer_query(program, db, query, method=method)
+        answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
 
     def test_unreachable_root_empty(self):
@@ -84,7 +90,7 @@ class TestNonlinearAncestor:
         query = ancestor_query("n0")
         db = random_dag_database(20, 0.15, seed=5)
         baseline = bottom_up_answer(program, db, query)
-        answer = answer_query(program, db, query, method=method)
+        answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
 
 
@@ -96,7 +102,7 @@ class TestSameGeneration:
         db = samegen_database(3, 5, flat_edges=8, seed=4)
         baseline = bottom_up_answer(program, db, query)
         answer = answer_query(
-            program, db, query, method=method, max_iterations=800
+            program, db, query, QueryOptions(method=method, max_iterations=800)
         )
         assert answer.answers == baseline.answers
 
@@ -106,7 +112,7 @@ class TestSameGeneration:
         query = nested_samegen_query("L0_0")
         db = nested_samegen_database(3, 4)
         baseline = bottom_up_answer(program, db, query)
-        answer = answer_query(program, db, query, method=method)
+        answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
 
 
@@ -126,7 +132,10 @@ class TestListReverse:
         program = list_reverse_program()
         query = reverse_query(integer_list(length))
         answer = answer_query(
-            program, Database(), query, method=method, max_iterations=300
+            program,
+            Database(),
+            query,
+            QueryOptions(method=method, max_iterations=300),
         )
         assert len(answer.answers) == 1
         reversed_term = next(iter(answer.answers))[0]
@@ -144,7 +153,7 @@ class TestFactCounts:
         db = tree_database(5)  # 63 internal/leaf nodes
         query = ancestor_query("r.0.0")  # a grandchild of the root
         naive = bottom_up_answer(program, db, query, engine="naive")
-        magic = answer_query(program, db, query, method="magic")
+        magic = answer_query(program, db, query, QueryOptions(method="magic"))
         assert magic.answers == naive.answers
         assert (
             magic.stats.facts_derived < naive.stats.facts_derived
@@ -156,7 +165,7 @@ class TestFactCounts:
         program = ancestor_program()
         db = chain_database(40)
         query = ancestor_query("n0")
-        answer = answer_query(program, db, query, method="magic")
+        answer = answer_query(program, db, query, QueryOptions(method="magic"))
         breakdown = answer.rewritten.fact_breakdown(answer.evaluation)
         assert breakdown["magic"] <= breakdown["adorned"] + 1
 
@@ -182,15 +191,17 @@ class TestDispatch:
                 ancestor_program(),
                 chain_database(2),
                 ancestor_query("n0"),
-                method="sorcery",
+                QueryOptions(method="sorcery"),
             )
 
     def test_naive_and_seminaive_baselines(self):
         program = ancestor_program()
         db = chain_database(6)
         query = ancestor_query("n0")
-        naive = answer_query(program, db, query, method="naive")
-        semi = answer_query(program, db, query, method="seminaive")
+        naive = answer_query(program, db, query, QueryOptions(method="naive"))
+        semi = answer_query(
+            program, db, query, QueryOptions(method="seminaive")
+        )
         assert naive.answers == semi.answers
 
 

@@ -18,6 +18,7 @@ from repro import (
     EvaluationStats,
     Literal,
     Program,
+    QueryOptions,
     Rule,
     Variable,
     answer_query,
@@ -453,7 +454,7 @@ class TestPlannerProperty:
         program = ancestor()
         db = edge_db(edges)
         planned = answer_query(
-            program, db, ancestor_query(root), method="magic"
+            program, db, ancestor_query(root), QueryOptions(method="magic")
         )
         assert planned.answers == {
             (y,) for x, y in oracle_facts(program, db)["anc"] if x == c(root)

@@ -384,8 +384,9 @@ def _facts_and_queries(draw):
 
 
 class TestRoutesAgree:
-    """View-served, server-served and cold answers are set-equal to the
-    reference scan over the maintained relation."""
+    """View-served, server-served and cold answers -- in process and on
+    the server's reader pool -- are set-equal to the reference scan over
+    the maintained relation."""
 
     RULES = "v(X, Y) :- r(X, Y).\nv(X, Z) :- r(X, Y), v(Y, Z).\n"
 
@@ -436,6 +437,15 @@ class TestRoutesAgree:
                         cold = session.query(query, method=method)
                         assert not cold.maintained
                         assert cold.rows == expected
+                        served = asyncio.run(
+                            scheduler.execute(
+                                f"{query.literal}?", {"method": method}
+                            )
+                        )
+                        assert served["served"] == "cold"
+                        assert {tuple(row) for row in served["rows"]} == (
+                            unwrap_values(expected)
+                        )
                 pinned.release()
                 with session.batch():
                     for add, row in moves:

@@ -40,6 +40,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import refcount_only, reference_scan
+from repro import PlanCache, parse_program
+from repro.datalog import planner
 from repro.datalog.database import Database, Relation
 from repro.session import Session
 from repro.server import (
@@ -294,16 +296,45 @@ class TestServerHandle:
             assert bad["error"]["code"] == "bad_request"
             assert bad["error"]["exit_code"] == 2
 
-    def test_budget_cap_applies_server_side(self):
+    @pytest.mark.parametrize(
+        "method,tripped",
+        [
+            # the rewrite trips, degrades once, and semi-naive trips too
+            ("auto", "seminaive"),
+            # an explicit rewrite does not degrade
+            ("magic", "magic"),
+        ],
+    )
+    def test_budget_cap_applies_server_side(self, method, tripped):
         config = ServerConfig(max_facts=1)
         with ServerHandle.start(ANCESTOR, config=config) as handle:
             out = handle.request(
                 {"op": "query", "query": "anc(john, X)?",
-                 "options": {"max_facts": 10_000_000}}
+                 "options": {"max_facts": 10_000_000, "method": method}}
             )
             assert not out["ok"]
             assert out["error"]["code"] == "budget_exceeded"
             assert out["error"]["exit_code"] == 4
+            assert out["error"]["detail"]["method"] == tripped
+
+    def test_a_rejected_shape_is_adorned_once(
+        self, front_end_calls, monkeypatch
+    ):
+        """``par`` is a base predicate: adornment rejects the shape, and
+        the rejection is cached with it, so cold ``auto`` reads of the
+        shape answer semi-naive without adorning it again."""
+        monkeypatch.setattr(planner, "_SHARED_PLAN_CACHE", PlanCache())
+        with ServerHandle.start(
+            program=parse_program(ANCESTOR).program, database=chain_db(20)
+        ) as handle:
+            for k in range(20):
+                out = handle.request(
+                    {"op": "query", "query": f"par(n{k}, Y)?"}
+                )
+                assert out["served"] == "cold"
+                assert out["method"] == "seminaive"
+                assert out["rows"] == [[f"n{k + 1}"]]
+        assert front_end_calls == {"adorn": 1, "rewrite": 0}
 
     def test_stats_surface(self):
         with ServerHandle.start(ANCESTOR) as handle:
@@ -320,11 +351,9 @@ class TestServerHandle:
             assert stats["memo_hits"] == 1
 
     def test_a_retired_version_is_freed_without_the_collector(self):
-        """The per-request session of a cold read is closed: its memo
-        and the ``QueryResult`` in it reference each other, and left
-        open that cycle kept the version's database, the evaluation's
-        snapshot of it and their holder registrations until a collector
-        pass."""
+        """A cold read leaves no cycle behind: nothing it built may keep
+        the version's database, the evaluation's snapshot of it or
+        their holder registrations alive until a collector pass."""
         with refcount_only(), ServerHandle.start(
             ANCESTOR, listen=False
         ) as handle:

@@ -4,7 +4,7 @@ Covers the tentpole guarantees: auto-dispatch choosing the same answers
 as every explicit method, the cross-evaluation answer memo (hits,
 invalidation on every mutation path, eviction), incremental assertion
 and retraction with correct re-query answers across all four bottom-up
-engine configurations, and the legacy one-shot shims staying
+engine configurations, and the one-shot ``answer_query`` staying
 answer-identical.
 """
 
@@ -17,14 +17,17 @@ from repro import (
     Database,
     PlanCache,
     QueryAnswer,
+    QueryOptions,
     QueryResult,
     ReproError,
     Session,
     UnsupportedProgramError,
     answer_query,
+    build_full_sip,
     parse_program,
     parse_query,
 )
+from repro.core import pipeline
 from repro.workloads import bom_source
 
 from conftest import mentions_placeholder, refcount_only
@@ -157,16 +160,47 @@ class TestAutoDispatch:
         assert auto.rows == explicit.rows
 
     def test_auto_decision_is_cached_per_signature(self):
-        session = ancestor_session()
+        session = ancestor_session(plan_cache=PlanCache())
+
+        def shape_kinds():
+            return [
+                kind for kind, _ in session.plan_cache._entries
+                if kind[0] == "query-shape"
+            ]
+
         session.query("anc(john, X)?")
-        default_opts = ("numeric", True, False)  # mode, optimize, semijoin
-        assert session._auto_choice == {
-            (("anc", (True, False)),) + default_opts: "supplementary_magic"
-        }
+        # kind: shape literal, sip builder, method, mode, optimize, semijoin
+        assert shape_kinds() == [
+            (
+                "query-shape",
+                parse_query("anc(john, X)?").shape().literal,
+                build_full_sip,
+                "supplementary_magic",
+                "numeric",
+                True,
+                False,
+            )
+        ]
+        assert verdict(session, "anc(john, X)?") is None
         # a different binding pattern is a fresh decision
         session.query("anc(X, ann)?")
-        key = (("anc", (False, True)),) + default_opts
-        assert session._auto_choice[key] == "supplementary_magic"
+        assert len(shape_kinds()) == 2
+        assert verdict(session, "anc(X, ann)?") is None
+
+    def test_a_rejected_shape_publishes_its_verdict(self):
+        # a query on a base predicate: adornment rejects the shape once,
+        # auto answers it semi-naive, an explicit rewrite raises afresh
+        session = ancestor_session(plan_cache=PlanCache())
+        assert session.query("par(john, X)?").method == "seminaive"
+        error_class, message = verdict(session, "par(john, X)?")
+        errors = []
+        for _ in range(2):
+            with pytest.raises(error_class) as info:
+                session.query("par(mary, X)?", method="supplementary_magic")
+            assert str(info.value) == message
+            errors.append(info.value)
+        assert errors[0] is not errors[1]
+        assert session.query("par(mary, X)?").values() == {("sue",)}
 
     def test_option_level_rewrite_error_does_not_poison_dispatch(self):
         # semijoin=True is incompatible with the magic family, so auto
@@ -547,7 +581,19 @@ class TestQueryResult:
             result.explain()
 
 
-class TestLegacyShims:
+def verdict(session, text):
+    """``auto``'s verdict on a query's shape, read from the plan cache."""
+    return pipeline._shape_for(
+        session.program,
+        parse_query(text),
+        "supplementary_magic",
+        QueryOptions(),
+        build_full_sip,
+        session.plan_cache,
+    ).rejection
+
+
+class TestAnswerQuery:
     def test_answer_query_matches_session(self):
         parsed = parse_program(ANCESTOR)
         db = Database()
@@ -562,7 +608,7 @@ class TestLegacyShims:
         db = Database()
         db.add_facts(parsed.facts)
         answer = answer_query(
-            parsed.program, db, parsed.queries[0], method="auto"
+            parsed.program, db, parsed.queries[0], QueryOptions(method="auto")
         )
         assert answer.strategy == "supplementary_magic"
         assert answer.values() == {("mary",), ("sue",), ("ann",)}
@@ -572,7 +618,7 @@ class TestLegacyShims:
         db = Database()
         db.add_facts(parsed.facts)
         answer = answer_query(
-            parsed.program, db, parsed.queries[0], method="auto"
+            parsed.program, db, parsed.queries[0], QueryOptions(method="auto")
         )
         assert answer.strategy == "supplementary_magic"
         assert answer.values() == {("c",)}
@@ -583,33 +629,6 @@ CHAIN_SOURCE = (
     "anc(X, Y) :- par(X, Y).\nanc(X, Y) :- par(X, Z), anc(Z, Y).\n"
     + "".join(f"par(n{i}, n{i + 1}).\n" for i in range(CHAIN))
 )
-
-
-@pytest.fixture
-def front_end_calls(monkeypatch):
-    """Count the calls Session makes to ``adorn_program`` /
-    ``pipeline.rewrite`` (the names ``repro.session`` dispatches
-    through)."""
-    import repro.session as session_module
-
-    calls = {"adorn": 0, "rewrite": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        session_module,
-        "adorn_program",
-        counting("adorn", session_module.adorn_program),
-    )
-    monkeypatch.setattr(
-        session_module, "rewrite", counting("rewrite", session_module.rewrite)
-    )
-    return calls
 
 
 def _chain_answer(k):
@@ -642,30 +661,28 @@ class TestShapeCacheWorkGate:
         assert front_end_calls == {"adorn": 4, "rewrite": 3}
 
     def test_per_request_sessions_share_one_entry(self, front_end_calls):
-        """As ``QueryScheduler._evaluate`` builds them: a new Session
-        per request over one program and one PlanCache."""
+        """As ``QueryScheduler._evaluate`` answers cold reads: one
+        ``answer_query`` per request on a snapshot, over one program and
+        one PlanCache."""
         parsed = parse_program(CHAIN_SOURCE)
         db = Database()
         db.add_fact_rows(parsed.fact_rows)
         cache = PlanCache()
+        options = QueryOptions(method="supplementary_magic")
         programs, tables = set(), []
         for k in range(50):
-            with Session(
-                program=parsed.program,
-                database=db.snapshot(),
+            answer = answer_query(
+                parsed.program,
+                db.snapshot(),
+                parse_query(f"anc(n{k}, Y)?"),
+                options,
                 plan_cache=cache,
-                memo_size=1,
-            ) as session:
-                result = session.query(
-                    f"anc(n{k}, Y)?", method="supplementary_magic"
-                )
-                assert result.values() == _chain_answer(k)
-                assert result.rewritten.query == parse_query(
-                    f"anc(n{k}, Y)?"
-                )
-                programs.add(id(result.rewritten.program))
-                tables.append(result.rewritten.mirror_targets)
-                keep = result.rewritten.program  # ids stay comparable
+            )
+            assert answer.values() == _chain_answer(k)
+            assert answer.rewritten.query == parse_query(f"anc(n{k}, Y)?")
+            programs.add(id(answer.rewritten.program))
+            tables.append(answer.rewritten.mirror_targets)
+            keep = answer.rewritten.program  # ids stay comparable
         assert front_end_calls == {"adorn": 1, "rewrite": 1}
         assert programs == {id(keep)}
         # ... and the one mirror table, built before publication
@@ -706,12 +723,12 @@ class TestShapeCacheWorkGate:
     def test_a_mutation_between_reads_keeps_the_entry(self, front_end_calls):
         session = Session(CHAIN_SOURCE, plan_cache=PlanCache())
         first = session.query("anc(n3, Y)?", method="supplementary_magic")
-        program = first.rewritten.program
+        program = first.answer.rewritten.program
         session.assert_(f"par(n{CHAIN}, zoe)")  # drops the memo, not the rewrite
         second = session.query("anc(n3, Y)?", method="supplementary_magic")
         assert not second.from_memo
         assert ("zoe",) in second.values()
-        assert second.rewritten.program is program
+        assert second.answer.rewritten.program is program
         assert front_end_calls == {"adorn": 1, "rewrite": 1}
         # QSQ's adorned program lives in the same cache
         session.query("anc(n3, Y)?", method="qsq")
@@ -761,17 +778,17 @@ class TestLifecycle:
         assert result.values() == {("mary",), ("sue",), ("ann",)}
         assert not result.maintained
 
-    def test_close_drops_dispatch_caches(self, front_end_calls):
-        """close() forgets the session's own decisions; the shape
-        entries belong to the (shared) plan cache and stay."""
+    def test_close_keeps_the_shape_entries(self, front_end_calls):
+        """The shape entries and their ``auto`` verdicts belong to the
+        (shared) plan cache, so close() leaves them."""
         cache = PlanCache()
         session = ancestor_session(plan_cache=cache)
         session.query("anc(john, X)?")
-        assert session._auto_choice
+        assert verdict(session, "anc(john, X)?") is None
         entries = len(cache)
         session.close()
-        assert not session._auto_choice
         assert len(cache) == entries
+        assert verdict(session, "anc(john, X)?") is None
         other = ancestor_session(plan_cache=cache)
         for each in (session, other):
             assert each.query("anc(mary, X)?").values() == {

@@ -1,6 +1,6 @@
 """The shape cache: one adorned / rewritten program per query *shape*,
 the constants bound per query (``Query.shape``, ``RewrittenProgram.bind``,
-``Session._shape_for``).
+``pipeline._shape_for``).
 
 Section 4 keeps the query's constants out of ``P^mg``: they enter as the
 seed fact only.  The property pinned here is that this reuse is
@@ -18,16 +18,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.session as session_module
 from repro import (
     Constant,
     Database,
     PlanCache,
+    QueryOptions,
     RewriteError,
     Session,
+    answer_query,
+    build_full_sip,
     parse_program,
     parse_query,
 )
+from repro.core import pipeline
 from repro.datalog.ast import ShapeSlot
 from repro.datalog.catalog import term_catalog
 
@@ -87,7 +90,7 @@ def _query_text(kinds, picks):
 
 def _assert_placeholder_free(result):
     """Nothing a request returns carries a placeholder."""
-    rewritten = result.rewritten
+    rewritten = result.answer.rewritten
     if rewritten is None:
         return
     terms = []
@@ -206,7 +209,18 @@ class TestPublicationIsImmutable:
     def test_binding_leaves_the_entry_as_it_was(self):
         session = Session(_source({(0, 1), (1, 2)}), plan_cache=PlanCache())
         query = parse_query("path(a, Y)?")
-        entry = session._shape_for(query, "counting", "numeric", True, True)
+
+        def shape_for(query, method, options):
+            return pipeline._shape_for(
+                session.program,
+                query,
+                method,
+                options,
+                build_full_sip,
+                session.plan_cache,
+            )
+
+        entry = shape_for(query, "counting", QueryOptions(semijoin=True))
         seeds = entry.rewritten.seed_facts
         assert any(mentions_placeholder(t) for s in seeds for t in s.args)
         bound = entry.rewritten.bind(query)
@@ -217,15 +231,15 @@ class TestPublicationIsImmutable:
         # ... and the one mirror table, built before publication
         assert "mirror_targets" in vars(entry.rewritten)
         assert bound.mirror_targets is entry.rewritten.mirror_targets
-        qsq = session._shape_for(query, "qsq", None, None, None)
+        qsq = shape_for(query, "qsq", QueryOptions())
         assert qsq.rewritten is None
         assert qsq.adorned.bind(query).program is qsq.adorned.program
         assert bound.adorned.query_literal == parse_query(
             "path(a, Y)?"
         ).literal.with_adornment("bf")
         # the entry still holds placeholders; the next lookup is a hit
-        again = session._shape_for(
-            parse_query("path(b, Y)?"), "counting", "numeric", True, True
+        again = shape_for(
+            parse_query("path(b, Y)?"), "counting", QueryOptions(semijoin=True)
         )
         assert again is entry and again.rewritten.seed_facts == seeds
         assert entry.adorned.query == query.shape()
@@ -243,14 +257,15 @@ class TestPublicationIsImmutable:
 class TestConcurrentColdShape:
     def test_two_readers_publish_one_entry(self, monkeypatch):
         """The server's two readers on one cold shape: each request is
-        its own Session over one program and one PlanCache.  Both miss,
-        both build, one entry is published and serves both."""
+        one ``answer_query`` on a snapshot, over one program and one
+        PlanCache.  Both miss, both build, one entry is published and
+        serves both."""
         parsed = parse_program(_source({(0, 1), (1, 2), (0, 3)}))
         db = Database()
         db.add_fact_rows(parsed.fact_rows)
         cache = PlanCache()
         inside = threading.Barrier(2, timeout=10)
-        real_adorn = session_module.adorn_program
+        real_adorn = pipeline.adorn_program
         builds = []
 
         def adorn_together(*args, **kwargs):
@@ -258,21 +273,19 @@ class TestConcurrentColdShape:
             builds.append(threading.get_ident())
             return real_adorn(*args, **kwargs)
 
-        monkeypatch.setattr(session_module, "adorn_program", adorn_together)
+        monkeypatch.setattr(pipeline, "adorn_program", adorn_together)
         results, errors = {}, []
 
         def reader(constant):
             try:
-                with Session(
-                    program=parsed.program,
-                    database=db.snapshot(),
+                answer = answer_query(
+                    parsed.program,
+                    db.snapshot(),
+                    parse_query(f"path({constant}, Y)?"),
+                    QueryOptions(method="supplementary_magic"),
                     plan_cache=cache,
-                    memo_size=1,
-                ) as session:
-                    result = session.query(
-                        f"path({constant}, Y)?", method="supplementary_magic"
-                    )
-                    results[constant] = (result.values(), result.rewritten)
+                )
+                results[constant] = (answer.values(), answer.rewritten)
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
 
@@ -313,15 +326,13 @@ class TestConcurrentColdShape:
             try:
                 start.wait()
                 for k in range(offset, chain, 4):
-                    with Session(
-                        program=parsed.program,
-                        database=db.snapshot(),
+                    got = answer_query(
+                        parsed.program,
+                        db.snapshot(),
+                        parse_query(f"path(n{k}, Y)?"),
+                        QueryOptions(method="supplementary_magic"),
                         plan_cache=cache,
-                        memo_size=1,
-                    ) as session:
-                        got = session.query(
-                            f"path(n{k}, Y)?", method="supplementary_magic"
-                        ).values()
+                    ).values()
                     if got != {(f"n{j}",) for j in range(k, chain + 1)}:
                         wrong.append(k)
             except BaseException as exc:  # surfaced below

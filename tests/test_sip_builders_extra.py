@@ -2,7 +2,7 @@
 workload generator."""
 
 
-from repro import answer_query, bottom_up_answer, parse_query
+from repro import QueryOptions, answer_query, bottom_up_answer, parse_query
 from repro.core.sips import build_right_to_left_sip
 from repro.workloads import (
     ancestor_program,
@@ -37,7 +37,7 @@ class TestRightToLeftSip:
             program,
             db,
             query,
-            method="magic",
+            QueryOptions(method="magic"),
             sip_builder=build_right_to_left_sip,
         )
         assert answer.answers == baseline.answers
@@ -54,7 +54,7 @@ class TestRightToLeftSip:
             program,
             db,
             query,
-            method="magic",
+            QueryOptions(method="magic"),
             sip_builder=build_right_to_left_sip,
         )
         assert answer.answers == baseline.answers
