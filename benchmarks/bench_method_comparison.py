@@ -14,9 +14,10 @@ Three regenerated claims:
    comparison table).
 
 Plus the cross-strategy timing table: with the QSQ evaluator now
-compiled (delta-driven subquery plans), top-down and bottom-up numbers
-compare compiled-vs-compiled -- the gap measures the strategies, not
-interpreter overhead.  ``QSQ_BENCH_DEPTH`` shrinks it for CI smoke.
+compiled (subquery plans on the semi-naive round driver), top-down and
+bottom-up numbers compare compiled-vs-compiled -- the gap measures the
+strategies, not interpreter overhead.  ``QSQ_BENCH_DEPTH`` shrinks it
+for CI smoke.
 """
 
 import os

@@ -3,11 +3,12 @@
 Not a paper artifact on its own: Theorem 9.1 says QSQ's sets ``Q`` and
 ``F`` equal the magic rewrite's magic and adorned relations under the
 same sips, and that equality is asserted here (``check_optimality``) on
-deep workloads.  The compiled evaluator runs slot frames, answer stores
-indexed on the adornment's bound positions, and delta-driven rounds;
-its queries, answers, rounds and wall clock are reported next to the
-magic program's bottom-up evaluation, so ``bench_method_comparison.py``
-compares strategies, not interpreter overhead.
+deep workloads.  The compiled evaluator runs slot frames, answer
+relations indexed on the adornment's bound positions, and the bottom-up
+round driver's semi-naive rounds; its queries, answers, rounds and wall
+clock are reported next to the magic program's bottom-up evaluation, so
+``bench_method_comparison.py`` compares strategies, not interpreter
+overhead.
 
 ``QSQ_BENCH_DEPTH`` / ``QSQ_BENCH_LAYERS`` shrink the workloads for CI
 smoke runs.
@@ -57,7 +58,7 @@ def report(title, qsq, magic, qsq_s, magic_s):
         ["strategy", "queries", "facts", "rounds", "seconds"],
         [
             ["qsq", qsq.query_count(), qsq.answer_count(),
-             qsq.iterations, f"{qsq_s:.3f}"],
+             qsq.stats.iterations, f"{qsq_s:.3f}"],
             ["magic", "", magic.stats.facts_derived,
              magic.stats.iterations, f"{magic_s:.3f}"],
         ],
@@ -114,13 +115,13 @@ def test_plan_cache_across_repeats(benchmark):
     first = qsq_evaluate(
         adorned.program, db, adorned.query_literal, plan_cache=cache
     )
-    assert first.plan_cache_misses == 1
+    assert first.stats.plan_cache_misses == 1
     for _ in range(3):
         again = qsq_evaluate(
             adorned.program, db, adorned.query_literal, plan_cache=cache
         )
-        assert again.plan_cache_hits == 1
-        assert again.plan_cache_misses == 0
+        assert again.stats.plan_cache_hits == 1
+        assert again.stats.plan_cache_misses == 0
     assert cache.hits == 3 and cache.misses == 1
     benchmark(
         lambda: qsq_evaluate(

@@ -52,6 +52,7 @@ def main() -> None:
         "supplementary_magic",
         "counting",
         "supplementary_counting",
+        "qsq",
     ):
         answer = session.query(query, method=method, max_iterations=1000)
         assert answer.rows == baseline.rows
@@ -61,9 +62,6 @@ def main() -> None:
             f"{stats.facts_derived:>8}{stats.rule_firings:>9}"
             f"{stats.join_probes:>9}"
         )
-    qsq = session.query(query, method="qsq")
-    assert qsq.rows == baseline.rows
-    print(f"{'qsq (top-down)':<26}{len(qsq.rows):>8}{'-':>8}{'-':>9}{'-':>9}")
 
     print()
     print(

@@ -389,6 +389,9 @@ def _cmd_query(args) -> int:
                 stats.rule_firings if stats is not None else None
             ),
             "join_probes": stats.join_probes if stats is not None else None,
+            "tuples_scanned": (
+                stats.tuples_scanned if stats is not None else None
+            ),
             "plan_cache_hits": (
                 stats.plan_cache_hits if stats is not None else None
             ),
@@ -422,31 +425,24 @@ def _cmd_query(args) -> int:
     if args.stats and result.stats is not None:
         stats = result.stats
         answer = result.answer
+        work = (
+            f"facts={stats.facts_derived} "
+            f"firings={stats.rule_firings} "
+            f"iterations={stats.iterations} "
+            f"probes={stats.join_probes}"
+        )
         if result.method == "qsq":
-            # the top-down evaluator does not track firings/probes;
-            # printing zeros would misreport real join work as absent
-            work = (
-                f"facts={stats.facts_derived} "
-                f"iterations={stats.iterations} "
-                f"subqueries={answer.qsq.subqueries_generated}"
+            work += f" subqueries={answer.qsq.subqueries_generated}"
+        elif stats.parallel_workers:
+            work += (
+                f" workers={stats.parallel_workers}"
+                f" backend={stats.parallel_backend}"
+                f" parallel_tasks={stats.parallel_tasks}"
+                f" rows_shipped={stats.parallel_rows_shipped}"
             )
-        else:
-            work = (
-                f"facts={stats.facts_derived} "
-                f"firings={stats.rule_firings} "
-                f"iterations={stats.iterations} "
-                f"probes={stats.join_probes}"
-            )
-            if stats.parallel_workers:
-                work += (
-                    f" workers={stats.parallel_workers}"
-                    f" backend={stats.parallel_backend}"
-                    f" parallel_tasks={stats.parallel_tasks}"
-                    f" rows_shipped={stats.parallel_rows_shipped}"
-                )
-                if stats.parallel_fallback:
-                    fb = stats.parallel_fallback
-                    work += f" parallel_fallback={fb!r}"
+            if stats.parallel_fallback:
+                fb = stats.parallel_fallback
+                work += f" parallel_fallback={fb!r}"
         # on a memo-served result the work counters describe the cold
         # evaluation that produced the rows, hence the memo= label
         print(

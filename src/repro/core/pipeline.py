@@ -481,16 +481,10 @@ def _evaluate(
                 plan_cache=plan_cache,
                 meter=meter,
             )
-            stats = EvaluationStats(
-                iterations=qsq.iterations,
-                facts_derived=qsq.answer_count(),
-                plan_cache_hits=qsq.plan_cache_hits,
-                plan_cache_misses=qsq.plan_cache_misses,
-            )
             return QueryAnswer(
                 answers=qsq.query_answers(adorned.query_literal),
                 strategy="qsq",
-                stats=stats,
+                stats=qsq.stats,
                 qsq=qsq,
                 footprint=shape.footprint,
             )

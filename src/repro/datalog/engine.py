@@ -70,12 +70,12 @@ an index bucket cut by bisection.
 The round driver
 ----------------
 
-Every bottom-up fixpoint in the package runs on one stratum/round loop,
+Every fixpoint in the package runs on one stratum/round loop,
 :func:`fixpoint`, which owns rounds, budgets, termination, the choice
 of each round's tasks and, for semi-naive, each rule's slot
 watermarks.  Rules run in stratum order and see what earlier rules
 installed in the same round (Gauss--Seidel order), which cuts the
-round count.  How the tasks execute is passed in as one of four round
+round count.  How the tasks execute is passed in as one of five round
 executors:
 
 * **serial** -- ``execute_batch``, then install, task by task
@@ -88,7 +88,12 @@ executors:
 * **IVM** -- the serial executor with DRed's insert emitter (exact, from
   slot marks) or its overdelete emitter, which installs nothing and so
   hands its fresh rows to the next round as delta batches
-  (:class:`repro.datalog.ivm.MaterializedProgram`).
+  (:class:`repro.datalog.ivm.MaterializedProgram`);
+* **QSQ** -- a :class:`~repro.datalog.planner.SubqueryProgram` stands in
+  for the compiled program: its plans read the subquery (input) and
+  answer relations of the adorned predicates, which grow like derived
+  relations, and its executor registers subqueries and installs answers
+  (:func:`repro.datalog.topdown.qsq_evaluate`).
 
 Testing gotcha: run the suite as ``python -m pytest`` from the repo root
 (``pyproject.toml`` pins ``testpaths = ["tests"]``).  Without that
@@ -103,12 +108,17 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .ast import Literal, Program
 from .database import Database, FactTuple, IdTuple
 from .errors import NonTerminationError
-from .planner import CompiledProgram, PlanCache, compiled_program_for
+from .planner import (
+    CompiledProgram,
+    PlanCache,
+    SubqueryProgram,
+    compiled_program_for,
+)
 
 __all__ = [
     "EvaluationStats",
@@ -202,7 +212,7 @@ def _check_budget(
     total_derived = stats.facts_derived
     if max_iterations is not None and stats.iterations > max_iterations:
         raise NonTerminationError(
-            f"bottom-up evaluation exceeded {max_iterations} iterations "
+            f"evaluation exceeded {max_iterations} iterations "
             f"({total_derived} facts derived); the program/query pair may "
             "be unsafe (see Section 10 of the paper)",
             iterations=stats.iterations,
@@ -210,7 +220,7 @@ def _check_budget(
         )
     if max_facts is not None and total_derived > max_facts:
         raise NonTerminationError(
-            f"bottom-up evaluation exceeded {max_facts} derived facts "
+            f"evaluation exceeded {max_facts} derived facts "
             f"after {stats.iterations} iterations",
             iterations=stats.iterations,
             facts=total_derived,
@@ -362,7 +372,7 @@ def _delta_tasks(
 
 
 def fixpoint(
-    compiled: CompiledProgram,
+    compiled: Union[CompiledProgram, SubqueryProgram],
     working: Database,
     stats: EvaluationStats,
     execute: RoundExecutor,
@@ -376,6 +386,9 @@ def fixpoint(
     first_round: int = 0,
 ) -> None:
     """Run each stratum, in order, to its fixpoint.
+
+    Of ``compiled`` the driver reads only ``strata`` and
+    ``recursive_occurrences``; ``execute`` runs the tasks.
 
     A stratum's first round runs every rule's full plan, and so does
     every naive round, until one derives nothing.  Semi-naive is exact:

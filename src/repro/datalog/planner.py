@@ -43,11 +43,14 @@ Two further layers serve the top-down side and repeated evaluations:
 
 * **Subquery plans** (:class:`SubqueryPlan`, :func:`compile_subquery_rule`)
   compile adorned rules for the QSQ evaluator
-  (:mod:`repro.datalog.topdown`): entry ops match an input bound vector
-  against the head's bound arguments, body steps stay in sip order (the
-  order determines which subqueries exist, so it cannot be rearranged)
-  with each derived literal keyed on its adornment's bound positions and
-  each base literal keyed on its plan-time-ground positions.
+  (:mod:`repro.datalog.topdown`): entry ops match a row of the head's
+  input relation against the head's bound arguments, body steps stay in
+  sip order (the order determines which subqueries exist, so it cannot
+  be rearranged) with each derived literal keyed on its adornment's
+  bound positions and each base literal keyed on its plan-time-ground
+  positions.  A :class:`SubqueryProgram` answers ``strata`` and
+  ``recursive_occurrences`` like a :class:`CompiledProgram`, so the
+  bottom-up round driver runs it.
 * **The plan cache** (:class:`PlanCache`, :func:`shared_plan_cache`)
   memoizes both compilation kinds by program identity, so benchmark
   loops and repeated CLI queries compile once; ``evaluate*`` and
@@ -1085,32 +1088,41 @@ class CompiledProgram:
 # subquery plans (compiled top-down / QSQ execution)
 # ----------------------------------------------------------------------
 
+#: The body index of a subquery plan's entry, the read of its head's
+#: input relation: before every step (step ``d`` has body index ``d``).
+ENTRY = -1
+
+
+def subquery_relation(pred_key: str) -> str:
+    """The name of the relation holding ``pred_key``'s subqueries (the
+    paper's ``Q``); no program can spell it, so it never meets a base or
+    derived relation."""
+    return "$q:" + pred_key
+
+
 class SubqueryStep:
     """One body literal of a compiled subquery plan.
 
-    Derived steps probe the evaluator's answer store for the literal's
-    adorned predicate on its adornment's bound positions (the same key
-    the subquery vector is built from); base steps probe the database
-    exactly like a :class:`JoinStep`.  Body order is preserved -- the
-    sip's total order determines which subqueries exist (the paper's
-    ``Q``), so reordering is not sound here.
+    Derived steps register their subquery key in the input relation of
+    the literal's adorned predicate (``input_key``) and probe that
+    predicate's answer relation on its adornment's bound positions (the
+    same key); base steps probe the database exactly like a
+    :class:`JoinStep`.  Body order is preserved -- the sip's total order
+    determines which subqueries exist (the paper's ``Q``), so reordering
+    is not sound here.
     """
 
-    __slots__ = ("literal", "pred_key", "is_derived", "self_recursive",
+    __slots__ = ("literal", "pred_key", "is_derived", "input_key",
                  "lookup_positions", "key_ops", "row_ops", "maybe_unground",
                  "generic_pairs", "b_key_ops", "b_row_ops", "b_store_slots",
                  "b_carry_out", "b_store_out")
 
-    def __init__(self, literal, pred_key, is_derived, self_recursive,
-                 lookup_positions, key_ops, row_ops, maybe_unground,
-                 generic_pairs):
+    def __init__(self, literal, pred_key, is_derived, lookup_positions,
+                 key_ops, row_ops, maybe_unground, generic_pairs):
         self.literal = literal
         self.pred_key = pred_key
         self.is_derived = is_derived
-        #: the step probes the store the plan's own head emits into, so
-        #: the executor must snapshot the probed rows (emission would
-        #: otherwise extend the index bucket it is iterating)
-        self.self_recursive = self_recursive
+        self.input_key = subquery_relation(pred_key) if is_derived else None
         #: adornment bound positions (derived) / ground positions (base)
         self.lookup_positions = lookup_positions
         self.key_ops = key_ops
@@ -1140,27 +1152,24 @@ class SubqueryStep:
 class SubqueryPlan:
     """A compiled adorned rule for top-down evaluation.
 
-    ``entry_ops`` match the head's bound arguments against an input
-    bound vector (one op per vector position); ``steps`` run the body in
-    sip order; ``head_ops`` emit the full head tuple.  Unlike
-    :class:`JoinPlan`, non-ground head arguments skip the emission
-    instead of raising: the QSQ evaluator silently drops non-ground
-    answer rows.
+    ``entry_ops`` match the head's bound arguments against a row of the
+    head's input relation (``input_key``, one op per vector position);
+    ``steps`` run the body in sip order; ``head_ops`` emit the full head
+    tuple.  Unlike :class:`JoinPlan`, non-ground head arguments skip the
+    emission instead of raising: the QSQ evaluator silently drops
+    non-ground answer rows.
     """
 
-    __slots__ = ("rule", "head_key", "entry_ops", "steps", "derived_steps",
+    __slots__ = ("rule", "head_key", "input_key", "entry_ops", "steps",
                  "head_ops", "n_slots", "b_head_ops", "b_head_slots",
                  "b_entry_slots")
 
     def __init__(self, rule, head_key, entry_ops, steps, head_ops, n_slots):
         self.rule = rule
         self.head_key = head_key
+        self.input_key = subquery_relation(head_key)
         self.entry_ops = entry_ops
         self.steps = steps
-        #: step depths holding derived literals (candidate answer deltas)
-        self.derived_steps = tuple(
-            i for i, step in enumerate(steps) if step.is_derived
-        )
         self.head_ops = head_ops
         self.n_slots = n_slots
         #: ID-level twins + the slots the entry ops must populate as
@@ -1247,8 +1256,7 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
             bound.update(literal.variables())
             steps.append(
                 SubqueryStep(
-                    literal, literal.pred_key, True,
-                    literal.pred_key == head.pred_key, positions,
+                    literal, literal.pred_key, True, positions,
                     tuple(key_ops), tuple(row_ops), maybe_unground,
                     generic_pairs,
                 )
@@ -1260,7 +1268,7 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
             )
             steps.append(
                 SubqueryStep(
-                    literal, literal.pred_key, False, False,
+                    literal, literal.pred_key, False,
                     tuple(index_positions), tuple(key_ops),
                     tuple(row_ops), False, None,
                 )
@@ -1290,28 +1298,46 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
 
 class SubqueryProgram:
     """All subquery plans for an adorned program, plus per-predicate
-    bound-position tuples for the evaluator's answer-store indexes."""
+    bound-position tuples for the evaluator's answer-relation indexes.
 
-    __slots__ = ("program", "derived_keys", "plans", "plans_by_head",
-                 "bound_positions")
+    Answers the two questions :func:`repro.datalog.engine.fixpoint` asks
+    of a :class:`CompiledProgram`: ``strata`` (one stratum of every
+    plan: QSQ runs positive programs only) and
+    :meth:`recursive_occurrences`.
+    """
+
+    __slots__ = ("program", "derived_keys", "plans", "strata",
+                 "bound_positions", "_occurrences")
 
     def __init__(self, program: Program):
         self.program = program
         self.derived_keys = program.derived_predicates()
         plans = []
-        by_head: Dict[str, List[SubqueryPlan]] = {}
         bound_positions: Dict[str, Tuple[int, ...]] = {}
         for rule in program.rules:
             plan = compile_subquery_rule(rule, self.derived_keys)
             plans.append(plan)
-            by_head.setdefault(plan.head_key, []).append(plan)
             if plan.head_key not in bound_positions:
                 bound_positions[plan.head_key] = rule.head.bound_positions()
         self.plans = tuple(plans)
-        self.plans_by_head = {
-            key: tuple(values) for key, values in by_head.items()
-        }
+        self.strata = (tuple(range(len(plans))),)
         self.bound_positions = bound_positions
+        self._occurrences = tuple(
+            ((ENTRY, plan.input_key),) + tuple(
+                (depth, step.pred_key)
+                for depth, step in enumerate(plan.steps)
+                if step.is_derived
+            )
+            for plan in plans
+        )
+
+    def recursive_occurrences(
+        self, rule_index: int
+    ) -> Tuple[Tuple[int, str], ...]:
+        """``(body index, relation)`` of what plan ``rule_index`` reads
+        that grows while QSQ runs: its head's input relation at
+        :data:`ENTRY`, and the answer relation of each derived step."""
+        return self._occurrences[rule_index]
 
     def register_indexes(self, database: Database) -> None:
         """Register every base step's index positions up front."""

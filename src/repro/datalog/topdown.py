@@ -34,38 +34,38 @@ into a :class:`~repro.datalog.planner.SubqueryPlan`:
   through every candidate row.
 * **Precomputed bound/free splits.**  Each derived body literal carries
   its adornment's bound positions as the key of an indexed *answer
-  store* (a :class:`~repro.datalog.database.Relation` per adorned
-  predicate, indexed on those positions), so joining new bindings
-  against accumulated answers is a hash probe, not a scan.  Base
-  literals carry the argument positions ground at plan time, registered
-  on the EDB relations up front so every database access goes through
-  :meth:`Relation.lookup`.
-* **Delta-driven rounds.**  Instead of joining every accumulated
-  ``(rule, bound_vector)`` pair against every accumulated *answer* each
-  global iteration, each round pushes only the deltas: *new subqueries*
-  run against the full answer stores, and *new answers* are joined into
-  the rules of every affected input via one delta variant per derived
-  body occurrence.  This is semi-naive evaluation transplanted to the
-  top-down side.  A residual ``Theta(rounds * |Q|)`` term remains --
-  delta variants replay the accumulated inputs, though each replay is
-  an entry match plus hash probes that mostly miss -- with constants
-  small enough to be invisible next to the join work (see the ROADMAP
-  open item on reverse-joining deltas to their affected inputs).
+  relation* (one per adorned predicate, indexed on those positions), so
+  joining new bindings against accumulated answers is a hash probe, not
+  a scan.  Base literals carry the argument positions ground at plan
+  time, registered on the EDB relations up front so every database
+  access goes through an index.
+* **Rounds on the one round driver.**  ``Q`` and ``F`` are relations of
+  the evaluation's working database (a :meth:`Database.snapshot`): per
+  adorned predicate an *input relation*
+  (:func:`~repro.datalog.planner.subquery_relation`, a name no program
+  can spell) and an answer relation under the adorned key.  A plan's
+  entry reads its head's input relation and each derived step an answer
+  relation, so :func:`repro.datalog.engine.fixpoint` runs the plans like
+  rules: a plan's first run reads whole relations, every later run reads
+  slot windows -- new inputs against all answers, old inputs against
+  new answers -- and so meets each combination of rows once.  Rounds,
+  budgets and termination are the driver's; ``QSQResult.stats`` counts
+  answers in ``facts_derived`` and subquery rows nowhere.  Every run
+  starts at the entry, so an old-inputs-against-new-answers run
+  re-joins the old inputs up to the step with new answers: deep
+  recursions still pay Θ(rounds·|Q|) there.
 * **Plan caching.**  Compiled plans are looked up in the shared
   :class:`~repro.datalog.planner.PlanCache` keyed by program identity,
   so benchmark loops and repeated CLI queries stop recompiling;
-  ``QSQResult.plan_cache_hits``/``plan_cache_misses`` report what
+  ``QSQResult.stats.plan_cache_hits``/``plan_cache_misses`` report what
   happened.
 
-``iterations`` counts global propagation rounds until the fixpoint;
-answers flow as soon as their delta round fires.  Derived steps whose
-subquery key is not ground at run time (a maybe-unground ``Struct``
-argument) take a generic slow path: no subquery is generated and the
-resolved pattern is matched against every stored answer.
+Derived steps whose subquery key is not ground at run time (a
+maybe-unground ``Struct`` argument) take a generic slow path: no
+subquery is generated and the resolved pattern is matched against every
+answer in the step's window.
 
-Open items noticed while profiling: the round loop is still global (a
-true QSQR scheduler would recurse per subquery and could terminate
-earlier on stratified call graphs), and answer stores are rebuilt per
+Open item noticed while profiling: answer relations are rebuilt per
 evaluation even when the database is unchanged -- a memo keyed by
 (program, database version) would make repeated identical queries O(1).
 """
@@ -77,17 +77,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .ast import Literal, Program
 from .catalog import term_catalog
-from .database import Database, FactTuple, Relation
-from .errors import (
-    EvaluationError,
-    NonTerminationError,
-    UnsupportedProgramError,
-)
+from .database import Database, FactTuple, IdTuple
+from .engine import EvaluationStats, _install, fixpoint
+from .errors import EvaluationError, UnsupportedProgramError
 from .planner import (
+    ENTRY,
     PlanCache,
-    SubqueryPlan,
     SubqueryProgram,
     subquery_program_for,
+    subquery_relation,
     _batch_keys,
     _scan_batch_step,
     _CONST,
@@ -117,16 +115,14 @@ class QSQResult:
     ``queries`` maps adorned predicate keys to the set of bound-argument
     vectors for which a subquery was generated (the paper's ``Q``);
     ``answers`` maps adorned predicate keys to full answer tuples (the
-    paper's ``F`` restricted to derived predicates).
+    paper's ``F`` restricted to derived predicates); ``stats`` holds the
+    round driver's work counters.
     """
 
     queries: Dict[str, Set[FactTuple]] = field(default_factory=dict)
     answers: Dict[str, Set[FactTuple]] = field(default_factory=dict)
-    iterations: int = 0
     subqueries_generated: int = 0
-    #: plan-cache outcome for this evaluation (compiled path only)
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
+    stats: EvaluationStats = field(default_factory=EvaluationStats)
 
     def query_count(self) -> int:
         return sum(len(v) for v in self.queries.values())
@@ -198,12 +194,13 @@ def qsq_evaluate(
 
     ``plan_cache`` overrides the shared compiled-plan cache.
 
-    ``meter`` is an optional budget meter (duck-typed, see
-    :mod:`repro.core.limits`): ``check_round`` runs at every QSQ round
-    and ``check_batch`` at every plan invocation, either free to abort
-    by raising.  QSQ stores answers outside the database (the only
-    database mutation is physical index registration), so an abort
-    leaves the database logically untouched.
+    Rounds run on :func:`repro.datalog.engine.fixpoint`, so
+    ``max_iterations`` / ``max_facts`` (answers) and ``meter`` (duck-typed,
+    see :mod:`repro.core.limits`: ``check_round`` at every round,
+    ``check_batch`` at every plan run) behave as in bottom-up
+    evaluation.  Subqueries and answers live in a snapshot of
+    ``database`` (the only change to ``database`` is physical index
+    registration), so an abort leaves it logically untouched.
     """
     if adorned_program.has_negation():
         raise UnsupportedProgramError(
@@ -212,71 +209,109 @@ def qsq_evaluate(
             "resolves to the bottom-up magic path, which is "
             "query-directed too)"
         )
-    derived = adorned_program.derived_predicates()
     query_key = query_literal.pred_key
-    if query_key not in derived:
+    if query_key not in adorned_program.derived_predicates():
         raise EvaluationError(
             f"query predicate {query_key} is not defined by the program"
         )
-    return _qsq_evaluate_compiled(
-        adorned_program,
-        database,
-        query_literal,
-        max_iterations,
-        max_facts,
-        plan_cache,
-        meter,
+    compiled, cache_hit = subquery_program_for(adorned_program, plan_cache)
+    working = database.snapshot()
+    stats = EvaluationStats()
+    if cache_hit:
+        stats.plan_cache_hits += 1
+    else:
+        stats.plan_cache_misses += 1
+    compiled.register_indexes(working)
+    for pred, positions in compiled.bound_positions.items():
+        working.relation(pred).register_index(positions)
+    seed = tuple(arg for arg in query_literal.args if arg.is_ground())
+    working.relation(subquery_relation(query_key)).add(seed)
+
+    executor = _QSQExecutor(compiled, working, stats, meter)
+    fixpoint(
+        compiled, working, stats, executor.execute, True, meter,
+        max_iterations, max_facts,
     )
+
+    result = QSQResult(stats=stats)
+    for pred in compiled.bound_positions:
+        inputs = working.get(subquery_relation(pred))
+        if inputs is not None:
+            result.queries[pred] = set(inputs)
+        found = working.get(pred)
+        if len(found):
+            result.answers[pred] = set(found)
+    result.subqueries_generated = result.query_count()
+    return result
 
 
 class _QSQExecutor:
-    """Mutable evaluation state for one compiled QSQ run.
+    """The QSQ round executor (:data:`repro.datalog.engine.RoundExecutor`).
 
-    ``result.queries`` doubles as the subquery dedup store; answers live
-    in per-predicate :class:`Relation` stores indexed on the adornment's
-    bound positions, with parallel per-round delta relations.
+    A task runs one plan over its slot windows: the entry reads the
+    head's input rows in its window, each derived step appends the
+    subquery keys of the frames reaching it to its predicate's input
+    relation and probes the window of its answer relation, and the head
+    rows of the whole task are installed at its end.  Only input
+    relations change during a task, and only the entry, at its start,
+    reads one.  A frame that reaches a derived step again in a later
+    task (old inputs against new answers) re-registers a key already in
+    the input relation, which adds nothing.
     """
 
-    __slots__ = ("compiled", "database", "result", "answer_rels",
-                 "pending_inputs", "pending_answers", "answer_total",
-                 "meter")
+    __slots__ = ("plans", "working", "stats", "meter", "rows")
 
-    def __init__(self, compiled: SubqueryProgram, database: Database,
-                 result: QSQResult, meter=None):
-        self.compiled = compiled
-        self.database = database
-        self.result = result
-        self.answer_rels: Dict[str, Relation] = {}
-        self.pending_inputs: Dict[str, List[FactTuple]] = {}
-        self.pending_answers: Dict[str, Relation] = {}
-        self.answer_total = 0
+    def __init__(self, compiled: SubqueryProgram, working: Database,
+                 stats: EvaluationStats, meter=None):
+        self.plans = compiled.plans
+        self.working = working
+        self.stats = stats
         self.meter = meter
+        #: the running task's head ID rows
+        self.rows: List[IdTuple] = []
+
+    def execute(self, groups) -> Dict[str, List[IdTuple]]:
+        stats = self.stats
+        meter = self.meter
+        fresh_by_head: Dict[str, List[IdTuple]] = {}
+        for group in groups:
+            plan = self.plans[group[0][0]]
+            for _, _, windows, _ in group:
+                if meter is not None:
+                    meter.check_batch(stats.facts_derived, stats.tuples_scanned)
+                self.rows = []
+                self._run_entry(plan, windows)
+                solutions = len(self.rows)
+                stats.rule_firings += solutions
+                fresh = _install(
+                    self.working, stats, plan.head_key, self.rows, solutions
+                )
+                if fresh:
+                    fresh_by_head.setdefault(plan.head_key, []).extend(fresh)
+        return fresh_by_head
 
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        plan: SubqueryPlan,
-        vectors,
-        delta_depth: Optional[int] = None,
-        delta_rel: Optional[Relation] = None,
-    ) -> None:
-        """Push input bound vectors through one plan (one delta choice).
+    def _run_entry(self, plan, windows) -> None:
+        """Push the input rows in the entry's window through ``plan``.
 
         Entry ops filter each (small, term-level) input vector on a
-        scratch frame exactly as the per-frame interpreter did;
+        scratch frame exactly as the per-frame interpreter does;
         survivors are interned into the plan's entry-slot columns and
-        the body runs in batches over term IDs
-        (:meth:`_run_batch`).
+        the body runs in batches over term IDs (:meth:`_run_batch`).
         """
-        if self.meter is not None:
-            self.meter.check_batch(self.answer_total)
+        inputs = self.working.get(plan.input_key)
+        if inputs is None:
+            return
+        lo, hi = (0, inputs.slot_count()) if windows is None else windows[ENTRY]
+        term_row = inputs.term_row
         frame: List[Optional[Term]] = [None] * plan.n_slots
         entry_ops = plan.entry_ops
         entry_slots = plan.b_entry_slots
         intern = _CATALOG.intern
         cols: Dict[int, List[int]] = {s: [] for s in entry_slots}
         n = 0
-        for vector in vectors:
+        for slot in range(lo, hi):
+            vector = term_row(slot)
             ok = True
             for pos, tag, payload in entry_ops:
                 value = vector[pos]
@@ -305,82 +340,70 @@ class _QSQExecutor:
                     cols[s].append(intern(frame[s]))
                 n += 1
         if n:
-            self._run_batch(plan, cols, n, delta_depth, delta_rel)
+            self._run_batch(plan, cols, n, windows)
 
     # ------------------------------------------------------------------
-    def _run_batch(self, plan, cols, n, delta_depth, delta_rel) -> None:
+    def _run_batch(self, plan, cols, n, windows) -> None:
         """Batch body execution over ID columns.
 
         The batch twin of the per-frame :meth:`_run` recursion: partial
         matches travel as parallel columns of term IDs, each step probes
-        its store once per *distinct* key in the batch, derived-step
+        its relation once per *distinct* key in the batch, derived-step
         keys are registered as subqueries once per distinct key, and
-        answers are emitted as ID rows -- terms are resolved only when
-        ``QSQResult.answers`` is materialized.  Emission happens after
-        the whole batch has been joined, so answers produced by one
-        input vector reach sibling vectors through the next round's
-        delta instead of intra-round: the same fixpoint, ``Q`` and
-        ``F``, discovered at worst a round later.  A step whose subquery
-        key may be non-ground diverts its frames to the per-frame
-        interpreter, which re-checks groundness at run time and handles
-        the generic fallback.
+        head rows are collected as ID rows -- terms are resolved only
+        when ``QSQResult.answers`` is materialized.  A step whose
+        subquery key may be non-ground diverts its frames to the
+        per-frame interpreter, which re-checks groundness at run time
+        and handles the generic fallback.
         """
+        working = self.working
+        stats = self.stats
         resolve_id = _CATALOG.resolve
-        resolve_row = _CATALOG.resolve_row
         id_of = _CATALOG.id_of
         intern = _CATALOG.intern
-        for depth, step in enumerate(plan.steps):
+        steps = plan.steps
+        for depth, step in enumerate(steps):
             if step.maybe_unground:
                 n_slots = plan.n_slots
                 for i in range(n):
                     frame: List[Optional[Term]] = [None] * n_slots
                     for s, col in cols.items():
                         frame[s] = resolve_id(col[i])
-                    self._run(plan, depth, frame, delta_depth, delta_rel)
+                    self._run(plan, depth, frame, windows)
                 return
             b_key_ops = step.b_key_ops
+            relation = working.get(step.pred_key)
+            window = None
             if step.is_derived:
-                pred = step.pred_key
-                # derived keys double as subquery vectors, so _EVAL
-                # keys are interned, and each distinct key registers
-                # (at most) one new subquery -- before the empty-store
-                # check, exactly like the per-frame path
+                # derived keys double as subquery vectors, so _EVAL keys
+                # are interned, and every frame reaching the step
+                # registers its key -- before any emptiness check
                 keys = (
                     _batch_keys(b_key_ops, cols, n, False, intern)
                     if b_key_ops else None
                 )
-                inputs = self.result.queries.setdefault(pred, set())
                 if keys is None:
-                    term_keys = [()]
+                    subqueries = [()]
                 elif len(b_key_ops) == 1:
-                    term_keys = [(resolve_id(k),) for k in set(keys)]
+                    subqueries = [(k,) for k in set(keys)]
                 else:
-                    term_keys = [resolve_row(k) for k in set(keys)]
-                for term_key in term_keys:
-                    if term_key not in inputs:
-                        inputs.add(term_key)
-                        self.result.subqueries_generated += 1
-                        self.pending_inputs.setdefault(
-                            pred, []
-                        ).append(term_key)
-                if delta_depth == depth:
-                    relation = delta_rel
-                else:
-                    relation = self.answer_rels.get(pred)
-                if relation is None or len(relation) == 0:
-                    return
+                    subqueries = set(keys)
+                working.relation(step.input_key).add_id_rows(subqueries)
+                if windows is not None:
+                    window = windows[depth]
             else:
-                relation = self.database.get(step.pred_key)
-                if relation is None or len(relation) == 0:
-                    return
                 keys = (
                     _batch_keys(b_key_ops, cols, n, False, id_of)
                     if b_key_ops else None
                 )
-            sel, stores, _probes, _scanned = _scan_batch_step(
+            if relation is None or len(relation) == 0:
+                return
+            sel, stores, probes, scanned = _scan_batch_step(
                 relation, step.lookup_positions, keys,
-                step.b_row_ops, len(step.b_store_slots), cols, n,
+                step.b_row_ops, len(step.b_store_slots), cols, n, window,
             )
+            stats.join_probes += probes
+            stats.tuples_scanned += scanned
             if not sel:
                 return
             next_cols: Dict[int, List[int]] = {
@@ -394,54 +417,33 @@ class _QSQExecutor:
         head_slots = plan.b_head_slots
         if head_slots is not None:
             if not head_slots:
-                rows: List[Tuple[int, ...]] = [()] * n
+                self.rows.extend([()] * n)
             elif len(head_slots) == 1:
-                rows = [(v,) for v in cols[head_slots[0]]]
+                self.rows.extend([(v,) for v in cols[head_slots[0]]])
             else:
-                rows = list(zip(*(cols[s] for s in head_slots)))
-        else:
-            rows = []
-            b_head_ops = plan.b_head_ops
-            for i in range(n):
-                args = []
-                ok = True
-                for tag, payload in b_head_ops:
-                    if tag == _SLOT:
-                        args.append(cols[payload][i])
-                    elif tag == _CONST:
-                        args.append(payload)
-                    elif tag == _EVAL:
-                        term, pairs = payload
-                        value = resolve(
-                            term,
-                            {v: resolve_id(cols[s][i]) for v, s in pairs},
-                        )
-                        if not value.is_ground():
-                            # a non-ground answer row is silently
-                            # dropped
-                            ok = False
-                            break
-                        args.append(intern(value))
-                    else:  # _UNBOUND: the row can never be ground
-                        ok = False
-                        break
-                if ok:
-                    rows.append(tuple(args))
-        if not rows:
+                self.rows.extend(zip(*(cols[s] for s in head_slots)))
             return
-        pred = plan.head_key
-        relation = self.answer_rels.get(pred)
-        if relation is None:
-            relation = self._new_answer_relation(pred)
-            self.answer_rels[pred] = relation
-        fresh = relation.add_id_rows(rows)
-        if fresh:
-            self.answer_total += len(fresh)
-            delta = self.pending_answers.get(pred)
-            if delta is None:
-                delta = self._new_answer_relation(pred)
-                self.pending_answers[pred] = delta
-            delta.add_id_rows(fresh)
+        b_head_ops = plan.b_head_ops
+        for i in range(n):
+            args = []
+            for tag, payload in b_head_ops:
+                if tag == _SLOT:
+                    args.append(cols[payload][i])
+                elif tag == _CONST:
+                    args.append(payload)
+                elif tag == _EVAL:
+                    term, pairs = payload
+                    value = resolve(
+                        term,
+                        {v: resolve_id(cols[s][i]) for v, s in pairs},
+                    )
+                    if not value.is_ground():
+                        break  # a non-ground answer row is dropped
+                    args.append(intern(value))
+                else:  # _UNBOUND: the row can never be ground
+                    break
+            else:
+                self.rows.append(tuple(args))
 
     # ------------------------------------------------------------------
     def _build_key(self, key_ops, frame) -> FactTuple:
@@ -456,44 +458,30 @@ class _QSQExecutor:
                 key.append(resolve(term, {v: frame[s] for v, s in pairs}))
         return tuple(key)
 
-    def _run(self, plan, depth, frame, delta_depth, delta_rel) -> None:
+    def _run(self, plan, depth, frame, windows) -> None:
         steps = plan.steps
         if depth == len(steps):
             self._emit(plan, frame)
             return
         step = steps[depth]
+        relation = self.working.get(step.pred_key)
+        key = self._build_key(step.key_ops, frame)
+        window = None
         if step.is_derived:
-            pred = step.pred_key
-            key = self._build_key(step.key_ops, frame)
             if step.maybe_unground and not all(
                 t.is_ground() for t in key
             ):
-                self._run_generic(plan, depth, frame, delta_depth,
-                                  delta_rel)
+                self._run_generic(plan, depth, frame, windows)
                 return
-            inputs = self.result.queries.setdefault(pred, set())
-            if key not in inputs:
-                inputs.add(key)
-                self.result.subqueries_generated += 1
-                self.pending_inputs.setdefault(pred, []).append(key)
-            if delta_depth == depth:
-                relation = delta_rel
-            else:
-                relation = self.answer_rels.get(pred)
-            if relation is None or len(relation) == 0:
-                return
+            self.working.relation(step.input_key).add(key)
+            if windows is not None:
+                window = windows[depth]
+        if relation is None or len(relation) == 0:
+            return
+        if window is None:
             rows = relation.lookup(step.lookup_positions, key)
-            if step.self_recursive and delta_depth != depth:
-                # emission extends the very bucket being probed; snapshot
-                # it so the scan sees the store as of probe time (new
-                # answers flow through the next round's delta instead)
-                rows = list(rows)
         else:
-            relation = self.database.get(step.pred_key)
-            if relation is None or len(relation) == 0:
-                return
-            key = self._build_key(step.key_ops, frame)
-            rows = relation.lookup(step.lookup_positions, key)
+            rows = _window_lookup(relation, step.lookup_positions, key, window)
         row_ops = step.row_ops
         next_depth = depth + 1
         for row in rows:
@@ -519,14 +507,15 @@ class _QSQExecutor:
                     for v, s in free_pairs:
                         frame[s] = seed[v]
             if ok:
-                self._run(plan, next_depth, frame, delta_depth, delta_rel)
+                self._run(plan, next_depth, frame, windows)
 
-    def _run_generic(self, plan, depth, frame, delta_depth,
-                     delta_rel) -> None:
+    def _run_generic(self, plan, depth, frame, windows) -> None:
         """Slow path for a derived step whose subquery key is not ground.
 
-        No subquery is generated, and the literal's resolved pattern is matched against every stored
-        answer (new bindings written back into the frame).
+        No subquery is generated (the predicate's input relation is
+        created, so ``Q`` names it), and the literal's resolved pattern
+        is matched against every answer in the step's window (new
+        bindings written back into the frame).
         """
         step = plan.steps[depth]
         bound_pairs, free_pairs = step.generic_pairs
@@ -534,22 +523,21 @@ class _QSQExecutor:
         resolved = tuple(
             resolve(arg, subst) for arg in step.literal.args
         )
-        pred = step.pred_key
-        self.result.queries.setdefault(pred, set())
-        if delta_depth == depth:
-            relation = delta_rel
-        else:
-            relation = self.answer_rels.get(pred)
+        self.working.relation(step.input_key)
+        relation = self.working.get(step.pred_key)
         if relation is None or len(relation) == 0:
             return
+        lo, hi = (
+            (0, relation.slot_count()) if windows is None else windows[depth]
+        )
         next_depth = depth + 1
-        for row in list(relation):
+        for row in [relation.term_row(slot) for slot in range(lo, hi)]:
             binding = match_sequences(resolved, row)
             if binding is None:
                 continue
             for v, s in free_pairs:
                 frame[s] = resolve(v, binding)
-            self._run(plan, next_depth, frame, delta_depth, delta_rel)
+            self._run(plan, next_depth, frame, windows)
 
     # ------------------------------------------------------------------
     def _emit(self, plan, frame) -> None:
@@ -567,108 +555,20 @@ class _QSQExecutor:
                 args.append(value)
             else:  # _UNBOUND: the row can never be ground; skip it
                 return
-        row = tuple(args)
-        pred = plan.head_key
-        relation = self.answer_rels.get(pred)
-        if relation is None:
-            relation = self._new_answer_relation(pred)
-            self.answer_rels[pred] = relation
-        if relation.add(row):
-            self.answer_total += 1
-            delta = self.pending_answers.get(pred)
-            if delta is None:
-                delta = self._new_answer_relation(pred)
-                self.pending_answers[pred] = delta
-            delta.add(row)
-
-    def _new_answer_relation(self, pred: str) -> Relation:
-        relation = Relation(pred)
-        positions = self.compiled.bound_positions.get(pred)
-        if positions:
-            relation.register_index(positions)
-        return relation
+        self.rows.append(_CATALOG.intern_row(args))
 
 
-def _qsq_evaluate_compiled(
-    adorned_program: Program,
-    database: Database,
-    query_literal: Literal,
-    max_iterations: Optional[int],
-    max_facts: Optional[int],
-    plan_cache: Optional[PlanCache],
-    meter=None,
-) -> QSQResult:
-    compiled, cache_hit = subquery_program_for(adorned_program, plan_cache)
-    compiled.register_indexes(database)
-    result = QSQResult()
-    if cache_hit:
-        result.plan_cache_hits = 1
+def _window_lookup(relation, positions, key, window) -> List[FactTuple]:
+    """:meth:`Relation.lookup` restricted to the slot window ``(lo, hi)``
+    (QSQ's relations only grow, so every slot in it is live)."""
+    lo, hi = window
+    if not positions:
+        slots = range(lo, hi)
     else:
-        result.plan_cache_misses = 1
-    executor = _QSQExecutor(compiled, database, result, meter)
-
-    query_key = query_literal.pred_key
-    seed = tuple(arg for arg in query_literal.args if arg.is_ground())
-    result.queries.setdefault(query_key, set()).add(seed)
-    result.subqueries_generated += 1
-    executor.pending_inputs = {query_key: [seed]}
-
-    answer_deltas: Dict[str, Relation] = {}
-    while executor.pending_inputs or answer_deltas:
-        result.iterations += 1
-        if max_iterations is not None and result.iterations > max_iterations:
-            raise NonTerminationError(
-                f"QSQ evaluation exceeded {max_iterations} iterations",
-                iterations=result.iterations,
-                facts=executor.answer_total,
-            )
-        if meter is not None:
-            meter.check_round(
-                executor.answer_total, round_=result.iterations
-            )
-        new_inputs = executor.pending_inputs
-        executor.pending_inputs = {}
-        executor.pending_answers = {}
-
-        # variant 1: new subqueries against the full answer stores
-        for pred, vectors in new_inputs.items():
-            for plan in compiled.plans_by_head.get(pred, ()):
-                executor.execute(plan, vectors)
-
-        # variant 2: per derived body occurrence, previous-round answer
-        # deltas against every other accumulated input (the new inputs
-        # just ran against the full stores, which contain the deltas).
-        # Inputs generated while these variants run are complete next
-        # round via variant 1, so one snapshot per plan suffices.
-        for plan in compiled.plans:
-            active = [
-                (depth, answer_deltas.get(plan.steps[depth].pred_key))
-                for depth in plan.derived_steps
-            ]
-            active = [(d, rel) for d, rel in active if rel]
-            if not active:
-                continue
-            inputs = result.queries.get(plan.head_key)
-            if not inputs:
-                continue
-            fresh = new_inputs.get(plan.head_key)
-            if fresh:
-                fresh_set = set(fresh)
-                vectors = [v for v in inputs if v not in fresh_set]
-            else:
-                vectors = list(inputs)
-            if not vectors:
-                continue
-            for depth, delta_rel in active:
-                executor.execute(plan, vectors, depth, delta_rel)
-
-        answer_deltas = executor.pending_answers
-        if max_facts is not None and executor.answer_total > max_facts:
-            raise NonTerminationError(
-                f"QSQ evaluation exceeded {max_facts} facts",
-                iterations=result.iterations,
-                facts=executor.answer_total,
-            )
-    for pred, relation in executor.answer_rels.items():
-        result.answers[pred] = set(relation)
-    return result
+        ids = tuple(map(_CATALOG.id_of, key))
+        if -1 in ids:
+            return []  # a never-interned term cannot match any row
+        slots = relation.window_ids(
+            positions, ids[0] if len(ids) == 1 else ids, lo, hi
+        )
+    return [relation.term_row(slot) for slot in slots]

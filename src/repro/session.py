@@ -81,7 +81,6 @@ from .datalog.ivm import MaintenanceResult, MaterializedProgram
 from .datalog.parser import parse_literal, parse_program, parse_query
 from .datalog.planner import PlanCache, shared_plan_cache
 from .datalog.terms import Variable
-from .datalog.topdown import QSQResult
 
 __all__ = [
     "Session",
@@ -936,12 +935,7 @@ class Session:
         if answer is not None:
             qsq = answer.qsq
             if qsq is not None:
-                qsq = QSQResult(
-                    iterations=qsq.iterations,
-                    subqueries_generated=qsq.subqueries_generated,
-                    plan_cache_hits=qsq.plan_cache_hits,
-                    plan_cache_misses=qsq.plan_cache_misses,
-                )
+                qsq = replace(qsq, queries={}, answers={})
             answer = replace(answer, answers=rows, evaluation=None, qsq=qsq)
         return replace(result, rows=rows, answer=answer)
 

@@ -217,17 +217,28 @@ class TestEngineBudgets:
         )
         assert meter.spent()["facts"] == governed.stats.facts_derived
 
-    def test_qsq_trips_max_facts(self):
+    @pytest.mark.parametrize(
+        "budget,limit",
+        [
+            ({"max_facts": 3}, "max_facts"),
+            ({"max_tuples_scanned": 10}, "max_tuples_scanned"),
+            ({"max_memory_bytes": 1024}, "max_memory"),
+        ],
+        ids=["max_facts", "max_tuples_scanned", "max_memory_bytes"],
+    )
+    def test_qsq_trips_max_facts(self, budget, limit):
+        """QSQ runs on the bottom-up round driver, so every budget that
+        trips semi-naive on this chain trips QSQ too."""
         adorned = adorn_program(ancestor_program(), ancestor_query("n0"))
-        meter = EvaluationBudget(max_facts=3).start()
+        meter = EvaluationBudget(**budget).start()
         with pytest.raises(BudgetExceeded) as info:
             qsq_evaluate(
                 adorned.program,
-                chain_database(30),
+                chain_database(60),
                 adorned.query_literal,
                 meter=meter,
             )
-        assert info.value.limit == "max_facts"
+        assert info.value.limit == limit
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""The round boundaries every bottom-up route shares.
+"""The round boundaries every evaluation route shares.
 
-Naive and semi-naive evaluation, serial or on the worker pool, and IVM
-propagation all run their rounds through one driver in
-``repro.datalog.engine``.  A recording meter (duck-typed, like every
-meter the engine accepts) pins where that driver puts its boundaries:
-the exact ``check_round(stratum, round)`` sequence, the number of batch
-checks, and the iteration at which ``max_iterations`` trips.  The
-expected values are literals; any route that moves a boundary fails
-here first.
+Naive and semi-naive evaluation, serial or on the worker pool, IVM
+propagation and QSQ (over its subquery and answer relations) all run
+their rounds through one driver in ``repro.datalog.engine``.  A
+recording meter (duck-typed, like every meter the engine accepts) pins
+where that driver puts its boundaries: the exact ``check_round(stratum,
+round)`` sequence, the number of batch checks, and the iteration at
+which ``max_iterations`` trips.  The expected values are literals; any
+route that moves a boundary fails here first.
 """
 
 import pytest
@@ -16,8 +16,12 @@ from repro import (
     Database,
     EvaluationBudget,
     MaterializedProgram,
+    Program,
+    adorn_program,
     evaluate,
     parse_program,
+    parse_query,
+    qsq_evaluate,
 )
 from repro.datalog.errors import NonTerminationError
 
@@ -137,3 +141,39 @@ class TestMaintenanceBoundaries:
         unmetered_rounds = plain.maintain().rounds
         budget = EvaluationBudget(timeout=100).start()
         assert metered.maintain(meter=budget).rounds == unmetered_rounds
+
+
+class TestQSQBoundaries:
+    """``reach(a0, Y)?`` top-down on the two ``reach`` rules: the
+    adorned plans form one stratum, and the driver numbers its rounds
+    as it does semi-naive's."""
+
+    @staticmethod
+    def _adorned():
+        program, database = _parsed()
+        reach = Program(
+            [rule for rule in program.rules if rule.head.pred == "reach"]
+        )
+        return adorn_program(reach, parse_query("reach(a0, Y)?")), database
+
+    def test_round_checks(self):
+        adorned, database = self._adorned()
+        meter = RecordingMeter()
+        result = qsq_evaluate(
+            adorned.program, database, adorned.query_literal, meter=meter
+        )
+        assert meter.rounds == [(0, r) for r in range(1, 10)]
+        assert result.stats.iterations == 9
+        assert meter.batches == 20
+        assert (result.stats.facts_derived, result.subqueries_generated) == (
+            21, 6,
+        )
+
+    def test_max_iterations_trip(self):
+        adorned, database = self._adorned()
+        with pytest.raises(NonTerminationError) as info:
+            qsq_evaluate(
+                adorned.program, database, adorned.query_literal,
+                max_iterations=3,
+            )
+        assert (info.value.iterations, info.value.facts) == (4, 5)

@@ -292,6 +292,7 @@ class TestMemo:
         if method == "qsq":
             assert cold.answer.qsq.answers  # cold result keeps Q/F
             assert not hit.answer.qsq.answers
+            assert not hit.answer.qsq.queries
             assert (
                 hit.answer.qsq.subqueries_generated
                 == cold.answer.qsq.subqueries_generated
@@ -533,6 +534,14 @@ class TestQueryResult:
             plan_cache=session.plan_cache,
         ).query("anc(john, X)?", method="seminaive")
         assert again.plan_cache_hits == 1
+
+    def test_qsq_reports_its_join_work(self):
+        # QSQ's counters come from the round driver, as every other
+        # method's: answers are facts_derived, and the scans and probes
+        # that found them are counted, not reported as zero
+        stats = ancestor_session().query("anc(john, X)?", method="qsq").stats
+        assert stats.tuples_scanned > 0 and stats.join_probes > 0
+        assert stats.rule_firings >= stats.facts_derived > 0
 
     def test_counters_dict(self):
         session = ancestor_session(plan_cache=PlanCache())
