@@ -189,13 +189,12 @@ class RewrittenProgram:
         for seed in self.seed_facts:
             seeded.add_fact(seed)
         for pred, targets in self.mirror_targets:
-            rows = database.tuples(pred)
-            if not rows:
+            rel = database.get(pred)
+            if rel is None or not len(rel):
                 continue
-            arity = len(next(iter(rows)))
             for key, head_arity in targets:
-                if head_arity == arity:
-                    seeded.add_tuples(key, rows)
+                if head_arity == rel.arity:
+                    seeded.relation(key).add_id_rows(list(rel.id_rows()))
         return seeded
 
     def extract_answers(self, result: EvaluationResult) -> Set[Tuple[Term, ...]]:

@@ -25,13 +25,17 @@ indexed by *row slot*.  Alongside the columns live
 The row-view boundary
 ---------------------
 
-The row-level API (``__iter__``, ``__contains__``, :meth:`Relation.lookup`,
-``add``/``add_many``/``discard``/...) is preserved exactly as a *view*:
-terms are interned on the way in and IDs resolved back to canonical
-``Term`` objects on the way out (memoized per slot), so no caller
-outside the planner has to change.  The batch join executor
-(:mod:`repro.datalog.planner`) bypasses the view and works on ID
-batches directly via ``lookup_ids``/``add_id_row``/``id_rows``;
+A relation holds each row once, as IDs.  The row-level API
+(``__iter__``, ``__contains__``, :meth:`Relation.lookup`,
+``add``/``add_many``/``discard``/...) is a thin boundary over that
+store: ``add``/``add_many`` intern their rows and insert them through
+:meth:`Relation.add_id_rows`, ``discard``/``discard_many`` look their
+IDs up and retract them through :meth:`Relation.discard_id_rows` (the
+one insert path and the one retract path), and ``__iter__`` /
+``lookup`` resolve IDs back to canonical ``Term`` objects on every
+call -- nothing is cached.  The batch join executor
+(:mod:`repro.datalog.planner`) and QSQ work on ID batches directly via
+``lookup_ids``/``window_rows``/``add_id_rows``/``id_rows``;
 evaluation results are resolved back to terms only when answers are
 materialized: in :meth:`Relation.select` for every bottom-up answer
 (``answer_tuples``, ``extract_answers``, view reads in the session and
@@ -82,8 +86,8 @@ snapshot of the materializer's derived relations), so the next
 maintenance pass clones only the views it touches.
 
 What a clone costs: :meth:`Relation.copy` copies the columns, the
-liveness flags, the rowmap, the term-row memo list and each index's
-dict (C level, O(rows)) but no bucket -- a write copies exactly the
+liveness flags, the rowmap and each index's dict (C level, O(rows);
+no ``Term`` is touched) but no bucket -- a write copies exactly the
 buckets it appends to, so in index storage a published version costs
 its delta.  Weighed and not taken: immutable tuple buckets (O(bucket)
 per append; a one-constant magic seed keeps all of ``anc^bf`` in one
@@ -136,6 +140,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from operator import itemgetter
 from typing import (
     Dict,
     Iterable,
@@ -221,7 +226,6 @@ class Relation:
         "_rowmap",
         "_live",
         "_dead",
-        "_term_rows",
         "_indexes",
         "_copied_at",
     )
@@ -238,7 +242,6 @@ class Relation:
         self._rowmap: Dict[IdTuple, int] = {}
         self._live = bytearray()
         self._dead = 0
-        self._term_rows: List[Optional[FactTuple]] = []
         self._indexes: Dict[Tuple[int, ...], Dict[IndexKey, array]] = {}
         #: slot count at the last :meth:`copy` (0: never copied, or
         #: compacted since): a bucket ending below it may be shared
@@ -248,8 +251,8 @@ class Relation:
         return len(self._rowmap)
 
     def __iter__(self) -> Iterator[FactTuple]:
-        term_row = self.term_row
-        return iter([term_row(slot) for slot in self._rowmap.values()])
+        resolve_row = _CATALOG.resolve_row
+        return iter([resolve_row(idrow) for idrow in self._rowmap])
 
     def __contains__(self, row: FactTuple) -> bool:
         id_of = _CATALOG.id_of
@@ -284,41 +287,23 @@ class Relation:
             log.extend(entries)
 
     # ------------------------------------------------------------------
-    # insertion (term-level view)
+    # insertion
     # ------------------------------------------------------------------
     def add(self, row: Iterable[Term]) -> bool:
         """Insert a tuple; returns True when it was new."""
-        row = tuple(row)
-        if self.arity is None:
-            self.arity = len(row)
-        elif len(row) != self.arity:
-            raise ValueError(
-                f"relation {self.name}: arity mismatch, expected "
-                f"{self.arity}, got tuple of length {len(row)}"
-            )
-        try:
-            idrow = _CATALOG.intern_row(row)
-        except ValueError:
-            raise ValueError(
-                f"relation {self.name}: tuple {row} is not ground"
-            ) from None
-        return self._insert(idrow, row)
+        return self.add_many((row,)) == 1
 
     def add_many(self, rows: Iterable[Iterable[Term]]) -> int:
         """Insert many tuples; returns the number that were new.
 
-        Bulk fast path: rows are validated and interned up front (so a
-        bad row leaves the relation untouched, unlike repeated
-        :meth:`add` calls which keep the prefix), deduplicated against
-        ``_rowmap``, and each registered index is brought up to date in
-        a single batch pass over the fresh slots.
+        Rows are validated and interned up front (so a bad row leaves
+        the relation untouched, unlike repeated :meth:`add` calls which
+        keep the prefix), then inserted by :meth:`add_id_rows`.
         """
         arity = self.arity
         intern_row = _CATALOG.intern_row
         idrows: List[IdTuple] = []
-        term_rows: List[FactTuple] = []
         append_id = idrows.append
-        append_term = term_rows.append
         for row in rows:
             row = tuple(row)
             if len(row) != arity:
@@ -335,60 +320,21 @@ class Relation:
                 raise ValueError(
                     f"relation {self.name}: tuple {row} is not ground"
                 ) from None
-            append_term(row)
-        if not idrows:
-            return 0
-        self.arity = arity
-        columns = self._columns
-        if columns is None:
-            columns = self._first_columns(arity)
-        rowmap = self._rowmap
-        live = self._live
-        base = len(live)
-        fresh_ids: List[IdTuple] = []
-        fresh_terms: List[FactTuple] = []
-        for idrow, row in zip(idrows, term_rows):
-            if idrow in rowmap:
-                continue
-            # claiming the rowmap slot immediately also dedups within
-            # the batch itself
-            rowmap[idrow] = base + len(fresh_ids)
-            fresh_ids.append(idrow)
-            fresh_terms.append(row)
-        n_fresh = len(fresh_ids)
-        if not n_fresh:
-            return 0
-        for p, column in enumerate(columns):
-            column.extend([idrow[p] for idrow in fresh_ids])
-        live.extend(b"\x01" * n_fresh)
-        self._term_rows.extend(fresh_terms)
-        self._bump(n_fresh)
-        self._capture(fresh_ids, 1)
-        self._index_rows(base, fresh_ids)
-        return n_fresh
+        return len(self.add_id_rows(idrows))
 
-    # ------------------------------------------------------------------
-    # insertion / probing (ID-level, used by the batch executor)
-    # ------------------------------------------------------------------
     def add_id_row(self, idrow: IdTuple) -> bool:
         """Insert an already-interned ID row; returns True when new."""
-        if self.arity is None:
-            self.arity = len(idrow)
-        elif len(idrow) != self.arity:
-            raise ValueError(
-                f"relation {self.name}: arity mismatch, expected "
-                f"{self.arity}, got tuple of length {len(idrow)}"
-            )
-        return self._insert(idrow, None)
+        return bool(self.add_id_rows((idrow,)))
 
     def add_id_rows(self, idrows: Iterable[IdTuple]) -> List[IdTuple]:
-        """Bulk :meth:`add_id_row`; returns the rows that were new.
+        """Insert ID rows; returns the rows that were new.
 
-        The batch engine's insert path: duplicates cost one ``_rowmap``
-        membership check, fresh rows are appended to the columns in one
-        pass, and each registered index is brought up to date in a
-        single batch pass over the fresh slots.  A row of the wrong
-        arity raises with the relation untouched, like :meth:`add_many`.
+        The one insert path: duplicates cost one ``_rowmap`` membership
+        check, fresh rows are appended to the columns in one pass, and
+        each registered index is brought up to date in a single batch
+        pass over the fresh slots.  A row of the wrong arity raises with
+        the relation untouched, and so does a first row that an index
+        registered while the arity was unknown reaches past.
         """
         arity = self.arity
         rowmap = self._rowmap
@@ -400,7 +346,10 @@ class Relation:
                 continue
             if len(idrow) != arity:
                 if arity is None:
+                    # the first row: nothing is claimed yet
                     arity = len(idrow)
+                    for positions in self._indexes:
+                        self._check_positions(positions, arity)
                 else:
                     # earlier rows of the batch already claimed rowmap
                     # slots nothing else backs yet: give them back
@@ -424,31 +373,15 @@ class Relation:
         for p, column in enumerate(columns):
             column.extend([row[p] for row in fresh_rows])
         live.extend(b"\x01" * n_fresh)
-        self._term_rows.extend([None] * n_fresh)
         self._bump(n_fresh)
         self._capture(fresh_rows, 1)
-        self._index_rows(base, fresh_rows)
-        return fresh_rows
-
-    def _index_rows(self, base: int, idrows: List[IdTuple]) -> None:
-        """Enter ``idrows``, stored at slots ``base``, ``base + 1``, ...,
-        into every index.  A bucket that ends below the copy watermark
-        is borrowed (see :meth:`copy`): it is copied before the first
-        append, which puts its end above the watermark for good."""
+        # enter the fresh slots into every index.  A bucket that ends
+        # below the copy watermark is borrowed (see copy()): it is
+        # copied before the first append, which puts its end above the
+        # watermark for good
         copied_at = self._copied_at
         for positions, index in self._indexes.items():
-            # specialized key construction: nearly all registered
-            # indexes cover one or two positions
-            if len(positions) == 1:
-                (p0,) = positions
-                keys: List[IndexKey] = [idrow[p0] for idrow in idrows]
-            elif len(positions) == 2:
-                p0, p1 = positions
-                keys = [(idrow[p0], idrow[p1]) for idrow in idrows]
-            else:
-                keys = [
-                    tuple([idrow[i] for i in positions]) for idrow in idrows
-                ]
+            keys = map(itemgetter(*positions), fresh_rows)
             for slot, key in enumerate(keys, base):
                 bucket = index.get(key)
                 if bucket is None:
@@ -457,6 +390,7 @@ class Relation:
                     if bucket[-1] < copied_at:
                         bucket = index[key] = bucket[:]
                     bucket.append(slot)
+        return fresh_rows
 
     def _first_columns(self, arity: int) -> List[array]:
         """The columns of a relation created without an arity, as its
@@ -465,38 +399,6 @@ class Relation:
         self._indexes.pop(tuple(range(arity)), None)
         columns = self._columns = [array("q") for _ in range(arity)]
         return columns
-
-    def _insert(self, idrow: IdTuple, term_row: Optional[FactTuple]) -> bool:
-        rowmap = self._rowmap
-        if idrow in rowmap:
-            return False
-        columns = self._columns
-        if columns is None:
-            columns = self._first_columns(len(idrow))
-        live = self._live
-        slot = len(live)
-        rowmap[idrow] = slot
-        for column, value in zip(columns, idrow):
-            column.append(value)
-        live.append(1)
-        self._term_rows.append(term_row)
-        self._bump(1)
-        self._capture((idrow,), 1)
-        for positions, index in self._indexes.items():
-            if len(positions) == 1:
-                key: IndexKey = idrow[positions[0]]
-            elif len(positions) == 2:
-                key = (idrow[positions[0]], idrow[positions[1]])
-            else:
-                key = tuple(idrow[i] for i in positions)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = array("q", (slot,))
-            else:
-                if bucket[-1] < self._copied_at:  # borrowed: see copy()
-                    bucket = index[key] = bucket[:]
-                bucket.append(slot)
-        return True
 
     def id_rows(self) -> Iterable[IdTuple]:
         """The live ID rows (insertion order)."""
@@ -543,14 +445,10 @@ class Relation:
         return rows
 
     def term_row(self, slot: int) -> FactTuple:
-        """Resolve a slot back to its tuple of terms (memoized)."""
-        term_rows = self._term_rows
-        row = term_rows[slot]
-        if row is None:
-            resolve = _CATALOG.resolve
-            row = tuple(resolve(column[slot]) for column in self._columns)
-            term_rows[slot] = row
-        return row
+        """The terms of the row stored at ``slot``: its IDs resolved,
+        on every call (nothing is cached)."""
+        resolve = _CATALOG.resolve
+        return tuple([resolve(column[slot]) for column in self._columns])
 
     def lookup_ids(
         self, positions: Tuple[int, ...], key: IndexKey
@@ -632,15 +530,19 @@ class Relation:
         self, positions: Tuple[int, ...]
     ) -> Tuple[int, ...]:
         positions = tuple(positions)
+        self._check_positions(positions, self.arity)
+        return positions
+
+    def _check_positions(
+        self, positions: Tuple[int, ...], arity: Optional[int]
+    ) -> None:
         if any(p < 0 for p in positions) or (
-            self.arity is not None
-            and any(p >= self.arity for p in positions)
+            arity is not None and any(p >= arity for p in positions)
         ):
             raise ValueError(
                 f"relation {self.name}: index positions {positions} out of "
-                f"range for arity {self.arity}"
+                f"range for arity {arity}"
             )
-        return positions
 
     def _build_index(
         self, positions: Tuple[int, ...]
@@ -793,61 +695,39 @@ class Relation:
     # retraction
     # ------------------------------------------------------------------
     def discard(self, row: Iterable[Term]) -> bool:
-        """Retract a tuple; returns True when it was present.
+        """Retract a tuple; returns True when it was present."""
+        return self.discard_many((row,)) == 1
 
-        O(1) expected: the slot is tombstoned (``_live`` flag cleared)
-        rather than spliced out of every index bucket; buckets shed dead
-        slots lazily at probe time, and the relation compacts itself
-        when dead slots outnumber live ones.
-        """
+    def discard_many(self, rows: Iterable[Iterable[Term]]) -> int:
+        """Retract many tuples; returns the number that were present.
+
+        A row holding a term the catalog has never seen gets a ``-1``
+        ID, which no stored row holds."""
         id_of = _CATALOG.id_of
-        idrow = tuple(id_of(term) for term in row)
-        if -1 in idrow:
-            return False
-        return self._discard_id_row(idrow)
+        return self.discard_id_rows([tuple(map(id_of, row)) for row in rows])
 
     def discard_id_row(self, idrow: IdTuple) -> bool:
         """Retract an already-interned ID row; returns True when it was
-        present (the ID-level twin of :meth:`discard`)."""
-        return self._discard_id_row(idrow)
-
-    def _discard_id_row(self, idrow: IdTuple) -> bool:
-        slot = self._rowmap.pop(idrow, None)
-        if slot is None:
-            return False
-        self._live[slot] = 0
-        self._term_rows[slot] = None
-        self._dead += 1
-        self._bump(1)
-        self._capture((idrow,), -1)
-        if (
-            self._dead >= _COMPACT_MIN_DEAD
-            and self._dead > len(self._rowmap)
-        ):
-            self._compact()
-        return True
-
-    def discard_many(self, rows: Iterable[Iterable[Term]]) -> int:
-        """Retract many tuples; returns the number that were present."""
-        return sum(1 for row in rows if self.discard(row))
+        present."""
+        return self.discard_id_rows((idrow,)) == 1
 
     def discard_id_rows(self, idrows: Iterable[IdTuple]) -> int:
-        """Retract many ID rows with one version bump and one capture.
+        """Retract ID rows; returns the number that were present.
 
-        Bulk twin of :meth:`discard_id_row` for the incremental
-        maintenance deletion phases, where per-row bookkeeping would
-        dominate small deltas.
+        The one retract path, with one version bump and one capture per
+        call.  O(1) expected per row: the slot is tombstoned (``_live``
+        flag cleared) rather than spliced out of every index bucket;
+        buckets shed dead slots lazily at probe time, and the relation
+        compacts itself when dead slots outnumber live ones.
         """
         rowmap = self._rowmap
         live = self._live
-        term_rows = self._term_rows
         gone = []
         for idrow in idrows:
             slot = rowmap.pop(idrow, None)
             if slot is None:
                 continue
             live[slot] = 0
-            term_rows[slot] = None
             gone.append(idrow)
         if not gone:
             return 0
@@ -872,8 +752,6 @@ class Relation:
                 array("q", (column[slot] for slot in keep))
                 for column in columns
             ]
-        term_rows = self._term_rows
-        self._term_rows = [term_rows[slot] for slot in keep]
         self._live = bytearray(b"\x01" * len(keep))
         self._rowmap = {
             idrow: remap[slot] for idrow, slot in self._rowmap.items()
@@ -889,8 +767,8 @@ class Relation:
     def copy(self) -> "Relation":
         """An independent copy that shares this relation's index buckets.
 
-        Columns, rowmap, liveness flags and the term-row memo are copied
-        (C level -- no Term is touched) and each index dict shallowly:
+        Columns, rowmap and liveness flags are copied (C level -- no
+        Term is touched) and each index dict shallowly:
         no bucket is copied here and neither side pays an O(n) index
         rebuild afterwards.  The copy has no owner and no holders until
         a database adopts it.
@@ -926,7 +804,6 @@ class Relation:
         duplicate._rowmap = dict(self._rowmap)
         duplicate._live = bytearray(self._live)
         duplicate._dead = self._dead
-        duplicate._term_rows = list(self._term_rows)
         duplicate._indexes = {
             positions: dict(index)
             for positions, index in list(self._indexes.items())
@@ -967,8 +844,7 @@ class Relation:
         The oracle behind ``Database.check_integrity`` and the
         fault-injection atomicity property: columns equal-length,
         rowmap and columns agree, liveness flags match the tombstone
-        count, memoized term rows resolve to their ID rows, no index
-        covers every column, every index bucket references in-range
+        count, no index covers every column, every index bucket references in-range
         slots whose live members project to the bucket key and covers
         every live row, and the version counter has kept pace with the
         live tuple count.  Returns True so
@@ -985,7 +861,7 @@ class Relation:
         n = len(self._live)
         columns = self._columns
         if columns is None:
-            if n or self._rowmap or self._term_rows:
+            if n or self._rowmap:
                 fail("columns", "no columns but rows recorded")
         else:
             if self.arity is None or len(columns) != self.arity:
@@ -1000,11 +876,6 @@ class Relation:
                         f"column {p} holds {len(column)} cells, "
                         f"expected {n}",
                     )
-        if len(self._term_rows) != n:
-            fail(
-                "term-rows",
-                f"{len(self._term_rows)} memo slots for {n} rows",
-            )
         dead = n - sum(self._live)
         if dead != self._dead:
             fail(
@@ -1017,7 +888,6 @@ class Relation:
                 f"{len(self._rowmap)} mapped rows for {n - dead} live slots",
             )
         seen_slots = set()
-        resolve = _CATALOG.resolve
         for idrow, slot in self._rowmap.items():
             if not 0 <= slot < n:
                 fail("rowmap", f"slot {slot} out of range for {n} rows")
@@ -1032,15 +902,6 @@ class Relation:
                     fail(
                         "rowmap",
                         f"slot {slot} stores {stored}, rowmap says {idrow}",
-                    )
-            memo = self._term_rows[slot]
-            if memo is not None:
-                resolved = tuple(resolve(term_id) for term_id in idrow)
-                if memo != resolved:
-                    fail(
-                        "term-rows",
-                        f"slot {slot} memoizes {memo}, ids resolve to "
-                        f"{resolved}",
                     )
         for positions, index in self._indexes.items():
             if len(positions) == self.arity:
@@ -1238,7 +1099,7 @@ class Database:
         stay loaded), index maintenance, the version bump and
         mutation-log capture are that method's.  The result equals
         ``add_facts`` over the decoded literals, except that log entries
-        arrive grouped by predicate and no term row is memoized.
+        arrive grouped by predicate.
         """
         grouped: Dict[str, List[IdTuple]] = {}
         for pred_key, id_row in fact_rows:
@@ -1375,13 +1236,6 @@ class Database:
                 invariant="version",
             )
         return True
-
-    def merged_with(self, other: "Database") -> "Database":
-        """A new database containing the facts of both."""
-        merged = self.copy()
-        for key, rel in other._relations.items():
-            merged.relation(key).add_many(rel)
-        return merged
 
     def __contains__(self, pred_key: str) -> bool:
         return pred_key in self._relations

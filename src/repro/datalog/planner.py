@@ -1113,12 +1113,11 @@ class SubqueryStep:
     """
 
     __slots__ = ("literal", "pred_key", "is_derived", "input_key",
-                 "lookup_positions", "key_ops", "row_ops", "maybe_unground",
-                 "generic_pairs", "b_key_ops", "b_row_ops", "b_store_slots",
-                 "b_carry_out", "b_store_out")
+                 "lookup_positions", "key_ops", "row_ops", "b_key_ops",
+                 "b_row_ops", "b_store_slots", "b_carry_out", "b_store_out")
 
     def __init__(self, literal, pred_key, is_derived, lookup_positions,
-                 key_ops, row_ops, maybe_unground, generic_pairs):
+                 key_ops, row_ops):
         self.literal = literal
         self.pred_key = pred_key
         self.is_derived = is_derived
@@ -1127,13 +1126,6 @@ class SubqueryStep:
         self.lookup_positions = lookup_positions
         self.key_ops = key_ops
         self.row_ops = row_ops
-        #: True when a bound argument's variables are not all guaranteed
-        #: bound by earlier steps -- the executor then checks groundness
-        #: at run time and falls back to a generic scan when it fails
-        self.maybe_unground = maybe_unground
-        #: ((var, slot) bound at entry, (var, slot) bound by this step);
-        #: only populated for the maybe_unground fallback
-        self.generic_pairs = generic_pairs
         # ID-level twins, filled in by _attach_batch_ops at plan build
         self.b_key_ops = ()
         self.b_row_ops = ()
@@ -1152,17 +1144,17 @@ class SubqueryStep:
 class SubqueryPlan:
     """A compiled adorned rule for top-down evaluation.
 
-    ``entry_ops`` match the head's bound arguments against a row of the
-    head's input relation (``input_key``, one op per vector position);
-    ``steps`` run the body in sip order; ``head_ops`` emit the full head
-    tuple.  Unlike :class:`JoinPlan`, non-ground head arguments skip the
-    emission instead of raising: the QSQ evaluator silently drops
-    non-ground answer rows.
+    ``entry_ops`` match the head's bound arguments against an ID row of
+    the head's input relation (``input_key``, one op per vector
+    position; a ``_CONST`` payload is the constant's term ID);
+    ``steps`` run the body in sip order; ``b_head_ops`` emit the full
+    head tuple.  Unlike :class:`JoinPlan`, non-ground head arguments
+    skip the emission instead of raising: the QSQ evaluator silently
+    drops non-ground answer rows.
     """
 
     __slots__ = ("rule", "head_key", "input_key", "entry_ops", "steps",
-                 "head_ops", "n_slots", "b_head_ops", "b_head_slots",
-                 "b_entry_slots")
+                 "n_slots", "b_head_ops", "b_head_slots", "b_entry_slots")
 
     def __init__(self, rule, head_key, entry_ops, steps, head_ops, n_slots):
         self.rule = rule
@@ -1170,7 +1162,6 @@ class SubqueryPlan:
         self.input_key = subquery_relation(head_key)
         self.entry_ops = entry_ops
         self.steps = steps
-        self.head_ops = head_ops
         self.n_slots = n_slots
         #: ID-level twins + the slots the entry ops must populate as
         #: batch columns (the liveness frontier before step 0)
@@ -1183,7 +1174,13 @@ class SubqueryPlan:
 
 
 def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
-    """Compile one adorned rule into a :class:`SubqueryPlan`."""
+    """Compile one adorned rule into a :class:`SubqueryPlan`.
+
+    Every bound position of a derived body literal must be bound by the
+    head's bound arguments or an earlier literal, so that its subquery
+    is ground (Section 3's adornment guarantees it); a rule where one is
+    not raises :class:`UnsupportedProgramError`.
+    """
     if rule.has_negation():
         raise UnsupportedProgramError(
             f"rule {rule}: the QSQ evaluator handles positive programs "
@@ -1199,7 +1196,7 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
     for pos, arg in enumerate(head.bound_args()):
         arg_vars = arg.variables()
         if not arg_vars:
-            entry_ops.append((pos, _CONST, arg))
+            entry_ops.append((pos, _CONST, _CATALOG.intern(arg)))
         elif isinstance(arg, Variable):
             if arg in bound:
                 entry_ops.append((pos, _EQ, slots[arg]))
@@ -1220,7 +1217,6 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
         if literal.pred_key in derived_keys:
             positions = literal.bound_positions()
             key_ops = []
-            maybe_unground = False
             for pos in positions:
                 arg = literal.args[pos]
                 arg_vars = arg.variables()
@@ -1234,31 +1230,21 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
                          (arg, tuple((v, slots[v]) for v in arg_vars)))
                     )
                 else:
-                    # a bound position the sip did not actually bind --
-                    # cannot happen for adorn_program output, but kept
-                    # correct: resolve what is bound, check at run time
-                    maybe_unground = True
-                    key_ops.append(
-                        (_EVAL,
-                         (arg,
-                          tuple((v, slots[v]) for v in arg_vars
-                                if v in bound)))
+                    # a bound position the sip did not bind: its
+                    # subquery would not be ground (never so for
+                    # adorn_program output)
+                    raise UnsupportedProgramError(
+                        f"rule {rule}: bound position {pos} of {literal} "
+                        "is bound neither by the head's bound arguments "
+                        "nor by an earlier literal"
                     )
-            generic_pairs = None
-            if maybe_unground:
-                lit_vars = literal.variables()
-                generic_pairs = (
-                    tuple((v, slots[v]) for v in lit_vars if v in bound),
-                    tuple((v, slots[v]) for v in lit_vars if v not in bound),
-                )
             row_ops = _row_ops_for(literal, slots, bound, set(positions))
             # a successful match grounds every variable of the literal
             bound.update(literal.variables())
             steps.append(
                 SubqueryStep(
                     literal, literal.pred_key, True, positions,
-                    tuple(key_ops), tuple(row_ops), maybe_unground,
-                    generic_pairs,
+                    tuple(key_ops), tuple(row_ops),
                 )
             )
         else:
@@ -1270,7 +1256,7 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
                 SubqueryStep(
                     literal, literal.pred_key, False,
                     tuple(index_positions), tuple(key_ops),
-                    tuple(row_ops), False, None,
+                    tuple(row_ops),
                 )
             )
 

@@ -60,11 +60,6 @@ into a :class:`~repro.datalog.planner.SubqueryPlan`:
   ``QSQResult.stats.plan_cache_hits``/``plan_cache_misses`` report what
   happened.
 
-Derived steps whose subquery key is not ground at run time (a
-maybe-unground ``Struct`` argument) take a generic slow path: no
-subquery is generated and the resolved pattern is matched against every
-answer in the step's window.
-
 Open item noticed while profiling: answer relations are rebuilt per
 evaluation even when the database is unchanged -- a memo keyed by
 (program, database version) would make repeated identical queries O(1).
@@ -90,18 +85,12 @@ from .planner import (
     _scan_batch_step,
     _CONST,
     _EQ,
-    _EQC,
     _EVAL,
     _SLOT,
     _STORE,
 )
 from .terms import Term, Variable
-from .unify import (
-    Substitution,
-    match_into,
-    match_sequences,
-    resolve,
-)
+from .unify import match_into, match_sequences, resolve
 
 __all__ = ["QSQResult", "qsq_evaluate"]
 
@@ -294,83 +283,67 @@ class _QSQExecutor:
     def _run_entry(self, plan, windows) -> None:
         """Push the input rows in the entry's window through ``plan``.
 
-        Entry ops filter each (small, term-level) input vector on a
-        scratch frame exactly as the per-frame interpreter does;
-        survivors are interned into the plan's entry-slot columns and
-        the body runs in batches over term IDs (:meth:`_run_batch`).
+        The window is read as ID rows, and entry ops filter each one on
+        a scratch frame of term IDs: ``_STORE``, ``_EQ`` and ``_CONST``
+        compare IDs, and only a ``_MATCH`` (a ``Struct`` head pattern
+        such as ``[X|Xs]``) resolves its one value and interns what it
+        binds.  Survivors fill the plan's entry-slot columns, and the
+        body runs in batches over term IDs (:meth:`_run_batch`).
         """
         inputs = self.working.get(plan.input_key)
         if inputs is None:
             return
         lo, hi = (0, inputs.slot_count()) if windows is None else windows[ENTRY]
-        term_row = inputs.term_row
-        frame: List[Optional[Term]] = [None] * plan.n_slots
+        frame: List[Optional[int]] = [None] * plan.n_slots
         entry_ops = plan.entry_ops
         entry_slots = plan.b_entry_slots
+        resolve_id = _CATALOG.resolve
         intern = _CATALOG.intern
         cols: Dict[int, List[int]] = {s: [] for s in entry_slots}
         n = 0
-        for slot in range(lo, hi):
-            vector = term_row(slot)
-            ok = True
+        for row in inputs.window_rows(lo, hi):
             for pos, tag, payload in entry_ops:
-                value = vector[pos]
+                value = row[pos]
                 if tag == _STORE:
                     frame[payload] = value
                 elif tag == _CONST:
                     if payload != value:
-                        ok = False
                         break
                 elif tag == _EQ:
                     if frame[payload] != value:
-                        ok = False
                         break
                 else:  # _MATCH
                     pattern, bound_pairs, free_pairs = payload
-                    seed: Substitution = {
-                        v: frame[s] for v, s in bound_pairs
-                    }
-                    if not match_into(pattern, value, seed):
-                        ok = False
+                    seed = {v: resolve_id(frame[s]) for v, s in bound_pairs}
+                    if not match_into(pattern, resolve_id(value), seed):
                         break
                     for v, s in free_pairs:
-                        frame[s] = seed[v]
-            if ok:
+                        frame[s] = intern(seed[v])
+            else:
                 for s in entry_slots:
-                    cols[s].append(intern(frame[s]))
+                    cols[s].append(frame[s])
                 n += 1
         if n:
             self._run_batch(plan, cols, n, windows)
 
     # ------------------------------------------------------------------
     def _run_batch(self, plan, cols, n, windows) -> None:
-        """Batch body execution over ID columns.
+        """Batch body execution over ID columns; every plan runs here.
 
-        The batch twin of the per-frame :meth:`_run` recursion: partial
-        matches travel as parallel columns of term IDs, each step probes
-        its relation once per *distinct* key in the batch, derived-step
-        keys are registered as subqueries once per distinct key, and
-        head rows are collected as ID rows -- terms are resolved only
-        when ``QSQResult.answers`` is materialized.  A step whose
-        subquery key may be non-ground diverts its frames to the
-        per-frame interpreter, which re-checks groundness at run time
-        and handles the generic fallback.
+        Partial matches travel as parallel columns of term IDs, each
+        step probes its relation once per *distinct* key in the batch,
+        derived-step keys are registered as subqueries once per distinct
+        key (always ground: ``compile_subquery_rule`` rejects a rule
+        where one might not be), and head rows are collected as ID rows
+        -- terms are resolved only when ``QSQResult.answers`` is
+        materialized.
         """
         working = self.working
         stats = self.stats
         resolve_id = _CATALOG.resolve
         id_of = _CATALOG.id_of
         intern = _CATALOG.intern
-        steps = plan.steps
-        for depth, step in enumerate(steps):
-            if step.maybe_unground:
-                n_slots = plan.n_slots
-                for i in range(n):
-                    frame: List[Optional[Term]] = [None] * n_slots
-                    for s, col in cols.items():
-                        frame[s] = resolve_id(col[i])
-                    self._run(plan, depth, frame, windows)
-                return
+        for depth, step in enumerate(plan.steps):
             b_key_ops = step.b_key_ops
             relation = working.get(step.pred_key)
             window = None
@@ -444,131 +417,3 @@ class _QSQExecutor:
                     break
             else:
                 self.rows.append(tuple(args))
-
-    # ------------------------------------------------------------------
-    def _build_key(self, key_ops, frame) -> FactTuple:
-        key = []
-        for tag, payload in key_ops:
-            if tag == _SLOT:
-                key.append(frame[payload])
-            elif tag == _CONST:
-                key.append(payload)
-            else:  # _EVAL
-                term, pairs = payload
-                key.append(resolve(term, {v: frame[s] for v, s in pairs}))
-        return tuple(key)
-
-    def _run(self, plan, depth, frame, windows) -> None:
-        steps = plan.steps
-        if depth == len(steps):
-            self._emit(plan, frame)
-            return
-        step = steps[depth]
-        relation = self.working.get(step.pred_key)
-        key = self._build_key(step.key_ops, frame)
-        window = None
-        if step.is_derived:
-            if step.maybe_unground and not all(
-                t.is_ground() for t in key
-            ):
-                self._run_generic(plan, depth, frame, windows)
-                return
-            self.working.relation(step.input_key).add(key)
-            if windows is not None:
-                window = windows[depth]
-        if relation is None or len(relation) == 0:
-            return
-        if window is None:
-            rows = relation.lookup(step.lookup_positions, key)
-        else:
-            rows = _window_lookup(relation, step.lookup_positions, key, window)
-        row_ops = step.row_ops
-        next_depth = depth + 1
-        for row in rows:
-            ok = True
-            for pos, tag, payload in row_ops:
-                value = row[pos]
-                if tag == _STORE:
-                    frame[payload] = value
-                elif tag == _EQ:
-                    if frame[payload] != value:
-                        ok = False
-                        break
-                elif tag == _EQC:
-                    if payload != value:
-                        ok = False
-                        break
-                else:  # _MATCH
-                    pattern, bound_pairs, free_pairs = payload
-                    seed = {v: frame[s] for v, s in bound_pairs}
-                    if not match_into(pattern, value, seed):
-                        ok = False
-                        break
-                    for v, s in free_pairs:
-                        frame[s] = seed[v]
-            if ok:
-                self._run(plan, next_depth, frame, windows)
-
-    def _run_generic(self, plan, depth, frame, windows) -> None:
-        """Slow path for a derived step whose subquery key is not ground.
-
-        No subquery is generated (the predicate's input relation is
-        created, so ``Q`` names it), and the literal's resolved pattern
-        is matched against every answer in the step's window (new
-        bindings written back into the frame).
-        """
-        step = plan.steps[depth]
-        bound_pairs, free_pairs = step.generic_pairs
-        subst: Substitution = {v: frame[s] for v, s in bound_pairs}
-        resolved = tuple(
-            resolve(arg, subst) for arg in step.literal.args
-        )
-        self.working.relation(step.input_key)
-        relation = self.working.get(step.pred_key)
-        if relation is None or len(relation) == 0:
-            return
-        lo, hi = (
-            (0, relation.slot_count()) if windows is None else windows[depth]
-        )
-        next_depth = depth + 1
-        for row in [relation.term_row(slot) for slot in range(lo, hi)]:
-            binding = match_sequences(resolved, row)
-            if binding is None:
-                continue
-            for v, s in free_pairs:
-                frame[s] = resolve(v, binding)
-            self._run(plan, next_depth, frame, windows)
-
-    # ------------------------------------------------------------------
-    def _emit(self, plan, frame) -> None:
-        args = []
-        for tag, payload in plan.head_ops:
-            if tag == _SLOT:
-                args.append(frame[payload])
-            elif tag == _CONST:
-                args.append(payload)
-            elif tag == _EVAL:
-                term, pairs = payload
-                value = resolve(term, {v: frame[s] for v, s in pairs})
-                if not value.is_ground():
-                    return
-                args.append(value)
-            else:  # _UNBOUND: the row can never be ground; skip it
-                return
-        self.rows.append(_CATALOG.intern_row(args))
-
-
-def _window_lookup(relation, positions, key, window) -> List[FactTuple]:
-    """:meth:`Relation.lookup` restricted to the slot window ``(lo, hi)``
-    (QSQ's relations only grow, so every slot in it is live)."""
-    lo, hi = window
-    if not positions:
-        slots = range(lo, hi)
-    else:
-        ids = tuple(map(_CATALOG.id_of, key))
-        if -1 in ids:
-            return []  # a never-interned term cannot match any row
-        slots = relation.window_ids(
-            positions, ids[0] if len(ids) == 1 else ids, lo, hi
-        )
-    return [relation.term_row(slot) for slot in slots]

@@ -35,6 +35,7 @@ from repro import (
     qsq_evaluate,
     rewrite,
     subquery_program_for,
+    UnsupportedProgramError,
 )
 from repro.datalog.ast import Program, Rule
 from repro.workloads import (
@@ -173,10 +174,10 @@ class TestCompiledEquivalence:
                 adorned.program, db, adorned.query_literal, max_facts=10,
             )
 
-    def test_unbound_bound_position_falls_back(self):
+    def test_unbound_bound_position_is_rejected(self):
         # hand-built adorned rule whose bound position the sip never
-        # binds: the generic slow path derives nothing, since no
-        # ground subquery for q^b can ever be issued
+        # binds: no ground subquery for q^b could ever be issued, so
+        # compiling the rule fails, naming the rule and the position
         x, y = Variable("X"), Variable("Y")
         program = Program([
             Rule(Literal("p", (x,), "f"),
@@ -187,9 +188,11 @@ class TestCompiledEquivalence:
         db.add_values("e", [("a",)])
         db.add_values("f", [("b",)])
         query = Literal("p", (Variable("Z"),), "f")
-        result = qsq_evaluate(program, db, query)
-        assert not any(result.answers.values())
-        assert not result.queries.get("q^b")
+        with pytest.raises(
+            UnsupportedProgramError, match=r"bound position 0 of q\^b\(Y\)"
+        ) as info:
+            qsq_evaluate(program, db, query, plan_cache=PlanCache())
+        assert str(program.rules[0]) in str(info.value)
 
 
 class TestTheorem91:
