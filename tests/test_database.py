@@ -40,6 +40,26 @@ class TestRelation:
         with pytest.raises(ValueError):
             rel.add((c("a"),))
 
+    def test_a_non_ground_first_row_leaves_the_arity_unknown(self):
+        rel = Relation("e")
+        with pytest.raises(ValueError, match=r"relation e: tuple .* not ground"):
+            rel.add((Variable("X"), c(1)))
+        assert rel.arity is None and len(rel) == 0 and rel.version == 0
+        # the arity is still open: a unary first row is accepted
+        assert rel.add((c(1),))
+        assert rel.arity == 1 and rel.check_invariants()
+
+    def test_term_row_resolves_the_columns_after_compaction(self):
+        rel = Relation("e")
+        rows = [(c(i), c(i + 1)) for i in range(80)]
+        rel.add_many(rows)
+        rel.register_index((0,))
+        rel.discard_many(rows[:60])  # dead slots outnumber live ones
+        assert not rel._dead and rel.slot_count() == 20  # compacted
+        assert [rel.term_row(slot) for slot in rel.all_slots()] == rows[60:]
+        assert rel.lookup((0,), (c(70),)) == [(c(70), c(71))]
+        assert rel.check_invariants()
+
     @pytest.mark.parametrize("seeded", [True, False])
     def test_add_id_rows_arity_mismatch_leaves_relation_untouched(
         self, seeded
