@@ -68,6 +68,20 @@ _SIP_BUILDERS = {
 }
 
 
+def _worker_count(text: str) -> int:
+    """The ``--workers`` type: an int >= 1 (argparse reports anything
+    else as a usage error, exit 2)."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid worker count {text!r}; expected an int >= 1"
+        )
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -166,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "machine-readable twin of --stats",
     )
     p_query.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_worker_count, default=1, metavar="N",
         help="evaluate bottom-up strata on N pool workers (sharded "
         "semi-naive rounds; answers and counters identical to serial; "
         "default 1 = in-process serial)",
@@ -257,11 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--readers", type=int, default=4, metavar="N",
         help="reader threads for cold evaluations (default 4; memo "
         "hits and view-covered reads are answered on the event loop)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="pool workers per bottom-up evaluation (default 1: "
-        "serial; parallelism across requests comes from --readers)",
     )
     p_serve.add_argument(
         "--max-timeout", type=float, default=None, metavar="SECONDS",
@@ -401,9 +410,6 @@ def _cmd_query(args) -> int:
             "workers": (
                 stats.parallel_workers if stats is not None else None
             ),
-            "parallel_backend": (
-                stats.parallel_backend if stats is not None else None
-            ),
             "parallel_tasks": (
                 stats.parallel_tasks if stats is not None else None
             ),
@@ -436,13 +442,9 @@ def _cmd_query(args) -> int:
         elif stats.parallel_workers:
             work += (
                 f" workers={stats.parallel_workers}"
-                f" backend={stats.parallel_backend}"
                 f" parallel_tasks={stats.parallel_tasks}"
                 f" rows_shipped={stats.parallel_rows_shipped}"
             )
-            if stats.parallel_fallback:
-                fb = stats.parallel_fallback
-                work += f" parallel_fallback={fb!r}"
         # on a memo-served result the work counters describe the cold
         # evaluation that produced the rows, hence the memo= label
         print(
@@ -577,7 +579,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         reader_threads=args.readers,
-        workers=args.workers,
         memo_size=args.memo_size,
         max_timeout=args.max_timeout,
         max_facts=args.max_facts,

@@ -192,9 +192,10 @@ class QueryOptions:
     shape), a rewrite method, a baseline, or ``"materialized"``;
     ``engine`` is the bottom-up strategy a rewrite is evaluated with;
     ``mode`` / ``optimize`` / ``semijoin`` configure the rewrite;
-    ``max_iterations`` bounds the fixpoint; ``workers`` > 1 evaluates on
-    the sharded worker pool.  Hashable: it is the answer memo key of a
-    :class:`~repro.session.Session` and of the query server.
+    ``max_iterations`` bounds the fixpoint; ``workers`` is an int >= 1,
+    and above 1 evaluates on the sharded thread pool.  Hashable: it is
+    the answer memo key of a :class:`~repro.session.Session` and of the
+    query server.
     """
 
     method: str = "auto"
@@ -210,6 +211,10 @@ class QueryOptions:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of "
                 f"{SESSION_METHODS}"
+            )
+        if type(self.workers) is not int or self.workers < 1:
+            raise ValueError(
+                f"invalid workers {self.workers!r}; expected an int >= 1"
             )
 
 
@@ -527,7 +532,7 @@ def bottom_up_answer(
 
     ``meter`` is an optional :class:`repro.core.limits.BudgetMeter`
     checked at the engine's round/batch boundaries.  ``workers`` > 1
-    evaluates on the sharded worker pool
+    evaluates on the sharded thread pool
     (:mod:`repro.datalog.parallel`) with identical answers and
     counters.
     """

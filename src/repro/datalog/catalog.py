@@ -94,40 +94,15 @@ class TermCatalog:
         return tuple(terms[i] for i in ids)
 
     def export_state(self) -> Tuple[Term, ...]:
-        """A one-shot snapshot of the ID space, for worker processes.
+        """A snapshot of the ID space: the tuple's index *is* the term's
+        ID.
 
-        The tuple's index *is* the term's ID.  The parallel tier exports
-        once at pool creation so workers operate purely on int IDs
-        against a pinned prefix of the ID space: fork-based workers
-        inherit the catalog by copy-on-write and use the export length
-        as a consistency marker; spawn-style workers can rebuild the
-        identical prefix with :meth:`ensure_state`.  Appends after the
-        export do not invalidate it -- the prefix is immutable.
+        The catalog only appends, so the snapshot stays a valid prefix
+        of it; it lets a caller see exactly which terms were interned
+        after some point (``export_state()[before:]``).
         """
         with self._alloc_lock:
             return tuple(self._terms)
-
-    def ensure_state(self, terms: Tuple[Term, ...]) -> None:
-        """Make ``terms[i]`` intern to ``i`` for every exported term.
-
-        Idempotent: a catalog that already holds the exported prefix
-        (a forked child) verifies it; an empty one (a spawned child)
-        rebuilds it.  A mismatch means the worker's ID space diverged
-        from the parent's -- joining on its IDs would silently corrupt
-        results, so it raises instead.
-        """
-        with self._alloc_lock:
-            own = self._terms
-            prefix = min(len(own), len(terms))
-            for i in range(prefix):
-                if own[i] is not terms[i] and own[i] != terms[i]:
-                    raise ValueError(
-                        f"term catalog diverged at ID {i}: "
-                        f"{own[i]!r} != {terms[i]!r}"
-                    )
-            for i in range(prefix, len(terms)):
-                self._terms.append(terms[i])
-                self._ids[terms[i]] = i
 
     def __repr__(self) -> str:
         return f"TermCatalog({len(self._terms)} terms)"

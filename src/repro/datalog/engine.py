@@ -80,9 +80,9 @@ executors:
 
 * **serial** -- ``execute_batch``, then install, task by task
   (:func:`serial_executor`);
-* **pool** -- a rule's tasks as sharded batches on workers, merged in
-  serial order before the next rule's turn
-  (:func:`repro.datalog.parallel.pool_executor`);
+* **pool** -- a rule's tasks as sharded batches on a thread pool that
+  shares the working database, merged in serial order before the next
+  rule's turn (:func:`repro.datalog.parallel.pool_executor`);
 * **simultaneous** -- every rule's rows collected, then installed
   (:func:`repro.datalog.derivation.fact_stages`, naive rounds);
 * **IVM** -- the serial executor with DRed's insert emitter (exact, from
@@ -155,18 +155,12 @@ class EvaluationStats:
     facts_by_predicate: Dict[str, int] = field(default_factory=dict)
     #: effective worker count of the parallel tier (0 = serial run)
     parallel_workers: int = 0
-    #: backend the pool ran on ("fork" / "thread"; "" = serial)
-    parallel_backend: str = ""
     #: shard/batch work items executed by workers
     parallel_tasks: int = 0
     #: batches merged through the parallel path
     parallel_batches: int = 0
-    #: ID rows that crossed a worker boundary (results + broadcasts)
+    #: result ID rows the workers handed back to the merge
     parallel_rows_shipped: int = 0
-    #: parent-side seconds spent flattening/shipping/unflattening rows
-    parallel_ship_seconds: float = 0.0
-    #: why a requested parallel run fell back ("" = none needed)
-    parallel_fallback: str = ""
     #: body solutions per worker index (shard-balance instrumentation)
     parallel_worker_rows: Dict[int, int] = field(default_factory=dict)
 
@@ -524,7 +518,6 @@ def evaluate(
     plan_cache: Optional[PlanCache] = None,
     meter=None,
     workers: Optional[int] = None,
-    parallel_backend: str = "auto",
 ) -> EvaluationResult:
     """Bottom-up evaluation by strategy name (``"naive"`` or
     ``"seminaive"``) on a snapshot of ``database``: fetch (or build) the
@@ -544,8 +537,7 @@ def evaluate(
         from .parallel import pool_executor
 
         executor = pool_executor(
-            program, compiled, working, stats, meter, int(workers),
-            parallel_backend,
+            program, compiled, working, stats, meter, int(workers)
         )
     else:
         executor = nullcontext(serial_executor(
@@ -567,7 +559,6 @@ def evaluate_naive(
     plan_cache: Optional[PlanCache] = None,
     meter=None,
     workers: Optional[int] = None,
-    parallel_backend: str = "auto",
 ) -> EvaluationResult:
     """Naive bottom-up fixpoint: all rules against all facts, each round.
 
@@ -589,7 +580,7 @@ def evaluate_naive(
     """
     return evaluate(
         program, database, "naive", max_iterations, max_facts, plan_cache,
-        meter, workers, parallel_backend,
+        meter, workers,
     )
 
 
@@ -601,7 +592,6 @@ def evaluate_seminaive(
     plan_cache: Optional[PlanCache] = None,
     meter=None,
     workers: Optional[int] = None,
-    parallel_backend: str = "auto",
 ) -> EvaluationResult:
     """Semi-naive bottom-up fixpoint (exact differential evaluation).
 
@@ -622,7 +612,7 @@ def evaluate_seminaive(
     """
     return evaluate(
         program, database, "seminaive", max_iterations, max_facts,
-        plan_cache, meter, workers, parallel_backend,
+        plan_cache, meter, workers,
     )
 
 

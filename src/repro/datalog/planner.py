@@ -92,7 +92,6 @@ __all__ = [
     "shared_plan_cache",
     "order_body",
     "partition_columns",
-    "plan_interns_terms",
 ]
 
 # Op tags.  Key ops build the index-lookup key for a step; row ops process
@@ -939,8 +938,8 @@ def compile_rule(rule: Rule, delta_index: Optional[int] = None) -> JoinPlan:
 def partition_columns(plan: JoinPlan) -> Optional[Tuple[int, ...]]:
     """Input-row positions to hash-partition a sharded execution on.
 
-    The parallel tier splits a plan's first-step input rows (a delta
-    batch, or a full relation treated as one) across workers.  Sharding
+    The thread pool splits a plan's first-step input rows (a delta
+    batch, or a full relation treated as one) across its workers.  Sharding
     is *correct* for any split -- the solution multiset is partitioned
     exactly because every input row is processed by exactly one worker
     -- but probe locality is not free: :func:`_scan_batch_step` probes
@@ -980,28 +979,6 @@ def partition_columns(plan: JoinPlan) -> Optional[Tuple[int, ...]]:
         # partitioning the input cannot co-locate its keys
         return None
     return None
-
-
-def plan_interns_terms(plan: JoinPlan) -> bool:
-    """Whether executing the plan can intern *new* catalog terms.
-
-    Batch execution allocates term IDs in exactly two places: ``_MATCH``
-    row ops (structural patterns bind sub-terms via ``intern``) and
-    ``_EVAL`` / ``_UNBOUND`` head ops (constructed head values).  Key
-    ops only ever call ``id_of``, which never allocates.  Process-pool
-    workers share the parent's :class:`TermCatalog` by copy-on-write
-    fork, so a plan that interns at run time would grow worker-local ID
-    spaces that disagree with the parent -- such plans must run
-    serially (the parallel tier checks this gate per program).
-    """
-    for step in plan.steps:
-        for _pos, tag, _payload in step.b_row_ops:
-            if tag == _MATCH:
-                return True
-    for tag, _payload in plan.b_head_ops:
-        if tag in (_EVAL, _UNBOUND):
-            return True
-    return False
 
 
 class CompiledProgram:

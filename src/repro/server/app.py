@@ -59,9 +59,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0: let the OS pick (the bound port is reported)
     reader_threads: int = 4
-    #: pool workers per bottom-up evaluation (1 = serial; >1 runs each
-    #: cold query's fixpoint on the sharded worker pool)
-    workers: int = 1
     memo_size: int = 256
     max_timeout: Optional[float] = None
     max_facts: Optional[int] = None
@@ -139,7 +136,6 @@ class ReproServer:
             self.session.program,
             self.snapshots,
             reader_threads=self.config.reader_threads,
-            workers=self.config.workers,
             memo_size=self.config.memo_size,
             max_timeout=self.config.max_timeout,
             max_facts=self.config.max_facts,

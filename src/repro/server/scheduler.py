@@ -96,7 +96,6 @@ class QueryScheduler:
         snapshots: SnapshotManager,
         *,
         reader_threads: int = 4,
-        workers: int = 1,
         memo_size: int = 256,
         max_timeout: Optional[float] = None,
         max_facts: Optional[int] = None,
@@ -110,7 +109,6 @@ class QueryScheduler:
             max_workers=max(1, reader_threads),
             thread_name_prefix="repro-reader",
         )
-        self._workers = max(1, workers)
         self._memo_size = memo_size
         self._memo: "OrderedDict[tuple, Dict[str, Any]]" = OrderedDict()
         self._inflight: Dict[tuple, "asyncio.Future"] = {}
@@ -157,7 +155,6 @@ class QueryScheduler:
             query_options = QueryOptions(
                 method=options.get("method", "auto"),
                 engine=options.get("engine", "seminaive"),
-                workers=self._workers,
             )
         except ValueError as exc:
             raise ProtocolError("bad_request", str(exc))

@@ -816,7 +816,7 @@ class Session:
 
         ``workers`` > 1 runs the bottom-up evaluations (the baselines
         and the evaluation behind every rewrite method) on the sharded
-        worker pool (:mod:`repro.datalog.parallel`); answers and the
+        thread pool (:mod:`repro.datalog.parallel`); answers and the
         solution counters are identical to serial.  QSQ is top-down and
         ignores it.  ``workers`` participates in the memo key -- the
         rows agree, but the memoized counters describe the run that

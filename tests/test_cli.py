@@ -165,6 +165,16 @@ class TestErrors:
         assert main(["query", str(path)]) == 1
         assert "no query" in capsys.readouterr().err
 
+    def test_worker_count_below_one_is_a_usage_error(
+        self, program_file, capsys
+    ):
+        for bad in ("0", "-3", "two"):
+            with pytest.raises(SystemExit) as info:
+                main(["query", program_file, "--workers", bad])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --workers" in err and "int >= 1" in err
+
 
 class TestStatsJson:
     def test_one_json_object_on_stdout(self, program_file, capsys):

@@ -249,9 +249,7 @@ class TestOracleEquivalence:
         for result in (
             evaluate_naive(program, database),
             evaluate_seminaive(program, database),
-            evaluate_seminaive(
-                program, database, workers=2, parallel_backend="thread"
-            ),
+            evaluate_seminaive(program, database, workers=2),
         ):
             assert_matches_oracle(result, program, database)
 
@@ -260,18 +258,11 @@ class TestOracleEquivalence:
 # parallel execution tier
 # ----------------------------------------------------------------------
 
-FORK_SETTINGS = settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
 class TestParallelEquivalenceProperty:
     """The worker pool is invisible: on random safe stratified programs,
     ``workers=4`` derives exactly the same relations *and the same work
-    counters* as serial evaluation, for both engines and both backends,
-    and an injected fault at a random boundary aborts atomically."""
+    counters* as serial evaluation, for both engines, and an injected
+    fault at a random boundary aborts atomically."""
 
     @given(
         edges=edges_strategy,
@@ -279,18 +270,6 @@ class TestParallelEquivalenceProperty:
     )
     @SETTINGS
     def test_workers_agree_with_serial_thread(self, edges, picks):
-        self._check_agreement(edges, picks, backend="thread")
-
-    @given(
-        edges=edges_strategy,
-        picks=st.sets(st.sampled_from(sorted(RULE_GROUPS))),
-    )
-    @FORK_SETTINGS
-    def test_workers_agree_with_serial_auto(self, edges, picks):
-        # "auto" exercises the fork backend where the platform has it
-        self._check_agreement(edges, picks, backend="auto")
-
-    def _check_agreement(self, edges, picks, backend):
         from repro import evaluate
 
         program = _closed_program(picks)
@@ -298,13 +277,7 @@ class TestParallelEquivalenceProperty:
         derived = program.derived_predicates()
         for method in ("naive", "seminaive"):
             serial = evaluate(program, database, method=method)
-            parallel = evaluate(
-                program,
-                database,
-                method=method,
-                workers=4,
-                parallel_backend=backend,
-            )
+            parallel = evaluate(program, database, method=method, workers=4)
             for pred in derived:
                 assert parallel.database.tuples(
                     pred
@@ -345,7 +318,6 @@ class TestParallelEquivalenceProperty:
                 database,
                 method="seminaive",
                 workers=4,
-                parallel_backend="thread",
                 meter=meter,
             )
         except (InjectedFault, EvaluationCancelled):
@@ -384,8 +356,8 @@ class TestExactSeminaive:
     """Semi-naive finds every body solution exactly once: on random safe
     stratified programs ``rule_firings`` is the number of body solutions
     over the final model, whatever the order rows arrived in, serially
-    and on both pool backends, and every firing beyond the new facts is
-    a duplicate."""
+    and on the thread pool, and every firing beyond the new facts is a
+    duplicate."""
 
     @given(
         edges=edges_strategy,
@@ -396,22 +368,7 @@ class TestExactSeminaive:
         program = _closed_program(picks)
         database = edge_db(edges, relation="e")
         _assert_exact(program, database)
-        _assert_exact(
-            program, database, workers=2, parallel_backend="thread"
-        )
-
-    @given(
-        edges=edges_strategy,
-        picks=st.sets(st.sampled_from(sorted(RULE_GROUPS))),
-    )
-    @FORK_SETTINGS
-    def test_firings_are_the_body_solutions_fork(self, edges, picks):
-        _assert_exact(
-            _closed_program(picks),
-            edge_db(edges, relation="e"),
-            workers=2,
-            parallel_backend="fork",
-        )
+        _assert_exact(program, database, workers=2)
 
     def test_ancestor_chain_derives_each_fact_once(self):
         # a 40-chain: the full round-1 plan of the recursive rule already

@@ -46,10 +46,7 @@ ENGINES = (
 
 
 def run_engine(program, database, method, workers):
-    return evaluate(
-        program, database, method=method, workers=workers,
-        parallel_backend="thread",
-    )
+    return evaluate(program, database, method=method, workers=workers)
 
 
 def prog(text: str) -> Program:

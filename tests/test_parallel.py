@@ -1,4 +1,5 @@
-"""The parallel evaluation tier: sharding, backends, exact equivalence.
+"""The parallel evaluation tier: sharding, the thread pool, exact
+equivalence.
 
 The contract under test (see ``repro.datalog.parallel``): for any safe
 stratified program, ``evaluate(..., workers=N)`` derives exactly the
@@ -6,13 +7,11 @@ facts the serial engine derives AND reports exactly the serial solution
 counters (``facts_derived``, ``rule_firings``, ``duplicate_derivations``,
 ``iterations``, per-predicate counts) -- parallelism is observable only
 in the ``parallel_*`` stats and the wall clock.  Budget trips,
-cancellations, injected faults, and worker deaths abort exactly as
+cancellations, injected faults, and worker exceptions abort exactly as
 serial: same exception surface, source database untouched and integral.
 """
 
-import multiprocessing
 import time
-from array import array
 
 import pytest
 
@@ -28,33 +27,27 @@ from repro import (
     parse_program,
 )
 from repro.core.limits import InjectedFault
-from repro.datalog.catalog import TermCatalog, term_catalog
+from repro.datalog import parallel
+from repro.datalog.catalog import term_catalog
 from repro.datalog.engine import evaluate_naive, evaluate_seminaive
 from repro.datalog.errors import NonTerminationError
 from repro.datalog.parallel import (
-    _BatchTask,
-    _flatten,
+    _batch_task,
     _hash_shards,
     _ProgramShards,
-    _replica_preds,
     _shard_mode,
-    _ThreadBackend,
-    _unflatten,
-    resolve_backend,
+    _task_shards,
 )
 from repro.datalog.planner import (
     CompiledProgram,
     compile_rule,
     partition_columns,
-    plan_interns_terms,
 )
 from repro.datalog.terms import Constant
 from repro.workloads.bom import bom_database, bom_program
 from repro.workloads.graphs import chain_edges, load_edges
 
 from conftest import solution_counters as _counters
-
-BACKENDS = ("fork", "thread")
 
 TC = """
     anc(X, Y) :- par(X, Y).
@@ -106,25 +99,6 @@ def _db_fingerprint(db):
 
 
 # ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-class TestResolveBackend:
-    def test_explicit_backends_pass_through(self):
-        assert resolve_backend("fork") == "fork"
-        assert resolve_backend("thread") == "thread"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("mpi")
-
-    def test_auto_picks_a_real_backend(self):
-        resolved = resolve_backend("auto")
-        assert resolved in ("fork", "thread")
-        if "fork" not in multiprocessing.get_all_start_methods():
-            assert resolved == "thread"
-
-
-# ----------------------------------------------------------------------
 # shard planning
 # ----------------------------------------------------------------------
 class TestShardPlanning:
@@ -161,44 +135,11 @@ class TestShardPlanning:
         for plan in shards.shard_plans.values():
             assert plan.steps[0].is_delta  # pivot executes as the input
 
-    def test_plans_of_parsed_programs_do_not_intern(self):
-        program = _program(TC)
-        compiled = CompiledProgram(program)
-        shards = _ProgramShards(program, compiled)
-        assert not any(
-            plan_interns_terms(p)
-            for p in shards.all_plans(program, compiled)
-        )
-
-    def test_replica_preds_cover_probed_derived_only(self):
-        program = _program(TC)
-        compiled = CompiledProgram(program)
-        shards = _ProgramShards(program, compiled)
-        # anc is probed by the recursive rule's full shard plan, so the
-        # fork workers must maintain a real replica for it
-        assert _replica_preds(program, compiled, shards) == {"anc"}
-        prog2 = _program("node(X) :- e(X, Y).")
-        comp2 = CompiledProgram(prog2)
-        assert _replica_preds(prog2, comp2, _ProgramShards(prog2, comp2)) \
-            == frozenset()
-
 
 # ----------------------------------------------------------------------
-# row shipping
+# hash sharding
 # ----------------------------------------------------------------------
 class TestRowShipping:
-    def test_flatten_roundtrip(self):
-        rows = [(1, 2, 3), (4, 5, 6), (-1, 0, 2**40)]
-        buf = _flatten(rows)
-        assert isinstance(buf, array) and buf.typecode == "q"
-        assert _unflatten(buf, 3, 3) == rows
-
-    def test_flatten_roundtrip_zero_arity(self):
-        rows = [(), (), ()]
-        buf = _flatten(rows)
-        assert len(buf) == 0
-        assert _unflatten(buf, 0, 3) == rows
-
     def test_hash_shards_partition_exactly(self):
         rows = [(i, i * 7 % 13) for i in range(200)]
         for pcols in ((0,), (1,), (0, 1)):
@@ -221,18 +162,16 @@ class TestRowShipping:
 # ----------------------------------------------------------------------
 class TestRuleGroups:
     def _groups(self, monkeypatch, source, db):
-        """The rule indexes of every group the thread backend ran."""
+        """The rule indexes of every group the pool ran."""
         seen = []
-        run_group = _ThreadBackend.run_group
+        run_group = parallel._run_group
 
-        def recording(self, group, stats, deadline):
+        def recording(group, *args):
             seen.append([task.rule_index for task in group])
-            return run_group(self, group, stats, deadline)
+            return run_group(group, *args)
 
-        monkeypatch.setattr(_ThreadBackend, "run_group", recording)
-        evaluate(
-            _program(source), db, workers=2, parallel_backend="thread"
-        )
+        monkeypatch.setattr(parallel, "_run_group", recording)
+        evaluate(_program(source), db, workers=2)
         return seen
 
     def test_nonlinear_delta_plans_share_one_group(self, monkeypatch):
@@ -249,13 +188,27 @@ class TestRuleGroups:
         assert groups[:2] == [[0], [1]]
         assert all(group == [1] for group in groups[2:])
 
-    def test_descriptor_carries_the_windows(self):
-        task = _BatchTask(0, 1, 1, {1: (3, 7)}, "anc", "anc", "hash", (0,), 0)
-        assert task.descriptor()[3] == {1: (3, 7)}
+    def test_delta_task_shards_exactly_its_window(self):
+        program = _program(TC)
+        compiled = CompiledProgram(program)
+        shards = _ProgramShards(program, compiled)
+        working = _tc_db(8)
+        working.add_values("anc", [(f"n{i}", f"n{i + 1}") for i in range(8)])
+        task = _batch_task(
+            0, 1, 1, {1: (3, 7)}, program, compiled, shards, 2
+        )
+        assert task.windows == {1: (3, 7)}
+        assert task.plan is compiled.plan(1, 1)
+        shard_rows = [
+            row for _w, rows in _task_shards(task, working, 2) for row in rows
+        ]
+        window = working.get("anc").window_rows(3, 7)
+        assert len(window) == 4
+        assert sorted(shard_rows) == sorted(window)
 
 
 # ----------------------------------------------------------------------
-# catalog export (the one-shot ID-space snapshot workers build on)
+# catalog export (the ID-space snapshot the interning tests read)
 # ----------------------------------------------------------------------
 class TestCatalogExport:
     def test_export_is_indexed_by_id(self):
@@ -265,92 +218,50 @@ class TestCatalogExport:
         assert state[a] == Constant("parallel-export-probe")
         assert len(state) == len(catalog)
 
-    def test_ensure_state_rebuilds_a_fresh_catalog(self):
-        source = TermCatalog()
-        ids = [source.intern(Constant(f"c{i}")) for i in range(5)]
-        state = source.export_state()
-        worker = TermCatalog()
-        worker.ensure_state(state)
-        for i, term in zip(ids, state):
-            assert worker.id_of(term) == i
-            assert worker.resolve(i) == term
-
-    def test_ensure_state_is_idempotent_on_a_forked_prefix(self):
-        source = TermCatalog()
-        for i in range(5):
-            source.intern(Constant(f"c{i}"))
-        state = source.export_state()
-        source.ensure_state(state)  # self-application: no-op
-        assert len(source) == len(state)
-
-    def test_ensure_state_rejects_divergence(self):
-        source = TermCatalog()
-        source.intern(Constant("x"))
-        worker = TermCatalog()
-        worker.intern(Constant("y"))  # ID 0 disagrees
-        with pytest.raises(ValueError, match="diverged at ID 0"):
-            worker.ensure_state(source.export_state())
-
 
 # ----------------------------------------------------------------------
 # equivalence: answers AND counters identical to serial
 # ----------------------------------------------------------------------
 class TestSerialEquivalence:
     @pytest.mark.parametrize("method", ("seminaive", "naive"))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_transitive_closure(self, method, backend):
+    def test_transitive_closure(self, method):
         program = _program(TC)
         db = _tc_db(40, extra=[("n5", "n1"), ("n20", "n3")])
         base = evaluate(program, db, method=method)
         for workers in (2, 4):
-            result = evaluate(
-                program, db, method=method, workers=workers,
-                parallel_backend=backend,
-            )
+            result = evaluate(program, db, method=method, workers=workers)
             assert _snapshot(result) == _snapshot(base)
             assert _counters(result.stats) == _counters(base.stats)
             assert result.stats.parallel_workers == workers
-            assert result.stats.parallel_backend == backend
             assert result.stats.parallel_tasks > 0
             assert result.database.check_integrity()
 
     @pytest.mark.parametrize("method", ("seminaive", "naive"))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stratified_bom(self, method, backend):
+    def test_stratified_bom(self, method):
         program = bom_program()
         db = bom_database(depth=7, fanout=2, exception_rate=0.2, seed=11)
         base = evaluate(program, db, method=method)
-        result = evaluate(
-            program, db, method=method, workers=4,
-            parallel_backend=backend,
-        )
+        result = evaluate(program, db, method=method, workers=4)
         assert _snapshot(result) == _snapshot(base)
         assert _counters(result.stats) == _counters(base.stats)
 
     @pytest.mark.parametrize("source", (SAMEGEN, NONLINEAR_SG))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_same_generation(self, source, backend):
+    def test_same_generation(self, source):
         program = _program(source)
         db = _sg_db()
         base = evaluate(program, db, method="seminaive")
-        result = evaluate(
-            program, db, method="seminaive", workers=4,
-            parallel_backend=backend,
-        )
+        result = evaluate(program, db, method="seminaive", workers=4)
         assert _snapshot(result) == _snapshot(base)
         assert _counters(result.stats) == _counters(base.stats)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_and_trivial_programs(self, backend):
+    def test_empty_and_trivial_programs(self):
         program = _program("node(X) :- e(X, Y).")
         empty = Database()
-        r = evaluate(
-            program, empty, workers=2, parallel_backend=backend
-        )
+        r = evaluate(program, empty, workers=2)
         assert _snapshot(r) == {"node": frozenset()}
         db = Database()
         db.add_values("e", [("a", "b")])
-        r = evaluate(program, db, workers=4, parallel_backend=backend)
+        r = evaluate(program, db, workers=4)
         base = evaluate(program, db)
         assert _snapshot(r) == _snapshot(base)
         assert _counters(r.stats) == _counters(base.stats)
@@ -369,7 +280,6 @@ class TestSerialEquivalence:
         db = _tc_db(10)
         result = evaluate(program, db, workers=1)
         assert result.stats.parallel_workers == 0
-        assert result.stats.parallel_fallback == ""
         assert _snapshot(result) == _snapshot(evaluate(program, db))
 
     def test_source_database_never_mutated(self):
@@ -380,30 +290,34 @@ class TestSerialEquivalence:
         assert _db_fingerprint(db) == before
         assert db.check_integrity()
 
-    @pytest.mark.skipif(
-        resolve_backend("auto") != "fork",
-        reason="interning fallback only applies to the fork backend",
-    )
-    def test_interning_plans_fall_back_to_threads(self):
-        # a structured head term interns fresh IDs at run time: fork
-        # workers would allocate IDs the parent never sees
+    def test_interning_plans_allocate_each_id_once(self):
+        # a structured head term interns fresh IDs at run time, on the
+        # pool's threads: every f(a_i) is built by all four workers (the
+        # copy rule's rows round-robin, four rows per a_i), and the
+        # catalog must still hand each new term exactly one ID
         program = _program("wrapped(f(X)) :- e(X, Y).")
         db = Database()
-        db.add_values("e", [(f"a{i}", f"b{i}") for i in range(10)])
+        db.add_values(
+            "e",
+            [(f"pool-intern-a{i}", f"pool-intern-b{j}")
+             for i in range(25) for j in range(4)],
+        )
+        catalog = term_catalog()
+        before = len(catalog)
+        result = evaluate(program, db, workers=4)
+        new_terms = catalog.export_state()[before:]
+        assert len(new_terms) == 25
+        assert {term for (term,) in result.database.tuples("wrapped")} \
+            == set(new_terms)
         base = evaluate(program, db)
-        result = evaluate(program, db, workers=4, parallel_backend="fork")
-        assert result.stats.parallel_backend == "thread"
-        assert "intern" in result.stats.parallel_fallback
+        assert len(catalog) == before + 25
         assert _snapshot(result) == _snapshot(base)
         assert _counters(result.stats) == _counters(base.stats)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_worker_rows_balance_on_hash_shards(self, backend):
+    def test_worker_rows_balance_on_hash_shards(self):
         program = _program(TC)
         db = _tc_db(60)
-        result = evaluate(
-            program, db, workers=4, parallel_backend=backend
-        )
+        result = evaluate(program, db, workers=4)
         per_worker = result.stats.parallel_worker_rows
         # every worker derived something on a 60-node chain
         assert len(per_worker) == 4
@@ -414,81 +328,60 @@ class TestSerialEquivalence:
 # budgets, cancellation, faults: degrade/abort exactly as serial
 # ----------------------------------------------------------------------
 class TestGovernedParallelEvaluation:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_max_facts_trips_identically(self, backend):
+    def test_max_facts_trips_identically(self):
         program = _program(TC)
         db = _tc_db(30)
         with pytest.raises(NonTerminationError) as serial:
             evaluate(program, db, max_facts=20)
         with pytest.raises(NonTerminationError) as parallel:
-            evaluate(
-                program, db, max_facts=20, workers=4,
-                parallel_backend=backend,
-            )
+            evaluate(program, db, max_facts=20, workers=4)
         assert parallel.value.facts == serial.value.facts
         assert parallel.value.iterations == serial.value.iterations
         assert db.check_integrity()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_max_iterations_trips_identically(self, backend):
+    def test_max_iterations_trips_identically(self):
         program = _program(TC)
         db = _tc_db(30)
         with pytest.raises(NonTerminationError) as serial:
             evaluate(program, db, max_iterations=3)
         with pytest.raises(NonTerminationError) as parallel:
-            evaluate(
-                program, db, max_iterations=3, workers=4,
-                parallel_backend=backend,
-            )
+            evaluate(program, db, max_iterations=3, workers=4)
         assert parallel.value.facts == serial.value.facts
         assert db.check_integrity()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_meter_max_facts_trips(self, backend):
+    def test_meter_max_facts_trips(self):
         program = _program(TC)
         db = _tc_db(30)
         meter = EvaluationBudget(max_facts=15).start()
         before = _db_fingerprint(db)
         with pytest.raises(BudgetExceeded) as info:
-            evaluate(
-                program, db, workers=4, parallel_backend=backend,
-                meter=meter,
-            )
+            evaluate(program, db, workers=4, meter=meter)
         assert info.value.limit == "max_facts"
         assert _db_fingerprint(db) == before
         assert db.check_integrity()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_expired_deadline_aborts(self, backend):
+    def test_expired_deadline_aborts(self):
         program = _program(TC)
         db = _tc_db(30)
         meter = EvaluationBudget(timeout=0.0).start()
         time.sleep(0.002)
         with pytest.raises(BudgetExceeded) as info:
-            evaluate(
-                program, db, workers=4, parallel_backend=backend,
-                meter=meter,
-            )
+            evaluate(program, db, workers=4, meter=meter)
         assert info.value.limit == "wall_clock"
         assert db.check_integrity()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_precancelled_token_aborts(self, backend):
+    def test_precancelled_token_aborts(self):
         program = _program(TC)
         db = _tc_db(30)
         token = CancellationToken()
         token.cancel()
         meter = EvaluationBudget(token=token).start()
         with pytest.raises(EvaluationCancelled):
-            evaluate(
-                program, db, workers=4, parallel_backend=backend,
-                meter=meter,
-            )
+            evaluate(program, db, workers=4, meter=meter)
         assert db.check_integrity()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(6))
-    def test_injected_faults_preserve_atomicity(self, backend, seed):
+    def test_injected_faults_preserve_atomicity(self, seed):
         """A fault at any round/batch/install boundary under workers=4
         leaves the source database byte-identical and integral, and a
         clean re-run agrees with serial -- the pool tears down without
@@ -501,8 +394,7 @@ class TestGovernedParallelEvaluation:
         meter = EvaluationBudget(fault_plan=plan).start()
         try:
             result = evaluate(
-                program, db, method="seminaive", workers=4,
-                parallel_backend=backend, meter=meter,
+                program, db, method="seminaive", workers=4, meter=meter
             )
         except (InjectedFault, EvaluationCancelled):
             result = None
@@ -511,15 +403,11 @@ class TestGovernedParallelEvaluation:
         if result is not None:
             assert _snapshot(result) == _snapshot(oracle)
         # the pool is gone: a clean re-run on the same database agrees
-        rerun = evaluate(
-            program, db, method="seminaive", workers=4,
-            parallel_backend=backend,
-        )
+        rerun = evaluate(program, db, method="seminaive", workers=4)
         assert _snapshot(rerun) == _snapshot(oracle)
         assert _counters(rerun.stats) == _counters(oracle.stats)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fault_fires_at_same_boundary_as_serial(self, backend):
+    def test_fault_fires_at_same_boundary_as_serial(self):
         """The parent drives every meter boundary, so a deterministic
         batch-fault plan fires after the same number of ticks under
         workers as under serial evaluation."""
@@ -528,8 +416,7 @@ class TestGovernedParallelEvaluation:
         def boundary(workers):
             plan = FaultPlan("batch", after=4)
             meter = EvaluationBudget(fault_plan=plan).start()
-            kwargs = {"workers": workers,
-                      "parallel_backend": backend} if workers > 1 else {}
+            kwargs = {"workers": workers} if workers > 1 else {}
             with pytest.raises((InjectedFault, EvaluationCancelled)):
                 evaluate(program, db, meter=meter, **kwargs)
             return plan.counts
@@ -537,7 +424,7 @@ class TestGovernedParallelEvaluation:
 
 
 # ----------------------------------------------------------------------
-# session / server surfaces
+# session surface
 # ----------------------------------------------------------------------
 SESSION_SRC = TC + """
     par(a, b). par(b, c). par(c, d). par(d, e).
@@ -584,15 +471,11 @@ class TestSessionWorkers:
             assert result.budget_spent is not None
             assert len(result.rows) == 4
 
-
-class TestServerWorkers:
-    def test_server_config_threads_workers_through(self):
-        from repro.server.app import ServerConfig, ServerHandle
-
-        config = ServerConfig(workers=2)
-        with ServerHandle.start(SESSION_SRC, config=config) as handle:
-            out = handle.request(
-                {"op": "query", "query": "anc(a, X)?"}
-            )
-            assert out["ok"]
-            assert out["row_count"] == 4
+    def test_worker_count_below_one_is_rejected(self):
+        # a rejected count never reaches the memo, so it cannot split it
+        with Session(SESSION_SRC) as session:
+            for workers in (0, -5, 2.0, True):
+                with pytest.raises(ValueError, match="invalid workers"):
+                    session.query("anc(a, X)?", workers=workers)
+            session.query("anc(a, X)?", workers=1)
+            assert session.counters()["memo_entries"] == 1

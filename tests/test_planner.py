@@ -134,9 +134,7 @@ def all_paths(program, db, strategy):
     evaluate = evaluate_naive if strategy == "naive" else evaluate_seminaive
     return {
         "serial": evaluate(program, db),
-        "threads": evaluate(
-            program, db, workers=2, parallel_backend="thread"
-        ),
+        "threads": evaluate(program, db, workers=2),
     }
 
 

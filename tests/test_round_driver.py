@@ -39,8 +39,8 @@ PROGRAM = """
     edge(a4, a5). edge(a3, a1).
 """
 
-#: serial, and the worker pool on each backend
-ROUTES = (None, "thread", "fork")
+#: serial, and the thread pool
+ROUTES = (None, 2)
 
 
 class RecordingMeter:
@@ -67,10 +67,10 @@ def _parsed():
     return parsed.program, database
 
 
-def _route_kwargs(backend):
-    if backend is None:
+def _route_kwargs(workers):
+    if workers is None:
         return {}
-    return {"workers": 2, "parallel_backend": backend}
+    return {"workers": workers}
 
 
 #: every route numbers its rounds per stratum.  A naive stratum ends
@@ -92,26 +92,26 @@ ROUNDS = {
 EXPECTED_BATCHES = {"naive": 26, "seminaive": 11}
 
 
-@pytest.mark.parametrize("backend", ROUTES, ids=("serial", "thread", "fork"))
+@pytest.mark.parametrize("workers", ROUTES, ids=("serial", "thread"))
 @pytest.mark.parametrize("method", ("naive", "seminaive"))
 class TestEvaluationBoundaries:
-    def test_round_checks(self, method, backend):
+    def test_round_checks(self, method, workers):
         program, database = _parsed()
         meter = RecordingMeter()
         result = evaluate(
             program, database, method=method, meter=meter,
-            **_route_kwargs(backend),
+            **_route_kwargs(workers),
         )
         assert meter.rounds == ROUNDS[method]
         assert result.stats.iterations == len(ROUNDS[method])
         assert meter.batches == EXPECTED_BATCHES[method]
 
-    def test_max_iterations_trip(self, method, backend):
+    def test_max_iterations_trip(self, method, workers):
         program, database = _parsed()
         with pytest.raises(NonTerminationError) as info:
             evaluate(
                 program, database, method=method, max_iterations=3,
-                **_route_kwargs(backend),
+                **_route_kwargs(workers),
             )
         assert (info.value.iterations, info.value.facts) == (4, 26)
 
