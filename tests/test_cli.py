@@ -176,6 +176,38 @@ class TestErrors:
             assert "argument --workers" in err and "int >= 1" in err
 
 
+class TestWorkers:
+    def test_pool_answers_match_serial(self, program_file, capsys):
+        assert main(["query", program_file]) == 0
+        serial = capsys.readouterr().out
+        assert main(["query", program_file, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_stats_line_reports_the_pool(self, program_file, capsys):
+        code = main(
+            ["query", program_file, "--method", "seminaive", "--workers",
+             "2", "--stats"]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "workers=2" in err and "rows_shipped=" in err
+        assert "backend=" not in err and "parallel_fallback" not in err
+
+    def test_stats_json_reports_the_pool(self, program_file, capsys):
+        import json
+
+        code = main(
+            ["query", program_file, "--method", "seminaive", "--workers",
+             "2", "--stats-json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["workers"] == 2
+        assert payload["parallel_tasks"] > 0
+        assert payload["parallel_rows_shipped"] > 0
+        assert "parallel_backend" not in payload
+
+
 class TestStatsJson:
     def test_one_json_object_on_stdout(self, program_file, capsys):
         import json
@@ -222,6 +254,14 @@ class TestStatsJson:
 
 
 class TestServeParser:
+    def test_serve_takes_no_worker_count(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", "prog.dl", "--workers", "2"])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_serve_registered_with_defaults(self):
         from repro.cli import build_parser
 

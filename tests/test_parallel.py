@@ -11,6 +11,7 @@ cancellations, injected faults, and worker exceptions abort exactly as
 serial: same exception surface, source database untouched and integral.
 """
 
+import threading
 import time
 
 import pytest
@@ -27,13 +28,21 @@ from repro import (
     parse_program,
 )
 from repro.core.limits import InjectedFault
+from repro.core.pipeline import QueryOptions
 from repro.datalog import parallel
 from repro.datalog.catalog import term_catalog
-from repro.datalog.engine import evaluate_naive, evaluate_seminaive
-from repro.datalog.errors import NonTerminationError
+from repro.datalog.engine import (
+    EvaluationStats,
+    evaluate_naive,
+    evaluate_seminaive,
+)
+from repro.datalog.errors import EvaluationError, NonTerminationError
 from repro.datalog.parallel import (
     _batch_task,
+    _BatchTask,
+    _execute_shard,
     _hash_shards,
+    _merge_shard,
     _ProgramShards,
     _shard_mode,
     _task_shards,
@@ -63,6 +72,10 @@ NONLINEAR_SG = """
     sg(X, Y) :- flat(X, Y).
     sg(X, Y) :- up(X, U), sg(U, V), flat(V, W), sg(W, Z), down(Z, Y).
 """
+
+#: pool sizes the equivalence and governance tests run at: the smallest
+#: pool, and one with more shards than most windows have distinct keys
+WORKER_COUNTS = (2, 4)
 
 
 def _program(source):
@@ -208,6 +221,148 @@ class TestRuleGroups:
 
 
 # ----------------------------------------------------------------------
+# task shards: what each worker is handed
+# ----------------------------------------------------------------------
+def _tc_working(keys=4, per_key=5):
+    """The TC program, its compiled plans and shard modes, and a working
+    database whose ``anc`` rows repeat each join key ``per_key`` times."""
+    program = _program(TC)
+    compiled = CompiledProgram(program)
+    working = _tc_db(8)
+    working.add_values(
+        "anc",
+        [(f"n{k}", f"m{j}") for k in range(keys) for j in range(per_key)],
+    )
+    return program, compiled, _ProgramShards(program, compiled), working
+
+
+class TestTaskShards:
+    def test_chunk_task_round_robins_the_full_relation(self):
+        program = _program("node(X) :- e(X, Y).")
+        compiled = CompiledProgram(program)
+        shards = _ProgramShards(program, compiled)
+        working = Database()
+        working.add_values("e", [(f"a{i}", "b") for i in range(10)])
+        task = _batch_task(0, 0, None, None, program, compiled, shards, 3)
+        assert task.mode == "chunk" and task.input_pred == "e"
+        handed = _task_shards(task, working, 3)
+        assert [w for w, _ in handed] == [0, 1, 2]
+        assert sorted(len(rows) for _, rows in handed) == [3, 3, 4]
+        assert sorted(r for _, rows in handed for r in rows) == sorted(
+            working.get("e").id_rows()
+        )
+
+    def test_hash_task_colocates_each_join_key(self):
+        program, compiled, shards, working = _tc_working()
+        hi = len(working.get("anc"))
+        task = _batch_task(
+            0, 1, 1, {1: (0, hi)}, program, compiled, shards, 3
+        )
+        assert task.mode == "hash" and task.pcols == (0,)
+        owners = {}
+        handed = _task_shards(task, working, 3)
+        for w, rows in handed:
+            for row in rows:
+                assert owners.setdefault(row[0], w) == w
+        assert sum(len(rows) for _, rows in handed) == hi
+
+    def test_empty_shards_are_not_handed_out(self):
+        program, compiled, shards, working = _tc_working()
+        task = _batch_task(0, 1, 1, {1: (2, 3)}, program, compiled, shards, 4)
+        handed = _task_shards(task, working, 4)
+        assert len(handed) == 1
+        assert handed[0][1] == working.get("anc").window_rows(2, 3)
+
+    def test_solo_full_batch_runs_unsharded_on_its_owner(self):
+        program = _program("p(X) :- e(X), g(c, d).")
+        compiled = CompiledProgram(program)
+        task = _BatchTask(
+            5, 0, None, compiled.plan(0), None, "p", "e", "solo", None, 2
+        )
+        assert _task_shards(task, Database(), 3) == [(2, None)]
+
+    def test_solo_delta_batch_goes_whole_to_its_owner(self):
+        program, compiled, _shards, working = _tc_working()
+        task = _BatchTask(
+            1, 1, 1, compiled.plan(1, 1), {1: (0, 6)}, "anc", "anc",
+            "solo", None, 1,
+        )
+        handed = _task_shards(task, working, 4)
+        assert handed == [(1, working.get("anc").window_rows(0, 6))]
+
+    def test_solo_owners_cycle_over_task_ids(self):
+        program = _program("p(X) :- e(X), g(c, d).")
+        compiled = CompiledProgram(program)
+        shards = _ProgramShards(program, compiled)
+        owners = [
+            _batch_task(t, 0, None, None, program, compiled, shards, 3).solo
+            for t in range(6)
+        ]
+        assert owners == [0, 1, 2, 0, 1, 2]
+
+
+# ----------------------------------------------------------------------
+# shard execution and merging
+# ----------------------------------------------------------------------
+class TestShardExecution:
+    def test_shards_sum_to_the_unsharded_batch(self):
+        _program_, compiled, _shards, working = _tc_working()
+        plan = compiled.plan(1, 1)
+        hi = len(working.get("anc"))
+        windows = {1: (0, hi)}
+        rows = working.get("anc").window_rows(0, hi)
+        whole = _execute_shard(plan, working, rows, windows, None)
+        parts = [
+            _execute_shard(plan, working, shard, windows, None)
+            for shard in _hash_shards(rows, (0,), 3)
+        ]
+        assert whole[1] > 0
+        assert sum(part[1] for part in parts) == whole[1]
+        assert set(r for part in parts for r in part[0]) == set(whole[0])
+
+    def test_an_empty_shard_does_no_work(self):
+        _program_, compiled, _shards, working = _tc_working()
+        plan = compiled.plan(1, 1)
+        assert _execute_shard(plan, working, [], {1: (0, 0)}, None) == (
+            [], 0, 0, 0
+        )
+
+    def test_a_shard_past_the_deadline_reports_the_abort(self):
+        _program_, compiled, _shards, working = _tc_working()
+        plan = compiled.plan(1, 1)
+        rows = working.get("anc").window_rows(0, 4)
+        past = time.monotonic() - 1.0
+        assert _execute_shard(plan, working, rows, {1: (0, 4)}, past) is None
+
+    def test_merge_folds_shards_into_the_task_and_counters(self):
+        stats = EvaluationStats()
+        results = {7: (0, [])}
+        _merge_shard(results, stats, 7, 0, [(1, 2), (1, 3)], 3, 4, 5)
+        _merge_shard(results, stats, 7, 2, [(1, 2)], 1, 2, 6)
+        assert results[7] == (4, [(1, 2), (1, 3), (1, 2)])
+        assert stats.rule_firings == 4
+        assert stats.join_probes == 6
+        assert stats.tuples_scanned == 11
+        assert stats.parallel_tasks == 2
+        assert stats.parallel_rows_shipped == 3
+        assert stats.parallel_worker_rows == {0: 3, 2: 1}
+
+    def test_rows_shipped_counts_every_row_workers_hand_back(self):
+        # the copy rule's 100 rows round-robin over four workers, one
+        # b_j per worker, so each hands back all 25 node(a_i) rows:
+        # duplicates across workers are shipped, then deduplicated
+        program = _program("node(X) :- e(X, Y).")
+        db = Database()
+        db.add_values(
+            "e", [(f"a{i}", f"b{j}") for i in range(25) for j in range(4)]
+        )
+        result = evaluate(program, db, workers=4)
+        assert result.stats.parallel_rows_shipped == 100
+        assert result.stats.facts_derived == 25
+        assert evaluate(program, db).stats.parallel_rows_shipped == 0
+
+
+# ----------------------------------------------------------------------
 # catalog export (the ID-space snapshot the interning tests read)
 # ----------------------------------------------------------------------
 class TestCatalogExport:
@@ -217,6 +372,32 @@ class TestCatalogExport:
         state = catalog.export_state()
         assert state[a] == Constant("parallel-export-probe")
         assert len(state) == len(catalog)
+
+    def test_concurrent_interning_hands_out_one_id_per_term(self):
+        catalog = term_catalog()
+        before = len(catalog)
+        terms = [Constant(f"parallel-race-{i}") for i in range(200)]
+        start = threading.Barrier(6)
+        seen = []
+
+        def intern_all(order):
+            start.wait()
+            seen.append({term: catalog.intern(term) for term in order})
+
+        threads = [
+            threading.Thread(
+                target=intern_all, args=(terms[k:] + terms[:k],)
+            )
+            for k in range(0, 60, 10)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(seen) == 6
+        assert all(ids == seen[0] for ids in seen)
+        assert len(catalog) == before + 200
+        assert sorted(seen[0].values()) == list(range(before, before + 200))
 
 
 # ----------------------------------------------------------------------
@@ -236,32 +417,35 @@ class TestSerialEquivalence:
             assert result.stats.parallel_tasks > 0
             assert result.database.check_integrity()
 
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("method", ("seminaive", "naive"))
-    def test_stratified_bom(self, method):
+    def test_stratified_bom(self, method, workers):
         program = bom_program()
         db = bom_database(depth=7, fanout=2, exception_rate=0.2, seed=11)
         base = evaluate(program, db, method=method)
-        result = evaluate(program, db, method=method, workers=4)
+        result = evaluate(program, db, method=method, workers=workers)
         assert _snapshot(result) == _snapshot(base)
         assert _counters(result.stats) == _counters(base.stats)
 
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("source", (SAMEGEN, NONLINEAR_SG))
-    def test_same_generation(self, source):
+    def test_same_generation(self, source, workers):
         program = _program(source)
         db = _sg_db()
         base = evaluate(program, db, method="seminaive")
-        result = evaluate(program, db, method="seminaive", workers=4)
+        result = evaluate(program, db, method="seminaive", workers=workers)
         assert _snapshot(result) == _snapshot(base)
         assert _counters(result.stats) == _counters(base.stats)
 
-    def test_empty_and_trivial_programs(self):
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_empty_and_trivial_programs(self, workers):
         program = _program("node(X) :- e(X, Y).")
         empty = Database()
-        r = evaluate(program, empty, workers=2)
+        r = evaluate(program, empty, workers=workers)
         assert _snapshot(r) == {"node": frozenset()}
         db = Database()
         db.add_values("e", [("a", "b")])
-        r = evaluate(program, db, workers=4)
+        r = evaluate(program, db, workers=workers)
         base = evaluate(program, db)
         assert _snapshot(r) == _snapshot(base)
         assert _counters(r.stats) == _counters(base.stats)
@@ -314,75 +498,77 @@ class TestSerialEquivalence:
         assert _snapshot(result) == _snapshot(base)
         assert _counters(result.stats) == _counters(base.stats)
 
-    def test_worker_rows_balance_on_hash_shards(self):
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_worker_rows_balance_on_hash_shards(self, workers):
         program = _program(TC)
         db = _tc_db(60)
-        result = evaluate(program, db, workers=4)
+        result = evaluate(program, db, workers=workers)
         per_worker = result.stats.parallel_worker_rows
         # every worker derived something on a 60-node chain
-        assert len(per_worker) == 4
+        assert len(per_worker) == workers
         assert all(count > 0 for count in per_worker.values())
 
 
 # ----------------------------------------------------------------------
 # budgets, cancellation, faults: degrade/abort exactly as serial
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
 class TestGovernedParallelEvaluation:
-    def test_max_facts_trips_identically(self):
+    def test_max_facts_trips_identically(self, workers):
         program = _program(TC)
         db = _tc_db(30)
         with pytest.raises(NonTerminationError) as serial:
             evaluate(program, db, max_facts=20)
         with pytest.raises(NonTerminationError) as parallel:
-            evaluate(program, db, max_facts=20, workers=4)
+            evaluate(program, db, max_facts=20, workers=workers)
         assert parallel.value.facts == serial.value.facts
         assert parallel.value.iterations == serial.value.iterations
         assert db.check_integrity()
 
-    def test_max_iterations_trips_identically(self):
+    def test_max_iterations_trips_identically(self, workers):
         program = _program(TC)
         db = _tc_db(30)
         with pytest.raises(NonTerminationError) as serial:
             evaluate(program, db, max_iterations=3)
         with pytest.raises(NonTerminationError) as parallel:
-            evaluate(program, db, max_iterations=3, workers=4)
+            evaluate(program, db, max_iterations=3, workers=workers)
         assert parallel.value.facts == serial.value.facts
         assert db.check_integrity()
 
-    def test_meter_max_facts_trips(self):
+    def test_meter_max_facts_trips(self, workers):
         program = _program(TC)
         db = _tc_db(30)
         meter = EvaluationBudget(max_facts=15).start()
         before = _db_fingerprint(db)
         with pytest.raises(BudgetExceeded) as info:
-            evaluate(program, db, workers=4, meter=meter)
+            evaluate(program, db, workers=workers, meter=meter)
         assert info.value.limit == "max_facts"
         assert _db_fingerprint(db) == before
         assert db.check_integrity()
 
-    def test_expired_deadline_aborts(self):
+    def test_expired_deadline_aborts(self, workers):
         program = _program(TC)
         db = _tc_db(30)
         meter = EvaluationBudget(timeout=0.0).start()
         time.sleep(0.002)
         with pytest.raises(BudgetExceeded) as info:
-            evaluate(program, db, workers=4, meter=meter)
+            evaluate(program, db, workers=workers, meter=meter)
         assert info.value.limit == "wall_clock"
         assert db.check_integrity()
 
-    def test_precancelled_token_aborts(self):
+    def test_precancelled_token_aborts(self, workers):
         program = _program(TC)
         db = _tc_db(30)
         token = CancellationToken()
         token.cancel()
         meter = EvaluationBudget(token=token).start()
         with pytest.raises(EvaluationCancelled):
-            evaluate(program, db, workers=4, meter=meter)
+            evaluate(program, db, workers=workers, meter=meter)
         assert db.check_integrity()
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_injected_faults_preserve_atomicity(self, seed):
-        """A fault at any round/batch/install boundary under workers=4
+    def test_injected_faults_preserve_atomicity(self, seed, workers):
+        """A fault at any round/batch/install boundary on the pool
         leaves the source database byte-identical and integral, and a
         clean re-run agrees with serial -- the pool tears down without
         leaking partial state anywhere observable."""
@@ -394,7 +580,8 @@ class TestGovernedParallelEvaluation:
         meter = EvaluationBudget(fault_plan=plan).start()
         try:
             result = evaluate(
-                program, db, method="seminaive", workers=4, meter=meter
+                program, db, method="seminaive", workers=workers,
+                meter=meter,
             )
         except (InjectedFault, EvaluationCancelled):
             result = None
@@ -403,24 +590,86 @@ class TestGovernedParallelEvaluation:
         if result is not None:
             assert _snapshot(result) == _snapshot(oracle)
         # the pool is gone: a clean re-run on the same database agrees
-        rerun = evaluate(program, db, method="seminaive", workers=4)
+        rerun = evaluate(program, db, method="seminaive", workers=workers)
         assert _snapshot(rerun) == _snapshot(oracle)
         assert _counters(rerun.stats) == _counters(oracle.stats)
 
-    def test_fault_fires_at_same_boundary_as_serial(self):
+    def test_fault_fires_at_same_boundary_as_serial(self, workers):
         """The parent drives every meter boundary, so a deterministic
         batch-fault plan fires after the same number of ticks under
         workers as under serial evaluation."""
         program = _program(TC)
         db = _tc_db(20)
-        def boundary(workers):
+        def boundary(pool_size):
             plan = FaultPlan("batch", after=4)
             meter = EvaluationBudget(fault_plan=plan).start()
-            kwargs = {"workers": workers} if workers > 1 else {}
+            kwargs = {"workers": pool_size} if pool_size > 1 else {}
             with pytest.raises((InjectedFault, EvaluationCancelled)):
                 evaluate(program, db, meter=meter, **kwargs)
             return plan.counts
-        assert boundary(4)["batch"] == boundary(1)["batch"]
+        assert boundary(workers)["batch"] == boundary(1)["batch"]
+
+
+# ----------------------------------------------------------------------
+# the pool's lifetime: one evaluation, however it ends
+# ----------------------------------------------------------------------
+def _pool_threads():
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith("repro-parallel")
+    ]
+
+
+class _PastDeadlineMeter:
+    """A meter whose deadline has passed but whose checks never trip."""
+
+    deadline = time.monotonic() - 1.0
+
+    def check_round(self, *args):
+        pass
+
+    def check_batch(self, *args):
+        pass
+
+
+class TestPoolLifecycle:
+    def test_pool_threads_end_with_the_evaluation(self):
+        evaluate(_program(TC), _tc_db(20), workers=4)
+        assert _pool_threads() == []
+
+    def test_pool_threads_end_after_a_budget_trip(self):
+        with pytest.raises(NonTerminationError):
+            evaluate(_program(TC), _tc_db(30), max_facts=20, workers=4)
+        assert _pool_threads() == []
+
+    def test_a_worker_exception_propagates_and_leaves_the_source(
+        self, monkeypatch
+    ):
+        calls = []
+        execute_shard = parallel._execute_shard
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raise RuntimeError("shard failed")
+            return execute_shard(*args)
+
+        monkeypatch.setattr(parallel, "_execute_shard", failing)
+        db = _tc_db(20)
+        before = _db_fingerprint(db)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            evaluate(_program(TC), db, workers=2)
+        assert _db_fingerprint(db) == before
+        assert db.check_integrity()
+        assert _pool_threads() == []
+
+    def test_a_deadline_abort_no_meter_reports_is_still_an_error(self):
+        with pytest.raises(EvaluationError, match="no meter owns"):
+            evaluate(
+                _program(TC), _tc_db(10), workers=2,
+                meter=_PastDeadlineMeter(),
+            )
+        assert _pool_threads() == []
 
 
 # ----------------------------------------------------------------------
@@ -479,3 +728,10 @@ class TestSessionWorkers:
                     session.query("anc(a, X)?", workers=workers)
             session.query("anc(a, X)?", workers=1)
             assert session.counters()["memo_entries"] == 1
+
+    def test_query_options_check_the_worker_count(self):
+        assert QueryOptions(workers=3).workers == 3
+        assert QueryOptions().workers == 1
+        for workers in (0, -1, 1.5, "2", None, False):
+            with pytest.raises(ValueError, match="invalid workers"):
+                QueryOptions(workers=workers)

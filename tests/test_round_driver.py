@@ -39,8 +39,8 @@ PROGRAM = """
     edge(a4, a5). edge(a3, a1).
 """
 
-#: serial, and the thread pool
-ROUTES = (None, 2)
+#: serial, and the thread pool at two pool sizes
+ROUTES = (None, 2, 4)
 
 
 class RecordingMeter:
@@ -92,7 +92,9 @@ ROUNDS = {
 EXPECTED_BATCHES = {"naive": 26, "seminaive": 11}
 
 
-@pytest.mark.parametrize("workers", ROUTES, ids=("serial", "thread"))
+@pytest.mark.parametrize(
+    "workers", ROUTES, ids=("serial", "thread", "thread4")
+)
 @pytest.mark.parametrize("method", ("naive", "seminaive"))
 class TestEvaluationBoundaries:
     def test_round_checks(self, method, workers):
