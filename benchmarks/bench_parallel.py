@@ -19,7 +19,7 @@ the JSON still records the honest numbers.  The pool runs on threads
 that share the working database, so on a GIL build they interleave
 rather than overlap and workers are *slower* than serial; armed on a
 GIL build with 4 or more CPUs, the gate therefore fails.  It is meant
-for free-threaded CPython.
+for free-threaded CPython, where the pool's speedup is unmeasured.
 
 Set ``PARALLEL_BENCH_FACTS`` to shrink the workload (CI smoke uses
 20000).

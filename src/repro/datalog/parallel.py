@@ -21,7 +21,8 @@ head such as ``f(X)``) interns into the one process-wide
 :class:`~repro.datalog.catalog.TermCatalog`, whose allocation lock
 hands each new term one ID.  On a GIL build the threads interleave
 rather than overlap, so the pool is slower than serial there (see
-``BENCH_parallel.json``); it overlaps on free-threaded CPython.
+``BENCH_parallel.json``).  Whether it beats serial on free-threaded
+CPython is unmeasured: no free-threaded build has been run.
 
 Work splitting per batch, chosen by the join planner
 (:func:`~repro.datalog.planner.partition_columns`):

@@ -190,8 +190,14 @@ class TestWorkers:
         )
         assert code == 0
         err = capsys.readouterr().err
-        assert "workers=2" in err and "rows_shipped=" in err
-        assert "backend=" not in err and "parallel_fallback" not in err
+        (line,) = [ln for ln in err.splitlines() if ln.startswith("% method=")]
+        fields = {token.split("=", 1)[0] for token in line[2:].split()}
+        assert fields == {
+            "method", "memo", "facts", "firings", "iterations", "probes",
+            "workers", "parallel_tasks", "rows_shipped", "plan_cache_hits",
+            "plan_cache_misses", "memo_hits", "memo_misses", "db_version",
+        }
+        assert "workers=2" in line
 
     def test_stats_json_reports_the_pool(self, program_file, capsys):
         import json
@@ -205,7 +211,14 @@ class TestWorkers:
         assert payload["workers"] == 2
         assert payload["parallel_tasks"] > 0
         assert payload["parallel_rows_shipped"] > 0
-        assert "parallel_backend" not in payload
+        assert set(payload) == {
+            "query", "free_variables", "rows", "row_count", "method",
+            "requested_method", "from_memo", "degraded", "maintained",
+            "db_version", "elapsed", "repeat", "memo_hits", "memo_misses",
+            "facts_derived", "iterations", "rule_firings", "join_probes",
+            "tuples_scanned", "plan_cache_hits", "plan_cache_misses",
+            "workers", "parallel_tasks", "parallel_rows_shipped",
+        }
 
 
 class TestStatsJson:
