@@ -3,9 +3,10 @@
 Not a paper artifact on its own: Theorem 9.1 says QSQ's sets ``Q`` and
 ``F`` equal the magic rewrite's magic and adorned relations under the
 same sips, and that equality is asserted here (``check_optimality``) on
-deep workloads.  The compiled evaluator runs slot frames, answer
-relations indexed on the adornment's bound positions, and the bottom-up
-round driver's semi-naive rounds; its queries, answers, rounds and wall
+deep workloads.  The compiled evaluator runs its adorned rules as
+``JoinPlan``s on the engine's batch executor, over answer relations
+indexed on the adornment's bound positions, in the bottom-up round
+driver's semi-naive rounds; its queries, answers, rounds and wall
 clock are reported next to the magic program's bottom-up evaluation, so
 ``bench_method_comparison.py`` compares strategies, not interpreter
 overhead.

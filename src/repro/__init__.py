@@ -45,9 +45,7 @@ from .datalog import (
     CompiledProgram,
     ConnectivityError,
     PlanCache,
-    SubqueryPlan,
     SubqueryProgram,
-    SubqueryStep,
     Constant,
     Database,
     DerivationNode,
@@ -164,7 +162,7 @@ __all__ = [
     "parse_query", "make_list", "list_elements",
     "evaluate", "evaluate_naive", "evaluate_seminaive", "answer_tuples",
     "CompiledProgram", "JoinPlan", "JoinStep", "compile_rule", "order_body",
-    "PlanCache", "SubqueryPlan", "SubqueryProgram", "SubqueryStep",
+    "PlanCache", "SubqueryProgram",
     "compile_subquery_rule", "compiled_program_for", "subquery_program_for",
     "shared_plan_cache",
     "qsq_evaluate", "QSQResult",

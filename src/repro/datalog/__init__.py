@@ -45,9 +45,7 @@ from .planner import (
     JoinPlan,
     JoinStep,
     PlanCache,
-    SubqueryPlan,
     SubqueryProgram,
-    SubqueryStep,
     compile_rule,
     compile_subquery_rule,
     compiled_program_for,
@@ -87,9 +85,7 @@ __all__ = [
     "JoinPlan",
     "JoinStep",
     "PlanCache",
-    "SubqueryPlan",
     "SubqueryProgram",
-    "SubqueryStep",
     "compile_rule",
     "compile_subquery_rule",
     "compiled_program_for",

@@ -75,8 +75,8 @@ Every fixpoint in the package runs on one stratum/round loop,
 of each round's tasks and, for semi-naive, each rule's slot
 watermarks.  Rules run in stratum order and see what earlier rules
 installed in the same round (Gauss--Seidel order), which cuts the
-round count.  How the tasks execute is passed in as one of five round
-executors:
+round count.  How the tasks execute is passed in as a round executor;
+five routes use them:
 
 * **serial** -- ``execute_batch``, then install, task by task
   (:func:`serial_executor`);
@@ -89,10 +89,11 @@ executors:
   slot marks) or its overdelete emitter, which installs nothing and so
   hands its fresh rows to the next round as delta batches
   (:class:`repro.datalog.ivm.MaterializedProgram`);
-* **QSQ** -- a :class:`~repro.datalog.planner.SubqueryProgram` stands in
-  for the compiled program: its plans read the subquery (input) and
-  answer relations of the adorned predicates, which grow like derived
-  relations, and its executor registers subqueries and installs answers
+* **QSQ** -- the serial executor on a
+  :class:`~repro.datalog.planner.SubqueryProgram`, which stands in for
+  the compiled program: its plans read the subquery (input) and answer
+  relations of the adorned predicates, which grow like derived
+  relations, and register subqueries as they run
   (:func:`repro.datalog.topdown.qsq_evaluate`).
 
 Testing gotcha: run the suite as ``python -m pytest`` from the repo root
@@ -482,7 +483,7 @@ def fixpoint(
 
 
 def serial_executor(
-    compiled: CompiledProgram,
+    compiled: Union[CompiledProgram, SubqueryProgram],
     working: Database,
     stats: EvaluationStats,
     meter,

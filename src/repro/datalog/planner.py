@@ -41,16 +41,17 @@ touched *after* merging.
 
 Two further layers serve the top-down side and repeated evaluations:
 
-* **Subquery plans** (:class:`SubqueryPlan`, :func:`compile_subquery_rule`)
-  compile adorned rules for the QSQ evaluator
-  (:mod:`repro.datalog.topdown`): entry ops match a row of the head's
-  input relation against the head's bound arguments, body steps stay in
-  sip order (the order determines which subqueries exist, so it cannot
-  be rearranged) with each derived literal keyed on its adornment's
-  bound positions and each base literal keyed on its plan-time-ground
-  positions.  A :class:`SubqueryProgram` answers ``strata`` and
-  ``recursive_occurrences`` like a :class:`CompiledProgram`, so the
-  bottom-up round driver runs it.
+* **Subquery plans** (:func:`compile_subquery_rule`) compile an adorned
+  rule ``h :- body`` for the QSQ evaluator (:mod:`repro.datalog.topdown`)
+  into the :class:`JoinPlan` of ``h :- $q:h(b), body``: the first step
+  reads the head's input relation (its subqueries, ``b`` its bound
+  arguments), and the body stays in sip order (the order determines
+  which subqueries exist, so it cannot be rearranged), each derived
+  literal keyed on its adornment's bound positions and registering its
+  keys as subqueries before it probes (``JoinStep.input_key``).  A
+  :class:`SubqueryProgram` answers ``strata``, ``recursive_occurrences``
+  and ``plan`` like a :class:`CompiledProgram`, so the bottom-up round
+  driver and serial executor run it.
 * **The plan cache** (:class:`PlanCache`, :func:`shared_plan_cache`)
   memoizes both compilation kinds by program identity, so benchmark
   loops and repeated CLI queries compile once; ``evaluate*`` and
@@ -66,7 +67,7 @@ from itertools import repeat as _repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 from .analysis import stratify_rules
-from .ast import Program, Rule
+from .ast import Literal, Program, Rule
 from .catalog import term_catalog
 from .database import Database, IdTuple, Relation
 from .errors import (
@@ -81,8 +82,6 @@ __all__ = [
     "JoinStep",
     "JoinPlan",
     "CompiledProgram",
-    "SubqueryStep",
-    "SubqueryPlan",
     "SubqueryProgram",
     "PlanCache",
     "compile_rule",
@@ -105,9 +104,10 @@ _EQ = 4      # row: compare the row value against a frame slot
 _MATCH = 5   # row: generic one-way match for a partially-bound pattern
 _UNBOUND = 6  # head: argument can never be ground (range-restriction error)
 _EQC = 7     # row: compare the row value against a ground term
-# (_EQC only arises in subquery plans: an adorned literal may carry a
-# constant at a position its adornment marks free, so the position is not
-# part of the answer-index key and must be checked per row.)
+# (_EQC only arises in QSQ plans: the first step reads the head's input
+# relation unkeyed, and an adorned literal may carry a constant at a
+# position its adornment marks free, outside the answer-index key; both
+# are checked per row.)
 _EQL = 8     # batch row: compare against a value stored earlier in the
 #              same step (the batch twin of a within-step _EQ)
 
@@ -194,15 +194,13 @@ def _batch_reads(b_key_ops, b_row_ops):
 def _attach_batch_ops(steps, head_ops):
     """Compile the ID-level twin of a plan's ops onto its steps.
 
-    Returns ``(b_head_ops, b_head_slots, entry_slots)``: ``b_head_slots``
-    is the all-slot fast-path tuple (columns zip straight into head
-    rows) or None when the head needs per-row work, and ``entry_slots``
-    are the slots that must be live *before* the first step (empty for
-    bottom-up plans, the entry-op-bound slots a subquery plan's input
-    vectors populate).  Sets, per step: ``b_key_ops`` / ``b_row_ops`` /
-    ``b_store_slots`` as above, plus the liveness-pruned batch layout --
-    ``b_carry_out`` (prior slots still needed downstream) and
-    ``b_store_out`` (``(local, slot)`` stores needed downstream).
+    Returns ``(b_head_ops, b_head_slots)``: ``b_head_slots`` is the
+    all-slot fast-path tuple (columns zip straight into head rows) or
+    None when the head needs per-row work.  Sets, per step:
+    ``b_key_ops`` / ``b_row_ops`` / ``b_store_slots`` as above, plus the
+    liveness-pruned batch layout -- ``b_carry_out`` (prior slots still
+    needed downstream) and ``b_store_out`` (``(local, slot)`` stores
+    needed downstream).
     """
     b_head_ops = []
     slots_only = True
@@ -234,7 +232,7 @@ def _attach_batch_ops(steps, head_ops):
     head_slots = (
         tuple(s for _tag, s in b_head_ops) if slots_only else None
     )
-    return tuple(b_head_ops), head_slots, tuple(sorted(needed))
+    return tuple(b_head_ops), head_slots
 
 
 def _batch_keys(b_key_ops, cols, n, as_tuple, evaluate):
@@ -451,6 +449,28 @@ def _scan_batch_step(relation, positions, keys, b_row_ops, n_stores,
     return sel, stores, probes, scanned
 
 
+def _register_subqueries(database, step, cols, n):
+    """Register the keys of a QSQ step's ``n`` frames as subqueries in
+    its input relation, and return them as the step's probe keys.
+
+    The keys outlive the probe, so ``_EVAL`` keys are interned; a step
+    with no bound position registers the empty key.  Every frame that
+    reaches the step registers, whether or not the probe then finds a
+    row -- the paper's ``Q`` holds every subquery the sips construct.
+    """
+    inputs = database.relation(step.input_key)
+    b_key_ops = step.b_key_ops
+    if not b_key_ops:
+        inputs.add_id_rows([()])
+        return None
+    keys = _batch_keys(b_key_ops, cols, n, False, _CATALOG.intern)
+    if len(b_key_ops) == 1:
+        inputs.add_id_rows([(key,) for key in set(keys)])
+    else:
+        inputs.add_id_rows(set(keys))
+    return keys
+
+
 def _merge_frames(cols, weights, n):
     """Merge the frames of a batch that agree on every live slot.
 
@@ -546,6 +566,27 @@ def _row_ops_for(literal, slots, bound, indexed):
     return row_ops
 
 
+def _head_ops_for(head, slots, bound):
+    """Head ops: a head argument is emitted from its slot, as a
+    constant, or by substituting bound slots (``_EVAL``); one with a
+    variable no body literal binds is ``_UNBOUND`` and raises when a
+    body solution reaches it."""
+    head_ops = []
+    for arg in head.args:
+        arg_vars = arg.variables()
+        if not arg_vars:
+            head_ops.append((_CONST, arg))
+        elif not all(v in bound for v in arg_vars):
+            head_ops.append((_UNBOUND, arg))
+        elif isinstance(arg, Variable):
+            head_ops.append((_SLOT, slots[arg]))
+        else:
+            head_ops.append(
+                (_EVAL, (arg, tuple((v, slots[v]) for v in arg_vars)))
+            )
+    return tuple(head_ops)
+
+
 def order_body(rule: Rule, delta_index: Optional[int] = None) -> Tuple[int, ...]:
     """Greedy join order for a rule body (indexes into ``rule.body``).
 
@@ -617,12 +658,12 @@ class JoinStep:
     """
 
     __slots__ = ("literal", "pred_key", "is_delta", "negated",
-                 "index_positions", "key_ops", "row_ops",
+                 "index_positions", "key_ops", "row_ops", "input_key",
                  "b_key_ops", "b_row_ops", "b_store_slots",
                  "b_carry_out", "b_store_out", "b_merge")
 
     def __init__(self, literal, pred_key, is_delta, negated,
-                 index_positions, key_ops, row_ops):
+                 index_positions, key_ops, row_ops, input_key=None):
         self.literal = literal
         self.pred_key = pred_key
         #: the occurrence the delta arrives at: a batch, or a slot window
@@ -634,6 +675,9 @@ class JoinStep:
         self.index_positions = index_positions
         self.key_ops = key_ops
         self.row_ops = row_ops
+        #: QSQ: the input relation this step's keys are registered in
+        #: as subqueries before it probes (None = a plain join step)
+        self.input_key = input_key
         # ID-level twins, filled in by _attach_batch_ops at plan build
         self.b_key_ops = ()
         self.b_row_ops = ()
@@ -669,7 +713,7 @@ class JoinPlan:
         self.steps = steps
         self.head_ops = head_ops
         self.n_slots = n_slots
-        self.b_head_ops, self.b_head_slots, _ = _attach_batch_ops(
+        self.b_head_ops, self.b_head_slots = _attach_batch_ops(
             steps, head_ops
         )
         # merge points of execute_batch: a step's live-out slots are a
@@ -722,6 +766,10 @@ class JoinPlan:
         ``tuples_scanned`` the rows touched *after* merging -- the two
         quantities batching and merging shrink.
 
+        A step with an ``input_key`` (a QSQ plan's derived step) first
+        registers its frames' keys there as subqueries, before any
+        emptiness check can end the run.
+
         ``meter``, when given, is consulted once at entry (a batch
         boundary for the resource governor) and may abort by raising.
         """
@@ -736,6 +784,8 @@ class JoinPlan:
         intern = _CATALOG.intern
 
         for body_index, step in zip(self.order, self.steps):
+            if step.input_key is not None:
+                keys = _register_subqueries(database, step, cols, n)
             window = None
             if step.is_delta and delta_relation is not None:
                 relation = delta_relation
@@ -767,11 +817,11 @@ class JoinPlan:
             else:
                 if relation is None or len(relation) == 0:
                     return [], None, 0
-                b_key_ops = step.b_key_ops
-                if b_key_ops:
-                    keys = _batch_keys(b_key_ops, cols, n, False, id_of)
-                else:
-                    keys = None
+                if step.input_key is None:
+                    keys = (
+                        _batch_keys(step.b_key_ops, cols, n, False, id_of)
+                        if step.b_key_ops else None
+                    )
                 sel, stores, probes, scanned = _scan_batch_step(
                     relation, step.index_positions, keys,
                     step.b_row_ops, len(step.b_store_slots), cols, n,
@@ -914,24 +964,9 @@ def compile_rule(rule: Rule, delta_index: Optional[int] = None) -> JoinPlan:
                 tuple(row_ops),
             )
         )
-    head_ops = []
-    for arg in rule.head.args:
-        arg_vars = arg.variables()
-        if not arg_vars:
-            head_ops.append((_CONST, arg))
-        elif isinstance(arg, Variable):
-            if arg in bound:
-                head_ops.append((_SLOT, slots[arg]))
-            else:
-                head_ops.append((_UNBOUND, arg))
-        elif all(v in bound for v in arg_vars):
-            head_ops.append(
-                (_EVAL, (arg, tuple((v, slots[v]) for v in arg_vars)))
-            )
-        else:
-            head_ops.append((_UNBOUND, arg))
     return JoinPlan(
-        rule, delta_index, order, tuple(steps), tuple(head_ops), len(slots)
+        rule, delta_index, order, tuple(steps),
+        _head_ops_for(rule.head, slots, bound), len(slots),
     )
 
 
@@ -1065,11 +1100,6 @@ class CompiledProgram:
 # subquery plans (compiled top-down / QSQ execution)
 # ----------------------------------------------------------------------
 
-#: The body index of a subquery plan's entry, the read of its head's
-#: input relation: before every step (step ``d`` has body index ``d``).
-ENTRY = -1
-
-
 def subquery_relation(pred_key: str) -> str:
     """The name of the relation holding ``pred_key``'s subqueries (the
     paper's ``Q``); no program can spell it, so it never meets a base or
@@ -1077,86 +1107,23 @@ def subquery_relation(pred_key: str) -> str:
     return "$q:" + pred_key
 
 
-class SubqueryStep:
-    """One body literal of a compiled subquery plan.
+def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> JoinPlan:
+    """Compile one adorned rule for the QSQ evaluator.
 
-    Derived steps register their subquery key in the input relation of
-    the literal's adorned predicate (``input_key``) and probe that
-    predicate's answer relation on its adornment's bound positions (the
-    same key); base steps probe the database exactly like a
-    :class:`JoinStep`.  Body order is preserved -- the sip's total order
-    determines which subqueries exist (the paper's ``Q``), so reordering
-    is not sound here.
-    """
-
-    __slots__ = ("literal", "pred_key", "is_derived", "input_key",
-                 "lookup_positions", "key_ops", "row_ops", "b_key_ops",
-                 "b_row_ops", "b_store_slots", "b_carry_out", "b_store_out")
-
-    def __init__(self, literal, pred_key, is_derived, lookup_positions,
-                 key_ops, row_ops):
-        self.literal = literal
-        self.pred_key = pred_key
-        self.is_derived = is_derived
-        self.input_key = subquery_relation(pred_key) if is_derived else None
-        #: adornment bound positions (derived) / ground positions (base)
-        self.lookup_positions = lookup_positions
-        self.key_ops = key_ops
-        self.row_ops = row_ops
-        # ID-level twins, filled in by _attach_batch_ops at plan build
-        self.b_key_ops = ()
-        self.b_row_ops = ()
-        self.b_store_slots = ()
-        self.b_carry_out = ()
-        self.b_store_out = ()
-
-    def __repr__(self):
-        kind = "derived" if self.is_derived else "base"
-        return (
-            f"SubqueryStep({self.literal}, {kind}, "
-            f"key on {self.lookup_positions})"
-        )
-
-
-class SubqueryPlan:
-    """A compiled adorned rule for top-down evaluation.
-
-    ``entry_ops`` match the head's bound arguments against an ID row of
-    the head's input relation (``input_key``, one op per vector
-    position; a ``_CONST`` payload is the constant's term ID);
-    ``steps`` run the body in sip order; ``b_head_ops`` emit the full
-    head tuple.  Unlike :class:`JoinPlan`, non-ground head arguments
-    skip the emission instead of raising: the QSQ evaluator silently
-    drops non-ground answer rows.
-    """
-
-    __slots__ = ("rule", "head_key", "input_key", "entry_ops", "steps",
-                 "n_slots", "b_head_ops", "b_head_slots", "b_entry_slots")
-
-    def __init__(self, rule, head_key, entry_ops, steps, head_ops, n_slots):
-        self.rule = rule
-        self.head_key = head_key
-        self.input_key = subquery_relation(head_key)
-        self.entry_ops = entry_ops
-        self.steps = steps
-        self.n_slots = n_slots
-        #: ID-level twins + the slots the entry ops must populate as
-        #: batch columns (the liveness frontier before step 0)
-        self.b_head_ops, self.b_head_slots, self.b_entry_slots = (
-            _attach_batch_ops(steps, head_ops)
-        )
-
-    def __repr__(self):
-        return f"SubqueryPlan({self.rule})"
-
-
-def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
-    """Compile one adorned rule into a :class:`SubqueryPlan`.
+    The result is the :class:`JoinPlan` of ``h :- $q:h(b), body``, where
+    ``b`` are the head's bound arguments and ``$q:h`` its input relation
+    (:func:`subquery_relation`): the first step reads the head's
+    subqueries, and the body follows in sip order -- the order decides
+    which subqueries exist, so it is never rearranged.  A derived
+    literal's step is keyed on its adornment's bound positions and
+    registers its keys in the literal's own input relation
+    (``JoinStep.input_key``) before it probes the answer relation; a
+    base literal's step is keyed like a :func:`compile_rule` step.
 
     Every bound position of a derived body literal must be bound by the
     head's bound arguments or an earlier literal, so that its subquery
     is ground (Section 3's adornment guarantees it); a rule where one is
-    not raises :class:`UnsupportedProgramError`.
+    not raises :class:`UnsupportedProgramError`, and so does negation.
     """
     if rule.has_negation():
         raise UnsupportedProgramError(
@@ -1164,49 +1131,26 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
             "only; use method='auto' for stratified programs (it "
             "resolves to the bottom-up magic path)"
         )
-    slots: Dict[Variable, int] = {
-        var: i for i, var in enumerate(rule.variables())
-    }
     head = rule.head
+    entry = Literal(subquery_relation(head.pred_key), head.bound_args())
+    guarded = Rule(head, (entry,) + rule.body)
+    slots: Dict[Variable, int] = {
+        var: i for i, var in enumerate(guarded.variables())
+    }
     bound: Set[Variable] = set()
-    entry_ops = []
-    for pos, arg in enumerate(head.bound_args()):
-        arg_vars = arg.variables()
-        if not arg_vars:
-            entry_ops.append((pos, _CONST, _CATALOG.intern(arg)))
-        elif isinstance(arg, Variable):
-            if arg in bound:
-                entry_ops.append((pos, _EQ, slots[arg]))
-            else:
-                entry_ops.append((pos, _STORE, slots[arg]))
-                bound.add(arg)
-        else:
-            bound_pairs = tuple(
-                (v, slots[v]) for v in arg_vars if v in bound
-            )
-            free_vars = tuple(v for v in arg_vars if v not in bound)
-            free_pairs = tuple((v, slots[v]) for v in free_vars)
-            entry_ops.append((pos, _MATCH, (arg, bound_pairs, free_pairs)))
-            bound.update(free_vars)
-
-    steps = []
+    steps = [JoinStep(
+        entry, entry.pred_key, False, False, (), (),
+        tuple(_row_ops_for(entry, slots, bound, set())),
+    )]
     for literal in rule.body:
+        positions, key_ops = _key_ops_for(literal, slots, bound)
+        input_key = None
         if literal.pred_key in derived_keys:
+            input_key = subquery_relation(literal.pred_key)
+            key_of = dict(zip(positions, key_ops))
             positions = literal.bound_positions()
-            key_ops = []
             for pos in positions:
-                arg = literal.args[pos]
-                arg_vars = arg.variables()
-                if not arg_vars:
-                    key_ops.append((_CONST, arg))
-                elif isinstance(arg, Variable) and arg in bound:
-                    key_ops.append((_SLOT, slots[arg]))
-                elif all(v in bound for v in arg_vars):
-                    key_ops.append(
-                        (_EVAL,
-                         (arg, tuple((v, slots[v]) for v in arg_vars)))
-                    )
-                else:
+                if pos not in key_of:
                     # a bound position the sip did not bind: its
                     # subquery would not be ground (never so for
                     # adorn_program output)
@@ -1215,58 +1159,28 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> SubqueryPlan:
                         "is bound neither by the head's bound arguments "
                         "nor by an earlier literal"
                     )
-            row_ops = _row_ops_for(literal, slots, bound, set(positions))
-            # a successful match grounds every variable of the literal
-            bound.update(literal.variables())
-            steps.append(
-                SubqueryStep(
-                    literal, literal.pred_key, True, positions,
-                    tuple(key_ops), tuple(row_ops),
-                )
-            )
-        else:
-            index_positions, key_ops = _key_ops_for(literal, slots, bound)
-            row_ops = _row_ops_for(
-                literal, slots, bound, set(index_positions)
-            )
-            steps.append(
-                SubqueryStep(
-                    literal, literal.pred_key, False,
-                    tuple(index_positions), tuple(key_ops),
-                    tuple(row_ops),
-                )
-            )
-
-    head_ops = []
-    for arg in head.args:
-        arg_vars = arg.variables()
-        if not arg_vars:
-            head_ops.append((_CONST, arg))
-        elif isinstance(arg, Variable):
-            if arg in bound:
-                head_ops.append((_SLOT, slots[arg]))
-            else:
-                head_ops.append((_UNBOUND, arg))
-        elif all(v in bound for v in arg_vars):
-            head_ops.append(
-                (_EVAL, (arg, tuple((v, slots[v]) for v in arg_vars)))
-            )
-        else:
-            head_ops.append((_UNBOUND, arg))
-    return SubqueryPlan(
-        rule, head.pred_key, tuple(entry_ops), tuple(steps),
-        tuple(head_ops), len(slots),
+            key_ops = [key_of[pos] for pos in positions]
+        row_ops = _row_ops_for(literal, slots, bound, set(positions))
+        steps.append(JoinStep(
+            literal, literal.pred_key, False, False, tuple(positions),
+            tuple(key_ops), tuple(row_ops), input_key,
+        ))
+    return JoinPlan(
+        guarded, None, tuple(range(len(steps))), tuple(steps),
+        _head_ops_for(head, slots, bound), len(slots),
     )
 
 
 class SubqueryProgram:
-    """All subquery plans for an adorned program, plus per-predicate
-    bound-position tuples for the evaluator's answer-relation indexes.
+    """The QSQ plans of an adorned program (one per rule, from
+    :func:`compile_subquery_rule`), plus per-predicate bound-position
+    tuples for the evaluator's answer-relation indexes.
 
-    Answers the two questions :func:`repro.datalog.engine.fixpoint` asks
-    of a :class:`CompiledProgram`: ``strata`` (one stratum of every
-    plan: QSQ runs positive programs only) and
-    :meth:`recursive_occurrences`.
+    Answers what :func:`repro.datalog.engine.fixpoint` and
+    :func:`repro.datalog.engine.serial_executor` ask of a
+    :class:`CompiledProgram`: ``strata`` (one stratum of every plan: QSQ
+    runs positive programs only), :meth:`recursive_occurrences` and
+    :meth:`plan`.
     """
 
     __slots__ = ("program", "derived_keys", "plans", "strata",
@@ -1275,41 +1189,44 @@ class SubqueryProgram:
     def __init__(self, program: Program):
         self.program = program
         self.derived_keys = program.derived_predicates()
-        plans = []
-        bound_positions: Dict[str, Tuple[int, ...]] = {}
-        for rule in program.rules:
-            plan = compile_subquery_rule(rule, self.derived_keys)
-            plans.append(plan)
-            if plan.head_key not in bound_positions:
-                bound_positions[plan.head_key] = rule.head.bound_positions()
-        self.plans = tuple(plans)
-        self.strata = (tuple(range(len(plans))),)
-        self.bound_positions = bound_positions
-        self._occurrences = tuple(
-            ((ENTRY, plan.input_key),) + tuple(
-                (depth, step.pred_key)
-                for depth, step in enumerate(plan.steps)
-                if step.is_derived
-            )
-            for plan in plans
+        self.plans = tuple(
+            compile_subquery_rule(rule, self.derived_keys)
+            for rule in program.rules
         )
+        self.strata = (tuple(range(len(self.plans))),)
+        self.bound_positions: Dict[str, Tuple[int, ...]] = {}
+        for rule in program.rules:
+            self.bound_positions.setdefault(
+                rule.head.pred_key, rule.head.bound_positions()
+            )
+        self._occurrences = tuple(
+            tuple(
+                (i, step.pred_key)
+                for i, step in enumerate(plan.steps)
+                if i == 0 or step.input_key is not None
+            )
+            for plan in self.plans
+        )
+
+    def plan(
+        self, rule_index: int, delta_index: Optional[int] = None
+    ) -> JoinPlan:
+        """Rule ``rule_index``'s one plan, for any ``delta_index``: the
+        driver's slot windows carry the delta."""
+        return self.plans[rule_index]
 
     def recursive_occurrences(
         self, rule_index: int
     ) -> Tuple[Tuple[int, str], ...]:
         """``(body index, relation)`` of what plan ``rule_index`` reads
-        that grows while QSQ runs: its head's input relation at
-        :data:`ENTRY`, and the answer relation of each derived step."""
+        that grows while QSQ runs: its head's input relation at body
+        index 0, and the answer relation of each derived step."""
         return self._occurrences[rule_index]
 
     def register_indexes(self, database: Database) -> None:
-        """Register every base step's index positions up front."""
+        """Register every plan's index positions on existing relations."""
         for plan in self.plans:
-            for step in plan.steps:
-                if not step.is_derived and step.lookup_positions:
-                    relation = database.get(step.pred_key)
-                    if relation is not None:
-                        relation.register_index(step.lookup_positions)
+            plan.register_indexes(database)
 
     def __len__(self):
         return len(self.plans)

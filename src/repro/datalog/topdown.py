@@ -24,77 +24,60 @@ checks this equivalence experimentally.
 Architecture
 ------------
 
-Execution mirrors the bottom-up engine's join planner
-(:mod:`repro.datalog.planner`).  Each adorned rule is compiled **once**
-into a :class:`~repro.datalog.planner.SubqueryPlan`:
+QSQ runs on the bottom-up engine's one join executor.  Each adorned rule
+``h :- body`` is compiled **once**
+(:func:`~repro.datalog.planner.compile_subquery_rule`) into the ordinary
+:class:`~repro.datalog.planner.JoinPlan` of ``h :- $q:h(b), body``, where
+``b`` are the head's bound arguments:
 
-* **Slot frames.**  Rule variables are numbered into a flat frame; the
-  inner loops run precompiled ops (store slot / compare slot / match
-  pattern) instead of threading dict :class:`Substitution` copies
-  through every candidate row.
-* **Precomputed bound/free splits.**  Each derived body literal carries
-  its adornment's bound positions as the key of an indexed *answer
-  relation* (one per adorned predicate, indexed on those positions), so
-  joining new bindings against accumulated answers is a hash probe, not
-  a scan.  Base literals carry the argument positions ground at plan
-  time, registered on the EDB relations up front so every database
-  access goes through an index.
-* **Rounds on the one round driver.**  ``Q`` and ``F`` are relations of
-  the evaluation's working database (a :meth:`Database.snapshot`): per
+* **Subqueries and answers are relations.**  ``Q`` and ``F`` live in the
+  evaluation's working database (a :meth:`Database.snapshot`): per
   adorned predicate an *input relation*
   (:func:`~repro.datalog.planner.subquery_relation`, a name no program
-  can spell) and an answer relation under the adorned key.  A plan's
-  entry reads its head's input relation and each derived step an answer
-  relation, so :func:`repro.datalog.engine.fixpoint` runs the plans like
-  rules: a plan's first run reads whole relations, every later run reads
-  slot windows -- new inputs against all answers, old inputs against
-  new answers -- and so meets each combination of rows once.  Rounds,
-  budgets and termination are the driver's; ``QSQResult.stats`` counts
-  answers in ``facts_derived`` and subquery rows nowhere.  Every run
-  starts at the entry, so an old-inputs-against-new-answers run
-  re-joins the old inputs up to the step with new answers: deep
-  recursions still pay Θ(rounds·|Q|) there.
+  can spell) and an answer relation under the adorned key, indexed on
+  the adornment's bound positions.  A plan's first step reads its
+  head's input relation; each derived step registers its keys -- the
+  literal's bound arguments -- as subqueries in the literal's input
+  relation and probes its answer relation on them; base steps probe the
+  database like any plan's.  The body keeps its sip order, so one
+  left-to-right pass both constructs the subqueries and joins their
+  answers.  The magic rules are never run, which is what gives the
+  Theorem 9.1 check its meaning.
+* **Rounds on the one round driver.**
+  :func:`repro.datalog.engine.fixpoint` runs the plans with
+  :func:`~repro.datalog.engine.serial_executor`, like a semi-naive
+  evaluation's rules: a plan's first run reads whole relations, every
+  later run reads slot windows -- new inputs against all answers, old
+  inputs against new answers -- and so meets each combination of rows
+  once.  Rounds, budgets and termination are the driver's;
+  ``QSQResult.stats`` counts answers in ``facts_derived``, subquery
+  rows nowhere, and the first step's reads of an input relation in
+  ``join_probes`` / ``tuples_scanned``.  Every run starts at the first
+  step, so an old-inputs-against-new-answers run re-joins the old
+  inputs up to the step with new answers: deep recursions still pay
+  Θ(rounds·|Q|) there.
 * **Plan caching.**  Compiled plans are looked up in the shared
   :class:`~repro.datalog.planner.PlanCache` keyed by program identity,
   so benchmark loops and repeated CLI queries stop recompiling;
   ``QSQResult.stats.plan_cache_hits``/``plan_cache_misses`` report what
   happened.
-
-Open item noticed while profiling: answer relations are rebuilt per
-evaluation even when the database is unchanged -- a memo keyed by
-(program, database version) would make repeated identical queries O(1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from .ast import Literal, Program
-from .catalog import term_catalog
-from .database import Database, FactTuple, IdTuple
-from .engine import EvaluationStats, _install, fixpoint
+from .database import Database, FactTuple
+from .engine import EvaluationStats, _install, fixpoint, serial_executor
 from .errors import EvaluationError, UnsupportedProgramError
-from .planner import (
-    ENTRY,
-    PlanCache,
-    SubqueryProgram,
-    subquery_program_for,
-    subquery_relation,
-    _batch_keys,
-    _scan_batch_step,
-    _CONST,
-    _EQ,
-    _EVAL,
-    _SLOT,
-    _STORE,
-)
+from .planner import PlanCache, subquery_program_for, subquery_relation
 from .terms import Term, Variable
-from .unify import match_into, match_sequences, resolve
+from .unify import match_sequences
 
 __all__ = ["QSQResult", "qsq_evaluate"]
-
-_CATALOG = term_catalog()
 
 
 @dataclass
@@ -183,13 +166,16 @@ def qsq_evaluate(
 
     ``plan_cache`` overrides the shared compiled-plan cache.
 
-    Rounds run on :func:`repro.datalog.engine.fixpoint`, so
+    Rounds run on :func:`repro.datalog.engine.fixpoint` and plans on
+    :meth:`~repro.datalog.planner.JoinPlan.execute_batch`, so
     ``max_iterations`` / ``max_facts`` (answers) and ``meter`` (duck-typed,
     see :mod:`repro.core.limits`: ``check_round`` at every round,
     ``check_batch`` at every plan run) behave as in bottom-up
-    evaluation.  Subqueries and answers live in a snapshot of
-    ``database`` (the only change to ``database`` is physical index
-    registration), so an abort leaves it logically untouched.
+    evaluation, and a non-ground answer row raises
+    :class:`EvaluationError` as it does there.  Subqueries and answers
+    live in a snapshot of ``database`` (the only change to ``database``
+    is physical index registration), so an abort leaves it logically
+    untouched.
     """
     if adorned_program.has_negation():
         raise UnsupportedProgramError(
@@ -216,10 +202,12 @@ def qsq_evaluate(
     seed = tuple(arg for arg in query_literal.args if arg.is_ground())
     working.relation(subquery_relation(query_key)).add(seed)
 
-    executor = _QSQExecutor(compiled, working, stats, meter)
+    execute = serial_executor(
+        compiled, working, stats, meter, partial(_install, working, stats)
+    )
     fixpoint(
-        compiled, working, stats, executor.execute, True, meter,
-        max_iterations, max_facts,
+        compiled, working, stats, execute, True, meter, max_iterations,
+        max_facts,
     )
 
     result = QSQResult(stats=stats)
@@ -233,187 +221,3 @@ def qsq_evaluate(
     result.subqueries_generated = result.query_count()
     return result
 
-
-class _QSQExecutor:
-    """The QSQ round executor (:data:`repro.datalog.engine.RoundExecutor`).
-
-    A task runs one plan over its slot windows: the entry reads the
-    head's input rows in its window, each derived step appends the
-    subquery keys of the frames reaching it to its predicate's input
-    relation and probes the window of its answer relation, and the head
-    rows of the whole task are installed at its end.  Only input
-    relations change during a task, and only the entry, at its start,
-    reads one.  A frame that reaches a derived step again in a later
-    task (old inputs against new answers) re-registers a key already in
-    the input relation, which adds nothing.
-    """
-
-    __slots__ = ("plans", "working", "stats", "meter", "rows")
-
-    def __init__(self, compiled: SubqueryProgram, working: Database,
-                 stats: EvaluationStats, meter=None):
-        self.plans = compiled.plans
-        self.working = working
-        self.stats = stats
-        self.meter = meter
-        #: the running task's head ID rows
-        self.rows: List[IdTuple] = []
-
-    def execute(self, groups) -> Dict[str, List[IdTuple]]:
-        stats = self.stats
-        meter = self.meter
-        fresh_by_head: Dict[str, List[IdTuple]] = {}
-        for group in groups:
-            plan = self.plans[group[0][0]]
-            for _, _, windows, _ in group:
-                if meter is not None:
-                    meter.check_batch(stats.facts_derived, stats.tuples_scanned)
-                self.rows = []
-                self._run_entry(plan, windows)
-                solutions = len(self.rows)
-                stats.rule_firings += solutions
-                fresh = _install(
-                    self.working, stats, plan.head_key, self.rows, solutions
-                )
-                if fresh:
-                    fresh_by_head.setdefault(plan.head_key, []).extend(fresh)
-        return fresh_by_head
-
-    # ------------------------------------------------------------------
-    def _run_entry(self, plan, windows) -> None:
-        """Push the input rows in the entry's window through ``plan``.
-
-        The window is read as ID rows, and entry ops filter each one on
-        a scratch frame of term IDs: ``_STORE``, ``_EQ`` and ``_CONST``
-        compare IDs, and only a ``_MATCH`` (a ``Struct`` head pattern
-        such as ``[X|Xs]``) resolves its one value and interns what it
-        binds.  Survivors fill the plan's entry-slot columns, and the
-        body runs in batches over term IDs (:meth:`_run_batch`).
-        """
-        inputs = self.working.get(plan.input_key)
-        if inputs is None:
-            return
-        lo, hi = (0, inputs.slot_count()) if windows is None else windows[ENTRY]
-        frame: List[Optional[int]] = [None] * plan.n_slots
-        entry_ops = plan.entry_ops
-        entry_slots = plan.b_entry_slots
-        resolve_id = _CATALOG.resolve
-        intern = _CATALOG.intern
-        cols: Dict[int, List[int]] = {s: [] for s in entry_slots}
-        n = 0
-        for row in inputs.window_rows(lo, hi):
-            for pos, tag, payload in entry_ops:
-                value = row[pos]
-                if tag == _STORE:
-                    frame[payload] = value
-                elif tag == _CONST:
-                    if payload != value:
-                        break
-                elif tag == _EQ:
-                    if frame[payload] != value:
-                        break
-                else:  # _MATCH
-                    pattern, bound_pairs, free_pairs = payload
-                    seed = {v: resolve_id(frame[s]) for v, s in bound_pairs}
-                    if not match_into(pattern, resolve_id(value), seed):
-                        break
-                    for v, s in free_pairs:
-                        frame[s] = intern(seed[v])
-            else:
-                for s in entry_slots:
-                    cols[s].append(frame[s])
-                n += 1
-        if n:
-            self._run_batch(plan, cols, n, windows)
-
-    # ------------------------------------------------------------------
-    def _run_batch(self, plan, cols, n, windows) -> None:
-        """Batch body execution over ID columns; every plan runs here.
-
-        Partial matches travel as parallel columns of term IDs, each
-        step probes its relation once per *distinct* key in the batch,
-        derived-step keys are registered as subqueries once per distinct
-        key (always ground: ``compile_subquery_rule`` rejects a rule
-        where one might not be), and head rows are collected as ID rows
-        -- terms are resolved only when ``QSQResult.answers`` is
-        materialized.
-        """
-        working = self.working
-        stats = self.stats
-        resolve_id = _CATALOG.resolve
-        id_of = _CATALOG.id_of
-        intern = _CATALOG.intern
-        for depth, step in enumerate(plan.steps):
-            b_key_ops = step.b_key_ops
-            relation = working.get(step.pred_key)
-            window = None
-            if step.is_derived:
-                # derived keys double as subquery vectors, so _EVAL keys
-                # are interned, and every frame reaching the step
-                # registers its key -- before any emptiness check
-                keys = (
-                    _batch_keys(b_key_ops, cols, n, False, intern)
-                    if b_key_ops else None
-                )
-                if keys is None:
-                    subqueries = [()]
-                elif len(b_key_ops) == 1:
-                    subqueries = [(k,) for k in set(keys)]
-                else:
-                    subqueries = set(keys)
-                working.relation(step.input_key).add_id_rows(subqueries)
-                if windows is not None:
-                    window = windows[depth]
-            else:
-                keys = (
-                    _batch_keys(b_key_ops, cols, n, False, id_of)
-                    if b_key_ops else None
-                )
-            if relation is None or len(relation) == 0:
-                return
-            sel, stores, probes, scanned = _scan_batch_step(
-                relation, step.lookup_positions, keys,
-                step.b_row_ops, len(step.b_store_slots), cols, n, window,
-            )
-            stats.join_probes += probes
-            stats.tuples_scanned += scanned
-            if not sel:
-                return
-            next_cols: Dict[int, List[int]] = {
-                s: [cols[s][i] for i in sel] for s in step.b_carry_out
-            }
-            for j, s in step.b_store_out:
-                next_cols[s] = stores[j]
-            cols = next_cols
-            n = len(sel)
-
-        head_slots = plan.b_head_slots
-        if head_slots is not None:
-            if not head_slots:
-                self.rows.extend([()] * n)
-            elif len(head_slots) == 1:
-                self.rows.extend([(v,) for v in cols[head_slots[0]]])
-            else:
-                self.rows.extend(zip(*(cols[s] for s in head_slots)))
-            return
-        b_head_ops = plan.b_head_ops
-        for i in range(n):
-            args = []
-            for tag, payload in b_head_ops:
-                if tag == _SLOT:
-                    args.append(cols[payload][i])
-                elif tag == _CONST:
-                    args.append(payload)
-                elif tag == _EVAL:
-                    term, pairs = payload
-                    value = resolve(
-                        term,
-                        {v: resolve_id(cols[s][i]) for v, s in pairs},
-                    )
-                    if not value.is_ground():
-                        break  # a non-ground answer row is dropped
-                    args.append(intern(value))
-                else:  # _UNBOUND: the row can never be ground
-                    break
-            else:
-                self.rows.append(tuple(args))

@@ -861,11 +861,7 @@ class TestIndexOwnership:
         adorned = adorn_program(session.program, query)
         subqueries, _ = subquery_program_for(adorned.program, cache)
         for plan in subqueries.plans:
-            requests.update(
-                (step.pred_key, step.lookup_positions)
-                for step in plan.steps
-                if not step.is_derived and step.lookup_positions
-            )
+            requests.update(plan.index_requests())
         return requests
 
     def test_evaluators_leave_only_their_indexes_behind(self):

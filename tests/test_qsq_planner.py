@@ -30,7 +30,9 @@ from repro import (
     build_empty_sip,
     build_full_sip,
     check_optimality,
+    compile_subquery_rule,
     evaluate_seminaive,
+    order_body,
     parse_program,
     qsq_evaluate,
     rewrite,
@@ -38,6 +40,7 @@ from repro import (
     UnsupportedProgramError,
 )
 from repro.datalog.ast import Program, Rule
+from repro.datalog.planner import subquery_relation
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
@@ -193,6 +196,44 @@ class TestCompiledEquivalence:
         ) as info:
             qsq_evaluate(program, db, query, plan_cache=PlanCache())
         assert str(program.rules[0]) in str(info.value)
+
+
+class TestQSQPlanShape:
+    """A QSQ plan is the ``JoinPlan`` of ``h :- $q:h(b), body`` in sip
+    order: the order decides which subqueries exist."""
+
+    def test_first_step_reads_the_subqueries_and_derived_steps_register(
+        self,
+    ):
+        adorned = adorn_program(
+            nonlinear_samegen_program(), samegen_query("L0_0")
+        )
+        compiled, _ = subquery_program_for(adorned.program, PlanCache())
+        for rule, plan in zip(adorned.program.rules, compiled.plans):
+            entry, *body = plan.steps
+            assert entry.pred_key == subquery_relation(rule.head.pred_key)
+            assert entry.input_key is None
+            assert [step.literal for step in body] == list(rule.body)
+            for step in body:
+                if step.pred_key in compiled.derived_keys:
+                    assert step.input_key == subquery_relation(step.pred_key)
+                    assert step.index_positions == (
+                        step.literal.bound_positions()
+                    )
+                else:
+                    assert step.input_key is None
+
+    def test_body_keeps_the_sip_order(self):
+        # the greedy join order would run f(X, Z) before e(Z, Y); a QSQ
+        # plan never reorders
+        x, y, z = Variable("X"), Variable("Y"), Variable("Z")
+        rule = Rule(
+            Literal("p", (x, y), "bf"),
+            [Literal("e", (z, y)), Literal("f", (x, z))],
+        )
+        plan = compile_subquery_rule(rule, {"p^bf"})
+        assert plan.order == (0, 1, 2)
+        assert order_body(plan.rule) != plan.order
 
 
 class TestTheorem91:

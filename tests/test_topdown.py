@@ -5,14 +5,21 @@ import pytest
 from repro import (
     EvaluationError,
     NonTerminationError,
+    Program,
+    QueryOptions,
     adorn_program,
+    answer_query,
     bottom_up_answer,
+    build_chain_sip,
+    build_full_sip,
+    parse_query,
     qsq_evaluate,
 )
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
     chain_database,
+    constant_list,
     cycle_database,
     integer_list,
     list_reverse_program,
@@ -70,6 +77,41 @@ class TestAnswers:
         answers = result.query_answers(adorned.query_literal)
         assert len(answers) == 1
         assert str(next(iter(answers))[0]) == "[3, 2, 1, 0]"
+
+
+def _append_program():
+    """The two ``append`` rules of list reverse, on their own."""
+    return Program(list_reverse_program().rules[:2])
+
+
+class TestNonGroundAnswers:
+    """An answer row with an unbound head variable raises, under QSQ as
+    under every bottom-up route -- it is never dropped in silence."""
+
+    CASES = [
+        pytest.param(
+            list_reverse_program, lambda: reverse_query(
+                constant_list([1, 2, 3])
+            ), build_chain_sip, id="reverse-chain-sip",
+        ),
+        pytest.param(
+            _append_program, lambda: parse_query("append(X, Y, Z)?"),
+            build_full_sip, id="append-fff",
+        ),
+        pytest.param(
+            _append_program, lambda: parse_query("append(a, Y, Z)?"),
+            build_full_sip, id="append-bff",
+        ),
+    ]
+
+    @pytest.mark.parametrize("method", ["qsq", "magic"])
+    @pytest.mark.parametrize("make_program,make_query,sip_builder", CASES)
+    def test_raises(self, method, make_program, make_query, sip_builder):
+        with pytest.raises(EvaluationError, match="non-ground head"):
+            answer_query(
+                make_program(), Database(), make_query(),
+                QueryOptions(method=method), sip_builder=sip_builder,
+            )
 
 
 class TestQueriesGenerated:
