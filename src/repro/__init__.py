@@ -122,20 +122,16 @@ from .core import (
     check_safe_negation,
     check_stratified,
     compare_sips,
-    counting_rewrite,
     counting_safety,
     is_stratified,
     lemma_8_1_prune,
     lemma_8_2_anonymize,
-    magic_rewrite,
     magic_safety,
     negation_safety,
     rewrite,
     semijoin_optimize,
     stratify,
     stratify_or_raise,
-    supplementary_counting_rewrite,
-    supplementary_magic_rewrite,
     unwrap_values,
 )
 from .datalog.ivm import (
@@ -176,8 +172,6 @@ __all__ = [
     # core
     "AdornedProgram", "adorn_program",
     "build_full_sip", "build_chain_sip", "build_empty_sip",
-    "magic_rewrite", "supplementary_magic_rewrite",
-    "counting_rewrite", "supplementary_counting_rewrite",
     "semijoin_optimize", "lemma_8_1_prune", "lemma_8_2_anonymize",
     "magic_safety", "counting_safety",
     "negation_safety", "check_safe_negation",

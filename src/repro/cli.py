@@ -48,7 +48,7 @@ import sys
 from typing import List, Optional
 
 from .core.adornment import adorn_program
-from .core.pipeline import BASELINE_METHODS, REWRITE_METHODS, rewrite
+from .core.pipeline import BASELINE_METHODS, ENGINES, REWRITE_METHODS, rewrite
 from .core.safety import counting_safety, magic_safety, negation_safety
 from .core.stratify import stratify
 from .core.sips import build_chain_sip, build_empty_sip, build_full_sip
@@ -127,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "rewrites and qsq reject negation",
             )
             p.add_argument(
-                "--mode",
-                choices=("numeric", "structural"),
-                default="numeric",
-                help="counting index encoding",
-            )
-            p.add_argument(
                 "--semijoin",
                 action="store_true",
                 help="apply the Section 8 semijoin optimization "
@@ -154,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--facts", help="extra facts file (same .dl syntax)", default=None
     )
     p_query.add_argument(
-        "--engine", choices=("naive", "seminaive"), default="seminaive"
+        "--engine", choices=ENGINES, default="seminaive"
     )
     p_query.add_argument(
         "--max-iterations", type=int, default=None,
@@ -338,7 +332,6 @@ def _cmd_rewrite(args) -> int:
         query,
         method=args.method,
         sip_builder=_SIP_BUILDERS[args.sip],
-        mode=args.mode,
         optimize=not args.no_optimize,
         semijoin=args.semijoin,
     )
@@ -360,7 +353,6 @@ def _cmd_query(args) -> int:
             query,
             method=args.method,
             engine=args.engine,
-            mode=args.mode,
             semijoin=args.semijoin,
             optimize=not args.no_optimize,
             max_iterations=args.max_iterations,

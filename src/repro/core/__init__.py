@@ -4,15 +4,15 @@ Import surface::
 
     from repro.core import (
         adorn_program, build_full_sip, build_chain_sip,
-        magic_rewrite, supplementary_magic_rewrite,
-        counting_rewrite, supplementary_counting_rewrite,
-        semijoin_optimize, rewrite, answer_query,
+        rewrite, semijoin_optimize, answer_query,
     )
+
+``rewrite(program, query, method=...)`` runs any of the four rewrites
+(:mod:`repro.core.rewrites`); pass ``adorned=`` to rewrite an adorned
+program built with a custom sip.
 """
 
 from .adornment import AdornedProgram, AdornedRule, adorn_program
-from .counting import counting_rewrite
-from .magic import magic_literal_for, magic_rewrite
 from .optimality import (
     OptimalityReport,
     SipComparison,
@@ -43,6 +43,7 @@ from .provenance import (
     RewrittenRule,
     RuleProvenance,
 )
+from .rewrites import magic_literal_for
 from .safety import (
     BindingGraph,
     SafetyReport,
@@ -75,16 +76,12 @@ from .sips import (
     greedy_order,
     sip_builder_with_order,
 )
-from .supplementary import supplementary_magic_rewrite
-from .supplementary_counting import supplementary_counting_rewrite
 
 __all__ = [
     "AdornedProgram",
     "AdornedRule",
     "adorn_program",
-    "counting_rewrite",
     "magic_literal_for",
-    "magic_rewrite",
     "OptimalityReport",
     "SipComparison",
     "check_optimality",
@@ -135,6 +132,4 @@ __all__ = [
     "build_right_to_left_sip",
     "greedy_order",
     "sip_builder_with_order",
-    "supplementary_magic_rewrite",
-    "supplementary_counting_rewrite",
 ]

@@ -4,13 +4,13 @@ The rewrites introduce auxiliary predicates (magic, supplementary,
 counting, indexed, labels).  Generated names fold the adornment in
 (``magic_sg_bf`` for the paper's ``magic_sg^bf``), so each adorned
 version gets its own relation.  Keeping the scheme in one place makes the
-appendix-comparison tests readable and guards against collisions with
-user predicates.
+appendix-comparison tests readable.  The names are not made fresh: a
+program or database that already uses one would mix its rows into the
+rewrite's, so :func:`repro.core.pipeline.answer_query` rejects the
+rewrite for such a query (``auto`` then answers semi-naive).
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Set
 
 __all__ = [
     "magic_name",
@@ -21,7 +21,6 @@ __all__ = [
     "label_name",
     "is_generated_name",
     "is_indexed_name",
-    "ensure_fresh",
 ]
 
 _MAGIC_PREFIX = "magic_"
@@ -84,12 +83,3 @@ def is_indexed_name(pred: str) -> bool:
     return _INDEXED_MARK in pred and not (
         pred.startswith(_COUNTING_PREFIX) or pred.startswith(_MAGIC_PREFIX)
     )
-
-
-def ensure_fresh(name: str, taken: Iterable[str]) -> str:
-    """Suffix underscores until ``name`` avoids every name in ``taken``."""
-    taken_set: Set[str] = set(taken)
-    fresh = name
-    while fresh in taken_set:
-        fresh += "_"
-    return fresh

@@ -59,19 +59,17 @@ from ..datalog.planner import PlanCache, shared_plan_cache
 from ..datalog.terms import Constant, Term
 from ..datalog.topdown import QSQResult, qsq_evaluate
 from .adornment import AdornedProgram, adorn_program
-from .counting import counting_rewrite
 from .limits import BudgetExceeded
-from .magic import magic_rewrite
 from .provenance import RewrittenProgram
+from .rewrites import REWRITE_METHODS, sip_rewrite
 from .semijoin import semijoin_optimize
 from .sips import SipBuilder, build_full_sip
 from .stratify import stratify_or_raise
-from .supplementary import supplementary_magic_rewrite
-from .supplementary_counting import supplementary_counting_rewrite
 
 __all__ = [
     "REWRITE_METHODS",
     "BASELINE_METHODS",
+    "ENGINES",
     "SESSION_METHODS",
     "rewrite",
     "QueryOptions",
@@ -81,16 +79,11 @@ __all__ = [
     "unwrap_values",
 ]
 
-#: The four rewriting algorithms of Sections 4-7.
-REWRITE_METHODS = (
-    "magic",
-    "supplementary_magic",
-    "counting",
-    "supplementary_counting",
-)
-
 #: evaluation baselines answer_query accepts besides the rewrites
 BASELINE_METHODS = ("naive", "seminaive", "qsq")
+
+#: the bottom-up strategies a rewritten program is evaluated with
+ENGINES = ("naive", "seminaive")
 
 #: everything a query accepts for ``method``: the rewrites, the
 #: baselines, "auto", plus "materialized" (answer from a covering
@@ -126,16 +119,19 @@ def rewrite(
     query: Query,
     method: str = "supplementary_magic",
     sip_builder: SipBuilder = build_full_sip,
-    mode: str = "numeric",
     optimize: bool = True,
     semijoin: bool = False,
     adorned: Optional[AdornedProgram] = None,
 ) -> RewrittenProgram:
     """Rewrite ``program`` for ``query`` with the chosen method.
 
-    ``mode`` selects the counting index encoding (``"numeric"`` or
-    ``"structural"``); it is ignored by the magic methods.  ``semijoin``
-    applies the Section 8 optimization (counting methods only).
+    The single entry point of the four rewrites
+    (:func:`repro.core.rewrites.sip_rewrite`): ``adorned`` is the
+    adorned program when the caller has it, else ``program`` is adorned
+    for ``query`` along ``sip_builder``.  ``optimize`` applies the
+    redundant-literal deletions of Propositions 4.2/4.3 and Lemma 6.2;
+    ``semijoin`` applies the Section 8 optimization (counting methods
+    only).
 
     Stratified programs are accepted by the magic methods via the
     conservative extension (negated literals carried unchanged, their
@@ -147,21 +143,7 @@ def rewrite(
     """
     if adorned is None:
         adorned = adorn_program(program, query, sip_builder)
-    if method == "magic":
-        result = magic_rewrite(adorned, optimize=optimize)
-    elif method == "supplementary_magic":
-        result = supplementary_magic_rewrite(adorned, optimize=optimize)
-    elif method == "counting":
-        result = counting_rewrite(adorned, mode=mode, optimize=optimize)
-    elif method == "supplementary_counting":
-        result = supplementary_counting_rewrite(
-            adorned, mode=mode, optimize=optimize
-        )
-    else:
-        raise ValueError(
-            f"unknown rewrite method {method!r}; expected one of "
-            f"{REWRITE_METHODS}"
-        )
+    result = sip_rewrite(adorned, method, optimize=optimize)
     if semijoin:
         if method not in ("counting", "supplementary_counting"):
             raise RewriteError(
@@ -190,8 +172,9 @@ class QueryOptions:
     ``method`` is ``"auto"`` (supplementary magic, or compiled
     semi-naive where adornment or the rewrite rejects the query's
     shape), a rewrite method, a baseline, or ``"materialized"``;
-    ``engine`` is the bottom-up strategy a rewrite is evaluated with;
-    ``mode`` / ``optimize`` / ``semijoin`` configure the rewrite;
+    ``engine`` is the bottom-up strategy a rewrite is evaluated with
+    (one of :data:`ENGINES`); ``optimize`` / ``semijoin`` configure the
+    rewrite;
     ``max_iterations`` bounds the fixpoint; ``workers`` is an int >= 1,
     and above 1 evaluates on the sharded thread pool.  Hashable: it is
     the answer memo key of a :class:`~repro.session.Session` and of the
@@ -200,7 +183,6 @@ class QueryOptions:
 
     method: str = "auto"
     engine: str = "seminaive"
-    mode: str = "numeric"
     optimize: bool = True
     semijoin: bool = False
     max_iterations: Optional[int] = None
@@ -211,6 +193,10 @@ class QueryOptions:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of "
                 f"{SESSION_METHODS}"
+            )
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         if type(self.workers) is not int or self.workers < 1:
             raise ValueError(
@@ -258,7 +244,7 @@ class _QueryShape(NamedTuple):
     """What adornment and rewriting make of one query *shape*.
 
     One entry of the :class:`~repro.datalog.planner.PlanCache` per
-    (program, :meth:`Query.shape`, sip builder, method, mode, optimize,
+    (program, :meth:`Query.shape`, sip builder, method, optimize,
     semijoin); nothing in it depends on the query's constants, which
     stand in it as placeholders.  Published entries are never changed:
     a query gets its own copy through ``bind(query)``.
@@ -275,6 +261,10 @@ class _QueryShape(NamedTuple):
     #: shape raised (one of ``_SHAPE_REJECTIONS``), or None: ``auto``'s
     #: verdict, and what an explicit request for the method re-raises
     rejection: Optional[Tuple[type, str]] = None
+    #: the relations the rewrite introduces (magic, supplementary,
+    #: counting, indexed, label): a read rejects the shape when its
+    #: database already holds rows under one of them
+    generated: frozenset = frozenset()
 
 
 def _shape_for(
@@ -289,14 +279,14 @@ def _shape_for(
 
     The key is the cache's own ``(kind, program)`` with the shape in
     ``kind``, so every caller over this program and plan cache shares
-    the entry.  QSQ reads none of ``mode`` / ``optimize`` /
-    ``semijoin`` and is keyed with ``None`` for each.
+    the entry.  QSQ reads neither ``optimize`` nor ``semijoin`` and is
+    keyed with ``None`` for both.
     """
     shape = query.shape()
     if method == "qsq":
-        rewrite_key = (None, None, None)
+        rewrite_key = (None, None)
     else:
-        rewrite_key = (options.mode, options.optimize, options.semijoin)
+        rewrite_key = (options.optimize, options.semijoin)
     kind = ("query-shape", shape.literal, sip_builder, method) + rewrite_key
     entry, _ = plan_cache.get(
         kind,
@@ -323,6 +313,10 @@ def _build_shape(
     original derived names into the adorned relations) -- so mutating a
     relation outside the query's cone leaves a memo entry valid.  QSQ
     reads the adorned program's relations.
+
+    A rewrite that generates a name the program already uses is
+    rejected here; a clash with a database relation is checked per read
+    (:func:`_generated_clash`).
     """
     try:
         adorned = adorn_program(program, shape, sip_builder)
@@ -338,11 +332,25 @@ def _build_shape(
             shape,
             method=method,
             sip_builder=sip_builder,
-            mode=options.mode,
             optimize=options.optimize,
             semijoin=options.semijoin,
             adorned=adorned,
         )
+        generated = frozenset(
+            literal.pred_key
+            for literal in (
+                *(rr.rule.head for rr in rewritten.rules),
+                *rewritten.seed_facts,
+            )
+            if literal.adornment is None
+        )
+        clashes = sorted(generated & program.predicates())
+        if clashes:
+            raise RewriteError(
+                f"the {method} rewrite generates the relation "
+                f"{clashes[0]}, which the program already uses; rename "
+                "it or use --method seminaive"
+            )
     except _SHAPE_REJECTIONS as exc:
         return _QueryShape(None, None, frozenset(), (type(exc), str(exc)))
     # .program and .mirror_targets are computed on first reading: read
@@ -355,7 +363,25 @@ def _build_shape(
         | {seed.pred_key for seed in rewritten.seed_facts}
         | reachable_predicates(program, [shape.literal.pred_key])
     )
-    return _QueryShape(adorned, rewritten, footprint)
+    return _QueryShape(adorned, rewritten, footprint, generated=generated)
+
+
+def _generated_clash(
+    shape: _QueryShape, method: str, database: Database
+) -> Optional[Tuple[type, str]]:
+    """A rejection when ``database`` holds rows under a relation name
+    the shape's rewrite generates (its rows would join the rewrite's
+    own), else None."""
+    for name in shape.generated:
+        relation = database.get(name)
+        if relation is not None and len(relation):
+            return (
+                RewriteError,
+                f"the {method} rewrite generates the relation {name}, "
+                "which the database already holds; rename it or use "
+                "--method seminaive",
+            )
+    return None
 
 
 def answer_query(
@@ -447,19 +473,18 @@ def _evaluate(
     verdict), no retry; a :class:`BudgetExceeded` leaves tagged with
     the method that tripped."""
     if method not in ("naive", "seminaive"):
+        rewrite_method = _AUTO_PRIMARY if method == "auto" else method
         shape = _shape_for(
-            program,
-            query,
-            _AUTO_PRIMARY if method == "auto" else method,
-            options,
-            sip_builder,
-            plan_cache,
+            program, query, rewrite_method, options, sip_builder, plan_cache
         )
-        if shape.rejection is not None:
+        rejection = shape.rejection or _generated_clash(
+            shape, rewrite_method, database
+        )
+        if rejection is not None:
             if method != "auto":
                 # a fresh instance: a shared one would collect every
                 # raise's traceback, across threads
-                error_class, message = shape.rejection
+                error_class, message = rejection
                 raise error_class(message)
             method = _AUTO_FALLBACK
         elif method == "auto":

@@ -218,7 +218,7 @@ class RewrittenProgram:
         derived predicates carrying real tuples), ``"magic"`` (magic /
         counting / supplementary / label facts) and ``"total"``.
         """
-        from .naming import is_generated_name  # local import, no cycle
+        from .naming import is_generated_name, is_indexed_name
 
         adorned = 0
         auxiliary = 0
@@ -226,7 +226,7 @@ class RewrittenProgram:
         for key in derived_keys:
             count = len(result.database.tuples(key))
             pred = key.split("^")[0]
-            if is_generated_name(pred) and not pred.endswith("_ix"):
+            if is_generated_name(pred) and not is_indexed_name(pred):
                 auxiliary += count
             else:
                 adorned += count

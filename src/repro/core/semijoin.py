@@ -39,6 +39,7 @@ from ..datalog.errors import RewriteError
 from ..datalog.terms import Variable
 from .adornment import AdornedProgram
 from .provenance import BodyOrigin, RewrittenProgram, RewrittenRule
+from .rewrites import unbound_head_variables
 from .sips import HEAD
 
 __all__ = ["semijoin_optimize", "lemma_8_1_prune", "lemma_8_2_anonymize"]
@@ -383,7 +384,7 @@ def _rebuild(
             new_origins.append(origin)
         new_head = transform(rr.rule.head)
         candidate = Rule(new_head, tuple(new_body))
-        if new_body and _range_restricted(candidate):
+        if new_body and not unbound_head_variables(candidate):
             new_rules.append(rr.with_rule(candidate, new_origins))
         else:
             # deletion would break range restriction; keep the tails and
@@ -410,7 +411,6 @@ def _rebuild(
         for arg in query_literal.args:
             if not arg.is_ground():
                 new_projection.append(rewritten.index_arity + free_rank)
-            if not arg.is_ground():
                 free_rank += 1
         projection = tuple(new_projection)
 
@@ -426,13 +426,6 @@ def _rebuild(
         index_arity=rewritten.index_arity,
         registry=dict(rewritten.registry),
     )
-
-
-def _range_restricted(rule: Rule) -> bool:
-    body_vars: Set[Variable] = set()
-    for literal in rule.body:
-        body_vars.update(literal.variables())
-    return all(var in body_vars for var in rule.head.variables())
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +454,7 @@ def lemma_8_1_prune(rewritten: RewrittenProgram) -> RewrittenProgram:
             new_body.append(literal)
             new_origins.append(origin)
         candidate = Rule(rr.rule.head, tuple(new_body))
-        if new_body and _range_restricted(candidate):
+        if new_body and not unbound_head_variables(candidate):
             new_rules.append(rr.with_rule(candidate, new_origins))
         else:
             new_rules.append(rr)

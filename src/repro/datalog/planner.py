@@ -1252,8 +1252,8 @@ class PlanCache:
 
     * ``"bottom-up"`` -- a :class:`CompiledProgram` (``evaluate*``);
     * ``"qsq"`` -- a :class:`SubqueryProgram` (``qsq_evaluate``);
-    * ``("query-shape", shape literal, sip builder, method, mode,
-      optimize, semijoin)`` -- the adorned and rewritten program of one
+    * ``("query-shape", shape literal, sip builder, method, optimize,
+      semijoin)`` -- the adorned and rewritten program of one
       query shape, or the error that rejected it
       (:func:`repro.core.pipeline.answer_query`), whose ``program`` is
       in turn the key of a ``"bottom-up"`` / ``"qsq"`` entry.

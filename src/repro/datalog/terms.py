@@ -215,7 +215,7 @@ class Struct(Term):
 class LinExpr(Term):
     """A linear integer expression ``coeff * var + offset``.
 
-    Used by the numeric index mode of the generalized counting method
+    Used by the index fields of the generalized counting method
     (Section 6): the index fields of counting predicates are written as
     ``I + 1``, ``K x m + i`` and ``H x t + j``, all of which have this
     shape.  The unifier evaluates a :class:`LinExpr` once its variable is

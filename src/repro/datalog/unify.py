@@ -10,7 +10,7 @@ Two operations drive the whole system:
 Both understand :class:`~repro.datalog.terms.LinExpr` index expressions:
 an expression ``c*V + d`` matched against an integer constant ``n`` solves
 for ``V`` (failing when ``(n - d)`` is not divisible by ``c``), which is
-what lets the numeric mode of the generalized counting method (Section 6)
+what lets the index fields of the generalized counting method (Section 6)
 run under ordinary bottom-up evaluation.
 """
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..core.pipeline import ENGINES
+
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
@@ -153,9 +155,9 @@ def normalize_options(options: Optional[dict]) -> Dict[str, Any]:
         out["method"] = method
     engine = options.get("engine")
     if engine is not None:
-        if engine not in ("naive", "seminaive"):
+        if engine not in ENGINES:
             raise ProtocolError(
-                "bad_request", "engine must be 'naive' or 'seminaive'"
+                "bad_request", f"engine must be one of {list(ENGINES)}"
             )
         out["engine"] = engine
     timeout = options.get("timeout")

@@ -774,7 +774,6 @@ class Session:
         method: str = "auto",
         *,
         engine: str = "seminaive",
-        mode: str = "numeric",
         optimize: bool = True,
         semijoin: bool = False,
         max_iterations: Optional[int] = None,
@@ -862,7 +861,7 @@ class Session:
                         pass
         # an unknown method reaches this line too: QueryOptions rejects it
         options = QueryOptions(
-            method, engine, mode, optimize, semijoin, max_iterations, workers
+            method, engine, optimize, semijoin, max_iterations, workers
         )
         version = self._memo_version
         key = (query, options, version)

@@ -34,21 +34,6 @@ class TestRewrite:
         assert "magic_anc_bf(john)." in out
         assert "anc^bf(X, Y) :- magic_anc_bf(X), par(X, Y)." in out
 
-    def test_counting_structural(self, program_file, capsys):
-        code = main(
-            [
-                "rewrite",
-                program_file,
-                "--method",
-                "counting",
-                "--mode",
-                "structural",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ix(IX, 2, 2)" in out
-
     def test_semijoin_flag(self, program_file, capsys):
         code = main(
             ["rewrite", program_file, "--method", "counting", "--semijoin"]

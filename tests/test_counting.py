@@ -119,24 +119,6 @@ class TestIndexSemantics:
         projected = {row[3:] for row in indexed}
         assert projected == magic_facts
 
-    def test_structural_mode_same_answers(self):
-        program = ancestor_program()
-        query = ancestor_query("n0")
-        db = chain_database(7)
-        numeric = gc(program, query, mode="numeric")
-        structural = gc(program, query, mode="structural")
-        answers = {}
-        for name, rw in (("numeric", numeric), ("structural", structural)):
-            result = evaluate(rw.program, rw.seeded_database(db))
-            answers[name] = rw.extract_answers(result)
-        assert answers["numeric"] == answers["structural"]
-        assert structural.index_arity == 1
-        assert numeric.index_arity == 3
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            gc(ancestor_program(), ancestor_query("a"), mode="weird")
-
 
 class TestDivergence:
     """Theorem 10.3 behaviour: counting diverges where magic does not."""
@@ -200,10 +182,7 @@ class TestRangeRestriction:
                 ),
             )
 
-        adorned = adorn_program(
-            program, parse_query("r(a, Y)?"), sip_builder=builder
-        )
-        from repro.core.counting import counting_rewrite
-
+        query = parse_query("r(a, Y)?")
+        adorned = adorn_program(program, query, sip_builder=builder)
         with pytest.raises(RewriteError):
-            counting_rewrite(adorned)
+            gc(program, query, adorned=adorned)

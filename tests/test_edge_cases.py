@@ -178,7 +178,6 @@ class TestEmptyAndDegenerate:
     def test_rewrite_reusable_across_queries_of_same_form(self):
         """The paper keeps seeds out of P^mg so the rewrite is reusable;
         check two different constants against one rewritten program."""
-        from repro.core.magic import magic_literal_for
         from repro.workloads import ancestor_program, chain_database
 
         program = ancestor_program()

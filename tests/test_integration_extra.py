@@ -1,7 +1,7 @@
 """Additional cross-module integration tests.
 
 Covers combinations the per-module suites leave out: counting on
-multi-predicate programs with acyclic data, structural-mode semijoin,
+multi-predicate programs with acyclic data, semijoin on them,
 reverse-direction queries through greedy sips, and GSC + semijoin
 evaluated dynamically.
 """
@@ -22,7 +22,6 @@ from repro import (
 from repro.core.sips import build_full_sip, greedy_order, sip_builder_with_order
 from repro.workloads import (
     ancestor_program,
-    chain_database,
     load_edges,
     nested_samegen_program,
     nonlinear_samegen_program,
@@ -62,8 +61,7 @@ class TestCountingOnMultiPredicatePrograms:
     @pytest.mark.parametrize(
         "method", ["counting", "supplementary_counting"]
     )
-    @pytest.mark.parametrize("mode", ["numeric", "structural"])
-    def test_nested_samegen_acyclic_data(self, method, mode):
+    def test_nested_samegen_acyclic_data(self, method):
         program = nested_samegen_program()
         query = parse_query('p("a0", Y)?')
         db = acyclic_nested_database()
@@ -72,16 +70,15 @@ class TestCountingOnMultiPredicatePrograms:
             program,
             db,
             query,
-            QueryOptions(method=method, mode=mode, max_iterations=500),
+            QueryOptions(method=method, max_iterations=500),
         )
         assert answer.answers == baseline.answers
 
-    @pytest.mark.parametrize("mode", ["numeric", "structural"])
-    def test_semijoin_on_nested_acyclic_data(self, mode):
+    def test_semijoin_on_nested_acyclic_data(self):
         program = nested_samegen_program()
         query = parse_query('p("a0", Y)?')
         db = acyclic_nested_database()
-        plain = rewrite(program, query, method="counting", mode=mode)
+        plain = rewrite(program, query, method="counting")
         optimized = semijoin_optimize(plain)
         plain_res = evaluate(
             plain.program, plain.seeded_database(db), max_iterations=500
@@ -96,22 +93,7 @@ class TestCountingOnMultiPredicatePrograms:
         )
 
 
-class TestStructuralSemijoin:
-    def test_structural_indices_drop_bound_columns_too(self):
-        program = ancestor_program()
-        query = parse_query("anc(n0, Y)?")
-        plain = rewrite(program, query, method="counting", mode="structural")
-        optimized = semijoin_optimize(plain)
-        db = chain_database(10)
-        plain_res = evaluate(plain.program, plain.seeded_database(db))
-        opt_res = evaluate(optimized.program, optimized.seeded_database(db))
-        assert plain.extract_answers(plain_res) == optimized.extract_answers(
-            opt_res
-        )
-        plain_width = len(next(iter(plain_res.database.tuples("anc_ix_bf"))))
-        opt_width = len(next(iter(opt_res.database.tuples("anc_ix_bf"))))
-        assert opt_width == plain_width - 1  # the bound column is gone
-
+class TestSupplementaryCountingSemijoin:
     def test_gsc_semijoin_on_nonlinear_samegen(self):
         program = nonlinear_samegen_program()
         query = samegen_query("L0_0")

@@ -7,12 +7,11 @@ from repro import (
     RewriteError,
     Variable,
     build_chain_sip,
-    magic_rewrite,
     parse_program,
     parse_query,
     rewrite,
 )
-from repro.core.magic import magic_literal_for
+from repro.core import magic_literal_for
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
@@ -245,10 +244,9 @@ class TestMultipleArcs:
                 ),
             )
 
-        adorned = adorn(
-            program, parse_query("q(a, b, Z)?"), sip_builder=two_arc_builder
-        )
-        rewritten = magic_rewrite(adorned)
+        query = parse_query("q(a, b, Z)?")
+        adorned = adorn(program, query, sip_builder=two_arc_builder)
+        rewritten = gms(program, query, adorned=adorned)
         label_rules = [
             rr for rr in rewritten.rules if rr.provenance.role == "label"
         ]

@@ -2,7 +2,6 @@
 
 from repro.core.naming import (
     counting_name,
-    ensure_fresh,
     indexed_name,
     is_generated_name,
     is_indexed_name,
@@ -49,10 +48,3 @@ class TestPredicates:
         assert not is_indexed_name("cnt_sg_bf")
         assert not is_indexed_name("magic_sg_bf")
         assert not is_indexed_name("sg")
-
-
-class TestFreshness:
-    def test_ensure_fresh(self):
-        assert ensure_fresh("p", {"q"}) == "p"
-        assert ensure_fresh("p", {"p"}) == "p_"
-        assert ensure_fresh("p", {"p", "p_"}) == "p__"

@@ -4,8 +4,11 @@
 import pytest
 
 from repro import (
+    BASELINE_METHODS,
+    REWRITE_METHODS,
     Database,
     QueryOptions,
+    RewriteError,
     Session,
     answer_query,
     bottom_up_answer,
@@ -194,6 +197,18 @@ class TestDispatch:
                 QueryOptions(method="sorcery"),
             )
 
+    @pytest.mark.parametrize(
+        "method", ("auto",) + REWRITE_METHODS + BASELINE_METHODS
+    )
+    def test_unknown_engine_rejected(self, method):
+        """Every method rejects an unknown engine instead of answering
+        under a memo key of its own."""
+        session = Session(
+            program=ancestor_program(), database=chain_database(2)
+        )
+        with pytest.raises(ValueError, match="unknown engine"):
+            session.query(ancestor_query("n0"), method=method, engine="bogus")
+
     def test_naive_and_seminaive_baselines(self):
         program = ancestor_program()
         db = chain_database(6)
@@ -203,6 +218,45 @@ class TestDispatch:
             program, db, query, QueryOptions(method="seminaive")
         )
         assert naive.answers == semi.answers
+
+
+ANCESTOR_SOURCE = """
+anc(X, Y) :- par(X, Y).
+anc(X, Y) :- par(X, Z), anc(Z, Y).
+par(a, b). par(b, c). par(z, w).
+"""
+
+
+class TestGeneratedNameClash:
+    """A relation under a name the rewrite generates (here
+    supplementary magic's ``supmagic2_2``) must not leak into the
+    answer: ``auto`` answers semi-naive, an explicit method refuses."""
+
+    def test_database_relation(self):
+        session = Session(ANCESTOR_SOURCE + "supmagic2_2(a, z).")
+        result = session.query("anc(a, Y)?")
+        assert result.method == "seminaive"
+        assert result.values() == {("b",), ("c",)}
+        with pytest.raises(RewriteError, match="supmagic2_2"):
+            session.query("anc(a, Y)?", method="supplementary_magic")
+
+    def test_relation_asserted_after_a_rewritten_answer(self):
+        session = Session(ANCESTOR_SOURCE)
+        assert session.query("anc(a, Y)?").method == "supplementary_magic"
+        session.assert_("supmagic2_2(a, z)")
+        result = session.query("anc(a, Y)?")
+        assert not result.from_memo
+        assert result.values() == {("b",), ("c",)}
+
+    def test_program_predicate(self):
+        session = Session(
+            ANCESTOR_SOURCE + "link(a, z). supmagic2_2(X, Z) :- link(X, Z)."
+        )
+        result = session.query("anc(a, Y)?")
+        assert result.method == "seminaive"
+        assert result.values() == {("b",), ("c",)}
+        with pytest.raises(RewriteError, match="supmagic2_2.*program"):
+            session.query("anc(a, Y)?", method="supplementary_magic")
 
 
 class TestPartiallyBoundStructuredArgument:

@@ -1,5 +1,6 @@
 """Provenance and RewrittenProgram behaviour (repro.core.provenance)."""
 
+import pytest
 
 from repro import evaluate, rewrite
 from repro.workloads import (
@@ -75,18 +76,30 @@ class TestRewrittenProgram:
         )
         assert rewritten.extract_answers(result) == {()}
 
-    def test_fact_breakdown_classification(self):
+    @pytest.mark.parametrize(
+        "method, auxiliary",
+        [
+            ("magic", 11),
+            ("supplementary_magic", 21),
+            ("counting", 11),
+            ("supplementary_counting", 21),
+        ],
+    )
+    def test_fact_breakdown_classification(self, method, auxiliary):
         rewritten = rewrite(
-            ancestor_program(), ancestor_query("n0"), method="magic"
+            ancestor_program(), ancestor_query("n0"), method=method
         )
         result = evaluate(
             rewritten.program, rewritten.seeded_database(chain_database(10))
         )
         breakdown = rewritten.fact_breakdown(result)
-        # chain of 10: 55 anc facts from n0..n9 roots, 11 magic values
-        assert breakdown["adorned"] == 55
-        assert breakdown["magic"] == 11
-        assert breakdown["total"] == 66
+        # chain of 10: 55 anc facts from n0..n9 roots (anc_ix_bf under
+        # counting), 11 magic / counting values (+ 10 supplementary)
+        assert breakdown == {
+            "adorned": 55,
+            "magic": auxiliary,
+            "total": 55 + auxiliary,
+        }
 
     def test_str_contains_seed_marker(self):
         rewritten = rewrite(ancestor_program(), ancestor_query("n0"))

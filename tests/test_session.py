@@ -169,14 +169,13 @@ class TestAutoDispatch:
             ]
 
         session.query("anc(john, X)?")
-        # kind: shape literal, sip builder, method, mode, optimize, semijoin
+        # kind: shape literal, sip builder, method, optimize, semijoin
         assert shape_kinds() == [
             (
                 "query-shape",
                 parse_query("anc(john, X)?").shape().literal,
                 build_full_sip,
                 "supplementary_magic",
-                "numeric",
                 True,
                 False,
             )

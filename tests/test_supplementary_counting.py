@@ -115,12 +115,3 @@ class TestCorrectness:
             )
             work[method] = res.stats.tuples_scanned
         assert work["supplementary_counting"] <= work["counting"]
-
-    def test_structural_mode(self):
-        program = ancestor_program()
-        query = ancestor_query("n0")
-        db = chain_database(6)
-        rw = gsc(program, query, mode="structural")
-        res = evaluate(rw.program, rw.seeded_database(db))
-        answers = rw.extract_answers(res)
-        assert len(answers) == 6
