@@ -96,6 +96,14 @@ five routes use them:
   relations, and register subqueries as they run
   (:func:`repro.datalog.topdown.qsq_evaluate`).
 
+:func:`fixpoint` runs with CPython's cyclic collector off: its working
+set (ints, ID tuples, lists, dicts, ``array('q')`` columns) holds no
+reference cycles, so a collection there reclaims nothing, and refcounting
+frees what a round drops.  Nested and concurrent fixpoints (IVM strata,
+server threads, pool workers) share one process-wide pause; the last to
+leave restores the state the first found, even if another thread
+toggled the collector meanwhile.
+
 Testing gotcha: run the suite as ``python -m pytest`` from the repo root
 (``pyproject.toml`` pins ``testpaths = ["tests"]``).  Without that
 pinning, pytest also collects ``benchmarks/``, whose sibling
@@ -105,7 +113,9 @@ breaks collection with an ImportError on ``assert_rules_equal``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import gc
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -366,6 +376,31 @@ def _delta_tasks(
     return tasks
 
 
+#: the collector pause's holders, and whether the first found it on
+_pause_lock = threading.Lock()
+_pause_holders = 0
+_enabled_at_entry = False
+
+
+@contextmanager
+def _collector_paused():
+    """Hold the process-wide collector pause (see the module docstring)."""
+    global _pause_holders, _enabled_at_entry
+    with _pause_lock:
+        if not _pause_holders:
+            _enabled_at_entry = gc.isenabled()
+            gc.disable()
+        _pause_holders += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_holders -= 1
+            if not _pause_holders:
+                (gc.enable if _enabled_at_entry else gc.disable)()
+
+
+@_collector_paused()
 def fixpoint(
     compiled: Union[CompiledProgram, SubqueryProgram],
     working: Database,
@@ -407,6 +442,9 @@ def fixpoint(
     ``check_round(stratum, round)`` to ``meter``, rounds numbered per
     stratum from ``first_round + 1``; the fact budget is checked again
     after the round.  ``stratum`` runs only that stratum (IVM).
+
+    The cyclic collector is paused for the call, however it ends; no
+    round builds a cycle, and nested or concurrent calls share a pause.
     """
     strata = range(len(compiled.strata)) if stratum is None else (stratum,)
     for stratum_index in strata:

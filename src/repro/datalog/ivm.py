@@ -105,8 +105,8 @@ class MaintenanceResult:
     re-evaluated cold).  ``facts_added``/``facts_removed`` count derived
     rows the repair actually changed in the materialization;
     ``strata_skipped`` counts strata whose inputs the delta never
-    touched (the delta-proportionality win).  ``rounds`` counts the
-    propagation rounds of the recursive strata, with or without a meter.
+    touched (the delta-proportionality win).  ``stats.iterations``
+    counts the propagation rounds, with or without a meter.
     """
 
     action: str
@@ -114,9 +114,13 @@ class MaintenanceResult:
     facts_removed: int = 0
     strata_maintained: int = 0
     strata_skipped: int = 0
-    rounds: int = 0
     elapsed: float = 0.0
     stats: EvaluationStats = field(default_factory=EvaluationStats)
+
+    @property
+    def rounds(self) -> int:
+        """``stats.iterations``, under the name ``perf/layers.py`` reads."""
+        return self.stats.iterations
 
 
 class _Delta:
@@ -459,8 +463,6 @@ class MaterializedProgram:
                 )
             result.facts_added += added
             result.facts_removed += removed
-        # the round driver counts every propagation round
-        result.rounds = stats.iterations
         return result
 
     def _changed_inputs(self, s: int, changed) -> List[str]:

@@ -2,9 +2,9 @@
 
 The same-generation program (the paper's running example) is typically
 benchmarked on layered data: ``up`` edges climb ``layers`` levels,
-``flat`` edges move within the top layer, ``down`` edges descend.  A
-query ``sg(x, Y)?`` then walks up from ``x``, across, and back down --
-the classic "A-shaped" traversal.
+``flat`` edges move within a layer above the bottom, ``down`` edges
+descend.  A query ``sg(x, Y)?`` then walks up from ``x``, across, and
+back down -- the classic "A-shaped" traversal.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ def samegen_edges(
     Nodes are ``L{layer}_{i}`` for layer in ``0..layers`` (0 = bottom,
     where queries start) and ``i < width``.  ``up`` connects layer k to
     layer k+1 (two parents each, wrapping), ``down`` mirrors ``up``
-    (independently wired, seeded), and ``flat`` adds ``flat_edges`` random edges
-    inside the top layer.
+    (independently wired, seeded), and ``flat`` adds ``flat_edges`` random
+    edges inside each layer ``1..layers`` (every layer but the bottom).
     """
     rng = random.Random(seed)
     up: List[Tuple[str, str]] = []

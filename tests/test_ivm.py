@@ -404,7 +404,7 @@ class TestWorkGate:
         # that many component / clean / blocked / buildable rows each way
         assert [result.facts_added for _, result in runs] == changed
         assert [result.facts_removed for _, result in runs] == changed
-        assert [result.rounds for _, result in runs] == [6, 6, 6]
+        assert [result.stats.iterations for _, result in runs] == [6, 6, 6]
         calls = [n for n, _ in runs]
         # measured: 295 calls at rate 0, 342 at rate 0.1, at every depth
         # (the round driver's per-rule slot bookkeeping: 285 / 337 before

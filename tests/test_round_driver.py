@@ -132,7 +132,7 @@ class TestMaintenanceBoundaries:
             (2, 11), (2, 12),
         ]
         assert meter.batches == 23
-        assert result.rounds == 9
+        assert result.stats.iterations == 9
         assert mp.check_consistency()
 
     def test_rounds_do_not_depend_on_the_meter(self):
@@ -140,9 +140,9 @@ class TestMaintenanceBoundaries:
         plain = MaterializedProgram(program, database)
         metered = MaterializedProgram(program, database)
         database.retract_values("edge", [("a3", "a1")])
-        unmetered_rounds = plain.maintain().rounds
+        unmetered_rounds = plain.maintain().stats.iterations
         budget = EvaluationBudget(timeout=100).start()
-        assert metered.maintain(meter=budget).rounds == unmetered_rounds
+        assert metered.maintain(meter=budget).stats.iterations == unmetered_rounds
 
 
 class TestQSQBoundaries:
