@@ -130,7 +130,7 @@ def test_samegen_supplementary_magic_merges_frames(benchmark):
     )
     compiled, _ = compiled_program_for(program)
     assert any(
-        step.b_merge
+        step.merge
         for index in range(len(program.rules))
         for delta in (None,) + compiled.delta_occurrences(index)
         for step in compiled.plan(index, delta).steps

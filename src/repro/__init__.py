@@ -3,7 +3,7 @@
 The package has three layers:
 
 * :mod:`repro.datalog` -- a from-scratch deductive-database substrate:
-  terms (with function symbols), Horn-clause AST, parser, unification,
+  terms (with function symbols), Horn-clause AST, parser, matching,
   columnar indexed fact storage over interned term IDs, naive/semi-naive
   bottom-up evaluation with batch compiled joins, and a
   QSQ-style top-down evaluator;

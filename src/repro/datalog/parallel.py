@@ -111,7 +111,7 @@ def _shard_mode(plan: JoinPlan) -> Tuple[str, Optional[Tuple[int, ...]]]:
     if pcols is not None:
         return ("hash", pcols)
     for step in plan.steps[1:]:
-        if not step.negated and step.b_key_ops:
+        if not step.negated and step.key_ops:
             # a probing step keys on values the input rows do not carry:
             # splitting would re-probe the same keys on every worker
             return ("solo", None)

@@ -13,7 +13,9 @@ Grammar (informal)::
 
 Conventions follow the paper (Section 1.1): identifiers beginning with an
 uppercase letter or underscore are variables; lowercase identifiers and
-numerals are constants or predicate/function names.  ``%`` starts a
+numerals are constants or predicate/function names.  Each bare ``_`` is
+a variable of its own, named ``_1``, ``_2``, ... apart from the names
+its clause spells (``_X`` is an ordinary, shared variable).  ``%`` starts a
 line comment.  Body literals may be negated (negation as failure,
 stratified semantics): ``not p(X)`` or ``\\+ p(X)``; heads and queries
 must stay positive.  Inside a STRING, ``\\\\`` is a backslash and
@@ -66,6 +68,7 @@ catalog.
 from __future__ import annotations
 
 import re
+from itertools import count
 from typing import List, Optional, Tuple
 
 from .ast import Literal, Program, Query, Rule
@@ -169,6 +172,8 @@ class _Parser:
         self.offset = 0
         #: tokens lexed but not consumed (the grammar looks two ahead)
         self.ahead: List[_Token] = []
+        #: the number of bare ``_`` in the clause at hand (see :meth:`named`)
+        self.anonymous = 0
 
     # ------------------------------------------------------------------
     def error(self, message: str, offset: int) -> ParseError:
@@ -230,6 +235,10 @@ class _Parser:
     def parse_term(self) -> Term:
         token = self.next()
         if token.kind == "variable":
+            if token.text == "_":
+                # a placeholder no clause can spell, until named()
+                self.anonymous += 1
+                return Variable(f"_#{self.anonymous}")
             return Variable(token.text)
         if token.kind in ("number", "string"):
             return _constant(token.text)
@@ -300,11 +309,26 @@ class _Parser:
                 return self.parse_literal().negate()
         return self.parse_literal()
 
+    def named(self, parsed):
+        """``parsed`` (a term, literal or rule) with each bare ``_`` a
+        variable of its own: ``_1``, ``_2``, ... in source order,
+        skipping every name the clause spells."""
+        if not self.anonymous:
+            return parsed
+        spelled = {var.name for var in parsed.variables()}
+        fresh = (f"_{k}" for k in count(1) if f"_{k}" not in spelled)
+        names = {
+            Variable(f"_#{i}"): Variable(next(fresh))
+            for i in range(1, self.anonymous + 1)
+        }
+        self.anonymous = 0
+        return parsed.substitute(names)
+
     def parse_clause(self):
         """Parse one clause; returns ('query', Query) / ('rule', Rule)."""
         if self.at("?-"):
             self.next()
-            literal = self.parse_literal()
+            literal = self.named(self.parse_literal())
             self.expect(".")
             return ("query", Query(literal))
         head = self.parse_literal()
@@ -312,7 +336,7 @@ class _Parser:
             self.next()
             if self.at("."):
                 self.next()
-            return ("query", Query(head))
+            return ("query", Query(self.named(head)))
         body: List[Literal] = []
         if self.at(":-"):
             self.next()
@@ -321,7 +345,7 @@ class _Parser:
                 self.next()
                 body.append(self.parse_body_literal())
         self.expect(".")
-        return ("rule", Rule(head, tuple(body)))
+        return ("rule", self.named(Rule(head, tuple(body))))
 
 
 class ParsedSource:
@@ -436,7 +460,7 @@ def parse_rule(source: str) -> Rule:
 def parse_literal(source: str) -> Literal:
     """Parse a single literal, e.g. ``"anc(john, Y)"``."""
     parser = _Parser(source)
-    literal = parser.parse_literal()
+    literal = parser.named(parser.parse_literal())
     parser.expect_end("literal")
     return literal
 
@@ -444,7 +468,7 @@ def parse_literal(source: str) -> Literal:
 def parse_term(source: str) -> Term:
     """Parse a single term, e.g. ``"[a, b | T]"``."""
     parser = _Parser(source)
-    term = parser.parse_term()
+    term = parser.named(parser.parse_term())
     parser.expect_end("term")
     return term
 

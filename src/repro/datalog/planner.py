@@ -16,11 +16,15 @@ choice for semi-naive evaluation -- into a :class:`JoinPlan`:
   of argument positions that are ground when the step runs, so the needed
   :class:`Relation` indexes can be registered up front
   (:meth:`CompiledProgram.register_indexes`) instead of discovered per probe.
-* **Slot-based variable frames.**  The rule's variables are numbered into
-  frame slots, and each step carries tiny precompiled ops (store slot /
-  compare slot / match pattern) instead of a dict substitution.  Function
+* **One ID-level op set.**  The rule's variables are numbered into frame
+  slots, and each step carries tiny ops compiled once against term IDs
+  (constants interned at compile time): key ops build its lookup key,
+  row ops compare each candidate row's values or store them into a
+  per-step local buffer, and head ops emit the derived row.  Function
   terms and :class:`~repro.datalog.terms.LinExpr` index expressions fall
   back to the generic one-way matcher for just the affected position.
+  A liveness pass at plan build decides which slots each step carries
+  into the next batch, and after which steps frames may merge.
 
 Plans preserve the semantics of :class:`~repro.datalog.engine.EvaluationStats`
 exactly: ``rule_firings``, ``facts_derived`` and ``duplicate_derivations`` are
@@ -93,97 +97,51 @@ __all__ = [
     "partition_columns",
 ]
 
-# Op tags.  Key ops build the index-lookup key for a step; row ops process
-# the non-indexed positions of each candidate row; head ops emit the derived
-# tuple.  Payloads are documented at the construction sites below.
-_CONST = 0   # key/head: a ground term known at plan time
-_SLOT = 1    # key/head: read a frame slot
-_EVAL = 2    # key/head: substitute bound slots into a Struct/LinExpr
-_STORE = 3   # row: bind the row value into a frame slot
-_EQ = 4      # row: compare the row value against a frame slot
-_MATCH = 5   # row: generic one-way match for a partially-bound pattern
+# Op tags.  There is one op set, and it is ID-level: a ground term is
+# interned once, at compile time, and every run-time value is a term ID.
+# A rule's variables are numbered into frame slots, and a batch carries
+# one column per live slot.  Key ops build a step's index-lookup key
+# from those columns; row ops check and bind the non-indexed positions of
+# each candidate row, storing what the step binds into a per-step local
+# buffer (``JoinStep.store_slots`` maps buffer entries to slots); head
+# ops emit the derived row.
+_CONST = 0   # key/head: the ID of a ground term
+_SLOT = 1    # key/head: read a slot's column
+_EVAL = 2    # key/head: (term, ((var, slot), ...)) -- substitute the
+#              resolved slots into a Struct/LinExpr
+_STORE = 3   # row: bind the row value into local-buffer entry ``payload``
+_EQ = 4      # row: compare the row value against a slot's column
+_MATCH = 5   # row: (pattern, prior, local, frees) -- one-way match of a
+#              partially-bound Struct/LinExpr; ``prior`` pairs (var, slot)
+#              read columns, ``local`` and ``frees`` pairs (var, entry)
+#              read and fill the local buffer
 _UNBOUND = 6  # head: argument can never be ground (range-restriction error)
-_EQC = 7     # row: compare the row value against a ground term
+_EQC = 7     # row: compare the row value against a ground term's ID
 # (_EQC only arises in QSQ plans: the first step reads the head's input
 # relation unkeyed, and an adorned literal may carry a constant at a
 # position its adornment marks free, outside the answer-index key; both
 # are checked per row.)
-_EQL = 8     # batch row: compare against a value stored earlier in the
-#              same step (the batch twin of a within-step _EQ)
+_EQL = 8     # row: compare against local-buffer entry ``payload``: a
+#              variable the same literal stored earlier, e.g. p(X, X)
 
 _CATALOG = term_catalog()
 
 
-# ----------------------------------------------------------------------
-# batch (ID-level) op compilation
-#
-# Every term-level op set compiles into a parallel ID-level op set used
-# by the batch executors: constants are interned once at compile time,
-# _STORE targets become indexes into a per-step local-value buffer (so a
-# step's output columns are built by list extension, not per-row frame
-# writes), and a liveness pass over the whole plan computes which slots
-# each step must carry into the next batch.
-# ----------------------------------------------------------------------
-
-def _batch_key_ops(key_ops):
-    converted = []
-    for tag, payload in key_ops:
-        if tag == _CONST:
-            converted.append((_CONST, _CATALOG.intern(payload)))
-        else:  # _SLOT / _EVAL keep their term-level payloads
-            converted.append((tag, payload))
-    return tuple(converted)
-
-
-def _batch_row_ops(row_ops):
-    """ID-level row ops plus the frame slots this step stores, in
-    local-buffer order.  Within-step references (a repeated variable or
-    a _MATCH seeded by a value bound earlier in the same literal) are
-    rewritten to read the local buffer (_EQL / local pairs) instead of a
-    batch column, which does not exist for them."""
-    store_slots: List[int] = []
-    local_of: Dict[int, int] = {}
-    converted = []
-    for pos, tag, payload in row_ops:
-        if tag == _STORE:
-            local = local_of[payload] = len(store_slots)
-            store_slots.append(payload)
-            converted.append((pos, _STORE, local))
-        elif tag == _EQ:
-            if payload in local_of:
-                converted.append((pos, _EQL, local_of[payload]))
-            else:
-                converted.append((pos, _EQ, payload))
-        elif tag == _EQC:
-            converted.append((pos, _EQC, _CATALOG.intern(payload)))
-        else:  # _MATCH
-            pattern, bound_pairs, free_pairs = payload
-            prior = tuple(
-                (v, s) for v, s in bound_pairs if s not in local_of
-            )
-            local = tuple(
-                (v, local_of[s]) for v, s in bound_pairs if s in local_of
-            )
-            frees = []
-            for v, s in free_pairs:
-                j = local_of[s] = len(store_slots)
-                store_slots.append(s)
-                frees.append((v, j))
-            converted.append(
-                (pos, _MATCH, (pattern, prior, local, tuple(frees)))
-            )
-    return tuple(converted), tuple(store_slots)
-
-
-def _batch_reads(b_key_ops, b_row_ops):
-    """Prior-batch slots a step's ops read."""
+def _slots_read(ops):
+    """The slots key or head ops read."""
     reads: Set[int] = set()
-    for tag, payload in b_key_ops:
+    for tag, payload in ops:
         if tag == _SLOT:
             reads.add(payload)
         elif tag == _EVAL:
             reads.update(s for _, s in payload[1])
-    for _pos, tag, payload in b_row_ops:
+    return reads
+
+
+def _step_reads(step):
+    """The slots a step's ops read from the batch it receives."""
+    reads = _slots_read(step.key_ops)
+    for _pos, tag, payload in step.row_ops:
         if tag == _EQ:
             reads.add(payload)
         elif tag == _MATCH:
@@ -191,61 +149,20 @@ def _batch_reads(b_key_ops, b_row_ops):
     return reads
 
 
-def _attach_batch_ops(steps, head_ops):
-    """Compile the ID-level twin of a plan's ops onto its steps.
+def _batch_keys(key_ops, cols, n, as_tuple, evaluate):
+    """Per-frame lookup keys of a step's key ops over the batch columns
+    ``cols`` (bare IDs, or ID tuples when ``as_tuple``).
 
-    Returns ``(b_head_ops, b_head_slots)``: ``b_head_slots`` is the
-    all-slot fast-path tuple (columns zip straight into head rows) or
-    None when the head needs per-row work.  Sets, per step:
-    ``b_key_ops`` / ``b_row_ops`` / ``b_store_slots`` as above, plus the
-    liveness-pruned batch layout -- ``b_carry_out`` (prior slots still
-    needed downstream) and ``b_store_out`` (``(local, slot)`` stores
-    needed downstream).
-    """
-    b_head_ops = []
-    slots_only = True
-    needed: Set[int] = set()
-    for tag, payload in head_ops:
-        if tag == _CONST:
-            b_head_ops.append((_CONST, _CATALOG.intern(payload)))
-            slots_only = False
-        elif tag == _SLOT:
-            b_head_ops.append((_SLOT, payload))
-            needed.add(payload)
-        else:  # _EVAL / _UNBOUND keep their term-level payloads
-            if tag == _EVAL:
-                needed.update(s for _, s in payload[1])
-            b_head_ops.append((tag, payload))
-            slots_only = False
-    per_step_reads = []
-    for step in steps:
-        step.b_key_ops = _batch_key_ops(step.key_ops)
-        step.b_row_ops, step.b_store_slots = _batch_row_ops(step.row_ops)
-        per_step_reads.append(_batch_reads(step.b_key_ops, step.b_row_ops))
-    for step, reads in zip(reversed(steps), reversed(per_step_reads)):
-        stores = set(step.b_store_slots)
-        step.b_store_out = tuple(
-            (j, s) for j, s in enumerate(step.b_store_slots) if s in needed
-        )
-        step.b_carry_out = tuple(sorted(needed - stores))
-        needed = (needed - stores) | reads
-    head_slots = (
-        tuple(s for _tag, s in b_head_ops) if slots_only else None
-    )
-    return tuple(b_head_ops), head_slots
-
-
-def _batch_keys(b_key_ops, cols, n, as_tuple, evaluate):
-    """Per-frame lookup keys (bare IDs, or ID tuples when ``as_tuple``).
-
+    ``_CONST`` payloads are already IDs and ``_SLOT`` keys are the
+    columns themselves; only an ``_EVAL`` key is built per frame, and
     ``evaluate`` maps a resolved ``_EVAL`` term to an ID: the catalog's
     ``id_of`` for probe-only keys (an unknown term gets -1, which
     matches nothing), ``intern`` when the key outlives the probe (QSQ
     keys double as subquery vectors).
     """
     resolve_id = _CATALOG.resolve
-    if len(b_key_ops) == 1 and not as_tuple:
-        tag, payload = b_key_ops[0]
+    if len(key_ops) == 1 and not as_tuple:
+        tag, payload = key_ops[0]
         if tag == _SLOT:
             return cols[payload]
         if tag == _CONST:
@@ -258,16 +175,16 @@ def _batch_keys(b_key_ops, cols, n, as_tuple, evaluate):
             ))
             for i in range(n)
         ]
-    if all(tag != _EVAL for tag, _ in b_key_ops):
+    if all(tag != _EVAL for tag, _ in key_ops):
         # slots and constants only: the keys are the columns, zipped
         return list(zip(*(
             cols[payload] if tag == _SLOT else _repeat(payload, n)
-            for tag, payload in b_key_ops
+            for tag, payload in key_ops
         )))
     keys = []
     for i in range(n):
         key = []
-        for tag, payload in b_key_ops:
+        for tag, payload in key_ops:
             if tag == _SLOT:
                 key.append(cols[payload][i])
             elif tag == _CONST:
@@ -282,7 +199,7 @@ def _batch_keys(b_key_ops, cols, n, as_tuple, evaluate):
     return keys
 
 
-def _scan_batch_step(relation, positions, keys, b_row_ops, n_stores,
+def _scan_batch_step(relation, positions, keys, row_ops, n_stores,
                      cols, n, window=None):
     """Run one positive batch join step over ``n`` frames.
 
@@ -328,7 +245,7 @@ def _scan_batch_step(relation, positions, keys, b_row_ops, n_stores,
     if keys is None:
         # no bound positions: one full scan shared by all frames
         keys = _repeat((), n)
-    if not b_row_ops:
+    if not row_ops:
         # fully keyed step: each frame survives once per match
         nrows_of: Dict[object, int] = {}
         for i, key in enumerate(keys):
@@ -343,10 +260,10 @@ def _scan_batch_step(relation, positions, keys, b_row_ops, n_stores,
             if n_rows:
                 scanned += n_rows
                 sel.extend(_repeat(i, n_rows))
-    elif len(b_row_ops) == 1 and b_row_ops[0][1] == _STORE:
+    elif len(row_ops) == 1 and row_ops[0][1] == _STORE:
         # the chain-step fast path (e.g. anc(X,Z) := delta probe on X,
         # store Z): hoist the matched column per key
-        pos = b_row_ops[0][0]
+        pos = row_ops[0][0]
         row_col = row_cols[pos]
         store = stores[0]
         vals_of: Dict[object, List[int]] = {}
@@ -368,13 +285,13 @@ def _scan_batch_step(relation, positions, keys, b_row_ops, n_stores,
                 scanned += n_rows
                 sel.extend(_repeat(i, n_rows))
                 store.extend(values)
-    elif all(tag == _STORE for _, tag, _ in b_row_ops):
+    elif all(tag == _STORE for _, tag, _ in row_ops):
         # all-stores step (e.g. a delta scan binding every position):
         # matched rows project straight into the store columns, one
         # list comprehension per column
         pairs = [
             (row_cols[pos], stores[payload])
-            for pos, _, payload in b_row_ops
+            for pos, _, payload in row_ops
         ]
         cols_of: Dict[object, List[List[int]]] = {}
         for i, key in enumerate(keys):
@@ -412,7 +329,7 @@ def _scan_batch_step(relation, positions, keys, b_row_ops, n_stores,
             scanned += n_rows
             for row in rows:
                 ok = True
-                for pos, tag, payload in b_row_ops:
+                for pos, tag, payload in row_ops:
                     value = row_cols[pos][row]
                     if tag == _STORE:
                         local[payload] = value
@@ -459,12 +376,12 @@ def _register_subqueries(database, step, cols, n):
     row -- the paper's ``Q`` holds every subquery the sips construct.
     """
     inputs = database.relation(step.input_key)
-    b_key_ops = step.b_key_ops
-    if not b_key_ops:
+    key_ops = step.key_ops
+    if not key_ops:
         inputs.add_id_rows([()])
         return None
-    keys = _batch_keys(b_key_ops, cols, n, False, _CATALOG.intern)
-    if len(b_key_ops) == 1:
+    keys = _batch_keys(key_ops, cols, n, False, _CATALOG.intern)
+    if len(key_ops) == 1:
         inputs.add_id_rows([(key,) for key in set(keys)])
     else:
         inputs.add_id_rows(set(keys))
@@ -508,12 +425,13 @@ def _merge_frames(cols, weights, n):
 
 
 def _key_ops_for(literal, slots, bound):
-    """Index positions and key ops for the compile-time-ground arguments.
+    """Index positions and key ops for the arguments ground at run time.
 
-    A position is indexable when its argument is ground at run time:
-    ground at plan time, or built only from variables bound by earlier
-    steps.  The index lookup then guarantees equality, so indexed
-    positions need no per-row check at all.
+    A position is indexable when its argument is ground at plan time
+    (``_CONST``, its ID interned here) or built only from variables
+    bound by earlier steps (``_SLOT`` / ``_EVAL``).  The index lookup
+    then guarantees equality, so indexed positions need no per-row
+    check at all.
     """
     index_positions: List[int] = []
     key_ops = []
@@ -521,7 +439,7 @@ def _key_ops_for(literal, slots, bound):
         arg_vars = arg.variables()
         if not arg_vars:
             index_positions.append(pos)
-            key_ops.append((_CONST, arg))
+            key_ops.append((_CONST, _CATALOG.intern(arg)))
         elif isinstance(arg, Variable):
             if arg in bound:
                 index_positions.append(pos)
@@ -531,51 +449,66 @@ def _key_ops_for(literal, slots, bound):
             key_ops.append(
                 (_EVAL, (arg, tuple((v, slots[v]) for v in arg_vars)))
             )
-    return index_positions, key_ops
+    return tuple(index_positions), tuple(key_ops)
 
 
 def _row_ops_for(literal, slots, bound, indexed):
-    """Row ops for the non-indexed positions of a literal.
+    """Row ops for the non-indexed positions of a literal, and the
+    step's ``store_slots``: the slot of each local-buffer entry.
 
-    Mutates ``bound``, adding the variables the step newly binds.
+    Each variable the step newly binds gets a local-buffer entry (a
+    ``_STORE``, or a free variable of a ``_MATCH``); a later reference
+    within the literal reads that entry (``_EQL``, or a ``_MATCH``'s
+    local pair), an earlier step's variable its slot's column.  Mutates
+    ``bound``, adding the variables the step newly binds.
     """
     row_ops = []
+    store_slots: List[int] = []
+    local_of: Dict[Variable, int] = {}
+
+    def store(var):
+        local_of[var] = len(store_slots)
+        store_slots.append(slots[var])
+        bound.add(var)
+        return local_of[var]
+
     for pos, arg in enumerate(literal.args):
         if pos in indexed:
             continue
         arg_vars = arg.variables()
         if not arg_vars:
-            row_ops.append((pos, _EQC, arg))
+            row_ops.append((pos, _EQC, _CATALOG.intern(arg)))
         elif isinstance(arg, Variable):
-            if arg in bound:
+            if arg in local_of:
                 # repeated variable within the literal, e.g. p(X, X)
+                row_ops.append((pos, _EQL, local_of[arg]))
+            elif arg in bound:
                 row_ops.append((pos, _EQ, slots[arg]))
             else:
-                row_ops.append((pos, _STORE, slots[arg]))
-                bound.add(arg)
+                row_ops.append((pos, _STORE, store(arg)))
         else:
             # Struct / LinExpr with at least one free variable: fall
             # back to the generic matcher for this position only.
-            bound_pairs = tuple(
-                (v, slots[v]) for v in arg_vars if v in bound
+            prior = tuple(
+                (v, slots[v]) for v in arg_vars
+                if v in bound and v not in local_of
             )
-            free_vars = tuple(v for v in arg_vars if v not in bound)
-            free_pairs = tuple((v, slots[v]) for v in free_vars)
-            row_ops.append((pos, _MATCH, (arg, bound_pairs, free_pairs)))
-            bound.update(free_vars)
-    return row_ops
+            local = tuple((v, local_of[v]) for v in arg_vars if v in local_of)
+            frees = tuple((v, store(v)) for v in arg_vars if v not in bound)
+            row_ops.append((pos, _MATCH, (arg, prior, local, frees)))
+    return tuple(row_ops), tuple(store_slots)
 
 
 def _head_ops_for(head, slots, bound):
     """Head ops: a head argument is emitted from its slot, as a
-    constant, or by substituting bound slots (``_EVAL``); one with a
-    variable no body literal binds is ``_UNBOUND`` and raises when a
+    constant's ID, or by substituting bound slots (``_EVAL``); one with
+    a variable no body literal binds is ``_UNBOUND`` and raises when a
     body solution reaches it."""
     head_ops = []
     for arg in head.args:
         arg_vars = arg.variables()
         if not arg_vars:
-            head_ops.append((_CONST, arg))
+            head_ops.append((_CONST, _CATALOG.intern(arg)))
         elif not all(v in bound for v in arg_vars):
             head_ops.append((_UNBOUND, arg))
         elif isinstance(arg, Variable):
@@ -658,12 +591,12 @@ class JoinStep:
     """
 
     __slots__ = ("literal", "pred_key", "is_delta", "negated",
-                 "index_positions", "key_ops", "row_ops", "input_key",
-                 "b_key_ops", "b_row_ops", "b_store_slots",
-                 "b_carry_out", "b_store_out", "b_merge")
+                 "index_positions", "key_ops", "row_ops", "store_slots",
+                 "input_key", "carry_out", "store_out", "merge")
 
     def __init__(self, literal, pred_key, is_delta, negated,
-                 index_positions, key_ops, row_ops, input_key=None):
+                 index_positions, key_ops, row_ops=(), store_slots=(),
+                 input_key=None):
         self.literal = literal
         self.pred_key = pred_key
         #: the occurrence the delta arrives at: a batch, or a slot window
@@ -675,18 +608,19 @@ class JoinStep:
         self.index_positions = index_positions
         self.key_ops = key_ops
         self.row_ops = row_ops
+        #: the slot of each local-buffer entry the row ops store into
+        self.store_slots = store_slots
         #: QSQ: the input relation this step's keys are registered in
         #: as subqueries before it probes (None = a plain join step)
         self.input_key = input_key
-        # ID-level twins, filled in by _attach_batch_ops at plan build
-        self.b_key_ops = ()
-        self.b_row_ops = ()
-        self.b_store_slots = ()
-        self.b_carry_out = ()
-        self.b_store_out = ()
+        # the liveness-pruned batch layout, set at plan build: the
+        # slots carried over from the batch the step receives, and the
+        # ``(entry, slot)`` stores, that a later step or the head reads
+        self.carry_out = ()
+        self.store_out = ()
         #: merge equal frames after this step (set at plan build: a
         #: non-final step at which some frame slot goes dead)
-        self.b_merge = False
+        self.merge = False
 
     def __repr__(self):
         flag = " delta" if self.is_delta else ""
@@ -702,9 +636,9 @@ class JoinPlan:
     """A compiled rule: ordered join steps plus head-emission ops."""
 
     __slots__ = ("rule", "delta_index", "order", "steps", "head_ops",
-                 "n_slots", "b_head_ops", "b_head_slots")
+                 "head_slots")
 
-    def __init__(self, rule, delta_index, order, steps, head_ops, n_slots):
+    def __init__(self, rule, delta_index, order, steps, head_ops):
         self.rule = rule
         #: body index matched against the delta relation (None = full plan)
         self.delta_index = delta_index
@@ -712,17 +646,29 @@ class JoinPlan:
         self.order = order
         self.steps = steps
         self.head_ops = head_ops
-        self.n_slots = n_slots
-        self.b_head_ops, self.b_head_slots = _attach_batch_ops(
-            steps, head_ops
+        # liveness, from the head back: ``needed`` holds the slots read
+        # after the step at hand
+        needed = _slots_read(head_ops)
+        #: the all-slot fast path: head rows zip straight from these
+        #: columns (None = the head needs per-row work)
+        self.head_slots = (
+            tuple(payload for _, payload in head_ops)
+            if all(tag == _SLOT for tag, _ in head_ops) else None
         )
+        for step in reversed(steps):
+            stores = set(step.store_slots)
+            step.store_out = tuple(
+                (j, s) for j, s in enumerate(step.store_slots) if s in needed
+            )
+            step.carry_out = tuple(sorted(needed - stores))
+            needed = (needed - stores) | _step_reads(step)
         # merge points of execute_batch: a step's live-out slots are a
         # subset of its live-in slots plus its stores, so a smaller
         # count means a slot died there and frames may now coincide
         live = 0
         for step in steps[:-1]:
-            live_out = len(step.b_carry_out) + len(step.b_store_out)
-            step.b_merge = live_out < live + len(step.b_store_slots)
+            live_out = len(step.carry_out) + len(step.store_out)
+            step.merge = live_out < live + len(step.store_slots)
             live = live_out
 
     # ------------------------------------------------------------------
@@ -749,7 +695,7 @@ class JoinPlan:
         slot), and each step probes its relation's int-ID index once per
         *distinct* key in the batch instead of once per frame, emitting
         the next batch.  After a non-final step at which a frame slot
-        goes dead (``step.b_merge``), frames that agree on every live
+        goes dead (``step.merge``), frames that agree on every live
         slot are merged into one frame carrying an integer multiplicity,
         so the remaining steps run once per distinct live binding rather
         than once per partial match.
@@ -805,26 +751,26 @@ class JoinPlan:
                     continue  # nothing to refute: all frames survive
                 if not step.index_positions:
                     return [], None, 0  # 0-ary atom holds: negation fails
-                keys = _batch_keys(step.b_key_ops, cols, n, True, id_of)
+                keys = _batch_keys(step.key_ops, cols, n, True, id_of)
                 rowmap = relation._rowmap
                 stats.join_probes += n
                 sel = [i for i in range(n) if keys[i] not in rowmap]
                 if not sel:
                     return [], None, 0
                 cols = {
-                    s: [cols[s][i] for i in sel] for s in step.b_carry_out
+                    s: [cols[s][i] for i in sel] for s in step.carry_out
                 }
             else:
                 if relation is None or len(relation) == 0:
                     return [], None, 0
                 if step.input_key is None:
                     keys = (
-                        _batch_keys(step.b_key_ops, cols, n, False, id_of)
-                        if step.b_key_ops else None
+                        _batch_keys(step.key_ops, cols, n, False, id_of)
+                        if step.key_ops else None
                     )
                 sel, stores, probes, scanned = _scan_batch_step(
                     relation, step.index_positions, keys,
-                    step.b_row_ops, len(step.b_store_slots), cols, n,
+                    step.row_ops, len(step.store_slots), cols, n,
                     window,
                 )
                 stats.join_probes += probes
@@ -832,20 +778,20 @@ class JoinPlan:
                 if not sel:
                     return [], None, 0
                 next_cols: Dict[int, List[int]] = {
-                    s: [cols[s][i] for i in sel] for s in step.b_carry_out
+                    s: [cols[s][i] for i in sel] for s in step.carry_out
                 }
-                for j, s in step.b_store_out:
+                for j, s in step.store_out:
                     next_cols[s] = stores[j]
                 cols = next_cols
             n = len(sel)
             if weights is not None:
                 weights = [weights[i] for i in sel]
-            if step.b_merge:
+            if step.merge:
                 cols, weights, n = _merge_frames(cols, weights, n)
 
         solutions = n if weights is None else sum(weights)
         stats.rule_firings += solutions
-        head_slots = self.b_head_slots
+        head_slots = self.head_slots
         if head_slots is not None:
             if not head_slots:
                 rows = [()] * n
@@ -855,10 +801,10 @@ class JoinPlan:
                 rows = list(zip(*(cols[s] for s in head_slots)))
             return rows, weights, solutions
         produced: List[IdTuple] = []
-        b_head_ops = self.b_head_ops
+        head_ops = self.head_ops
         for i in range(n):
             args = []
-            for tag, payload in b_head_ops:
+            for tag, payload in head_ops:
                 if tag == _SLOT:
                     args.append(cols[payload][i])
                 elif tag == _CONST:
@@ -940,33 +886,21 @@ def compile_rule(rule: Rule, delta_index: Optional[int] = None) -> JoinPlan:
                     "unbound argument positions",
                     rule=rule,
                 )
-            steps.append(
-                JoinStep(
-                    literal,
-                    literal.pred_key,
-                    False,
-                    True,
-                    tuple(index_positions),
-                    tuple(key_ops),
-                    (),
-                )
-            )
+            steps.append(JoinStep(
+                literal, literal.pred_key, False, True,
+                index_positions, key_ops,
+            ))
             continue
-        row_ops = _row_ops_for(literal, slots, bound, set(index_positions))
-        steps.append(
-            JoinStep(
-                literal,
-                literal.pred_key,
-                body_idx == delta_index,
-                False,
-                tuple(index_positions),
-                tuple(key_ops),
-                tuple(row_ops),
-            )
+        row_ops, store_slots = _row_ops_for(
+            literal, slots, bound, set(index_positions)
         )
+        steps.append(JoinStep(
+            literal, literal.pred_key, body_idx == delta_index, False,
+            index_positions, key_ops, row_ops, store_slots,
+        ))
     return JoinPlan(
         rule, delta_index, order, tuple(steps),
-        _head_ops_for(rule.head, slots, bound), len(slots),
+        _head_ops_for(rule.head, slots, bound),
     )
 
 
@@ -994,17 +928,17 @@ def partition_columns(plan: JoinPlan) -> Optional[Tuple[int, ...]]:
     first = steps[0]
     # frame slot -> input-row position, for the values step 0 stores
     slot_to_pos: Dict[int, int] = {}
-    for pos, tag, payload in first.b_row_ops:
+    for pos, tag, payload in first.row_ops:
         if tag == _STORE:
-            slot_to_pos[first.b_store_slots[payload]] = pos
+            slot_to_pos[first.store_slots[payload]] = pos
     if not slot_to_pos:
         return None
     for step in steps[1:]:
-        if not step.b_key_ops:
+        if not step.key_ops:
             continue
         positions = [
             slot_to_pos[payload]
-            for tag, payload in step.b_key_ops
+            for tag, payload in step.key_ops
             if tag == _SLOT and payload in slot_to_pos
         ]
         if positions:
@@ -1140,7 +1074,7 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> JoinPlan:
     bound: Set[Variable] = set()
     steps = [JoinStep(
         entry, entry.pred_key, False, False, (), (),
-        tuple(_row_ops_for(entry, slots, bound, set())),
+        *_row_ops_for(entry, slots, bound, set()),
     )]
     for literal in rule.body:
         positions, key_ops = _key_ops_for(literal, slots, bound)
@@ -1159,15 +1093,17 @@ def compile_subquery_rule(rule: Rule, derived_keys: Set[str]) -> JoinPlan:
                         "is bound neither by the head's bound arguments "
                         "nor by an earlier literal"
                     )
-            key_ops = [key_of[pos] for pos in positions]
-        row_ops = _row_ops_for(literal, slots, bound, set(positions))
+            key_ops = tuple(key_of[pos] for pos in positions)
+        row_ops, store_slots = _row_ops_for(
+            literal, slots, bound, set(positions)
+        )
         steps.append(JoinStep(
-            literal, literal.pred_key, False, False, tuple(positions),
-            tuple(key_ops), tuple(row_ops), input_key,
+            literal, literal.pred_key, False, False, positions,
+            key_ops, row_ops, store_slots, input_key,
         ))
     return JoinPlan(
         guarded, None, tuple(range(len(steps))), tuple(steps),
-        _head_ops_for(head, slots, bound), len(slots),
+        _head_ops_for(head, slots, bound),
     )
 
 

@@ -11,7 +11,7 @@ In addition to the paper's term language we provide :class:`LinExpr`, a
 *linear index expression* ``coeff * var + offset`` over integers.  These are
 the index expressions (``I + 1``, ``K x m + i``, ``H x t + j``) that the
 generalized counting method of Section 6 writes into rule heads and bodies.
-They are invertible, so the unifier (``repro.datalog.unify``) can both
+They are invertible, so the matcher (``repro.datalog.unify``) can both
 evaluate them when the variable is bound and solve them when matched
 against an integer constant.
 
@@ -218,7 +218,7 @@ class LinExpr(Term):
     Used by the index fields of the generalized counting method
     (Section 6): the index fields of counting predicates are written as
     ``I + 1``, ``K x m + i`` and ``H x t + j``, all of which have this
-    shape.  The unifier evaluates a :class:`LinExpr` once its variable is
+    shape.  The matcher evaluates a :class:`LinExpr` once its variable is
     bound to an integer, and *inverts* it when matching against an integer
     constant ``c`` (the match succeeds iff ``(c - offset) % coeff == 0``,
     binding ``var = (c - offset) // coeff``).

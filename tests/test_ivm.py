@@ -163,7 +163,7 @@ class TestDeltaPropagation:
         database = Database()
         database.add_facts(parsed.facts)
         mp = MaterializedProgram(parsed.program, database)
-        assert any(step.b_merge for step in mp.compiled.plan(1).steps)
+        assert any(step.merge for step in mp.compiled.plan(1).steps)
 
         def counts(pred):
             return sorted(mp._counts[pred].values())

@@ -137,7 +137,7 @@ class TestShardPlanning:
         # fully ground literal first and turn this into a chunk plan.
         program = _program("p(X) :- e(X), g(c, d).")
         plan = compile_rule(program.rules[0], 0)
-        assert plan.steps[1].b_key_ops  # constant-keyed probe downstream
+        assert plan.steps[1].key_ops  # constant-keyed probe downstream
         assert partition_columns(plan) is None
         assert _shard_mode(plan) == ("solo", None)
 

@@ -105,6 +105,62 @@ class TestQueries:
         assert query.adornment == "bf"
 
 
+class TestAnonymousVariable:
+    """Each bare ``_`` is a variable of its own, as in Datalog and Prolog."""
+
+    def test_each_occurrence_is_its_own_variable(self):
+        rule = parse_rule("p(X) :- q(X, _), r(_, X).")
+        first, second = rule.body[0].args[1], rule.body[1].args[0]
+        assert first != second
+        assert first.is_anonymous() and second.is_anonymous()
+        assert len(rule.variables()) == 3
+
+    def test_never_a_name_the_clause_spells(self):
+        rule = parse_rule("p(_1) :- q(_1, _, _X), r(_, _X, _2).")
+        first, second = rule.body[0].args[1], rule.body[1].args[0]
+        spelled = {Variable("_1"), Variable("_2"), Variable("_X")}
+        assert first != second and not spelled & {first, second}
+        # spelled names, with or without an underscore, stay shared
+        assert rule.head.args[0] == rule.body[0].args[0]
+        assert rule.body[0].args[2] == rule.body[1].args[1]
+
+    def test_str_parses_back_to_an_equal_clause(self):
+        for source in (
+            "p(X) :- q(X, _), r(_, f(_, X)).",
+            "p(_1) :- q(_1, _, _X), not r(_, _X).",
+        ):
+            rule = parse_rule(source)
+            assert parse_rule(str(rule)) == rule
+        query = parse_query("q(_, a, [_ | T])?")
+        assert parse_query(str(query)) == query
+        term = parse_term("f(_, _)")
+        assert parse_term(str(term)) == term and term.args[0] != term.args[1]
+
+    def test_every_clause_of_a_program_names_its_own(self):
+        program = parse_program("p(X) :- q(X, _). s(X) :- q(_, X).").program
+        for rule in program.rules:
+            assert parse_rule(str(rule)) == rule
+
+    def test_a_query_may_repeat_it(self):
+        query = parse_query("q(_, _)?")
+        assert query.adornment == "ff" and len(query.free_variables()) == 2
+
+    @pytest.mark.parametrize(
+        "method", ["naive", "seminaive", "auto", "magic", "qsq"]
+    )
+    def test_a_join_does_not_equate_two_of_them(self, method):
+        session = Session("p(X) :- q(X, _), r(_, X). q(a, b). r(c, a).")
+        # q(a, b) and r(c, a) join on X = a; b and c need not agree
+        assert session.query("p(X)?", method=method).values() == {("a",)}
+
+    def test_each_answers_a_column(self):
+        session = Session("q(a, b). q(a, c). q(b, b).")
+        assert session.query("q(_, _)?").values() == {
+            ("a", "b"), ("a", "c"), ("b", "b"),
+        }
+        assert session.query("q(_, b)?").values() == {("a",), ("b",)}
+
+
 class TestPrograms:
     SOURCE = """
     % the ancestor program

@@ -1,7 +1,7 @@
 """Unit + property tests for the join-plan compiler (repro.datalog.planner).
 
-Covers plan structure (ordering, precomputed index positions, slot
-frames), fact-for-fact agreement of every strategy with the reference
+Covers plan structure (ordering, precomputed index positions, ID-level
+ops), fact-for-fact agreement of every strategy with the reference
 evaluator in ``conftest``, pinned work counters, the delta handling for rules with two occurrences of the
 same recursive predicate, and the function-symbol / LinExpr fallbacks.
 """
@@ -20,8 +20,12 @@ from repro import (
     Program,
     QueryOptions,
     Rule,
+    SubqueryProgram,
     Variable,
+    adorn_program,
     answer_query,
+    build_empty_sip,
+    build_full_sip,
     compile_rule,
     evaluate_naive,
     evaluate_seminaive,
@@ -32,6 +36,7 @@ from repro import (
     rewrite,
 )
 from repro.datalog.catalog import term_catalog
+from repro.datalog.planner import _CONST, _EQ, _EQC, _EQL, _EVAL, _MATCH
 from repro.workloads import (
     BOM,
     ancestor_program,
@@ -49,7 +54,12 @@ from repro.workloads import (
     samegen_query,
 )
 
-from conftest import assert_matches_oracle, oracle_facts, solution_counters
+from conftest import (
+    assert_matches_oracle,
+    oracle_answers,
+    oracle_facts,
+    solution_counters,
+)
 
 
 def c(value):
@@ -89,11 +99,6 @@ class TestPlanStructure:
         # r(a, Y) has a bound (constant) position, so it runs first
         assert plan.order == (1, 0)
         assert plan.steps[0].index_positions == (0,)
-
-    def test_slot_frame_covers_rule_variables(self):
-        rule = parse_rule("sg(X, Y) :- up(X, Z1), sg(Z1, Z2), down(Z2, Y).")
-        plan = compile_rule(rule, delta_index=1)
-        assert plan.n_slots == len(rule.variables())
 
     def test_compiled_program_enumerates_delta_choices(self):
         program = nonlinear_ancestor_program()
@@ -280,11 +285,11 @@ class TestBatchMultiplicities:
             "e(X, Y)", "f(Y, Z)", "not bad(Z)", "h(Z, W)",
         ]
         # Y dies at f; Z dies at h, but h is the last step
-        assert [step.b_merge for step in plan.steps] == [
+        assert [step.merge for step in plan.steps] == [
             False, True, False, False,
         ]
         chain = compile_rule(parse_rule("anc(X, Y) :- par(X, Z), anc(Z, Y)."))
-        assert not any(step.b_merge for step in chain.steps)
+        assert not any(step.merge for step in chain.steps)
 
     def test_rows_carry_solution_multiplicities(self):
         plan = compile_rule(parse_rule(self.RULE))
@@ -313,7 +318,7 @@ class TestBatchMultiplicities:
     def test_all_slots_dead_merges_to_one_frame(self):
         # a cross product: nothing of e(X, Y) is read again
         plan = compile_rule(parse_rule("q(W) :- e(X, Y), h(Z, W)."))
-        assert plan.steps[0].b_merge
+        assert plan.steps[0].merge
         stats = EvaluationStats()
         rows, mults, solutions = plan.execute_batch(self.database(), stats)
         assert len(rows) == 2 and mults == [2, 2] and solutions == 4
@@ -353,7 +358,116 @@ class TestDeltaStats:
 # function symbols, LinExpr, and edge cases
 # ----------------------------------------------------------------------
 
+#: (program and facts, query, sip builder, an op its plans must hold):
+#: rules whose ops read the step's local buffer or a prior column
+OP_FORMS = {
+    "repeated variable": (
+        "p(X) :- q(X, X). q(a, a). q(a, b). q(b, b).",
+        "p(X)?", build_full_sip, _EQL,
+    ),
+    "match local pair": (
+        "p(X) :- q(X, s(X)). q(a, s(a)). q(a, s(b)). q(b, t(b)). q(c, s(c)).",
+        "p(X)?", build_full_sip, _MATCH,
+    ),
+    "match free variable, then stored": (
+        "p(X) :- q(s(X), X). q(s(a), a). q(s(a), b). q(s(s(b)), s(b)). q(c, c).",
+        "p(X)?", build_full_sip, _EQL,
+    ),
+    "two match free variables": (
+        "p(X, Y) :- q(f(X, Y), Y). q(f(a, b), b). q(f(a, b), a). "
+        "q(f(c, c), c). q(g(a, b), b).",
+        "p(X, Y)?", build_full_sip, _EQL,
+    ),
+    "eval key on a prior column": (
+        "p(X) :- r(X, a), q(X, s(X)). r(a, a). r(b, a). r(c, a). r(d, b). "
+        "q(a, s(a)). q(b, s(a)). q(c, s(c)). q(c, t(c)).",
+        "p(X)?", build_full_sip, _EVAL,
+    ),
+    "match prior pair": (
+        "p(X, Y) :- r(X), q(Y, s(X, Y)). r(a). r(b). "
+        "q(c, s(a, c)). q(c, s(a, d)). q(d, s(b, d)). q(e, s(e, e)).",
+        "p(X, Y)?", build_full_sip, _MATCH,
+    ),
+    "qsq head constant at a bound position": (
+        "p(a, Y) :- f(Y). p(X, Y) :- e(X, Z), p(Z, Y). "
+        "e(a, b). e(b, a). e(b, c). e(c, d). f(1). f(2).",
+        "p(b, Y)?", build_full_sip, _EQC,
+    ),
+    "qsq bound variable at a free position": (
+        "anc(X, Y) :- par(X, Y). anc(X, Y) :- par(X, Z), anc(Z, Y). "
+        "par(a, b). par(b, c). par(c, a). par(d, e).",
+        "anc(a, Y)?", build_empty_sip, _EQ,
+    ),
+}
+
+
+def plan_ops(plan):
+    """``(tag, payload, term)`` for every key, row and head op of a
+    plan; ``term`` is the argument the op compiles."""
+    for step in plan.steps:
+        args = step.literal.args
+        for pos, (tag, payload) in zip(step.index_positions, step.key_ops):
+            yield tag, payload, args[pos]
+        for pos, tag, payload in step.row_ops:
+            yield tag, payload, args[pos]
+    for arg, (tag, payload) in zip(plan.rule.head.args, plan.head_ops):
+        yield tag, payload, arg
+
+
+def op_forms_case(name):
+    source, query, sip_builder, form = OP_FORMS[name]
+    parsed = parse_program(source)
+    db = Database()
+    db.add_fact_rows(parsed.fact_rows)
+    return parsed.program, db, parse_query(query), sip_builder, form
+
+
+def every_plan(program, query, sip_builder):
+    """The bottom-up plans of ``program`` (full and delta) and its QSQ
+    plans for ``query``."""
+    compiled = CompiledProgram(program)
+    bottom_up = [
+        compiled.plan(ri, delta)
+        for ri in range(len(program.rules))
+        for delta in (None,) + compiled.delta_occurrences(ri)
+    ]
+    adorned = adorn_program(program, query, sip_builder).program
+    return bottom_up + list(SubqueryProgram(adorned).plans)
+
+
 class TestStructuredTerms:
+    @pytest.mark.parametrize("name", sorted(OP_FORMS))
+    def test_op_forms_answer_as_the_oracle(self, name):
+        # rules whose ops read the step's local buffer (_EQL, a _MATCH's
+        # local or free variables) or a prior column (_EQ, _EVAL, a
+        # _MATCH's prior pairs), under the three routes that run plans
+        program, db, query, sip_builder, _ = op_forms_case(name)
+        for evaluate in (evaluate_naive, evaluate_seminaive):
+            assert_matches_oracle(evaluate(program, db), program, db)
+        qsq = answer_query(
+            program, db, query, QueryOptions(method="qsq"),
+            sip_builder=sip_builder,
+        )
+        expected = oracle_answers(program, db, query)
+        assert expected and qsq.answers == expected
+
+    def test_plans_hold_one_id_level_op_set(self):
+        resolve = term_catalog().resolve
+        n_constants = 0
+        for name in OP_FORMS:
+            program, _, query, sip_builder, form = op_forms_case(name)
+            ops = [
+                op
+                for plan in every_plan(program, query, sip_builder)
+                for op in plan_ops(plan)
+            ]
+            assert any(tag == form for tag, _, _ in ops), name
+            for tag, payload, term in ops:
+                if tag in (_CONST, _EQC):
+                    assert type(payload) is int and resolve(payload) == term
+                    n_constants += 1
+        assert n_constants
+
     def test_list_reverse_via_magic_matches_the_oracle(self):
         rewritten = rewrite(
             list_reverse_program(),

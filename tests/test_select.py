@@ -209,7 +209,7 @@ _PATTERNS = (
     + _VARS
     + [Struct("f", (var,)) for var in _VARS[:2]]
     # index variables of their own: ``I+1`` with ``I`` already bound to
-    # a non-integer is a TypeError in ``unify`` itself, not a mismatch
+    # a non-integer is a TypeError in the matcher itself, not a mismatch
     + [LinExpr(Variable("I"), 1, 1), LinExpr(Variable("J"), 2, 0)]
     + [Struct("g", (_VARS[0],))]
 )

@@ -1,97 +1,33 @@
-"""Unit tests for unification and matching (repro.datalog.unify)."""
+"""Unit tests for one-way matching (repro.datalog.unify)."""
 
 
 from repro import Constant, LinExpr, Struct, Variable
-from repro.datalog.unify import (
-    compose,
-    match,
-    match_sequences,
-    resolve,
-    unify,
-    unify_sequences,
-)
+from repro.datalog.unify import match, match_sequences, resolve
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Constant("a"), Constant("b")
 
 
-class TestUnify:
-    def test_identical(self):
-        assert unify(a, a) == {}
-        assert unify(X, X) == {}
-
-    def test_variable_to_constant(self):
-        assert unify(X, a) == {X: a}
-        assert unify(a, X) == {X: a}
-
-    def test_variable_to_variable(self):
-        subst = unify(X, Y)
-        assert subst in ({X: Y}, {Y: X})
-
-    def test_clash(self):
-        assert unify(a, b) is None
-
-    def test_struct_decomposition(self):
-        subst = unify(Struct("f", (X, b)), Struct("f", (a, Y)))
-        assert subst == {X: a, Y: b}
-
-    def test_functor_mismatch(self):
-        assert unify(Struct("f", (X,)), Struct("g", (X,))) is None
-
-    def test_arity_mismatch(self):
-        assert unify(Struct("f", (X,)), Struct("f", (X, Y))) is None
-
-    def test_occurs_check(self):
-        assert unify(X, Struct("f", (X,))) is None
-        assert unify(X, Struct("f", (X,)), occurs_check=False) is not None
-
-    def test_chained_resolution(self):
-        subst = unify(X, Y)
-        subst = unify(Y, a, subst)
-        assert resolve(X, subst) == a
-
-    def test_input_not_mutated(self):
-        base = {X: a}
-        out = unify(Y, b, base)
-        assert base == {X: a}
-        assert out == {X: a, Y: b}
-
-    def test_sequences(self):
-        subst = unify_sequences((X, Y), (a, b))
-        assert subst == {X: a, Y: b}
-        assert unify_sequences((X,), (a, b)) is None
-
-    def test_shared_variable_consistency(self):
-        assert unify_sequences((X, X), (a, b)) is None
-        assert unify_sequences((X, X), (a, a)) == {X: a}
-
-
 class TestLinExprUnification:
+    """A ``LinExpr`` under one-way matching: solved, or evaluated once bound."""
+
     def test_solve_on_match(self):
         expr = LinExpr(X, 2, 2)
-        subst = unify(expr, Constant(6))
-        assert subst == {X: Constant(2)}
+        assert match(expr, Constant(6)) == {X: Constant(2)}
 
     def test_unsolvable(self):
         expr = LinExpr(X, 2, 2)
-        assert unify(expr, Constant(5)) is None
+        assert match(expr, Constant(5)) is None
 
     def test_against_non_integer(self):
-        assert unify(LinExpr(X, 2, 0), Constant("a")) is None
-
-    def test_identical_exprs_unify_vars(self):
-        left = LinExpr(X, 2, 1)
-        right = LinExpr(Y, 2, 1)
-        subst = unify(left, right)
-        assert subst in ({X: Y}, {Y: X})
-
-    def test_different_coefficients_fail(self):
-        assert unify(LinExpr(X, 2, 1), LinExpr(Y, 3, 1)) is None
+        assert match(LinExpr(X, 2, 0), Constant("a")) is None
 
     def test_evaluates_when_var_bound(self):
         subst = {X: Constant(3)}
-        out = unify(LinExpr(X, 2, 1), Y, subst)
-        assert resolve(Y, out) == Constant(7)
+        assert resolve(LinExpr(X, 2, 1), subst) == Constant(7)
+        # a bound expression matches only the value it evaluates to
+        assert match(LinExpr(X, 2, 1), Constant(7), subst) == subst
+        assert match(LinExpr(X, 2, 1), Constant(9), subst) is None
 
 
 class TestMatch:
@@ -114,12 +50,3 @@ class TestMatch:
         subst = match(LinExpr(X, 5, 4), Constant(14))
         assert subst == {X: Constant(2)}
         assert match(LinExpr(X, 5, 4), Constant(13)) is None
-
-
-class TestCompose:
-    def test_apply_outer_after_inner(self):
-        inner = {X: Struct("f", (Y,))}
-        outer = {Y: a}
-        composed = compose(outer, inner)
-        assert composed[X] == Struct("f", (a,))
-        assert composed[Y] == a
