@@ -1,6 +1,7 @@
 """Unit tests for relations and databases (repro.datalog.database)."""
 
 import uuid
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -565,6 +566,23 @@ class TestIntegrityOracle:
         rel = self.fixture_relation()
         index = rel._indexes[(0,)]
         next(iter(index.values())).append(99)
+        self.assert_trips(rel, "index")
+
+    def test_rowmap_iterates_slots_out_of_order(self):
+        rel = self.fixture_relation()
+        # re-inserting the first row moves it behind a higher slot
+        first = next(iter(rel._rowmap))
+        rel._rowmap[first] = rel._rowmap.pop(first)
+        self.assert_trips(rel, "rowmap")
+
+    def test_index_bucket_lists_slots_out_of_order(self):
+        rel = self.fixture_relation()
+        index = rel._indexes[(0,)]
+        # the bucket of ``a``: its live slot and the tombstoned one
+        key, bucket = next(
+            (key, bucket) for key, bucket in index.items() if len(bucket) > 1
+        )
+        index[key] = bucket[::-1]
         self.assert_trips(rel, "index")
 
     def test_index_misses_live_slot(self):
@@ -1167,3 +1185,108 @@ class TestCopyIsolation:
                 for other, expected in zip(family, models):
                     assert other.check_integrity()
                     assert set(other.get("r").id_rows()) == expected
+
+
+# ----------------------------------------------------------------------
+# copy-on-write under churn: clones of relations whose rowmap has holes
+# ----------------------------------------------------------------------
+_CHURN_IDS = [term_catalog().intern(c(f"churn{i}")) for i in range(6)]
+# 72 rows, three keys on column 0 and two on column 1
+_CHURN_ROW = st.tuples(
+    st.sampled_from(_CHURN_IDS[:3]),
+    st.sampled_from(_CHURN_IDS[:2]),
+    st.sampled_from(_CHURN_IDS),
+)
+_CHURN_ROWS = st.lists(_CHURN_ROW, min_size=1, max_size=12)
+_CHURN_SIDE = st.integers(min_value=0, max_value=15)
+_CHURN_STEP = st.one_of(
+    st.tuples(st.just("add"), _CHURN_SIDE, _CHURN_ROWS),
+    st.tuples(st.just("discard"), _CHURN_SIDE, _CHURN_ROWS),
+    st.tuples(st.just("snapshot"), _CHURN_SIDE, st.none()),
+    st.tuples(st.just("drop"), _CHURN_SIDE, st.none()),
+)
+
+
+class TestCopyOnWriteUnderChurn:
+    """One owner database and the snapshots taken of it, dropped, and
+    written through while ``add_id_rows`` / ``discard_id_rows`` churn
+    one indexed relation: its rowmap carries deletion holes and it
+    carries tombstones when it is cloned.  After every step each live
+    side equals its set model, passes ``check_integrity()``, and answers
+    keyed and keyless ``window_ids`` reads as the model says: a window
+    over the slots a write handed out holds exactly the rows it added,
+    and the windows on either side of a cut partition the relation."""
+
+    POSITIONS = ((0,), (1,), (1, 2))
+
+    @staticmethod
+    def _window(rel, positions, key, lo, hi):
+        by_slot = dict(zip(rel.all_slots(), rel.id_rows()))
+        slots = rel.window_ids(positions, key, lo, hi)
+        assert all(lo <= slot < hi for slot in slots)
+        assert list(slots) == sorted(set(slots))
+        return {by_slot[slot] for slot in slots}
+
+    def _check_windows(self, rel, model, lo, hi, expected):
+        """Keyless and keyed reads of the slot window ``[lo, hi)``."""
+        assert self._window(rel, (), None, lo, hi) == expected
+        assert set(rel.window_rows(lo, hi)) == expected
+        for positions in self.POSITIONS:
+            project = itemgetter(*positions)
+            absent = project((-1,) * 3)
+            for key in {project(row) for row in model} | {absent}:
+                assert self._window(rel, positions, key, lo, hi) == {
+                    row for row in expected if project(row) == key
+                }
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        script=st.lists(_CHURN_STEP, min_size=10, max_size=50),
+        cut=st.integers(min_value=0, max_value=200),
+    )
+    def test_every_side_reads_its_own_model(self, script, cut):
+        from repro.datalog import database as storage
+
+        owner = Database()
+        for positions in self.POSITIONS:
+            owner.relation("r").register_index(positions)
+        sides, models = [owner], [set()]
+        # compaction rebuilds the rowmap without holes: keep it rare
+        with mock.patch.object(storage, "_COMPACT_MIN_DEAD", 40):
+            for op, pick, rows in script:
+                at = pick % len(sides)
+                side, model = sides[at], models[at]
+                if op == "snapshot":
+                    sides.append(side.snapshot())
+                    models.append(set(model))
+                elif op == "drop":
+                    if at:  # the owner stays
+                        del sides[at], models[at]
+                elif op == "add":
+                    rel = side.relation("r")
+                    before = rel.slot_count()
+                    fresh = rel.add_id_rows(rows)
+                    assert set(fresh) == set(rows) - model
+                    model.update(rows)
+                    self._check_windows(
+                        rel, model, before, rel.slot_count(), set(fresh)
+                    )
+                else:
+                    rel = side.relation("r")
+                    assert rel.discard_id_rows(rows) == len(model & set(rows))
+                    model.difference_update(rows)
+                for side, model in zip(sides, models):
+                    assert side.check_integrity()
+                    rel = side.get("r")
+                    assert set(rel.id_rows()) == model
+                    if rel.arity is None:
+                        continue
+                    n = rel.slot_count()
+                    low = self._window(rel, (), None, 0, min(cut, n))
+                    high = self._window(rel, (), None, min(cut, n), n)
+                    assert not low & high and low | high == model
+                    self._check_windows(rel, model, 0, n, model)

@@ -1065,6 +1065,69 @@ class TestCowPublishedViews:
             older.release()
             newer.release()
 
+    def test_a_publish_clones_only_what_the_move_touched(self):
+        """One served subtree move over BOM, every version along it
+        retained: each still reads the rows pinned when it was published
+        and passes ``check_integrity()``.  What the move never writes --
+        ``part`` and ``exception`` in the base, ``buildable`` while the
+        pass derives nothing for it -- is the same object in
+        consecutive versions; only the relations it writes are clones."""
+        from repro.workloads import bom_source
+
+        def state(snap):
+            return {
+                side: {
+                    key: set(database.get(key).id_rows())
+                    for key in database.predicate_keys()
+                }
+                for side, database in (("db", snap.db), ("views", snap.views))
+            }
+
+        source = bom_source(4, 2, 0.0, 0) + "exception(p2).\n"
+        with ServerHandle.start(
+            source, materialize=["buildable"], listen=False
+        ) as handle:
+            snapshots = handle.server.snapshots
+            pinned = [snapshots.current()]
+            expected = [state(pinned[0])]
+            for op, fact in (
+                ("retract", "subpart(p3, p7)."),
+                ("assert", "subpart(p4, p7)."),
+            ):
+                done = handle.request({"op": op, "facts": [fact]})
+                assert done["changed"] == 1
+                assert "buildable" in done["views_published"]
+                pinned.append(snapshots.current())
+                expected.append(state(pinned[-1]))
+            for step in range(3):
+                out = handle.request(
+                    {"op": "query", "query": f"clean(p{step + 3}, S)?"}
+                )
+                assert out["served"] == "view"
+            for snap, rows in zip(pinned, expected):
+                assert state(snap) == rows
+                assert snap.db.check_integrity()
+                assert snap.views.check_integrity()
+            assert len({snap.version for snap in pinned}) == 3
+            moved = ("p3", "p7"), ("p4", "p7")
+            subpart = [
+                {tuple(map(str, row)) for row in snap.db.get("subpart")}
+                for snap in pinned
+            ]
+            assert moved[0] in subpart[0] and moved[1] not in subpart[0]
+            assert moved[0] not in subpart[2] and moved[1] in subpart[2]
+            for older, newer in zip(pinned, pinned[1:]):
+                for key in ("part", "exception"):
+                    assert newer.db.get(key) is older.db.get(key), key
+                assert newer.db.get("subpart") is not older.db.get("subpart")
+                assert newer.views.get("buildable") is older.views.get(
+                    "buildable"
+                )
+                for key in ("component", "clean"):
+                    assert newer.views.get(key) is not older.views.get(key)
+            for snap in pinned:
+                snap.release()
+
     def test_every_pinned_version_survives_the_moves_after_it(self):
         """The writer's clones share index buckets with the versions
         they were cloned from -- the indexes served reads built on them
