@@ -66,7 +66,6 @@ from .datalog import (
     ReproError,
     RewriteError,
     Rule,
-    SafetyError,
     SipValidationError,
     StratificationError,
     Struct,
@@ -167,7 +166,7 @@ __all__ = [
     # errors
     "ReproError", "ParseError", "WellFormednessError", "ConnectivityError",
     "SipValidationError", "AdornmentError", "EvaluationError",
-    "NonTerminationError", "SafetyError", "RewriteError", "IntegrityError",
+    "NonTerminationError", "RewriteError", "IntegrityError",
     "StratificationError", "UnsafeNegationError", "UnsupportedProgramError",
     # core
     "AdornedProgram", "adorn_program",

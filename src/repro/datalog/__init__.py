@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
     ReproError,
     RewriteError,
-    SafetyError,
     SipValidationError,
     StratificationError,
     UnsafeNegationError,
@@ -119,7 +118,6 @@ __all__ = [
     "EvaluationError",
     "IntegrityError",
     "NonTerminationError",
-    "SafetyError",
     "RewriteError",
     "StratificationError",
     "UnsafeNegationError",

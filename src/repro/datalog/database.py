@@ -385,8 +385,12 @@ class Relation:
         for p, column in enumerate(columns):
             column.extend([row[p] for row in fresh_rows])
         live.extend(b"\x01" * n_fresh)
-        self._bump(n_fresh)
-        self._capture(fresh_rows, 1)
+        self.version += n_fresh
+        owner = self.owner
+        if owner is not None:
+            owner.version += n_fresh
+            if owner.logs:
+                self._capture(fresh_rows, 1)
         # enter the fresh slots into every index.  A bucket that ends
         # below the copy watermark is borrowed (see copy()): it is
         # copied before the first append, which puts its end above the

@@ -339,7 +339,7 @@ def _slot_counts(
     counts = {}
     for _, pred in reads:
         relation = working.get(pred)
-        counts[pred] = 0 if relation is None else relation.slot_count()
+        counts[pred] = 0 if relation is None else len(relation._live)
     return counts
 
 
@@ -530,13 +530,13 @@ def serial_executor(
     """The serial round executor: each task's plan runs through
     ``execute_batch`` and ``emit(head, rows, solutions)`` installs its
     rows, returning the fresh ones, before the next task runs."""
-    rules = compiled.program.rules
+    head_keys = [rule.head.pred_key for rule in compiled.program.rules]
 
     def execute(groups):
         fresh_by_head: Dict[str, List[IdTuple]] = {}
         for group in groups:
             for ri, j, windows, delta in group:
-                head_key = rules[ri].head.pred_key
+                head_key = head_keys[ri]
                 rows, _, solutions = compiled.plan(ri, j).execute_batch(
                     working, stats, delta, meter, windows
                 )

@@ -88,10 +88,6 @@ class IntegrityError(ReproError):
         self.invariant = invariant
 
 
-class SafetyError(ReproError):
-    """Raised when a safety analysis cannot certify a program/query pair."""
-
-
 class RewriteError(ReproError):
     """Raised when a rewriting algorithm is applied outside its domain.
 

@@ -32,8 +32,19 @@ join-order independent (they count body solutions, which reordering does not
 change), while ``join_probes`` / ``tuples_scanned`` measure the work the plan
 actually performs -- the quantity the planner is built to shrink.
 
-Plans execute in batches (:meth:`JoinPlan.execute_batch`): partial matches
-travel as columns of term IDs, and the executor goes further the
+**Execution.**  Plans execute in batches (:meth:`JoinPlan.execute_batch`):
+partial matches travel as columns of term IDs, one per live slot.  How a
+step runs is decided once, at plan build, from its ops and the liveness
+pass: it gets one of six kernels and a tuple of operands -- ``scan``
+(keyless, stores only: a delta window, the seed relation, a full scan;
+a window's column slices are the batch), ``chain`` (keyed, one live
+store), ``stores`` (keyed, several), ``count`` (keyed, none), ``anti``
+(a negated literal's membership test) and ``general`` (per-row checks,
+``_EVAL`` keys, QSQ key registration).  A dead store is never built.
+Per call the executor only resolves each step's relation and window
+(an exact index is read as a dict, and a window cuts its buckets by
+bisection), runs the kernel, and adds the work counters to the stats
+once.  It goes further the
 way the paper's supplementary predicates do for a rule prefix: after a
 non-final step at which a frame slot goes dead, frames that agree on every
 live slot are merged into one frame carrying an integer *multiplicity*, so the
@@ -65,6 +76,7 @@ Two further layers serve the top-down side and repeated evaluations:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import Counter, OrderedDict
 from functools import partial
 from itertools import repeat as _repeat
@@ -149,239 +161,322 @@ def _step_reads(step):
     return reads
 
 
-def _batch_keys(key_ops, cols, n, as_tuple, evaluate):
-    """Per-frame lookup keys of a step's key ops over the batch columns
-    ``cols`` (bare IDs, or ID tuples when ``as_tuple``).
+def _key_builder(key_ops, as_tuple, evaluate):
+    """The function ``(cols, n) -> keys`` of key ops: one key per frame
+    of the batch ``cols`` (a bare ID for one op unless ``as_tuple``, an
+    ID tuple otherwise).  ``_CONST`` payloads are IDs and ``_SLOT`` keys
+    the columns themselves; only ``_EVAL`` keys are built per frame, and
+    ``evaluate`` maps the resolved term to an ID: ``id_of`` for probe
+    keys (an unknown term gets -1, which matches nothing), ``intern``
+    when the key outlives the probe (QSQ subqueries)."""
+    single = len(key_ops) == 1 and not as_tuple
+    if any(tag == _EVAL for tag, _ in key_ops):
+        resolve_id = _CATALOG.resolve
 
-    ``_CONST`` payloads are already IDs and ``_SLOT`` keys are the
-    columns themselves; only an ``_EVAL`` key is built per frame, and
-    ``evaluate`` maps a resolved ``_EVAL`` term to an ID: the catalog's
-    ``id_of`` for probe-only keys (an unknown term gets -1, which
-    matches nothing), ``intern`` when the key outlives the probe (QSQ
-    keys double as subquery vectors).
-    """
-    resolve_id = _CATALOG.resolve
-    if len(key_ops) == 1 and not as_tuple:
-        tag, payload = key_ops[0]
+        def keys(cols, n):
+            out = []
+            for i in range(n):
+                key = tuple([
+                    cols[payload][i] if tag == _SLOT
+                    else payload if tag == _CONST
+                    else evaluate(resolve(payload[0], {
+                        v: resolve_id(cols[s][i]) for v, s in payload[1]
+                    }))
+                    for tag, payload in key_ops
+                ])
+                out.append(key[0] if single else key)
+            return out
+
+        return keys
+    if single:
+        ((tag, payload),) = key_ops
         if tag == _SLOT:
-            return cols[payload]
-        if tag == _CONST:
-            return [payload] * n
-        term, pairs = payload  # _EVAL
-        return [
-            evaluate(resolve(
-                term,
-                {v: resolve_id(cols[s][i]) for v, s in pairs},
-            ))
-            for i in range(n)
-        ]
-    if all(tag != _EVAL for tag, _ in key_ops):
-        # slots and constants only: the keys are the columns, zipped
-        return list(zip(*(
-            cols[payload] if tag == _SLOT else _repeat(payload, n)
-            for tag, payload in key_ops
-        )))
-    keys = []
-    for i in range(n):
-        key = []
-        for tag, payload in key_ops:
-            if tag == _SLOT:
-                key.append(cols[payload][i])
-            elif tag == _CONST:
-                key.append(payload)
-            else:  # _EVAL
-                term, pairs = payload
-                key.append(evaluate(resolve(
-                    term,
-                    {v: resolve_id(cols[s][i]) for v, s in pairs},
-                )))
-        keys.append(tuple(key))
-    return keys
+            return lambda cols, n: cols[payload]
+        return lambda cols, n: [payload] * n
+    if not key_ops:
+        return lambda cols, n: [()] * n
+    return lambda cols, n: list(zip(*(
+        cols[payload] if tag == _SLOT else _repeat(payload, n)
+        for tag, payload in key_ops
+    )))
 
 
-def _scan_batch_step(relation, positions, keys, row_ops, n_stores,
-                     cols, n, window=None):
-    """Run one positive batch join step over ``n`` frames.
+def _head_builder(rule, head_ops):
+    """The function ``(cols, n) -> head ID rows`` of a plan's head ops;
+    a head argument that is not ground once a body solution reaches it
+    raises :class:`EvaluationError`."""
 
-    ``keys`` holds one lookup key per frame (None = full scan for every
-    frame); ``window``, when given, is the ``(lo, hi)`` slot range of
-    ``relation`` the step may match (:meth:`Relation.window_ids`).
-    Returns ``(sel, stores, probes, scanned)``: the surviving
-    frame indexes in batch order (one per matched row), the per-store
-    value columns aligned with ``sel``, and the probe / row-scan counts
-    for stats.
+    def not_ground(arg):
+        return EvaluationError(
+            f"rule {rule} produced a non-ground head argument {arg}; the "
+            "rule is not range-restricted for this database"
+        )
 
-    Each branch fuses grouping and probing: the first frame carrying a
-    key pays the index probe, every later frame with the same key reuses
-    the memoized result, and frames are emitted in batch order -- the
-    same solution multiset as per-frame probing, so the
-    solution-counting stats are unchanged.
-    """
+    unbound = [payload for tag, payload in head_ops if tag == _UNBOUND]
+    if unbound:
+        def unbound_head(cols, n):
+            raise not_ground(unbound[0])
+
+        return unbound_head
+
+    def ground_id(value):
+        if not value.is_ground():
+            raise not_ground(value)
+        return _CATALOG.intern(value)
+
+    return _key_builder(head_ops, True, ground_id)
+
+
+def _live_slots(relation, window):
+    """The live slots of ``relation``'s slot window ``(lo, hi)`` (None:
+    the whole relation), ascending; a range when none is tombstoned."""
+    if window is None:
+        return relation.lookup_ids((), ())
+    slots = range(*window)
+    if relation._dead:
+        live = relation._live
+        slots = [slot for slot in slots if live[slot]]
+    return slots
+
+
+def _slot_getter(relation, positions, window):
+    """``key -> slots`` for one call of a step probing ``relation`` on
+    ``positions``: the index dict's own ``get`` while its buckets are
+    exact (no tombstone), else the pruning / rowmap lookup, each bucket
+    cut to the slot ``window`` by bisection (they list slots ascending).
+    A keyless step gets every live slot for its one key ``()``."""
+    if not positions:
+        slots = _live_slots(relation, window)
+        return lambda key: slots
+    index = relation.probe_index(positions)
+    get = (
+        partial(relation.lookup_ids, positions) if index is None
+        else index.get
+    )
+    if window is None:
+        return get
+    lo, hi = window
+
+    def cut(key):
+        slots = get(key)
+        if slots and (slots[0] < lo or slots[-1] >= hi):
+            return slots[bisect_left(slots, lo):bisect_left(slots, hi)]
+        return slots
+
+    return cut
+
+
+# ----------------------------------------------------------------------
+# step kernels
+# ----------------------------------------------------------------------
+# ``kernel(operands, relation, window, keys, cols, n)`` extends the
+# ``n`` frames of the batch ``cols`` by the rows of ``relation`` (its
+# slot ``window``, or all of it when None) and returns ``(sel, stores,
+# probes, scanned)``: the surviving frame indexes in batch order (one
+# per matched row), the step's live store columns (``store_out``
+# order) aligned with ``sel``, and its work counts.  A keyed kernel
+# probes once per distinct key and reuses the result for every later
+# frame with that key -- the solution multiset of per-frame probing.
+# ``keys`` is None except for a QSQ step: its registered subqueries.
+
+def _scan(outs, relation, window, keys, cols, n):
+    """A keyless step that only stores (a delta window, the seed
+    relation, a full scan); ``outs`` are the row positions of its live
+    stores.  A window's column slices are the rows."""
+    columns = relation._columns
+    slots = _live_slots(relation, window)
+    if type(slots) is range:  # contiguous: slice the columns (C level)
+        values = [columns[p][slots.start:slots.stop].tolist() for p in outs]
+    else:
+        values = [[columns[p][s] for s in slots] for p in outs]
+    m = len(slots)
+    if n == 1:
+        return [0] * m, values, 1, m
+    sel = [i for i in range(n) for _ in slots]
+    return sel, [value * n for value in values], 1, m * n
+
+
+def _count(operands, relation, window, keys, cols, n):
+    """A keyed step that binds no live slot: every frame survives once
+    per matching row."""
+    positions, keys_of = operands
+    get = _slot_getter(relation, positions, window)
+    sel: List[int] = []
+    scanned = 0
+    nrows_of: Dict[object, int] = {}
+    for i, key in enumerate(keys_of(cols, n)):
+        n_rows = nrows_of.get(key)
+        if n_rows is None:
+            n_rows = nrows_of[key] = len(get(key) or ())
+        if n_rows:
+            scanned += n_rows
+            sel.extend(_repeat(i, n_rows))
+    return sel, (), len(nrows_of), scanned
+
+
+def _chain(operands, relation, window, keys, cols, n):
+    """A keyed step with one live store and no check (``par(X, Z)``
+    probed on X, storing Z)."""
+    positions, keys_of, pos = operands
+    get = _slot_getter(relation, positions, window)
+    row_col = relation._columns[pos]
+    sel: List[int] = []
+    store: List[int] = []
+    scanned = 0
+    vals_of: Dict[object, List[int]] = {}
+    for i, key in enumerate(keys_of(cols, n)):
+        values = vals_of.get(key)
+        if values is None:
+            values = vals_of[key] = [row_col[r] for r in get(key) or ()]
+        n_rows = len(values)
+        if n_rows == 1:  # chain joins: almost every bucket
+            scanned += 1
+            sel.append(i)
+            store.append(values[0])
+        elif n_rows:
+            scanned += n_rows
+            sel.extend(_repeat(i, n_rows))
+            store.extend(values)
+    return sel, (store,), len(vals_of), scanned
+
+
+def _stores(operands, relation, window, keys, cols, n):
+    """A keyed step with several live stores and no check."""
+    positions, keys_of, outs = operands
+    get = _slot_getter(relation, positions, window)
+    row_cols = [relation._columns[p] for p in outs]
+    sel: List[int] = []
+    stores: List[List[int]] = [[] for _ in outs]
+    scanned = 0
+    cols_of: Dict[object, List[List[int]]] = {}
+    for i, key in enumerate(keys_of(cols, n)):
+        entry = cols_of.get(key)
+        if entry is None:
+            rows = get(key) or ()
+            entry = cols_of[key] = [
+                [col[r] for r in rows] for col in row_cols
+            ]
+        n_rows = len(entry[0])
+        if n_rows:
+            scanned += n_rows
+            sel.extend(_repeat(i, n_rows))
+            for store, values in zip(stores, entry):
+                store.extend(values)
+    return sel, stores, len(cols_of), scanned
+
+
+def _anti(keys_of, relation, window, keys, cols, n):
+    """An anti-join: the key covers every position, so it *is* the
+    candidate ID row, and a frame survives iff the (non-empty)
+    relation's rowmap misses it.  A 0-ary atom (no ``keys_of``) holds,
+    so the negation fails every frame."""
+    if not keys_of:
+        return [], (), 0, 0
+    rowmap = relation._rowmap
+    return [
+        i for i, key in enumerate(keys_of(cols, n)) if key not in rowmap
+    ], (), n, 0
+
+
+def _general(operands, relation, window, keys, cols, n):
+    """Any other step: each candidate row runs the row ops (checks
+    among them) into a local buffer, and a row that passes them all
+    appends the buffer's live entries."""
+    positions, keys_of, row_ops, n_locals, outs = operands
+    if keys is None:
+        keys = keys_of(cols, n) if keys_of else _repeat((), n)
+    get = _slot_getter(relation, positions, window)
     resolve_id = _CATALOG.resolve
     intern = _CATALOG.intern
-    index = None
-    lookup_ids = relation.lookup_ids
     row_cols = relation._columns
-    if window is None:
-        if positions:
-            index = relation.probe_index(positions)
-    elif keys is None:
-        # a keyless scan of a window reads contiguous slots: slice the
-        # columns once (C level) and index the slices from 0
-        lo, hi = window
-        rows = range(hi - lo)
-        if relation._dead:
-            live = relation._live[lo:hi]
-            if 0 in live:
-                rows = [i for i in rows if live[i]]
-        index = {(): rows}
-        row_cols = [column[lo:hi].tolist() for column in row_cols]
-    else:
-        lookup_ids = partial(relation.window_ids, lo=window[0], hi=window[1])
-    stores: List[List[int]] = [[] for _ in range(n_stores)]
     sel: List[int] = []
-    probes = 0
+    stores = [[] for _ in outs]
+    out_pairs = list(zip(outs, stores))
+    local = [0] * n_locals
     scanned = 0
-    if keys is None:
-        # no bound positions: one full scan shared by all frames
-        keys = _repeat((), n)
-    if not row_ops:
-        # fully keyed step: each frame survives once per match
-        nrows_of: Dict[object, int] = {}
-        for i, key in enumerate(keys):
-            n_rows = nrows_of.get(key)
-            if n_rows is None:
-                if index is not None:
-                    rows = index.get(key, ())
-                else:
-                    rows = lookup_ids(positions, key)
-                probes += 1
-                n_rows = nrows_of[key] = len(rows)
-            if n_rows:
-                scanned += n_rows
-                sel.extend(_repeat(i, n_rows))
-    elif len(row_ops) == 1 and row_ops[0][1] == _STORE:
-        # the chain-step fast path (e.g. anc(X,Z) := delta probe on X,
-        # store Z): hoist the matched column per key
-        pos = row_ops[0][0]
-        row_col = row_cols[pos]
-        store = stores[0]
-        vals_of: Dict[object, List[int]] = {}
-        for i, key in enumerate(keys):
-            values = vals_of.get(key)
-            if values is None:
-                if index is not None:
-                    rows = index.get(key, ())
-                else:
-                    rows = lookup_ids(positions, key)
-                probes += 1
-                values = vals_of[key] = [row_col[r] for r in rows]
-            n_rows = len(values)
-            if n_rows == 1:  # chain joins: almost every bucket
-                scanned += 1
+    rows_of: Dict[object, object] = {}
+    for i, key in enumerate(keys):
+        rows = rows_of.get(key)
+        if rows is None:
+            rows = rows_of[key] = get(key) or ()
+        scanned += len(rows)
+        for row in rows:
+            for pos, tag, payload in row_ops:
+                value = row_cols[pos][row]
+                if tag == _STORE:
+                    local[payload] = value
+                elif tag == _EQ:
+                    if cols[payload][i] != value:
+                        break
+                elif tag == _EQL:
+                    if local[payload] != value:
+                        break
+                elif tag == _EQC:
+                    if payload != value:
+                        break
+                else:  # _MATCH
+                    pattern, prior, loc, frees = payload
+                    seed = {v: resolve_id(cols[s][i]) for v, s in prior}
+                    for v, j in loc:
+                        seed[v] = resolve_id(local[j])
+                    if not match_into(pattern, resolve_id(value), seed):
+                        break
+                    for v, j in frees:
+                        local[j] = intern(seed[v])
+            else:
                 sel.append(i)
-                store.append(values[0])
-            elif n_rows:
-                scanned += n_rows
-                sel.extend(_repeat(i, n_rows))
-                store.extend(values)
-    elif all(tag == _STORE for _, tag, _ in row_ops):
-        # all-stores step (e.g. a delta scan binding every position):
-        # matched rows project straight into the store columns, one
-        # list comprehension per column
-        pairs = [
-            (row_cols[pos], stores[payload])
-            for pos, _, payload in row_ops
-        ]
-        cols_of: Dict[object, List[List[int]]] = {}
-        for i, key in enumerate(keys):
-            entry = cols_of.get(key)
-            if entry is None:
-                if index is not None:
-                    rows = index.get(key, ())
-                else:
-                    rows = lookup_ids(positions, key)
-                probes += 1
-                entry = cols_of[key] = [
-                    [col[r] for r in rows] for col, _ in pairs
-                ]
-            n_rows = len(entry[0])
-            if n_rows:
-                scanned += n_rows
-                sel.extend(_repeat(i, n_rows))
-                for (_, store), values in zip(pairs, entry):
-                    store.extend(values)
-    else:
-        local = [0] * n_stores
-        rows_of: Dict[object, object] = {}
-        for i, key in enumerate(keys):
-            rows = rows_of.get(key)
-            if rows is None:
-                if index is not None:
-                    rows = index.get(key, ())
-                else:
-                    rows = lookup_ids(positions, key)
-                rows_of[key] = rows
-                probes += 1
-            n_rows = len(rows)
-            if not n_rows:
-                continue
-            scanned += n_rows
-            for row in rows:
-                ok = True
-                for pos, tag, payload in row_ops:
-                    value = row_cols[pos][row]
-                    if tag == _STORE:
-                        local[payload] = value
-                    elif tag == _EQ:
-                        if cols[payload][i] != value:
-                            ok = False
-                            break
-                    elif tag == _EQL:
-                        if local[payload] != value:
-                            ok = False
-                            break
-                    elif tag == _EQC:
-                        if payload != value:
-                            ok = False
-                            break
-                    else:  # _MATCH
-                        pattern, prior, loc, frees = payload
-                        seed = {
-                            v: resolve_id(cols[s][i]) for v, s in prior
-                        }
-                        for v, j in loc:
-                            seed[v] = resolve_id(local[j])
-                        if not match_into(
-                            pattern, resolve_id(value), seed
-                        ):
-                            ok = False
-                            break
-                        for v, j in frees:
-                            local[j] = intern(seed[v])
-                if ok:
-                    sel.append(i)
-                    for j in range(n_stores):
-                        stores[j].append(local[j])
-    return sel, stores, probes, scanned
+                for j, store in out_pairs:
+                    store.append(local[j])
+    return sel, stores, len(rows_of), scanned
 
 
-def _register_subqueries(database, step, cols, n):
-    """Register the keys of a QSQ step's ``n`` frames as subqueries in
-    its input relation, and return them as the step's probe keys.
-
-    The keys outlive the probe, so ``_EVAL`` keys are interned; a step
-    with no bound position registers the empty key.  Every frame that
-    reaches the step registers, whether or not the probe then finds a
-    row -- the paper's ``Q`` holds every subquery the sips construct.
-    """
-    inputs = database.relation(step.input_key)
+def _kernel_for(step):
+    """The ``(kernel, operands)`` a step runs as, once its liveness
+    (``store_out``) is known (see "Execution" in the module docstring);
+    ``keys_of`` is empty for a keyless step."""
     key_ops = step.key_ops
+    keys_of = key_ops and _key_builder(key_ops, step.negated, _CATALOG.id_of)
+    if step.negated:
+        return _anti, keys_of
+    if (
+        step.input_key is not None
+        or any(tag == _EVAL for tag, _ in key_ops)
+        or any(tag != _STORE for _, tag, _ in step.row_ops)
+    ):
+        return _general, (
+            step.index_positions, keys_of, step.row_ops,
+            len(step.store_slots), tuple(j for j, _ in step.store_out),
+        )
+    position_of = {j: pos for pos, _, j in step.row_ops}
+    outs = tuple(position_of[j] for j, _ in step.store_out)
     if not key_ops:
+        return _scan, outs
+    operands = (step.index_positions, keys_of)
+    if not outs:
+        return _count, operands
+    if len(outs) == 1:
+        return _chain, operands + outs
+    return _stores, operands + (outs,)
+
+
+def _register_subqueries(input_key, keys_of, single, database, cols, n):
+    """Register the keys of a QSQ step's ``n`` frames as subqueries in
+    its input relation ``input_key``, and return them as the step's
+    probe keys (bare IDs when ``single``, the step keying on one
+    position).
+
+    The keys outlive the probe, so ``keys_of`` interns ``_EVAL`` keys;
+    a step with no bound position (no ``keys_of``) registers the empty
+    key.  Every frame that reaches the step registers, whether or
+    not the probe then finds a row -- the paper's ``Q`` holds every
+    subquery the sips construct.
+    """
+    inputs = database.relation(input_key)
+    if not keys_of:
         inputs.add_id_rows([()])
         return None
-    keys = _batch_keys(key_ops, cols, n, False, _CATALOG.intern)
-    if len(key_ops) == 1:
+    keys = keys_of(cols, n)
+    if single:
         inputs.add_id_rows([(key,) for key in set(keys)])
     else:
         inputs.add_id_rows(set(keys))
@@ -592,7 +687,8 @@ class JoinStep:
 
     __slots__ = ("literal", "pred_key", "is_delta", "negated",
                  "index_positions", "key_ops", "row_ops", "store_slots",
-                 "input_key", "carry_out", "store_out", "merge")
+                 "input_key", "carry_out", "store_out", "merge", "kernel",
+                 "operands")
 
     def __init__(self, literal, pred_key, is_delta, negated,
                  index_positions, key_ops, row_ops=(), store_slots=(),
@@ -621,13 +717,21 @@ class JoinStep:
         #: merge equal frames after this step (set at plan build: a
         #: non-final step at which some frame slot goes dead)
         self.merge = False
+        #: the step kernel and its operands (set at plan build, once
+        #: the liveness is known: see _kernel_for)
+        self.kernel = None
+        self.operands = None
+
+    @property
+    def kind(self) -> str:
+        """The kernel the step runs as: ``scan``, ``chain``,
+        ``stores``, ``count``, ``anti`` or ``general``."""
+        return self.kernel.__name__[1:]
 
     def __repr__(self):
         flag = " delta" if self.is_delta else ""
-        if self.negated:
-            flag += " anti"
         return (
-            f"JoinStep({self.literal}{flag}, "
+            f"JoinStep({self.literal}{flag}, {self.kind}, "
             f"indexed on {self.index_positions})"
         )
 
@@ -636,7 +740,7 @@ class JoinPlan:
     """A compiled rule: ordered join steps plus head-emission ops."""
 
     __slots__ = ("rule", "delta_index", "order", "steps", "head_ops",
-                 "head_slots")
+                 "_head", "_records")
 
     def __init__(self, rule, delta_index, order, steps, head_ops):
         self.rule = rule
@@ -649,12 +753,7 @@ class JoinPlan:
         # liveness, from the head back: ``needed`` holds the slots read
         # after the step at hand
         needed = _slots_read(head_ops)
-        #: the all-slot fast path: head rows zip straight from these
-        #: columns (None = the head needs per-row work)
-        self.head_slots = (
-            tuple(payload for _, payload in head_ops)
-            if all(tag == _SLOT for tag, _ in head_ops) else None
-        )
+        self._head = _head_builder(rule, head_ops)
         for step in reversed(steps):
             stores = set(step.store_slots)
             step.store_out = tuple(
@@ -670,6 +769,23 @@ class JoinPlan:
             live_out = len(step.carry_out) + len(step.store_out)
             step.merge = live_out < live + len(step.store_slots)
             live = live_out
+        for step in steps:
+            step.kernel, step.operands = _kernel_for(step)
+        # what execute_batch reads of each step, as one tuple
+        self._records = tuple(
+            (
+                body_index, step.pred_key, step.is_delta,
+                step.input_key and partial(
+                    _register_subqueries, step.input_key,
+                    step.key_ops
+                    and _key_builder(step.key_ops, False, _CATALOG.intern),
+                    len(step.key_ops) == 1,
+                ),
+                step.kernel, step.operands, step.carry_out,
+                tuple(s for _, s in step.store_out), step.merge,
+            )
+            for body_index, step in zip(order, steps)
+        )
 
     # ------------------------------------------------------------------
     # execution
@@ -691,14 +807,12 @@ class JoinPlan:
         driver reads a predicate's fresh rows in place this way, and the
         old state of the others as a slot prefix.
 
-        Partial matches travel as parallel columns of term IDs (one list per live frame
-        slot), and each step probes its relation's int-ID index once per
-        *distinct* key in the batch instead of once per frame, emitting
-        the next batch.  After a non-final step at which a frame slot
-        goes dead (``step.merge``), frames that agree on every live
-        slot are merged into one frame carrying an integer multiplicity,
-        so the remaining steps run once per distinct live binding rather
-        than once per partial match.
+        Each step runs its kernel (see "Execution" in the module
+        docstring) over the batch of partial matches, emitting the next.
+        After a non-final step at which a frame slot goes dead
+        (``step.merge``), frames that agree on every live slot are
+        merged into one frame carrying an integer multiplicity, so the
+        remaining steps run once per distinct live binding.
 
         ``rows`` are head ID rows and may repeat (nothing is merged
         after the last step; the head insert deduplicates).
@@ -708,9 +822,10 @@ class JoinPlan:
         sum, the exact number of body solutions, and is what this call
         adds to ``stats.rule_firings``: ``rule_firings`` /
         ``facts_derived`` / ``duplicate_derivations`` are therefore
-        join-order independent, while ``join_probes`` counts the deduplicated probes and
-        ``tuples_scanned`` the rows touched *after* merging -- the two
-        quantities batching and merging shrink.
+        join-order independent, while ``join_probes`` counts the
+        deduplicated probes and ``tuples_scanned`` the rows touched
+        *after* merging -- the two quantities batching and merging
+        shrink.  Both are added to ``stats`` once, as the call ends.
 
         A step with an ``input_key`` (a QSQ plan's derived step) first
         registers its frames' keys there as subqueries, before any
@@ -724,111 +839,58 @@ class JoinPlan:
         cols: Dict[int, List[int]] = {}
         weights: Optional[List[int]] = None
         n = 1
-        rule = self.rule
-        resolve_id = _CATALOG.resolve
-        id_of = _CATALOG.id_of
-        intern = _CATALOG.intern
-
-        for body_index, step in zip(self.order, self.steps):
-            if step.input_key is not None:
-                keys = _register_subqueries(database, step, cols, n)
-            window = None
-            if step.is_delta and delta_relation is not None:
-                relation = delta_relation
-            else:
-                relation = database.get(step.pred_key)
-                if windows is not None and relation is not None:
-                    window = windows.get(body_index)
-                    if window is not None:
-                        if window[0] >= window[1]:
-                            return [], None, 0
-                        if not window[0] and window[1] >= len(relation._live):
-                            window = None  # the whole relation
-            if step.negated:
-                # anti-join: the key covers every position, so it *is*
-                # the candidate ID row; membership is one _rowmap probe
-                if relation is None or len(relation) == 0:
-                    continue  # nothing to refute: all frames survive
-                if not step.index_positions:
-                    return [], None, 0  # 0-ary atom holds: negation fails
-                keys = _batch_keys(step.key_ops, cols, n, True, id_of)
-                rowmap = relation._rowmap
-                stats.join_probes += n
-                sel = [i for i in range(n) if keys[i] not in rowmap]
-                if not sel:
+        probes = scanned = 0
+        try:
+            for (
+                body_index, pred_key, is_delta, register, kernel, operands,
+                carry_out, out_slots, merge,
+            ) in self._records:
+                keys = None
+                if register is not None:
+                    keys = register(database, cols, n)
+                window = None
+                if is_delta and delta_relation is not None:
+                    relation = delta_relation
+                else:
+                    relation = database.get(pred_key)
+                    if windows is not None and relation is not None:
+                        window = windows.get(body_index)
+                        if window is not None:
+                            if window[0] >= window[1]:
+                                return [], None, 0
+                            if (
+                                not window[0]
+                                and window[1] >= len(relation._live)
+                            ):
+                                window = None  # the whole relation
+                if relation is None or not len(relation):
+                    if kernel is _anti:
+                        continue  # nothing to refute: all frames survive
                     return [], None, 0
-                cols = {
-                    s: [cols[s][i] for i in sel] for s in step.carry_out
-                }
-            else:
-                if relation is None or len(relation) == 0:
-                    return [], None, 0
-                if step.input_key is None:
-                    keys = (
-                        _batch_keys(step.key_ops, cols, n, False, id_of)
-                        if step.key_ops else None
-                    )
-                sel, stores, probes, scanned = _scan_batch_step(
-                    relation, step.index_positions, keys,
-                    step.row_ops, len(step.store_slots), cols, n,
-                    window,
+                sel, stores, step_probes, step_scanned = kernel(
+                    operands, relation, window, keys, cols, n
                 )
-                stats.join_probes += probes
-                stats.tuples_scanned += scanned
+                probes += step_probes
+                scanned += step_scanned
                 if not sel:
                     return [], None, 0
-                next_cols: Dict[int, List[int]] = {
-                    s: [cols[s][i] for i in sel] for s in step.carry_out
+                next_cols = {
+                    s: list(map(cols[s].__getitem__, sel)) for s in carry_out
                 }
-                for j, s in step.store_out:
-                    next_cols[s] = stores[j]
+                next_cols.update(zip(out_slots, stores))
                 cols = next_cols
-            n = len(sel)
-            if weights is not None:
-                weights = [weights[i] for i in sel]
-            if step.merge:
-                cols, weights, n = _merge_frames(cols, weights, n)
+                n = len(sel)
+                if weights is not None:
+                    weights = list(map(weights.__getitem__, sel))
+                if merge:
+                    cols, weights, n = _merge_frames(cols, weights, n)
+        finally:
+            stats.join_probes += probes
+            stats.tuples_scanned += scanned
 
         solutions = n if weights is None else sum(weights)
         stats.rule_firings += solutions
-        head_slots = self.head_slots
-        if head_slots is not None:
-            if not head_slots:
-                rows = [()] * n
-            elif len(head_slots) == 1:
-                rows = [(value,) for value in cols[head_slots[0]]]
-            else:
-                rows = list(zip(*(cols[s] for s in head_slots)))
-            return rows, weights, solutions
-        produced: List[IdTuple] = []
-        head_ops = self.head_ops
-        for i in range(n):
-            args = []
-            for tag, payload in head_ops:
-                if tag == _SLOT:
-                    args.append(cols[payload][i])
-                elif tag == _CONST:
-                    args.append(payload)
-                elif tag == _EVAL:
-                    term, pairs = payload
-                    value = resolve(
-                        term, {v: resolve_id(cols[s][i]) for v, s in pairs}
-                    )
-                    if not value.is_ground():
-                        raise EvaluationError(
-                            f"rule {rule} produced a non-ground head "
-                            f"argument {value}; the rule is not "
-                            "range-restricted for this database"
-                        )
-                    args.append(intern(value))
-                else:  # _UNBOUND
-                    raise EvaluationError(
-                        f"rule {rule} produced a non-ground head argument "
-                        f"{payload}; the rule is not range-restricted for "
-                        "this database"
-                    )
-            produced.append(tuple(args))
-        return produced, weights, solutions
+        return self._head(cols, n), weights, solutions
 
     # ------------------------------------------------------------------
     # index registration
@@ -911,8 +973,8 @@ def partition_columns(plan: JoinPlan) -> Optional[Tuple[int, ...]]:
     batch, or a full relation treated as one) across its workers.  Sharding
     is *correct* for any split -- the solution multiset is partitioned
     exactly because every input row is processed by exactly one worker
-    -- but probe locality is not free: :func:`_scan_batch_step` probes
-    once per distinct key per batch, so scattering equal join keys
+    -- but probe locality is not free: a keyed step probes once per
+    distinct key per batch, so scattering equal join keys
     across workers multiplies probes.  This helper finds the input-row
     positions whose values feed the next probing step's key: hashing on
     them keeps each distinct key's rows on one worker, so the per-shard

@@ -4,12 +4,14 @@
 metrics -- facts derived, rule firings, duplicate derivations -- plus
 the executor's own work (index probes, tuples scanned, rounds) are
 deterministic.  Each case below pins all of them, with literal values,
-for a program whose plans hold one kind of join step: a keyless scan
-and keyed chain steps (the ancestor point query), keyed multi-store and
-count steps (nonlinear same-generation), anti-joins (BOM, cold and
-through IVM's overdelete / rederive / insert phases), QSQ's subquery
-registration, counting's ``LinExpr`` keys, and the per-row ops
-(``Struct`` matching, a repeated variable, a constant outside the key).
+and together they run every step kind (``JoinStep.kind``): keyless
+scans and keyed chain steps (the ancestor and same-generation point
+queries), anti-joins and count steps (BOM, cold and through IVM's
+overdelete / rederive / insert phases), keyed multi-store steps, and
+general steps -- QSQ's subquery registration, counting's ``LinExpr``
+arguments (matched with ``semijoin=True``, probed as ``_EVAL`` keys
+without it) and the per-row ops (``Struct`` matching, a repeated
+variable, a constant outside the key).
 
 A change to how steps execute must keep every number here; a change
 that moves one on purpose states the old and new value.
@@ -135,6 +137,18 @@ def struct_match():
     )
 
 
+def keyed_stores():
+    program, db = parsed(
+        "hop(X, Y, W) :- src(X), e(X, Y, W). "
+        "hop(X, Z, V) :- hop(X, Y, W), e(Y, Z, V). "
+        "src(a). src(b). e(a, b, 1). e(a, c, 2). e(b, c, 3). e(c, d, 4). "
+        "e(b, d, 5). e(d, a, 6)."
+    )
+    return query_stats(
+        program, db, parse_query("hop(X, Y, W)?"), method="seminaive"
+    )
+
+
 def repeated_variable():
     program, db = parsed(
         "p(X) :- q(X, X). t(X) :- p(X), q(X, Y), p(Y). "
@@ -202,6 +216,11 @@ GOLDEN = {
         struct_match,
         (2, 2, 0, 2, 10, 1),
         {"p": 2},
+    ),
+    "keyed stores": (
+        keyed_stores,
+        (20, 12, 8, 15, 33, 3),
+        {"hop": 12},
     ),
     "repeated variable": (
         repeated_variable,

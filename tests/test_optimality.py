@@ -3,10 +3,14 @@
 import pytest
 
 from repro import (
+    CompiledProgram,
+    EvaluationStats,
     build_chain_sip,
     check_optimality,
     compare_sips,
     evaluate,
+    evaluate_seminaive,
+    parse_query,
     rewrite,
 )
 from repro.workloads import (
@@ -50,6 +54,29 @@ class TestTheorem91:
         db = samegen_database(3, 4, flat_edges=6)
         report = check_optimality(rewritten, db, max_iterations=500)
         assert report.sip_optimal, report.mismatches
+
+    def test_samegen_all_free_query(self):
+        # parsed, "L0_0" is a variable: the query is sg^ff, whose magic
+        # sets are seeded by up's every node rather than one constant
+        query = parse_query("sg(L0_0, Y)?")
+        assert not any(arg.is_ground() for arg in query.literal.args)
+        db = samegen_database(layers=10, width=3, flat_edges=2)
+        for method in ("magic", "supplementary_magic"):
+            rewritten = rewrite(nonlinear_samegen_program(), query, method)
+            report = check_optimality(rewritten, db)
+            assert report.sip_optimal, (method, report.mismatches)
+        # exact semi-naive: every body solution of the final model once
+        sg = rewrite(nonlinear_samegen_program(), query, "supplementary_magic")
+        seeded = sg.seeded_database(samegen_database(layers=6, width=4))
+        result = evaluate_seminaive(sg.program, seeded)
+        compiled = CompiledProgram(sg.program)
+        solutions = sum(
+            compiled.plan(ri).execute_batch(
+                result.database, EvaluationStats()
+            )[2]
+            for ri in range(len(sg.program.rules))
+        )
+        assert result.stats.rule_firings == solutions == 2060
 
     def test_nested_samegen(self):
         rewritten = rewrite(

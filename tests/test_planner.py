@@ -119,6 +119,59 @@ class TestPlanStructure:
         assert order_body(rule) == (0, 1)
         assert order_body(rule, delta_index=1) == (1, 0)
 
+    @pytest.mark.parametrize("source, kinds", [
+        ("p(X, Y) :- q(X), r(X, Y).", ["scan", "chain"]),
+        ("p(X, Y, Z) :- q(X), r(X, Y, Z).", ["scan", "stores"]),
+        # Y is dead after r: its store is never built
+        ("p(X) :- q(X), r(X, Y).", ["scan", "count"]),
+        ("p(X) :- q(X), not r(X).", ["scan", "anti"]),
+        ("p(X) :- q(X, X).", ["general"]),
+        ("p(X) :- q(X), r(s(X)).", ["scan", "general"]),
+    ])
+    def test_step_kinds(self, source, kinds):
+        plan = compile_rule(parse_rule(source))
+        assert [step.kind for step in plan.steps] == kinds
+        assert all(
+            f", {step.kind}, " in repr(step) for step in plan.steps
+        )
+
+    @pytest.mark.parametrize("make_program, query, kinds", [
+        (ancestor, ancestor_query("n0"), {
+            (0, None): "scan chain", (0, 0): "scan chain",
+            (1, None): "scan chain", (1, 0): "scan chain",
+            (2, None): "scan", (2, 0): "scan",
+            (3, None): "scan chain", (3, 0): "scan chain",
+            (3, 1): "scan chain",
+        }),
+        (nonlinear_samegen_program, samegen_query("L0_0"), {
+            (0, None): "scan chain", (0, 0): "scan chain",
+            (1, None): "scan chain", (1, 0): "scan chain",
+            (2, None): "scan chain", (2, 0): "scan chain",
+            (2, 1): "scan chain",
+            (3, None): "scan chain", (3, 0): "scan chain",
+            (4, None): "scan", (4, 0): "scan",
+            (5, None): "scan", (5, 0): "scan",
+            (6, None): "scan chain chain", (6, 0): "scan chain chain",
+            (6, 1): "scan chain chain",
+        }),
+    ])
+    def test_supplementary_magic_plans_scan_and_chain(
+        self, make_program, query, kinds
+    ):
+        # every plan of the point queries' rewrites: a keyless scan of
+        # a magic / supplementary relation, then one-key one-store probes
+        program = rewrite(
+            make_program(), query, method="supplementary_magic"
+        ).program
+        compiled = CompiledProgram(program)
+        assert {
+            (ri, delta): " ".join(
+                step.kind for step in compiled.plan(ri, delta).steps
+            )
+            for ri in range(len(program.rules))
+            for delta in (None,) + compiled.delta_occurrences(ri)
+        } == kinds
+
     def test_register_indexes_up_front(self):
         program = ancestor()
         db = chain_database(3)
