@@ -433,19 +433,6 @@ class Relation:
         relation is a slot prefix ``[0, n)`` of it."""
         return len(self._live)
 
-    def window_ids(
-        self, positions: Tuple[int, ...], key: IndexKey, lo: int, hi: int
-    ) -> Sequence[int]:
-        """:meth:`lookup_ids` restricted to the slots in ``[lo, hi)``.
-
-        Slots are handed out ascending and every bucket lists them
-        ascending, so a bucket is cut with two bisections.
-        """
-        slots = self.lookup_ids(positions, key)
-        if not slots or (slots[0] >= lo and slots[-1] < hi):
-            return slots
-        return slots[bisect_left(slots, lo):bisect_left(slots, hi)]
-
     def window_rows(self, lo: int, hi: int) -> List[IdTuple]:
         """The live ID rows stored in slots ``[lo, hi)``, in slot order."""
         columns = self._columns
@@ -873,11 +860,10 @@ class Relation:
         slots whose live members project to the bucket key and covers
         every live row, and the version counter has kept pace with the
         live tuple count.  It also checks the two orderings the
-        copy-on-write watermark and :meth:`window_ids` rely on: the
-        rowmap iterates its slots strictly ascending (a keyless window
-        bisects :meth:`all_slots`), and so does every index bucket (its
-        last slot dates it against ``_copied_at``; a keyed window
-        bisects it).  Returns True so
+        copy-on-write watermark and the join executor's window reads
+        rely on: the rowmap iterates its slots strictly ascending, and so
+        does every index bucket (its last slot dates it against
+        ``_copied_at``; a keyed window bisects it).  Returns True so
         ``assert rel.check_invariants()`` reads naturally.
         """
 

@@ -40,7 +40,8 @@ pass: it gets one of six kernels and a tuple of operands -- ``scan``
 a window's column slices are the batch), ``chain`` (keyed, one live
 store), ``stores`` (keyed, several), ``count`` (keyed, none), ``anti``
 (a negated literal's membership test) and ``general`` (per-row checks,
-``_EVAL`` keys, QSQ key registration).  A dead store is never built.
+``_EVAL`` keys); a QSQ step of any kind first registers its keys.  A
+dead store is never built.
 Per call the executor only resolves each step's relation and window
 (an exact index is read as a dict, and a window cuts its buckets by
 bisection), runs the kernel, and adds the work counters to the stats
@@ -277,7 +278,8 @@ def _slot_getter(relation, positions, window):
 # order) aligned with ``sel``, and its work counts.  A keyed kernel
 # probes once per distinct key and reuses the result for every later
 # frame with that key -- the solution multiset of per-frame probing.
-# ``keys`` is None except for a QSQ step: its registered subqueries.
+# ``keys`` is None except for a QSQ step: its registered subqueries,
+# the keys its ``keys_of`` would build.
 
 def _scan(outs, relation, window, keys, cols, n):
     """A keyless step that only stores (a delta window, the seed
@@ -304,7 +306,7 @@ def _count(operands, relation, window, keys, cols, n):
     sel: List[int] = []
     scanned = 0
     nrows_of: Dict[object, int] = {}
-    for i, key in enumerate(keys_of(cols, n)):
+    for i, key in enumerate(keys or keys_of(cols, n)):
         n_rows = nrows_of.get(key)
         if n_rows is None:
             n_rows = nrows_of[key] = len(get(key) or ())
@@ -324,7 +326,7 @@ def _chain(operands, relation, window, keys, cols, n):
     store: List[int] = []
     scanned = 0
     vals_of: Dict[object, List[int]] = {}
-    for i, key in enumerate(keys_of(cols, n)):
+    for i, key in enumerate(keys or keys_of(cols, n)):
         values = vals_of.get(key)
         if values is None:
             values = vals_of[key] = [row_col[r] for r in get(key) or ()]
@@ -349,7 +351,7 @@ def _stores(operands, relation, window, keys, cols, n):
     stores: List[List[int]] = [[] for _ in outs]
     scanned = 0
     cols_of: Dict[object, List[List[int]]] = {}
-    for i, key in enumerate(keys_of(cols, n)):
+    for i, key in enumerate(keys or keys_of(cols, n)):
         entry = cols_of.get(key)
         if entry is None:
             rows = get(key) or ()
@@ -383,8 +385,7 @@ def _general(operands, relation, window, keys, cols, n):
     among them) into a local buffer, and a row that passes them all
     appends the buffer's live entries."""
     positions, keys_of, row_ops, n_locals, outs = operands
-    if keys is None:
-        keys = keys_of(cols, n) if keys_of else _repeat((), n)
+    keys = keys or (keys_of(cols, n) if keys_of else _repeat((), n))
     get = _slot_getter(relation, positions, window)
     resolve_id = _CATALOG.resolve
     intern = _CATALOG.intern
@@ -439,8 +440,7 @@ def _kernel_for(step):
     if step.negated:
         return _anti, keys_of
     if (
-        step.input_key is not None
-        or any(tag == _EVAL for tag, _ in key_ops)
+        any(tag == _EVAL for tag, _ in key_ops)
         or any(tag != _STORE for _, tag, _ in step.row_ops)
     ):
         return _general, (

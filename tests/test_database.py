@@ -21,6 +21,7 @@ from repro import (
     parse_program,
     term_catalog,
 )
+from repro.datalog.planner import _slot_getter
 
 
 def c(value):
@@ -1213,7 +1214,8 @@ class TestCopyOnWriteUnderChurn:
     one indexed relation: its rowmap carries deletion holes and it
     carries tombstones when it is cloned.  After every step each live
     side equals its set model, passes ``check_integrity()``, and answers
-    keyed and keyless ``window_ids`` reads as the model says: a window
+    the join executor's keyed and keyless window reads
+    (``planner._slot_getter``) as the model says: a window
     over the slots a write handed out holds exactly the rows it added,
     and the windows on either side of a cut partition the relation."""
 
@@ -1222,7 +1224,7 @@ class TestCopyOnWriteUnderChurn:
     @staticmethod
     def _window(rel, positions, key, lo, hi):
         by_slot = dict(zip(rel.all_slots(), rel.id_rows()))
-        slots = rel.window_ids(positions, key, lo, hi)
+        slots = _slot_getter(rel, positions, (lo, hi))(key) or ()
         assert all(lo <= slot < hi for slot in slots)
         assert list(slots) == sorted(set(slots))
         return {by_slot[slot] for slot in slots}

@@ -6,12 +6,13 @@ the executor's own work (index probes, tuples scanned, rounds) are
 deterministic.  Each case below pins all of them, with literal values,
 and together they run every step kind (``JoinStep.kind``): keyless
 scans and keyed chain steps (the ancestor and same-generation point
-queries), anti-joins and count steps (BOM, cold and through IVM's
+queries, and QSQ's, whose steps register their keys as subqueries
+first), anti-joins and count steps (BOM, cold and through IVM's
 overdelete / rederive / insert phases), keyed multi-store steps, and
-general steps -- QSQ's subquery registration, counting's ``LinExpr``
-arguments (matched with ``semijoin=True``, probed as ``_EVAL`` keys
-without it) and the per-row ops (``Struct`` matching, a repeated
-variable, a constant outside the key).
+general steps -- counting's ``LinExpr`` arguments (matched with
+``semijoin=True``, probed as ``_EVAL`` keys without it) and the
+per-row ops (``Struct`` matching, a repeated variable, a constant
+outside the key).
 
 A change to how steps execute must keep every number here; a change
 that moves one on purpose states the old and new value.
