@@ -151,7 +151,6 @@ the version it was computed at is still current.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from operator import itemgetter
 from typing import (
     Dict,

@@ -230,7 +230,8 @@ def _head_builder(rule, head_ops):
 
 def _live_slots(relation, window):
     """The live slots of ``relation``'s slot window ``(lo, hi)`` (None:
-    the whole relation), ascending; a range when none is tombstoned."""
+    the whole relation), ascending: a range for a window without
+    tombstones."""
     if window is None:
         return relation.lookup_ids((), ())
     slots = range(*window)
