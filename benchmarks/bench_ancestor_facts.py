@@ -22,7 +22,7 @@ from conftest import print_table
 
 WORKLOADS = {
     "chain_60": (lambda: chain_database(60), "n30"),
-    "tree_d6": (lambda: tree_database(6), "r.0.0"),
+    "tree_d6": (lambda: tree_database(6), "r_0_0"),
     "dag_60": (lambda: random_dag_database(60, 0.08, seed=13), "n20"),
 }
 
@@ -74,7 +74,7 @@ def test_magic_scales_with_cone_not_graph(benchmark):
 
     rows = []
     previous = None
-    for root in ("r", "r.0", "r.0.0", "r.0.0.0"):
+    for root in ("r", "r_0", "r_0_0", "r_0_0_0"):
         answer = session.query(ancestor_query(root), method="magic")
         rows.append([root, len(answer.rows), answer.stats.facts_derived])
         if previous is not None:
@@ -88,5 +88,5 @@ def test_magic_scales_with_cone_not_graph(benchmark):
     benchmark(
         lambda: Session(
             program=session.program, database=session.database
-        ).query(ancestor_query("r.0.0"), method="magic")
+        ).query(ancestor_query("r_0_0"), method="magic")
     )

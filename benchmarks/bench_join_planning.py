@@ -121,7 +121,7 @@ def test_samegen_supplementary_magic_merges_frames(benchmark):
     carries their multiplicity, so ``down`` is probed once per distinct
     live binding.  Gated structurally: some compiled step merges."""
     rewritten = rewrite(
-        nonlinear_samegen_program(), samegen_query("L0_0"),
+        nonlinear_samegen_program(), samegen_query("l0_0"),
         method="supplementary_magic",
     )
     program = rewritten.program

@@ -31,7 +31,7 @@ CASES = {
     ),
     "ancestor_tree_d7": (
         ancestor_program,
-        lambda: ancestor_query("r.0"),
+        lambda: ancestor_query("r_0"),
         lambda: tree_database(7),
     ),
     "ancestor_dag_80": (
@@ -41,7 +41,7 @@ CASES = {
     ),
     "nonlinear_samegen": (
         nonlinear_samegen_program,
-        lambda: samegen_query("L0_0"),
+        lambda: samegen_query("l0_0"),
         lambda: samegen_database(4, 6, flat_edges=10),
     ),
 }

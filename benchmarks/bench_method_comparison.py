@@ -46,7 +46,7 @@ from conftest import print_table
 
 
 def test_gsms_does_less_join_work_than_gms(benchmark):
-    query = samegen_query("L0_0")
+    query = samegen_query("l0_0")
     session = Session(
         program=nonlinear_samegen_program(),
         database=samegen_database(4, 6, flat_edges=10),
@@ -84,7 +84,7 @@ def test_counting_on_unique_derivations(benchmark):
     """Tree data + linear rules: unique derivations, counting applies;
     the semijoin-optimized program beats magic sets on join work."""
     program = ancestor_program()
-    query = ancestor_query("r.0")
+    query = ancestor_query("r_0")
     db = tree_database(7)
 
     magic = rewrite(program, query, method="magic")

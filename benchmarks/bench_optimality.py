@@ -42,12 +42,12 @@ CASES = {
     ),
     "nonlinear_samegen": (
         nonlinear_samegen_program,
-        lambda: samegen_query("L0_0"),
+        lambda: samegen_query("l0_0"),
         lambda: samegen_database(3, 5, flat_edges=8),
     ),
     "nested_samegen": (
         nested_samegen_program,
-        lambda: nested_samegen_query("L0_0"),
+        lambda: nested_samegen_query("l0_0"),
         lambda: nested_samegen_database(3, 4),
     ),
 }

@@ -23,7 +23,7 @@ PARAMS = [(3, 4, 6), (3, 6, 12), (4, 5, 10)]
 @pytest.mark.parametrize("layers,width,flat", PARAMS)
 def test_full_sip_contained_in_partial(benchmark, layers, width, flat):
     program = nonlinear_samegen_program()
-    query = samegen_query("L0_0")
+    query = samegen_query("l0_0")
     full = rewrite(program, query, method="magic")
     partial = rewrite(
         program, query, method="magic", sip_builder=build_chain_sip

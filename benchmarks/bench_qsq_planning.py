@@ -91,7 +91,7 @@ def test_ancestor_chain_qsq_planning(benchmark):
 def test_samegen_qsq_planning(benchmark):
     """Nonlinear same-generation on layered data."""
     program = nonlinear_samegen_program()
-    query = samegen_query("L0_0")
+    query = samegen_query("l0_0")
     db = samegen_database(layers=LAYERS, width=3, flat_edges=2)
     adorned, qsq, magic, qsq_s, magic_s = run_both(program, query, db)
     report(

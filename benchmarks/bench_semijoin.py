@@ -80,7 +80,7 @@ def test_semijoin_ablation_on_ancestor(benchmark, workload):
 
 def test_semijoin_on_nonlinear_samegen(benchmark):
     program = nonlinear_samegen_program()
-    query = samegen_query("L0_0")
+    query = samegen_query("l0_0")
     db = samegen_database(3, 5, flat_edges=8)
     plain = rewrite(program, query, method="counting")
     optimized = semijoin_optimize(plain)

@@ -53,7 +53,7 @@ def main() -> None:
     show("magic, left-to-right sip", magic)
     print()
 
-    recall = 'needs(P, "r.0.0.0")?'
+    recall = "needs(P, r_0_0_0)?"
     print("== recall query (who uses this part?):", recall)
     baseline = session.query(recall, method="seminaive")
     show("semi-naive (whole closure)", baseline)

@@ -32,9 +32,7 @@ def main() -> None:
         """,
         database=samegen_database(layers=4, width=6, flat_edges=10, seed=11),
     )
-    # node names start with an uppercase L, so quote them: unquoted they
-    # would parse as variables
-    query = 'peer("L0_0", Y)?'
+    query = "peer(l0_0, Y)?"
 
     print("query:", query)
     baseline = session.query(query, method="seminaive")

@@ -46,10 +46,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Set, Tuple
 
-from ..datalog.analysis import stratify_or_raise
 from ..datalog.ast import ALL_FREE, Literal, Program, Query, Rule
 from ..datalog.errors import AdornmentError
 from .sips import Sip, SipBuilder, build_full_sip
+from .stratify import stratify_or_raise
 
 __all__ = ["AdornedRule", "AdornedProgram", "adorn_program"]
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..datalog.analysis import polarity_edges, stratify_rules
-from ..datalog.analysis import stratify_or_raise as _stratify_or_raise
 from ..datalog.ast import Program
 from ..datalog.errors import StratificationError
 
@@ -128,7 +127,14 @@ def stratify_or_raise(program: Program, context: str = "") -> Stratification:
     with a ``context`` names the rewrite invariant that broke rather
     than blaming the input program.
     """
-    predicate_stratum, rule_strata = _stratify_or_raise(program, context)
+    try:
+        predicate_stratum, rule_strata = stratify_rules(program)
+    except StratificationError as exc:
+        if not context:
+            raise
+        raise StratificationError(
+            f"{context}: {exc}", cycle=exc.cycle
+        ) from exc
     return Stratification(
         program=program,
         predicate_stratum=predicate_stratum,

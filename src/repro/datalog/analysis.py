@@ -24,7 +24,6 @@ __all__ = [
     "reachable_predicates",
     "depends_on",
     "stratify_rules",
-    "stratify_or_raise",
 ]
 
 
@@ -242,24 +241,3 @@ def stratify_rules(
     )
     return predicate_stratum, rule_strata
 
-
-def stratify_or_raise(
-    program: Program, context: str = ""
-) -> Tuple[Dict[str, int], Tuple[Tuple[int, ...], ...]]:
-    """:func:`stratify_rules`, with a caller-supplied error context.
-
-    The rewrite pipeline calls this on its *output*: the conservative
-    magic rewrites must never turn a stratified program into an
-    unstratifiable one, so a failure there is an internal invariant
-    violation and the ``context`` prefix makes the resulting
-    :class:`StratificationError` say so (instead of blaming the user's
-    program).
-    """
-    try:
-        return stratify_rules(program)
-    except StratificationError as exc:
-        if not context:
-            raise
-        raise StratificationError(
-            f"{context}: {exc}", cycle=exc.cycle
-        ) from exc

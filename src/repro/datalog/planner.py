@@ -92,7 +92,7 @@ from .errors import (
     UnsafeNegationError,
     UnsupportedProgramError,
 )
-from .terms import Variable
+from .terms import Term, Variable
 from .unify import match_into, resolve
 
 __all__ = [
@@ -168,19 +168,29 @@ def _key_builder(key_ops, as_tuple, evaluate):
     ID tuple otherwise).  ``_CONST`` payloads are IDs and ``_SLOT`` keys
     the columns themselves; only ``_EVAL`` keys are built per frame, and
     ``evaluate`` maps the resolved term to an ID: ``id_of`` for probe
-    keys (an unknown term gets -1, which matches nothing), ``intern``
-    when the key outlives the probe (QSQ subqueries)."""
+    keys, ``intern`` when the key outlives the probe (QSQ subqueries).
+    A term ``id_of`` has never seen gets a negative ID of its own, which
+    matches nothing: distinct unseen keys stay distinct probes, so the
+    probe count does not depend on what the process interned before."""
     single = len(key_ops) == 1 and not as_tuple
     if any(tag == _EVAL for tag, _ in key_ops):
         resolve_id = _CATALOG.resolve
 
         def keys(cols, n):
             out = []
+            unseen: Dict[Term, int] = {}
+
+            def term_id(term):
+                found = evaluate(term)
+                if found < 0:
+                    found = unseen.setdefault(term, -1 - len(unseen))
+                return found
+
             for i in range(n):
                 key = tuple([
                     cols[payload][i] if tag == _SLOT
                     else payload if tag == _CONST
-                    else evaluate(resolve(payload[0], {
+                    else term_id(resolve(payload[0], {
                         v: resolve_id(cols[s][i]) for v, s in payload[1]
                     }))
                     for tag, payload in key_ops

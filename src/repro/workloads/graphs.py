@@ -37,14 +37,15 @@ def tree_edges(
     depth: int, fanout: int = 2, root: str = "r"
 ) -> List[Tuple[str, str]]:
     """A complete ``fanout``-ary tree of the given depth, edges
-    parent -> child.  Node names encode the path from the root."""
+    parent -> child.  Node names encode the path from the root
+    (``r_0_1`` is the root's first child's second child)."""
     edges: List[Tuple[str, str]] = []
     frontier = [root]
     for _ in range(depth):
         next_frontier = []
         for node in frontier:
             for child_index in range(fanout):
-                child = f"{node}.{child_index}"
+                child = f"{node}_{child_index}"
                 edges.append((node, child))
                 next_frontier.append(child)
         frontier = next_frontier

@@ -25,7 +25,7 @@ def samegen_edges(
 ) -> Dict[str, List[Tuple[str, str]]]:
     """Layered up/flat/down data.
 
-    Nodes are ``L{layer}_{i}`` for layer in ``0..layers`` (0 = bottom,
+    Nodes are ``l{layer}_{i}`` for layer in ``0..layers`` (0 = bottom,
     where queries start) and ``i < width``.  ``up`` connects layer k to
     layer k+1 (two parents each, wrapping), ``down`` mirrors ``up``
     (independently wired, seeded), and ``flat`` adds ``flat_edges`` random
@@ -36,19 +36,19 @@ def samegen_edges(
     down: List[Tuple[str, str]] = []
     for layer in range(layers):
         for i in range(width):
-            child = f"L{layer}_{i}"
-            up.append((child, f"L{layer + 1}_{i}"))
-            up.append((child, f"L{layer + 1}_{(i + 1) % width}"))
-            down.append((f"L{layer + 1}_{i}", child))
+            child = f"l{layer}_{i}"
+            up.append((child, f"l{layer + 1}_{i}"))
+            up.append((child, f"l{layer + 1}_{(i + 1) % width}"))
+            down.append((f"l{layer + 1}_{i}", child))
             down.append(
-                (f"L{layer + 1}_{(i + rng.randrange(width)) % width}", child)
+                (f"l{layer + 1}_{(i + rng.randrange(width)) % width}", child)
             )
     flat: List[Tuple[str, str]] = []
     for layer in range(1, layers + 1):
         for _ in range(flat_edges):
             a = rng.randrange(width)
             b = rng.randrange(width)
-            flat.append((f"L{layer}_{a}", f"L{layer}_{b}"))
+            flat.append((f"l{layer}_{a}", f"l{layer}_{b}"))
     return {"up": up, "flat": flat, "down": down}
 
 
@@ -83,8 +83,8 @@ def nested_samegen_database(
     b1 = []
     b2 = []
     for i in range(width):
-        b1.append((f"L0_{i}", f"L0_{(i + 1) % width}"))
-        b2.append((f"L0_{i}", f"L0_{rng.randrange(width)}"))
+        b1.append((f"l0_{i}", f"l0_{(i + 1) % width}"))
+        b2.append((f"l0_{i}", f"l0_{rng.randrange(width)}"))
     database.add_values("b1", b1)
     database.add_values("b2", b2)
     return database

@@ -1,5 +1,7 @@
 """CLI tests (python -m repro ...)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -103,6 +105,11 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "b" in out and "c" in out
 
+    def test_auto_repeat_reports_memo_hits(self, program_file, capsys):
+        argv = ["query", program_file, "--method", "auto", "--repeat", "3"]
+        assert main(argv + ["--stats"]) == 0
+        assert "memo_hits=2" in capsys.readouterr().err
+
     def test_facts_file_with_rules_rejected(self, tmp_path, capsys):
         program = tmp_path / "p.dl"
         program.write_text("anc(X, Y) :- par(X, Y).\nanc(a, Y)?\n")
@@ -165,7 +172,8 @@ class TestWorkers:
     def test_pool_answers_match_serial(self, program_file, capsys):
         assert main(["query", program_file]) == 0
         serial = capsys.readouterr().out
-        assert main(["query", program_file, "--workers", "2"]) == 0
+        code = main(["query", program_file, "--workers", "2", "--stats"])
+        assert code == 0
         assert capsys.readouterr().out == serial
 
     def test_stats_line_reports_the_pool(self, program_file, capsys):
@@ -238,6 +246,15 @@ class TestStatsJson:
         assert payload["from_memo"] is True
         assert payload["memo_hits"] == 2
 
+    def test_qsq_reports_its_join_work(self, program_file, capsys):
+        import json
+
+        argv = ["query", program_file, "--method", "qsq", "--stats-json"]
+        assert main(argv) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["tuples_scanned"] > 0
+        assert stats["rule_firings"] >= stats["facts_derived"] > 0
+
     def test_boolean_query_rows(self, program_file, capsys):
         import json
 
@@ -282,3 +299,66 @@ class TestServeParser:
         assert args.max_timeout == 2.5
         assert args.max_facts == 1000
         assert args.materialize == ["anc", "path"]
+
+
+def bom_file(tmp_path, capsys, depth, rate):
+    argv = ["workload", "bom", "--depth", str(depth), "--fanout", "2"]
+    assert main(argv + ["--exception-rate", str(rate), "--seed", "1"]) == 0
+    path = tmp_path / f"bom{depth}.dl"
+    path.write_text(capsys.readouterr().out)
+    return str(path)
+
+
+class TestStratifiedSource:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--method", "seminaive", "--stats"],
+            ["query", "--method", "naive"],
+            ["query", "--method", "magic", "--stats"],
+            ["query", "--method", "supplementary_magic", "--query",
+             "clean(p1, S)?", "--stats"],
+            ["query", "--method", "auto", "--repeat", "2", "--stats"],
+            ["safety"],
+        ],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_every_bottom_up_method_runs_it(self, tmp_path, capsys, argv):
+        path = bom_file(tmp_path, capsys, 4, 0.2)
+        assert main(argv[:1] + [path] + argv[1:]) == 0
+
+
+class TestLoad:
+    """Text to ID rows through the one loader, on a 4k-fact source."""
+
+    def test_a_generated_source_loads_whole_or_split(self, tmp_path, capsys):
+        path = bom_file(tmp_path, capsys, 10, 0.1)
+        assert main(["query", path]) == 0
+        auto = capsys.readouterr().out
+        assert auto
+        assert main(["query", path, "--method", "seminaive"]) == 0
+        assert capsys.readouterr().out == auto
+        lines = open(path).read().splitlines()
+        rules = tmp_path / "rules.dl"
+        rules.write_text(
+            "".join(ln + "\n" for ln in lines if re.search(r":-|\?$", ln))
+        )
+        facts = tmp_path / "facts.dl"
+        facts.write_text("".join(
+            ln + "\n" for ln in lines if not re.search(r":-|\?$|^%|^$", ln)
+        ))
+        assert main(["query", str(rules), "--facts", str(facts)]) == 0
+        assert capsys.readouterr().out == auto
+        assert main(["query", str(rules), "--facts", path]) == 1
+        err = capsys.readouterr().err
+        assert "contains rules; put rules in the program file" in err
+
+    def test_a_corrupted_fact_names_its_line_and_column(self, tmp_path, capsys):
+        path = bom_file(tmp_path, capsys, 10, 0.1)
+        lines = open(path).read().splitlines()
+        assert lines[1499] == "subpart(p745, p1491)."
+        lines[1499] = lines[1499].replace(", p", ", 1p", 1)
+        bad = tmp_path / "bad.dl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["query", str(bad)]) == 1
+        assert "line 1500, column 16" in capsys.readouterr().err

@@ -1241,6 +1241,20 @@ class TestCopyOnWriteUnderChurn:
                     row for row in expected if project(row) == key
                 }
 
+    def test_a_write_clones_a_churned_relation_away_from_its_snapshot(self):
+        db = Database()
+        db.add_values("r", [(i, i % 7) for i in range(200)])
+        db.relation("r").register_index((1,))
+        db.retract_values("r", [(i, i % 7) for i in range(0, 200, 3)])
+        snap = db.snapshot()
+        before = snap.tuples("r")
+        db.add_values("r", [(500, 1)])
+        db.retract_values("r", [(1, 1)])
+        assert snap.tuples("r") == before
+        assert len(db.get("r")) == len(before)
+        assert db.get("r") is not snap.get("r")
+        assert db.check_integrity() and snap.check_integrity()
+
     @settings(
         max_examples=100,
         deadline=None,

@@ -58,11 +58,25 @@ class TestNaive:
 
 
 class TestSemiNaive:
-    def test_agrees_with_naive_on_chain(self):
-        db = chain_database(6)
+    @pytest.mark.parametrize("length", [6, 25])
+    def test_agrees_with_naive_on_chain(self, length):
+        db = chain_database(length)
         naive = evaluate_naive(ancestor(), db)
         semi = evaluate_seminaive(ancestor(), db)
         assert naive.derived_tuples("anc") == semi.derived_tuples("anc")
+        assert naive.stats.facts_derived == semi.stats.facts_derived
+
+    def test_agrees_with_naive_under_negation(self):
+        program = parse_program(
+            """
+            anc(X, Y) :- par(X, Y).
+            anc(X, Y) :- par(X, Z), anc(Z, Y).
+            lonely(X) :- par(X, Y), not anc(Y, Y).
+            """
+        ).program
+        naive = evaluate_naive(program, chain_database(12))
+        semi = evaluate_seminaive(program, chain_database(12))
+        assert semi.derived_tuples("lonely") == naive.derived_tuples("lonely")
 
     def test_agrees_with_naive_on_cycle(self):
         db = cycle_database(5)

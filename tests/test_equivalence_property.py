@@ -387,7 +387,7 @@ class TestExactSeminaive:
         from repro.workloads import samegen_database
 
         rewritten = rewrite(
-            nonlinear_samegen_program(), samegen_query("L0_0"),
+            nonlinear_samegen_program(), samegen_query("l0_0"),
             method="supplementary_magic",
         )
         _assert_exact(

@@ -96,7 +96,7 @@ class TestCountingOnMultiPredicatePrograms:
 class TestSupplementaryCountingSemijoin:
     def test_gsc_semijoin_on_nonlinear_samegen(self):
         program = nonlinear_samegen_program()
-        query = samegen_query("L0_0")
+        query = samegen_query("l0_0")
         db = samegen_database(3, 4, flat_edges=6)
         plain = rewrite(program, query, method="supplementary_counting")
         optimized = semijoin_optimize(plain)
@@ -118,7 +118,7 @@ class TestReverseDirectionQueries:
         """anc(X, constant)? answered by inverting the join order."""
         program = ancestor_program()
         db = load_edges(tree_edges(5, fanout=2))
-        query = parse_query('anc(X, "r.0.0.0.0")?')
+        query = parse_query("anc(X, r_0_0_0_0)?")
         baseline = bottom_up_answer(program, db, query)
         builder = sip_builder_with_order(build_full_sip, greedy_order)
         answer = answer_query(
@@ -136,7 +136,7 @@ class TestReverseDirectionQueries:
     def test_fb_query_magic_methods(self, method):
         program = ancestor_program()
         db = load_edges(tree_edges(4, fanout=2))
-        query = parse_query('anc(X, "r.0.0.0")?')
+        query = parse_query("anc(X, r_0_0_0)?")
         baseline = bottom_up_answer(program, db, query)
         builder = sip_builder_with_order(build_full_sip, greedy_order)
         answer = answer_query(
@@ -156,7 +156,7 @@ class TestReverseDirectionQueries:
 
         program = ancestor_program()
         db = load_edges(tree_edges(4, fanout=2))
-        query = parse_query('anc(X, "r.0.0.0")?')
+        query = parse_query("anc(X, r_0_0_0)?")
         builder = sip_builder_with_order(build_full_sip, greedy_order)
         adorned = adorn_program(program, query, sip_builder=builder)
         assert counting_safety(adorned).safe is False

@@ -461,7 +461,7 @@ class TestSessionBudgets:
     def test_budget_spent_reported_on_success(self):
         session = chain_session()
         result = session.query("anc(n0, Y)?", timeout=60.0)
-        assert not result.degraded
+        assert not result.degraded and len(result.rows) == 12
         assert result.budget_spent["elapsed"] >= 0.0
         assert result.budget_spent["facts"] > 0
         ungoverned = session.query("anc(n1, Y)?")
@@ -630,14 +630,17 @@ class TestFaultInjectionAtomicity:
                 db.add_values("par", [("w", f"w{i}")])
                 assert db.get("par") is held["par"]
 
-    def test_env_knob_reaches_the_session(self, monkeypatch):
+    @pytest.mark.parametrize("plan", ["round:1", "round:2"])
+    def test_env_knob_reaches_the_session(self, monkeypatch, plan):
         """REPRO_FAULT_INJECT plants a fault without touching call sites."""
-        monkeypatch.setenv(FAULT_ENV_VAR, "round:1")
+        monkeypatch.setenv(FAULT_ENV_VAR, plan)
         session = chain_session()
+        version = session.database.version
         with pytest.raises(InjectedFault):
             session.query("anc(n0, Y)?")
         assert session.counters()["memo_entries"] == 0
         assert session.database.check_integrity()
+        assert session.database.version == version
         monkeypatch.delenv(FAULT_ENV_VAR)
         result = session.query("anc(n0, Y)?")
         assert len(result.rows) == 12

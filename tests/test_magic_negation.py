@@ -32,7 +32,6 @@ from repro import (
     rewrite,
 )
 from repro.core.stratify import stratify_or_raise
-from repro.datalog.analysis import stratify_or_raise as stratify_pair
 from repro.workloads import bom_database, bom_program
 
 from conftest import oracle_answers
@@ -303,13 +302,13 @@ class TestStratifyOrRaise:
         assert str(exc.value).startswith("invariant check: ")
         assert exc.value.cycle  # the offending SCC survives wrapping
 
-    def test_low_level_pair_variant(self):
+    def test_strata_of_predicates_and_rules(self):
         program = parse_program(
             "p(X) :- e(X), not q(X).\nq(X) :- bad(X).\n"
         ).program
-        predicate_stratum, rule_strata = stratify_pair(program)
-        assert predicate_stratum["p"] == 1
-        assert len(rule_strata) == 2
+        strat = stratify_or_raise(program)
+        assert strat.predicate_stratum["p"] == 1
+        assert len(strat.rule_strata) == 2
 
     def test_no_context_raises_unwrapped(self):
         program = parse_program(

@@ -28,6 +28,28 @@ from repro.workloads import (
 )
 
 
+def _samegen_firings_are_sip_optimal(query):
+    """Check Theorem 9.1 for magic and supplementary magic on layered
+    same-generation data, and that semi-naive evaluation of the
+    supplementary rewrite fires every body solution of its final model
+    exactly once; return that number of solutions."""
+    db = samegen_database(layers=10, width=3, flat_edges=2)
+    for method in ("magic", "supplementary_magic"):
+        rewritten = rewrite(nonlinear_samegen_program(), query, method)
+        report = check_optimality(rewritten, db)
+        assert report.sip_optimal, (method, report.mismatches)
+    sg = rewrite(nonlinear_samegen_program(), query, "supplementary_magic")
+    seeded = sg.seeded_database(samegen_database(layers=6, width=4))
+    result = evaluate_seminaive(sg.program, seeded)
+    compiled = CompiledProgram(sg.program)
+    solutions = sum(
+        compiled.plan(ri).execute_batch(result.database, EvaluationStats())[2]
+        for ri in range(len(sg.program.rules))
+    )
+    assert result.stats.rule_firings == solutions
+    return solutions
+
+
 class TestTheorem91:
     """Bottom-up on P^mg is sip-optimal: magic facts = the sip strategy's
     queries Q, adorned facts = its answers F."""
@@ -49,39 +71,29 @@ class TestTheorem91:
 
     def test_nonlinear_samegen(self):
         rewritten = rewrite(
-            nonlinear_samegen_program(), samegen_query("L0_0"), method="magic"
+            nonlinear_samegen_program(), samegen_query("l0_0"), method="magic"
         )
         db = samegen_database(3, 4, flat_edges=6)
         report = check_optimality(rewritten, db, max_iterations=500)
         assert report.sip_optimal, report.mismatches
 
+    def test_samegen_bound_query(self):
+        # the Section 9 case: sg^bf, its magic sets seeded by one constant
+        query = samegen_query("l0_0")
+        assert query == parse_query("sg(l0_0, Y)?")
+        assert _samegen_firings_are_sip_optimal(query) == 720
+
     def test_samegen_all_free_query(self):
-        # parsed, "L0_0" is a variable: the query is sg^ff, whose magic
-        # sets are seeded by up's every node rather than one constant
-        query = parse_query("sg(L0_0, Y)?")
+        # sg^ff: the magic sets are seeded by up's every node, not one
+        # constant
+        query = parse_query("sg(X, Y)?")
         assert not any(arg.is_ground() for arg in query.literal.args)
-        db = samegen_database(layers=10, width=3, flat_edges=2)
-        for method in ("magic", "supplementary_magic"):
-            rewritten = rewrite(nonlinear_samegen_program(), query, method)
-            report = check_optimality(rewritten, db)
-            assert report.sip_optimal, (method, report.mismatches)
-        # exact semi-naive: every body solution of the final model once
-        sg = rewrite(nonlinear_samegen_program(), query, "supplementary_magic")
-        seeded = sg.seeded_database(samegen_database(layers=6, width=4))
-        result = evaluate_seminaive(sg.program, seeded)
-        compiled = CompiledProgram(sg.program)
-        solutions = sum(
-            compiled.plan(ri).execute_batch(
-                result.database, EvaluationStats()
-            )[2]
-            for ri in range(len(sg.program.rules))
-        )
-        assert result.stats.rule_firings == solutions == 2060
+        assert _samegen_firings_are_sip_optimal(query) == 2060
 
     def test_nested_samegen(self):
         rewritten = rewrite(
             nested_samegen_program(),
-            nested_samegen_query("L0_0"),
+            nested_samegen_query("l0_0"),
             method="magic",
         )
         db = nested_samegen_database(3, 4)
@@ -121,7 +133,7 @@ class TestLemma93:
 
     def test_full_contained_in_partial_nonlinear_samegen(self):
         program = nonlinear_samegen_program()
-        query = samegen_query("L0_0")
+        query = samegen_query("l0_0")
         full = rewrite(program, query, method="magic")
         partial = rewrite(
             program, query, method="magic", sip_builder=build_chain_sip

@@ -101,7 +101,7 @@ class TestSameGeneration:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_nonlinear(self, method):
         program = nonlinear_samegen_program()
-        query = samegen_query("L0_1")
+        query = samegen_query("l0_1")
         db = samegen_database(3, 5, flat_edges=8, seed=4)
         baseline = bottom_up_answer(program, db, query)
         answer = answer_query(
@@ -112,7 +112,7 @@ class TestSameGeneration:
     @pytest.mark.parametrize("method", MAGIC_METHODS)
     def test_nested(self, method):
         program = nested_samegen_program()
-        query = nested_samegen_query("L0_0")
+        query = nested_samegen_query("l0_0")
         db = nested_samegen_database(3, 4)
         baseline = bottom_up_answer(program, db, query)
         answer = answer_query(program, db, query, QueryOptions(method=method))
@@ -154,7 +154,7 @@ class TestFactCounts:
         magic only the reachable part."""
         program = ancestor_program()
         db = tree_database(5)  # 63 internal/leaf nodes
-        query = ancestor_query("r.0.0")  # a grandchild of the root
+        query = ancestor_query("r_0_0")  # a grandchild of the root
         naive = bottom_up_answer(program, db, query, engine="naive")
         magic = answer_query(program, db, query, QueryOptions(method="magic"))
         assert magic.answers == naive.answers

@@ -143,7 +143,7 @@ class TestPlanStructure:
             (3, None): "scan chain", (3, 0): "scan chain",
             (3, 1): "scan chain",
         }),
-        (nonlinear_samegen_program, samegen_query("L0_0"), {
+        (nonlinear_samegen_program, samegen_query("l0_0"), {
             (0, None): "scan chain", (0, 0): "scan chain",
             (1, None): "scan chain", (1, 0): "scan chain",
             (2, None): "scan chain", (2, 0): "scan chain",
@@ -215,7 +215,7 @@ PROGRAMS = [
     ),
     (
         "samegen", nonlinear_samegen_program,
-        lambda: samegen_database(3, 4), lambda: samegen_query("L0_0"),
+        lambda: samegen_database(3, 4), lambda: samegen_query("l0_0"),
         (None,) + REWRITES,
     ),
     (  # counting does not terminate on cyclic data
@@ -308,7 +308,7 @@ class TestOracleEquivalence:
         program, db = build_case(
             nonlinear_samegen_program,
             lambda: samegen_database(3, 4),
-            lambda: samegen_query("L0_0"),
+            lambda: samegen_query("l0_0"),
             "supplementary_magic",
         )
         stats = evaluate_seminaive(program, db).stats

@@ -100,7 +100,7 @@ WORKLOADS = [
      lambda: cycle_database(7)),
     ("nl-anc-dag", nonlinear_ancestor_program, lambda: ancestor_query("n0"),
      lambda: random_dag_database(14, 0.25, seed=11)),
-    ("samegen", nonlinear_samegen_program, lambda: samegen_query("L0_0"),
+    ("samegen", nonlinear_samegen_program, lambda: samegen_query("l0_0"),
      lambda: samegen_database(3, 4, flat_edges=5)),
 ]
 
@@ -120,7 +120,7 @@ class TestCompiledEquivalence:
     def test_sip_families(self, sip_builder):
         assert_sound_qf(
             nonlinear_samegen_program(),
-            samegen_query("L0_0"),
+            samegen_query("l0_0"),
             samegen_database(3, 3, flat_edges=4),
             sip_builder=sip_builder,
         )
@@ -206,7 +206,7 @@ class TestQSQPlanShape:
         self,
     ):
         adorned = adorn_program(
-            nonlinear_samegen_program(), samegen_query("L0_0")
+            nonlinear_samegen_program(), samegen_query("l0_0")
         )
         compiled, _ = subquery_program_for(adorned.program, PlanCache())
         for rule, plan in zip(adorned.program.rules, compiled.plans):
@@ -249,7 +249,7 @@ class TestTheorem91:
     @pytest.mark.parametrize("method", ["magic", "supplementary_magic"])
     def test_samegen(self, method):
         program = nonlinear_samegen_program()
-        query = samegen_query("L0_0")
+        query = samegen_query("l0_0")
         db = samegen_database(3, 3, flat_edges=4)
         rewritten = rewrite(program, query, method=method)
         report = check_optimality(rewritten, db)

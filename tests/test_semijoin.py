@@ -163,7 +163,7 @@ class TestCorrectness:
 
     def test_answers_preserved_on_nonlinear_samegen(self):
         program = nonlinear_samegen_program()
-        query = samegen_query("L0_0")
+        query = samegen_query("l0_0")
         db = samegen_database(3, 4, flat_edges=6)
         plain = rewrite(program, query, method="counting")
         optimized = semijoin_optimize(plain)
@@ -234,7 +234,7 @@ class TestLemmaLevelPasses:
 
     def test_lemma_passes_preserve_answers(self):
         program = nonlinear_samegen_program()
-        query = samegen_query("L0_0")
+        query = samegen_query("l0_0")
         db = samegen_database(3, 4, flat_edges=6)
         plain = rewrite(program, query, method="counting")
         for transform in (lemma_8_1_prune, lemma_8_2_anonymize):

@@ -27,9 +27,13 @@ Five layers of guarantees:
   oversized request lines and clients that disconnect mid-query.
 """
 
+import contextlib
+import json
 import os
 import random
+import re
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -39,6 +43,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from conftest import refcount_only, reference_scan
 from repro import PlanCache, parse_program
 from repro.datalog import planner
@@ -63,6 +68,7 @@ from repro.server.protocol import (
     validate_request,
 )
 from repro.server.scheduler import MutationScheduler
+from repro.workloads import bom_source
 
 ANCESTOR = """
 par(john, alice). par(alice, ted). par(ted, zoe).
@@ -1392,3 +1398,165 @@ class TestRollbackUnit:
         MutationScheduler._rollback(db, log)
         assert db.tuples("par") == before
         assert db.check_integrity()
+
+
+# ----------------------------------------------------------------------
+# repro serve in its own process, over TCP
+# ----------------------------------------------------------------------
+ANC_ABCD = """
+anc(X, Y) :- par(X, Y).
+anc(X, Y) :- par(X, Z), anc(Z, Y).
+par(a, b). par(b, c). par(c, d).
+"""
+
+
+@contextlib.contextmanager
+def repro_serve(tmp_path, source, *options):
+    """``repro serve`` on a loopback port: yields its address; the body
+    stops it through the ``shutdown`` op, after which it must exit 0."""
+    path = tmp_path / "program.dl"
+    path.write_text(source)
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", str(path),
+         "--port", "0", *options],
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        banner = proc.stderr.readline()
+        match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+        assert match, banner
+        yield match.group(1), int(match.group(2))
+        assert proc.wait(timeout=30) == 0, proc.returncode
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+
+
+def _move(client, rng, parent):
+    """Move one level-4 part of a depth-7 BOM under another level-3
+    part; return the part's new parent."""
+    part = rng.choice(sorted(parent))
+    old = parent[part]
+    new = parent[part] = rng.choice([p for p in range(7, 15) if p != old])
+    client.retract_facts([f"subpart(p{old}, p{part})."])
+    client.assert_facts([f"subpart(p{new}, p{part})."])
+    return new
+
+
+class TestServeProcess:
+    def test_identical_cold_queries_coalesce_into_one_evaluation(
+        self, tmp_path
+    ):
+        with repro_serve(tmp_path, ANC_ABCD) as address:
+            n = 8
+            barrier = threading.Barrier(n, timeout=30)
+            results = [None] * n
+
+            def fire(i):
+                with ReproClient(*address) as client:
+                    barrier.wait()
+                    results[i] = client.query("anc(a, Y)?")
+
+            threads = [
+                threading.Thread(target=fire, args=(i,)) for i in range(n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(r is not None for r in results)
+            # every waiter saw the same answer
+            assert len({tuple(map(tuple, r["rows"])) for r in results}) == 1
+            assert all(r["row_count"] == 3 for r in results)
+            with ReproClient(*address) as client:
+                stats = client.stats()
+                assert stats["cold_evaluations"] == 1, stats
+                assert stats["coalesced"] + stats["memo_hits"] == n - 1, stats
+                client.shutdown()
+
+    def test_a_published_view_serves_reads_and_an_oversized_line_is_refused(
+        self, tmp_path
+    ):
+        with repro_serve(tmp_path, ANC_ABCD, "--materialize", "anc") as address:
+            with ReproClient(*address) as client:
+                done = client.assert_facts(["par(d, e)."])
+                assert done["views_published"] == ["anc"], done
+                reply = client.query("anc(a, Y)?")
+                assert reply["served"] == "view", reply
+                assert ["e"] in reply["rows"] and reply["row_count"] == 4
+                stats = client.stats()
+                assert stats["view_serves"] >= 1, stats
+                assert stats["snapshots_live"] == 1, stats
+            facts = [f"par(x{i}, x{i + 1})." for i in range(8000)]
+            line = json.dumps({"op": "assert", "facts": facts}) + "\n"
+            assert len(line) > 64 * 1024
+            with socket.create_connection(address, timeout=30) as sock:
+                sock.sendall(line.encode())
+                stream = sock.makefile("rb")
+                refused = json.loads(stream.readline())
+                assert stream.readline() == b"", "expected end of file"
+                stream.close()
+            assert refused["error"]["code"] == "bad_request", refused
+            with ReproClient(*address) as client:
+                assert client.query("anc(a, Y)?")["row_count"] == 4
+                stats = client.stats()
+                assert stats["errors"] == 1, stats
+                assert stats["version"] == done["version"], stats
+                client.shutdown()
+
+    def test_a_maintained_view_answers_as_a_cold_read_after_every_move(
+        self, tmp_path
+    ):
+        # the writer's clones share index buckets with the versions they
+        # were cloned from; retired versions must not pile up
+        with repro_serve(
+            tmp_path, bom_source(7), "--materialize", "clean"
+        ) as address:
+            rng = random.Random(22)
+            parent = {part: (part - 1) // 2 for part in range(15, 31)}
+            with ReproClient(*address) as client:
+                for move in range(30):
+                    new = _move(client, rng, parent)
+                    query = f"clean(p{(new - 1) // 2}, S)?"
+                    view = client.query(query)
+                    cold = client.query(query, method="supplementary_magic")
+                    assert view["served"] == "view", view
+                    assert cold["served"] == "cold", cold
+                    assert view["rows"] == cold["rows"] and view["rows"]
+                stats = client.stats()
+                assert stats["snapshots_live"] <= 2, stats
+                client.shutdown()
+
+    def test_cold_reads_of_one_shape_miss_the_plan_cache_once(self, tmp_path):
+        # 40 supplementary-magic reads on distinct constants, moves
+        # between them, each answered as the same server's semi-naive
+        with repro_serve(tmp_path, bom_source(7)) as address:
+            rng = random.Random(24)
+            parent = {part: (part - 1) // 2 for part in range(15, 31)}
+            parts = rng.sample(range(1, 63), 40)
+            misses = []
+            with ReproClient(*address) as client:
+                for read, part in enumerate(parts):
+                    query = f"component(p{part}, S)?"
+                    cold = client.query(query, method="supplementary_magic")
+                    assert cold["served"] == "cold", cold
+                    misses.append(client.stats()["plan_cache_misses"])
+                    oracle = client.query(query, method="seminaive")
+                    assert cold["rows"] == oracle["rows"], (read, query)
+                    if read % 2:
+                        _move(client, rng, parent)
+                stats = client.stats()
+                assert stats["cold_evaluations"] == 80, stats
+                # the semi-naive oracle compiles the original program
+                # once, right after the first read; then: hits only
+                assert len(set(misses[1:])) == 1, misses
+                assert misses[1] - misses[0] <= 1, misses
+                client.shutdown()

@@ -31,7 +31,7 @@ class TestRightToLeftSip:
     def test_answers_fb_query(self):
         program = ancestor_program()
         db = load_edges(tree_edges(4, fanout=2))
-        query = parse_query('anc(X, "r.0.0.0")?')
+        query = parse_query("anc(X, r_0_0_0)?")
         baseline = bottom_up_answer(program, db, query)
         answer = answer_query(
             program,

@@ -105,7 +105,7 @@ class TestCorrectness:
         from repro.workloads import samegen_database
 
         program = nonlinear_samegen_program()
-        query = samegen_query("L0_0")
+        query = samegen_query("l0_0")
         db = samegen_database(3, 4, flat_edges=6)
         work = {}
         for method in ("counting", "supplementary_counting"):

@@ -64,7 +64,7 @@ class TestAnswers:
 
     def test_nonlinear_samegen(self):
         db = samegen_database(3, 4, flat_edges=6)
-        q = samegen_query("L0_0")
+        q = samegen_query("l0_0")
         adorned, result = run_qsq(nonlinear_samegen_program(), q, db)
         expected = bottom_up_answer(
             nonlinear_samegen_program(), db, q
