@@ -19,7 +19,7 @@ from repro.workloads import (
     reverse_query,
 )
 
-from conftest import canonical_rules, print_table
+from .conftest import canonical_rules, claim, print_table
 
 CASES = {
     "ancestor": (
@@ -66,7 +66,10 @@ def test_adornment_matches_paper(benchmark, name):
     program_maker, query_maker, expected = CASES[name]
     program, query = program_maker(), query_maker()
     adorned = benchmark(lambda: adorn_program(program, query))
-    assert canonical_rules(adorned) == sorted(expected)
+    claim(
+        f"E1.{name}", "App. A.2", "adorned rules", "=",
+        sorted(expected), canonical_rules(adorned),
+    )
     print_table(
         f"A.2 adorned rules: {name}",
         ["rule"],

@@ -24,7 +24,7 @@ from repro.workloads import (
     samegen_query,
 )
 
-from conftest import canonical_rules, print_table
+from .conftest import canonical_rules, claim, print_table
 
 EXPECTED_PLAIN = {
     "ancestor": [
@@ -75,7 +75,10 @@ def test_gc_rewrite_matches_paper(benchmark, name):
     program_maker, query_maker = CASES[name]
     program, query = program_maker(), query_maker()
     rewritten = benchmark(lambda: rewrite(program, query, method="counting"))
-    assert canonical_rules(rewritten) == sorted(EXPECTED_PLAIN[name])
+    claim(
+        f"E4.{name}", "App. A.5", "GC rules", "=",
+        sorted(EXPECTED_PLAIN[name]), canonical_rules(rewritten),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -84,7 +87,10 @@ def test_gc_semijoin_matches_paper(benchmark, name):
     program, query = program_maker(), query_maker()
     plain = rewrite(program, query, method="counting")
     optimized = benchmark(lambda: semijoin_optimize(plain))
-    assert canonical_rules(optimized) == sorted(EXPECTED_SEMIJOIN[name])
+    claim(
+        f"E4.{name}.semijoin", "App. A.5", "GC + semijoin rules", "=",
+        sorted(EXPECTED_SEMIJOIN[name]), canonical_rules(optimized),
+    )
     print_table(
         f"A.5 GC + semijoin: {name}",
         ["rule"],
@@ -110,8 +116,11 @@ def test_gc_rewrites_the_remaining_appendix_problems(benchmark):
         return out
 
     results = benchmark(run)
-    assert len(results["nested"].rules) == 7
-    assert len(results["reverse"].rules) == 7
+    for name in ("nested", "reverse"):
+        claim(
+            f"E4.{name}", "App. A.5", "GC rule count", "=",
+            7, len(results[name].rules),
+        )
 
 
 def test_nonlinear_ancestor_flagged_nonterminating(benchmark):
@@ -121,8 +130,11 @@ def test_nonlinear_ancestor_flagged_nonterminating(benchmark):
         nonlinear_ancestor_program(), ancestor_query("john")
     )
     report = benchmark(lambda: counting_safety(adorned))
-    assert report.safe is False
-    assert report.theorem == "10.3"
+    claim(
+        "E4.nonlinear_ancestor.verdict", "App. A.5.2",
+        "counting safety (safe, theorem)", "=",
+        [False, "10.3"], [report.safe, report.theorem],
+    )
     print_table(
         "A.5.2 verdict",
         ["program", "safe", "theorem"],

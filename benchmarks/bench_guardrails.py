@@ -1,26 +1,27 @@
 """Guardrail overhead and responsiveness: the cost of governed evaluation.
 
 Not a paper artifact: resource governance (repro.core.limits) exists so
-the ROADMAP's serving and parallelism items can assume bounded,
-abortable evaluation.  This bench holds the two lines that make that
-assumption safe to build on:
+the server can assume bounded, abortable evaluation.  This bench holds
+the two lines that make that assumption safe to build on:
 
 * **overhead**: threading a generous, never-tripping
   :class:`~repro.core.limits.EvaluationBudget` through the fixpoint
   loops costs <= 3% wall-clock (plus a small absolute epsilon for timer
-  noise) on the depth-100 workloads of ``bench_join_planning`` --
+  noise) on depth-100 ancestor and same-generation workloads --
   governed and ungoverned runs are interleaved and both take their
   best-of-N, so scheduler noise hits both sides alike;
 * **responsiveness**: a wall-clock deadline on a non-terminating
   program aborts within about one fixpoint round of the deadline, not
   whole seconds later.
 
-``BENCH_TIMING_STRICT=0`` disarms both wall-clock gates on noisy shared
-runners; the answer-equality assertions always run.
+Both gates are wall-clock, so this is a local bench: run it alone, on a
+quiet machine (``python -m pytest benchmarks/bench_guardrails.py``).
+Its deterministic checks are tier-1 tests (``tests/test_limits.py``).
+No ``perf/`` workload runs a governed evaluation, so nothing else holds
+these two lines.
 """
 
 import gc
-import os
 import time
 
 import pytest
@@ -42,9 +43,8 @@ from repro.workloads import (
     samegen_database,
 )
 
-from conftest import print_table, record_bench
+from .conftest import print_table
 
-TIMING_STRICT = os.environ.get("BENCH_TIMING_STRICT", "1") != "0"
 MAX_OVERHEAD = 0.03  # the tentpole's gate: <= 3% on depth-100 workloads
 EPSILON_S = 0.002  # absolute slack so sub-10ms runs don't gate on jitter
 REPS = 7
@@ -81,8 +81,7 @@ def _report_overhead(title, pred_key, plain, governed, plain_s, governed_s,
                      remeasure=None):
     overhead = governed_s / plain_s - 1.0 if plain_s > 0 else 0.0
     if (
-        TIMING_STRICT
-        and remeasure is not None
+        remeasure is not None
         and governed_s > plain_s * (1.0 + MAX_OVERHEAD) + EPSILON_S
     ):
         # a loaded machine can hand one side an unlucky best-of-N even
@@ -102,25 +101,15 @@ def _report_overhead(title, pred_key, plain, governed, plain_s, governed_s,
             ["overhead", "", f"{overhead * 100:+.1f}%"],
         ],
     )
-    record_bench(
-        {
-            "workload": title,
-            "ungoverned_s": plain_s,
-            "governed_s": governed_s,
-            "overhead_fraction": overhead,
-            "facts": governed.stats.facts_derived,
-        }
-    )
     # governance must be invisible in the answers, always
     assert governed.database.tuples(pred_key) == plain.database.tuples(
         pred_key
     )
-    if TIMING_STRICT:
-        assert governed_s <= plain_s * (1.0 + MAX_OVERHEAD) + EPSILON_S, (
-            f"governed evaluation {overhead * 100:.1f}% slower than "
-            f"ungoverned on {title} (gate: {MAX_OVERHEAD * 100:.0f}% "
-            f"+ {EPSILON_S * 1000:.0f}ms)"
-        )
+    assert governed_s <= plain_s * (1.0 + MAX_OVERHEAD) + EPSILON_S, (
+        f"governed evaluation {overhead * 100:.1f}% slower than "
+        f"ungoverned on {title} (gate: {MAX_OVERHEAD * 100:.0f}% "
+        f"+ {EPSILON_S * 1000:.0f}ms)"
+    )
 
 
 @pytest.mark.parametrize("depth", [100])
@@ -194,22 +183,11 @@ def test_timeout_responsiveness():
         [[deadline, f"{elapsed:.4f}", f"{overshoot:.4f}", rounds,
           f"{per_round:.6f}"]],
     )
-    record_bench(
-        {
-            "workload": "timeout responsiveness (growing program)",
-            "deadline_s": deadline,
-            "elapsed_s": elapsed,
-            "overshoot_s": overshoot,
-            "rounds": rounds,
-            "s_per_round": per_round,
-        }
-    )
     assert info.value.limit == "wall_clock"
     assert elapsed >= deadline
-    if TIMING_STRICT:
-        # "within ~1 round of the deadline", with floor slack for the
-        # degenerate case where rounds are microseconds
-        assert overshoot <= max(5 * per_round, 0.05), (
-            f"deadline overshot by {overshoot:.3f}s "
-            f"({per_round:.6f}s/round)"
-        )
+    # "within ~1 round of the deadline", with floor slack for the
+    # degenerate case where rounds are microseconds
+    assert overshoot <= max(5 * per_round, 0.05), (
+        f"deadline overshot by {overshoot:.3f}s "
+        f"({per_round:.6f}s/round)"
+    )

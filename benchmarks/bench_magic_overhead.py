@@ -21,7 +21,7 @@ from repro.workloads import (
     tree_database,
 )
 
-from conftest import print_table
+from .conftest import claim, print_table
 
 CASES = {
     "ancestor_chain_80": (
@@ -74,4 +74,7 @@ def test_magic_fact_fraction(benchmark, name):
         ],
     )
     # the shape claim: magic facts never dominate
-    assert fraction <= 0.5 + 1e-9
+    claim(
+        f"E10.{name}", "Sec. 9", "magic facts vs half the derived facts",
+        "≤", breakdown["total"] / 2, breakdown["magic"],
+    )

@@ -18,7 +18,7 @@ from repro.workloads import (
     reverse_query,
 )
 
-from conftest import canonical_rules, print_table
+from .conftest import canonical_rules, claim, print_table
 
 EXPECTED = {
     "ancestor": [
@@ -75,7 +75,10 @@ def test_gms_rewrite_matches_paper(benchmark, name):
     program_maker, query_maker = CASES[name]
     program, query = program_maker(), query_maker()
     rewritten = benchmark(lambda: rewrite(program, query, method="magic"))
-    assert canonical_rules(rewritten) == sorted(EXPECTED[name])
+    claim(
+        f"E2.{name}", "App. A.3", "GMS rules", "=",
+        sorted(EXPECTED[name]), canonical_rules(rewritten),
+    )
     print_table(
         f"A.3 GMS rewrite: {name}",
         ["rule"],

@@ -16,11 +16,10 @@ Three regenerated claims:
 Plus the cross-strategy timing table: with the QSQ evaluator now
 compiled (subquery plans on the semi-naive round driver), top-down and
 bottom-up numbers compare compiled-vs-compiled -- the gap measures the
-strategies, not interpreter overhead.  ``QSQ_BENCH_DEPTH`` shrinks it
-for CI smoke.
+strategies, not interpreter overhead.  The ledger records which
+strategies agree, never the seconds.
 """
 
-import os
 import time
 
 
@@ -42,7 +41,7 @@ from repro.workloads import (
     tree_database,
 )
 
-from conftest import print_table
+from .conftest import claim, print_table
 
 
 def test_gsms_does_less_join_work_than_gms(benchmark):
@@ -56,14 +55,17 @@ def test_gsms_does_less_join_work_than_gms(benchmark):
     for method in ("magic", "supplementary_magic"):
         answer = session.query(query, method=method, max_iterations=2000)
         stats[method] = answer.stats
-    assert (
-        stats["supplementary_magic"].tuples_scanned
-        < stats["magic"].tuples_scanned
+    claim(
+        "E11.gsms.scans", "Sec. 11", "tuples scanned, GSMS vs GMS",
+        "<", stats["magic"].tuples_scanned,
+        stats["supplementary_magic"].tuples_scanned,
     )
-    assert (
-        stats["supplementary_magic"].facts_derived
-        > stats["magic"].facts_derived
-    ), "GSMS trades memory (supplementary facts) for join work"
+    # GSMS trades memory (supplementary facts) for join work
+    claim(
+        "E11.gsms.facts", "Sec. 11", "facts derived, GSMS vs GMS",
+        ">", stats["magic"].facts_derived,
+        stats["supplementary_magic"].facts_derived,
+    )
     rows = [
         [m, s.facts_derived, s.rule_firings, s.tuples_scanned]
         for m, s in stats.items()
@@ -115,9 +117,11 @@ def test_counting_on_unique_derivations(benchmark):
         ["method", "facts", "tuples scanned"],
         rows,
     )
-    assert (
-        counting_result.stats.tuples_scanned
-        < magic_result.stats.tuples_scanned
+    claim(
+        "E11.counting.scans", "Sec. 11",
+        "tuples scanned, GC + semijoin vs GMS (tree, unique derivations)",
+        "<", magic_result.stats.tuples_scanned,
+        counting_result.stats.tuples_scanned,
     )
     benchmark(
         lambda: evaluate(optimized.program, optimized.seeded_database(db))
@@ -129,7 +133,7 @@ def test_cross_strategy_compiled_vs_compiled(benchmark):
     subquery plans) vs the rewrites (bottom-up, compiled join plans) vs
     plain semi-naive, all answering the same query identically, and
     the naive baseline agrees so CI catches divergence."""
-    depth = int(os.environ.get("QSQ_BENCH_DEPTH", "80"))
+    depth = 80
     query = ancestor_query("n0")
     session = Session(
         program=ancestor_program(), database=chain_database(depth)
@@ -142,11 +146,13 @@ def test_cross_strategy_compiled_vs_compiled(benchmark):
         result = session.query(query, method=method)
         timings[method] = time.perf_counter() - t0
         answers[method] = result.rows
-    naive = session.query(query, method="naive")
-    assert naive.rows == answers["qsq"]
-    baseline = answers["qsq"]
-    for method, got in answers.items():
-        assert got == baseline, f"{method} diverged from qsq"
+    answers["naive"] = session.query(query, method="naive").rows
+    claim(
+        "E11.strategies", "Sec. 11",
+        f"strategies answering as QSQ, chain {depth}",
+        "=", sorted(answers),
+        sorted(m for m, rows in answers.items() if rows == answers["qsq"]),
+    )
     print_table(
         f"cross-strategy, compiled-vs-compiled (ancestor, chain {depth})",
         ["strategy", "answers", "seconds"],
@@ -184,7 +190,10 @@ def test_counting_diverges_where_magic_terminates(benchmark):
         return "terminated"
 
     outcome = benchmark(run)
-    assert outcome == "diverged"
+    claim(
+        "E11.cyclic", "Sec. 11", "counting on cyclic data (magic terminates)",
+        "=", "diverged", outcome,
+    )
     print_table(
         "E11c cyclic data",
         ["method", "outcome"],

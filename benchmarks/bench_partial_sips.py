@@ -15,7 +15,7 @@ from repro.workloads import (
     samegen_query,
 )
 
-from conftest import print_table
+from .conftest import claim, print_table
 
 PARAMS = [(3, 4, 6), (3, 6, 12), (4, 5, 10)]
 
@@ -32,8 +32,15 @@ def test_full_sip_contained_in_partial(benchmark, layers, width, flat):
     comparison = benchmark(
         lambda: compare_sips(full, partial, db, max_iterations=2000)
     )
-    assert comparison.contained, "Lemma 9.3 containment violated"
-    assert comparison.fuller_facts <= comparison.partial_facts
+    case = f"E8.{layers}x{width}x{flat}"
+    claim(
+        case, "Lemma 9.3", "full-sip facts ⊆ partial-sip facts, per predicate",
+        "=", True, comparison.contained,
+    )
+    claim(
+        f"{case}.facts", "Lemma 9.3", "facts derived, full vs partial sip",
+        "≤", comparison.partial_facts, comparison.fuller_facts,
+    )
     rows = [
         [key, fuller, partial_count]
         for key, (fuller, partial_count) in sorted(

@@ -30,7 +30,7 @@ from repro.workloads import (
     reverse_query,
 )
 
-from conftest import print_table
+from .conftest import claim, print_table
 
 CASES = {
     "ancestor": (ancestor_program, lambda: ancestor_query("n0")),
@@ -77,8 +77,14 @@ def test_static_safety_table(benchmark):
     for name, (program_maker, query_maker) in sorted(CASES.items()):
         adorned = adorn_program(program_maker(), query_maker())
         expected_magic, expected_counting = EXPECTED[name]
-        assert magic_safety(adorned).safe is expected_magic, name
-        assert counting_safety(adorned).safe is expected_counting, name
+        claim(
+            f"E9.{name}.magic", "Sec. 10", "magic methods safe",
+            "=", expected_magic, magic_safety(adorned).safe,
+        )
+        claim(
+            f"E9.{name}.counting", "Sec. 10", "counting methods safe",
+            "=", expected_counting, counting_safety(adorned).safe,
+        )
     print_table(
         "E9 static safety verdicts (True=safe, False=diverges, None=no "
         "certificate)",
@@ -105,7 +111,11 @@ def test_dynamic_confirmation_magic_safe(benchmark):
         return outcomes
 
     outcomes = benchmark(run)
-    assert len(outcomes) == 2
+    claim(
+        "E9.terminates", "Thm. 10.1, 10.2", "certified-safe evaluations",
+        "=", ["magic/cyclic-data terminated", "counting/list-reverse terminated"],
+        outcomes,
+    )
 
 
 def test_dynamic_confirmation_counting_diverges(benchmark):
@@ -126,7 +136,12 @@ def test_dynamic_confirmation_counting_diverges(benchmark):
         return None
 
     exc = benchmark(run)
-    assert isinstance(exc, NonTerminationError)
+    claim(
+        "E9.diverges", "Thm. 10.3",
+        "counting on nonlinear ancestor, chain 4, max_facts 2000",
+        "=", "diverges",
+        "diverges" if isinstance(exc, NonTerminationError) else "terminates",
+    )
     print_table(
         "E9b dynamic confirmation",
         ["combination", "outcome"],

@@ -15,7 +15,7 @@ from repro.workloads import (
     samegen_query,
 )
 
-from conftest import canonical_rules, print_table
+from .conftest import canonical_rules, claim, print_table
 
 EXPECTED = {
     "ancestor": [
@@ -72,7 +72,10 @@ def test_gsc_rewrite_matches_paper(benchmark, name):
     rewritten = benchmark(
         lambda: rewrite(program, query, method="supplementary_counting")
     )
-    assert canonical_rules(rewritten) == sorted(EXPECTED[name])
+    claim(
+        f"E5.{name}", "App. A.6", "GSC rules", "=",
+        sorted(EXPECTED[name]), canonical_rules(rewritten),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -81,7 +84,10 @@ def test_gsc_semijoin_matches_paper(benchmark, name):
     program, query = program_maker(), query_maker()
     plain = rewrite(program, query, method="supplementary_counting")
     optimized = benchmark(lambda: semijoin_optimize(plain))
-    assert canonical_rules(optimized) == sorted(EXPECTED_SEMIJOIN[name])
+    claim(
+        f"E5.{name}.semijoin", "App. A.6", "GSC + semijoin rules", "=",
+        sorted(EXPECTED_SEMIJOIN[name]), canonical_rules(optimized),
+    )
     print_table(
         f"A.6 GSC + semijoin: {name}",
         ["rule"],
@@ -104,5 +110,11 @@ def test_gsc_rewrites_nested_and_reverse(benchmark):
         return nested, reverse
 
     nested, reverse = benchmark(run)
-    assert len(nested.rules) == 9
-    assert len(reverse.rules) == 8
+    for name, rewritten, count in (
+        ("nested", nested, 9),
+        ("reverse", reverse, 8),
+    ):
+        claim(
+            f"E5.{name}", "App. A.6", "GSC rule count", "=",
+            count, len(rewritten.rules),
+        )

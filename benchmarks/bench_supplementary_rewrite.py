@@ -14,7 +14,7 @@ from repro.workloads import (
     reverse_query,
 )
 
-from conftest import canonical_rules, print_table
+from .conftest import canonical_rules, claim, print_table
 
 EXPECTED = {
     "ancestor": [
@@ -77,7 +77,10 @@ def test_gsms_rewrite_matches_paper(benchmark, name):
     rewritten = benchmark(
         lambda: rewrite(program, query, method="supplementary_magic")
     )
-    assert canonical_rules(rewritten) == sorted(EXPECTED[name])
+    claim(
+        f"E3.{name}", "App. A.4", "GSMS rules", "=",
+        sorted(EXPECTED[name]), canonical_rules(rewritten),
+    )
     print_table(
         f"A.4 GSMS rewrite: {name}",
         ["rule"],

@@ -1,128 +1,121 @@
-"""Shared benchmark fixtures and reporting helpers.
+"""Shared benchmark helpers and the paper-claims ledger.
 
-Every benchmark regenerates one of the paper's evaluation artifacts
-(each module's docstring names its artifact; README.md's repository
-layout lists the modules).  Besides timing via
-pytest-benchmark, each bench *asserts the shape* of the paper's claim
-and prints the regenerated table with ``-s``.
+The ``bench_*`` modules E1-E12 are the paper's experiments (each
+module's docstring names its artifact); ``bench_guardrails.py`` is the
+one wall-clock bench and claims nothing.  Each experiment states its
+headline check as a :func:`claim`, which asserts the claim and records
+it, and prints its regenerated table with ``-s``.
 
-Machine-readable perf trajectory
---------------------------------
-
-Every ``bench_<name>.py`` run additionally emits ``BENCH_<name>.json``
-at the repo root (CI uploads them as artifacts), so the perf numbers
-accumulate across commits instead of scrolling away in logs.  Three
-sources feed each file, keyed by test:
-
-* every :func:`print_table` call (the regenerated table itself --
-  workload parameters live in the titles, tuple counts and wall-clock
-  in the rows);
-* explicit :func:`record_bench` calls for structured entries
-  (workload params, tuple counts, per-engine seconds);
-* the per-test wall clock and outcome, recorded automatically.
-
-Set ``BENCH_JSON=0`` to disable the files (e.g. for scratch runs).
+At the end of a session that made claims, the ledger is written at the
+repo root: ``CLAIMS.json`` (one row per claim id; a partial run
+replaces only the rows it ran) and ``REPRODUCTION.md``, a table
+generated from it.  A row holds counters, rule sets and verdicts, never
+seconds, so a full run reproduces both committed files byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import operator
+import re
 import string
 from pathlib import Path
-from typing import Dict, List, Optional
-
-import pytest
+from typing import Dict, List
 
 from repro import Variable
 from repro.core.provenance import RewrittenProgram
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
-_BENCH_ENTRIES: Dict[str, List[dict]] = {}
-_CURRENT: Dict[str, Optional[str]] = {"bench": None, "test": None}
+CLAIMS_JSON = _REPO_ROOT / "CLAIMS.json"
+REPRODUCTION_MD = _REPO_ROOT / "REPRODUCTION.md"
+PAPER = (
+    'C. Beeri and R. Ramakrishnan, "On the Power of Magic", PODS 1987'
+)
+
+RELATIONS = {
+    "=": operator.eq,
+    "<": operator.lt,
+    "≤": operator.le,
+    ">": operator.gt,
+}
+COLUMNS = ("id", "section", "metric", "relation", "expected", "observed")
+
+_CLAIMS: Dict[str, dict] = {}
 
 
-def _bench_json_enabled() -> bool:
-    return os.environ.get("BENCH_JSON", "1") != "0"
-
-
-def _bench_name(path: str) -> Optional[str]:
-    stem = Path(path).stem
-    if stem.startswith("bench_"):
-        return stem[len("bench_"):]
-    return None
-
-
-def record_bench(entry: dict, bench: Optional[str] = None) -> None:
-    """Append one machine-readable entry to the current bench's JSON.
-
-    ``bench`` defaults to the bench module of the currently running
-    test; the current test name is attached automatically.
-    """
-    bench = bench or _CURRENT["bench"]
-    if bench is None:
-        return
-    payload = {"test": _CURRENT["test"]}
-    payload.update(entry)
-    _BENCH_ENTRIES.setdefault(bench, []).append(payload)
-
-
-@pytest.fixture(autouse=True)
-def _bench_json_context(request):
-    """Track which bench module/test is running for the recorders."""
-    bench = _bench_name(str(request.node.fspath))
-    _CURRENT["bench"] = bench
-    _CURRENT["test"] = request.node.name
-    yield
-    _CURRENT["bench"] = None
-    _CURRENT["test"] = None
-
-
-def pytest_runtest_logreport(report):
-    if report.when != "call":
-        return
-    bench = _bench_name(report.nodeid.split("::", 1)[0])
-    if bench is None:
-        return
-    _BENCH_ENTRIES.setdefault(bench, []).append(
-        {
-            "test": report.nodeid.split("::")[-1],
-            "outcome": report.outcome,
-            "wall_clock_seconds": round(report.duration, 6),
-        }
+def claim(id, section, metric, relation, expected, observed) -> None:
+    """Assert ``observed <relation> expected`` and record it in the
+    ledger under ``id``.  Values must be JSON: counts, ratios, strings,
+    booleans or lists of them (a rule set is its sorted canonical
+    rules)."""
+    assert id not in _CLAIMS, f"claim id {id} made twice"
+    holds = bool(RELATIONS[relation](observed, expected))
+    row = dict(zip(COLUMNS, (id, section, metric, relation, expected, observed)))
+    row["holds"] = holds
+    _CLAIMS[id] = row
+    assert holds, (
+        f"{id} ({section}): {metric}: observed {observed!r}, "
+        f"expected {relation} {expected!r}"
     )
 
 
-def _merge_entries(existing: List[dict], fresh: List[dict]) -> List[dict]:
-    """Replace re-run tests' entries, keep the rest of the module's.
+def _id_order(row):
+    parts = re.split(r"(\d+)", row["id"])
+    return [int(p) if i % 2 else p for i, p in enumerate(parts)]
 
-    A partial run (``pytest benchmarks/bench_x.py -k one``) must not
-    discard the recorded entries of the module's other tests.
-    """
-    fresh_tests = {entry.get("test") for entry in fresh}
-    kept = [e for e in existing if e.get("test") not in fresh_tests]
-    return kept + fresh
+
+def _cell(value) -> str:
+    if isinstance(value, list):
+        text = ", ".join(map(str, value)) or "none"
+        if len(text) > 40:
+            return f"{len(value)} items"
+        value = text
+    return str(value).replace("|", "\\|")
+
+
+def _write_ledger(rows: List[dict]) -> None:
+    CLAIMS_JSON.write_text(
+        '{\n  "paper": '
+        + json.dumps(PAPER)
+        + ',\n  "claims": [\n'
+        + ",\n".join(
+            "    " + json.dumps(row, ensure_ascii=False) for row in rows
+        )
+        + "\n  ]\n}\n",
+        encoding="utf-8",
+    )
+    lines = [
+        "# Reproduction ledger",
+        "",
+        f"The claims of {PAPER}, as this repository reproduces them.",
+        "Generated from `CLAIMS.json` by `benchmarks/conftest.py` at the",
+        "end of `python -m pytest benchmarks`; do not edit by hand. A long",
+        "list (a rule set) shows as its length here and in full in",
+        "`CLAIMS.json`.",
+        "",
+        "| claim | section | metric | relation | expected | observed "
+        "| verdict |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for row in rows:
+        cells = [_cell(row[column]) for column in COLUMNS]
+        cells.append("pass" if row["holds"] else "**fail**")
+        lines.append("| " + " | ".join(cells) + " |")
+    REPRODUCTION_MD.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if not _bench_json_enabled():
+    if not _CLAIMS:
         return
-    for bench, entries in sorted(_BENCH_ENTRIES.items()):
-        path = _REPO_ROOT / f"BENCH_{bench}.json"
-        if path.exists():
-            try:
-                previous = json.loads(path.read_text()).get("entries", [])
-            except (ValueError, OSError):
-                previous = []
-            entries = _merge_entries(previous, entries)
-        payload = {
-            "bench": bench,
-            "schema": 1,
-            "entries": entries,
-        }
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+    rows: Dict[str, dict] = {}
+    if CLAIMS_JSON.exists():
+        try:
+            previous = json.loads(CLAIMS_JSON.read_text(encoding="utf-8"))
+            rows = {row["id"]: row for row in previous["claims"]}
+        except (ValueError, KeyError, TypeError):
+            rows = {}
+    rows.update(_CLAIMS)
+    _write_ledger(sorted(rows.values(), key=_id_order))
 
 
 def canonical_rule(rule) -> str:
@@ -142,15 +135,6 @@ def canonical_rules(program) -> List[str]:
 
 
 def print_table(title: str, headers: List[str], rows: List[List[object]]) -> None:
-    record_bench(
-        {
-            "table": {
-                "title": title,
-                "headers": [str(h) for h in headers],
-                "rows": [[str(v) for v in row] for row in rows],
-            }
-        }
-    )
     print()
     print(f"== {title}")
     widths = [

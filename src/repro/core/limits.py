@@ -294,8 +294,9 @@ class BudgetMeter:
 
     The checks are ordered cheapest-first and each is skipped when the
     corresponding limit is unset, so an all-``None`` budget costs a few
-    attribute loads and comparisons per round/batch -- the ≤3% overhead
-    gate in ``bench_guardrails.py`` holds the line.
+    attribute loads and comparisons per round/batch.  The ≤3% overhead
+    gate of the local wall-clock bench ``benchmarks/bench_guardrails.py``
+    holds the line; ``tests/test_limits.py`` holds the answers.
     """
 
     __slots__ = (

@@ -275,13 +275,6 @@ class Sip:
                     changed = True
         return connected
 
-    def _precedence_edges(self) -> List[Tuple[SipNode, SipNode]]:
-        edges: List[Tuple[SipNode, SipNode]] = []
-        for arc in self.arcs:
-            for node in arc.tail:
-                edges.append((node, arc.target))
-        return edges
-
     def _check_acyclic(self) -> None:
         # condition (3): the precedence relation must be a partial order
         order = self._topological_order()

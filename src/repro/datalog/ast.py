@@ -281,9 +281,6 @@ class Rule:
     def has_negation(self) -> bool:
         return any(lit.negated for lit in self.body)
 
-    def positive_body(self) -> Tuple[Literal, ...]:
-        return tuple(lit for lit in self.body if not lit.negated)
-
     def negated_body(self) -> Tuple[Literal, ...]:
         return tuple(lit for lit in self.body if lit.negated)
 

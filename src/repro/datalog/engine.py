@@ -103,12 +103,6 @@ frees what a round drops.  Nested and concurrent fixpoints (IVM strata,
 server threads, pool workers) share one process-wide pause; the last to
 leave restores the state the first found, even if another thread
 toggled the collector meanwhile.
-
-Testing gotcha: run the suite as ``python -m pytest`` from the repo root
-(``pyproject.toml`` pins ``testpaths = ["tests"]``).  Without that
-pinning, pytest also collects ``benchmarks/``, whose sibling
-``conftest.py`` shadows ``tests/conftest.py`` in the import cache and
-breaks collection with an ImportError on ``assert_rules_equal``.
 """
 
 from __future__ import annotations

@@ -20,9 +20,12 @@ shipped to them.  A plan that interns terms at run time (a structured
 head such as ``f(X)``) interns into the one process-wide
 :class:`~repro.datalog.catalog.TermCatalog`, whose allocation lock
 hands each new term one ID.  On a GIL build the threads interleave
-rather than overlap, so the pool is slower than serial there (see
-``BENCH_parallel.json``).  Whether it beats serial on free-threaded
-CPython is unmeasured: no free-threaded build has been run.
+rather than overlap, so the pool is slower than serial there: on a
+2-vCPU host, 2 and 4 workers ran at 0.56-0.77x of serial speed on a
+transitive-closure braid and on the BOM workload, and ``perf/``'s
+``parallel.w2_over_serial`` reads ~1.65 (slower) on samegen-fixpoint.
+Whether it beats serial on free-threaded CPython is unmeasured: no
+free-threaded build has been run.
 
 Work splitting per batch, chosen by the join planner
 (:func:`~repro.datalog.planner.partition_columns`):

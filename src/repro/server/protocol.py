@@ -25,6 +25,7 @@ truth for message shapes.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.pipeline import ENGINES
@@ -162,11 +163,13 @@ def normalize_options(options: Optional[dict]) -> Dict[str, Any]:
         out["engine"] = engine
     timeout = options.get("timeout")
     if timeout is not None:
+        # NaN passes `<= 0` and `min()` with a server cap, and a NaN
+        # deadline never trips: only a finite positive timeout is one
         if not isinstance(timeout, (int, float)) or isinstance(
             timeout, bool
-        ) or timeout <= 0:
+        ) or not 0 < timeout < math.inf:
             raise ProtocolError(
-                "bad_request", "timeout must be a positive number"
+                "bad_request", "timeout must be a positive finite number"
             )
         out["timeout"] = float(timeout)
     max_facts = options.get("max_facts")

@@ -2,10 +2,11 @@
 
 Each row of :data:`GUARDS` keeps a name (or a line shape) out of the
 tree after the change that removed it: the number of that change's
-entry in ``CHANGES.md``, the pattern as ``grep`` spelled it (``BRE`` or
-``ERE``), whether it matches a whole word or anywhere in a line, the
-files or directories it scans, and the files allowed to match (none,
-except for the collector pause, which exactly one module may import).  :data:`DELETED_FILES`
+entry in ``CHANGES.md`` (or, for the paper-claims ledger, its name),
+the pattern as ``grep`` spelled it (``BRE`` or ``ERE``), whether it
+matches a whole word or anywhere in a line, the files or directories it
+scans, and the files allowed to match (none, except for the collector
+pause, which exactly one module may import).  :data:`DELETED_FILES`
 lists modules that must not come back.  The scan skips ``__pycache__``
 and this file, which spells every pattern.
 """
@@ -88,11 +89,20 @@ GUARDS = [
     # re-inserts every entry of a dict with deletion holes
     Guard(40, "ERE", "line", r"dict\((self\._rowmap|index)\)",
           (DATALOG + "database.py",)),
+    # the claims ledger: benches read no knob and write no timing file
+    Guard("ledger", "ERE", "word", r"environ|getenv|record_bench", (BENCHMARKS,)),
+    Guard("ledger", "ERE", "line", r"BENCH_", (".github",)),
 ]
 
 DELETED_FILES = [
     (36, "src/repro/core/" + module + ".py")
     for module in ("magic", "supplementary", "counting", "supplementary_counting")
+] + [
+    ("ledger", "benchmarks/bench_" + module + ".py")
+    for module in (
+        "engine", "join_planning", "qsq_planning", "memoization", "ivm",
+        "server", "rewrite_scaling", "negation", "magic_negation", "parallel",
+    )
 ]
 
 def _swap_bre(match):

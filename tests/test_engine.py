@@ -9,8 +9,10 @@ from repro import (
     Literal,
     NonTerminationError,
     Program,
+    QueryOptions,
     Rule,
     Variable,
+    answer_query,
     answer_tuples,
     evaluate,
     evaluate_naive,
@@ -89,6 +91,19 @@ class TestSemiNaive:
         naive = evaluate_naive(ancestor(), db)
         semi = evaluate_seminaive(ancestor(), db)
         assert semi.stats.rule_firings < naive.stats.rule_firings
+
+    @pytest.mark.parametrize("length", [20, 40, 80])
+    def test_fewer_firings_than_naive_through_answer_query(self, length):
+        # naive re-fires every derivation each round; semi-naive once
+        db = chain_database(length)
+        query = parse_query("anc(n0, Y)?")
+        firings = {
+            method: answer_query(
+                ancestor(), db, query, QueryOptions(method=method)
+            ).stats.rule_firings
+            for method in ("naive", "seminaive")
+        }
+        assert firings["seminaive"] < firings["naive"]
 
     def test_nonlinear_rules(self):
         program = parse_program(

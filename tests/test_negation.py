@@ -297,6 +297,53 @@ class TestEngineSemantics:
         assert result.stats.join_probes > 0
 
 
+BOM_DERIVED = ("component", "tainted", "clean", "blocked", "buildable")
+
+
+class TestBomWork:
+    """The BOM workload (4 strata, 3 negations, recursion below the
+    negations) at depth 9, fanout 2, exception rate 0.08, seed 0."""
+
+    def test_seminaive_scans_at_least_1_5x_fewer_tuples_than_naive(self):
+        program = bom_program()
+        database = bom_database(9, 2, 0.08, 0)
+        naive = evaluate(program, database, method="naive")
+        semi = evaluate(program, database, method="seminaive")
+        for pred in BOM_DERIVED:
+            assert values(semi, pred) == values(naive, pred), pred
+        # the negation bites: this seed draws exceptions
+        assert database.tuples("exception")
+        assert 0 < len(values(naive, "clean")) < len(
+            values(naive, "component")
+        )
+        assert naive.stats.tuples_scanned >= 1.5 * max(
+            semi.stats.tuples_scanned, 1
+        )
+
+    def test_exception_rate_is_monotone(self):
+        """One seed draws the same random numbers at every rate, so a
+        higher rate yields a superset of exceptions: ``tainted`` grows,
+        ``clean`` and ``buildable`` shrink."""
+        program = bom_program()
+        previous = None
+        for rate in (0.0, 0.1, 0.3):
+            database = bom_database(6, 2, rate, 0)
+            result = evaluate(program, database, method="seminaive")
+            counts = {
+                pred: len(values(result, pred)) for pred in BOM_DERIVED
+            }
+            if rate == 0.0:
+                # negation-free baseline: nothing tainted, nothing blocked
+                assert counts["tainted"] == counts["blocked"] == 0
+                assert counts["clean"] == counts["component"]
+                assert counts["buildable"] == len(database.tuples("part"))
+            else:
+                assert counts["tainted"] >= previous["tainted"]
+                assert counts["clean"] <= previous["clean"]
+                assert counts["buildable"] <= previous["buildable"]
+            previous = counts
+
+
 # ----------------------------------------------------------------------
 # which stages accept negation: magic family yes, counting/qsq no
 # ----------------------------------------------------------------------

@@ -508,6 +508,20 @@ class TestSerialEquivalence:
         assert len(per_worker) == workers
         assert all(count > 0 for count in per_worker.values())
 
+    def test_hash_shards_balance_within_2x_on_a_braid(self):
+        # 25,000 disjoint 4-edge chains: every delta row hash-shards on
+        # the join column, and each of 4 workers derives at least half
+        # of what the busiest one derives
+        edges = [
+            (f"c{c}n{j}", f"c{c}n{j + 1}")
+            for c in range(25_000)
+            for j in range(4)
+        ]
+        result = evaluate(_program(TC), load_edges(edges), workers=4)
+        rows = result.stats.parallel_worker_rows
+        assert len(rows) == 4
+        assert min(rows.values()) >= 0.5 * max(rows.values())
+
 
 # ----------------------------------------------------------------------
 # budgets, cancellation, faults: degrade/abort exactly as serial

@@ -255,6 +255,32 @@ class TestTheorem91:
         report = check_optimality(rewritten, db)
         assert report.sip_optimal, report.mismatches
 
+    @pytest.mark.parametrize(
+        "program,query,db",
+        [
+            (ancestor_program, lambda: ancestor_query("n0"),
+             lambda: chain_database(120)),
+            (nonlinear_samegen_program, lambda: samegen_query("l0_0"),
+             lambda: samegen_database(layers=100, width=3, flat_edges=2)),
+        ],
+        ids=["chain 120", "samegen 100 layers"],
+    )
+    def test_deep_workloads(self, program, query, db):
+        """Q and F equal magic's relations on a deep workload, and
+        QSQ answers as the magic rewrite does."""
+        program, query, db = program(), query(), db()
+        adorned = adorn_program(program, query)
+        rewritten = rewrite(program, query, method="magic", adorned=adorned)
+        report = check_optimality(rewritten, db)
+        assert report.sip_optimal, report.mismatches
+        qsq = qsq_evaluate(adorned.program, db, adorned.query_literal)
+        magic = evaluate_seminaive(
+            rewritten.program, rewritten.seeded_database(db)
+        )
+        assert qsq.query_answers(adorned.query_literal) == (
+            rewritten.extract_answers(magic)
+        )
+
 
 class TestExactRounds:
     """QSQ rounds run on the semi-naive round driver, whose windows meet
@@ -370,6 +396,7 @@ class TestPlanCache:
         )
         assert first.stats.plan_cache_misses == 1
         assert second.stats.plan_cache_hits == 1
+        assert cache.hits == 1 and cache.misses == 1
         assert second.answers == first.answers
 
     def test_structural_identity_shares_entries(self):

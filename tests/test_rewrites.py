@@ -252,6 +252,17 @@ def test_rewrite_output_is_pinned(method):
     )
 
 
+@pytest.mark.parametrize("depth", [4, 16, 64])
+@pytest.mark.parametrize("method", ["magic", "supplementary_magic", "counting"])
+def test_rewrite_size_is_linear_in_the_program(method, depth):
+    """Each adorned rule of the layered synthetic chain (2 * depth
+    source rules) yields at most four rewritten rules."""
+    program = synthetic_chain_program(depth)
+    query = parse_query("p0(n0, Y)?")
+    rewritten = rewrite(program, query, method=method)
+    assert len(rewritten.rules) <= 4 * len(adorn_program(program, query).rules)
+
+
 if __name__ == "__main__":
     for method in sys.argv[1:] or METHODS:
         sys.stdout.write(dump(method))

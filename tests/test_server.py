@@ -250,6 +250,17 @@ class TestProtocol:
             normalize_options({"max_facts": True})
         assert normalize_options({"timeout": 2})["timeout"] == 2.0
 
+    @pytest.mark.parametrize("timeout", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_finite_timeout_is_a_bad_request(self, timeout):
+        """``json.loads`` reads these literals; a NaN deadline never
+        trips, and ``min(nan, cap)`` is NaN, so it would escape a
+        server's ``max_timeout``."""
+        options = decode_line(f'{{"timeout": {timeout}}}'.encode())
+        with pytest.raises(ProtocolError) as err:
+            normalize_options(options)
+        assert err.value.code == "bad_request"
+        assert "finite" in str(err.value)
+
     def test_exit_codes_match_cli_conventions(self):
         assert ERROR_EXIT_CODES["budget_exceeded"] == 4
         assert ERROR_EXIT_CODES["evaluation_error"] == 1
@@ -466,6 +477,80 @@ class TestTcp:
                 assert sorted(r[0] for r in out["rows"]) == [
                     "engine", "piston"
                 ]
+
+    def test_readers_and_a_writer_share_the_server_over_tcp(self):
+        """Four readers (view-covered and cold reads) and one writer on
+        real sockets: no error, every serving mode is used, the writer
+        publishes new versions, and retired versions are released."""
+        depth = 16
+        source = "".join(
+            f"par(n{i}, n{i + 1}).\n" for i in range(depth)
+        ) + ANCESTOR
+        config = ServerConfig(reader_threads=4)
+        with ServerHandle.start(
+            source, config=config, materialize=["anc"]
+        ) as handle:
+            stop = threading.Event()
+            errors = []
+
+            def writer():
+                with ReproClient(*handle.address) as client:
+                    step = 0
+                    while not stop.is_set():
+                        client.assert_facts([f"par(m{step}, m{step + 1})."])
+                        step += 1
+                        time.sleep(0.002)
+
+            def reader(seed):
+                try:
+                    with ReproClient(*handle.address) as client:
+                        for i in range(30):
+                            if i % 3 == 0:
+                                client.query(f"anc(n{seed}, X)?")
+                            else:
+                                client.query(
+                                    f"anc(n{(seed + i) % depth}, X)?",
+                                    method="seminaive",
+                                )
+                except Exception as exc:  # surfaced in the main thread
+                    errors.append(exc)
+
+            writer_thread = threading.Thread(target=writer)
+            readers = [
+                threading.Thread(target=reader, args=(seed,))
+                for seed in range(4)
+            ]
+            writer_thread.start()
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join()
+            stop.set()
+            writer_thread.join()
+            stats = handle.stats()
+        assert not errors, errors
+        assert stats["errors"] == 0
+        assert stats["mutations_applied"] > 0
+        assert stats["snapshots_published"] > 1
+        assert stats["view_serves"] > 0 and stats["cold_evaluations"] > 0
+        assert stats["snapshots_live"] <= 2
+
+    def test_a_nan_timeout_is_refused_under_a_timeout_cap(self):
+        line = (
+            b'{"id": 1, "op": "query", "query": "anc(john, X)?", '
+            b'"options": {"timeout": NaN}}\n'
+        )
+        config = ServerConfig(max_timeout=5.0)
+        with ServerHandle.start(ANCESTOR, config=config) as handle:
+            with socket.create_connection(handle.address, timeout=30) as sock:
+                sock.sendall(line)
+                stream = sock.makefile("rb")
+                reply = decode_line(stream.readline())
+                stream.close()
+            assert reply["id"] == 1 and not reply["ok"]
+            assert reply["error"]["code"] == "bad_request"
+            assert reply["error"]["exit_code"] == 2
+            assert handle.stats()["cold_evaluations"] == 0
 
     def test_an_oversized_line_is_refused_then_the_connection_closes(
         self, caplog

@@ -269,6 +269,25 @@ class TestMemo:
         hit = session.query("anc(john, X)?")
         assert hit.memo_hits == 1 and hit.memo_misses == 1
 
+    def test_every_method_memoizes_its_own_entry(self):
+        session = ancestor_session()
+        methods = ("auto", "supplementary_magic", "magic", "qsq", "seminaive")
+        for method in methods:
+            cold = session.query("anc(john, X)?", method=method)
+            repeat = session.query("anc(john, X)?", method=method)
+            assert not cold.from_memo and repeat.from_memo
+            assert cold.values() == {("mary",), ("sue",), ("ann",)}
+        assert session.memo_misses == session.memo_hits == len(methods)
+
+    def test_a_stratified_program_memoizes_through_its_rewrite(self):
+        session = Session(
+            bom_source(depth=6, fanout=2, exception_rate=0.15, seed=7)
+        )
+        cold = session.query()
+        assert cold.method == "supplementary_magic"
+        warm = session.query()
+        assert warm.from_memo and warm.rows == cold.rows
+
     def test_caller_mutating_rows_cannot_corrupt_the_memo(self):
         session = ancestor_session()
         cold = session.query("anc(john, X)?")
@@ -386,6 +405,20 @@ class TestInvalidation:
         result = session.query("anc(john, X)?")
         assert not result.from_memo
         assert ("zoe",) in result.values()
+
+    def test_invalidated_entry_is_memoized_again(self):
+        session = ancestor_session()
+        first = session.query("anc(john, X)?")
+        session.assert_("par", "ann", "zoe")
+        after_add = session.query("anc(john, X)?")
+        assert not after_add.from_memo
+        assert session.memo_invalidations >= 1
+        assert len(after_add.rows) == len(first.rows) + 1
+        assert session.query("anc(john, X)?").from_memo
+        session.retract("par", "ann", "zoe")
+        after_retract = session.query("anc(john, X)?")
+        assert not after_retract.from_memo
+        assert after_retract.rows == first.rows
 
     @pytest.mark.parametrize("engine,workers", ENGINE_CONFIGS)
     def test_retract_then_requery_bottom_up(self, engine, workers):

@@ -2,7 +2,16 @@
 workload generator."""
 
 
-from repro import QueryOptions, answer_query, bottom_up_answer, parse_query
+import pytest
+
+from repro import (
+    QueryOptions,
+    answer_query,
+    bottom_up_answer,
+    evaluate,
+    parse_query,
+    rewrite,
+)
 from repro.core.sips import build_right_to_left_sip
 from repro.workloads import (
     ancestor_program,
@@ -80,3 +89,14 @@ class TestSyntheticWorkload:
         query = Query(Literal("p0", (Constant("n0"), Variable("Y"))))
         adorned = adorn_program(program, query)
         assert {f"p{i}^bf" for i in range(4)} <= adorned.adorned_predicates()
+
+    @pytest.mark.parametrize("depth", [4, 16])
+    def test_supplementary_magic_answers_as_bottom_up(self, depth):
+        program = synthetic_chain_program(depth)
+        query = parse_query("p0(n0, Y)?")
+        db = synthetic_chain_database(depth, length=12)
+        rewritten = rewrite(program, query, method="supplementary_magic")
+        result = evaluate(rewritten.program, rewritten.seeded_database(db))
+        assert rewritten.extract_answers(result) == (
+            bottom_up_answer(program, db, query).answers
+        )
