@@ -32,7 +32,7 @@ from repro import (
     Literal,
     Program,
     Variable,
-    evaluate_seminaive,
+    evaluate,
 )
 from repro.datalog.ast import Rule
 from repro.datalog.terms import Constant, Struct
@@ -62,17 +62,17 @@ GENEROUS = EvaluationBudget(
 def _interleaved_best(program, db, reps=REPS):
     """Best-of-N for the ungoverned and governed runs, interleaved so
     both sides sample the same machine conditions."""
-    evaluate_seminaive(program, db)  # warm-up: interning, plan cache
-    evaluate_seminaive(program, db, meter=GENEROUS.start())
+    evaluate(program, db)  # warm-up: interning, plan cache
+    evaluate(program, db, meter=GENEROUS.start())
     gc.collect()  # keep a prior bench's garbage off either side's tab
     plain_best = governed_best = float("inf")
     plain = governed = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        plain = evaluate_seminaive(program, db)
+        plain = evaluate(program, db)
         plain_best = min(plain_best, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        governed = evaluate_seminaive(program, db, meter=GENEROUS.start())
+        governed = evaluate(program, db, meter=GENEROUS.start())
         governed_best = min(governed_best, time.perf_counter() - t0)
     return plain, governed, plain_best, governed_best
 
@@ -172,7 +172,7 @@ def test_timeout_responsiveness():
     meter = EvaluationBudget(timeout=deadline).start()
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded) as info:
-        evaluate_seminaive(program, db, meter=meter)
+        evaluate(program, db, meter=meter)
     elapsed = time.perf_counter() - t0
     overshoot = elapsed - deadline
     rounds = info.value.iterations or 0

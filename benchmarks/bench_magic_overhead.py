@@ -9,7 +9,7 @@ subquery yields at least one answer on average).
 
 import pytest
 
-from repro import QueryOptions, answer_query
+from repro import EvaluationBudget, QueryOptions, answer_query
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
@@ -56,7 +56,8 @@ def test_magic_fact_fraction(benchmark, name):
             program,
             db,
             query,
-            QueryOptions(method="magic", max_iterations=2000),
+            QueryOptions(method="magic"),
+            meter=EvaluationBudget(max_iterations=2000).start(),
         )
     )
     breakdown = answer.rewritten.fact_breakdown(answer.evaluation)

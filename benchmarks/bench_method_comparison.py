@@ -24,6 +24,7 @@ import time
 
 
 from repro import (
+    EvaluationBudget,
     NonTerminationError,
     Session,
     evaluate,
@@ -183,7 +184,7 @@ def test_counting_diverges_where_magic_terminates(benchmark):
             evaluate(
                 counting.program,
                 counting.seeded_database(db),
-                max_iterations=150,
+                meter=EvaluationBudget(max_iterations=150).start(),
             )
         except NonTerminationError:
             return "diverged"

@@ -7,7 +7,7 @@ by-relation equality: magic facts = Q, adorned facts = F.
 
 import pytest
 
-from repro import check_optimality, rewrite
+from repro import EvaluationBudget, check_optimality, rewrite
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
@@ -59,7 +59,11 @@ def test_sip_optimality(benchmark, name):
     rewritten = rewrite(program_maker(), query_maker(), method="magic")
     db = db_maker()
     report = benchmark(
-        lambda: check_optimality(rewritten, db, max_iterations=2000)
+        lambda: check_optimality(
+            rewritten,
+            db,
+            meter=EvaluationBudget(max_iterations=2000).start(),
+        )
     )
     claim(
         f"E7.{name}", "Thm. 9.1",

@@ -10,6 +10,7 @@ the certified-safe cases terminate.
 
 
 from repro import (
+    EvaluationBudget,
     NonTerminationError,
     adorn_program,
     counting_safety,
@@ -129,7 +130,7 @@ def test_dynamic_confirmation_counting_diverges(benchmark):
             evaluate(
                 rewritten.program,
                 rewritten.seeded_database(chain_database(4)),
-                max_facts=2000,
+                meter=EvaluationBudget(max_facts=2000).start(),
             )
         except NonTerminationError as exc:
             return exc

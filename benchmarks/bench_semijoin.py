@@ -12,6 +12,7 @@ the lemma-level passes, and drops exactly the bound columns.
 import pytest
 
 from repro import (
+    EvaluationBudget,
     evaluate,
     lemma_8_1_prune,
     lemma_8_2_anonymize,
@@ -90,10 +91,14 @@ def test_semijoin_on_nonlinear_samegen(benchmark):
     optimized = semijoin_optimize(plain)
 
     plain_result = evaluate(
-        plain.program, plain.seeded_database(db), max_iterations=2000
+        plain.program,
+        plain.seeded_database(db),
+        meter=EvaluationBudget(max_iterations=2000).start(),
     )
     opt_result = evaluate(
-        optimized.program, optimized.seeded_database(db), max_iterations=2000
+        optimized.program,
+        optimized.seeded_database(db),
+        meter=EvaluationBudget(max_iterations=2000).start(),
     )
     assert plain.extract_answers(plain_result) == optimized.extract_answers(
         opt_result
@@ -124,6 +129,6 @@ def test_semijoin_on_nonlinear_samegen(benchmark):
         lambda: evaluate(
             optimized.program,
             optimized.seeded_database(db),
-            max_iterations=2000,
+            meter=EvaluationBudget(max_iterations=2000).start(),
         )
     )

@@ -17,6 +17,7 @@ Run::
 """
 
 from repro import (
+    EvaluationBudget,
     EvaluationError,
     QueryOptions,
     adorn_program,
@@ -43,7 +44,11 @@ def main() -> None:
 
     # plain bottom-up fails: the program is not range-restricted
     try:
-        evaluate(program, Database(), max_iterations=5)
+        evaluate(
+            program,
+            Database(),
+            meter=EvaluationBudget(max_iterations=5).start(),
+        )
     except EvaluationError as exc:
         print("plain bottom-up evaluation fails, as expected:")
         print("   ", type(exc).__name__, "-", str(exc)[:72], "...")
@@ -73,7 +78,8 @@ def main() -> None:
             program,
             Database(),
             query,
-            QueryOptions(method=method, max_iterations=300),
+            QueryOptions(method=method),
+            meter=EvaluationBudget(max_iterations=300).start(),
         )
         value = next(iter(answer.answers))[0]
         print(f"{method:<10} reverse([a, b, c, d]) = {value}")

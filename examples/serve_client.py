@@ -53,7 +53,7 @@ def main() -> None:
             assert first["row_count"] == 3
 
             # Force a cold evaluation, then repeat it: the repeat is a
-            # memo hit keyed on (query, method, engine, version).
+            # memo hit keyed on (query, method, version).
             cold = client.query("anc(beth, X)?", method="seminaive")
             again = client.query("anc(beth, X)?", method="seminaive")
             print(

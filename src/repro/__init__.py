@@ -82,8 +82,6 @@ from .datalog import (
     shared_plan_cache,
     subquery_program_for,
     evaluate,
-    evaluate_naive,
-    evaluate_seminaive,
     explain,
     order_body,
     fact_stages,
@@ -155,7 +153,7 @@ __all__ = [
     "Database", "Relation", "TermCatalog", "term_catalog",
     "parse_program", "parse_rule", "parse_literal", "parse_term",
     "parse_query", "make_list", "list_elements",
-    "evaluate", "evaluate_naive", "evaluate_seminaive", "answer_tuples",
+    "evaluate", "answer_tuples",
     "CompiledProgram", "JoinPlan", "JoinStep", "compile_rule", "order_body",
     "PlanCache", "SubqueryProgram",
     "compile_subquery_rule", "compiled_program_for", "subquery_program_for",

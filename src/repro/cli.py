@@ -48,7 +48,7 @@ import sys
 from typing import List, Optional
 
 from .core.adornment import adorn_program
-from .core.pipeline import BASELINE_METHODS, ENGINES, REWRITE_METHODS, rewrite
+from .core.pipeline import BASELINE_METHODS, REWRITE_METHODS, rewrite
 from .core.safety import counting_safety, magic_safety, negation_safety
 from .core.stratify import stratify
 from .core.sips import build_chain_sip, build_empty_sip, build_full_sip
@@ -148,11 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--facts", help="extra facts file (same .dl syntax)", default=None
     )
     p_query.add_argument(
-        "--engine", choices=ENGINES, default="seminaive"
-    )
-    p_query.add_argument(
-        "--max-iterations", type=int, default=None,
-        help="abort after this many fixpoint rounds",
+        "--max-iterations", type=int, default=None, metavar="N",
+        help="fixpoint-round budget for the evaluation (rounds summed "
+        "over strata); overrun aborts cleanly (exit code 4) without "
+        "mutating the database",
     )
     p_query.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -352,7 +351,6 @@ def _cmd_query(args) -> int:
         result = session.query(
             query,
             method=args.method,
-            engine=args.engine,
             semijoin=args.semijoin,
             optimize=not args.no_optimize,
             max_iterations=args.max_iterations,

@@ -5,14 +5,16 @@ bounded, cancelled, and aborted without corrupting shared state.  This
 module supplies the vocabulary:
 
 * :class:`EvaluationBudget` -- an immutable description of limits
-  (wall-clock deadline, max derived facts, max tuples scanned, max
-  memory estimate) plus an optional :class:`CancellationToken` and
-  :class:`FaultPlan`.
+  (fixpoint rounds, wall-clock deadline, max derived facts, max tuples
+  scanned, max memory estimate) plus an optional
+  :class:`CancellationToken` and :class:`FaultPlan`.  It is the one way
+  to bound an evaluation.
 * :class:`BudgetMeter` -- the stateful runtime companion created by
   ``budget.start()``.  Engines call ``meter.check_round(...)`` at
   fixpoint-round boundaries and ``meter.check_batch(...)`` at batch/rule
-  boundaries; both raise :class:`BudgetExceeded` or
-  :class:`EvaluationCancelled` carrying structured progress.
+  boundaries, each handed the evaluation's ``EvaluationStats``; both
+  raise :class:`BudgetExceeded` or :class:`EvaluationCancelled`
+  carrying structured progress.
 * :class:`FaultPlan` -- a deterministic fault injector that raises
   :class:`InjectedFault` at a chosen round/batch/install boundary, used
   by the atomicity property tests (and the ``REPRO_FAULT_INJECT`` env
@@ -65,23 +67,27 @@ def _progress_phrase(facts, stratum, round_):
 class BudgetExceeded(NonTerminationError):
     """A resource limit tripped; carries structured progress.
 
-    Subclasses :class:`NonTerminationError` so existing callers that
-    guard fixpoint loops with ``except NonTerminationError`` keep
-    working when the limit arrives via a budget instead of the legacy
-    ``max_iterations``/``max_facts`` engine arguments.
+    Subclasses :class:`NonTerminationError`: a program whose fixpoint
+    never ends (Section 1.1) surfaces as a budget trip, so callers that
+    guard fixpoint loops with ``except NonTerminationError`` catch every
+    limit.
 
-    Attributes: ``limit`` (``"wall_clock"``/``"max_facts"``/
-    ``"max_tuples_scanned"``/``"max_memory"``), ``facts``, ``stratum``,
-    ``round``, ``elapsed`` seconds, and ``method`` (filled in by
-    ``answer_query`` so degradation policy can tell which strategy
-    tripped).
+    Attributes: ``limit`` (``"max_iterations"``/``"wall_clock"``/
+    ``"max_facts"``/``"max_tuples_scanned"``/``"max_memory"``),
+    ``iterations`` (fixpoint rounds run so far, summed over strata),
+    ``facts``, ``stratum``, ``round``, ``elapsed`` seconds, and
+    ``method`` (filled in by ``answer_query`` so degradation policy can
+    tell which strategy tripped).
     """
 
-    def __init__(self, limit, facts=0, stratum=None, round_=None, elapsed=None):
+    def __init__(
+        self, limit, facts=0, stratum=None, round_=None, elapsed=None,
+        iterations=None,
+    ):
         message = f"budget exceeded: {limit} " + _progress_phrase(
             facts, stratum, round_
         )
-        super().__init__(message, iterations=round_, facts=facts)
+        super().__init__(message, iterations=iterations, facts=facts)
         self.limit = limit
         self.stratum = stratum
         self.round = round_
@@ -211,8 +217,10 @@ class FaultPlan:
 class EvaluationBudget:
     """Immutable resource limits for one evaluation.
 
-    ``None`` fields are unlimited.  ``max_memory_bytes`` is compared
-    against ``Database.estimated_bytes()`` -- a coarse columnar-storage
+    ``None`` fields are unlimited.  ``max_iterations`` caps the fixpoint
+    rounds of one attempt, summed over strata (``stats.iterations``).
+    ``max_memory_bytes`` is compared against
+    ``Database.estimated_bytes()`` -- a coarse columnar-storage
     estimate, checked only at round boundaries.  Call :meth:`start` to
     obtain the stateful :class:`BudgetMeter` that evaluation threads
     through its loops; a meter may be shared across a degradation retry
@@ -226,11 +234,13 @@ class EvaluationBudget:
     max_memory_bytes: Optional[int] = None
     token: Optional[CancellationToken] = None
     fault_plan: Optional[FaultPlan] = None
+    max_iterations: Optional[int] = None
 
     def is_bounded(self):
         return any(
             value is not None
             for value in (
+                self.max_iterations,
                 self.timeout,
                 self.max_facts,
                 self.max_tuples_scanned,
@@ -247,38 +257,33 @@ class EvaluationBudget:
         timeout=None,
         max_facts=None,
         cancellation=None,
+        max_iterations=None,
     ):
         """Resolve one budget from per-call convenience options.
 
         ``budget=`` wins and is mutually exclusive with the scalar
         options; otherwise a budget is assembled from ``timeout`` /
-        ``max_facts`` / ``cancellation`` plus any ``REPRO_FAULT_INJECT``
-        fault plan in the environment.  Returns ``None`` when every
-        input is unset -- the caller runs ungoverned.  This is the one
+        ``max_facts`` / ``max_iterations`` / ``cancellation`` plus any
+        ``REPRO_FAULT_INJECT`` fault plan in the environment.  Returns
+        ``None`` when every input is unset -- the caller runs
+        ungoverned.  This is the one
         assembly point shared by ``Session.query``, the query server's
         cold reads and the incremental maintenance passes, so fault
         injection reaches all three.
         """
+        scalars = (timeout, max_facts, max_iterations, cancellation)
         if budget is not None:
-            if (
-                timeout is not None
-                or max_facts is not None
-                or cancellation is not None
-            ):
+            if any(value is not None for value in scalars):
                 raise ValueError(
                     "pass budget=... or the individual timeout/max_facts/"
-                    "cancellation options, not both"
+                    "max_iterations/cancellation options, not both"
                 )
             return budget
         fault_plan = FaultPlan.from_env()
-        if (
-            timeout is None
-            and max_facts is None
-            and cancellation is None
-            and fault_plan is None
-        ):
+        if fault_plan is None and all(value is None for value in scalars):
             return None
         return cls(
+            max_iterations=max_iterations,
             timeout=timeout,
             max_facts=max_facts,
             token=cancellation,
@@ -303,6 +308,7 @@ class BudgetMeter:
         "budget",
         "started",
         "deadline",
+        "iterations",
         "facts",
         "tuples",
         "stratum",
@@ -315,6 +321,7 @@ class BudgetMeter:
         self.deadline = (
             None if budget.timeout is None else self.started + budget.timeout
         )
+        self.iterations = 0
         self.facts = 0
         self.tuples = 0
         self.stratum = None
@@ -322,13 +329,23 @@ class BudgetMeter:
 
     # -- boundary checks -------------------------------------------------
 
-    def check_round(self, facts, tuples=0, stratum=None, round_=None, database=None):
-        """Full check at a fixpoint-round boundary (may estimate memory)."""
-        self.facts = facts
-        self.tuples = tuples
+    def check_round(self, stats, stratum=None, round_=None, database=None):
+        """Full check at a fixpoint-round boundary (may estimate memory).
+
+        ``stats`` is the attempt's ``EvaluationStats``; the round cap
+        reads its ``iterations``, which already count this round.
+        """
+        self.iterations = stats.iterations
+        self.facts = facts = stats.facts_derived
+        self.tuples = tuples = stats.tuples_scanned
         self.stratum = stratum
         self.round = round_
         budget = self.budget
+        if (
+            budget.max_iterations is not None
+            and self.iterations > budget.max_iterations
+        ):
+            self._trip("max_iterations")
         token = budget.token
         if token is not None and token.cancelled:
             raise EvaluationCancelled(facts, stratum, round_, self.elapsed())
@@ -350,14 +367,14 @@ class BudgetMeter:
         if budget.fault_plan is not None:
             budget.fault_plan.tick("round")
 
-    def check_batch(self, facts, tuples=0):
+    def check_batch(self, stats):
         """Cheap check at a batch/rule boundary (no memory estimate).
 
         Progress markers (stratum/round) persist from the enclosing
         round check so a mid-round trip still reports its position.
         """
-        self.facts = facts
-        self.tuples = tuples
+        self.facts = facts = stats.facts_derived
+        self.tuples = tuples = stats.tuples_scanned
         budget = self.budget
         token = budget.token
         if token is not None and token.cancelled:
@@ -411,4 +428,5 @@ class BudgetMeter:
             stratum=self.stratum,
             round_=self.round,
             elapsed=self.elapsed(),
+            iterations=self.iterations,
         )

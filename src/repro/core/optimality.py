@@ -22,7 +22,7 @@ Lemma 9.3 (fuller sips compute no more facts) is checked by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..datalog.database import Database
 from ..datalog.engine import evaluate
@@ -55,25 +55,21 @@ class OptimalityReport:
 def check_optimality(
     rewritten: RewrittenProgram,
     database: Database,
-    max_iterations: Optional[int] = None,
+    meter=None,
 ) -> OptimalityReport:
     """Check Theorem 9.1 on a concrete database.
 
     Evaluates both the rewritten program (bottom-up) and the QSQ oracle
     (the least sip-strategy sets ``Q`` and ``F``) and compares relation
     by relation.  Meaningful for the ``magic`` and
-    ``supplementary_magic`` methods with full sips.
+    ``supplementary_magic`` methods with full sips.  ``meter`` (a
+    :class:`~repro.core.limits.BudgetMeter`) bounds both evaluations.
     """
     adorned: AdornedProgram = rewritten.adorned
     seeded = rewritten.seeded_database(database)
-    bottom_up = evaluate(
-        rewritten.program, seeded, max_iterations=max_iterations
-    )
+    bottom_up = evaluate(rewritten.program, seeded, meter=meter)
     oracle: QSQResult = qsq_evaluate(
-        adorned.program,
-        database,
-        adorned.query_literal,
-        max_iterations=max_iterations,
+        adorned.program, database, adorned.query_literal, meter=meter
     )
 
     mismatches = []
@@ -122,21 +118,20 @@ def compare_sips(
     fuller: RewrittenProgram,
     partial: RewrittenProgram,
     database: Database,
-    max_iterations: Optional[int] = None,
+    meter=None,
 ) -> SipComparison:
     """Check Lemma 9.3: the fuller sip's facts are contained in the
     partial sip's facts, predicate by predicate.
 
     Both rewrites must stem from the same program/query (so the adorned
     predicate keys align -- they do for the paper's examples, where full
-    and partial sips induce the same adornments).
+    and partial sips induce the same adornments).  ``meter`` bounds
+    both evaluations.
     """
     results = {}
     for name, rewritten in (("fuller", fuller), ("partial", partial)):
         seeded = rewritten.seeded_database(database)
-        results[name] = evaluate(
-            rewritten.program, seeded, max_iterations=max_iterations
-        )
+        results[name] = evaluate(rewritten.program, seeded, meter=meter)
 
     contained = True
     per_predicate: Dict[str, Tuple[int, int]] = {}

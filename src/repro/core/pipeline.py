@@ -69,7 +69,6 @@ from .stratify import stratify_or_raise
 __all__ = [
     "REWRITE_METHODS",
     "BASELINE_METHODS",
-    "ENGINES",
     "SESSION_METHODS",
     "rewrite",
     "QueryOptions",
@@ -81,9 +80,6 @@ __all__ = [
 
 #: evaluation baselines answer_query accepts besides the rewrites
 BASELINE_METHODS = ("naive", "seminaive", "qsq")
-
-#: the bottom-up strategies a rewritten program is evaluated with
-ENGINES = ("naive", "seminaive")
 
 #: everything a query accepts for ``method``: the rewrites, the
 #: baselines, "auto", plus "materialized" (answer from a covering
@@ -171,21 +167,18 @@ class QueryOptions:
 
     ``method`` is ``"auto"`` (supplementary magic, or compiled
     semi-naive where adornment or the rewrite rejects the query's
-    shape), a rewrite method, a baseline, or ``"materialized"``;
-    ``engine`` is the bottom-up strategy a rewrite is evaluated with
-    (one of :data:`ENGINES`); ``optimize`` / ``semijoin`` configure the
-    rewrite;
-    ``max_iterations`` bounds the fixpoint; ``workers`` is an int >= 1,
-    and above 1 evaluates on the sharded thread pool.  Hashable: it is
-    the answer memo key of a :class:`~repro.session.Session` and of the
-    query server.
+    shape), a rewrite method, a baseline, or ``"materialized"``; a
+    rewrite is always evaluated semi-naive.  ``optimize`` / ``semijoin``
+    configure the rewrite; ``workers`` is an int >= 1, and above 1
+    evaluates on the sharded thread pool.  Limits are not options: they
+    belong to the :class:`~repro.core.limits.EvaluationBudget`.
+    Hashable: it is the answer memo key of a
+    :class:`~repro.session.Session` and of the query server.
     """
 
     method: str = "auto"
-    engine: str = "seminaive"
     optimize: bool = True
     semijoin: bool = False
-    max_iterations: Optional[int] = None
     workers: int = 1
 
     def __post_init__(self):
@@ -193,10 +186,6 @@ class QueryOptions:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of "
                 f"{SESSION_METHODS}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         if type(self.workers) is not int or self.workers < 1:
             raise ValueError(
@@ -496,7 +485,6 @@ def _evaluate(
                 database,
                 query,
                 method,
-                options.max_iterations,
                 plan_cache=plan_cache,
                 meter=meter,
                 workers=options.workers,
@@ -507,7 +495,6 @@ def _evaluate(
                 adorned.program,
                 database,
                 adorned.query_literal,
-                max_iterations=options.max_iterations,
                 plan_cache=plan_cache,
                 meter=meter,
             )
@@ -522,8 +509,6 @@ def _evaluate(
         result = evaluate(
             rewritten.program,
             rewritten.seeded_database(database),
-            method=options.engine,
-            max_iterations=options.max_iterations,
             plan_cache=plan_cache,
             meter=meter,
             workers=options.workers,
@@ -547,8 +532,6 @@ def bottom_up_answer(
     database: Database,
     query: Query,
     engine: str = "seminaive",
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
     plan_cache=None,
     meter=None,
     workers: int = 1,
@@ -565,8 +548,6 @@ def bottom_up_answer(
         program,
         database,
         method=engine,
-        max_iterations=max_iterations,
-        max_facts=max_facts,
         plan_cache=plan_cache,
         meter=meter,
         workers=workers,

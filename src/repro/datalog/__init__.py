@@ -14,8 +14,6 @@ from .engine import (
     EvaluationStats,
     answer_tuples,
     evaluate,
-    evaluate_naive,
-    evaluate_seminaive,
 )
 from .errors import (
     AdornmentError,
@@ -78,8 +76,6 @@ __all__ = [
     "EvaluationStats",
     "answer_tuples",
     "evaluate",
-    "evaluate_naive",
-    "evaluate_seminaive",
     "CompiledProgram",
     "JoinPlan",
     "JoinStep",

@@ -78,7 +78,7 @@ while it has no live holder; otherwise the first mutation **through
 the database's methods** (``relation()``, ``retract_fact``, ...)
 clones it for the mutating side first, so no other side ever observes
 the change.  Every evaluation runs on such a snapshot
-(``evaluate_naive``/``evaluate_seminaive``, ``seeded_database``): base
+(``evaluate``, ``seeded_database``): base
 relations are shared, never copied, and only seed and derived
 relations are created in it.  Maintained views are published to the
 query server the same way (``Session.materialized_relations`` is a

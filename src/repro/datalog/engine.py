@@ -6,14 +6,14 @@ add every tuple implied by a rule given the previous stage; the limit of
 the monotonically increasing sequence is the answer.  Completeness is the
 classical least-fixed-point result [van Emden & Kowalski; Lloyd 84].
 
-Two strategies are provided:
+One entry point, :func:`evaluate`, runs either strategy by name:
 
-* :func:`evaluate_naive` -- recompute every rule against the whole
+* ``method="naive"`` -- recompute every rule against the whole
   database each iteration (the paper's strawman in Section 1);
-* :func:`evaluate_seminaive` -- exact differential evaluation: after
-  its first run a rule fires only on body solutions that use at least
-  one derived fact it has not joined yet, and finds each of those
-  exactly once.
+* ``method="seminaive"`` (the default, and what every rewrite is
+  evaluated with) -- exact differential evaluation: after its first
+  run a rule fires only on body solutions that use at least one derived
+  fact it has not joined yet, and finds each of those exactly once.
 
 Both are instrumented (:class:`EvaluationStats`): the paper's claims are
 about the *number of facts computed* (Sections 9 and 11), so counting
@@ -21,8 +21,10 @@ derivations, firings, and index probes is the measurement apparatus of
 the reproduction.
 
 Programs with function symbols need not terminate (Section 1.1 notes the
-limit may be infinite); both strategies accept iteration and fact budgets
-and raise :class:`~repro.datalog.errors.NonTerminationError` on overrun.
+limit may be infinite); an evaluation is bounded by a budget meter
+(:class:`repro.core.limits.EvaluationBudget`, whose ``max_iterations``,
+``max_facts`` and other limits raise a
+:class:`~repro.datalog.errors.NonTerminationError` subclass on overrun).
 
 Stratified negation
 -------------------
@@ -117,7 +119,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .ast import Literal, Program
 from .database import Database, FactTuple, IdTuple
-from .errors import NonTerminationError
 from .planner import (
     CompiledProgram,
     PlanCache,
@@ -128,8 +129,6 @@ from .planner import (
 __all__ = [
     "EvaluationStats",
     "EvaluationResult",
-    "evaluate_naive",
-    "evaluate_seminaive",
     "evaluate",
     "answer_tuples",
 ]
@@ -202,29 +201,6 @@ class EvaluationResult:
 # ----------------------------------------------------------------------
 # fixpoint strategies
 # ----------------------------------------------------------------------
-
-def _check_budget(
-    stats: EvaluationStats,
-    max_iterations: Optional[int],
-    max_facts: Optional[int],
-) -> None:
-    total_derived = stats.facts_derived
-    if max_iterations is not None and stats.iterations > max_iterations:
-        raise NonTerminationError(
-            f"evaluation exceeded {max_iterations} iterations "
-            f"({total_derived} facts derived); the program/query pair may "
-            "be unsafe (see Section 10 of the paper)",
-            iterations=stats.iterations,
-            facts=total_derived,
-        )
-    if max_facts is not None and total_derived > max_facts:
-        raise NonTerminationError(
-            f"evaluation exceeded {max_facts} derived facts "
-            f"after {stats.iterations} iterations",
-            iterations=stats.iterations,
-            facts=total_derived,
-        )
-
 
 def _install(
     working: Database,
@@ -402,8 +378,6 @@ def fixpoint(
     execute: RoundExecutor,
     seminaive: bool = True,
     meter=None,
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
     stratum: Optional[int] = None,
     seeds: Optional[Dict[str, List[IdTuple]]] = None,
     marks: Optional[Dict[str, int]] = None,
@@ -432,10 +406,9 @@ def fixpoint(
     relations, until a round emits nothing.
 
     Every round counts one ``stats.iterations`` (accumulating across
-    strata), checks the iteration / fact budget and reports
-    ``check_round(stratum, round)`` to ``meter``, rounds numbered per
-    stratum from ``first_round + 1``; the fact budget is checked again
-    after the round.  ``stratum`` runs only that stratum (IVM).
+    strata), then reports ``check_round(stats, stratum, round)`` to
+    ``meter``, rounds numbered per stratum from ``first_round + 1``.
+    ``stratum`` runs only that stratum (IVM).
 
     The cyclic collector is paused for the call, however it ends; no
     round builds a cycle, and nested or concurrent calls share a pause.
@@ -497,17 +470,9 @@ def fixpoint(
                 groups = chain((first,), groups)
             stats.iterations += 1
             round_number += 1
-            _check_budget(stats, max_iterations, max_facts)
             if meter is not None:
-                meter.check_round(
-                    stats.facts_derived,
-                    stats.tuples_scanned,
-                    stratum_index,
-                    round_number,
-                    working,
-                )
+                meter.check_round(stats, stratum_index, round_number, working)
             fresh = execute(groups)
-            _check_budget(stats, None, max_facts)
             if deltas is not None:
                 deltas = fresh
             elif not seminaive and not fresh:
@@ -546,8 +511,6 @@ def evaluate(
     program: Program,
     database: Database,
     method: str = "seminaive",
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
     plan_cache: Optional[PlanCache] = None,
     meter=None,
     workers: Optional[int] = None,
@@ -555,7 +518,23 @@ def evaluate(
     """Bottom-up evaluation by strategy name (``"naive"`` or
     ``"seminaive"``) on a snapshot of ``database``: fetch (or build) the
     program's plans, pick the serial or the pool executor, and run
-    :func:`fixpoint`."""
+    :func:`fixpoint`.
+
+    With negation, each stratum's rules run to their joint fixpoint
+    before the next stratum starts (``stats.iterations`` accumulates
+    rounds across strata).  Evaluation runs on a snapshot of
+    ``database`` (base relations shared, derived ones created in the
+    snapshot), so an abort installs nothing.
+
+    ``meter`` is an optional budget meter (duck-typed so this module
+    never imports :mod:`repro.core.limits`): ``check_round`` runs at
+    every fixpoint-round boundary and ``check_batch`` at rule/batch
+    boundaries, each free to abort by raising.  ``workers`` > 1 runs
+    each round's batches on the parallel tier
+    (:mod:`repro.datalog.parallel`); fact sets and the solution counters
+    (``facts_derived`` / ``rule_firings`` / ``duplicate_derivations`` /
+    ``iterations``) are identical to the serial run by construction.
+    """
     if method not in ("naive", "seminaive"):
         raise ValueError(f"unknown evaluation method {method!r}")
     working = database.snapshot()
@@ -578,75 +557,9 @@ def evaluate(
         ))
     with executor as execute:
         fixpoint(
-            compiled, working, stats, execute, method == "seminaive", meter,
-            max_iterations, max_facts,
+            compiled, working, stats, execute, method == "seminaive", meter
         )
     return EvaluationResult(working, program.derived_predicates(), stats)
-
-
-def evaluate_naive(
-    program: Program,
-    database: Database,
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
-    meter=None,
-    workers: Optional[int] = None,
-) -> EvaluationResult:
-    """Naive bottom-up fixpoint: all rules against all facts, each round.
-
-    With negation, each stratum's rules run to their joint fixpoint
-    before the next stratum starts (``stats.iterations`` accumulates
-    rounds across strata).
-
-    ``meter`` is an optional budget meter (duck-typed so this module
-    never imports :mod:`repro.core.limits`): ``check_round`` runs at
-    every fixpoint-round boundary and ``check_batch`` at rule/batch
-    boundaries, each free to abort by raising.  Evaluation runs on a
-    snapshot of ``database`` (base relations shared, derived ones
-    created in the snapshot), so an abort installs nothing.
-
-    ``workers`` > 1 runs each round's batches on the parallel tier
-    (:mod:`repro.datalog.parallel`); fact sets and the solution counters
-    (``facts_derived`` / ``rule_firings`` / ``duplicate_derivations`` /
-    ``iterations``) are identical to the serial run by construction.
-    """
-    return evaluate(
-        program, database, "naive", max_iterations, max_facts, plan_cache,
-        meter, workers,
-    )
-
-
-def evaluate_seminaive(
-    program: Program,
-    database: Database,
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
-    meter=None,
-    workers: Optional[int] = None,
-) -> EvaluationResult:
-    """Semi-naive bottom-up fixpoint (exact differential evaluation).
-
-    Every rule runs its full plan once, in a stratum's first round;
-    negated literals probe lower strata, which are complete.  After
-    that, for each body occurrence of a derived predicate that gained
-    rows since the rule last ran, a delta version of the rule matches
-    that occurrence against those rows, the earlier derived occurrences
-    against the rows the rule had already seen and the later ones
-    against everything (:func:`fixpoint`): each body solution is found
-    once, and ``rule_firings`` equals the body solutions over the final
-    model.  Only same-stratum predicates ever gain rows, so a negated
-    literal never sees a delta.  Rule solutions and deltas travel as ID
-    rows end to end; terms are only resolved back when answers are
-    materialized.
-
-    ``meter`` and ``workers`` as in :func:`evaluate_naive`.
-    """
-    return evaluate(
-        program, database, "seminaive", max_iterations, max_facts,
-        plan_cache, meter, workers,
-    )
 
 
 def answer_tuples(

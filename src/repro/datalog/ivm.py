@@ -82,7 +82,7 @@ from .database import Database, FactTuple, IdTuple
 from .engine import (
     EvaluationStats,
     _IdDeltaBatch,
-    evaluate_seminaive,
+    evaluate,
     fixpoint,
     serial_executor,
 )
@@ -261,7 +261,7 @@ class MaterializedProgram:
         #: so nothing internal is captured), and no mutation can slip
         #: between log start and materialization
         self.log = database.start_mutation_log()
-        result = evaluate_seminaive(
+        result = evaluate(
             program,
             database,
             plan_cache=plan_cache,
@@ -334,7 +334,7 @@ class MaterializedProgram:
         so a later retry still sees a consistent picture.
         """
         started = time.perf_counter()
-        result = evaluate_seminaive(
+        result = evaluate(
             self.program,
             self.base,
             plan_cache=self._plan_cache,
@@ -447,8 +447,7 @@ class MaterializedProgram:
                 # a stratum boundary, numbered with the propagation
                 # rounds in one sequence across the pass
                 meter.check_round(
-                    stats.facts_derived,
-                    stats.tuples_scanned,
+                    stats,
                     s,
                     result.strata_maintained + stats.iterations,
                     self.working,
@@ -847,7 +846,7 @@ class MaterializedProgram:
         """
         if self.stale or self.log:
             self.maintain()
-        cold = evaluate_seminaive(
+        cold = evaluate(
             self.program, self.base, plan_cache=self._plan_cache
         )
         for pred in self.derived_keys:

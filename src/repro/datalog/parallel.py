@@ -295,7 +295,7 @@ def _run_group(group, working, stats, meter, pool, workers, fresh_by_head):
         # one check per batch, at the same cadence the serial
         # executor checks inside execute_batch
         for _task in group:
-            meter.check_batch(stats.facts_derived, stats.tuples_scanned)
+            meter.check_batch(stats)
     pending = [
         (task.task_id, w, pool.submit(
             _execute_shard, task.plan, working, rows, task.windows, deadline
@@ -316,7 +316,7 @@ def _run_group(group, working, stats, meter, pool, workers, fresh_by_head):
         # the meter raises the same structured error the serial
         # path would (the deadline that stopped them has passed)
         if meter is not None:
-            meter.check_batch(stats.facts_derived, stats.tuples_scanned)
+            meter.check_batch(stats)
         raise EvaluationError(
             "parallel workers aborted on a deadline no meter owns"
         )
@@ -339,7 +339,7 @@ def pool_executor(
     meter,
     workers: int,
 ):
-    """The round executor of ``evaluate*(..., workers=N)``, N >= 2.
+    """The round executor of ``evaluate(..., workers=N)``, N >= 2.
 
     Yields an executor for :func:`repro.datalog.engine.fixpoint` that
     runs each rule's tasks as one group of sharded batches on a pool of

@@ -70,7 +70,7 @@ Two further layers serve the top-down side and repeated evaluations:
   driver and serial executor run it.
 * **The plan cache** (:class:`PlanCache`, :func:`shared_plan_cache`)
   memoizes both compilation kinds by program identity, so benchmark
-  loops and repeated CLI queries compile once; ``evaluate*`` and
+  loops and repeated CLI queries compile once; ``evaluate`` and
   ``qsq_evaluate`` report hits/misses through their stats.
 """
 
@@ -846,7 +846,7 @@ class JoinPlan:
         boundary for the resource governor) and may abort by raising.
         """
         if meter is not None:
-            meter.check_batch(stats.facts_derived, stats.tuples_scanned)
+            meter.check_batch(stats)
         cols: Dict[int, List[int]] = {}
         weights: Optional[List[int]] = None
         n = 1
@@ -1259,7 +1259,7 @@ class PlanCache:
     an entry.  Every stage that depends on the program but not on the
     facts uses this one cache, told apart by ``kind``:
 
-    * ``"bottom-up"`` -- a :class:`CompiledProgram` (``evaluate*``);
+    * ``"bottom-up"`` -- a :class:`CompiledProgram` (``evaluate``);
     * ``"qsq"`` -- a :class:`SubqueryProgram` (``qsq_evaluate``);
     * ``("query-shape", shape literal, sip builder, method, optimize,
       semijoin)`` -- the adorned and rewritten program of one
@@ -1270,7 +1270,7 @@ class PlanCache:
     That is what lets benchmark loops, repeated CLI queries and the
     server's cold reads stop re-rewriting and recompiling.
     Every lookup, of any kind, counts in ``hits`` / ``misses``;
-    ``evaluate*`` and ``qsq_evaluate`` consult the shared module-level
+    ``evaluate`` and ``qsq_evaluate`` consult the shared module-level
     cache by default and report their own lookups' hits/misses through
     their stats objects (``EvaluationStats.plan_cache_*`` therefore
     count compiled-plan lookups only).  Entries are immutable once

@@ -152,8 +152,6 @@ def qsq_evaluate(
     adorned_program: Program,
     database: Database,
     query_literal: Literal,
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
     plan_cache: Optional[PlanCache] = None,
     meter=None,
 ) -> QSQResult:
@@ -167,10 +165,9 @@ def qsq_evaluate(
     ``plan_cache`` overrides the shared compiled-plan cache.
 
     Rounds run on :func:`repro.datalog.engine.fixpoint` and plans on
-    :meth:`~repro.datalog.planner.JoinPlan.execute_batch`, so
-    ``max_iterations`` / ``max_facts`` (answers) and ``meter`` (duck-typed,
-    see :mod:`repro.core.limits`: ``check_round`` at every round,
-    ``check_batch`` at every plan run) behave as in bottom-up
+    :meth:`~repro.datalog.planner.JoinPlan.execute_batch`, so ``meter``
+    (duck-typed, see :mod:`repro.core.limits`: ``check_round`` at every
+    round, ``check_batch`` at every plan run) behaves as in bottom-up
     evaluation, and a non-ground answer row raises
     :class:`EvaluationError` as it does there.  Subqueries and answers
     live in a snapshot of ``database`` (the only change to ``database``
@@ -205,10 +202,7 @@ def qsq_evaluate(
     execute = serial_executor(
         compiled, working, stats, meter, partial(_install, working, stats)
     )
-    fixpoint(
-        compiled, working, stats, execute, True, meter, max_iterations,
-        max_facts,
-    )
+    fixpoint(compiled, working, stats, execute, True, meter)
 
     result = QSQResult(stats=stats)
     for pred in compiled.bound_positions:

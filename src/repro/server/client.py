@@ -15,7 +15,7 @@ which carries the structured code and the CLI-compatible exit code::
 from __future__ import annotations
 
 import socket
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from .protocol import decode_line, encode_message
 
@@ -77,7 +77,7 @@ class ReproClient:
     # ------------------------------------------------------------------
     def query(self, query: str, **options: Any) -> Dict[str, Any]:
         """Answer a query; keyword arguments become protocol options
-        (``method``, ``engine``, ``timeout``, ``max_facts``)."""
+        (``method``, ``timeout``, ``max_facts``)."""
         request: Dict[str, Any] = {"op": "query", "query": query}
         if options:
             request["options"] = options

@@ -28,8 +28,6 @@ import json
 import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..core.pipeline import ENGINES
-
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
@@ -67,7 +65,7 @@ ERROR_EXIT_CODES: Dict[str, int] = {
 #: client-settable query options; anything else in ``options`` is a
 #: ``bad_request`` (catching typos like ``max_fact`` loudly instead of
 #: silently running unbudgeted)
-QUERY_OPTION_FIELDS = ("method", "engine", "timeout", "max_facts")
+QUERY_OPTION_FIELDS = ("method", "timeout", "max_facts")
 
 _OPS = ("query", "assert", "retract", "stats", "ping", "shutdown")
 
@@ -154,13 +152,6 @@ def normalize_options(options: Optional[dict]) -> Dict[str, Any]:
         if not isinstance(method, str):
             raise ProtocolError("bad_request", "method must be a string")
         out["method"] = method
-    engine = options.get("engine")
-    if engine is not None:
-        if engine not in ENGINES:
-            raise ProtocolError(
-                "bad_request", f"engine must be one of {list(ENGINES)}"
-            )
-        out["engine"] = engine
     timeout = options.get("timeout")
     if timeout is not None:
         # NaN passes `<= 0` and `min()` with a server cap, and a NaN

@@ -152,10 +152,7 @@ class QueryScheduler:
         and every exit releases the snapshot the request pinned.
         """
         try:
-            query_options = QueryOptions(
-                method=options.get("method", "auto"),
-                engine=options.get("engine", "seminaive"),
-            )
+            query_options = QueryOptions(method=options.get("method", "auto"))
         except ValueError as exc:
             raise ProtocolError("bad_request", str(exc))
         method = query_options.method

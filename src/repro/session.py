@@ -773,7 +773,6 @@ class Session:
         query: Union[str, Query, None] = None,
         method: str = "auto",
         *,
-        engine: str = "seminaive",
         optimize: bool = True,
         semijoin: bool = False,
         max_iterations: Optional[int] = None,
@@ -789,13 +788,14 @@ class Session:
         ``query`` may be text (``"anc(john, X)?"``), a parsed
         :class:`Query`, or None to use the first query embedded in the
         session source.  ``method`` is ``"auto"`` (default), a rewrite
-        method, or a baseline; with the remaining options up to
+        method, or a baseline; with ``optimize``, ``semijoin`` and
         ``workers`` it forms the :class:`~repro.core.pipeline.QueryOptions`
         that a cold query hands to :func:`repro.answer_query` and that
-        keys the memo.
+        keys the memo.  A rewrite is always evaluated semi-naive.
 
-        Resource governance: ``timeout`` (seconds of wall clock),
-        ``max_facts`` (derived-fact cap), and ``cancellation`` (a
+        Resource governance: ``max_iterations`` (fixpoint rounds, summed
+        over strata), ``timeout`` (seconds of wall clock), ``max_facts``
+        (derived-fact cap), and ``cancellation`` (a
         :class:`~repro.core.limits.CancellationToken`) assemble an
         :class:`~repro.core.limits.EvaluationBudget`; pass ``budget=``
         directly for the full option set (tuples scanned, memory
@@ -827,6 +827,7 @@ class Session:
             timeout=timeout,
             max_facts=max_facts,
             cancellation=cancellation,
+            max_iterations=max_iterations,
         )
         meter = budget.start() if budget is not None else None
         started = time.perf_counter()
@@ -860,9 +861,7 @@ class Session:
                         # now, answer cold below
                         pass
         # an unknown method reaches this line too: QueryOptions rejects it
-        options = QueryOptions(
-            method, engine, optimize, semijoin, max_iterations, workers
-        )
+        options = QueryOptions(method, optimize, semijoin, workers)
         version = self._memo_version
         key = (query, options, version)
         cached = self._memo.get(key)

@@ -80,15 +80,13 @@ class ProbeMeter:
         self.states = []
         self.on_round = on_round
 
-    def check_round(
-        self, facts, tuples=0, stratum=None, round_=None, database=None
-    ):
+    def check_round(self, stats, stratum=None, round_=None, database=None):
         self.states.append(gc.isenabled())
         if self.on_round is not None:
             on_round, self.on_round = self.on_round, None
             on_round()
 
-    def check_batch(self, facts, tuples=0):
+    def check_batch(self, stats):
         self.states.append(gc.isenabled())
 
 
@@ -165,7 +163,11 @@ class TestAbortsRestoreTheCollector:
     def test_max_iterations(self, prior, enabled):
         prior(enabled)
         with pytest.raises(NonTerminationError) as info:
-            evaluate(ancestor_program(), chain_database(30), max_iterations=3)
+            evaluate(
+                ancestor_program(),
+                chain_database(30),
+                meter=EvaluationBudget(max_iterations=3).start(),
+            )
         assert gc.isenabled() is enabled
         assert _raised_in_fixpoint(info)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import (
+    EvaluationBudget,
     NonTerminationError,
     RewriteError,
     adorn_program,
@@ -130,7 +131,7 @@ class TestDivergence:
             evaluate(
                 rewritten.program,
                 rewritten.seeded_database(db),
-                max_facts=3000,
+                meter=EvaluationBudget(max_facts=3000).start(),
             )
 
     def test_linear_ancestor_diverges_on_cyclic_data(self):
@@ -140,7 +141,7 @@ class TestDivergence:
             evaluate(
                 rewritten.program,
                 rewritten.seeded_database(db),
-                max_iterations=120,
+                meter=EvaluationBudget(max_iterations=120).start(),
             )
 
     def test_magic_terminates_on_both(self):

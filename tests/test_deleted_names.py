@@ -89,6 +89,12 @@ GUARDS = [
     # re-inserts every entry of a dict with deletion holes
     Guard(40, "ERE", "line", r"dict\((self\._rowmap|index)\)",
           (DATALOG + "database.py",)),
+    # one bottom-up entry point and one limit mechanism (the budget);
+    # rewrites always run semi-naive, so no engine option is served
+    Guard(45, "BRE", "word",
+          r"evaluate_naive\|evaluate_seminaive\|_check_budget\|ENGINES", (SRC,)),
+    Guard(45, "BRE", "word", r"engine",
+          ("src/repro/server/protocol.py", "src/repro/server/scheduler.py")),
     # the claims ledger: benches read no knob and write no timing file
     Guard("ledger", "ERE", "word", r"environ|getenv|record_bench", (BENCHMARKS,)),
     Guard("ledger", "ERE", "line", r"BENCH_", (".github",)),

@@ -5,6 +5,7 @@ predicates, structured facts, repeated variables, empty databases."""
 from repro import (
     Constant,
     Database,
+    EvaluationBudget,
     Literal,
     QueryOptions,
     Struct,
@@ -222,7 +223,8 @@ class TestDeepRecursion:
             list_reverse_program(),
             Database(),
             reverse_query(integer_list(25)),
-            QueryOptions(method="supplementary_magic", max_iterations=3000),
+            QueryOptions(method="supplementary_magic"),
+            meter=EvaluationBudget(max_iterations=3000).start(),
         )
         term = next(iter(answer.answers))[0]
         assert str(term).startswith("[24, 23, 22")

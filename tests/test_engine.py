@@ -5,6 +5,7 @@ import pytest
 from repro import (
     Constant,
     Database,
+    EvaluationBudget,
     EvaluationError,
     Literal,
     NonTerminationError,
@@ -15,8 +16,6 @@ from repro import (
     answer_query,
     answer_tuples,
     evaluate,
-    evaluate_naive,
-    evaluate_seminaive,
     parse_program,
     parse_query,
 )
@@ -38,16 +37,16 @@ def c(value):
 
 class TestNaive:
     def test_transitive_closure_on_chain(self):
-        result = evaluate_naive(ancestor(), chain_database(4))
+        result = evaluate(ancestor(), chain_database(4), method="naive")
         # 4-edge chain: C(5,2) = 10 ancestor pairs
         assert len(result.derived_tuples("anc")) == 10
 
     def test_cycle_terminates_for_datalog(self):
-        result = evaluate_naive(ancestor(), cycle_database(4))
+        result = evaluate(ancestor(), cycle_database(4), method="naive")
         assert len(result.derived_tuples("anc")) == 16
 
     def test_stats_counted(self):
-        result = evaluate_naive(ancestor(), chain_database(4))
+        result = evaluate(ancestor(), chain_database(4), method="naive")
         assert result.stats.facts_derived == 10
         assert result.stats.rule_firings >= 10
         assert result.stats.iterations >= 2
@@ -55,7 +54,7 @@ class TestNaive:
 
     def test_original_database_untouched(self):
         db = chain_database(3)
-        evaluate_naive(ancestor(), db)
+        evaluate(ancestor(), db, method="naive")
         assert "anc" not in db.predicate_keys()
 
 
@@ -63,8 +62,8 @@ class TestSemiNaive:
     @pytest.mark.parametrize("length", [6, 25])
     def test_agrees_with_naive_on_chain(self, length):
         db = chain_database(length)
-        naive = evaluate_naive(ancestor(), db)
-        semi = evaluate_seminaive(ancestor(), db)
+        naive = evaluate(ancestor(), db, method="naive")
+        semi = evaluate(ancestor(), db)
         assert naive.derived_tuples("anc") == semi.derived_tuples("anc")
         assert naive.stats.facts_derived == semi.stats.facts_derived
 
@@ -76,20 +75,20 @@ class TestSemiNaive:
             lonely(X) :- par(X, Y), not anc(Y, Y).
             """
         ).program
-        naive = evaluate_naive(program, chain_database(12))
-        semi = evaluate_seminaive(program, chain_database(12))
+        naive = evaluate(program, chain_database(12), method="naive")
+        semi = evaluate(program, chain_database(12))
         assert semi.derived_tuples("lonely") == naive.derived_tuples("lonely")
 
     def test_agrees_with_naive_on_cycle(self):
         db = cycle_database(5)
-        naive = evaluate_naive(ancestor(), db)
-        semi = evaluate_seminaive(ancestor(), db)
+        naive = evaluate(ancestor(), db, method="naive")
+        semi = evaluate(ancestor(), db)
         assert naive.derived_tuples("anc") == semi.derived_tuples("anc")
 
     def test_less_duplicate_work_than_naive(self):
         db = chain_database(12)
-        naive = evaluate_naive(ancestor(), db)
-        semi = evaluate_seminaive(ancestor(), db)
+        naive = evaluate(ancestor(), db, method="naive")
+        semi = evaluate(ancestor(), db)
         assert semi.stats.rule_firings < naive.stats.rule_firings
 
     @pytest.mark.parametrize("length", [20, 40, 80])
@@ -113,8 +112,8 @@ class TestSemiNaive:
             """
         ).program
         db = chain_database(6)
-        semi = evaluate_seminaive(program, db)
-        naive = evaluate_naive(program, db)
+        semi = evaluate(program, db)
+        naive = evaluate(program, db, method="naive")
         assert semi.derived_tuples("anc") == naive.derived_tuples("anc")
 
     def test_mutually_recursive_predicates(self):
@@ -128,8 +127,8 @@ class TestSemiNaive:
         from repro.workloads import chain_edges, load_edges
 
         db = load_edges(chain_edges(5), relation="edge")
-        semi = evaluate_seminaive(program, db)
-        naive = evaluate_naive(program, db)
+        semi = evaluate(program, db)
+        naive = evaluate(program, db, method="naive")
         assert semi.derived_tuples("even") == naive.derived_tuples("even")
         assert semi.derived_tuples("odd") == naive.derived_tuples("odd")
 
@@ -151,21 +150,28 @@ class TestBudgets:
 
     def test_max_iterations(self):
         with pytest.raises(NonTerminationError) as excinfo:
-            evaluate_seminaive(
-                self.infinite_program(), self.seed_db(), max_iterations=10
+            evaluate(
+                self.infinite_program(),
+                self.seed_db(),
+                meter=EvaluationBudget(max_iterations=10).start(),
             )
         assert excinfo.value.iterations is not None
 
     def test_max_facts(self):
         with pytest.raises(NonTerminationError):
-            evaluate_seminaive(
-                self.infinite_program(), self.seed_db(), max_facts=20
+            evaluate(
+                self.infinite_program(),
+                self.seed_db(),
+                meter=EvaluationBudget(max_facts=20).start(),
             )
 
     def test_naive_budgets_too(self):
         with pytest.raises(NonTerminationError):
-            evaluate_naive(
-                self.infinite_program(), self.seed_db(), max_iterations=10
+            evaluate(
+                self.infinite_program(),
+                self.seed_db(),
+                method="naive",
+                meter=EvaluationBudget(max_iterations=10).start(),
             )
 
 
@@ -173,20 +179,20 @@ class TestRangeRestriction:
     def test_non_ground_head_raises(self):
         program = Program([Rule(Literal("p", (Variable("X"),)))])
         with pytest.raises(EvaluationError):
-            evaluate_naive(program, Database())
+            evaluate(program, Database(), method="naive")
 
 
 class TestAnswerExtraction:
     def test_answer_tuples_select_and_project(self):
         db = chain_database(4)
-        result = evaluate_seminaive(ancestor(), db)
+        result = evaluate(ancestor(), db)
         query = parse_query("anc(n0, Y)?")
         answers = answer_tuples(result, query.literal)
         assert answers == {(c(f"n{i}"),) for i in range(1, 5)}
 
     def test_fully_bound_query(self):
         db = chain_database(4)
-        result = evaluate_seminaive(ancestor(), db)
+        result = evaluate(ancestor(), db)
         query = parse_query("anc(n0, n3)?")
         assert answer_tuples(result, query.literal) == {()}
         missing = parse_query("anc(n3, n0)?")

@@ -9,7 +9,12 @@ check every method against the naive bottom-up baseline.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import QueryOptions, answer_query, bottom_up_answer
+from repro import (
+    EvaluationBudget,
+    QueryOptions,
+    answer_query,
+    bottom_up_answer,
+)
 from repro.datalog.database import Database
 from repro.workloads import (
     ancestor_program,
@@ -85,7 +90,8 @@ class TestAncestorEquivalence:
                 program,
                 db,
                 query,
-                QueryOptions(method=method, max_iterations=200),
+                QueryOptions(method=method),
+                meter=EvaluationBudget(max_iterations=200).start(),
             )
             assert answer.answers == baseline.answers, method
 
@@ -122,7 +128,8 @@ class TestSameGenerationEquivalence:
                 program,
                 db,
                 query,
-                QueryOptions(method=method, max_iterations=400),
+                QueryOptions(method=method),
+                meter=EvaluationBudget(max_iterations=400).start(),
             )
             assert answer.answers == baseline.answers, method
 
@@ -131,12 +138,12 @@ class TestEngineAgreementProperty:
     @given(edges=edges_strategy)
     @SETTINGS
     def test_naive_equals_seminaive(self, edges):
-        from repro import evaluate_naive, evaluate_seminaive
+        from repro import evaluate
 
         program = ancestor_program()
         db = edge_db(edges)
-        naive = evaluate_naive(program, db)
-        semi = evaluate_seminaive(program, db)
+        naive = evaluate(program, db, method="naive")
+        semi = evaluate(program, db)
         assert naive.derived_tuples("anc") == semi.derived_tuples("anc")
 
     @given(edges=edges_strategy, root=st.sampled_from(NODES))
@@ -151,12 +158,14 @@ class TestEngineAgreementProperty:
         plain = rewrite(program, query, method="counting")
         optimized = semijoin_optimize(plain)
         plain_res = evaluate(
-            plain.program, plain.seeded_database(db), max_iterations=200
+            plain.program,
+            plain.seeded_database(db),
+            meter=EvaluationBudget(max_iterations=200).start(),
         )
         opt_res = evaluate(
             optimized.program,
             optimized.seeded_database(db),
-            max_iterations=200,
+            meter=EvaluationBudget(max_iterations=200).start(),
         )
         assert plain.extract_answers(plain_res) == optimized.extract_answers(
             opt_res
@@ -242,14 +251,14 @@ class TestOracleEquivalence:
     )
     @SETTINGS
     def test_every_engine_matches_the_oracle(self, edges, picks):
-        from repro import evaluate_naive, evaluate_seminaive
+        from repro import evaluate
 
         program = _closed_program(picks)
         database = edge_db(edges, relation="e")
         for result in (
-            evaluate_naive(program, database),
-            evaluate_seminaive(program, database),
-            evaluate_seminaive(program, database, workers=2),
+            evaluate(program, database, method="naive"),
+            evaluate(program, database),
+            evaluate(program, database, workers=2),
         ):
             assert_matches_oracle(result, program, database)
 
@@ -341,10 +350,10 @@ class TestParallelEquivalenceProperty:
 
 
 def _assert_exact(program, database, **kwargs):
-    from repro import evaluate_seminaive
+    from repro import evaluate
 
-    stats = evaluate_seminaive(program, database, **kwargs).stats
-    final = evaluate_seminaive(program, database).database
+    stats = evaluate(program, database, **kwargs).stats
+    final = evaluate(program, database).database
     assert stats.rule_firings == body_solutions(program, final), kwargs
     assert stats.duplicate_derivations == (
         stats.rule_firings - stats.facts_derived

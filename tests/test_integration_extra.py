@@ -10,6 +10,7 @@ import pytest
 
 from repro import (
     Database,
+    EvaluationBudget,
     QueryOptions,
     answer_query,
     bottom_up_answer,
@@ -70,7 +71,8 @@ class TestCountingOnMultiPredicatePrograms:
             program,
             db,
             query,
-            QueryOptions(method=method, max_iterations=500),
+            QueryOptions(method=method),
+            meter=EvaluationBudget(max_iterations=500).start(),
         )
         assert answer.answers == baseline.answers
 
@@ -81,12 +83,14 @@ class TestCountingOnMultiPredicatePrograms:
         plain = rewrite(program, query, method="counting")
         optimized = semijoin_optimize(plain)
         plain_res = evaluate(
-            plain.program, plain.seeded_database(db), max_iterations=500
+            plain.program,
+            plain.seeded_database(db),
+            meter=EvaluationBudget(max_iterations=500).start(),
         )
         opt_res = evaluate(
             optimized.program,
             optimized.seeded_database(db),
-            max_iterations=500,
+            meter=EvaluationBudget(max_iterations=500).start(),
         )
         assert plain.extract_answers(plain_res) == optimized.extract_answers(
             opt_res
@@ -101,12 +105,14 @@ class TestSupplementaryCountingSemijoin:
         plain = rewrite(program, query, method="supplementary_counting")
         optimized = semijoin_optimize(plain)
         plain_res = evaluate(
-            plain.program, plain.seeded_database(db), max_iterations=500
+            plain.program,
+            plain.seeded_database(db),
+            meter=EvaluationBudget(max_iterations=500).start(),
         )
         opt_res = evaluate(
             optimized.program,
             optimized.seeded_database(db),
-            max_iterations=500,
+            meter=EvaluationBudget(max_iterations=500).start(),
         )
         assert plain.extract_answers(plain_res) == optimized.extract_answers(
             opt_res
@@ -143,7 +149,8 @@ class TestReverseDirectionQueries:
             program,
             db,
             query,
-            QueryOptions(method=method, max_iterations=300),
+            QueryOptions(method=method),
+            meter=EvaluationBudget(max_iterations=300).start(),
             sip_builder=builder,
         )
         assert answer.answers == baseline.answers
@@ -165,7 +172,8 @@ class TestReverseDirectionQueries:
                 program,
                 db,
                 query,
-                QueryOptions(method="counting", max_iterations=200),
+                QueryOptions(method="counting"),
+                meter=EvaluationBudget(max_iterations=200).start(),
                 sip_builder=builder,
             )
 

@@ -48,7 +48,7 @@ from repro import (
     Program,
     ReproError,
     Session,
-    evaluate_seminaive,
+    evaluate,
     parse_program,
     parse_rule,
 )
@@ -100,7 +100,7 @@ def stratified_mp():
 class TestDeltaPropagation:
     def test_initial_state_matches_cold(self):
         program, database, mp = ancestor_mp()
-        cold = evaluate_seminaive(program, database.copy())
+        cold = evaluate(program, database.copy())
         assert mp.tuples("anc") == set(cold.database.tuples("anc"))
         assert mp.check_consistency()
 
@@ -430,7 +430,7 @@ class TestAtomicity:
         assert mp.stale and not mp.pending  # partial pass discarded
         assert database.check_integrity()
         # cold evaluation of the source database is unaffected
-        cold = evaluate_seminaive(program, database.copy())
+        cold = evaluate(program, database.copy())
         assert len(cold.database.tuples("anc")) > 0
         result = mp.maintain()  # stale -> rebuild
         assert result.action == "rebuilt"
@@ -645,7 +645,7 @@ def ivm_case(draw):
 
 def _derived_state(program, database):
     """Cold compiled semi-naive state of every derived predicate."""
-    result = evaluate_seminaive(program, database.copy())
+    result = evaluate(program, database.copy())
     return {
         pred: set(result.database.tuples(pred))
         for pred in program.derived_predicates()

@@ -20,6 +20,7 @@ from repro import (
     Database,
     EvaluationBudget,
     EvaluationCancelled,
+    EvaluationStats,
     FaultPlan,
     InjectedFault,
     Literal,
@@ -101,20 +102,37 @@ def growing_db():
 # ----------------------------------------------------------------------
 
 
+def _stats(facts=0, tuples=0, iterations=0):
+    """The counters a meter reads at a boundary."""
+    return EvaluationStats(
+        iterations=iterations, facts_derived=facts, tuples_scanned=tuples
+    )
+
+
 class TestBudgetMeter:
     def test_unbounded_budget_checks_are_noops(self):
         meter = EvaluationBudget().start()
-        meter.check_round(10**9, 10**9, stratum=3, round_=99)
-        meter.check_batch(10**9, 10**9)
+        meter.check_round(_stats(10**9, 10**9, 10**9), stratum=3, round_=99)
+        meter.check_batch(_stats(10**9, 10**9))
         meter.tick_install()
         assert not EvaluationBudget().is_bounded()
         assert EvaluationBudget(max_facts=1).is_bounded()
+        assert EvaluationBudget(max_iterations=1).is_bounded()
+
+    def test_max_iterations_trips_first_with_structured_progress(self):
+        meter = EvaluationBudget(max_iterations=3, max_facts=1).start()
+        with pytest.raises(BudgetExceeded) as info:
+            meter.check_round(_stats(9, iterations=4), stratum=1, round_=2)
+        exc = info.value
+        assert exc.limit == "max_iterations"
+        assert (exc.iterations, exc.facts) == (4, 9)
+        assert exc.stratum == 1 and exc.round == 2
 
     def test_max_facts_trips_with_structured_progress(self):
         meter = EvaluationBudget(max_facts=10).start()
-        meter.check_round(10, stratum=0, round_=1)  # at the cap: fine
+        meter.check_round(_stats(10), stratum=0, round_=1)  # at the cap: fine
         with pytest.raises(BudgetExceeded) as info:
-            meter.check_round(11, stratum=2, round_=5)
+            meter.check_round(_stats(11), stratum=2, round_=5)
         exc = info.value
         assert exc.limit == "max_facts"
         assert exc.facts == 11
@@ -124,15 +142,15 @@ class TestBudgetMeter:
 
     def test_max_tuples_scanned_trips(self):
         meter = EvaluationBudget(max_tuples_scanned=100).start()
-        meter.check_batch(0, 100)
+        meter.check_batch(_stats(0, 100))
         with pytest.raises(BudgetExceeded) as info:
-            meter.check_batch(0, 101)
+            meter.check_batch(_stats(0, 101))
         assert info.value.limit == "max_tuples_scanned"
 
     def test_wall_clock_trips(self):
         meter = EvaluationBudget(timeout=0.0).start()
         with pytest.raises(BudgetExceeded) as info:
-            meter.check_round(0)
+            meter.check_round(_stats())
         assert info.value.limit == "wall_clock"
         assert meter.remaining_time() == 0.0
 
@@ -140,22 +158,22 @@ class TestBudgetMeter:
         db = chain_database(50)
         budget = EvaluationBudget(max_memory_bytes=64)
         meter = budget.start()
-        meter.check_round(0, database=None)  # no estimate available
+        meter.check_round(_stats(), database=None)  # no estimate available
         with pytest.raises(BudgetExceeded) as info:
-            meter.check_round(0, database=db)
+            meter.check_round(_stats(), database=db)
         assert info.value.limit == "max_memory"
         assert db.estimated_bytes() > 64
 
     def test_batch_trip_reports_enclosing_round_position(self):
         meter = EvaluationBudget(max_facts=3).start()
-        meter.check_round(0, stratum=1, round_=4)
+        meter.check_round(_stats(), stratum=1, round_=4)
         with pytest.raises(BudgetExceeded) as info:
-            meter.check_batch(7)
+            meter.check_batch(_stats(7))
         assert info.value.stratum == 1 and info.value.round == 4
 
     def test_spent_snapshot(self):
         meter = EvaluationBudget(max_facts=100).start()
-        meter.check_round(7, 42, stratum=1, round_=2)
+        meter.check_round(_stats(7, 42), stratum=1, round_=2)
         spent = meter.spent()
         assert spent["facts"] == 7
         assert spent["tuples_scanned"] == 42
@@ -223,8 +241,14 @@ class TestEngineBudgets:
             ({"max_facts": 3}, "max_facts"),
             ({"max_tuples_scanned": 10}, "max_tuples_scanned"),
             ({"max_memory_bytes": 1024}, "max_memory"),
+            ({"max_iterations": 3}, "max_iterations"),
         ],
-        ids=["max_facts", "max_tuples_scanned", "max_memory_bytes"],
+        ids=[
+            "max_facts",
+            "max_tuples_scanned",
+            "max_memory_bytes",
+            "max_iterations",
+        ],
     )
     def test_qsq_trips_max_facts(self, budget, limit):
         """QSQ runs on the bottom-up round driver, so every budget that
@@ -692,6 +716,23 @@ class TestCliBudgets:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("budget exceeded: max_facts after ")
         assert "Traceback" not in captured.err
+
+    def test_round_cap_exits_4_with_one_line(self, tmp_path, capsys):
+        code = cli_main(
+            [
+                "query",
+                self.write_program(tmp_path),
+                "--query",
+                "anc(a, Y)?",
+                "--max-iterations",
+                "1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 4
+        err_lines = captured.err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("budget exceeded: max_iterations ")
 
     def test_generous_budget_exits_0(self, tmp_path, capsys):
         code = cli_main(

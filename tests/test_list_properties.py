@@ -8,7 +8,7 @@ linear index expressions and the parser's round trip.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Constant, LinExpr, Variable, parse_term
+from repro import Constant, EvaluationBudget, LinExpr, Variable, parse_term
 from repro.datalog.database import Database
 from repro.datalog.terms import list_elements, make_list
 from repro.workloads import constant_list, list_reverse_program, reverse_query
@@ -34,7 +34,8 @@ class TestReverseProperty:
             program,
             Database(),
             query,
-            QueryOptions(method="magic", max_iterations=200),
+            QueryOptions(method="magic"),
+            meter=EvaluationBudget(max_iterations=200).start(),
         )
         assert len(answer.answers) == 1
         term = next(iter(answer.answers))[0]
@@ -54,7 +55,8 @@ class TestReverseProperty:
                 program,
                 Database(),
                 query,
-                QueryOptions(method=method, max_iterations=200),
+                QueryOptions(method=method),
+                meter=EvaluationBudget(max_iterations=200).start(),
             )
             answers[method] = result.answers
         assert answers["magic"] == answers["counting"]

@@ -4,12 +4,12 @@ import pytest
 
 from repro import (
     CompiledProgram,
+    EvaluationBudget,
     EvaluationStats,
     build_chain_sip,
     check_optimality,
     compare_sips,
     evaluate,
-    evaluate_seminaive,
     parse_query,
     rewrite,
 )
@@ -40,7 +40,7 @@ def _samegen_firings_are_sip_optimal(query):
         assert report.sip_optimal, (method, report.mismatches)
     sg = rewrite(nonlinear_samegen_program(), query, "supplementary_magic")
     seeded = sg.seeded_database(samegen_database(layers=6, width=4))
-    result = evaluate_seminaive(sg.program, seeded)
+    result = evaluate(sg.program, seeded)
     compiled = CompiledProgram(sg.program)
     solutions = sum(
         compiled.plan(ri).execute_batch(result.database, EvaluationStats())[2]
@@ -74,7 +74,11 @@ class TestTheorem91:
             nonlinear_samegen_program(), samegen_query("l0_0"), method="magic"
         )
         db = samegen_database(3, 4, flat_edges=6)
-        report = check_optimality(rewritten, db, max_iterations=500)
+        report = check_optimality(
+            rewritten,
+            db,
+            meter=EvaluationBudget(max_iterations=500).start(),
+        )
         assert report.sip_optimal, report.mismatches
 
     def test_samegen_bound_query(self):
@@ -97,7 +101,11 @@ class TestTheorem91:
             method="magic",
         )
         db = nested_samegen_database(3, 4)
-        report = check_optimality(rewritten, db, max_iterations=500)
+        report = check_optimality(
+            rewritten,
+            db,
+            meter=EvaluationBudget(max_iterations=500).start(),
+        )
         assert report.sip_optimal, report.mismatches
 
     def test_report_counts(self):
@@ -139,7 +147,12 @@ class TestLemma93:
             program, query, method="magic", sip_builder=build_chain_sip
         )
         db = samegen_database(3, 5, flat_edges=8, seed=2)
-        comparison = compare_sips(full, partial, db, max_iterations=500)
+        comparison = compare_sips(
+            full,
+            partial,
+            db,
+            meter=EvaluationBudget(max_iterations=500).start(),
+        )
         assert comparison.contained
         assert comparison.fuller_facts <= comparison.partial_facts
 

@@ -31,11 +31,7 @@ from repro.core.limits import InjectedFault
 from repro.core.pipeline import QueryOptions
 from repro.datalog import parallel
 from repro.datalog.catalog import term_catalog
-from repro.datalog.engine import (
-    EvaluationStats,
-    evaluate_naive,
-    evaluate_seminaive,
-)
+from repro.datalog.engine import EvaluationStats
 from repro.datalog.errors import EvaluationError, NonTerminationError
 from repro.datalog.parallel import (
     _batch_task,
@@ -453,8 +449,8 @@ class TestSerialEquivalence:
     def test_direct_entry_points_accept_workers(self):
         program = _program(TC)
         db = _tc_db(10)
-        semi = evaluate_seminaive(program, db, workers=2)
-        naive = evaluate_naive(program, db, workers=2)
+        semi = evaluate(program, db, workers=2)
+        naive = evaluate(program, db, "naive", workers=2)
         base = evaluate(program, db)
         assert _snapshot(semi) == _snapshot(base)
         assert _snapshot(naive) == _snapshot(base)
@@ -532,9 +528,14 @@ class TestGovernedParallelEvaluation:
         program = _program(TC)
         db = _tc_db(30)
         with pytest.raises(NonTerminationError) as serial:
-            evaluate(program, db, max_facts=20)
+            evaluate(program, db, meter=EvaluationBudget(max_facts=20).start())
         with pytest.raises(NonTerminationError) as parallel:
-            evaluate(program, db, max_facts=20, workers=workers)
+            evaluate(
+                program,
+                db,
+                meter=EvaluationBudget(max_facts=20).start(),
+                workers=workers,
+            )
         assert parallel.value.facts == serial.value.facts
         assert parallel.value.iterations == serial.value.iterations
         assert db.check_integrity()
@@ -543,9 +544,18 @@ class TestGovernedParallelEvaluation:
         program = _program(TC)
         db = _tc_db(30)
         with pytest.raises(NonTerminationError) as serial:
-            evaluate(program, db, max_iterations=3)
+            evaluate(
+                program,
+                db,
+                meter=EvaluationBudget(max_iterations=3).start(),
+            )
         with pytest.raises(NonTerminationError) as parallel:
-            evaluate(program, db, max_iterations=3, workers=workers)
+            evaluate(
+                program,
+                db,
+                meter=EvaluationBudget(max_iterations=3).start(),
+                workers=workers,
+            )
         assert parallel.value.facts == serial.value.facts
         assert db.check_integrity()
 
@@ -639,10 +649,10 @@ class _PastDeadlineMeter:
 
     deadline = time.monotonic() - 1.0
 
-    def check_round(self, *args):
+    def check_round(self, stats, stratum=None, round_=None, database=None):
         pass
 
-    def check_batch(self, *args):
+    def check_batch(self, stats):
         pass
 
 
@@ -653,7 +663,12 @@ class TestPoolLifecycle:
 
     def test_pool_threads_end_after_a_budget_trip(self):
         with pytest.raises(NonTerminationError):
-            evaluate(_program(TC), _tc_db(30), max_facts=20, workers=4)
+            evaluate(
+                _program(TC),
+                _tc_db(30),
+                meter=EvaluationBudget(max_facts=20).start(),
+                workers=4,
+            )
         assert _pool_threads() == []
 
     def test_a_worker_exception_propagates_and_leaves_the_source(

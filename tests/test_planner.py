@@ -27,8 +27,7 @@ from repro import (
     build_empty_sip,
     build_full_sip,
     compile_rule,
-    evaluate_naive,
-    evaluate_seminaive,
+    evaluate,
     order_body,
     parse_program,
     parse_query,
@@ -189,10 +188,9 @@ class TestPlanStructure:
 
 def all_paths(program, db, strategy):
     """One program serially and on a 2-thread pool."""
-    evaluate = evaluate_naive if strategy == "naive" else evaluate_seminaive
     return {
-        "serial": evaluate(program, db),
-        "threads": evaluate(program, db, workers=2),
+        "serial": evaluate(program, db, strategy),
+        "threads": evaluate(program, db, strategy, workers=2),
     }
 
 
@@ -281,12 +279,12 @@ class TestOracleEquivalence:
         from repro.workloads import chain_edges, load_edges
 
         db = load_edges(chain_edges(6), relation="edge")
-        assert_matches_oracle(evaluate_seminaive(program, db), program, db)
+        assert_matches_oracle(evaluate(program, db), program, db)
 
     def test_samegen(self):
         program = nonlinear_samegen_program()
         db = samegen_database(layers=3, width=4)
-        planned = evaluate_seminaive(program, db)
+        planned = evaluate(program, db)
         assert_matches_oracle(planned, program, db)
         assert planned.stats.facts_derived == len(
             oracle_facts(program, db)["sg"]
@@ -296,7 +294,7 @@ class TestOracleEquivalence:
         # ancestor over a 40-chain: the delta-first plan probes par per
         # delta row instead of scanning it every round, and exact
         # semi-naive derives each of the 820 facts once
-        stats = evaluate_seminaive(ancestor(), chain_database(40)).stats
+        stats = evaluate(ancestor(), chain_database(40)).stats
         assert (stats.tuples_scanned, stats.join_probes) == (1640, 861)
         assert (stats.rule_firings, stats.facts_derived) == (820, 820)
         assert stats.duplicate_derivations == 0
@@ -311,7 +309,7 @@ class TestOracleEquivalence:
             lambda: samegen_query("l0_0"),
             "supplementary_magic",
         )
-        stats = evaluate_seminaive(program, db).stats
+        stats = evaluate(program, db).stats
         assert stats.tuples_scanned == 260
         assert stats.rule_firings == 128
         assert stats.duplicate_derivations == 49
@@ -385,7 +383,7 @@ class TestDeltaStats:
     def test_duplicates_and_probes_match_the_oracle(self):
         program = nonlinear_ancestor_program()
         db = chain_database(6)
-        planned = evaluate_seminaive(program, db)
+        planned = evaluate(program, db)
         assert_matches_oracle(planned, program, db)
         # both delta variants re-derive overlapping facts
         assert planned.stats.duplicate_derivations > 0
@@ -396,14 +394,14 @@ class TestDeltaStats:
         # a chain needs the second delta occurrence to close long pairs
         program = nonlinear_ancestor_program()
         db = chain_database(5)
-        planned = evaluate_seminaive(program, db)
+        planned = evaluate(program, db)
         assert len(planned.derived_tuples("anc")) == 15  # C(6, 2)
 
     def test_naive_and_seminaive_planner_agree(self):
         program = nonlinear_ancestor_program()
         db = chain_database(6)
-        naive = evaluate_naive(program, db)
-        semi = evaluate_seminaive(program, db)
+        naive = evaluate(program, db, method="naive")
+        semi = evaluate(program, db)
         assert naive.derived_tuples("anc") == semi.derived_tuples("anc")
 
 
@@ -435,8 +433,8 @@ class TestDeltaFirstWork:
     )
     def test_seminaive_scans_and_probes_less_than_naive(self, name):
         program, db, pred_key = deep_workload(name)
-        naive = evaluate_naive(program, db)
-        semi = evaluate_seminaive(program, db)
+        naive = evaluate(program, db, method="naive")
+        semi = evaluate(program, db)
         assert semi.derived_tuples(pred_key) == naive.derived_tuples(pred_key)
         assert semi.stats.facts_derived == naive.stats.facts_derived
         assert semi.stats.tuples_scanned < naive.stats.tuples_scanned
@@ -543,8 +541,10 @@ class TestStructuredTerms:
         # local or free variables) or a prior column (_EQ, _EVAL, a
         # _MATCH's prior pairs), under the three routes that run plans
         program, db, query, sip_builder, _ = op_forms_case(name)
-        for evaluate in (evaluate_naive, evaluate_seminaive):
-            assert_matches_oracle(evaluate(program, db), program, db)
+        for method in ("naive", "seminaive"):
+            assert_matches_oracle(
+                evaluate(program, db, method), program, db
+            )
         qsq = answer_query(
             program, db, query, QueryOptions(method="qsq"),
             sip_builder=sip_builder,
@@ -576,7 +576,7 @@ class TestStructuredTerms:
             method="magic",
         )
         db = rewritten.seeded_database(Database())
-        result = evaluate_seminaive(rewritten.program, db)
+        result = evaluate(rewritten.program, db)
         assert_matches_oracle(result, rewritten.program, db)
         assert len(rewritten.extract_answers(result)) == 1
 
@@ -585,7 +585,7 @@ class TestStructuredTerms:
             ancestor(), ancestor_query("n0"), method="counting"
         )
         db = rewritten.seeded_database(chain_database(8))
-        result = evaluate_seminaive(rewritten.program, db)
+        result = evaluate(rewritten.program, db)
         assert_matches_oracle(result, rewritten.program, db)
         assert len(rewritten.extract_answers(result)) == 8
 
@@ -593,27 +593,27 @@ class TestStructuredTerms:
         program = parse_program("loop(X) :- par(X, X).").program
         db = Database()
         db.add_values("par", [("a", "a"), ("a", "b"), ("c", "c")])
-        planned = evaluate_seminaive(program, db)
+        planned = evaluate(program, db)
         assert planned.derived_tuples("loop") == {(c("a"),), (c("c"),)}
 
     def test_constant_in_head(self):
         program = parse_program("flag(yes, X) :- par(X, Y).").program
         db = Database()
         db.add_values("par", [("a", "b")])
-        planned = evaluate_seminaive(program, db)
+        planned = evaluate(program, db)
         assert planned.derived_tuples("flag") == {(c("yes"), c("a"))}
 
     def test_range_restriction_error_preserved(self):
         program = Program([Rule(Literal("p", (Variable("X"),)))])
         with pytest.raises(EvaluationError):
-            evaluate_naive(program, Database())
+            evaluate(program, Database(), method="naive")
 
     def test_struct_head_argument(self):
         # head wraps a bound variable in a function term
         program = parse_program("wrapped(f(X)) :- par(X, Y).").program
         db = Database()
         db.add_values("par", [("a", "b")])
-        planned = evaluate_seminaive(program, db)
+        planned = evaluate(program, db)
         assert planned.derived_tuples("wrapped") == {
             (parse_query("w(f(a))?").literal.args[0],)
         }
@@ -650,7 +650,7 @@ class TestPlannerProperty:
     def test_planner_equals_oracle_linear(self, edges):
         program = ancestor()
         db = edge_db(edges)
-        planned = evaluate_seminaive(program, db)
+        planned = evaluate(program, db)
         assert_matches_oracle(planned, program, db)
         assert planned.stats.facts_derived == len(planned.derived_tuples("anc"))
 
@@ -659,7 +659,7 @@ class TestPlannerProperty:
     def test_planner_equals_oracle_nonlinear(self, edges):
         program = nonlinear_ancestor_program()
         db = edge_db(edges)
-        assert_matches_oracle(evaluate_seminaive(program, db), program, db)
+        assert_matches_oracle(evaluate(program, db), program, db)
 
     @given(edges=edges_strategy, root=st.sampled_from(NODES))
     @SETTINGS

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro import (
     Constant,
     Database,
+    EvaluationBudget,
     Literal,
     PlanCache,
     Relation,
@@ -31,7 +32,7 @@ from repro import (
     build_full_sip,
     check_optimality,
     compile_subquery_rule,
-    evaluate_seminaive,
+    evaluate,
     order_body,
     parse_program,
     qsq_evaluate,
@@ -170,11 +171,14 @@ class TestCompiledEquivalence:
         with pytest.raises(NonTerminationError):
             qsq_evaluate(
                 adorned.program, db, adorned.query_literal,
-                max_iterations=25,
+                meter=EvaluationBudget(max_iterations=25).start(),
             )
         with pytest.raises(NonTerminationError):
             qsq_evaluate(
-                adorned.program, db, adorned.query_literal, max_facts=10,
+                adorned.program,
+                db,
+                adorned.query_literal,
+                meter=EvaluationBudget(max_facts=10).start(),
             )
 
     def test_unbound_bound_position_is_rejected(self):
@@ -274,7 +278,7 @@ class TestTheorem91:
         report = check_optimality(rewritten, db)
         assert report.sip_optimal, report.mismatches
         qsq = qsq_evaluate(adorned.program, db, adorned.query_literal)
-        magic = evaluate_seminaive(
+        magic = evaluate(
             rewritten.program, rewritten.seeded_database(db)
         )
         assert qsq.query_answers(adorned.query_literal) == (
@@ -376,8 +380,8 @@ class TestPlanCache:
         cache = PlanCache()
         program = ancestor_program()
         db = chain_database(6)
-        first = evaluate_seminaive(program, db, plan_cache=cache)
-        second = evaluate_seminaive(program, db, plan_cache=cache)
+        first = evaluate(program, db, plan_cache=cache)
+        second = evaluate(program, db, plan_cache=cache)
         assert first.stats.plan_cache_misses == 1
         assert first.stats.plan_cache_hits == 0
         assert second.stats.plan_cache_hits == 1
@@ -407,8 +411,8 @@ class TestPlanCache:
         p2 = parse_program(source).program
         assert p1 is not p2
         db = chain_database(4)
-        evaluate_seminaive(p1, db, plan_cache=cache)
-        second = evaluate_seminaive(p2, db, plan_cache=cache)
+        evaluate(p1, db, plan_cache=cache)
+        second = evaluate(p2, db, plan_cache=cache)
         assert second.stats.plan_cache_hits == 1
 
     def test_kinds_do_not_collide(self):
@@ -418,7 +422,7 @@ class TestPlanCache:
         qsq_evaluate(
             adorned.program, db, adorned.query_literal, plan_cache=cache
         )
-        result = evaluate_seminaive(
+        result = evaluate(
             adorned.program, db, plan_cache=cache
         )
         # same program, different compilation kind: a miss, not a hit
@@ -445,8 +449,8 @@ class TestPlanCache:
         db = Database()
         db.add_values("e", [("a",)])
         cache = shared_plan_cache()
-        first = evaluate_seminaive(program, db)
-        second = evaluate_seminaive(program, db)
+        first = evaluate(program, db)
+        second = evaluate(program, db)
         assert first.stats.plan_cache_hits + first.stats.plan_cache_misses == 1
         assert second.stats.plan_cache_hits == 1
 
@@ -466,7 +470,7 @@ class TestDeltaProbes:
         db = Database()
         db.add_values("s", [("a",), ("b",)])
         db.add_values("t", [("c",), ("d",)])
-        planned = evaluate_seminaive(program, db)
+        planned = evaluate(program, db)
         assert planned.derived_tuples("r") == oracle_facts(program, db)["r"]
         assert planned.derived_tuples("r") == {
             (c("a"),), (c("b",),), (c("c"),), (c("d"),),
@@ -477,7 +481,7 @@ class TestDeltaProbes:
         # delta in turn, and neither carries a constant to probe on
         program = nonlinear_ancestor_program()
         db = cycle_database(6)
-        planned = evaluate_seminaive(program, db)
+        planned = evaluate(program, db)
         assert planned.derived_tuples("anc") == oracle_facts(program, db)["anc"]
         assert len(planned.derived_tuples("anc")) == 36
 

@@ -52,11 +52,10 @@ class RecordingMeter:
         self.rounds = []
         self.batches = 0
 
-    def check_round(self, facts, tuples=0, stratum=None, round_=None,
-                    database=None):
+    def check_round(self, stats, stratum=None, round_=None, database=None):
         self.rounds.append((stratum, round_))
 
-    def check_batch(self, facts, tuples=0):
+    def check_batch(self, stats):
         self.batches += 1
 
 
@@ -112,7 +111,10 @@ class TestEvaluationBoundaries:
         program, database = _parsed()
         with pytest.raises(NonTerminationError) as info:
             evaluate(
-                program, database, method=method, max_iterations=3,
+                program,
+                database,
+                method=method,
+                meter=EvaluationBudget(max_iterations=3).start(),
                 **_route_kwargs(workers),
             )
         assert (info.value.iterations, info.value.facts) == (4, 26)
@@ -176,6 +178,6 @@ class TestQSQBoundaries:
         with pytest.raises(NonTerminationError) as info:
             qsq_evaluate(
                 adorned.program, database, adorned.query_literal,
-                max_iterations=3,
+                meter=EvaluationBudget(max_iterations=3).start(),
             )
         assert (info.value.iterations, info.value.facts) == (4, 5)

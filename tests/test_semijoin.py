@@ -4,6 +4,7 @@ optimized appendix rule sets of A.5/A.6 and Example 8)."""
 import pytest
 
 from repro import (
+    EvaluationBudget,
     RewriteError,
     evaluate,
     lemma_8_1_prune,
@@ -168,12 +169,14 @@ class TestCorrectness:
         plain = rewrite(program, query, method="counting")
         optimized = semijoin_optimize(plain)
         plain_res = evaluate(
-            plain.program, plain.seeded_database(db), max_iterations=400
+            plain.program,
+            plain.seeded_database(db),
+            meter=EvaluationBudget(max_iterations=400).start(),
         )
         opt_res = evaluate(
             optimized.program,
             optimized.seeded_database(db),
-            max_iterations=400,
+            meter=EvaluationBudget(max_iterations=400).start(),
         )
         assert plain.extract_answers(plain_res) == optimized.extract_answers(
             opt_res
@@ -240,12 +243,14 @@ class TestLemmaLevelPasses:
         for transform in (lemma_8_1_prune, lemma_8_2_anonymize):
             optimized = transform(plain)
             plain_res = evaluate(
-                plain.program, plain.seeded_database(db), max_iterations=400
+                plain.program,
+                plain.seeded_database(db),
+                meter=EvaluationBudget(max_iterations=400).start(),
             )
             opt_res = evaluate(
                 optimized.program,
                 optimized.seeded_database(db),
-                max_iterations=400,
+                meter=EvaluationBudget(max_iterations=400).start(),
             )
             assert plain.extract_answers(
                 plain_res

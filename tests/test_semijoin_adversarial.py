@@ -9,6 +9,7 @@ import pytest
 
 from repro import (
     Database,
+    EvaluationBudget,
     bottom_up_answer,
     evaluate,
     parse_program,
@@ -24,12 +25,14 @@ def run_both(program, query, db, max_iterations=400):
     plain = rewrite(program, query, method="counting")
     optimized = semijoin_optimize(plain)
     plain_res = evaluate(
-        plain.program, plain.seeded_database(db), max_iterations=max_iterations
+        plain.program,
+        plain.seeded_database(db),
+        meter=EvaluationBudget(max_iterations=max_iterations).start(),
     )
     opt_res = evaluate(
         optimized.program,
         optimized.seeded_database(db),
-        max_iterations=max_iterations,
+        meter=EvaluationBudget(max_iterations=max_iterations).start(),
     )
     return plain, optimized, plain_res, opt_res
 
@@ -156,12 +159,14 @@ class TestPartialFiring:
         assert widths["clean_ix_bf"] < widths["dirty_ix_bf"]
 
         plain_res = evaluate(
-            plain.program, plain.seeded_database(db), max_iterations=400
+            plain.program,
+            plain.seeded_database(db),
+            meter=EvaluationBudget(max_iterations=400).start(),
         )
         opt_res = evaluate(
             optimized.program,
             optimized.seeded_database(db),
-            max_iterations=400,
+            meter=EvaluationBudget(max_iterations=400).start(),
         )
         assert plain.extract_answers(plain_res) == optimized.extract_answers(
             opt_res
@@ -188,5 +193,5 @@ class TestSemijoinPreservesDivergenceBehaviour:
             evaluate(
                 optimized.program,
                 optimized.seeded_database(cycle_database(4)),
-                max_iterations=150,
+                meter=EvaluationBudget(max_iterations=150).start(),
             )

@@ -53,7 +53,6 @@ from repro.server import (
     ERROR_EXIT_CODES,
     ProtocolError,
     ReproClient,
-    ReproServer,
     ServerConfig,
     ServerError,
     ServerHandle,
@@ -242,6 +241,14 @@ class TestProtocol:
         with pytest.raises(ProtocolError) as err:
             normalize_options({"max_fact": 10})
         assert "max_fact" in str(err.value)
+
+    def test_engine_is_not_an_option(self):
+        """Rewrites always run semi-naive: a served request cannot pick
+        another bottom-up strategy."""
+        with pytest.raises(ProtocolError) as err:
+            normalize_options({"engine": "naive"})
+        assert err.value.code == "bad_request"
+        assert "engine" in str(err.value)
 
     def test_option_types_checked(self):
         with pytest.raises(ProtocolError):

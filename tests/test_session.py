@@ -241,10 +241,15 @@ class TestMemo:
     def test_different_options_are_fresh_entries(self):
         session = ancestor_session()
         session.query("anc(john, X)?", method="seminaive")
-        miss = session.query(
-            "anc(john, X)?", method="seminaive", max_iterations=50
-        )
+        miss = session.query("anc(john, X)?", method="seminaive", workers=2)
         assert not miss.from_memo
+
+    def test_a_round_cap_shares_the_entry(self):
+        # max_iterations is a budget scalar, and budgets never key the memo
+        session = ancestor_session()
+        session.query("anc(john, X)?")
+        hit = session.query("anc(john, X)?", max_iterations=50)
+        assert hit.from_memo
 
     def test_equal_query_text_hits(self):
         # memoization keys on the parsed Query (structural equality),

@@ -31,7 +31,6 @@ from repro import (
     parse_query,
 )
 from repro.core import pipeline
-from repro.datalog.ast import ShapeSlot
 from repro.datalog.catalog import term_catalog
 
 from conftest import mentions_placeholder

@@ -1,7 +1,7 @@
 """Generalized supplementary counting -- Section 7, Appendix A.6 (E5)."""
 
 
-from repro import evaluate, rewrite
+from repro import EvaluationBudget, evaluate, rewrite
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
@@ -111,7 +111,9 @@ class TestCorrectness:
         for method in ("counting", "supplementary_counting"):
             rw = rewrite(program, query, method=method)
             res = evaluate(
-                rw.program, rw.seeded_database(db), max_iterations=400
+                rw.program,
+                rw.seeded_database(db),
+                meter=EvaluationBudget(max_iterations=400).start(),
             )
             work[method] = res.stats.tuples_scanned
         assert work["supplementary_counting"] <= work["counting"]

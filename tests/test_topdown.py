@@ -3,6 +3,7 @@
 import pytest
 
 from repro import (
+    EvaluationBudget,
     EvaluationError,
     NonTerminationError,
     Program,
@@ -145,7 +146,10 @@ class TestBudgets:
         adorned = adorn_program(program, parse_query("s(q, Y)?"))
         with pytest.raises(NonTerminationError):
             qsq_evaluate(
-                adorned.program, db, adorned.query_literal, max_iterations=20
+                adorned.program,
+                db,
+                adorned.query_literal,
+                meter=EvaluationBudget(max_iterations=20).start(),
             )
 
     def test_unknown_query_predicate(self):
