@@ -524,38 +524,17 @@ def _cmd_workload(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    from .datalog.derivation import explain, fact_stages
-    from .datalog.engine import evaluate
+    from .datalog.derivation import explain_answers
 
     program, database, query = _load(args)
-    result = evaluate(program, database)
-    from .datalog.engine import answer_tuples
-
-    answers = answer_tuples(result, query.literal)
-    if not answers:
+    count, trees = explain_answers(program, database, query.literal, args.limit)
+    if not count:
         print("no answers")
-        return 0
-    stages = fact_stages(program, database, result)
-    free_positions = [
-        i for i, arg in enumerate(query.literal.args) if not arg.is_ground()
-    ]
-    shown = 0
-    for row in sorted(answers, key=str):
-        if shown >= args.limit:
-            print(f"... ({len(answers) - shown} more answers)")
-            break
-        binding = dict(zip(free_positions, row))
-        fact_args = [
-            binding.get(i, arg)
-            for i, arg in enumerate(query.literal.args)
-        ]
-        from .datalog.ast import Literal
-
-        fact = Literal(query.pred, tuple(fact_args))
-        tree = explain(program, database, result, fact, _stages=stages)
+    for tree in trees:
         print(tree.render())
         print()
-        shown += 1
+    if count > len(trees):
+        print(f"... ({count - len(trees)} more answers)")
     return 0
 
 

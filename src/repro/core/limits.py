@@ -236,20 +236,6 @@ class EvaluationBudget:
     fault_plan: Optional[FaultPlan] = None
     max_iterations: Optional[int] = None
 
-    def is_bounded(self):
-        return any(
-            value is not None
-            for value in (
-                self.max_iterations,
-                self.timeout,
-                self.max_facts,
-                self.max_tuples_scanned,
-                self.max_memory_bytes,
-                self.token,
-                self.fault_plan,
-            )
-        )
-
     @classmethod
     def from_options(
         cls,
@@ -373,14 +359,25 @@ class BudgetMeter:
         Progress markers (stratum/round) persist from the enclosing
         round check so a mid-round trip still reports its position.
         """
+        token = self.budget.token
+        if token is not None and token.cancelled:
+            raise EvaluationCancelled(
+                stats.facts_derived, self.stratum, self.round, self.elapsed()
+            )
+        self.check_limits(stats)
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self._trip("wall_clock")
+        if self.budget.fault_plan is not None:
+            self.budget.fault_plan.tick("batch")
+
+    def check_limits(self, stats):
+        """The fact and tuple limits alone: :meth:`check_batch`'s
+        counters, and where a fixpoint returns -- rows its last round
+        installed cross no later boundary.  Not a boundary itself: it
+        counts no round and ticks no fault plan."""
         self.facts = facts = stats.facts_derived
         self.tuples = tuples = stats.tuples_scanned
         budget = self.budget
-        token = budget.token
-        if token is not None and token.cancelled:
-            raise EvaluationCancelled(
-                facts, self.stratum, self.round, self.elapsed()
-            )
         if budget.max_facts is not None and facts > budget.max_facts:
             self._trip("max_facts")
         if (
@@ -388,10 +385,6 @@ class BudgetMeter:
             and tuples > budget.max_tuples_scanned
         ):
             self._trip("max_tuples_scanned")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self._trip("wall_clock")
-        if budget.fault_plan is not None:
-            budget.fault_plan.tick("batch")
 
     def tick_install(self):
         """Fault boundary crossed just before results are installed

@@ -531,7 +531,7 @@ def bottom_up_answer(
     program: Program,
     database: Database,
     query: Query,
-    engine: str = "seminaive",
+    method: str = "seminaive",
     plan_cache=None,
     meter=None,
     workers: int = 1,
@@ -547,14 +547,14 @@ def bottom_up_answer(
     result = evaluate(
         program,
         database,
-        method=engine,
+        method=method,
         plan_cache=plan_cache,
         meter=meter,
         workers=workers,
     )
     return QueryAnswer(
         answers=answer_tuples(result, query.literal),
-        strategy=engine,
+        strategy=method,
         stats=result.stats,
         evaluation=result,
     )

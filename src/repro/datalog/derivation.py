@@ -9,28 +9,41 @@ are inductions over these trees, and the counting indices of Section 6
 are precisely encodings of derivation paths.
 
 This module reconstructs one derivation tree per fact *after* an
-evaluation, by replaying rules against the fixpoint: a fact's
-derivation uses only facts derivable in strictly earlier rounds, which
-we witness by recomputing the stage (round number) of every derived
-fact and then searching for a rule instance whose body facts all have
-smaller stages.  Reconstruction is deterministic (rules and matches are
-tried in order).
+evaluation, from that evaluation alone.  Its install log
+(``EvaluationStats.installs``) stamps every derived row with a *tick*,
+the number of the install that added it (rows the evaluation started
+with, e.g. magic seeds, have tick 0); every row that install's plan
+read was there before it, so a fact has a derivation over facts of
+strictly smaller ticks.  A node's children are the first solution of
+one compiled plan per rule, ``$w(rule variables) :- $seed(head),
+body``, run by the one join executor with the fact's ID row as its
+delta and each positive derived body literal reading only the slots
+installed before the fact's tick.  Reconstruction is deterministic
+(rules are tried in program order).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from .ast import Literal, Program, Rule
 from .catalog import term_catalog
 from .database import Database, FactTuple, IdTuple
-from .engine import EvaluationResult, EvaluationStats, fixpoint
-from .errors import EvaluationError, UnsafeNegationError
-from .planner import compiled_program_for
-from .unify import match_sequences, resolve
+from .engine import (
+    EvaluationResult,
+    EvaluationStats,
+    _IdDeltaBatch,
+    answer_tuples,
+    evaluate,
+)
+from .errors import EvaluationError
+from .planner import JoinPlan, PlanCache, compile_rule
+from .terms import Variable
 
-__all__ = ["DerivationNode", "explain", "fact_stages"]
+__all__ = ["DerivationNode", "explain", "explain_answers", "fact_stages"]
 
 
 @dataclass
@@ -77,66 +90,70 @@ class DerivationNode:
         return self.render()
 
 
-def fact_stages(
-    program: Program,
-    base: Database,
-    result: EvaluationResult,
-) -> Dict[str, Dict[FactTuple, int]]:
-    """The round at which each derived fact first becomes derivable.
+class _Stamps:
+    """The ticks of one evaluation's rows, decoded from its install log.
 
-    Base facts (and seeded facts present in ``base``) have stage 0.
-    Replays a naive fixpoint over the (already computed) result, which
-    terminates in at most as many rounds as the original evaluation.
-    The replay runs on the engine's round driver with a simultaneous
-    round executor, stratum-wise (round numbers keep increasing across
-    strata), so anti-joins of negated literals probe lower-stratum
-    relations only after those are complete -- exactly like the engines.
+    Per derived predicate, ``counts`` holds the slot count at the start
+    (the rows of ``base``) and after each of its installs, ``ticks`` the
+    number of each install (0 for the start), both ascending.
     """
-    derived_keys = result.derived_keys
-    stages: Dict[str, Dict[FactTuple, int]] = {
-        key: {} for key in derived_keys
-    }
-    # facts the caller supplied (e.g. magic seeds) are stage 0
-    for key in derived_keys:
-        base_relation = base.get(key)
-        if base_relation is None:
-            continue
-        for row in base_relation:
-            stages[key][row] = 0
 
-    working = base.snapshot()
-    stats = EvaluationStats()
-    compiled, _ = compiled_program_for(program)
-    compiled.register_indexes(working)
+    def __init__(self, base: Database, result: EvaluationResult):
+        self.marks: Dict[str, Tuple[List[int], List[int]]] = {}
+        for key in result.derived_keys:
+            relation = base.get(key)
+            start = 0 if relation is None else relation.slot_count()
+            self.marks[key] = ([start], [0])
+        for tick, (key, count) in enumerate(result.stats.installs, 1):
+            counts, ticks = self.marks[key]
+            counts.append(count)
+            ticks.append(tick)
+
+    def tick(self, key: str, slot: int) -> int:
+        """The tick of the row of ``key`` stored at ``slot``."""
+        counts, ticks = self.marks[key]
+        return ticks[bisect_right(counts, slot)]
+
+    def watermark(self, key: str, tick: int) -> int:
+        """The slot count of ``key`` before install ``tick``."""
+        counts, ticks = self.marks[key]
+        return counts[bisect_left(ticks, tick) - 1]
+
+
+def fact_stages(
+    base: Database, result: EvaluationResult
+) -> Dict[str, Dict[FactTuple, int]]:
+    """The tick of every derived fact: the number of the install that
+    added it, in install order from 1.
+
+    Rows already in ``base`` (the database the evaluation started from,
+    e.g. with magic seeds) have tick 0.  A pure decode of ``result``'s
+    install log: nothing is evaluated again.
+    """
+    stamps = _Stamps(base, result)
     resolve_row = term_catalog().resolve_row
-
-    def simultaneous(groups):
-        # evaluate the whole round against the previous round's facts so
-        # that stages are simultaneous (a fact's supporters always have
-        # a strictly smaller stage): nothing is added to ``working``
-        # until every rule's rows are collected
-        pending = [
-            (
-                program.rules[rule_index].head.pred_key,
-                compiled.plan(rule_index).execute_batch(working, stats)[0],
-            )
-            for group in groups
-            for rule_index, _, _, _ in group
-        ]
-        fresh_by_head: Dict[str, List[IdTuple]] = {}
-        for head_key, rows in pending:
-            if not rows:
-                continue
-            fresh = working.relation(head_key).add_id_rows(rows)
-            if fresh:
-                stage_map = stages.setdefault(head_key, {})
-                for idrow in fresh:
-                    stage_map[resolve_row(idrow)] = stats.iterations
-                fresh_by_head.setdefault(head_key, []).extend(fresh)
-        return fresh_by_head
-
-    fixpoint(compiled, working, stats, simultaneous, seminaive=False)
+    stages: Dict[str, Dict[FactTuple, int]] = {}
+    for key in result.derived_keys:
+        relation = result.database.get(key)
+        rowmap = {} if relation is None else relation._rowmap
+        stages[key] = {
+            resolve_row(idrow): stamps.tick(key, slot)
+            for idrow, slot in rowmap.items()
+        }
     return stages
+
+
+@lru_cache(maxsize=256)
+def _support_plan(rule: Rule) -> Tuple[JoinPlan, Tuple[Variable, ...]]:
+    """The plan of ``$w(variables) :- $seed(head args), body`` with the
+    seed as its delta: a fact's ID row in, the rule's body solutions
+    that derive it out, one value per variable."""
+    variables = rule.variables()
+    seeded = Rule(
+        Literal("$w", variables),
+        (Literal("$seed", rule.head.args),) + rule.body,
+    )
+    return compile_rule(seeded, 0), variables
 
 
 def explain(
@@ -144,7 +161,6 @@ def explain(
     base: Database,
     result: EvaluationResult,
     fact: Literal,
-    _stages: Optional[Dict[str, Dict[FactTuple, int]]] = None,
 ) -> DerivationNode:
     """Reconstruct one derivation tree for a derived fact.
 
@@ -155,174 +171,83 @@ def explain(
     if not fact.is_ground():
         raise EvaluationError(f"cannot explain non-ground fact {fact}")
     key = fact.pred_key
-    row = tuple(fact.args)
     if key not in result.derived_keys:
         if result.database.has_fact(fact):
             return DerivationNode(fact)
         raise EvaluationError(f"base fact {fact} does not hold")
-    if row not in result.database.tuples(key):
+    relation = result.database.get(key)
+    id_of = term_catalog().id_of
+    idrow = tuple(id_of(arg) for arg in fact.args)
+    if relation is None or idrow not in relation._rowmap:
         raise EvaluationError(f"fact {fact} was not derived")
-
-    stages = _stages if _stages is not None else fact_stages(
-        program, base, result
-    )
-    return _explain_rec(program, base, result, fact, stages, set())
+    return _Search(program, result, _Stamps(base, result)).tree(fact, idrow)
 
 
-def _explain_rec(
+class _Search:
+    """The tree search over one evaluation (see the module docstring)."""
+
+    def __init__(self, program, result, stamps):
+        self.program = program
+        self.database = result.database
+        self.derived = result.derived_keys
+        self.stamps = stamps
+        self.stats = EvaluationStats()
+
+    def tree(self, fact: Literal, idrow: IdTuple) -> DerivationNode:
+        key = fact.pred_key
+        tick = self.stamps.tick(key, self.database.get(key)._rowmap[idrow])
+        if tick == 0:
+            # a row the evaluation started with: a leaf from the
+            # caller's perspective
+            return DerivationNode(fact)
+        resolve_row = term_catalog().resolve_row
+        for rule in self.program.rules_for(key):
+            plan, variables = _support_plan(rule)
+            windows = {
+                i: (0, self.stamps.watermark(literal.pred_key, tick))
+                for i, literal in enumerate(rule.body, 1)
+                if not literal.negated and literal.pred_key in self.derived
+            }
+            rows, _, _ = plan.execute_batch(
+                self.database, self.stats, _IdDeltaBatch([idrow]), None,
+                windows,
+            )
+            if rows:
+                binding = dict(zip(variables, resolve_row(rows[0])))
+                return DerivationNode(fact, rule, tuple(
+                    self.child(literal.substitute(binding))
+                    for literal in rule.body
+                ))
+        raise EvaluationError(
+            f"no rule instance re-derives {fact}; the result database does "
+            "not match the program"
+        )
+
+    def child(self, literal: Literal) -> DerivationNode:
+        # a negated literal is a negation-as-failure leaf: its absence
+        # from the (complete, lower-stratum) relation is the witness
+        if literal.negated or literal.pred_key not in self.derived:
+            return DerivationNode(literal)
+        return self.tree(literal, term_catalog().intern_row(literal.args))
+
+
+def explain_answers(
     program: Program,
     base: Database,
-    result: EvaluationResult,
-    fact: Literal,
-    stages: Dict[str, Dict[FactTuple, int]],
-    in_progress: Set[Tuple[str, FactTuple]],
-) -> DerivationNode:
-    if fact.negated:
-        # negation-as-failure support: the absence of the fact is the
-        # witness, so it renders as a leaf (stratification guarantees
-        # the probed relation was complete)
-        return DerivationNode(fact)
-    key = fact.pred_key
-    row = tuple(fact.args)
-    if key not in result.derived_keys:
-        return DerivationNode(fact)
-    stage = stages.get(key, {}).get(row)
-    if stage == 0:
-        # seeded fact: a leaf from the caller's perspective
-        return DerivationNode(fact)
-    if stage is None:
-        raise EvaluationError(f"fact {fact} has no recorded stage")
-    marker = (key, row)
-    if marker in in_progress:
-        raise EvaluationError(
-            f"cyclic reconstruction for {fact}; stages are inconsistent"
-        )
-    in_progress.add(marker)
-    try:
-        for rule in program.rules_for(key):
-            instance = _find_supporting_instance(
-                rule, fact, result.database, stages, stage
-            )
-            if instance is None:
-                continue
-            children = []
-            for body_literal in instance:
-                children.append(
-                    _explain_rec(
-                        program, base, result, body_literal, stages,
-                        in_progress,
-                    )
-                )
-            return DerivationNode(fact, rule, tuple(children))
-    finally:
-        in_progress.discard(marker)
-    raise EvaluationError(
-        f"no rule instance re-derives {fact}; the result database does "
-        "not match the program"
-    )
-
-
-def _negation_sequence(rule: Rule) -> Tuple[int, ...]:
-    """Body indexes in source order, each negated literal deferred.
-
-    Positive literals keep their source order; each negated literal is
-    deferred to the earliest point where the positive prefix has bound
-    all its variables (safe negation guarantees that point exists).
-    """
-    body = rule.body
-    order: List[int] = []
-    bound: Set = set()
-    pending = [i for i, lit in enumerate(body) if lit.negated]
-
-    def flush() -> None:
-        kept = []
-        for i in pending:
-            if all(v in bound for v in body[i].variables()):
-                order.append(i)
-            else:
-                kept.append(i)
-        pending[:] = kept
-
-    flush()
-    for i, literal in enumerate(body):
-        if literal.negated:
-            continue
-        order.append(i)
-        bound.update(literal.variables())
-        flush()
-    if pending:
-        rule.check_safe_negation()  # raises with the offending variables
-        raise UnsafeNegationError(
-            f"rule {rule}: no join order binds every negated variable "
-            "before its anti-join runs",
-            rule=rule,
-        )
-    return tuple(order)
-
-
-def _find_supporting_instance(
-    rule: Rule,
-    fact: Literal,
-    database: Database,
-    stages: Dict[str, Dict[FactTuple, int]],
-    stage: int,
-) -> Optional[List[Literal]]:
-    """A ground body instance deriving ``fact`` from earlier-stage facts.
-
-    Negated literals succeed on *absence* from the (complete, lower-
-    stratum) relation and contribute their ground negated form to the
-    instance, which :func:`_explain_rec` renders as a leaf.
-    """
-    head_binding = match_sequences(rule.head.args, fact.args)
-    if head_binding is None:
-        return None
-
-    body = rule.body
-    if rule.has_negation():
-        sequence = _negation_sequence(rule)
-    else:
-        sequence = range(len(body))
-
-    def extend(position: int, subst) -> Optional[List[Literal]]:
-        if position == len(body):
-            return []
-        literal = body[sequence[position]]
-        resolved = tuple(resolve(arg, subst) for arg in literal.args)
-        key = literal.pred_key
-        relation = database.get(key)
-        if literal.negated:
-            # the sequence defers anti-joins until resolved is ground
-            if relation is not None and relation.lookup(
-                tuple(range(len(resolved))), resolved
-            ):
-                return None
-            rest = extend(position + 1, subst)
-            if rest is not None:
-                return [
-                    Literal(
-                        literal.pred, resolved, literal.adornment, True
-                    )
-                ] + rest
-            return None
-        if relation is None:
-            return None
-        bound_positions = tuple(
-            i for i, arg in enumerate(resolved) if arg.is_ground()
-        )
-        lookup_key = tuple(resolved[i] for i in bound_positions)
-        for row in relation.lookup(bound_positions, lookup_key):
-            row_stage = stages.get(key, {}).get(row)
-            if row_stage is not None and row_stage >= stage:
-                continue  # would not be available strictly earlier
-            extended = match_sequences(resolved, row, subst)
-            if extended is None:
-                continue
-            rest = extend(position + 1, extended)
-            if rest is not None:
-                ground_literal = Literal(
-                    literal.pred, row, literal.adornment
-                )
-                return [ground_literal] + rest
-        return None
-
-    return extend(0, head_binding)
+    query: Literal,
+    limit: Optional[int] = None,
+    plan_cache: Optional[PlanCache] = None,
+) -> Tuple[int, List[DerivationNode]]:
+    """Evaluate ``program`` over ``base`` once and explain the answers
+    of ``query`` in sorted order (so the output is deterministic), up
+    to ``limit`` of them.  Returns the number of answers and the
+    trees."""
+    result = evaluate(program, base, plan_cache=plan_cache)
+    answers = sorted(answer_tuples(result, query), key=str)
+    free = [i for i, arg in enumerate(query.args) if not arg.is_ground()]
+    trees = []
+    for row in answers[: None if limit is None else max(limit, 0)]:
+        binding = dict(zip(free, row))
+        args = tuple(binding.get(i, arg) for i, arg in enumerate(query.args))
+        trees.append(explain(program, base, result, Literal(query.pred, args)))
+    return len(answers), trees

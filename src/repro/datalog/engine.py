@@ -78,15 +78,13 @@ of each round's tasks and, for semi-naive, each rule's slot
 watermarks.  Rules run in stratum order and see what earlier rules
 installed in the same round (Gauss--Seidel order), which cuts the
 round count.  How the tasks execute is passed in as a round executor;
-five routes use them:
+four routes use them:
 
 * **serial** -- ``execute_batch``, then install, task by task
   (:func:`serial_executor`);
 * **pool** -- a rule's tasks as sharded batches on a thread pool that
   shares the working database, merged in serial order before the next
   rule's turn (:func:`repro.datalog.parallel.pool_executor`);
-* **simultaneous** -- every rule's rows collected, then installed
-  (:func:`repro.datalog.derivation.fact_stages`, naive rounds);
 * **IVM** -- the serial executor with DRed's insert emitter (exact, from
   slot marks) or its overdelete emitter, which installs nothing and so
   hands its fresh rows to the next round as delta batches
@@ -97,6 +95,13 @@ five routes use them:
   relations of the adorned predicates, which grow like derived
   relations, and register subqueries as they run
   (:func:`repro.datalog.topdown.qsq_evaluate`).
+
+The executors of :func:`evaluate` and QSQ install through
+:func:`_install`, which logs ``(head predicate, slot count after)`` per
+install that adds rows (``EvaluationStats.installs``): a derived row's
+tick is the number of the install that added it, and a derivation tree
+(:mod:`repro.datalog.derivation`) reads its supports below that tick,
+with no second evaluation.
 
 :func:`fixpoint` runs with CPython's cyclic collector off: its working
 set (ints, ID tuples, lists, dicts, ``array('q')`` columns) holds no
@@ -167,6 +172,9 @@ class EvaluationStats:
     parallel_rows_shipped: int = 0
     #: body solutions per worker index (shard-balance instrumentation)
     parallel_worker_rows: Dict[int, int] = field(default_factory=dict)
+    #: the install log: ``(head predicate, slot count after)`` per
+    #: install that added rows, in install order (see :func:`_install`)
+    installs: List[Tuple[str, int]] = field(default_factory=list)
 
     def record_facts(self, pred_key: str, count: int) -> None:
         """Count ``count`` new facts of ``pred_key``."""
@@ -182,7 +190,8 @@ class EvaluationResult:
 
     ``database`` holds base *and* derived facts; ``derived_keys`` lists
     the predicate keys the program defines (so callers can separate IDB
-    from EDB), and ``stats`` the work counters.
+    from EDB), and ``stats`` the work counters and the install log
+    (:mod:`repro.datalog.derivation` stamps each derived row with it).
     """
 
     database: Database
@@ -210,13 +219,18 @@ def _install(
     solutions: int,
 ) -> List[IdTuple]:
     """Add one batch's ID rows, standing for ``solutions`` body
-    solutions, to ``working``; return the fresh ones."""
+    solutions, to ``working``; return the fresh ones.
+
+    An install that adds rows appends ``(head_key, slot count after)``
+    to ``stats.installs``: relations only grow by appending slots during
+    a fixpoint, so the log dates every derived row."""
     relation = working.relation(head_key)
     fresh = relation.add_id_rows(rows) if rows else []
     n_fresh = len(fresh)
     stats.duplicate_derivations += solutions - n_fresh
     if n_fresh:
         stats.record_facts(head_key, n_fresh)
+        stats.installs.append((head_key, len(relation._live)))
     return fresh
 
 
@@ -408,7 +422,10 @@ def fixpoint(
     Every round counts one ``stats.iterations`` (accumulating across
     strata), then reports ``check_round(stats, stratum, round)`` to
     ``meter``, rounds numbered per stratum from ``first_round + 1``.
-    ``stratum`` runs only that stratum (IVM).
+    ``stratum`` runs only that stratum (IVM).  As it returns, the
+    driver checks the meter's fact and tuple limits once more
+    (``check_limits``: no round, no fault tick), so rows the last round
+    installed cannot overrun them unseen.
 
     The cyclic collector is paused for the call, however it ends; no
     round builds a cycle, and nested or concurrent calls share a pause.
@@ -477,6 +494,8 @@ def fixpoint(
                 deltas = fresh
             elif not seminaive and not fresh:
                 break
+    if meter is not None:
+        meter.check_limits(stats)
 
 
 def serial_executor(
@@ -528,8 +547,9 @@ def evaluate(
 
     ``meter`` is an optional budget meter (duck-typed so this module
     never imports :mod:`repro.core.limits`): ``check_round`` runs at
-    every fixpoint-round boundary and ``check_batch`` at rule/batch
-    boundaries, each free to abort by raising.  ``workers`` > 1 runs
+    every fixpoint-round boundary, ``check_batch`` at rule/batch
+    boundaries and ``check_limits`` where the fixpoint returns, each
+    free to abort by raising.  ``workers`` > 1 runs
     each round's batches on the parallel tier
     (:mod:`repro.datalog.parallel`); fact sets and the solution counters
     (``facts_derived`` / ``rule_firings`` / ``duplicate_derivations`` /

@@ -74,8 +74,8 @@ from .core.sips import SipBuilder, build_full_sip
 from .datalog.analysis import reachable_predicates
 from .datalog.ast import Literal, Program, Query
 from .datalog.database import Database, FactTuple
-from .datalog.derivation import DerivationNode
-from .datalog.engine import EvaluationStats, evaluate
+from .datalog.derivation import DerivationNode, explain_answers
+from .datalog.engine import EvaluationStats
 from .datalog.errors import ReproError
 from .datalog.ivm import MaintenanceResult, MaterializedProgram
 from .datalog.parser import parse_literal, parse_program, parse_query
@@ -976,46 +976,16 @@ class Session:
     ) -> List[DerivationNode]:
         """Derivation trees for a query's answers on the current facts.
 
-        Runs a full bottom-up evaluation (stratified when the program
-        negates) and reconstructs one proof tree per answer, up to
-        ``limit``.  Answers are explained in sorted order so the output
-        is deterministic.
+        Runs one full bottom-up evaluation (stratified when the program
+        negates) and reconstructs one proof tree per answer from it, up
+        to ``limit``.  Answers are explained in sorted order so the
+        output is deterministic.
         """
-        from .datalog.derivation import explain as explain_fact
-        from .datalog.derivation import fact_stages
-        from .datalog.engine import answer_tuples
-
         query = self._as_query(query)
-        result = evaluate(
-            self._program, self._database, plan_cache=self._plan_cache
-        )
-        answers = answer_tuples(result, query.literal)
-        stages = fact_stages(self._program, self._database, result)
-        free_positions = [
-            i
-            for i, arg in enumerate(query.literal.args)
-            if not arg.is_ground()
-        ]
-        trees: List[DerivationNode] = []
-        for row in sorted(answers, key=str):
-            if limit is not None and len(trees) >= limit:
-                break
-            binding = dict(zip(free_positions, row))
-            fact_args = [
-                binding.get(i, arg)
-                for i, arg in enumerate(query.literal.args)
-            ]
-            fact = Literal(query.pred, tuple(fact_args))
-            trees.append(
-                explain_fact(
-                    self._program,
-                    self._database,
-                    result,
-                    fact,
-                    _stages=stages,
-                )
-            )
-        return trees
+        return explain_answers(
+            self._program, self._database, query.literal, limit,
+            self._plan_cache,
+        )[1]
 
     def __repr__(self):
         return (

@@ -140,11 +140,48 @@ class TestAdornAndSafety:
         assert "Theorem 10.1" in out
 
 
+CHAIN_EXPLAIN_GOLDEN = """\
+anc(n0, n1)   [by anc(X, Y) :- par(X, Y).]
+  par(n0, n1)
+
+anc(n0, n2)   [by anc(X, Y) :- par(X, Z), anc(Z, Y).]
+  par(n0, n1)
+  anc(n1, n2)   [by anc(X, Y) :- par(X, Y).]
+    par(n1, n2)
+
+anc(n0, n3)   [by anc(X, Y) :- par(X, Z), anc(Z, Y).]
+  par(n0, n1)
+  anc(n1, n3)   [by anc(X, Y) :- par(X, Z), anc(Z, Y).]
+    par(n1, n2)
+    anc(n2, n3)   [by anc(X, Y) :- par(X, Y).]
+      par(n2, n3)
+
+... (2 more answers)
+"""
+
+
 class TestExplain:
     def test_derivation_tree_printed(self, program_file, capsys):
         assert main(["explain", program_file, "--limit", "1"]) == 0
         out = capsys.readouterr().out
         assert "[by anc(X, Y)" in out
+
+    def test_chain_output_is_golden(self, tmp_path, capsys):
+        """On a chain every derivation is unique, so the whole output
+        is fixed: three trees in answer order, then the rest counted."""
+        from repro.workloads import ancestor_program, chain_database
+
+        rows = sorted(chain_database(5).tuples("par"), key=str)
+        path = tmp_path / "chain.dl"
+        path.write_text(
+            f"{ancestor_program()}\n"
+            + "".join(f"par({a}, {b}).\n" for a, b in rows)
+        )
+        code = main(
+            ["explain", str(path), "--query", "anc(n0, Y)?", "--limit", "3"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == CHAIN_EXPLAIN_GOLDEN
 
 
 class TestErrors:

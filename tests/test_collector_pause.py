@@ -89,6 +89,9 @@ class ProbeMeter:
     def check_batch(self, stats):
         self.states.append(gc.isenabled())
 
+    def check_limits(self, stats):
+        pass
+
 
 class ProbeChain(ProbeMeter):
     """A :class:`ProbeMeter` in front of a real meter."""
@@ -104,6 +107,9 @@ class ProbeChain(ProbeMeter):
     def check_batch(self, *args, **kwargs):
         super().check_batch(*args, **kwargs)
         self.meter.check_batch(*args, **kwargs)
+
+    def check_limits(self, stats):
+        self.meter.check_limits(stats)
 
 
 def _raised_in_fixpoint(info) -> bool:

@@ -95,6 +95,13 @@ GUARDS = [
           r"evaluate_naive\|evaluate_seminaive\|_check_budget\|ENGINES", (SRC,)),
     Guard(45, "BRE", "word", r"engine",
           ("src/repro/server/protocol.py", "src/repro/server/scheduler.py")),
+    # explain reads the evaluation's install log: no naive replay, no
+    # term-level search
+    Guard(46, "ERE", "word",
+          r"_find_supporting_instance|_negation_sequence|simultaneous"
+          r"|fixpoint|match_sequences|resolve", (DATALOG + "derivation.py",)),
+    Guard(46, "BRE", "line", r"\.lookup(", (DATALOG + "derivation.py",)),
+    Guard(46, "BRE", "word", r"is_bounded", (SRC,)),
     # the claims ledger: benches read no knob and write no timing file
     Guard("ledger", "ERE", "word", r"environ|getenv|record_bench", (BENCHMARKS,)),
     Guard("ledger", "ERE", "line", r"BENCH_", (".github",)),

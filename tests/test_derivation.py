@@ -29,21 +29,30 @@ def chain_setup():
 class TestStages:
     def test_base_facts_not_staged(self, chain_setup):
         program, db, result = chain_setup
-        stages = fact_stages(program, db, result)
+        stages = fact_stages(db, result)
         assert "par" not in stages or not stages.get("par")
 
-    def test_stages_are_simultaneous(self, chain_setup):
-        """anc pairs at distance d appear at stage d."""
+    def test_children_are_stamped_before_their_parent(self, chain_setup):
+        """Stamps are install numbers: the rows the evaluation started
+        with have stamp 0, and every internal node of a tree has a
+        larger stamp than each of its derived children."""
         program, db, result = chain_setup
-        stages = fact_stages(program, db, result)
-        for (src, dst), stage in (
-            ((0, 1), 1),
-            ((0, 2), 2),
-            ((0, 5), 5),
-            ((3, 5), 2),
-        ):
-            row = (c(f"n{src}"), c(f"n{dst}"))
-            assert stages["anc"][row] == stage
+        stages = fact_stages(db, result)
+        assert set(stages["anc"]) == result.database.tuples("anc")
+        assert min(stages["anc"].values()) >= 1
+
+        def check(node):
+            if node.rule is None:
+                assert node.literal.pred_key not in result.derived_keys
+                return
+            stage = stages["anc"][tuple(node.literal.args)]
+            for child in node.children:
+                if not child.is_leaf():
+                    assert stages["anc"][tuple(child.literal.args)] < stage
+                check(child)
+
+        for row in result.database.tuples("anc"):
+            check(explain(program, db, result, Literal("anc", row)))
 
     def test_seeded_facts_stage_zero(self):
         from repro import rewrite
@@ -55,7 +64,7 @@ class TestStages:
         db = chain_database(4)
         seeded = rewritten.seeded_database(db)
         result = evaluate(rewritten.program, seeded)
-        stages = fact_stages(rewritten.program, seeded, result)
+        stages = fact_stages(seeded, result)
         seed_row = (c("n0"),)
         assert stages["magic_anc_bf"][seed_row] == 0
 
@@ -143,6 +152,25 @@ class TestExplain:
         # the magic set's derivation bottoms out at the seed
         assert "magic_anc_bf(n0)" in leaves
 
+    def test_session_explain_runs_one_fixpoint(self, monkeypatch):
+        """The trees reuse the evaluation they explain: no replay."""
+        from repro import Session
+        from repro.datalog import derivation, engine
+
+        fixpoints = []
+        real = engine.fixpoint
+
+        def counted(*args, **kwargs):
+            fixpoints.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "fixpoint", counted)
+        # a replay that imported the driver by name counts too
+        monkeypatch.setattr(derivation, "fixpoint", counted, raising=False)
+        session = Session(program=ancestor_program(), database=chain_database(5))
+        trees = session.explain("anc(n0, Y)?")
+        assert len(trees) == 5 and len(fixpoints) == 1
+
     def test_render_contains_rules(self, chain_setup):
         program, db, result = chain_setup
         tree = explain(
@@ -211,11 +239,9 @@ def test_every_derived_fact_has_a_well_founded_tree(rewritten, edges):
         magic = rewrite(program, parse_query("apart(v0, Y)?"), "magic")
         program, database = magic.program, magic.seeded_database(database)
     result = evaluate(program, database)
-    stages = fact_stages(program, database, result)
+    stages = fact_stages(database, result)
     for key in result.derived_keys:
         assert set(stages[key]) == result.database.tuples(key)
         for row in result.database.tuples(key):
-            tree = explain(
-                program, database, result, Literal(key, row), stages
-            )
+            tree = explain(program, database, result, Literal(key, row))
             assert_derivation(tree, program, database, result, stages)

@@ -115,9 +115,6 @@ class TestBudgetMeter:
         meter.check_round(_stats(10**9, 10**9, 10**9), stratum=3, round_=99)
         meter.check_batch(_stats(10**9, 10**9))
         meter.tick_install()
-        assert not EvaluationBudget().is_bounded()
-        assert EvaluationBudget(max_facts=1).is_bounded()
-        assert EvaluationBudget(max_iterations=1).is_bounded()
 
     def test_max_iterations_trips_first_with_structured_progress(self):
         meter = EvaluationBudget(max_iterations=3, max_facts=1).start()
@@ -206,6 +203,29 @@ class TestEngineBudgets:
         exc = info.value
         assert exc.limit == "max_facts" and exc.facts > 5
         assert str(exc).startswith("budget exceeded: max_facts after ")
+
+    @pytest.mark.parametrize(
+        "limit", ["max_facts", "max_tuples_scanned"]
+    )
+    def test_a_limit_crossed_by_the_last_round_trips(self, limit):
+        """Semi-naive derives all 10 facts, scanning 10 rows, in one
+        round, and no boundary follows it: the limit still trips, where
+        the fixpoint returns, with no extra round counted."""
+        program = Program(
+            [Rule(
+                Literal("q", (Variable("X"), Variable("Y"))),
+                [Literal("e", (Variable("X"), Variable("Y")))],
+            )]
+        )
+        db = Database()
+        db.add_values("e", [(i, i + 1) for i in range(10)])
+        meter = EvaluationBudget(**{limit: 5}).start()
+        with pytest.raises(BudgetExceeded) as info:
+            evaluate(program, db, meter=meter)
+        exc = info.value
+        assert exc.limit == limit and exc.facts == 10
+        assert (exc.stratum, exc.round, exc.iterations) == (0, 1, 1)
+        assert db.total_facts() == 10
 
     @pytest.mark.parametrize("method", ENGINE_METHODS)
     def test_wall_clock_trips_on_nonterminating_program(self, method):

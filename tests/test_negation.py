@@ -587,20 +587,18 @@ def test_stratified_evaluation_matches_naive_reference(case):
 
 class TestExplainWithNegation:
     def test_explain_renders_negation_as_failure_leaf(self):
-        from repro import explain, fact_stages
+        from repro import explain
 
         program = bom_program()
         database = db(
             subpart=[("a", "b")], part=["a", "b"], exception=[],
         )
         result = evaluate(program, database)
-        stages = fact_stages(program, database, result)
         from repro import Constant
 
         tree = explain(
             program, database, result,
             Literal("buildable", (Constant("a"),)),
-            _stages=stages,
         )
         rendered = tree.render()
         assert "buildable(a)" in rendered
@@ -625,7 +623,7 @@ class TestExplainWithNegation:
         )
         database = db(e=[("a", "b"), ("b", "c")], m=["z"])
         result = evaluate(program, database)
-        stages = fact_stages(program, database, result)
+        stages = fact_stages(database, result)
         # every s-fact's stage is strictly later than its t-support
         for row, stage in stages["s"].items():
             assert stage > stages["t"][row]

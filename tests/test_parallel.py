@@ -655,6 +655,9 @@ class _PastDeadlineMeter:
     def check_batch(self, stats):
         pass
 
+    def check_limits(self, stats):
+        pass
+
 
 class TestPoolLifecycle:
     def test_pool_threads_end_with_the_evaluation(self):

@@ -159,7 +159,7 @@ class TestFactCounts:
         program = ancestor_program()
         db = tree_database(5)  # 63 internal/leaf nodes
         query = ancestor_query("r_0_0")  # a grandchild of the root
-        naive = bottom_up_answer(program, db, query, engine="naive")
+        naive = bottom_up_answer(program, db, query, method="naive")
         magic = answer_query(program, db, query, QueryOptions(method="magic"))
         assert magic.answers == naive.answers
         assert (

@@ -58,6 +58,9 @@ class RecordingMeter:
     def check_batch(self, stats):
         self.batches += 1
 
+    def check_limits(self, stats):
+        pass
+
 
 def _parsed():
     parsed = parse_program(PROGRAM)
