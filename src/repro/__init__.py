@@ -116,11 +116,8 @@ from .core import (
     build_empty_sip,
     build_full_sip,
     check_optimality,
-    check_safe_negation,
-    check_stratified,
     compare_sips,
     counting_safety,
-    is_stratified,
     lemma_8_1_prune,
     lemma_8_2_anonymize,
     magic_safety,
@@ -128,7 +125,6 @@ from .core import (
     rewrite,
     semijoin_optimize,
     stratify,
-    stratify_or_raise,
     unwrap_values,
 )
 from .datalog.ivm import (
@@ -171,9 +167,7 @@ __all__ = [
     "build_full_sip", "build_chain_sip", "build_empty_sip",
     "semijoin_optimize", "lemma_8_1_prune", "lemma_8_2_anonymize",
     "magic_safety", "counting_safety",
-    "negation_safety", "check_safe_negation",
-    "Stratification", "stratify", "stratify_or_raise", "is_stratified",
-    "check_stratified",
+    "negation_safety", "Stratification", "stratify",
     "check_optimality", "compare_sips",
     "rewrite", "answer_query", "bottom_up_answer", "unwrap_values",
     "RewrittenProgram", "QueryAnswer", "QueryOptions", "REWRITE_METHODS",

@@ -50,8 +50,8 @@ from typing import List, Optional
 from .core.adornment import adorn_program
 from .core.pipeline import BASELINE_METHODS, REWRITE_METHODS, rewrite
 from .core.safety import counting_safety, magic_safety, negation_safety
-from .core.stratify import stratify
 from .core.sips import build_chain_sip, build_empty_sip, build_full_sip
+from .datalog.analysis import stratify
 from .datalog.database import Database
 from .core.limits import BudgetExceeded
 from .datalog.errors import ReproError

@@ -12,6 +12,7 @@ Import surface::
 program built with a custom sip.
 """
 
+from ..datalog.analysis import Stratification, stratify
 from .adornment import AdornedProgram, AdornedRule, adorn_program
 from .optimality import (
     OptimalityReport,
@@ -51,18 +52,10 @@ from .safety import (
     argument_graph,
     argument_graph_cyclic,
     binding_graph,
-    check_safe_negation,
     counting_safety,
     magic_safety,
     negation_safety,
     term_length_polynomial,
-)
-from .stratify import (
-    Stratification,
-    check_stratified,
-    is_stratified,
-    stratify,
-    stratify_or_raise,
 )
 from .semijoin import lemma_8_1_prune, lemma_8_2_anonymize, semijoin_optimize
 from .sips import (
@@ -110,16 +103,12 @@ __all__ = [
     "argument_graph",
     "argument_graph_cyclic",
     "binding_graph",
-    "check_safe_negation",
     "counting_safety",
     "magic_safety",
     "negation_safety",
     "term_length_polynomial",
     "Stratification",
-    "check_stratified",
-    "is_stratified",
     "stratify",
-    "stratify_or_raise",
     "lemma_8_1_prune",
     "lemma_8_2_anonymize",
     "semijoin_optimize",

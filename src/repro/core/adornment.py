@@ -46,10 +46,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Set, Tuple
 
+from ..datalog.analysis import stratify
 from ..datalog.ast import ALL_FREE, Literal, Program, Query, Rule
 from ..datalog.errors import AdornmentError
 from .sips import Sip, SipBuilder, build_full_sip
-from .stratify import stratify_or_raise
 
 __all__ = ["AdornedRule", "AdornedProgram", "adorn_program"]
 
@@ -150,7 +150,7 @@ def adorn_program(
     if program.has_negation():
         for rule in program.rules:
             rule.check_safe_negation()
-        stratify_or_raise(program)
+        stratify(program)
     program.validate(
         require_connected=require_connected, require_well_formed=False
     )

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Set, Tuple
 
-from ..datalog.analysis import reachable_predicates
+from ..datalog.analysis import reachable_predicates, stratify
 from ..datalog.ast import Program, Query
 from ..datalog.database import Database
 from ..datalog.engine import (
@@ -64,7 +64,6 @@ from .provenance import RewrittenProgram
 from .rewrites import REWRITE_METHODS, sip_rewrite
 from .semijoin import semijoin_optimize
 from .sips import SipBuilder, build_full_sip
-from .stratify import stratify_or_raise
 
 __all__ = [
     "REWRITE_METHODS",
@@ -151,7 +150,7 @@ def rewrite(
         # the conservative rewrite must never break stratifiability;
         # evaluating an unstratifiable output would be unsound, so this
         # is checked before any engine sees the program
-        stratify_or_raise(
+        stratify(
             result.program,
             context=f"internal invariant violated: the {method} rewrite "
             f"of a stratified program for query {query} produced an "

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from ..datalog.ast import Literal, Program, Rule
+from ..datalog.ast import Literal, Program
 from ..datalog.errors import UnsafeNegationError
 from ..datalog.terms import Constant, LinExpr, Struct, Term, Variable
 from .adornment import AdornedProgram
@@ -47,7 +47,6 @@ __all__ = [
     "SafetyReport",
     "magic_safety",
     "counting_safety",
-    "check_safe_negation",
     "negation_safety",
 ]
 
@@ -386,28 +385,16 @@ def magic_safety(
 # safe negation (range restriction for negation-as-failure)
 # ----------------------------------------------------------------------
 
-def check_safe_negation(rule: Rule) -> None:
-    """Enforce the safe-negation rule on one rule.
-
-    Every variable of a negated body literal must also appear in a
-    positive body literal of the same rule: a free variable under
-    negation would quantify over the infinite complement of a relation,
-    so no evaluation strategy could enumerate its bindings.  Raises
-    :class:`UnsafeNegationError` naming the unbound variables.
-    """
-    rule.check_safe_negation()
-
-
 def negation_safety(program: Program) -> SafetyReport:
     """A :class:`SafetyReport` for a program's use of negation.
 
-    ``safe=True`` when every rule passes :func:`check_safe_negation`
+    ``safe=True`` when every rule passes :meth:`Rule.check_safe_negation`
     (vacuously for positive programs); ``safe=False`` with the first
     offending rule in the reason otherwise.
     """
     for rule in program.rules:
         try:
-            check_safe_negation(rule)
+            rule.check_safe_negation()
         except UnsafeNegationError as exc:
             return SafetyReport(
                 safe=False,

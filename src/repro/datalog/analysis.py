@@ -1,15 +1,35 @@
-"""Static analysis of programs: dependencies, recursion, blocks, strata.
+"""Static analysis of programs: the dependency graph and its strata.
 
-Provides the predicate dependency graph, Tarjan strongly connected
-components (the *blocks* of mutually recursive predicates used by the
-semijoin optimization, Theorem 8.3), recursion/reachability queries, and
-the stratification of programs with negated body literals (used by the
-bottom-up engines to run stratum by stratum; the user-facing subsystem
-API lives in :mod:`repro.core.stratify`).
+The one module that knows the predicate dependency graph, its strongly
+connected components (Tarjan) and the stratification of programs with
+negated body literals.
+
+The paper's programs are positive Horn clauses, but the scenarios magic
+sets are routinely applied to -- bill-of-materials with exception lists,
+reachability avoiding a node set, set-difference views -- need negated
+body literals.  :func:`stratify` supplies the classic *stratified*
+semantics [Apt, Blair & Walden; Van Gelder]: it labels every dependency
+edge with its polarity, rejects a program whose dependency graph has a
+cycle through negation (:class:`StratificationError`: such a program
+has no stratified model), and otherwise numbers the strata -- base
+predicates at stratum 0, every positive dependency within a stratum,
+every negative one pointing strictly downward.
+
+The bottom-up engines run each stratum to its fixpoint before any
+higher stratum starts (:class:`~repro.datalog.planner.CompiledProgram`
+holds the partition), so a negated literal always probes a *completed*
+relation and negation-as-failure coincides with set complement.  The
+magic/supplementary rewrites accept stratified programs through the
+conservative extension (Balbin et al.) in :mod:`repro.core.adornment`:
+bindings are never pushed through negation, and the rewrite pipeline
+re-stratifies its output with a ``context`` naming the rewrite (the
+conservative rewrite preserves stratifiability, so a failure there is a
+broken invariant, not a bad input).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .ast import Program
@@ -19,11 +39,9 @@ __all__ = [
     "dependency_graph",
     "polarity_edges",
     "strongly_connected_components",
-    "recursive_blocks",
-    "is_recursive_predicate",
     "reachable_predicates",
-    "depends_on",
-    "stratify_rules",
+    "Stratification",
+    "stratify",
 ]
 
 
@@ -97,40 +115,6 @@ def strongly_connected_components(
     return components
 
 
-def recursive_blocks(program: Program) -> List[FrozenSet[str]]:
-    """Maximal sets of mutually recursive predicates (Section 8 'blocks').
-
-    A singleton component counts as a block only when the predicate
-    depends on itself.
-    """
-    graph = dependency_graph(program)
-    blocks = []
-    for component in strongly_connected_components(graph):
-        if len(component) > 1:
-            blocks.append(component)
-            continue
-        member = next(iter(component))
-        if member in graph.get(member, ()):
-            blocks.append(component)
-    return blocks
-
-
-def is_recursive_predicate(program: Program, pred_key: str) -> bool:
-    """True when the predicate (transitively) depends on itself."""
-    graph = dependency_graph(program)
-    seen: Set[str] = set()
-    frontier = list(graph.get(pred_key, ()))
-    while frontier:
-        node = frontier.pop()
-        if node == pred_key:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(graph.get(node, ()))
-    return False
-
-
 def reachable_predicates(program: Program, roots: Iterable[str]) -> Set[str]:
     """Predicates reachable from the given roots in the dependency graph."""
     graph = dependency_graph(program)
@@ -143,13 +127,6 @@ def reachable_predicates(program: Program, roots: Iterable[str]) -> Set[str]:
         seen.add(node)
         frontier.extend(graph.get(node, ()))
     return seen
-
-
-def depends_on(program: Program, pred_key: str, other: str) -> bool:
-    """True when ``pred_key`` transitively depends on ``other``."""
-    return other in reachable_predicates(program, [pred_key]) and (
-        other != pred_key or is_recursive_predicate(program, pred_key)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -175,21 +152,50 @@ def polarity_edges(program: Program) -> List[Tuple[str, str, bool]]:
     return edges
 
 
-def stratify_rules(
-    program: Program,
-) -> Tuple[Dict[str, int], Tuple[Tuple[int, ...], ...]]:
-    """Stratum numbers and the stratum-ordered rule partition.
+@dataclass(frozen=True)
+class Stratification:
+    """A stratum ordering for a program.
 
-    Returns ``(predicate_stratum, rule_strata)``: every predicate key of
-    the program mapped to its stratum (base predicates sit at stratum 0;
-    a negative dependency strictly increases the stratum), and the
-    program's rule indexes grouped by head stratum, lowest first, with
-    the original rule order preserved inside each group.
+    ``predicate_stratum`` maps every predicate key (base and derived) to
+    its stratum number; ``rule_strata`` partitions the program's rule
+    indexes by head stratum, lowest stratum first, original rule order
+    preserved within a stratum.
+    """
+
+    program: Program
+    predicate_stratum: Dict[str, int]
+    rule_strata: Tuple[Tuple[int, ...], ...]
+
+    def __len__(self) -> int:
+        """The number of (non-empty) rule strata."""
+        return len(self.rule_strata)
+
+    def stratum_of(self, pred_key: str) -> int:
+        """The stratum of a predicate (base predicates sit at 0)."""
+        return self.predicate_stratum.get(pred_key, 0)
+
+    def __str__(self) -> str:
+        lines: List[str] = []
+        for number, indexes in enumerate(self.rule_strata):
+            heads = sorted(
+                {self.program.rules[i].head.pred_key for i in indexes}
+            )
+            lines.append(
+                f"stratum {number}: {', '.join(heads)} "
+                f"({len(indexes)} rules)"
+            )
+        return "\n".join(lines)
+
+
+def stratify(program: Program, context: str = "") -> Stratification:
+    """Stratify a program, rejecting recursion through negation.
 
     Raises :class:`StratificationError` when the dependency graph has a
     cycle through negation (the program then has no stratified model --
     ``win(X) :- move(X, Y), not win(Y)`` on cyclic moves is the classic
-    example).  A purely positive program yields a single stratum.
+    example); a non-empty ``context`` prefixes its message.  A purely
+    positive program yields a single stratum, so the engines can
+    stratify unconditionally.
     """
     graph = dependency_graph(program)
     components = strongly_connected_components(graph)
@@ -202,12 +208,14 @@ def stratify_rules(
     for head_key, dep_key, negative in edges:
         if negative and component_of[head_key] == component_of[dep_key]:
             cycle = sorted(components[component_of[head_key]])
-            raise StratificationError(
+            message = (
                 f"program is not stratified: {head_key} depends negatively "
                 f"on {dep_key} inside the recursive component "
                 f"{{{', '.join(cycle)}}}; no cycle of the dependency graph "
-                "may pass through 'not'",
-                cycle=cycle,
+                "may pass through 'not'"
+            )
+            raise StratificationError(
+                f"{context}: {message}" if context else message, cycle=cycle
             )
 
     # components arrive callees-first (reverse topological), so every
@@ -239,5 +247,4 @@ def stratify_rules(
     rule_strata = tuple(
         tuple(by_stratum[stratum]) for stratum in sorted(by_stratum)
     )
-    return predicate_stratum, rule_strata
-
+    return Stratification(program, predicate_stratum, rule_strata)

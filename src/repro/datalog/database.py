@@ -26,13 +26,13 @@ The row-view boundary
 ---------------------
 
 A relation holds each row once, as IDs.  The row-level API
-(``__iter__``, ``__contains__``, :meth:`Relation.lookup`,
+(``__iter__``, ``__contains__``, :meth:`Relation.select`,
 ``add``/``add_many``/``discard``/...) is a thin boundary over that
 store: ``add``/``add_many`` intern their rows and insert them through
 :meth:`Relation.add_id_rows`, ``discard``/``discard_many`` look their
 IDs up and retract them through :meth:`Relation.discard_id_rows` (the
 one insert path and the one retract path), and ``__iter__`` /
-``lookup`` resolve IDs back to canonical ``Term`` objects on every
+``select`` resolve IDs back to canonical ``Term`` objects on every
 call -- nothing is cached.  The batch join executor
 (:mod:`repro.datalog.planner`) and QSQ work on ID batches directly via
 ``lookup_ids``/``window_rows``/``add_id_rows``/``id_rows``;
@@ -570,54 +570,6 @@ class Relation:
         self._indexes[positions] = index
         return index
 
-    # ------------------------------------------------------------------
-    # term-level lookup (row view)
-    # ------------------------------------------------------------------
-    def lookup(
-        self, positions: Tuple[int, ...], key: FactTuple
-    ) -> List[FactTuple]:
-        """Tuples whose projection on ``positions`` equals ``key``.
-
-        An empty position tuple returns all tuples.  Positions need not
-        arrive sorted: they are normalized (sorted together with ``key``,
-        duplicates checked for consistency) before the index is consulted,
-        so an unsorted caller gets correct answers instead of a silently
-        inconsistent shadow index.
-        """
-        positions = self._normalize_positions(positions)
-        term_row = self.term_row
-        if not positions:
-            return [term_row(slot) for slot in self._rowmap.values()]
-        key = tuple(key)
-        if len(key) != len(positions):
-            raise ValueError(
-                f"relation {self.name}: lookup key {key} does not match "
-                f"positions {positions}"
-            )
-        if any(
-            positions[i] >= positions[i + 1]
-            for i in range(len(positions) - 1)
-        ):
-            sorted_positions: List[int] = []
-            sorted_key: List[Term] = []
-            for pos, value in sorted(
-                zip(positions, key), key=lambda pair: pair[0]
-            ):
-                if sorted_positions and sorted_positions[-1] == pos:
-                    if sorted_key[-1] != value:
-                        return []  # same position constrained two ways
-                    continue
-                sorted_positions.append(pos)
-                sorted_key.append(value)
-            positions = tuple(sorted_positions)
-            key = tuple(sorted_key)
-        id_of = _CATALOG.id_of
-        ids = tuple(id_of(term) for term in key)
-        if -1 in ids:
-            return []  # a never-interned term cannot match any row
-        id_key: IndexKey = ids[0] if len(ids) == 1 else ids
-        return [term_row(slot) for slot in self.lookup_ids(positions, id_key)]
-
     def select(
         self,
         bound: Union[Dict[int, Term], Iterable[Tuple[int, Term]]],
@@ -633,8 +585,7 @@ class Relation:
         row.  Rows come from the hash index on the bound positions (the
         rowmap when every position is bound) and are projected and
         deduplicated as ID rows; only the distinct ones are resolved to
-        terms, unmemoized.  Positions out of range raise ``ValueError``
-        as in :meth:`lookup`.
+        terms, unmemoized.  Positions out of range raise ``ValueError``.
         """
         pairs = tuple(bound.items() if isinstance(bound, dict) else bound)
         project = self._normalize_positions(project)

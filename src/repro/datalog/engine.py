@@ -31,7 +31,7 @@ Stratified negation
 
 Both strategies evaluate programs with negated body literals under the
 stratified semantics: the rules are partitioned by
-:func:`repro.datalog.analysis.stratify_rules` (raising
+:func:`repro.datalog.analysis.stratify` (raising
 :class:`~repro.datalog.errors.StratificationError` on recursion through
 negation and :class:`~repro.datalog.errors.UnsafeNegationError` on
 negated variables no positive literal binds), and each stratum runs to

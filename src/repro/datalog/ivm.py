@@ -215,11 +215,9 @@ class MaterializedProgram:
         self.derived_keys = program.derived_predicates()
         self.compiled, _ = compiled_program_for(program, plan_cache)
         self.rule_strata = self.compiled.strata
-        #: per-stratum head predicates
-        self._stratum_heads: List[frozenset] = []
-        #: True for strata no rule of which reads a same-stratum head
-        #: (the non-recursive case: counting deletion applies)
-        self._flat: List[bool] = []
+        self._stratum_heads = self.compiled.stratum_heads
+        #: the non-recursive strata, where counting deletion applies
+        self._flat = self.compiled.flat
         #: per stratum, input predicate -> ``(rule index, the body
         #: positions it occupies in that rule)`` pairs: what a delta of
         #: the predicate seeds when the stratum is maintained by counting
@@ -227,9 +225,6 @@ class MaterializedProgram:
             Dict[str, List[Tuple[int, Tuple[int, ...]]]]
         ] = []
         for stratum in self.rule_strata:
-            heads = frozenset(
-                program.rules[ri].head.pred_key for ri in stratum
-            )
             occurrences: Dict[str, List[Tuple[int, Tuple[int, ...]]]] = {}
             for ri in stratum:
                 positions: Dict[str, Tuple[int, ...]] = {}
@@ -238,8 +233,6 @@ class MaterializedProgram:
                     positions[key] = positions.get(key, ()) + (j,)
                 for key, occupied in positions.items():
                     occurrences.setdefault(key, []).append((ri, occupied))
-            self._stratum_heads.append(heads)
-            self._flat.append(heads.isdisjoint(occurrences))
             self._occurrences.append(occurrences)
         self._rules_by_head: Dict[str, Tuple[int, ...]] = {}
         for ri, rule in enumerate(program.rules):

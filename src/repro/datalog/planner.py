@@ -83,7 +83,7 @@ from functools import partial
 from itertools import repeat as _repeat
 from typing import Dict, List, Optional, Set, Tuple
 
-from .analysis import stratify_rules
+from .analysis import stratify
 from .ast import Literal, Program, Rule
 from .catalog import term_catalog
 from .database import Database, IdTuple, Relation
@@ -1032,16 +1032,20 @@ class CompiledProgram:
     its fixpoint before the next starts, so anti-join steps always probe
     completed relations.  Compilation therefore rejects non-stratified
     programs (:class:`StratificationError`) and unsafe negation
-    (:class:`UnsafeNegationError`) up front.
+    (:class:`UnsafeNegationError`) up front.  ``stratum_heads`` holds
+    each stratum's head predicates, and ``flat[s]`` is True when no rule
+    of stratum ``s`` has a recursive occurrence (a negated literal never
+    names a head of its own stratum, so no rule reads one at all).
     """
 
-    __slots__ = ("program", "derived_keys", "strata", "_plans",
-                 "_delta_occurrences", "_recursive_occurrences")
+    __slots__ = ("program", "derived_keys", "strata", "stratum_heads",
+                 "flat", "_plans", "_delta_occurrences",
+                 "_recursive_occurrences")
 
     def __init__(self, program: Program):
         self.program = program
         self.derived_keys = program.derived_predicates()
-        _, self.strata = stratify_rules(program)
+        self.strata = stratify(program).rule_strata
         self._plans: Dict[Tuple[int, Optional[int]], JoinPlan] = {}
         self._delta_occurrences: Dict[int, Tuple[int, ...]] = {}
         for rule_index, rule in enumerate(program.rules):
@@ -1057,8 +1061,11 @@ class CompiledProgram:
         self._recursive_occurrences: Dict[
             int, Tuple[Tuple[int, str], ...]
         ] = {}
-        for stratum in self.strata:
-            heads = {program.rules[ri].head.pred_key for ri in stratum}
+        self.stratum_heads = tuple(
+            frozenset(program.rules[ri].head.pred_key for ri in stratum)
+            for stratum in self.strata
+        )
+        for stratum, heads in zip(self.strata, self.stratum_heads):
             for ri in stratum:
                 body = program.rules[ri].body
                 self._recursive_occurrences[ri] = tuple(
@@ -1066,6 +1073,10 @@ class CompiledProgram:
                     for i in self._delta_occurrences[ri]
                     if body[i].pred_key in heads
                 )
+        self.flat = tuple(
+            not any(self._recursive_occurrences[ri] for ri in stratum)
+            for stratum in self.strata
+        )
 
     def plan(
         self, rule_index: int, delta_index: Optional[int] = None

@@ -14,7 +14,7 @@ blocking ``request()``.
 
 Shutdown is a graceful drain: new requests are refused with a
 ``shutting_down`` error while in-flight ones run to completion (up to
-``config.drain_timeout`` seconds), then the listeners close and the
+:data:`DRAIN_TIMEOUT` seconds), then the listeners close and the
 worker pools join.
 """
 
@@ -44,6 +44,9 @@ from .snapshot import SnapshotManager
 
 __all__ = ["ServerConfig", "ServerMetrics", "ReproServer", "ServerHandle"]
 
+#: seconds a graceful stop waits for in-flight requests before closing
+DRAIN_TIMEOUT = 5.0
+
 
 @dataclass
 class ServerConfig:
@@ -51,9 +54,8 @@ class ServerConfig:
 
     ``max_timeout`` / ``max_facts`` cap what clients may request per
     query (a client asking for more is clamped, not refused; a client
-    asking for nothing gets ``default_timeout`` / ``default_max_facts``
-    or, failing those, the cap itself) -- the server, not the client,
-    bounds how much work one request can buy.
+    asking for nothing gets the cap itself) -- the server, not the
+    client, bounds how much work one request can buy.
     """
 
     host: str = "127.0.0.1"
@@ -62,9 +64,6 @@ class ServerConfig:
     memo_size: int = 256
     max_timeout: Optional[float] = None
     max_facts: Optional[int] = None
-    default_timeout: Optional[float] = None
-    default_max_facts: Optional[int] = None
-    drain_timeout: float = 5.0
 
 
 @dataclass
@@ -139,8 +138,6 @@ class ReproServer:
             memo_size=self.config.memo_size,
             max_timeout=self.config.max_timeout,
             max_facts=self.config.max_facts,
-            default_timeout=self.config.default_timeout,
-            default_max_facts=self.config.default_max_facts,
             plan_cache=self.session.plan_cache,
         )
         self.mutations = MutationScheduler(self.session, self.snapshots)
@@ -312,7 +309,7 @@ class ReproServer:
                 self._idle.clear()
             try:
                 await asyncio.wait_for(
-                    self._idle.wait(), self.config.drain_timeout
+                    self._idle.wait(), DRAIN_TIMEOUT
                 )
             except asyncio.TimeoutError:
                 pass  # drain deadline: close anyway

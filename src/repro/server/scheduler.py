@@ -99,8 +99,6 @@ class QueryScheduler:
         memo_size: int = 256,
         max_timeout: Optional[float] = None,
         max_facts: Optional[int] = None,
-        default_timeout: Optional[float] = None,
-        default_max_facts: Optional[int] = None,
         plan_cache: Optional[PlanCache] = None,
     ):
         self._program = program
@@ -114,8 +112,6 @@ class QueryScheduler:
         self._inflight: Dict[tuple, "asyncio.Future"] = {}
         self._max_timeout = max_timeout
         self._max_facts = max_facts
-        self._default_timeout = default_timeout
-        self._default_max_facts = default_max_facts
         self._plan_cache = plan_cache
         # counters (loop-confined, read by /stats)
         self.cold_evaluations = 0
@@ -127,14 +123,14 @@ class QueryScheduler:
         self, options: Dict[str, Any]
     ) -> Tuple[Optional[float], Optional[int]]:
         """Client budget options clamped to the server's caps."""
-        timeout = options.get("timeout", self._default_timeout)
+        timeout = options.get("timeout")
         if self._max_timeout is not None:
             timeout = (
                 self._max_timeout
                 if timeout is None
                 else min(timeout, self._max_timeout)
             )
-        max_facts = options.get("max_facts", self._default_max_facts)
+        max_facts = options.get("max_facts")
         if self._max_facts is not None:
             max_facts = (
                 self._max_facts

@@ -25,7 +25,6 @@ from repro import Constant, Program, Rule, Struct, Variable
 from repro.core import pipeline
 from repro.core.provenance import RewrittenProgram
 from repro.datalog.ast import ShapeSlot
-from repro.datalog.analysis import stratify_rules
 from repro.datalog.engine import EvaluationStats
 from repro.datalog.planner import compiled_program_for
 from repro.datalog.unify import match_sequences, resolve
@@ -174,9 +173,7 @@ def oracle_facts(program, database):
     facts = {key: database.tuples(key) for key in database.predicate_keys()}
     for key in program.derived_predicates():
         facts.setdefault(key, set())
-    _, strata = stratify_rules(program)
-    for stratum in strata:
-        rules = [program.rules[i] for i in stratum]
+    for rules in _oracle_strata(program):
         changed = True
         while changed:
             derived = [
@@ -190,6 +187,31 @@ def oracle_facts(program, database):
                     facts[key].add(row)
                     changed = True
     return facts
+
+
+def _oracle_strata(program):
+    """The rules grouped by predicate level, lowest level first.
+
+    Levels come by relaxation: a positive dependency gives ``>=``, a
+    negative one ``>``.  They need not be the least levels -- every
+    stratification has the same perfect model.
+    """
+    level = {}
+    changed = True
+    while changed:
+        changed = False
+        for rule in program.rules:
+            head = rule.head.pred_key
+            for literal in rule.body:
+                least = level.get(literal.pred_key, 0) + literal.negated
+                if level.get(head, 0) < least:
+                    assert least <= len(program.rules), "not stratified"
+                    level[head] = least
+                    changed = True
+    strata = {}
+    for rule in program.rules:
+        strata.setdefault(level.get(rule.head.pred_key, 0), []).append(rule)
+    return [strata[number] for number in sorted(strata)]
 
 
 def _oracle_heads(rule, facts):

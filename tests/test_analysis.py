@@ -1,12 +1,10 @@
-"""Program analysis utilities (repro.datalog.analysis)."""
+"""Program analysis: the dependency graph, its components and which
+strata recurse."""
 
-from repro import parse_program
+from repro import CompiledProgram, parse_program
 from repro.datalog.analysis import (
     dependency_graph,
-    depends_on,
-    is_recursive_predicate,
     reachable_predicates,
-    recursive_blocks,
     strongly_connected_components,
 )
 
@@ -53,34 +51,35 @@ class TestSCC:
 
 
 class TestBlocks:
+    """A block of mutually recursive predicates is a stratum that is not
+    flat: one of its rules reads a head of the stratum."""
+
     def test_mutual_block(self):
-        blocks = recursive_blocks(program(MUTUAL))
-        assert frozenset({"even", "odd"}) in blocks
+        compiled = CompiledProgram(program(MUTUAL))
+        assert compiled.stratum_heads == (frozenset({"even", "odd"}),)
+        assert compiled.flat == (False,)
 
     def test_non_recursive_not_a_block(self):
-        blocks = recursive_blocks(program("p(X) :- q(X)."))
-        assert blocks == []
+        assert CompiledProgram(program("p(X) :- q(X).")).flat == (True,)
 
     def test_self_recursive_block(self):
-        blocks = recursive_blocks(
+        compiled = CompiledProgram(
             program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, Z), t(Z, Y).")
         )
-        assert frozenset({"t"}) in blocks
+        assert compiled.flat == (False,)
 
 
 class TestQueries:
     def test_is_recursive(self):
-        p = program(MUTUAL)
-        assert is_recursive_predicate(p, "even")
-        assert is_recursive_predicate(p, "odd")
-        assert not is_recursive_predicate(program("p(X) :- q(X)."), "p")
+        # a negated read of a lower stratum does not make a stratum recurse
+        compiled = CompiledProgram(
+            program(MUTUAL + "lone(X) :- zero(X), not even(X).")
+        )
+        assert compiled.stratum_heads == (
+            frozenset({"even", "odd"}), frozenset({"lone"})
+        )
+        assert compiled.flat == (False, True)
 
     def test_reachable(self):
         p = program("a(X) :- b(X).\nb(X) :- c(X).\nd(X) :- e(X).")
         assert reachable_predicates(p, ["a"]) == {"a", "b", "c"}
-
-    def test_depends_on(self):
-        p = program("a(X) :- b(X).\nb(X) :- c(X).")
-        assert depends_on(p, "a", "b")
-        assert depends_on(p, "a", "c")
-        assert not depends_on(p, "a", "a")

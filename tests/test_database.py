@@ -59,7 +59,7 @@ class TestRelation:
         rel.discard_many(rows[:60])  # dead slots outnumber live ones
         assert not rel._dead and rel.slot_count() == 20  # compacted
         assert [rel.term_row(slot) for slot in rel.all_slots()] == rows[60:]
-        assert rel.lookup((0,), (c(70),)) == [(c(70), c(71))]
+        assert rel.select({0: c(70)}, (0, 1)) == {(c(70), c(71))}
         assert rel.check_invariants()
 
     @pytest.mark.parametrize("seeded", [True, False])
@@ -90,26 +90,25 @@ class TestRelation:
     def test_lookup_with_index(self):
         rel = Relation("par")
         rel.add_many([(c("a"), c("b")), (c("a"), c("x")), (c("b"), c("y"))])
-        rows = rel.lookup((0,), (c("a"),))
-        assert sorted(str(r[1]) for r in rows) == ["b", "x"]
+        assert rel.select({0: c("a")}, (1,)) == {(c("b"),), (c("x"),)}
 
     def test_lookup_maintained_after_insert(self):
         rel = Relation("par")
         rel.add((c("a"), c("b")))
-        assert len(rel.lookup((0,), (c("a"),))) == 1
+        assert len(rel.select({0: c("a")}, (0, 1))) == 1
         rel.add((c("a"), c("z")))  # index must be updated
-        assert len(rel.lookup((0,), (c("a"),))) == 2
+        assert len(rel.select({0: c("a")}, (0, 1))) == 2
 
     def test_lookup_all_positions(self):
         rel = Relation("par")
         rel.add((c("a"), c("b")))
-        assert rel.lookup((0, 1), (c("a"), c("b"))) == [(c("a"), c("b"))]
-        assert rel.lookup((0, 1), (c("a"), c("z"))) == []
+        assert rel.select({0: c("a"), 1: c("b")}, (0, 1)) == {(c("a"), c("b"))}
+        assert rel.select({0: c("a"), 1: c("z")}, (0, 1)) == set()
 
     def test_lookup_no_positions_returns_all(self):
         rel = Relation("par")
         rel.add_many([(c("a"),), (c("b"),)])
-        assert len(rel.lookup((), ())) == 2
+        assert len(rel.select({}, (0,))) == 2
 
     def test_copy_is_independent(self):
         rel = Relation("par")
@@ -130,8 +129,8 @@ class TestRelation:
         assert (1,) in dup._indexes
         # and the carried index stays maintained, not just present
         dup.add((c("q"), c("b")))
-        assert len(dup.lookup((1,), (c("b"),))) == 3
-        assert len(rel.lookup((1,), (c("b"),))) == 2
+        assert len(dup.select({1: c("b")}, (0, 1))) == 3
+        assert len(rel.select({1: c("b")}, (0, 1))) == 2
         assert rel.check_invariants() and dup.check_invariants()
 
     def test_copy_preserves_indexes_across_retraction(self):
@@ -140,10 +139,10 @@ class TestRelation:
         rel.add_many([(c("a"), c("b")), (c("a"), c("x")), (c("b"), c("y"))])
         rel.discard((c("a"), c("x")))
         dup = rel.copy()
-        assert dup.lookup((0,), (c("a"),)) == [(c("a"), c("b"))]
+        assert dup.select({0: c("a")}, (0, 1)) == {(c("a"), c("b"))}
         dup.add((c("a"), c("x")))
-        assert len(dup.lookup((0,), (c("a"),))) == 2
-        assert len(rel.lookup((0,), (c("a"),))) == 1
+        assert len(dup.select({0: c("a")}, (0, 1))) == 2
+        assert len(rel.select({0: c("a")}, (0, 1))) == 1
         assert rel.check_invariants() and dup.check_invariants()
 
 
@@ -160,9 +159,9 @@ class TestLookupNormalization:
 
     def test_unsorted_positions_equal_sorted(self):
         rel = self.fixture_relation()
-        sorted_rows = rel.lookup((0, 1), (c("a"), c("b")))
-        unsorted_rows = rel.lookup((1, 0), (c("b"), c("a")))
-        assert sorted_rows == unsorted_rows == [(c("a"), c("b"))]
+        sorted_rows = rel.select([(0, c("a")), (1, c("b"))], (0, 1))
+        unsorted_rows = rel.select([(1, c("b")), (0, c("a"))], (0, 1))
+        assert sorted_rows == unsorted_rows == {(c("a"), c("b"))}
 
     def ternary_relation(self):
         # two bound positions of three: a key on all of them would be
@@ -179,33 +178,28 @@ class TestLookupNormalization:
 
     def test_unsorted_after_sorted_shares_index(self):
         rel = self.ternary_relation()
-        rel.lookup((0, 1), (c("a"), c("b")))  # builds the sorted index
+        rel.select([(0, c("a")), (1, c("b"))], (2,))  # builds the index
         assert list(rel._indexes) == [(0, 1)]
-        rows = rel.lookup((1, 0), (c("x"), c("a")))
-        assert rows == [(c("a"), c("x"), c(2))]
+        rows = rel.select([(1, c("x")), (0, c("a"))], (0, 1, 2))
+        assert rows == {(c("a"), c("x"), c(2))}
         # normalization reuses the sorted index, no shadow index appears
         assert list(rel._indexes) == [(0, 1)]
 
     def test_duplicate_positions_consistent(self):
         rel = self.fixture_relation()
-        rows = rel.lookup((0, 0), (c("a"), c("a")))
-        assert sorted(str(r[1]) for r in rows) == ["b", "x"]
+        rows = rel.select([(0, c("a")), (0, c("a"))], (1,))
+        assert rows == {(c("b"),), (c("x"),)}
 
     def test_duplicate_positions_conflicting(self):
         rel = self.fixture_relation()
-        assert rel.lookup((0, 0), (c("a"), c("b"))) == []
-
-    def test_key_length_mismatch_raises(self):
-        rel = self.fixture_relation()
-        with pytest.raises(ValueError):
-            rel.lookup((0, 1), (c("a"),))
+        assert rel.select([(0, c("a")), (0, c("b"))], (0, 1)) == set()
 
     def test_out_of_range_position_raises(self):
         rel = self.fixture_relation()
         with pytest.raises(ValueError):
-            rel.lookup((5,), (c("a"),))
+            rel.select({5: c("a")}, (0,))
         with pytest.raises(ValueError):
-            rel.lookup((-1,), (c("a"),))
+            rel.select({-1: c("a")}, (0,))
 
     def test_register_index_is_maintained(self):
         rel = Relation("par")
@@ -213,15 +207,15 @@ class TestLookupNormalization:
         rel.register_index((1,))
         assert (1,) in rel._indexes
         rel.add((c("z"), c("b")))
-        assert len(rel.lookup((1,), (c("b"),))) == 2
+        assert len(rel.select({1: c("b")}, (0, 1))) == 2
 
     def test_register_index_normalizes_like_lookup(self):
         rel = self.ternary_relation()
         rel.register_index((1, 0, 1))  # unsorted, duplicated
         assert list(rel._indexes) == [(0, 1)]
-        # lookup consults the registered index, no shadow index appears
-        rows = rel.lookup((1, 0), (c("b"), c("a")))
-        assert rows == [(c("a"), c("b"), c(1))]
+        # select consults the registered index, no shadow index appears
+        rows = rel.select([(1, c("b")), (0, c("a"))], (0, 1, 2))
+        assert rows == {(c("a"), c("b"), c(1))}
         assert list(rel._indexes) == [(0, 1)]
 
 
@@ -248,7 +242,9 @@ class TestNeverFullWidth:
             assert [rel.term_row(slot) for slot in slots] == (
                 [] if i % 3 == 0 else [row]
             )
-            assert rel.lookup(full, row) == ([] if i % 3 == 0 else [row])
+            assert rel.select(zip(full, row), full) == (
+                set() if i % 3 == 0 else {row}
+            )
         absent = tuple(intern(c(-1 - p)) for p in range(arity))
         assert not rel.lookup_ids(full, absent if arity > 1 else absent[0])
         assert rel._indexes == {}
@@ -260,7 +256,7 @@ class TestNeverFullWidth:
         rel.register_index((0,))
         rel.add((c("a"), c("b")))
         assert list(rel._indexes) == [(0,)]
-        assert rel.lookup((0, 1), (c("a"), c("b"))) == [(c("a"), c("b"))]
+        assert rel.select({0: c("a"), 1: c("b")}, (0, 1)) == {(c("a"), c("b"))}
         assert rel.check_invariants()
 
     @pytest.mark.parametrize("insert", ["add_many", "add_id_rows"])
@@ -396,7 +392,7 @@ class TestBulkLoad:
         assert len(bulk_log) == len(twin_log) == 8
         assert set(bulk.get("par")._indexes) == {(0,)}
         assert bulk.get("par")._indexes == twin.get("par")._indexes
-        assert bulk.get("par").lookup((0,), (c("a"),)) == [(c("a"), c("b"))]
+        assert bulk.get("par").select({0: c("a")}, (0, 1)) == {(c("a"), c("b"))}
         assert bulk.check_integrity() and twin.check_integrity()
 
     def test_reloading_is_a_no_op(self):
@@ -470,19 +466,18 @@ class TestRetraction:
         rel.register_index((0,))
         rel.add_many([(c("a"), c("b")), (c("a"), c("x")), (c("b"), c("y"))])
         assert rel.discard((c("a"), c("b")))
-        rows = rel.lookup((0,), (c("a"),))
-        assert [str(r[1]) for r in rows] == ["x"]
+        assert rel.select({0: c("a")}, (1,)) == {(c("x"),)}
         # the emptied bucket is dropped, not left as a stale empty list
         assert rel.discard((c("b"), c("y")))
-        assert rel.lookup((0,), (c("b"),)) == []
+        assert rel.select({0: c("b")}, (0, 1)) == set()
         assert rel.check_invariants()
 
     def test_discard_maintains_lazily_built_indexes(self):
         rel = Relation("par")
         rel.add_many([(c("a"), c("b")), (c("b"), c("c"))])
-        assert len(rel.lookup((1,), (c("b"),))) == 1  # builds the index
+        assert len(rel.select({1: c("b")}, (0, 1))) == 1  # builds the index
         rel.discard((c("a"), c("b")))
-        assert rel.lookup((1,), (c("b"),)) == []
+        assert rel.select({1: c("b")}, (0, 1)) == set()
 
     def test_discard_many(self):
         rel = Relation("par")
@@ -823,8 +818,8 @@ class TestSharingContract:
         assert db.get("par") is par
         assert all(par._indexes[p] is index for p, index in indexes.items())
         # ... and the writes kept it current
-        assert par.lookup((0,), (c("e"),)) == [(c("e"), c("f"))]
-        assert par.lookup((0,), (c("a"),)) == []
+        assert par.select({0: c("e")}, (0, 1)) == {(c("e"), c("f"))}
+        assert par.select({0: c("a")}, (0, 1)) == set()
         assert db.check_integrity()
 
     def test_snapshot_of_snapshot_outlives_the_middle_one(self):

@@ -102,6 +102,12 @@ GUARDS = [
           r"|fixpoint|match_sequences|resolve", (DATALOG + "derivation.py",)),
     Guard(46, "BRE", "line", r"\.lookup(", (DATALOG + "derivation.py",)),
     Guard(46, "BRE", "word", r"is_bounded", (SRC,)),
+    # one stratifier (datalog/analysis.stratify), and relations answer
+    # term-level reads through select alone
+    Guard(47, "ERE", "word",
+          r"stratify_rules|stratify_or_raise|is_stratified|check_stratified"
+          r"|recursive_blocks|is_recursive_predicate|depends_on", (SRC, TESTS)),
+    Guard(47, "BRE", "line", r"\.lookup(", (SRC,)),
     # the claims ledger: benches read no knob and write no timing file
     Guard("ledger", "ERE", "word", r"environ|getenv|record_bench", (BENCHMARKS,)),
     Guard("ledger", "ERE", "line", r"BENCH_", (".github",)),
@@ -110,7 +116,7 @@ GUARDS = [
 DELETED_FILES = [
     (36, "src/repro/core/" + module + ".py")
     for module in ("magic", "supplementary", "counting", "supplementary_counting")
-] + [
+] + [(47, "src/repro/core/stratify.py")] + [
     ("ledger", "benchmarks/bench_" + module + ".py")
     for module in (
         "engine", "join_planning", "qsq_planning", "memoization", "ivm",

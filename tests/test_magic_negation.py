@@ -9,7 +9,7 @@ Three guarantees are pinned down here:
 * **Re-stratifiability.**  The conservative rewrite never turns a
   stratified program into an unstratifiable one:
   ``pipeline.rewrite`` re-stratifies its output through
-  ``stratify_or_raise``, and the property test asserts the invariant
+  ``stratify``, and the property test asserts the invariant
   on random inputs (plus the BOM program explicitly).
 * **Dispatch.**  ``method="auto"`` on stratified input executes the
   query-directed path and reports it via ``QueryResult.method``.
@@ -30,8 +30,8 @@ from repro import (
     parse_query,
     parse_rule,
     rewrite,
+    stratify,
 )
-from repro.core.stratify import stratify_or_raise
 from repro.workloads import bom_database, bom_program
 
 from conftest import oracle_answers
@@ -149,7 +149,7 @@ def test_rewrite_output_always_restratifies(case):
         rewritten = rewrite(program, query, method=method)
         # must not raise: the conservative treatment never creates a
         # cycle through negation
-        strat = stratify_or_raise(rewritten.program)
+        strat = stratify(rewritten.program)
         assert len(strat) >= 1
 
 
@@ -170,7 +170,7 @@ class TestBomRewrites:
             bom_program(), parse_query(query_text), method=method
         )
         assert rewritten.program.has_negation()
-        strat = stratify_or_raise(rewritten.program)
+        strat = stratify(rewritten.program)
         # the negation layering survives the rewrite: strictly more
         # than one stratum, anti-joins always probe completed relations
         assert len(strat) > 1
@@ -317,7 +317,7 @@ class TestDerivedNameFacts:
 
 
 # ----------------------------------------------------------------------
-# stratify_or_raise entry points
+# the stratify entry point
 # ----------------------------------------------------------------------
 
 
@@ -326,7 +326,7 @@ class TestStratifyOrRaise:
         program = parse_program(
             "p(X) :- e(X), not q(X).\nq(X) :- bad(X).\n"
         ).program
-        strat = stratify_or_raise(program)
+        strat = stratify(program)
         assert strat.stratum_of("p") > strat.stratum_of("q")
 
     def test_context_prefixes_the_error(self):
@@ -334,7 +334,7 @@ class TestStratifyOrRaise:
             "win(X) :- move(X, Y), not win(Y).\n"
         ).program
         with pytest.raises(StratificationError) as exc:
-            stratify_or_raise(program, context="invariant check")
+            stratify(program, context="invariant check")
         assert str(exc.value).startswith("invariant check: ")
         assert exc.value.cycle  # the offending SCC survives wrapping
 
@@ -342,7 +342,7 @@ class TestStratifyOrRaise:
         program = parse_program(
             "p(X) :- e(X), not q(X).\nq(X) :- bad(X).\n"
         ).program
-        strat = stratify_or_raise(program)
+        strat = stratify(program)
         assert strat.predicate_stratum["p"] == 1
         assert len(strat.rule_strata) == 2
 
@@ -351,5 +351,5 @@ class TestStratifyOrRaise:
             "win(X) :- move(X, Y), not win(Y).\n"
         ).program
         with pytest.raises(StratificationError) as exc:
-            stratify_or_raise(program)
+            stratify(program)
         assert "invariant" not in str(exc.value)

@@ -31,7 +31,7 @@ from repro import (
     unwrap_values,
 )
 from repro.cli import main
-from repro.core.safety import check_safe_negation, negation_safety
+from repro.core.safety import negation_safety
 from repro.workloads import bom_database, bom_program, bom_source
 
 from conftest import assert_matches_oracle
@@ -138,7 +138,7 @@ class TestSafeNegation:
     def test_unbound_negated_variable_rejected(self):
         rule = parse_rule("p(X, Y) :- e(X), not r(X, Y).")
         with pytest.raises(UnsafeNegationError) as exc:
-            check_safe_negation(rule)
+            rule.check_safe_negation()
         message = str(exc.value)
         assert "Y" in message
         assert "not r(X, Y)" in message
@@ -148,11 +148,11 @@ class TestSafeNegation:
     def test_variable_only_under_negation_rejected(self):
         rule = parse_rule("p(X) :- e(X), not q(Z).")
         with pytest.raises(UnsafeNegationError):
-            check_safe_negation(rule)
+            rule.check_safe_negation()
 
     def test_safe_rule_passes(self):
-        check_safe_negation(parse_rule("p(X) :- e(X), not q(X)."))
-        check_safe_negation(parse_rule("p :- e(X), not q(X)."))
+        parse_rule("p(X) :- e(X), not q(X).").check_safe_negation()
+        parse_rule("p :- e(X), not q(X).").check_safe_negation()
 
     def test_negation_safety_report(self):
         good = negation_safety(prog("p(X) :- e(X), not q(X)."))

@@ -165,8 +165,6 @@ class TestMalformedSelections:
                 broken.extract_answers(evaluation)
         anc = _view_session()._materializer.working.get("anc")
         with pytest.raises(ValueError, match="out of range"):
-            anc.lookup((2,), (c("john"),))
-        with pytest.raises(ValueError, match="out of range"):
             anc.select({2: c("john")}, (0,))
 
     def test_empty_relation_without_arity_is_empty(self):

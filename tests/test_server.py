@@ -341,6 +341,14 @@ class TestServerHandle:
             assert out["error"]["exit_code"] == 4
             assert out["error"]["detail"]["method"] == tripped
 
+    def test_a_query_without_a_budget_gets_the_cap(self):
+        config = ServerConfig(max_facts=1)
+        with ServerHandle.start(ANCESTOR, config=config) as handle:
+            out = handle.request({"op": "query", "query": "anc(john, X)?"})
+            assert not out["ok"]
+            assert out["error"]["code"] == "budget_exceeded"
+            assert out["error"]["detail"]["limit"] == "max_facts"
+
     def test_a_rejected_shape_is_adorned_once(
         self, front_end_calls, monkeypatch
     ):

@@ -8,8 +8,7 @@ from repro import (
     parse_program,
     stratify,
 )
-from repro.core.stratify import check_stratified, is_stratified
-from repro.datalog.analysis import polarity_edges, stratify_rules
+from repro.datalog.analysis import polarity_edges
 
 BOM = """
 component(P, S) :- subpart(P, S).
@@ -66,11 +65,9 @@ class TestStratumNumbers:
 
     def test_stratum_programs_partition_the_rules(self):
         program = prog(BOM)
-        parts = stratify(program).stratum_programs()
-        recombined = [r for part in parts for r in part.rules]
-        assert sorted(map(str, recombined)) == sorted(
-            map(str, program.rules)
-        )
+        strata = stratify(program).rule_strata
+        recombined = [i for stratum in strata for i in stratum]
+        assert sorted(recombined) == list(range(len(program.rules)))
 
     def test_negative_dependency_on_base_predicate(self):
         program = prog("alive(X) :- node(X), not dead(X).")
@@ -87,9 +84,9 @@ class TestStratumNumbers:
         assert len(strat) == 1
 
     def test_negative_edges_reported(self):
-        strat = stratify(prog(BOM))
-        assert ("clean", "tainted") in strat.negative_edges()
-        assert ("buildable", "blocked") in strat.negative_edges()
+        edges = polarity_edges(prog(BOM))
+        assert ("clean", "tainted", True) in edges
+        assert ("buildable", "blocked", True) in edges
 
     def test_str_rendering_names_strata(self):
         text = str(stratify(prog(BOM)))
@@ -121,17 +118,4 @@ class TestRejection:
 
     def test_negation_between_independent_predicates_allowed(self):
         program = prog("p(X) :- e(X), not q(X).\nq(X) :- f(X).")
-        assert is_stratified(program)
-        check_stratified(program)  # should not raise
-
-    def test_is_stratified_false_on_cycle(self):
-        assert not is_stratified(
-            prog("win(X) :- move(X, Y), not win(Y).")
-        )
-
-
-class TestLowLevelApi:
-    def test_stratify_rules_returns_predicate_map_and_partition(self):
-        predicate_stratum, rule_strata = stratify_rules(prog(BOM))
-        assert predicate_stratum["buildable"] == 3
-        assert [len(group) for group in rule_strata] == [4, 1, 1, 1]
+        assert len(stratify(program)) == 2
