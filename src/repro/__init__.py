@@ -75,7 +75,6 @@ from .datalog import (
     UnsupportedProgramError,
     Variable,
     WellFormednessError,
-    answer_tuples,
     compile_rule,
     compile_subquery_rule,
     compiled_program_for,
@@ -111,7 +110,6 @@ from .core import (
     Stratification,
     adorn_program,
     answer_query,
-    bottom_up_answer,
     build_chain_sip,
     build_empty_sip,
     build_full_sip,
@@ -149,7 +147,7 @@ __all__ = [
     "Database", "Relation", "TermCatalog", "term_catalog",
     "parse_program", "parse_rule", "parse_literal", "parse_term",
     "parse_query", "make_list", "list_elements",
-    "evaluate", "answer_tuples",
+    "evaluate",
     "CompiledProgram", "JoinPlan", "JoinStep", "compile_rule", "order_body",
     "PlanCache", "SubqueryProgram",
     "compile_subquery_rule", "compiled_program_for", "subquery_program_for",
@@ -169,7 +167,7 @@ __all__ = [
     "magic_safety", "counting_safety",
     "negation_safety", "Stratification", "stratify",
     "check_optimality", "compare_sips",
-    "rewrite", "answer_query", "bottom_up_answer", "unwrap_values",
+    "rewrite", "answer_query", "unwrap_values",
     "RewrittenProgram", "QueryAnswer", "QueryOptions", "REWRITE_METHODS",
     # resource governance
     "EvaluationBudget", "BudgetMeter", "BudgetExceeded",

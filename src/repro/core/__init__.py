@@ -34,7 +34,6 @@ from .pipeline import (
     QueryOptions,
     REWRITE_METHODS,
     answer_query,
-    bottom_up_answer,
     rewrite,
     unwrap_values,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "QueryOptions",
     "REWRITE_METHODS",
     "answer_query",
-    "bottom_up_answer",
     "rewrite",
     "unwrap_values",
     "BodyOrigin",

@@ -75,9 +75,11 @@ def check_optimality(
     mismatches = []
     query_counts: Dict[str, Tuple[int, int]] = {}
     fact_counts: Dict[str, Tuple[int, int]] = {}
+    oracle_answers = oracle.answers
+    oracle_queries = oracle.queries
     for pred_key in sorted(adorned.adorned_predicates()):
         pred, _, adornment = pred_key.partition("^")
-        answers = oracle.answers.get(pred_key, set())
+        answers = oracle_answers.get(pred_key, set())
         derived = bottom_up.database.tuples(pred_key)
         fact_counts[pred_key] = (len(derived), len(answers))
         if derived != answers:
@@ -89,7 +91,7 @@ def check_optimality(
             continue
         magic_key = magic_name(pred, adornment)
         magic_facts = bottom_up.database.tuples(magic_key)
-        queries = oracle.queries.get(pred_key, set())
+        queries = oracle_queries.get(pred_key, set())
         query_counts[pred_key] = (len(magic_facts), len(queries))
         if magic_facts != queries:
             mismatches.append(

@@ -30,7 +30,11 @@ into the seed, evaluates bottom-up and selects the answer.  It also
 accepts the baseline strategies (plain naive/semi-naive bottom-up of the
 original program and top-down QSQ) and ``"auto"``, so the benchmarks,
 :meth:`repro.Session.query` and the query server's cold reads all answer
-through it.
+through it.  Every route selects its answer from its own evaluation's
+database, through :meth:`Database.answers` /
+:meth:`~repro.datalog.database.Relation.matching` (a rewrite through
+:meth:`RewrittenProgram.extract_answers`, whose selection is on the
+rewritten answer relation).
 """
 
 from __future__ import annotations
@@ -41,12 +45,7 @@ from typing import NamedTuple, Optional, Set, Tuple
 from ..datalog.analysis import reachable_predicates, stratify
 from ..datalog.ast import Program, Query
 from ..datalog.database import Database
-from ..datalog.engine import (
-    EvaluationResult,
-    EvaluationStats,
-    answer_tuples,
-    evaluate,
-)
+from ..datalog.engine import EvaluationResult, EvaluationStats, evaluate
 from ..datalog.errors import (
     AdornmentError,
     ConnectivityError,
@@ -73,7 +72,6 @@ __all__ = [
     "QueryOptions",
     "QueryAnswer",
     "answer_query",
-    "bottom_up_answer",
     "unwrap_values",
 ]
 
@@ -201,7 +199,8 @@ class QueryAnswer:
     stats: Optional[EvaluationStats] = None
     rewritten: Optional[RewrittenProgram] = None
     evaluation: Optional[EvaluationResult] = None
-    #: the raw Q/F sets when the strategy was top-down QSQ
+    #: the QSQ result (its working snapshot holds Q and F) when the
+    #: strategy was top-down QSQ
     qsq: Optional[QSQResult] = None
     #: relation names the answers were computed from, where the strategy
     #: knows them (the rewrite methods and QSQ); a Session drops a
@@ -479,14 +478,19 @@ def _evaluate(
             method = _AUTO_PRIMARY
     try:
         if method in ("naive", "seminaive"):
-            return bottom_up_answer(
+            result = evaluate(
                 program,
                 database,
-                query,
-                method,
+                method=method,
                 plan_cache=plan_cache,
                 meter=meter,
                 workers=options.workers,
+            )
+            return QueryAnswer(
+                answers=result.database.answers(query.literal),
+                strategy=method,
+                stats=result.stats,
+                evaluation=result,
             )
         if method == "qsq":
             adorned = shape.adorned.bind(query)
@@ -498,7 +502,7 @@ def _evaluate(
                 meter=meter,
             )
             return QueryAnswer(
-                answers=qsq.query_answers(adorned.query_literal),
+                answers=qsq.database.answers(adorned.query_literal),
                 strategy="qsq",
                 stats=qsq.stats,
                 qsq=qsq,
@@ -524,36 +528,3 @@ def _evaluate(
         if exc.method is None:
             exc.method = method
         raise
-
-
-def bottom_up_answer(
-    program: Program,
-    database: Database,
-    query: Query,
-    method: str = "seminaive",
-    plan_cache=None,
-    meter=None,
-    workers: int = 1,
-) -> QueryAnswer:
-    """The Section 1 strawman: evaluate everything, then select.
-
-    ``meter`` is an optional :class:`repro.core.limits.BudgetMeter`
-    checked at the engine's round/batch boundaries.  ``workers`` > 1
-    evaluates on the sharded thread pool
-    (:mod:`repro.datalog.parallel`) with identical answers and
-    counters.
-    """
-    result = evaluate(
-        program,
-        database,
-        method=method,
-        plan_cache=plan_cache,
-        meter=meter,
-        workers=workers,
-    )
-    return QueryAnswer(
-        answers=answer_tuples(result, query.literal),
-        strategy=method,
-        stats=result.stats,
-        evaluation=result,
-    )

@@ -348,7 +348,7 @@ def semijoin_optimize(rewritten: RewrittenProgram) -> RewrittenProgram:
 
 
 def _rebuild(
-    rewritten: RewrittenProgram, analysis: _Analysis
+    rewritten: RewrittenProgram, analysis: _Analysis, suffix: str = "_semijoin"
 ) -> RewrittenProgram:
     shape = analysis.shape
 
@@ -415,7 +415,7 @@ def _rebuild(
         projection = tuple(new_projection)
 
     return RewrittenProgram(
-        method=rewritten.method + "_semijoin",
+        method=rewritten.method + suffix,
         rules=new_rules,
         seed_facts=rewritten.seed_facts,
         query=rewritten.query,
@@ -438,32 +438,7 @@ def lemma_8_1_prune(rewritten: RewrittenProgram) -> RewrittenProgram:
     # disable dropping and dead positions: pure Lemma 8.1
     analysis.dropping = set()
     analysis.dead_sup = set()
-    new_rules: List[RewrittenRule] = []
-    for rr in rewritten.rules:
-        deleted = analysis.deletable_tails(rr)
-        if not deleted:
-            new_rules.append(rr)
-            continue
-        new_body = []
-        new_origins = []
-        for body_index, (literal, origin) in enumerate(
-            zip(rr.rule.body, rr.provenance.body_origins)
-        ):
-            if body_index in deleted:
-                continue
-            new_body.append(literal)
-            new_origins.append(origin)
-        candidate = Rule(rr.rule.head, tuple(new_body))
-        if new_body and not unbound_head_variables(candidate):
-            new_rules.append(rr.with_rule(candidate, new_origins))
-        else:
-            new_rules.append(rr)
-    return replace(
-        rewritten,
-        method=rewritten.method + "_lemma81",
-        rules=new_rules,
-        registry=dict(rewritten.registry),
-    )
+    return _rebuild(rewritten, analysis, "_lemma81")
 
 
 def lemma_8_2_anonymize(rewritten: RewrittenProgram) -> RewrittenProgram:

@@ -9,12 +9,7 @@ these data structures, evaluated by this engine.
 from .ast import Literal, Program, Query, Rule
 from .catalog import TermCatalog, term_catalog
 from .database import Database, Relation
-from .engine import (
-    EvaluationResult,
-    EvaluationStats,
-    answer_tuples,
-    evaluate,
-)
+from .engine import EvaluationResult, EvaluationStats, evaluate
 from .errors import (
     AdornmentError,
     ConnectivityError,
@@ -74,7 +69,6 @@ __all__ = [
     "term_catalog",
     "EvaluationResult",
     "EvaluationStats",
-    "answer_tuples",
     "evaluate",
     "CompiledProgram",
     "JoinPlan",

@@ -37,11 +37,12 @@ call -- nothing is cached.  The batch join executor
 (:mod:`repro.datalog.planner`) and QSQ work on ID batches directly via
 ``lookup_ids``/``window_rows``/``add_id_rows``/``id_rows``;
 evaluation results are resolved back to terms only when answers are
-materialized: in :meth:`Relation.select` for every bottom-up answer
-(``answer_tuples``, ``extract_answers``, view reads in the session and
-the server), which resolves only the distinct answer rows, so a read
-costs its answer and not the relation; ``QSQResult.query_answers`` and
-derivation/provenance reconstruction resolve their own rows.
+materialized: in :meth:`Relation.select` for every answer (through
+:meth:`Database.answers` on the evaluation's database for the
+baselines and QSQ, ``extract_answers`` for the rewrites, view reads in
+the session and the server), which resolves only the distinct answer
+rows, so a read costs its answer and not the relation; derivation and
+provenance reconstruction resolve their own rows.
 
 Index ownership
 ---------------

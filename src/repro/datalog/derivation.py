@@ -32,13 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from .ast import Literal, Program, Rule
 from .catalog import term_catalog
 from .database import Database, FactTuple, IdTuple
-from .engine import (
-    EvaluationResult,
-    EvaluationStats,
-    _IdDeltaBatch,
-    answer_tuples,
-    evaluate,
-)
+from .engine import EvaluationResult, EvaluationStats, _IdDeltaBatch, evaluate
 from .errors import EvaluationError
 from .planner import JoinPlan, PlanCache, compile_rule
 from .terms import Variable
@@ -243,7 +237,7 @@ def explain_answers(
     to ``limit`` of them.  Returns the number of answers and the
     trees."""
     result = evaluate(program, base, plan_cache=plan_cache)
-    answers = sorted(answer_tuples(result, query), key=str)
+    answers = sorted(result.database.answers(query), key=str)
     free = [i for i, arg in enumerate(query.args) if not arg.is_ground()]
     trees = []
     for row in answers[: None if limit is None else max(limit, 0)]:

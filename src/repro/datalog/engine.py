@@ -122,8 +122,8 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .ast import Literal, Program
-from .database import Database, FactTuple, IdTuple
+from .ast import Program
+from .database import Database, IdTuple
 from .planner import (
     CompiledProgram,
     PlanCache,
@@ -135,7 +135,6 @@ __all__ = [
     "EvaluationStats",
     "EvaluationResult",
     "evaluate",
-    "answer_tuples",
 ]
 
 
@@ -188,23 +187,17 @@ class EvaluationStats:
 class EvaluationResult:
     """Outcome of a bottom-up evaluation.
 
-    ``database`` holds base *and* derived facts; ``derived_keys`` lists
-    the predicate keys the program defines (so callers can separate IDB
-    from EDB), and ``stats`` the work counters and the install log
+    ``database`` holds base *and* derived facts, and a query's answer
+    is selected from it (``result.database.answers(literal)``, see
+    :meth:`Database.answers`); ``derived_keys`` lists the predicate keys
+    the program defines (so callers can separate IDB from EDB), and
+    ``stats`` the work counters and the install log
     (:mod:`repro.datalog.derivation` stamps each derived row with it).
     """
 
     database: Database
     derived_keys: Set[str]
     stats: EvaluationStats
-
-    def derived_tuples(self, pred_key: str) -> Set[FactTuple]:
-        return self.database.tuples(pred_key)
-
-    def derived_fact_count(self) -> int:
-        return sum(
-            len(self.database.tuples(key)) for key in self.derived_keys
-        )
 
 
 # ----------------------------------------------------------------------
@@ -580,16 +573,3 @@ def evaluate(
             compiled, working, stats, execute, method == "seminaive", meter
         )
     return EvaluationResult(working, program.derived_predicates(), stats)
-
-
-def answer_tuples(
-    result: EvaluationResult,
-    query_literal: Literal,
-) -> Set[FactTuple]:
-    """Apply the query's selection/projection to an evaluation result.
-
-    Returns the set of bindings for the query's free positions, i.e. the
-    *answer* of Section 1.1 ("the set of bindings to the vector of
-    variables X that make the query expression true").
-    """
-    return result.database.answers(query_literal)

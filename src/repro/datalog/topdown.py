@@ -61,21 +61,23 @@ QSQ runs on the bottom-up engine's one join executor.  Each adorned rule
   so benchmark loops and repeated CLI queries stop recompiling;
   ``QSQResult.stats.plan_cache_hits``/``plan_cache_misses`` report what
   happened.
+* **The result is the snapshot.**  :class:`QSQResult` keeps the working
+  database, ``Q`` and ``F`` included, and decodes them into sets only
+  when ``queries`` / ``answers`` are read; the query's answer is
+  selected from it by :meth:`Database.answers`, as every route's is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .ast import Literal, Program
 from .database import Database, FactTuple
 from .engine import EvaluationStats, _install, fixpoint, serial_executor
 from .errors import EvaluationError, UnsupportedProgramError
 from .planner import PlanCache, subquery_program_for, subquery_relation
-from .terms import Term, Variable
-from .unify import match_sequences
 
 __all__ = ["QSQResult", "qsq_evaluate"]
 
@@ -84,67 +86,40 @@ __all__ = ["QSQResult", "qsq_evaluate"]
 class QSQResult:
     """Queries and facts produced by a QSQ (sip strategy) evaluation.
 
-    ``queries`` maps adorned predicate keys to the set of bound-argument
-    vectors for which a subquery was generated (the paper's ``Q``);
-    ``answers`` maps adorned predicate keys to full answer tuples (the
-    paper's ``F`` restricted to derived predicates); ``stats`` holds the
-    round driver's work counters.
+    ``database`` is the evaluation's working snapshot: per adorned
+    predicate key of ``predicates`` it holds the paper's ``Q`` under
+    :func:`~repro.datalog.planner.subquery_relation` (bound-argument
+    vectors) and ``F`` under the key itself (full answer tuples), next
+    to the base relations, so an answer is selected from it like any
+    evaluation's (:meth:`Database.answers`).  ``queries`` / ``answers``
+    decode those relations into sets when read; ``stats`` holds the
+    round driver's work counters.  A memoized copy drops ``database``
+    and keeps the counters.
     """
 
-    queries: Dict[str, Set[FactTuple]] = field(default_factory=dict)
-    answers: Dict[str, Set[FactTuple]] = field(default_factory=dict)
-    subqueries_generated: int = 0
-    stats: EvaluationStats = field(default_factory=EvaluationStats)
+    database: Optional[Database]
+    predicates: Tuple[str, ...]
+    subqueries_generated: int
+    stats: EvaluationStats
 
-    def query_count(self) -> int:
-        return sum(len(v) for v in self.queries.values())
+    @property
+    def queries(self) -> Dict[str, Set[FactTuple]]:
+        """``Q``: per adorned predicate, its subqueries' bound arguments."""
+        return self._decode(subquery_relation, keep_empty=True)
 
-    def answer_count(self) -> int:
-        return sum(len(v) for v in self.answers.values())
+    @property
+    def answers(self) -> Dict[str, Set[FactTuple]]:
+        """``F``: per adorned predicate with answers, its answer tuples."""
+        return self._decode(lambda pred: pred, keep_empty=False)
 
-    def query_answers(self, query_literal: Literal) -> Set[FactTuple]:
-        """Answer bindings (free positions) for the original query.
-
-        Uses the query's bound/free position split directly: bound
-        positions hold ground terms compared per row; free positions are
-        projected out.  The generic matcher is only consulted when a
-        free position holds something other than a plain variable
-        (which :class:`~repro.datalog.ast.Query` never produces).
-        """
-        rows = self.answers.get(query_literal.pred_key, ())
-        if not rows:
-            return set()
-        bound_checks: List[Tuple[int, Term]] = []
-        free_positions: List[int] = []
-        seen_vars: Set[Term] = set()
-        for i, arg in enumerate(query_literal.args):
-            if arg.is_ground():
-                bound_checks.append((i, arg))
-            else:
-                free_positions.append(i)
-                if not isinstance(arg, Variable) or arg in seen_vars:
-                    # a structured pattern or a repeated variable: fall
-                    # back to the generic matcher for the whole literal
-                    return self._query_answers_generic(query_literal)
-                seen_vars.add(arg)
-        out: Set[FactTuple] = set()
-        for row in rows:
-            if all(row[i] == value for i, value in bound_checks):
-                out.add(tuple(row[i] for i in free_positions))
-        return out
-
-    def _query_answers_generic(
-        self, query_literal: Literal
-    ) -> Set[FactTuple]:
-        free_positions = [
-            i
-            for i, arg in enumerate(query_literal.args)
-            if not arg.is_ground()
-        ]
-        out: Set[FactTuple] = set()
-        for row in self.answers.get(query_literal.pred_key, ()):
-            if match_sequences(query_literal.args, row) is not None:
-                out.add(tuple(row[i] for i in free_positions))
+    def _decode(self, name, keep_empty: bool) -> Dict[str, Set[FactTuple]]:
+        if self.database is None:
+            return {}
+        out: Dict[str, Set[FactTuple]] = {}
+        for pred in self.predicates:
+            rel = self.database.get(name(pred))
+            if rel is not None and (keep_empty or len(rel)):
+                out[pred] = set(rel)
         return out
 
 
@@ -204,14 +179,8 @@ def qsq_evaluate(
     )
     fixpoint(compiled, working, stats, execute, True, meter)
 
-    result = QSQResult(stats=stats)
-    for pred in compiled.bound_positions:
-        inputs = working.get(subquery_relation(pred))
-        if inputs is not None:
-            result.queries[pred] = set(inputs)
-        found = working.get(pred)
-        if len(found):
-            result.answers[pred] = set(found)
-    result.subqueries_generated = result.query_count()
-    return result
-
+    predicates = tuple(compiled.bound_positions)
+    subqueries = sum(
+        len(working.get(subquery_relation(pred)) or ()) for pred in predicates
+    )
+    return QSQResult(working, predicates, subqueries, stats)

@@ -322,12 +322,6 @@ class ReproServer:
         if self._stopped is not None:
             self._stopped.set()
 
-    async def run_forever(self) -> Tuple[str, int]:
-        host, port = await self.start()
-        assert self._stopped is not None
-        await self._stopped.wait()
-        return host, port
-
 
 class ServerHandle:
     """A server running on a background thread, for tests and embedding.

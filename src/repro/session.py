@@ -917,8 +917,8 @@ class Session:
         not evaluation artifacts.
 
         The freshly returned (cold) result keeps its full
-        ``QueryAnswer`` -- including the evaluation's working database
-        and the raw QSQ Q/F sets -- but retaining those in up to
+        ``QueryAnswer`` -- including the evaluation's working database,
+        QSQ's with its Q/F relations -- but retaining those in up to
         ``memo_size`` entries would pin an evaluation snapshot per
         entry, and a live snapshot makes the next write to each
         relation it shares clone that relation.  Memo hits therefore
@@ -933,7 +933,7 @@ class Session:
         if answer is not None:
             qsq = answer.qsq
             if qsq is not None:
-                qsq = replace(qsq, queries={}, answers={})
+                qsq = replace(qsq, database=None)
             answer = replace(answer, answers=rows, evaluation=None, qsq=qsq)
         return replace(result, rows=rows, answer=answer)
 

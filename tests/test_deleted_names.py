@@ -108,6 +108,14 @@ GUARDS = [
           r"stratify_rules|stratify_or_raise|is_stratified|check_stratified"
           r"|recursive_blocks|is_recursive_predicate|depends_on", (SRC, TESTS)),
     Guard(47, "BRE", "line", r"\.lookup(", (SRC,)),
+    # one answer selection: every route answers through Database.answers
+    # on its own evaluation database, and QSQ keeps Q and F as relations
+    Guard(48, "ERE", "word",
+          r"answer_tuples|bottom_up_answer|query_answers|_query_answers_generic"
+          r"|query_count|answer_count|derived_tuples|derived_fact_count",
+          (SRC, TESTS, BENCHMARKS, "examples")),
+    Guard(48, "BRE", "word", r"match_sequences", (DATALOG + "topdown.py",)),
+    Guard(48, "BRE", "word", r"run_forever", (SRC,)),
     # the claims ledger: benches read no knob and write no timing file
     Guard("ledger", "ERE", "word", r"environ|getenv|record_bench", (BENCHMARKS,)),
     Guard("ledger", "ERE", "line", r"BENCH_", (".github",)),

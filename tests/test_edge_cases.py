@@ -11,7 +11,6 @@ from repro import (
     Struct,
     Variable,
     answer_query,
-    bottom_up_answer,
     evaluate,
     parse_program,
     parse_query,
@@ -32,7 +31,7 @@ class TestConstantsInRules:
         db.add_values("invite", [("bob",), ("eve",)])
         db.add_values("knows", [("bob", "dan")])
         query = parse_query("reach(alice, Y)?")
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         for method in ("magic", "supplementary_magic"):
             answer = answer_query(
                 program, db, query, QueryOptions(method=method)
@@ -50,7 +49,7 @@ class TestConstantsInRules:
         db = Database()
         db.add_values("e", [("a", "hub"), ("hub", "b"), ("a", "c")])
         query = parse_query("t(a, Y)?")
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method="magic"))
         assert answer.answers == baseline.answers
         assert {str(r[0]) for r in answer.answers} == {"hub", "c", "b"}
@@ -76,7 +75,7 @@ class TestPropositionalPredicates:
         db = Database()
         db.add_fact(Literal("smoke"))
         query = parse_query("alarm?")
-        answer = bottom_up_answer(program, db, query)
+        answer = answer_query(program, db, query, QueryOptions(method="seminaive"))
         assert answer.answers == {()}
 
 
@@ -116,7 +115,7 @@ class TestStructuredFacts:
         from repro import Query
 
         query = Query(Literal("boxed", (level2, Variable("X"))))
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method="magic"))
         assert answer.answers == baseline.answers
         assert len(answer.answers) == 2

@@ -13,7 +13,6 @@ from repro import (
     EvaluationBudget,
     QueryOptions,
     answer_query,
-    bottom_up_answer,
     evaluate,
     parse_program,
     parse_query,
@@ -66,7 +65,7 @@ class TestCountingOnMultiPredicatePrograms:
         program = nested_samegen_program()
         query = parse_query('p("a0", Y)?')
         db = acyclic_nested_database()
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(
             program,
             db,
@@ -125,7 +124,7 @@ class TestReverseDirectionQueries:
         program = ancestor_program()
         db = load_edges(tree_edges(5, fanout=2))
         query = parse_query("anc(X, r_0_0_0_0)?")
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         builder = sip_builder_with_order(build_full_sip, greedy_order)
         answer = answer_query(
             program,
@@ -143,7 +142,7 @@ class TestReverseDirectionQueries:
         program = ancestor_program()
         db = load_edges(tree_edges(4, fanout=2))
         query = parse_query("anc(X, r_0_0_0)?")
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         builder = sip_builder_with_order(build_full_sip, greedy_order)
         answer = answer_query(
             program,
@@ -198,7 +197,7 @@ class TestMutualRecursionThroughRewrites:
         program = parse_program(self.PROGRAM).program
         db = self.database()
         query = parse_query('reach_odd("m0", Y)?')
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
         # odd reachability from m0 on a chain: m1, m3, m5, m7

@@ -595,7 +595,7 @@ class TestFaultInjectionAtomicity:
         assert db.version == version
         assert _snapshot(db) == before
         clean = qsq_evaluate(adorned.program, db, adorned.query_literal)
-        assert clean.query_answers(adorned.query_literal) == oracle
+        assert clean.database.answers(adorned.query_literal) == oracle
 
     @given(
         edges=edges_strategy,

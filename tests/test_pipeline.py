@@ -10,7 +10,6 @@ from repro import (
     RewriteError,
     Session,
     answer_query,
-    bottom_up_answer,
 )
 from repro.workloads import (
     ancestor_program,
@@ -55,7 +54,7 @@ class TestAncestor:
         program = ancestor_program()
         query = ancestor_query(root)
         db = db_maker()
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
 
@@ -64,7 +63,7 @@ class TestAncestor:
         program = ancestor_program()
         query = ancestor_query("n0")
         db = cycle_database(6)
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
 
@@ -91,7 +90,7 @@ class TestNonlinearAncestor:
         program = nonlinear_ancestor_program()
         query = ancestor_query("n0")
         db = random_dag_database(20, 0.15, seed=5)
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
 
@@ -102,7 +101,7 @@ class TestSameGeneration:
         program = nonlinear_samegen_program()
         query = samegen_query("l0_1")
         db = samegen_database(3, 5, flat_edges=8, seed=4)
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(
             program,
             db,
@@ -117,7 +116,7 @@ class TestSameGeneration:
         program = nested_samegen_program()
         query = nested_samegen_query("l0_0")
         db = nested_samegen_database(3, 4)
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
         assert answer.answers == baseline.answers
 
@@ -159,7 +158,7 @@ class TestFactCounts:
         program = ancestor_program()
         db = tree_database(5)  # 63 internal/leaf nodes
         query = ancestor_query("r_0_0")  # a grandchild of the root
-        naive = bottom_up_answer(program, db, query, method="naive")
+        naive = answer_query(program, db, query, QueryOptions(method="naive"))
         magic = answer_query(program, db, query, QueryOptions(method="magic"))
         assert magic.answers == naive.answers
         assert (

@@ -395,14 +395,14 @@ class TestDeltaStats:
         program = nonlinear_ancestor_program()
         db = chain_database(5)
         planned = evaluate(program, db)
-        assert len(planned.derived_tuples("anc")) == 15  # C(6, 2)
+        assert len(planned.database.tuples("anc")) == 15  # C(6, 2)
 
     def test_naive_and_seminaive_planner_agree(self):
         program = nonlinear_ancestor_program()
         db = chain_database(6)
         naive = evaluate(program, db, method="naive")
         semi = evaluate(program, db)
-        assert naive.derived_tuples("anc") == semi.derived_tuples("anc")
+        assert naive.database.tuples("anc") == semi.database.tuples("anc")
 
 
 def deep_workload(name):
@@ -435,7 +435,7 @@ class TestDeltaFirstWork:
         program, db, pred_key = deep_workload(name)
         naive = evaluate(program, db, method="naive")
         semi = evaluate(program, db)
-        assert semi.derived_tuples(pred_key) == naive.derived_tuples(pred_key)
+        assert semi.database.tuples(pred_key) == naive.database.tuples(pred_key)
         assert semi.stats.facts_derived == naive.stats.facts_derived
         assert semi.stats.tuples_scanned < naive.stats.tuples_scanned
         assert semi.stats.join_probes < naive.stats.join_probes
@@ -594,14 +594,14 @@ class TestStructuredTerms:
         db = Database()
         db.add_values("par", [("a", "a"), ("a", "b"), ("c", "c")])
         planned = evaluate(program, db)
-        assert planned.derived_tuples("loop") == {(c("a"),), (c("c"),)}
+        assert planned.database.tuples("loop") == {(c("a"),), (c("c"),)}
 
     def test_constant_in_head(self):
         program = parse_program("flag(yes, X) :- par(X, Y).").program
         db = Database()
         db.add_values("par", [("a", "b")])
         planned = evaluate(program, db)
-        assert planned.derived_tuples("flag") == {(c("yes"), c("a"))}
+        assert planned.database.tuples("flag") == {(c("yes"), c("a"))}
 
     def test_range_restriction_error_preserved(self):
         program = Program([Rule(Literal("p", (Variable("X"),)))])
@@ -614,7 +614,7 @@ class TestStructuredTerms:
         db = Database()
         db.add_values("par", [("a", "b")])
         planned = evaluate(program, db)
-        assert planned.derived_tuples("wrapped") == {
+        assert planned.database.tuples("wrapped") == {
             (parse_query("w(f(a))?").literal.args[0],)
         }
 
@@ -652,7 +652,7 @@ class TestPlannerProperty:
         db = edge_db(edges)
         planned = evaluate(program, db)
         assert_matches_oracle(planned, program, db)
-        assert planned.stats.facts_derived == len(planned.derived_tuples("anc"))
+        assert planned.stats.facts_derived == len(planned.database.tuples("anc"))
 
     @given(edges=edges_strategy)
     @SETTINGS

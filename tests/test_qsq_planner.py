@@ -35,6 +35,7 @@ from repro import (
     evaluate,
     order_body,
     parse_program,
+    parse_query,
     qsq_evaluate,
     rewrite,
     subquery_program_for,
@@ -84,7 +85,7 @@ def assert_sound_qf(program, query, db, sip_builder=build_full_sip,
         rewritten = rewrite(program, query, method, sip_builder)
         report = check_optimality(rewritten, db)
         assert report.sip_optimal, (method, report.mismatches)
-    answers = result.query_answers(adorned.query_literal)
+    answers = result.database.answers(adorned.query_literal)
     if bottom_up_safe:
         expected = oracle_facts(program, db)[query.literal.pred_key]
         assert answers == reference_scan(expected, query.literal)
@@ -133,7 +134,7 @@ class TestCompiledEquivalence:
             list_reverse_program(), reverse_query(integer_list(5)),
             Database(), bottom_up_safe=False,
         )
-        answers = result.query_answers(adorned.query_literal)
+        answers = result.database.answers(adorned.query_literal)
         assert answers == {(constant_list([4, 3, 2, 1, 0]),)}
 
     def test_constant_in_rule_body(self):
@@ -153,7 +154,7 @@ class TestCompiledEquivalence:
         adorned, result = assert_sound_qf(
             program, parse_query("p(one, Y)?"), db
         )
-        assert result.query_answers(adorned.query_literal) == {
+        assert result.database.answers(adorned.query_literal) == {
             (c("two"),), (c("three"),),
         }
 
@@ -282,7 +283,7 @@ class TestTheorem91:
         magic = evaluate(
             rewritten.program, rewritten.seeded_database(db)
         )
-        assert qsq.query_answers(adorned.query_literal) == (
+        assert qsq.database.answers(adorned.query_literal) == (
             rewritten.extract_answers(magic)
         )
 
@@ -317,7 +318,8 @@ class TestExactRounds:
         assert result.stats.rule_firings == body_solutions(
             Program(guarded), final
         )
-        assert result.stats.facts_derived == result.answer_count()
+        answers = result.answers.values()
+        assert result.stats.facts_derived == sum(map(len, answers))
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +389,7 @@ class TestPlanCache:
         assert first.stats.plan_cache_hits == 0
         assert second.stats.plan_cache_hits == 1
         assert second.stats.plan_cache_misses == 0
-        assert second.derived_tuples("anc") == first.derived_tuples("anc")
+        assert second.database.tuples("anc") == first.database.tuples("anc")
 
     def test_qsq_reuses_plans(self):
         cache = PlanCache()
@@ -472,8 +474,8 @@ class TestDeltaProbes:
         db.add_values("s", [("a",), ("b",)])
         db.add_values("t", [("c",), ("d",)])
         planned = evaluate(program, db)
-        assert planned.derived_tuples("r") == oracle_facts(program, db)["r"]
-        assert planned.derived_tuples("r") == {
+        assert planned.database.tuples("r") == oracle_facts(program, db)["r"]
+        assert planned.database.tuples("r") == {
             (c("a"),), (c("b",),), (c("c"),), (c("d"),),
         }
 
@@ -483,8 +485,8 @@ class TestDeltaProbes:
         program = nonlinear_ancestor_program()
         db = cycle_database(6)
         planned = evaluate(program, db)
-        assert planned.derived_tuples("anc") == oracle_facts(program, db)["anc"]
-        assert len(planned.derived_tuples("anc")) == 36
+        assert planned.database.tuples("anc") == oracle_facts(program, db)["anc"]
+        assert len(planned.database.tuples("anc")) == 36
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +553,7 @@ class TestAddManyBulk:
 
 
 # ----------------------------------------------------------------------
-# QSQResult.query_answers
+# QSQ answers: Database.answers over the result's F relation
 # ----------------------------------------------------------------------
 
 class TestQueryAnswers:
@@ -559,26 +561,32 @@ class TestQueryAnswers:
         program, query = ancestor_program(), ancestor_query("n0")
         db = chain_database(8)
         adorned, result = run_qsq(program, query, db)
-        fast = result.query_answers(adorned.query_literal)
-        generic = result._query_answers_generic(adorned.query_literal)
-        assert fast == generic
-        assert fast == reference_scan(
+        answers = result.database.answers(adorned.query_literal)
+        generic = reference_scan(
+            result.answers["anc^bf"], adorned.query_literal
+        )
+        assert answers == generic
+        assert answers == reference_scan(
             oracle_facts(program, db)["anc"], query.literal
         )
 
     def test_repeated_variable_falls_back(self):
-        from repro.datalog.topdown import QSQResult
-
+        # Query rejects a repeated variable, so the literal is built by
+        # hand; Relation.matching filters the index's rows residually
+        program = ancestor_program()
+        db = cycle_database(3)
+        adorned, result = run_qsq(program, parse_query("anc(X, Y)?"), db)
         x = Variable("X")
-        result = QSQResult(
-            answers={"p^ff": {(c(1), c(1)), (c(1), c(2))}}
-        )
-        literal = Literal("p", (x, x), "ff")
-        assert result.query_answers(literal) == {(c(1), c(1))}
+        literal = Literal("anc", (x, x), "ff")
+        assert literal.pred_key == adorned.query_literal.pred_key
+        nodes = [c(f"n{i}") for i in range(3)]
+        assert result.database.answers(literal) == {(n, n) for n in nodes}
 
     def test_no_answers(self):
-        from repro.datalog.topdown import QSQResult
-
-        result = QSQResult()
+        db = chain_database(3)
+        adorned, result = run_qsq(ancestor_program(), ancestor_query("n3"), db)
+        assert result.database.answers(adorned.query_literal) == set()
+        assert result.answers == {}
+        assert result.queries["anc^bf"] == {(c("n3"),)}
         literal = Literal("p", (Variable("X"),), "f")
-        assert result.query_answers(literal) == set()
+        assert result.database.answers(literal) == set()

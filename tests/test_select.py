@@ -2,13 +2,13 @@
 
 One primitive turns (relation, bound positions, projection) into
 answers, under view reads (``Session.query`` on a materialized view),
-served views (the server's view path), ``answer_tuples`` and
-``RewrittenProgram.extract_answers``.  Three layers of checks:
+served views (the server's view path), ``Database.answers`` on an
+evaluation's database and ``RewrittenProgram.extract_answers``.  Three layers of checks:
 
 * **Malformed selections** are settled once, in ``select``: another
   arity, a never-interned constant, one position constrained two ways,
   an empty relation all answer empty without touching a row; a position
-  out of range raises ``ValueError`` as ``Relation.lookup`` does.
+  out of range raises ``ValueError``.
 * **Property:** ``select``/``answers`` equal the reference scan
   (``conftest.reference_scan``) over random relations -- tombstoned,
   compacted, re-probed after more writes -- and random literals, never
@@ -30,7 +30,6 @@ from repro import Constant, Literal, Relation, Session, Variable
 from repro.core.pipeline import unwrap_values
 from repro.datalog.ast import Query
 from repro.datalog.catalog import TermCatalog, term_catalog
-from repro.datalog.engine import answer_tuples
 from repro.datalog.terms import LinExpr, Struct
 from repro.server import ServerHandle, SnapshotManager
 from repro.server.scheduler import QueryScheduler
@@ -112,7 +111,7 @@ class TestMalformedSelections:
             assert result.maintained and result.rows == set()
             out = handle.request({"op": "query", "query": query})
             assert out["served"] == "view" and out["rows"] == []
-            assert answer_tuples(evaluation, literal) == set()
+            assert evaluation.database.answers(literal) == set()
 
     def test_never_interned_constant_is_empty(self, forbid_rows):
         catalog = term_catalog()
@@ -184,9 +183,8 @@ class TestMalformedSelections:
         ).answer
         assert cold.rewritten.extract_answers(cold.evaluation) == set()
         # a predicate with no relation at all
-        assert answer_tuples(
-            cold.evaluation, Literal("nowhere", (Variable("X"),))
-        ) == set()
+        nowhere = Literal("nowhere", (Variable("X"),))
+        assert cold.evaluation.database.answers(nowhere) == set()
         missing = dataclasses.replace(
             cold.rewritten, answer_pred_key="nowhere"
         )

@@ -10,7 +10,8 @@ import pytest
 from repro import (
     Database,
     EvaluationBudget,
-    bottom_up_answer,
+    QueryOptions,
+    answer_query,
     evaluate,
     parse_program,
     parse_query,
@@ -62,7 +63,7 @@ class TestBoundArgumentDoesRealWork:
         assert plain.extract_answers(plain_res) == optimized.extract_answers(
             opt_res
         )
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         assert optimized.extract_answers(opt_res) == baseline.answers
 
     def test_bound_arg_in_head_free_position_not_dropped(self):
@@ -85,7 +86,7 @@ class TestBoundArgumentDoesRealWork:
         assert plain.extract_answers(plain_res) == optimized.extract_answers(
             opt_res
         )
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         assert optimized.extract_answers(opt_res) == baseline.answers
 
     def test_shared_bound_variable_across_two_recursive_calls(self):
@@ -171,7 +172,7 @@ class TestPartialFiring:
         assert plain.extract_answers(plain_res) == optimized.extract_answers(
             opt_res
         )
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         assert optimized.extract_answers(opt_res) == baseline.answers
 
 

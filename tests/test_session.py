@@ -305,8 +305,9 @@ class TestMemo:
     @pytest.mark.parametrize("method", ("supplementary_magic", "qsq"))
     def test_memo_entries_do_not_retain_evaluation_artifacts(self, method):
         # the memo stores answers and counters; pinning a full derived
-        # database (or the raw QSQ answer sets) per entry would grow
-        # memory by one database copy per memoized query
+        # database (or QSQ's working snapshot, Q/F relations included)
+        # per entry would grow memory by one database copy per
+        # memoized query
         session = ancestor_session()
         cold = session.query("anc(john, X)?", method=method)
         hit = session.query("anc(john, X)?", method=method)
@@ -314,6 +315,8 @@ class TestMemo:
         assert hit.answer.evaluation is None
         if method == "qsq":
             assert cold.answer.qsq.answers  # cold result keeps Q/F
+            assert cold.answer.qsq.database is not None
+            assert hit.answer.qsq.database is None
             assert not hit.answer.qsq.answers
             assert not hit.answer.qsq.queries
             assert (

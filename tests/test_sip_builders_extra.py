@@ -7,7 +7,6 @@ import pytest
 from repro import (
     QueryOptions,
     answer_query,
-    bottom_up_answer,
     evaluate,
     parse_query,
     rewrite,
@@ -41,7 +40,7 @@ class TestRightToLeftSip:
         program = ancestor_program()
         db = load_edges(tree_edges(4, fanout=2))
         query = parse_query("anc(X, r_0_0_0)?")
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(
             program,
             db,
@@ -58,7 +57,7 @@ class TestRightToLeftSip:
         program = ancestor_program()
         db = load_edges(tree_edges(4, fanout=2))
         query = parse_query('anc("r", Y)?')
-        baseline = bottom_up_answer(program, db, query)
+        baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(
             program,
             db,
@@ -98,5 +97,5 @@ class TestSyntheticWorkload:
         rewritten = rewrite(program, query, method="supplementary_magic")
         result = evaluate(rewritten.program, rewritten.seeded_database(db))
         assert rewritten.extract_answers(result) == (
-            bottom_up_answer(program, db, query).answers
+            answer_query(program, db, query, QueryOptions(method="seminaive")).answers
         )

@@ -10,7 +10,6 @@ from repro import (
     QueryOptions,
     adorn_program,
     answer_query,
-    bottom_up_answer,
     build_chain_sip,
     build_full_sip,
     parse_query,
@@ -31,7 +30,8 @@ from repro.workloads import (
     samegen_database,
     samegen_query,
 )
-from repro.datalog.database import Database
+from repro.datalog.database import Database, Relation
+from repro.datalog.planner import subquery_relation
 
 
 def run_qsq(program, query, db, **kwargs):
@@ -42,40 +42,41 @@ def run_qsq(program, query, db, **kwargs):
     return adorned, result
 
 
+def seminaive_answers(program, db, query):
+    options = QueryOptions(method="seminaive")
+    return answer_query(program, db, query, options).answers
+
+
 class TestAnswers:
     def test_ancestor_chain(self):
         db = chain_database(8)
         adorned, result = run_qsq(ancestor_program(), ancestor_query("n0"), db)
-        expected = bottom_up_answer(
-            ancestor_program(), db, ancestor_query("n0")
-        ).answers
-        assert result.query_answers(adorned.query_literal) == expected
+        expected = seminaive_answers(ancestor_program(), db, ancestor_query("n0"))
+        assert result.database.answers(adorned.query_literal) == expected
 
     def test_ancestor_cycle_terminates(self):
         db = cycle_database(5)
         adorned, result = run_qsq(ancestor_program(), ancestor_query("n0"), db)
-        assert len(result.query_answers(adorned.query_literal)) == 5
+        assert len(result.database.answers(adorned.query_literal)) == 5
 
     def test_nonlinear_ancestor(self):
         db = random_dag_database(20, 0.15, seed=1)
         q = ancestor_query("n0")
         adorned, result = run_qsq(nonlinear_ancestor_program(), q, db)
-        expected = bottom_up_answer(nonlinear_ancestor_program(), db, q).answers
-        assert result.query_answers(adorned.query_literal) == expected
+        expected = seminaive_answers(nonlinear_ancestor_program(), db, q)
+        assert result.database.answers(adorned.query_literal) == expected
 
     def test_nonlinear_samegen(self):
         db = samegen_database(3, 4, flat_edges=6)
         q = samegen_query("l0_0")
         adorned, result = run_qsq(nonlinear_samegen_program(), q, db)
-        expected = bottom_up_answer(
-            nonlinear_samegen_program(), db, q
-        ).answers
-        assert result.query_answers(adorned.query_literal) == expected
+        expected = seminaive_answers(nonlinear_samegen_program(), db, q)
+        assert result.database.answers(adorned.query_literal) == expected
 
     def test_list_reverse(self):
         q = reverse_query(integer_list(4))
         adorned, result = run_qsq(list_reverse_program(), q, Database())
-        answers = result.query_answers(adorned.query_literal)
+        answers = result.database.answers(adorned.query_literal)
         assert len(answers) == 1
         assert str(next(iter(answers))[0]) == "[3, 2, 1, 0]"
 
@@ -128,7 +129,25 @@ class TestQueriesGenerated:
     def test_subquery_counter(self):
         db = chain_database(4)
         _, result = run_qsq(ancestor_program(), ancestor_query("n0"), db)
-        assert result.subqueries_generated == result.query_count()
+        queries = result.queries.values()
+        assert result.subqueries_generated == sum(map(len, queries))
+
+    def test_q_and_f_are_relations_of_the_result_database(self):
+        db = chain_database(4)
+        adorned, result = run_qsq(ancestor_program(), ancestor_query("n0"), db)
+        key = adorned.query_literal.pred_key
+        assert key in result.predicates
+        inputs = result.database.get(subquery_relation(key))
+        answers = result.database.get(key)
+        assert isinstance(inputs, Relation) and isinstance(answers, Relation)
+        assert set(inputs) == result.queries[key]
+        assert set(answers) == result.answers[key]
+        assert result.subqueries_generated == sum(
+            len(result.database.get(subquery_relation(pred)))
+            for pred in result.predicates
+        )
+        # Q and F live in the evaluation's snapshot, not the caller's db
+        assert db.get(key) is None
 
 
 class TestBudgets:
