@@ -152,6 +152,7 @@ the version it was computed at is still current.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from operator import itemgetter
 from typing import (
     Dict,
@@ -696,20 +697,19 @@ class Relation:
         return len(gone)
 
     def _compact(self) -> None:
-        """Drop tombstoned slots and rebuild columns and indexes."""
+        """Drop tombstoned slots and rebuild columns and indexes, at C
+        level: the rowmap iterates its slots ascending (an invariant
+        :meth:`check_invariants` enforces), so its ``k``-th row is the
+        ``k``-th live slot and moves to slot ``k``."""
         live = self._live
-        keep = [slot for slot in range(len(live)) if live[slot]]
-        remap = {old: new for new, old in enumerate(keep)}
+        n_live = len(self._rowmap)
         columns = self._columns
         if columns is not None:
             self._columns = [
-                array("q", (column[slot] for slot in keep))
-                for column in columns
+                array("q", compress(column, live)) for column in columns
             ]
-        self._live = bytearray(b"\x01" * len(keep))
-        self._rowmap = {
-            idrow: remap[slot] for idrow, slot in self._rowmap.items()
-        }
+        self._live = bytearray(b"\x01" * n_live)
+        self._rowmap = dict(zip(self._rowmap, range(n_live)))
         self._dead = 0
         for positions in list(self._indexes):
             self._build_index(positions)

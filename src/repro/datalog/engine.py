@@ -237,7 +237,10 @@ class _IdDeltaBatch:
     rows are a plain list, and the columns / probe index are built in
     one pass at the first probe -- a delta is never probed and extended
     in the same round, so nothing is maintained incrementally and the
-    per-row insert cost of a full :class:`Relation` disappears.
+    per-row insert cost of a full :class:`Relation` disappears.  A scan
+    of the batch hands its column lists on as the frame columns
+    themselves, so nothing downstream may mutate a frame column.  It
+    has no rowmap: a full-width probe of it takes the ``count`` path.
     """
 
     __slots__ = ("rows", "_cols", "_indexes")
@@ -254,10 +257,7 @@ class _IdDeltaBatch:
     def _columns(self) -> List[List[int]]:
         cols = self._cols
         if cols is None:
-            rows = self.rows
-            cols = self._cols = [
-                [row[p] for row in rows] for p in range(len(rows[0]))
-            ]
+            cols = self._cols = [list(col) for col in zip(*self.rows)]
         return cols
 
     def probe_index(

@@ -35,13 +35,15 @@ actually performs -- the quantity the planner is built to shrink.
 **Execution.**  Plans execute in batches (:meth:`JoinPlan.execute_batch`):
 partial matches travel as columns of term IDs, one per live slot.  How a
 step runs is decided once, at plan build, from its ops and the liveness
-pass: it gets one of six kernels and a tuple of operands -- ``scan``
+pass: it gets one of seven kernels and a tuple of operands -- ``scan``
 (keyless, stores only: a delta window, the seed relation, a full scan;
-a window's column slices are the batch), ``chain`` (keyed, one live
-store), ``stores`` (keyed, several), ``count`` (keyed, none), ``anti``
-(a negated literal's membership test) and ``general`` (per-row checks,
-``_EVAL`` keys); a QSQ step of any kind first registers its keys.  A
-dead store is never built.
+a window's column slices, or a delta batch's own columns, are the
+batch), ``chain`` (keyed, one live store), ``stores`` (keyed, several),
+``count`` (keyed, none), ``member`` (keyed on every position: one
+C-level pass of rowmap membership tests, ``count`` under a window or
+on a delta batch), ``anti`` (a negated literal's membership test) and
+``general`` (per-row checks, ``_EVAL`` keys); a QSQ step of any kind
+but ``member`` first registers its keys.  A dead store is never built.
 Per call the executor only resolves each step's relation and window
 (an exact index is read as a dict, and a window cuts its buckets by
 bisection), runs the kernel, and adds the work counters to the stats
@@ -80,7 +82,7 @@ import threading
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from functools import partial
-from itertools import repeat as _repeat
+from itertools import compress, repeat as _repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 from .analysis import stratify
@@ -240,15 +242,15 @@ def _head_builder(rule, head_ops):
 
 def _live_slots(relation, window):
     """The live slots of ``relation``'s slot window ``(lo, hi)`` (None:
-    the whole relation), ascending: a range for a window without
-    tombstones."""
+    the whole relation), ascending: a range for a window that holds no
+    tombstone, whatever the relation's other slots hold."""
     if window is None:
         return relation.lookup_ids((), ())
-    slots = range(*window)
-    if relation._dead:
-        live = relation._live
-        slots = [slot for slot in slots if live[slot]]
-    return slots
+    lo, hi = window
+    live = relation._live
+    if relation._dead and live.find(0, lo, hi) >= 0:
+        return [slot for slot in range(lo, hi) if live[slot]]
+    return range(lo, hi)
 
 
 def _slot_getter(relation, positions, window):
@@ -295,17 +297,25 @@ def _slot_getter(relation, positions, window):
 def _scan(outs, relation, window, keys, cols, n):
     """A keyless step that only stores (a delta window, the seed
     relation, a full scan); ``outs`` are the row positions of its live
-    stores.  A window's column slices are the rows."""
+    stores.  A window's column slices are the rows, and a delta batch's
+    own column lists are (it is never windowed, and its rows are all
+    live)."""
     columns = relation._columns
-    slots = _live_slots(relation, window)
-    if type(slots) is range:  # contiguous: slice the columns (C level)
-        values = [columns[p][slots.start:slots.stop].tolist() for p in outs]
+    if type(relation) is not Relation:  # a delta batch
+        values = [columns[p] for p in outs]
+        m = len(relation)
     else:
-        values = [[columns[p][s] for s in slots] for p in outs]
-    m = len(slots)
+        slots = _live_slots(relation, window)
+        if type(slots) is range:  # contiguous: slice the columns (C level)
+            values = [
+                columns[p][slots.start:slots.stop].tolist() for p in outs
+            ]
+        else:
+            values = [[columns[p][s] for s in slots] for p in outs]
+        m = len(slots)
     if n == 1:
         return [0] * m, values, 1, m
-    sel = [i for i in range(n) for _ in slots]
+    sel = [i for i in range(n) for _ in range(m)]
     return sel, [value * n for value in values], 1, m * n
 
 
@@ -325,6 +335,23 @@ def _count(operands, relation, window, keys, cols, n):
             scanned += n_rows
             sel.extend(_repeat(i, n_rows))
     return sel, (), len(nrows_of), scanned
+
+
+def _member(operands, relation, window, keys, cols, n):
+    """A keyed step on every position of its literal that stores
+    nothing (``r(X)`` after ``q(X)``): the key is the candidate ID row,
+    and a frame survives iff the relation's rowmap holds it -- one pass
+    at C level.  It counts what ``_count`` counts, a probe per distinct
+    key and a row per surviving frame, and runs ``_count`` for a slot
+    window and for a delta batch (which has no rowmap)."""
+    row_keys_of, count_operands = operands
+    if window is not None or type(relation) is not Relation:
+        return _count(count_operands, relation, window, keys, cols, n)
+    row_keys = row_keys_of(cols, n)
+    sel = list(
+        compress(range(n), map(relation._rowmap.__contains__, row_keys))
+    )
+    return sel, (), len(set(row_keys)), len(sel)
 
 
 def _chain(operands, relation, window, keys, cols, n):
@@ -464,6 +491,10 @@ def _kernel_for(step):
         return _scan, outs
     operands = (step.index_positions, keys_of)
     if not outs:
+        if len(key_ops) == len(step.literal.args) and step.input_key is None:
+            return _member, (
+                _key_builder(key_ops, True, _CATALOG.id_of), operands
+            )
         return _count, operands
     if len(outs) == 1:
         return _chain, operands + outs
@@ -736,7 +767,7 @@ class JoinStep:
     @property
     def kind(self) -> str:
         """The kernel the step runs as: ``scan``, ``chain``,
-        ``stores``, ``count``, ``anti`` or ``general``."""
+        ``stores``, ``count``, ``member``, ``anti`` or ``general``."""
         return self.kernel.__name__[1:]
 
     def __repr__(self):

@@ -7,8 +7,10 @@ deterministic.  Each case below pins all of them, with literal values,
 and together they run every step kind (``JoinStep.kind``): keyless
 scans and keyed chain steps (the ancestor and same-generation point
 queries, and QSQ's, whose steps register their keys as subqueries
-first), anti-joins and count steps (BOM, cold and through IVM's
-overdelete / rederive / insert phases), keyed multi-store steps, and
+first), anti-joins, count steps and full-width member steps (BOM,
+cold and through IVM's overdelete / rederive / insert phases, and a
+second IVM pass over the tombstones the first one left), keyed
+multi-store steps, and
 general steps -- counting's ``LinExpr`` arguments (matched with
 ``semijoin=True``, probed as ``_EVAL`` keys without it) and the
 per-row ops (``Struct`` matching, a repeated variable, a constant
@@ -92,6 +94,27 @@ def bom_ivm_move():
         view.close()
 
 
+def bom_ivm_second_move():
+    # the second pass runs on relations the first left tombstoned:
+    # pruned probes, dirty slot windows, full-width probes of a
+    # ``component`` with dead slots
+    database = bom_database(6, 2, 0.1, 3)
+    view = MaterializedProgram(bom_program(), database)
+    try:
+        database.retract_values("subpart", [("p3", "p8")])
+        database.add_values("subpart", [("p5", "p8")])
+        view.maintain()
+        assert view.working.get("component")._dead
+        database.retract_values("subpart", [("p1", "p4")])
+        database.add_values("subpart", [("p6", "p4")])
+        result = view.maintain()
+        assert result.facts_added and result.facts_removed
+        assert view.check_consistency()
+        return result.stats
+    finally:
+        view.close()
+
+
 def qsq_ancestor():
     return query_stats(
         ancestor_program(), tree_database(6), ancestor_query("r_1"),
@@ -163,7 +186,7 @@ def qsq_constant_outside_key():
 
 
 #: case -> (run, its COUNTERS, its facts_by_predicate), measured before
-#: the step kernels existed
+#: the step kernels existed ("bom ivm second move": before ``member``)
 GOLDEN = {
     "ancestor point query": (
         ancestor_point_query,
@@ -191,6 +214,11 @@ GOLDEN = {
         bom_ivm_move,
         (195, 66, 3, 332, 549, 6),
         {"clean": 18, "component": 45, "tainted": 3},
+    ),
+    "bom ivm second move": (
+        bom_ivm_second_move,
+        (330, 133, 2, 444, 829, 5),
+        {"clean": 38, "component": 93, "tainted": 2},
     ),
     "qsq ancestor": (
         qsq_ancestor,

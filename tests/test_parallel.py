@@ -424,7 +424,9 @@ class TestSerialEquivalence:
         assert _counters(result.stats) == _counters(base.stats)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("source", (SAMEGEN, NONLINEAR_SG))
+    @pytest.mark.parametrize(
+        "source", (SAMEGEN, NONLINEAR_SG), ids=["sg", "nonlinear-sg"]
+    )
     def test_same_generation(self, source, workers):
         program = _program(source)
         db = _sg_db()

@@ -35,7 +35,10 @@ from repro import (
     rewrite,
 )
 from repro.datalog.catalog import term_catalog
-from repro.datalog.planner import _CONST, _EQ, _EQC, _EQL, _EVAL, _MATCH
+from repro.datalog.engine import _IdDeltaBatch
+from repro.datalog.planner import (
+    _CONST, _EQ, _EQC, _EQL, _EVAL, _MATCH, _count,
+)
 from repro.workloads import (
     BOM,
     ancestor_program,
@@ -126,6 +129,9 @@ class TestPlanStructure:
         ("p(X) :- q(X), not r(X).", ["scan", "anti"]),
         ("p(X) :- q(X, X).", ["general"]),
         ("p(X) :- q(X), r(s(X)).", ["scan", "general"]),
+        # keyed on every position: a rowmap membership test
+        ("p(X) :- q(X), r(X).", ["scan", "member"]),
+        ("p(X, Y) :- q(X, Y), r(Y, X).", ["scan", "member"]),
     ])
     def test_step_kinds(self, source, kinds):
         plan = compile_rule(parse_rule(source))
@@ -133,6 +139,38 @@ class TestPlanStructure:
         assert all(
             f", {step.kind}, " in repr(step) for step in plan.steps
         )
+
+    def test_member_steps_count_as_count_steps(self):
+        # a full-width step keeps the frames, probes and rows scanned of
+        # the count path: on a relation with tombstones, under a slot
+        # window, and on a delta batch, which has no rowmap (IVM seeds
+        # a self-join's second occurrence with one)
+        step = compile_rule(
+            parse_rule("p(X, Y) :- q(X, Y), r(Y, X).")
+        ).steps[1]
+        assert step.kind == "member"
+        db = Database()
+        db.add_values("r", [(f"a{i}", f"b{i % 3}") for i in range(12)])
+        r = db.get("r")
+        rows = list(r.id_rows())
+        r.discard_id_rows(rows[1:5])
+        assert r._dead and r.check_invariants()
+        frames = rows + rows[:6] + [rows[0][::-1]]
+        (_, y), (_, x) = step.key_ops
+        cols = {y: [row[0] for row in frames], x: [row[1] for row in frames]}
+        n = len(frames)
+        for relation, window in (
+            (r, None), (r, (2, 9)), (_IdDeltaBatch(rows[3:8]), None),
+        ):
+            assert step.kernel(
+                step.operands, relation, window, None, cols, n
+            ) == _count(step.operands[1], relation, window, None, cols, n)
+        live = set(r.id_rows())
+        sel, stores, probes, scanned = step.kernel(
+            step.operands, r, None, None, cols, n
+        )
+        assert sel == [i for i, row in enumerate(frames) if row in live]
+        assert (stores, probes, scanned) == ((), 13, len(sel))
 
     @pytest.mark.parametrize("make_program, query, kinds", [
         (ancestor, ancestor_query("n0"), {
