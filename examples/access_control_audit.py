@@ -11,7 +11,7 @@ This combines two pieces of the library through one
 * the magic rewrite (chosen explicitly here; ``method="auto"`` would
   pick the supplementary variant) restricts evaluation to alice's role
   cone, not the whole company's, and
-* ``result.explain()`` prints the chain of grants behind each
+* ``session.explain(query)`` prints the chain of grants behind each
   authorization (derivation trees, Section 1.1 of the paper);
 * revoking a grant (:meth:`Session.retract`) invalidates the memoized
   answers, and the re-query reflects the revocation.
@@ -65,15 +65,15 @@ def main() -> None:
         print(f"   {action} {resource}")
     print()
 
-    # audit: one proof tree per authorization, straight off the result
+    # audit: one proof tree per authorization, for the result's query
     print("audit trail:")
-    for tree in answer.explain():
+    for tree in session.explain(answer.query):
         print(tree.render(indent="   "))
         print()
 
     # the magic rewrite stays inside alice's cone: carol's cfo chain is
     # never explored
-    magic_facts = answer.answer.evaluation.database.tuples("magic_holds_bf")
+    magic_facts = answer.evaluation.database.tuples("magic_holds_bf")
     explored = {str(row[0]) for row in magic_facts}
     print("users/roles explored by the magic rewrite:", sorted(explored))
     assert "carol" not in explored

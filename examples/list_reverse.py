@@ -81,7 +81,7 @@ def main() -> None:
             QueryOptions(method=method),
             meter=EvaluationBudget(max_iterations=300).start(),
         )
-        value = next(iter(answer.answers))[0]
+        value = next(iter(answer.rows))[0]
         print(f"{method:<10} reverse([a, b, c, d]) = {value}")
 
 

@@ -103,8 +103,8 @@ from .core import (
     EvaluationCancelled,
     FaultPlan,
     InjectedFault,
-    QueryAnswer,
     QueryOptions,
+    QueryResult,
     REWRITE_METHODS,
     RewrittenProgram,
     Stratification,
@@ -133,7 +133,6 @@ from .session import (
     BASELINE_METHODS,
     SESSION_METHODS,
     MaterializedView,
-    QueryResult,
     Session,
 )
 
@@ -168,7 +167,7 @@ __all__ = [
     "negation_safety", "Stratification", "stratify",
     "check_optimality", "compare_sips",
     "rewrite", "answer_query", "unwrap_values",
-    "RewrittenProgram", "QueryAnswer", "QueryOptions", "REWRITE_METHODS",
+    "RewrittenProgram", "QueryOptions", "REWRITE_METHODS",
     # resource governance
     "EvaluationBudget", "BudgetMeter", "BudgetExceeded",
     "EvaluationCancelled", "CancellationToken", "FaultPlan",

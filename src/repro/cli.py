@@ -43,6 +43,7 @@ report an error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -80,6 +81,23 @@ def _worker_count(text: str) -> int:
             f"invalid worker count {text!r}; expected an int >= 1"
         )
     return workers
+
+
+def _seconds(text: str) -> float:
+    """The ``--timeout`` / ``--max-timeout`` type: a positive finite
+    number of seconds (a NaN or infinite deadline never trips, a
+    negative one trips at once; argparse reports each as a usage error,
+    exit 2)."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"invalid timeout {text!r}; expected a positive finite number "
+            "of seconds"
+        )
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mutating the database",
     )
     p_query.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_seconds, default=None, metavar="SECONDS",
         help="wall-clock budget for the evaluation; overrun aborts "
         "cleanly (exit code 4) without mutating the database",
     )
@@ -266,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hits and view-covered reads are answered on the event loop)",
     )
     p_serve.add_argument(
-        "--max-timeout", type=float, default=None, metavar="SECONDS",
+        "--max-timeout", type=_seconds, default=None, metavar="SECONDS",
         help="cap on the per-request wall-clock budget clients may ask "
         "for (and the default when they ask for none)",
     )
@@ -371,7 +389,6 @@ def _cmd_query(args) -> int:
             "rows": sorted_rows(result.values()),
             "row_count": len(result.rows),
             "method": result.method,
-            "requested_method": args.method,
             "from_memo": result.from_memo,
             "degraded": result.degraded,
             "maintained": result.maintained,
@@ -420,7 +437,6 @@ def _cmd_query(args) -> int:
             print(", ".join(str(term) for term in row))
     if args.stats and result.stats is not None:
         stats = result.stats
-        answer = result.answer
         work = (
             f"facts={stats.facts_derived} "
             f"firings={stats.rule_firings} "
@@ -428,7 +444,7 @@ def _cmd_query(args) -> int:
             f"probes={stats.join_probes}"
         )
         if result.method == "qsq":
-            work += f" subqueries={answer.qsq.subqueries_generated}"
+            work += f" subqueries={result.qsq.subqueries_generated}"
         elif stats.parallel_workers:
             work += (
                 f" workers={stats.parallel_workers}"

@@ -30,8 +30,8 @@ from .limits import (
     InjectedFault,
 )
 from .pipeline import (
-    QueryAnswer,
     QueryOptions,
+    QueryResult,
     REWRITE_METHODS,
     answer_query,
     rewrite,
@@ -85,8 +85,8 @@ __all__ = [
     "EvaluationCancelled",
     "FaultPlan",
     "InjectedFault",
-    "QueryAnswer",
     "QueryOptions",
+    "QueryResult",
     "REWRITE_METHODS",
     "answer_query",
     "rewrite",

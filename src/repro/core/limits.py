@@ -399,11 +399,6 @@ class BudgetMeter:
     def elapsed(self):
         return time.monotonic() - self.started
 
-    def remaining_time(self):
-        if self.deadline is None:
-            return None
-        return max(0.0, self.deadline - time.monotonic())
-
     def spent(self):
         """Structured snapshot for ``QueryResult.budget_spent``."""
         return {

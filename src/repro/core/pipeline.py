@@ -13,10 +13,11 @@ The typical use::
     parsed = parse_program(source)
     db = Database()
     db.add_fact_rows(parsed.fact_rows)  # the bulk load, by term ID
-    answer = pipeline.answer_query(
+    result = pipeline.answer_query(
         parsed.program, db, parse_query("anc(john, Y)?"),
         QueryOptions(method="magic"),
     )
+    result.values()  # {("mary",)}
 
 (``program, facts, queries = parse_program(source)`` still unpacks, and
 ``db.add_facts(facts)`` still loads the decoded literals one by one.)
@@ -26,7 +27,8 @@ of the four rewriting algorithms (Sections 4-7), optionally followed by
 the semijoin optimization (Section 8).  ``answer_query`` is the paper's
 whole pipeline and the one evaluation path of the package: it adorns and
 rewrites the query's *shape* once per plan cache, binds the constants
-into the seed, evaluates bottom-up and selects the answer.  It also
+into the seed, evaluates bottom-up and selects the answer into a
+:class:`QueryResult`, the one answer type of the package.  It also
 accepts the baseline strategies (plain naive/semi-naive bottom-up of the
 original program and top-down QSQ) and ``"auto"``, so the benchmarks,
 :meth:`repro.Session.query` and the query server's cold reads all answer
@@ -39,8 +41,9 @@ rewritten answer relation).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from ..datalog.analysis import reachable_predicates, stratify
 from ..datalog.ast import Program, Query
@@ -70,7 +73,7 @@ __all__ = [
     "SESSION_METHODS",
     "rewrite",
     "QueryOptions",
-    "QueryAnswer",
+    "QueryResult",
     "answer_query",
     "unwrap_values",
 ]
@@ -191,31 +194,61 @@ class QueryOptions:
 
 
 @dataclass
-class QueryAnswer:
-    """An answered query: bindings for the query's free variables."""
+class QueryResult:
+    """One answered query, and how it was answered.
 
-    answers: Set[Tuple[Term, ...]]
-    strategy: str
+    ``rows`` are bindings for the query's free variables (tuples of
+    ground :class:`~repro.datalog.terms.Term`); ``method`` is the
+    strategy actually executed (never ``"auto"``).  ``stats`` describe
+    the evaluation that *produced* the rows; ``rewritten`` and
+    ``evaluation`` are the bound rewritten program and its evaluation
+    (a rewrite method), ``qsq`` the QSQ result (its working snapshot
+    holds Q and F).  ``footprint`` names the relations the rows were
+    computed from: a :class:`~repro.session.Session` drops a memoized
+    result when one of them changes.  ``degraded`` marks a rewrite that
+    tripped its budget and was answered by the compiled semi-naive
+    fallback under the remaining budget (exact, but never memoized).
+    ``db_version`` is the database version the rows are valid for,
+    ``elapsed`` the seconds the answer took and ``budget_spent`` the
+    governing meter's final accounting (None when ungoverned).
+
+    A Session's memo hits are copies with ``from_memo`` set: they carry
+    the memoized cold run's ``stats``, not fresh work, drop
+    ``evaluation`` and QSQ's working snapshot, and their ``rows`` are
+    one immutable frozenset shared by every hit.  ``maintained`` marks
+    rows served by an incrementally maintained view, and
+    ``maintenance_elapsed`` the seconds its serving maintenance pass
+    took.
+    """
+
+    rows: Set[Tuple[Term, ...]]
+    method: str
+    query: Query
     stats: Optional[EvaluationStats] = None
     rewritten: Optional[RewrittenProgram] = None
     evaluation: Optional[EvaluationResult] = None
-    #: the QSQ result (its working snapshot holds Q and F) when the
-    #: strategy was top-down QSQ
     qsq: Optional[QSQResult] = None
-    #: relation names the answers were computed from, where the strategy
-    #: knows them (the rewrite methods and QSQ); a Session drops a
-    #: memoized answer when one of them changes
     footprint: Optional[frozenset] = None
-    #: True when a rewrite method tripped its budget and the compiled
-    #: semi-naive fallback answered under the remaining budget
     degraded: bool = False
+    from_memo: bool = False
+    db_version: int = 0
+    elapsed: float = 0.0
+    budget_spent: Optional[Dict[str, object]] = None
+    maintained: bool = False
+    maintenance_elapsed: float = 0.0
 
     def values(self) -> Set[Tuple[object, ...]]:
-        """Answers with plain Python values in place of Constants."""
-        return unwrap_values(self.answers)
+        """Rows with plain Python values in place of Constants."""
+        return unwrap_values(self.rows)
 
-    def __len__(self):
-        return len(self.answers)
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __contains__(self, row) -> bool:
+        return tuple(row) in self.rows
 
 
 def unwrap_values(rows: Set[Tuple[Term, ...]]) -> Set[Tuple[object, ...]]:
@@ -380,8 +413,7 @@ def answer_query(
     sip_builder: SipBuilder = build_full_sip,
     plan_cache: Optional[PlanCache] = None,
     meter=None,
-    on_budget_exceeded: Optional[str] = None,
-) -> QueryAnswer:
+) -> QueryResult:
     """Answer a query end to end; no memo, no views.
 
     ``options.method`` is a rewrite method, one of the baselines --
@@ -406,44 +438,38 @@ def answer_query(
     ``meter`` is an optional :class:`~repro.core.limits.BudgetMeter`.
     A :class:`~repro.core.limits.BudgetExceeded` leaving this function
     names the method that tripped (``.method``).  When that method was
-    a rewrite and either ``options.method`` is ``"auto"`` or
-    ``on_budget_exceeded="degrade"``, compiled semi-naive retries once
+    a rewrite chosen by ``"auto"``, compiled semi-naive retries once
     under the same meter (the wall-clock deadline stays absolute;
-    fact/tuple caps apply to the retry's fresh counters) and the answer
-    is marked ``degraded``; ``"raise"`` disables that even for auto.
+    fact/tuple caps apply to the retry's fresh counters) and the result
+    is marked ``degraded``; an explicitly requested method raises.
     The meter's install boundary is ticked last, after the answer is
     complete.
     """
-    if on_budget_exceeded not in (None, "degrade", "raise"):
-        raise ValueError(
-            f"unknown on_budget_exceeded policy "
-            f"{on_budget_exceeded!r}; expected 'degrade' or 'raise'"
-        )
     if options.method == "materialized":
         raise ReproError(
             "method='materialized' needs a covering view; query a "
             "Session that materialized one"
         )
+    started = time.perf_counter()
     if plan_cache is None:
         plan_cache = shared_plan_cache()
     args = (program, database, query, options, sip_builder, plan_cache)
     try:
-        answer = _evaluate(*args, options.method, meter)
+        result = _evaluate(*args, options.method, meter)
     except BudgetExceeded as exc:
         # re-running a tripped baseline would just trip again
-        degrade = exc.method in REWRITE_METHODS and (
-            on_budget_exceeded == "degrade"
-            or (options.method == "auto" and on_budget_exceeded is None)
-        )
-        if not degrade:
+        if options.method != "auto" or exc.method not in REWRITE_METHODS:
             raise
-        answer = _evaluate(*args, _AUTO_FALLBACK, meter)
-        answer.degraded = True
+        result = _evaluate(*args, _AUTO_FALLBACK, meter)
+        result.degraded = True
     if meter is not None:
         # install boundary: the last abort point before the caller
         # publishes or memoizes the answer
         meter.tick_install()
-    return answer
+        result.budget_spent = meter.spent()
+    result.db_version = database.version
+    result.elapsed = time.perf_counter() - started
+    return result
 
 
 def _evaluate(
@@ -455,7 +481,7 @@ def _evaluate(
     plan_cache: PlanCache,
     method: str,
     meter,
-) -> QueryAnswer:
+) -> QueryResult:
     """One evaluation by ``method`` (``auto`` resolved by the shape's
     verdict), no retry; a :class:`BudgetExceeded` leaves tagged with
     the method that tripped."""
@@ -486,11 +512,15 @@ def _evaluate(
                 meter=meter,
                 workers=options.workers,
             )
-            return QueryAnswer(
-                answers=result.database.answers(query.literal),
-                strategy=method,
+            return QueryResult(
+                rows=result.database.answers(query.literal),
+                method=method,
+                query=query,
                 stats=result.stats,
                 evaluation=result,
+                footprint=frozenset(
+                    reachable_predicates(program, [query.literal.pred_key])
+                ),
             )
         if method == "qsq":
             adorned = shape.adorned.bind(query)
@@ -501,9 +531,10 @@ def _evaluate(
                 plan_cache=plan_cache,
                 meter=meter,
             )
-            return QueryAnswer(
-                answers=qsq.database.answers(adorned.query_literal),
-                strategy="qsq",
+            return QueryResult(
+                rows=qsq.database.answers(adorned.query_literal),
+                method="qsq",
+                query=query,
                 stats=qsq.stats,
                 qsq=qsq,
                 footprint=shape.footprint,
@@ -516,9 +547,10 @@ def _evaluate(
             meter=meter,
             workers=options.workers,
         )
-        return QueryAnswer(
-            answers=rewritten.extract_answers(result),
-            strategy=method,
+        return QueryResult(
+            rows=rewritten.extract_answers(result),
+            method=method,
+            query=query,
             stats=result.stats,
             rewritten=rewritten,
             evaluation=result,

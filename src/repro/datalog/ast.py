@@ -194,27 +194,10 @@ class Literal:
             arg for arg, a in zip(self.args, self.adornment) if a == "b"
         )
 
-    def free_args(self) -> Tuple[Term, ...]:
-        """Arguments at positions marked 'f' (the paper's ``x^f``)."""
-        if self.adornment is None:
-            return self.args
-        return tuple(
-            arg for arg, a in zip(self.args, self.adornment) if a == "f"
-        )
-
     def bound_positions(self) -> Tuple[int, ...]:
         if self.adornment is None:
             return ()
         return tuple(i for i, a in enumerate(self.adornment) if a == "b")
-
-    def free_positions(self) -> Tuple[int, ...]:
-        if self.adornment is None:
-            return tuple(range(len(self.args)))
-        return tuple(i for i, a in enumerate(self.adornment) if a == "f")
-
-    def bound_variables(self) -> Tuple[Variable, ...]:
-        """Variables appearing in bound argument positions."""
-        return term_variables(self.bound_args())
 
     # ------------------------------------------------------------------
     # dunder protocol
@@ -346,11 +329,6 @@ class Rule:
             self.head.substitute(subst),
             tuple(lit.substitute(subst) for lit in self.body),
         )
-
-    def rename_apart(self, suffix: str) -> "Rule":
-        """Rename every variable by appending ``suffix`` (standardize apart)."""
-        mapping = {v: Variable(v.name + suffix) for v in self.variables()}
-        return self.substitute(mapping)
 
     # ------------------------------------------------------------------
     # well-formedness conditions of Section 1.1
@@ -653,16 +631,10 @@ class Query:
             "b" if arg.is_ground() else "f" for arg in self.literal.args
         )
 
-    def bound_constants(self) -> Tuple[Term, ...]:
-        return tuple(arg for arg in self.literal.args if arg.is_ground())
-
     def free_variables(self) -> Tuple[Variable, ...]:
         return term_variables(
             arg for arg in self.literal.args if not arg.is_ground()
         )
-
-    def adorned_literal(self) -> Literal:
-        return self.literal.with_adornment(self.adornment)
 
     def shape(self) -> "Query":
         """This query with a placeholder for each ground argument.

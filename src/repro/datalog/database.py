@@ -421,9 +421,6 @@ class Relation:
         """The live ID rows (insertion order)."""
         return self._rowmap.keys()
 
-    def has_id_row(self, idrow: IdTuple) -> bool:
-        return idrow in self._rowmap
-
     def all_slots(self) -> List[int]:
         """The live slots (insertion order)."""
         return list(self._rowmap.values())
@@ -1088,9 +1085,6 @@ class Database:
             len(self.relation(pred_key).add_id_rows(rows))
             for pred_key, rows in grouped.items()
         )
-
-    def add_tuples(self, pred_key: str, rows: Iterable[Iterable[Term]]) -> int:
-        return self.relation(pred_key).add_many(rows)
 
     def add_values(self, pred_key: str, rows: Iterable[Iterable[object]]) -> int:
         """Insert rows of raw Python values, wrapping them in Constants."""

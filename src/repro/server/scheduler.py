@@ -258,11 +258,10 @@ class QueryScheduler:
         snapshot: Snapshot,
     ) -> Dict[str, Any]:
         """Worker-thread body: evaluate ``query`` cold on ``snapshot``."""
-        started = time.perf_counter()
         budget = EvaluationBudget.from_options(
             timeout=timeout, max_facts=max_facts
         )
-        answer = answer_query(
+        result = answer_query(
             self._program,
             snapshot.db,
             query,
@@ -272,11 +271,11 @@ class QueryScheduler:
         )
         base.update(
             served="cold",
-            method=answer.strategy,
-            degraded=answer.degraded,
-            rows=sorted_rows(answer.values()),
-            row_count=len(answer.answers),
-            elapsed=time.perf_counter() - started,
+            method=result.method,
+            degraded=result.degraded,
+            rows=sorted_rows(result.values()),
+            row_count=len(result),
+            elapsed=result.elapsed,
         )
         return base
 

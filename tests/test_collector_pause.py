@@ -132,7 +132,6 @@ class TestAbortsRestoreTheCollector:
                 "anc(n0, Y)?",
                 method="magic",
                 max_facts=5,
-                on_budget_exceeded="raise",
             )
         assert gc.isenabled() is enabled
         assert _raised_in_fixpoint(info)

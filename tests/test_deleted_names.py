@@ -116,6 +116,17 @@ GUARDS = [
           (SRC, TESTS, BENCHMARKS, "examples")),
     Guard(48, "BRE", "word", r"match_sequences", (DATALOG + "topdown.py",)),
     Guard(48, "BRE", "word", r"run_forever", (SRC,)),
+    # one answer type: answer_query returns the QueryResult a Session
+    # returns, which holds no copies, no session back-reference and no
+    # degradation policy; and no method that only tests called
+    Guard(51, "ERE", "word", r"QueryAnswer|on_budget_exceeded|requested_method",
+          (SRC, TESTS, BENCHMARKS, "examples")),
+    Guard(51, "ERE", "word", r"_memo_footprints|_footprint_for|weakref",
+          ("src/repro/session.py",)),
+    Guard(51, "ERE", "word",
+          r"remaining_time|free_args|free_positions|bound_variables"
+          r"|rename_apart|bound_constants|adorned_literal|has_id_row"
+          r"|add_tuples", (SRC, TESTS, BENCHMARKS, "examples")),
     # the claims ledger: benches read no knob and write no timing file
     Guard("ledger", "ERE", "word", r"environ|getenv|record_bench", (BENCHMARKS,)),
     Guard("ledger", "ERE", "line", r"BENCH_", (".github",)),

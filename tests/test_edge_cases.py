@@ -36,8 +36,8 @@ class TestConstantsInRules:
             answer = answer_query(
                 program, db, query, QueryOptions(method=method)
             )
-            assert answer.answers == baseline.answers
-        assert {str(r[0]) for r in baseline.answers} == {"bob", "eve", "dan"}
+            assert answer.rows == baseline.rows
+        assert {str(r[0]) for r in baseline.rows} == {"bob", "eve", "dan"}
 
     def test_constant_in_rule_body(self):
         program = parse_program(
@@ -51,8 +51,8 @@ class TestConstantsInRules:
         query = parse_query("t(a, Y)?")
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method="magic"))
-        assert answer.answers == baseline.answers
-        assert {str(r[0]) for r in answer.answers} == {"hub", "c", "b"}
+        assert answer.rows == baseline.rows
+        assert {str(r[0]) for r in answer.rows} == {"hub", "c", "b"}
 
 
 class TestPropositionalPredicates:
@@ -76,7 +76,7 @@ class TestPropositionalPredicates:
         db.add_fact(Literal("smoke"))
         query = parse_query("alarm?")
         answer = answer_query(program, db, query, QueryOptions(method="seminaive"))
-        assert answer.answers == {()}
+        assert answer.rows == {()}
 
 
 class TestStructuredFacts:
@@ -117,8 +117,8 @@ class TestStructuredFacts:
         query = Query(Literal("boxed", (level2, Variable("X"))))
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method="magic"))
-        assert answer.answers == baseline.answers
-        assert len(answer.answers) == 2
+        assert answer.rows == baseline.rows
+        assert len(answer.rows) == 2
 
 
 class TestRepeatedVariables:
@@ -133,7 +133,7 @@ class TestRepeatedVariables:
         db.add_values("e", [("a", "a"), ("a", "b"), ("b", "c")])
         query = parse_query("twice(a, Y)?")
         answer = answer_query(program, db, query, QueryOptions(method="magic"))
-        assert {str(r[0]) for r in answer.answers} == {"a", "b"}
+        assert {str(r[0]) for r in answer.rows} == {"a", "b"}
 
     def test_repeated_variable_in_rule_head(self):
         program = parse_program(
@@ -156,7 +156,7 @@ class TestEmptyAndDegenerate:
         answer = answer_query(
             ancestor_program(), Database(), ancestor_query("a")
         )
-        assert answer.answers == set()
+        assert answer.rows == set()
 
     def test_query_constant_absent_from_data(self):
         from repro.workloads import ancestor_program, chain_database
@@ -166,7 +166,7 @@ class TestEmptyAndDegenerate:
             chain_database(4),
             parse_query("anc(ghost, Y)?"),
         )
-        assert answer.answers == set()
+        assert answer.rows == set()
 
     def test_single_rule_single_fact(self):
         program = parse_program("out(X) :- inp(X).").program
@@ -209,7 +209,7 @@ class TestDeepRecursion:
             chain_database(200),
             parse_query("anc(n0, Y)?"),
         )
-        assert len(answer.answers) == 200
+        assert len(answer.rows) == 200
 
     def test_deep_list_reverse(self):
         from repro.workloads import (
@@ -225,5 +225,5 @@ class TestDeepRecursion:
             QueryOptions(method="supplementary_magic"),
             meter=EvaluationBudget(max_iterations=3000).start(),
         )
-        term = next(iter(answer.answers))[0]
+        term = next(iter(answer.rows))[0]
         assert str(term).startswith("[24, 23, 22")

@@ -73,7 +73,7 @@ class TestCountingOnMultiPredicatePrograms:
             QueryOptions(method=method),
             meter=EvaluationBudget(max_iterations=500).start(),
         )
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
 
     def test_semijoin_on_nested_acyclic_data(self):
         program = nested_samegen_program()
@@ -133,7 +133,7 @@ class TestReverseDirectionQueries:
             QueryOptions(method="magic"),
             sip_builder=builder,
         )
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
         # the inverted traversal touches only the ancestors of the leaf
         assert answer.stats.facts_derived < baseline.stats.facts_derived
 
@@ -152,7 +152,7 @@ class TestReverseDirectionQueries:
             meter=EvaluationBudget(max_iterations=300).start(),
             sip_builder=builder,
         )
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
 
     def test_fb_query_counting_diverges_as_certified(self):
         """Under the inverted sip the recursive call re-passes the SAME
@@ -199,9 +199,9 @@ class TestMutualRecursionThroughRewrites:
         query = parse_query('reach_odd("m0", Y)?')
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
         # odd reachability from m0 on a chain: m1, m3, m5, m7
-        names = {str(row[0]) for row in answer.answers}
+        names = {str(row[0]) for row in answer.rows}
         assert names == {"m1", "m3", "m5", "m7"}
 
 
@@ -237,7 +237,7 @@ class TestThreeAryAdornments:
         db = self.database()
         query = parse_query(query_text)
         answer = answer_query(program, db, query, QueryOptions(method=method))
-        assert {str(row[0]) for row in answer.answers} == expected
+        assert {str(row[0]) for row in answer.rows} == expected
 
     def test_bfb_adornment_created(self):
         from repro import adorn_program

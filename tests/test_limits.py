@@ -149,7 +149,6 @@ class TestBudgetMeter:
         with pytest.raises(BudgetExceeded) as info:
             meter.check_round(_stats())
         assert info.value.limit == "wall_clock"
-        assert meter.remaining_time() == 0.0
 
     def test_max_memory_trips_only_with_database(self):
         db = chain_database(50)
@@ -350,7 +349,6 @@ class TestCancellation:
             session.query(
                 "anc(n0, Y)?",
                 cancellation=token,
-                on_budget_exceeded="degrade",
             )
         assert session.counters()["memo_entries"] == 0
 
@@ -428,16 +426,10 @@ class TestSessionBudgets:
                 budget=EvaluationBudget(max_facts=10),
             )
 
-    def test_unknown_policy_rejected(self):
-        session = chain_session()
-        with pytest.raises(ValueError):
-            session.query("anc(n0, Y)?", on_budget_exceeded="retry")
-
     def test_auto_degrades_to_seminaive(self):
         session = chain_session()
         result = session.query("anc(n0, Y)?", max_facts=self.CAP_BETWEEN)
         assert result.degraded
-        assert result.requested_method == "auto"
         assert result.method == "seminaive"
         assert len(result.rows) == 12
         assert result.budget_spent is not None
@@ -464,25 +456,6 @@ class TestSessionBudgets:
         assert info.value.method == "supplementary_magic"
         assert session.counters()["memo_entries"] == 0
 
-    def test_explicit_rewrite_method_degrades_on_request(self):
-        session = chain_session()
-        result = session.query(
-            "anc(n0, Y)?",
-            method="supplementary_magic",
-            max_facts=self.CAP_BETWEEN,
-            on_budget_exceeded="degrade",
-        )
-        assert result.degraded and result.method == "seminaive"
-
-    def test_policy_raise_disables_degradation_for_auto(self):
-        session = chain_session()
-        with pytest.raises(BudgetExceeded):
-            session.query(
-                "anc(n0, Y)?",
-                max_facts=self.CAP_BETWEEN,
-                on_budget_exceeded="raise",
-            )
-
     def test_tripped_baseline_never_degrades(self):
         session = chain_session()
         with pytest.raises(BudgetExceeded):
@@ -490,7 +463,6 @@ class TestSessionBudgets:
                 "anc(n0, Y)?",
                 method="seminaive",
                 max_facts=5,
-                on_budget_exceeded="degrade",
             )
 
     def test_memo_hit_is_served_regardless_of_budget(self):

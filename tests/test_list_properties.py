@@ -37,8 +37,8 @@ class TestReverseProperty:
             QueryOptions(method="magic"),
             meter=EvaluationBudget(max_iterations=200).start(),
         )
-        assert len(answer.answers) == 1
-        term = next(iter(answer.answers))[0]
+        assert len(answer.rows) == 1
+        term = next(iter(answer.rows))[0]
         got = [t.value for t in list_elements(term)]
         assert got == list(reversed(values))
 
@@ -58,7 +58,7 @@ class TestReverseProperty:
                 QueryOptions(method=method),
                 meter=EvaluationBudget(max_iterations=200).start(),
             )
-            answers[method] = result.answers
+            answers[method] = result.rows
         assert answers["magic"] == answers["counting"]
 
 

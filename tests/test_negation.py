@@ -392,7 +392,7 @@ class TestStageSupport:
                 QueryOptions(method=method),
             )
             assert answer.values() == {("b",)}
-            assert answer.strategy == method
+            assert answer.method == method
 
     def test_counting_rewrites_reject_negation(self):
         program = prog("p(X) :- e(X), not q(X).")
@@ -427,7 +427,7 @@ class TestStageSupport:
         answer = answer_query(
             program, db(e=["a", "b"], q=["a"]), parse_query("p(X)?")
         )
-        assert answer.strategy == "supplementary_magic"
+        assert answer.method == "supplementary_magic"
         assert answer.values() == {("b",)}
 
 

@@ -7,10 +7,12 @@ from repro import (
     Database,
     EvaluationBudget,
     QueryOptions,
+    QueryResult,
     RewriteError,
     Session,
     answer_query,
 )
+from repro.datalog.analysis import reachable_predicates
 from repro.workloads import (
     ancestor_program,
     ancestor_query,
@@ -56,7 +58,7 @@ class TestAncestor:
         db = db_maker()
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
 
     @pytest.mark.parametrize("method", MAGIC_METHODS)
     def test_cyclic_data(self, method):
@@ -65,13 +67,13 @@ class TestAncestor:
         db = cycle_database(6)
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
 
     def test_unreachable_root_empty(self):
         program = ancestor_program()
         db = chain_database(5)
         answer = answer_query(program, db, ancestor_query("zzz"))
-        assert answer.answers == set()
+        assert answer.rows == set()
 
     def test_fully_bound_query(self):
         from repro import parse_query
@@ -80,8 +82,8 @@ class TestAncestor:
         db = chain_database(5)
         yes = answer_query(program, db, parse_query("anc(n0, n4)?"))
         no = answer_query(program, db, parse_query("anc(n4, n0)?"))
-        assert yes.answers == {()}
-        assert no.answers == set()
+        assert yes.rows == {()}
+        assert no.rows == set()
 
 
 class TestNonlinearAncestor:
@@ -92,7 +94,7 @@ class TestNonlinearAncestor:
         db = random_dag_database(20, 0.15, seed=5)
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
 
 
 class TestSameGeneration:
@@ -109,7 +111,7 @@ class TestSameGeneration:
             QueryOptions(method=method),
             meter=EvaluationBudget(max_iterations=800).start(),
         )
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
 
     @pytest.mark.parametrize("method", MAGIC_METHODS)
     def test_nested(self, method):
@@ -118,7 +120,7 @@ class TestSameGeneration:
         db = nested_samegen_database(3, 4)
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
         answer = answer_query(program, db, query, QueryOptions(method=method))
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
 
 
 class TestListReverse:
@@ -143,8 +145,8 @@ class TestListReverse:
             QueryOptions(method=method),
             meter=EvaluationBudget(max_iterations=300).start(),
         )
-        assert len(answer.answers) == 1
-        reversed_term = next(iter(answer.answers))[0]
+        assert len(answer.rows) == 1
+        reversed_term = next(iter(answer.rows))[0]
         expected = "[" + ", ".join(
             str(i) for i in reversed(range(length))
         ) + "]"
@@ -160,7 +162,7 @@ class TestFactCounts:
         query = ancestor_query("r_0_0")  # a grandchild of the root
         naive = answer_query(program, db, query, QueryOptions(method="naive"))
         magic = answer_query(program, db, query, QueryOptions(method="magic"))
-        assert magic.answers == naive.answers
+        assert magic.rows == naive.rows
         assert (
             magic.stats.facts_derived < naive.stats.facts_derived
         ), "magic must derive strictly fewer facts on a selective query"
@@ -190,6 +192,42 @@ class TestFactCounts:
         assert len(answer) == 3
 
 
+class TestOneResultType:
+    @pytest.mark.parametrize(
+        "method", ("seminaive", "supplementary_magic", "qsq")
+    )
+    def test_every_route_returns_a_query_result_with_its_footprint(
+        self, method
+    ):
+        program = ancestor_program()
+        query = ancestor_query("n0")
+        result = answer_query(
+            program, chain_database(5), query, QueryOptions(method=method)
+        )
+        assert type(result) is QueryResult
+        assert result.method == method and result.query == query
+        assert result.footprint
+        if method == "seminaive":
+            assert result.footprint == reachable_predicates(
+                program, [query.literal.pred_key]
+            )
+
+    def test_session_answers_with_the_same_type(self):
+        session = Session(
+            program=ancestor_program(), database=chain_database(5)
+        )
+        query = ancestor_query("n0")
+        cold = answer_query(session.program, session.database, query)
+        first = session.query(query)
+        hit = session.query(query)
+        session.materialize("anc")
+        viewed = session.query(query)
+        assert hit.from_memo and viewed.maintained
+        for result in (first, hit, viewed):
+            assert type(result) is type(cold) is QueryResult
+            assert result.rows == cold.rows
+
+
 class TestDispatch:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -208,7 +246,7 @@ class TestDispatch:
         semi = answer_query(
             program, db, query, QueryOptions(method="seminaive")
         )
-        assert naive.answers == semi.answers
+        assert naive.rows == semi.rows
 
 
 ANCESTOR_SOURCE = """

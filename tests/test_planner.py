@@ -588,7 +588,7 @@ class TestStructuredTerms:
             sip_builder=sip_builder,
         )
         expected = oracle_answers(program, db, query)
-        assert expected and qsq.answers == expected
+        assert expected and qsq.rows == expected
 
     def test_plans_hold_one_id_level_op_set(self):
         resolve = term_catalog().resolve
@@ -707,7 +707,7 @@ class TestPlannerProperty:
         planned = answer_query(
             program, db, ancestor_query(root), QueryOptions(method="magic")
         )
-        assert planned.answers == {
+        assert planned.rows == {
             (y,) for x, y in oracle_facts(program, db)["anc"] if x == c(root)
         }
 

@@ -87,7 +87,7 @@ def _view_session():
 def _rewritten_answer(query_text="anc(john, X)?"):
     answer = Session(ANCESTOR).query(
         query_text, method="supplementary_magic"
-    ).answer
+    )
     return answer.rewritten, answer.evaluation
 
 
@@ -180,7 +180,7 @@ class TestMalformedSelections:
             assert out["served"] == "view" and out["rows"] == []
         cold = Session(rules).query(
             "anc(john, X)?", method="supplementary_magic"
-        ).answer
+        )
         assert cold.rewritten.extract_answers(cold.evaluation) == set()
         # a predicate with no relation at all
         nowhere = Literal("nowhere", (Variable("X"),))
@@ -396,7 +396,7 @@ class TestRoutesAgree:
         rows, queries, moves = case
         catalog = term_catalog()
         session = Session(self.RULES)
-        session.database.add_tuples("r", rows)
+        session.database.relation("r").add_many(rows)
         session.materialize("v")
         manager = SnapshotManager(session.database)
         # no memo: a repeated query must be served by the view again
@@ -406,8 +406,8 @@ class TestRoutesAgree:
                 manager.publish(session.materialized_relations())
                 pinned = manager.current()
                 oracle = Session(self.RULES)
-                oracle.database.add_tuples(
-                    "r", session.database.tuples("r")
+                oracle.database.relation("r").add_many(
+                    session.database.tuples("r")
                 )
                 truth = oracle.query("v(X, Y)?", method="naive")
                 full = Relation("v", 2)
@@ -476,7 +476,7 @@ class TestWorkGate:
         assert 0 < len(viewed.rows) * 10 < len(clean)
         assert len(resolved) <= len(viewed.rows) * clean.arity
 
-        answer = session.query(query, method="supplementary_magic").answer
+        answer = session.query(query, method="supplementary_magic")
         assert answer.rewritten.answer_selection  # a bound extraction
         derived = answer.evaluation.database.get(
             answer.rewritten.answer_pred_key

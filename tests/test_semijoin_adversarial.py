@@ -64,7 +64,7 @@ class TestBoundArgumentDoesRealWork:
             opt_res
         )
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
-        assert optimized.extract_answers(opt_res) == baseline.answers
+        assert optimized.extract_answers(opt_res) == baseline.rows
 
     def test_bound_arg_in_head_free_position_not_dropped(self):
         """The recursive call's bound variable also feeds a FREE position
@@ -87,7 +87,7 @@ class TestBoundArgumentDoesRealWork:
             opt_res
         )
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
-        assert optimized.extract_answers(opt_res) == baseline.answers
+        assert optimized.extract_answers(opt_res) == baseline.rows
 
     def test_shared_bound_variable_across_two_recursive_calls(self):
         """Two recursive occurrences share a bound variable: neither side
@@ -173,7 +173,7 @@ class TestPartialFiring:
             opt_res
         )
         baseline = answer_query(program, db, query, QueryOptions(method="seminaive"))
-        assert optimized.extract_answers(opt_res) == baseline.answers
+        assert optimized.extract_answers(opt_res) == baseline.rows
 
 
 class TestSemijoinPreservesDivergenceBehaviour:

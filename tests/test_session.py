@@ -16,7 +16,6 @@ import pytest
 from repro import (
     Database,
     PlanCache,
-    QueryAnswer,
     QueryOptions,
     QueryResult,
     ReproError,
@@ -118,7 +117,6 @@ class TestAutoDispatch:
     def test_positive_program_uses_magic_family(self):
         session = ancestor_session()
         result = session.query("anc(john, X)?")
-        assert result.requested_method == "auto"
         assert result.method == "supplementary_magic"
 
     def test_negated_program_gets_the_rewrite_too(self):
@@ -272,7 +270,8 @@ class TestMemo:
         session = ancestor_session()
         session.query("anc(john, X)?")
         hit = session.query("anc(john, X)?")
-        assert hit.memo_hits == 1 and hit.memo_misses == 1
+        assert hit.from_memo
+        assert session.memo_hits == 1 and session.memo_misses == 1
 
     def test_every_method_memoizes_its_own_entry(self):
         session = ancestor_session()
@@ -312,19 +311,19 @@ class TestMemo:
         cold = session.query("anc(john, X)?", method=method)
         hit = session.query("anc(john, X)?", method=method)
         assert hit.from_memo
-        assert hit.answer.evaluation is None
+        assert hit.evaluation is None
         if method == "qsq":
-            assert cold.answer.qsq.answers  # cold result keeps Q/F
-            assert cold.answer.qsq.database is not None
-            assert hit.answer.qsq.database is None
-            assert not hit.answer.qsq.answers
-            assert not hit.answer.qsq.queries
+            assert cold.qsq.answers  # cold result keeps Q/F
+            assert cold.qsq.database is not None
+            assert hit.qsq.database is None
+            assert not hit.qsq.answers
+            assert not hit.qsq.queries
             assert (
-                hit.answer.qsq.subqueries_generated
-                == cold.answer.qsq.subqueries_generated
+                hit.qsq.subqueries_generated
+                == cold.qsq.subqueries_generated
             )
         else:
-            assert cold.answer.evaluation is not None
+            assert cold.evaluation is not None
         assert hit.rows == cold.rows and hit.stats is cold.stats
 
 
@@ -567,13 +566,13 @@ class TestQueryResult:
     def test_plan_cache_counters_surface(self):
         session = ancestor_session(plan_cache=PlanCache())
         result = session.query("anc(john, X)?", method="seminaive")
-        assert result.plan_cache_misses == 1
+        assert result.stats.plan_cache_misses == 1
         again = Session(
             program=session.program,
             database=session.database,
             plan_cache=session.plan_cache,
         ).query("anc(john, X)?", method="seminaive")
-        assert again.plan_cache_hits == 1
+        assert again.stats.plan_cache_hits == 1
 
     def test_qsq_reports_its_join_work(self):
         # QSQ's counters come from the round driver, as every other
@@ -596,13 +595,15 @@ class TestQueryResult:
     def test_underlying_answer_is_exposed(self):
         session = ancestor_session()
         result = session.query("anc(john, X)?")
-        assert isinstance(result.answer, QueryAnswer)
-        assert result.answer.answers == result.rows
+        assert type(result) is QueryResult
+        assert result.rewritten is not None
+        assert result.evaluation is not None
+        assert result.footprint
 
     def test_explain_returns_derivation_trees(self):
         session = ancestor_session()
         result = session.query("anc(john, X)?")
-        trees = result.explain(limit=2)
+        trees = session.explain(result.query, limit=2)
         assert len(trees) == 2
         rendered = trees[0].render()
         assert "anc(john" in rendered
@@ -612,22 +613,14 @@ class TestQueryResult:
         session.query("anc(john, X)?")
         hit = session.query("anc(john, X)?")
         assert hit.from_memo
-        assert len(hit.explain()) == 3
+        assert len(session.explain(hit.query)) == 3
 
     def test_explain_stratified(self):
         session = Session(STRATIFIED)
         result = session.query()
-        trees = result.explain()
+        trees = session.explain(result.query)
         assert len(trees) == 1
         assert "ok(c)" in trees[0].render()
-
-    def test_detached_result_explain_raises(self):
-        result = QueryResult(
-            rows=set(), method="seminaive", requested_method="auto",
-            query=parse_query("anc(john, X)?"),
-        )
-        with pytest.raises(ReproError):
-            result.explain()
 
 
 def verdict(session, text):
@@ -650,7 +643,7 @@ class TestAnswerQuery:
         query = parsed.queries[0]
         legacy = answer_query(parsed.program, db, query)
         session = Session(program=parsed.program, database=db)
-        assert legacy.answers == session.query(query).rows
+        assert legacy.rows == session.query(query).rows
 
     def test_answer_query_accepts_auto(self):
         parsed = parse_program(ANCESTOR)
@@ -659,7 +652,7 @@ class TestAnswerQuery:
         answer = answer_query(
             parsed.program, db, parsed.queries[0], QueryOptions(method="auto")
         )
-        assert answer.strategy == "supplementary_magic"
+        assert answer.method == "supplementary_magic"
         assert answer.values() == {("mary",), ("sue",), ("ann",)}
 
     def test_answer_query_auto_stratified(self):
@@ -669,7 +662,7 @@ class TestAnswerQuery:
         answer = answer_query(
             parsed.program, db, parsed.queries[0], QueryOptions(method="auto")
         )
-        assert answer.strategy == "supplementary_magic"
+        assert answer.method == "supplementary_magic"
         assert answer.values() == {("c",)}
 
 
@@ -772,12 +765,12 @@ class TestShapeCacheWorkGate:
     def test_a_mutation_between_reads_keeps_the_entry(self, front_end_calls):
         session = Session(CHAIN_SOURCE, plan_cache=PlanCache())
         first = session.query("anc(n3, Y)?", method="supplementary_magic")
-        program = first.answer.rewritten.program
+        program = first.rewritten.program
         session.assert_(f"par(n{CHAIN}, zoe)")  # drops the memo, not the rewrite
         second = session.query("anc(n3, Y)?", method="supplementary_magic")
         assert not second.from_memo
         assert ("zoe",) in second.values()
-        assert second.answer.rewritten.program is program
+        assert second.rewritten.program is program
         assert front_end_calls == {"adorn": 1, "rewrite": 1}
         # QSQ's adorned program lives in the same cache
         session.query("anc(n3, Y)?", method="qsq")
@@ -804,18 +797,16 @@ class TestLifecycle:
         assert session.database._mutation_logs == ()
 
     def test_unclosed_session_is_freed_by_refcount(self):
-        # the memo holds the session's results; their back-reference to
-        # the session must not close a cycle
+        # the memo holds the session's results, and explaining one
+        # must not leave a cycle back to the session
         with refcount_only():
             session = ancestor_session()
             result = session.query("anc(john, X)?")
             assert session._memo
-            assert result.explain()
+            assert session.explain(result.query)
             ref = weakref.ref(session)
             del session
             assert ref() is None
-        with pytest.raises(ReproError, match="detached"):
-            result.explain()
 
     def test_close_is_idempotent_and_session_stays_usable(self):
         session = ancestor_session()

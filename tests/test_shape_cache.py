@@ -89,7 +89,7 @@ def _query_text(kinds, picks):
 
 def _assert_placeholder_free(result):
     """Nothing a request returns carries a placeholder."""
-    rewritten = result.answer.rewritten
+    rewritten = result.rewritten
     if rewritten is None:
         return
     terms = []

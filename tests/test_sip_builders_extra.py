@@ -48,7 +48,7 @@ class TestRightToLeftSip:
             QueryOptions(method="magic"),
             sip_builder=build_right_to_left_sip,
         )
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
         assert answer.stats.facts_derived < baseline.stats.facts_derived
 
     def test_bf_query_degrades_gracefully(self):
@@ -65,7 +65,7 @@ class TestRightToLeftSip:
             QueryOptions(method="magic"),
             sip_builder=build_right_to_left_sip,
         )
-        assert answer.answers == baseline.answers
+        assert answer.rows == baseline.rows
 
 
 class TestSyntheticWorkload:
@@ -97,5 +97,5 @@ class TestSyntheticWorkload:
         rewritten = rewrite(program, query, method="supplementary_magic")
         result = evaluate(rewritten.program, rewritten.seeded_database(db))
         assert rewritten.extract_answers(result) == (
-            answer_query(program, db, query, QueryOptions(method="seminaive")).answers
+            answer_query(program, db, query, QueryOptions(method="seminaive")).rows
         )

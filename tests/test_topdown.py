@@ -44,7 +44,7 @@ def run_qsq(program, query, db, **kwargs):
 
 def seminaive_answers(program, db, query):
     options = QueryOptions(method="seminaive")
-    return answer_query(program, db, query, options).answers
+    return answer_query(program, db, query, options).rows
 
 
 class TestAnswers:
