@@ -35,23 +35,28 @@ actually performs -- the quantity the planner is built to shrink.
 **Execution.**  Plans execute in batches (:meth:`JoinPlan.execute_batch`):
 partial matches travel as columns of term IDs, one per live slot.  How a
 step runs is decided once, at plan build, from its ops and the liveness
-pass: it gets one of seven kernels and a tuple of operands -- ``scan``
+pass: it gets one of eight kernels and a tuple of operands -- ``scan``
 (keyless, stores only: a delta window, the seed relation, a full scan;
 a window's column slices, or a delta batch's own columns, are the
-batch), ``chain`` (keyed, one live store), ``stores`` (keyed, several),
-``count`` (keyed, none), ``member`` (keyed on every position: one
-C-level pass of rowmap membership tests, ``count`` under a window or
-on a delta batch), ``anti`` (a negated literal's membership test) and
-``general`` (per-row checks, ``_EVAL`` keys); a QSQ step of any kind
-but ``member`` first registers its keys.  A dead store is never built.
-Per call the executor only resolves each step's relation and window
+batch), ``chain`` (keyed, one live store), ``chain_merge`` (a ``chain``
+step after which frames merge: it merges them itself, see below),
+``stores`` (keyed, several), ``count`` (keyed, none), ``member``
+(keyed on every position: one C-level pass of rowmap membership tests,
+``count`` under a window or on a delta batch), ``anti`` (a negated
+literal's membership test) and ``general`` (per-row checks, ``_EVAL``
+keys); a QSQ step of any kind but ``member`` first registers its keys.
+A dead store is never built.  Per call the executor only resolves each
+step's relation and window
 (an exact index is read as a dict, and a window cuts its buckets by
 bisection), runs the kernel, and adds the work counters to the stats
 once.  It goes further the
 way the paper's supplementary predicates do for a rule prefix: after a
 non-final step at which a frame slot goes dead, frames that agree on every
 live slot are merged into one frame carrying an integer *multiplicity*, so the
-remaining steps probe once per distinct live binding.  Its contract: the head
+remaining steps probe once per distinct live binding.  A ``chain_merge``
+step never builds the (frame x row) frames it would merge: it groups
+the frames on their carried slots and counts each group's bucket values
+at C level into the merged batch.  The executor's contract: the head
 ID rows it returns may repeat, each comes with the number of body solutions it
 stands for, the multiplicities sum to the exact number of body solutions
 (which is what ``rule_firings`` gains), and ``tuples_scanned`` counts the rows
@@ -82,7 +87,7 @@ import threading
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from functools import partial
-from itertools import compress, repeat as _repeat
+from itertools import chain, compress, repeat as _repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 from .analysis import stratify
@@ -292,7 +297,9 @@ def _slot_getter(relation, positions, window):
 # probes once per distinct key and reuses the result for every later
 # frame with that key -- the solution multiset of per-frame probing.
 # ``keys`` is None except for a QSQ step: its registered subqueries,
-# the keys its ``keys_of`` would build.
+# the keys its ``keys_of`` would build.  ``_chain_merge`` alone also
+# takes the frames' ``weights`` and returns the merged batch instead
+# (see its docstring).
 
 def _scan(outs, relation, window, keys, cols, n):
     """A keyless step that only stores (a delta window, the seed
@@ -378,6 +385,74 @@ def _chain(operands, relation, window, keys, cols, n):
             sel.extend(_repeat(i, n_rows))
             store.extend(values)
     return sel, (store,), len(vals_of), scanned
+
+
+def _chain_merge(operands, relation, window, keys, cols, n, weights):
+    """A chain step after which frames merge (a slot dies there): the
+    probe and the merge in one pass.  The frames are grouped on their
+    carried binding (``carry_out``), and each group's bucket values are
+    counted at C level, so no (frame x row) frame, gathered column or
+    slot tuple is built; a weighted frame (one an earlier merge left)
+    adds its weight per value instead.
+
+    Unlike the other kernels it returns the merged batch ``(cols,
+    weights, n)`` and its work counts: the frames and multiplicities
+    ``_chain`` followed by ``_merge_frames`` gives, and the same probes
+    (one per distinct key) and rows scanned (a bucket's rows per
+    frame).  Only the order differs: grouped by carried binding in
+    first-seen order, then by stored value in first-seen order.
+    ``weights`` stays None when it came None and no two frames
+    coincided."""
+    positions, keys_of, pos, carry_out, store_slot = operands
+    get = _slot_getter(relation, positions, window)
+    row_col = relation._columns[pos]
+    if len(carry_out) == 1:
+        bindings = cols[carry_out[0]]
+    elif carry_out:
+        bindings = zip(*[cols[s] for s in carry_out])
+    else:
+        bindings = _repeat((), n)
+    vals_of: Dict[object, List[int]] = {}
+    # carried binding -> its frames' bucket values (with their weights)
+    groups: Dict[object, list] = {}
+    scanned = 0
+    keys = keys or keys_of(cols, n)
+    for i, (key, binding) in enumerate(zip(keys, bindings)):
+        values = vals_of.get(key)
+        if values is None:
+            values = vals_of[key] = [row_col[r] for r in get(key) or ()]
+        if values:
+            scanned += len(values)
+            group = groups.get(binding)
+            if group is None:
+                group = groups[binding] = []
+            group.append(values if weights is None else (values, weights[i]))
+    carried: List[List[int]] = [[] for _ in carry_out]
+    store: List[int] = []
+    counts: List[int] = []
+    for binding, group in groups.items():
+        if weights is None:
+            merged = Counter(chain.from_iterable(group))  # C level
+        else:
+            merged = {}
+            add = merged.get
+            for values, weight in group:
+                for value in values:
+                    merged[value] = add(value, 0) + weight
+        m = len(merged)
+        store.extend(merged)
+        counts.extend(merged.values())
+        if len(carry_out) == 1:
+            carried[0].extend(_repeat(binding, m))
+        else:
+            for column, value in zip(carried, binding):
+                column.extend(_repeat(value, m))
+    merged_cols = dict(zip(carry_out, carried))
+    merged_cols[store_slot] = store
+    n = len(store)
+    if weights is None and n == scanned:
+        counts = None  # every frame distinct: nothing merged
+    return merged_cols, counts, n, len(vals_of), scanned
 
 
 def _stores(operands, relation, window, keys, cols, n):
@@ -497,6 +572,10 @@ def _kernel_for(step):
             )
         return _count, operands
     if len(outs) == 1:
+        if step.merge:
+            return _chain_merge, operands + outs + (
+                step.carry_out, step.store_out[0][1],
+            )
         return _chain, operands + outs
     return _stores, operands + (outs,)
 
@@ -767,7 +846,9 @@ class JoinStep:
     @property
     def kind(self) -> str:
         """The kernel the step runs as: ``scan``, ``chain``,
-        ``stores``, ``count``, ``member``, ``anti`` or ``general``."""
+        ``chain_merge`` (a ``chain`` step with ``merge`` set, which
+        merges its frames itself), ``stores``, ``count``, ``member``,
+        ``anti`` or ``general``."""
         return self.kernel.__name__[1:]
 
     def __repr__(self):
@@ -825,6 +906,7 @@ class JoinPlan:
                 ),
                 step.kernel, step.operands, step.carry_out,
                 tuple(s for _, s in step.store_out), step.merge,
+                step.kernel is _chain_merge,
             )
             for body_index, step in zip(order, steps)
         )
@@ -854,7 +936,13 @@ class JoinPlan:
         After a non-final step at which a frame slot goes dead
         (``step.merge``), frames that agree on every live slot are
         merged into one frame carrying an integer multiplicity, so the
-        remaining steps run once per distinct live binding.
+        remaining steps run once per distinct live binding.  A
+        ``chain_merge`` step returns that merged batch itself (the
+        record says so; no gather, no ``_merge_frames``), its frames
+        grouped by carried binding and then in first-seen stored-value
+        order; after any other step they keep first-seen order.  The
+        multiset of frames and multiplicities, and so every counter, is
+        the same either way.
 
         ``rows`` are head ID rows and may repeat (nothing is merged
         after the last step; the head insert deduplicates).
@@ -885,7 +973,7 @@ class JoinPlan:
         try:
             for (
                 body_index, pred_key, is_delta, register, kernel, operands,
-                carry_out, out_slots, merge,
+                carry_out, out_slots, merge, merges_itself,
             ) in self._records:
                 keys = None
                 if register is not None:
@@ -909,6 +997,15 @@ class JoinPlan:
                     if kernel is _anti:
                         continue  # nothing to refute: all frames survive
                     return [], None, 0
+                if merges_itself:
+                    cols, weights, n, step_probes, step_scanned = kernel(
+                        operands, relation, window, keys, cols, n, weights
+                    )
+                    probes += step_probes
+                    scanned += step_scanned
+                    if not n:
+                        return [], None, 0
+                    continue
                 sel, stores, step_probes, step_scanned = kernel(
                     operands, relation, window, keys, cols, n
                 )

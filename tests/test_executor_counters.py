@@ -10,7 +10,10 @@ queries, and QSQ's, whose steps register their keys as subqueries
 first), anti-joins, count steps and full-width member steps (BOM,
 cold and through IVM's overdelete / rederive / insert phases, and a
 second IVM pass over the tombstones the first one left), keyed
-multi-store steps, and
+multi-store steps, chain steps that merge their frames themselves
+(``chain_merge``: the same-generation query, a rule with two merge
+points whose second gets weighted frames, and a maintained flat stratum
+whose derivation counts come from the merged multiplicities), and
 general steps -- counting's ``LinExpr`` arguments (matched with
 ``semijoin=True``, probed as ``_EVAL`` keys without it) and the
 per-row ops (``Struct`` matching, a repeated variable, a constant
@@ -185,6 +188,43 @@ def qsq_constant_outside_key():
     return query_stats(program, db, parse_query("p(b, Y)?"), method="qsq")
 
 
+def two_merge_points():
+    # Y dies at the second step and Z at the third: the third step
+    # receives merged, weighted frames (the diamonds a-b-d / a-c-d
+    # collapse at the first merge)
+    program, db = parsed(
+        "r(X, V) :- s(X), e(X, Y), e(Y, Z), e(Z, V), t(V). "
+        "s(a). s(b). e(a, b). e(a, c). e(b, d). e(c, d). e(b, e). "
+        "e(c, e). e(d, f). e(e, f). e(d, g). e(e, a). e(a, g). t(f). "
+        "t(g). t(a). t(d)."
+    )
+    return query_stats(
+        program, db, parse_query("r(X, V)?"), method="seminaive"
+    )
+
+
+def ivm_merged_counts():
+    # a flat stratum whose rule merges at the second ``e`` step (Y
+    # dies there): retracting e(a, b) removes one of hop2(a, d)'s two
+    # derivations and keeps the row, so its count comes from the merged
+    # multiplicities; e(d, b) takes hop2(d, d) / hop2(b, b) with it
+    program, database = parsed(
+        "hop2(X, Z) :- e(X, Y), e(Y, Z), ok(Z). "
+        "e(a, b). e(a, c). e(b, d). e(c, d). e(c, f). e(b, f). e(d, b). "
+        "ok(d). ok(f). ok(b)."
+    )
+    view = MaterializedProgram(program, database)
+    try:
+        database.retract_values("e", [("a", "b"), ("d", "b")])
+        database.add_values("e", [("f", "d")])
+        result = view.maintain()
+        assert result.facts_added and result.facts_removed
+        assert view.check_consistency()
+        return result.stats
+    finally:
+        view.close()
+
+
 #: case -> (run, its COUNTERS, its facts_by_predicate), measured before
 #: the step kernels existed ("bom ivm second move": before ``member``)
 GOLDEN = {
@@ -254,6 +294,17 @@ GOLDEN = {
         qsq_constant_outside_key,
         (11, 7, 4, 37, 49, 4),
         {"p^bf": 7},
+    ),
+    # measured before ``chain_merge``: ``chain`` then ``_merge_frames``
+    "two merge points": (
+        two_merge_points,
+        (9, 4, 5, 18, 26, 1),
+        {"r": 4},
+    ),
+    "ivm merged counts": (
+        ivm_merged_counts,
+        (8, 2, 0, 17, 25, 0),
+        {"hop2": 2},
     ),
 }
 

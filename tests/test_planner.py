@@ -6,6 +6,8 @@ evaluator in ``conftest``, pinned work counters, the delta handling for rules wi
 same recursive predicate, and the function-symbol / LinExpr fallbacks.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from repro import (
     build_empty_sip,
     build_full_sip,
     compile_rule,
+    compile_subquery_rule,
     evaluate,
     order_body,
     parse_program,
@@ -37,7 +40,7 @@ from repro import (
 from repro.datalog.catalog import term_catalog
 from repro.datalog.engine import _IdDeltaBatch
 from repro.datalog.planner import (
-    _CONST, _EQ, _EQC, _EQL, _EVAL, _MATCH, _count,
+    _CONST, _EQ, _EQC, _EQL, _EVAL, _MATCH, _chain, _count, _merge_frames,
 )
 from repro.workloads import (
     BOM,
@@ -66,6 +69,67 @@ from conftest import (
 
 def c(value):
     return Constant(value)
+
+
+def tally(cols, weights, n):
+    """A batch as ``{live binding: summed weight}`` (slots ascending)."""
+    slots = sorted(cols)
+    counts = Counter()
+    for binding, weight in zip(
+        zip(*(cols[s] for s in slots)), weights or [1] * n
+    ):
+        counts[binding] += weight
+    return slots, dict(counts)
+
+
+#: the probed relation of the ``chain_merge`` equivalence tests: keys
+#: b0..b3 with overlapping value sets (b4 probes an empty bucket)
+R_ROWS = [(f"b{i % 4}", f"c{i % 6}") for i in range(12)] + [
+    ("b1", "c0"), ("b3", "c9"),
+]
+
+
+def merge_frames_for(step):
+    """Frames for a one-key ``chain_merge`` step: the key slot runs
+    over b0..b4, each carried slot over a0..a2 at its own period, and
+    the first four frames repeat."""
+    (_, key_slot), = step.key_ops
+    intern = term_catalog().intern
+    cols = {key_slot: [intern(c(f"b{i % 5}")) for i in range(15)]}
+    for j, slot in enumerate(step.operands[3]):
+        cols[slot] = [intern(c(f"a{i // (j + 1) % 3}")) for i in range(15)]
+    return {s: col + col[:4] for s, col in cols.items()}, 15 + 4
+
+
+def chain_merge_tally(step, relation, window, keys, cols, n, weights):
+    """The fused kernel's merged batch, tallied, and its work counts."""
+    merged, merged_weights, m, probes, scanned = step.kernel(
+        step.operands, relation, window, keys, cols, n, weights
+    )
+    distinct = len(set(zip(*merged.values())))
+    assert m == distinct == len(merged[step.operands[4]])
+    return (
+        tally(merged, merged_weights, m), merged_weights is None,
+        probes, scanned,
+    )
+
+
+def chain_then_merge_tally(step, relation, window, keys, cols, n, weights):
+    """``_chain``, the gather of ``execute_batch`` and ``_merge_frames``:
+    what a merging chain step ran as before it had a kernel of its own."""
+    positions, keys_of, pos, carry_out, store_slot = step.operands
+    sel, (store,), probes, scanned = _chain(
+        (positions, keys_of, pos), relation, window, keys, cols, n
+    )
+    gathered = {s: [cols[s][i] for i in sel] for s in carry_out}
+    gathered[store_slot] = store
+    if weights is not None:
+        weights = [weights[i] for i in sel]
+    merged, merged_weights, m = _merge_frames(gathered, weights, len(sel))
+    return (
+        tally(merged, merged_weights, m), merged_weights is None,
+        probes, scanned,
+    )
 
 
 def ancestor():
@@ -132,6 +196,10 @@ class TestPlanStructure:
         # keyed on every position: a rowmap membership test
         ("p(X) :- q(X), r(X).", ["scan", "member"]),
         ("p(X, Y) :- q(X, Y), r(Y, X).", ["scan", "member"]),
+        # Y dies at r, a non-final step: the probe and the frame merge
+        # are one kernel
+        ("p(X, Z) :- q(X, Y), r(Y, Z), s(Z).",
+         ["scan", "chain_merge", "member"]),
     ])
     def test_step_kinds(self, source, kinds):
         plan = compile_rule(parse_rule(source))
@@ -172,6 +240,62 @@ class TestPlanStructure:
         assert sel == [i for i, row in enumerate(frames) if row in live]
         assert (stores, probes, scanned) == ((), 13, len(sel))
 
+    @pytest.mark.parametrize("source", [
+        "p(X, Z) :- q(X, Y), r(Y, Z), s(Z).",
+        "p(Z) :- q(Y), r(Y, Z), s(Z).",
+        "p(X, W, Z) :- q(X, W, Y), r(Y, Z), s(Z).",
+    ])
+    def test_chain_merge_steps_count_as_chain_then_merge(self, source):
+        # the fused kernel gives the live bindings and summed weights,
+        # probes and rows scanned of ``_chain`` followed by the gather
+        # and ``_merge_frames``, carrying one, no or two slots: on an
+        # untouched relation, one with tombstones, under a slot window,
+        # on a delta batch, and for weighted frames (an earlier merge's)
+        step = compile_rule(parse_rule(source)).steps[1]
+        assert step.kind == "chain_merge" and step.merge
+        db = Database()
+        db.add_values("r", R_ROWS)
+        r = db.get("r")
+        rows = list(r.id_rows())
+        tombstoned = r.copy()
+        tombstoned.discard_id_rows(rows[1:5])
+        assert tombstoned._dead and tombstoned.check_invariants()
+        cols, n = merge_frames_for(step)
+        weighted = [1 + i % 3 for i in range(n)]
+        for relation, window, weights in (
+            (r, None, None), (tombstoned, None, None), (r, (2, 9), None),
+            (_IdDeltaBatch(rows[3:10]), None, None), (r, None, weighted),
+            (tombstoned, (1, 12), weighted),
+        ):
+            assert chain_merge_tally(
+                step, relation, window, None, cols, n, weights
+            ) == chain_then_merge_tally(
+                step, relation, window, None, cols, n, weights
+            )
+
+    def test_qsq_chain_merge_steps_count_as_chain_then_merge(self):
+        # a QSQ step probes the keys ``_register_subqueries`` returns
+        x, y, z, w = (Variable(v) for v in "XYZW")
+        plan = compile_subquery_rule(Rule(
+            Literal("p", (x, y), "bf"),
+            [Literal("e", (x, z)), Literal("p", (z, w), "bf"),
+             Literal("f", (w, y))],
+        ), {"p^bf"})
+        step = plan.steps[2]
+        assert step.kind == "chain_merge" and step.input_key
+        db = Database()
+        db.add_values("p^bf", R_ROWS)
+        cols, n = merge_frames_for(step)
+        register = plan._records[2][3]
+        keys = register(db, cols, n)
+        assert len(db.get(step.input_key)) == 5
+        for weights in (None, [1 + i % 3 for i in range(n)]):
+            assert chain_merge_tally(
+                step, db.get("p^bf"), None, keys, cols, n, weights
+            ) == chain_then_merge_tally(
+                step, db.get("p^bf"), None, keys, cols, n, weights
+            )
+
     @pytest.mark.parametrize("make_program, query, kinds", [
         (ancestor, ancestor_query("n0"), {
             (0, None): "scan chain", (0, 0): "scan chain",
@@ -188,8 +312,10 @@ class TestPlanStructure:
             (3, None): "scan chain", (3, 0): "scan chain",
             (4, None): "scan", (4, 0): "scan",
             (5, None): "scan", (5, 0): "scan",
-            (6, None): "scan chain chain", (6, 0): "scan chain chain",
-            (6, 1): "scan chain chain",
+            # Z3 dies at sg^bf(Z3, Z4): its frames merge in the kernel
+            (6, None): "scan chain_merge chain",
+            (6, 0): "scan chain_merge chain",
+            (6, 1): "scan chain_merge chain",
         }),
     ])
     def test_supplementary_magic_plans_scan_and_chain(
