@@ -77,14 +77,35 @@ as a *holder* of each.  A relation is mutated in place only by the
 database that owns it (the one that created or cloned it) and only
 while it has no live holder; otherwise the first mutation **through
 the database's methods** (``relation()``, ``retract_fact``, ...)
-clones it for the mutating side first, so no other side ever observes
-the change.  Every evaluation runs on such a snapshot
+hands the mutating side another version of it first (a clone, or a
+recycled spare: below), so no other side ever observes the change.
+Every evaluation runs on such a snapshot
 (``evaluate``, ``seeded_database``): base
 relations are shared, never copied, and only seed and derived
 relations are created in it.  Maintained views are published to the
 query server the same way (``Session.materialized_relations`` is a
 snapshot of the materializer's derived relations), so the next
-maintenance pass clones only the views it touches.
+maintenance pass hands off only the views it touches.
+
+What a handoff costs.  An owned relation handed off keeps the version
+it was split from as its *spare*, and from then on journals every
+batch :meth:`Relation.add_id_rows` and :meth:`Relation.discard_id_rows`
+apply to it.  At the next handoff, if no snapshot holds the spare any
+more, the database replays the journal onto the spare and hands that
+out instead of a clone: the two versions trade places, as in
+Left-Right (Ramalhete & Correia, 2015).  That is the query server's
+steady state -- the writer's pass writes the version the current
+snapshot holds, and the version before it was released when that
+snapshot was published -- so a served write costs its delta, not a
+clone of every relation it touches (``serve-mixed`` ``write_p50_s``
+6.3 -> 5.2 ms, CPython 3.11, 2-vCPU x86 host).  While the spare is
+still held (a pinned reader) the handoff clones, and the clone keeps
+the held relation as its spare; a borrowed relation (one a snapshot
+writes that another database owns) is cloned and keeps no spare.  Once a journal holds more rows than its relation has live
+rows, the spare and the journal go: a clone is cheaper by then, and a
+relation handed off once would otherwise journal forever.  The price
+is memory: a spare stays alive between handoffs (+1.7 % peak RSS on
+``serve-mixed``).
 
 What a clone costs: :meth:`Relation.copy` copies the columns, the
 liveness flags, the rowmap and each index's dict (C level, O(rows);
@@ -98,8 +119,7 @@ hash table as one block as long as deleted entries are at most a third
 of it.  On ``serve-mixed``'s data (CPython 3.11, 2-vCPU x86 host) that
 is 61 us instead of 449 us for ``component``'s rowmap (8,194 rows) and
 57 us instead of 254 us for ``clean``'s (7,007 rows); a whole clone of
-either is ~95 us, and the server's writer spends ~0.65 ms per subtree
-move in clones instead of ~1.6 ms.  The clone keeps the source's table
+either is ~95 us.  The clone keeps the source's table
 size, deleted entries included, so it can hold a little more memory
 than a rebuilt dict would.  Weighed and not taken: immutable tuple
 buckets (O(bucket) per append; a one-constant magic seed keeps all of
@@ -107,7 +127,14 @@ buckets (O(bucket) per append; a one-constant magic seed keeps all of
 (per-key state the slot watermark of :meth:`Relation.copy` makes
 unnecessary); row-versioned MVCC (a second read path under
 ``probe_index``); publishing only the requested views (a served
-workload's hot reads would turn cold).
+workload's hot reads would turn cold); replaying a journal's *net*
+delta, and compacting tombstones when a clone is made.  Both renumber
+slots, and a handoff can happen in the middle of a pass, after
+semi-naive windows, IVM marks and ``EvaluationStats.installs`` stamps
+were taken as slot counts (every point read clones its borrowed magic
+seed on its first install): the version handed out must be
+slot-identical to the one it replaces.  A netted replay broke the
+maintained ``tainted`` on the 13th served request of a depth-6 BOM.
 
 A snapshot is as free to drop as it is to take.  Nothing references a
 database strongly except its callers (a relation's ``owner`` is a
@@ -115,10 +142,12 @@ small cell, not the database), so the snapshot is released by
 reference count the moment the last caller lets go, its holder
 registrations vanish with it, and the owner is back to writing in
 place.  The one trade a caller can observe: holding a whole
-``QueryResult`` (its ``answer.evaluation.database``, not just
-``rows``) across a write makes that write clone the touched relation
-once.  Direct ``Relation`` method calls on objects obtained *before*
+``QueryResult`` (its ``result.evaluation.database``, not just
+``rows``) across a write makes that write hand the touched relation
+off once.  Direct ``Relation`` method calls on objects obtained *before*
 a snapshot bypass the guard; ``Session``/``Database`` methods honor it.
+A ``Relation`` read through a snapshot is frozen only while that
+snapshot is alive: once no snapshot holds it, the owner may recycle it.
 
 This is also the MVCC substrate of the query server
 (:mod:`repro.server`), and what keeps it lock-free: readers only ever
@@ -126,8 +155,9 @@ snapshot a *published* snapshot.  The holder sets of its relations
 were created by the writer's ``publish``, and the manager's current
 snapshot (or the reader's own pin) keeps them non-empty for as long as
 a reader can reach those relations, so the writer's "no holder" test
-never races a first registration -- it clones exactly the relations a
-mutation touches, once per publish.
+never races a first registration -- it hands off exactly the
+relations a mutation touches, once per publish, and recycles only a
+spare no reader can reach.
 
 Versioning
 ----------
@@ -227,6 +257,11 @@ class Relation:
     backreference.  ``_holders`` is the weak set of live databases that
     share this relation without owning it (see "Copy-on-write
     snapshots" in the module docstring), None until first snapshotted.
+    ``_spare`` is the version this relation was split from, and
+    ``_journal`` the ``(sign, rows)`` batches written here since the
+    split, in order: what :meth:`Database._writable` replays onto the
+    spare once no snapshot holds it.  Both are None on a relation that
+    was never handed off.
     """
 
     __slots__ = (
@@ -235,6 +270,8 @@ class Relation:
         "version",
         "owner",
         "_holders",
+        "_spare",
+        "_journal",
         "_columns",
         "_rowmap",
         "_live",
@@ -249,6 +286,8 @@ class Relation:
         self.version = 0
         self.owner: Optional[_OwnerCell] = None
         self._holders: Optional["WeakSet[Database]"] = None
+        self._spare: Optional[Relation] = None
+        self._journal: Optional[List[Tuple[int, Sequence[IdTuple]]]] = None
         self._columns: Optional[List[array]] = (
             None if arity is None else [array("q") for _ in range(arity)]
         )
@@ -298,6 +337,17 @@ class Relation:
         entries = [(name, idrow, sign) for idrow in idrows]
         for log in logs:
             log.extend(entries)
+
+    def _note(self, sign: int, rows: Sequence[IdTuple]) -> None:
+        """Append one applied batch to the journal, or drop the spare
+        and the journal once they hold more rows than the relation has
+        live rows: a clone is cheaper than such a replay.  Every
+        journaled row bumped :attr:`version` once, so the journal's row
+        count is the version gap to the spare."""
+        if self.version - self._spare.version > len(self._rowmap):
+            self._spare = self._journal = None
+        else:
+            self._journal.append((sign, rows))
 
     # ------------------------------------------------------------------
     # insertion
@@ -392,6 +442,9 @@ class Relation:
             owner.version += n_fresh
             if owner.logs:
                 self._capture(fresh_rows, 1)
+        if self._journal is not None:
+            # a copy: the caller gets fresh_rows back and may change it
+            self._note(1, tuple(fresh_rows))
         # enter the fresh slots into every index.  A bucket that ends
         # below the copy watermark is borrowed (see copy()): it is
         # copied before the first append, which puts its end above the
@@ -686,6 +739,8 @@ class Relation:
         self._dead += len(gone)
         self._bump(len(gone))
         self._capture(gone, -1)
+        if self._journal is not None:
+            self._note(-1, gone)
         if (
             self._dead >= _COMPACT_MIN_DEAD
             and self._dead > len(self._rowmap)
@@ -717,6 +772,13 @@ class Relation:
     # ------------------------------------------------------------------
     def copy(self) -> "Relation":
         """An independent copy that shares this relation's index buckets.
+
+        The copy is slot-identical: the same columns, liveness flags,
+        tombstone count and rowmap order, so every slot count taken on
+        this relation -- a semi-naive window, an IVM mark, an
+        ``installs`` stamp -- means the same rows on the copy.  That is
+        what makes a clone inside a fixpoint safe.  It carries no spare
+        and no journal.
 
         Columns, rowmap and liveness flags are copied (C level -- no
         Term is touched) and each index dict shallowly:
@@ -757,6 +819,7 @@ class Relation:
         duplicate.version = self.version
         duplicate.owner = None
         duplicate._holders = None
+        duplicate._spare = duplicate._journal = None
         columns = self._columns
         duplicate._columns = (
             None if columns is None else [column[:] for column in columns]
@@ -770,6 +833,42 @@ class Relation:
         }
         self._copied_at = duplicate._copied_at = len(self._live)
         return duplicate
+
+    def _catch_up(
+        self,
+        current: "Relation",
+        journal: List[Tuple[int, Sequence[IdTuple]]],
+    ) -> None:
+        """Bring this spare of ``current`` to ``current``'s state by
+        replaying ``current``'s ``journal``, batch by batch, with no
+        owner attached: no database version bump and no mutation-log
+        entry comes from the replay, and ``version`` ends equal to
+        ``current.version``.
+
+        The journal is replayed as it was applied, never netted: the
+        spare starts slot-identical to ``current`` (it is what
+        ``current`` was copied from, or caught up to), so the same
+        batches hand out the same slots, tombstone the same ones and
+        compact at the same points.  Slot counts taken on ``current``
+        -- semi-naive windows, IVM marks, ``installs`` stamps -- stay
+        valid on the spare, which is what lets a handoff happen in the
+        middle of a pass.  An index only ``current`` carries (one a
+        reader built on it) is carried over as :meth:`copy` does.
+        """
+        owner, self.owner = self.owner, None
+        for sign, rows in journal:
+            if sign > 0:
+                self.add_id_rows(rows)
+            else:
+                self.discard_id_rows(rows)
+        self.owner = owner
+        indexes, carried = self._indexes, False
+        for positions, index in list(current._indexes.items()):
+            if positions not in indexes:
+                indexes[positions] = index.copy()
+                carried = True
+        if carried:  # both sides now borrow its buckets
+            current._copied_at = self._copied_at = len(self._live)
 
     # ------------------------------------------------------------------
     # accounting / integrity
@@ -987,20 +1086,36 @@ class Database:
 
     def _writable(self, pred_key: str) -> Optional[Relation]:
         """The relation for a mutation path: handed out as is when this
-        database owns it and no snapshot holds it, cloned (indexes
-        preserved) for this database otherwise."""
+        database owns it and no snapshot holds it.  Otherwise another
+        version takes its place: for an owned relation, the spare it
+        was split from, caught up by its journal, when no snapshot
+        holds that one either, else a clone (indexes preserved) that
+        keeps the held relation as its spare; a borrowed relation is
+        cloned and keeps no spare."""
         rel = self._relations.get(pred_key)
         if rel is None:
             return None
-        owned = rel.owner is self._cell
-        if owned and not rel._holders:
-            return rel
-        clone = rel.copy()
-        clone.owner = self._cell
-        self._relations[pred_key] = clone
-        if not owned:
+        if rel.owner is not self._cell:
+            clone = rel.copy()
+            clone.owner = self._cell
+            self._relations[pred_key] = clone
             rel._holders.discard(self)
-        return clone
+            return clone
+        if not rel._holders:
+            return rel
+        # detached first, so a replay that raises leaves no half-caught-up
+        # spare behind; and a spare holds no spare: versions never chain
+        spare, journal = rel._spare, rel._journal
+        rel._spare = rel._journal = None
+        if spare is not None and not spare._holders:
+            spare._catch_up(rel, journal)
+            fresh = spare
+        else:
+            fresh = rel.copy()
+            fresh.owner = self._cell
+        fresh._spare, fresh._journal = rel, []
+        self._relations[pred_key] = fresh
+        return fresh
 
     # ------------------------------------------------------------------
     # mutation capture (incremental view maintenance)

@@ -13,15 +13,20 @@ Snapshots are refcounted: the manager holds one reference on the
 current version, every in-flight read holds one more, and a version
 retires (drops out of ``live_count``) when its last reference is
 released.  Memory behaves like the write rate, not the read rate: a
-writer touching k of n relations between publishes costs k relation
-clones -- base relations and views alike: a view the maintenance pass
-did not touch is the same ``Relation`` object in consecutive versions,
-and an index a reader built on it serves every later version -- and a
-retired snapshot's unshared relations free with it.  A clone does not
-walk its indexes: it shares every index bucket with the version it was
-cloned from and copies only the buckets the write appends to, so
-consecutive versions differ in bucket storage by the write's delta
-(``Relation.copy``; the rows themselves are still copied).
+writer touching k of n relations between publishes hands off k
+relations -- base relations and views alike: a view the maintenance
+pass did not touch is the same ``Relation`` object in consecutive
+versions, and an index a reader built on it serves every later
+version.  A handoff costs the write's delta while no reader pins the
+version before the current one: the writer replays the rows written
+since onto that released version and writes it, so consecutive
+versions alternate between two objects per relation
+(``Database._writable``).  Only a pinned older version makes it a
+clone, which shares every index bucket with the version it was cloned
+from and copies only the buckets the write appends to
+(``Relation.copy``; the rows themselves are copied).  A retired
+snapshot's relations free with it, except the one version per
+relation the writer keeps to recycle.
 """
 
 from __future__ import annotations

@@ -343,9 +343,11 @@ class Session:
         A :meth:`Database.snapshot` of the materializer's derived
         relations: nothing is copied here, and for as long as the
         caller holds the returned database the next maintenance pass
-        clones the views it touches before changing them, so the caller
-        may hand it to concurrent readers while this session keeps
-        mutating.  Empty when no views are live or the materializer is
+        writes another version of each view it touches -- the version
+        before, caught up, once no snapshot holds that one; a clone
+        otherwise -- so the caller may hand it to concurrent readers
+        while this session keeps mutating.  Relations read through it
+        stay frozen only while it is held.  Empty when no views are live or the materializer is
         stale or has unapplied deltas -- never a stale answer.  This is
         the publish hook the query server uses to serve view-covered
         queries from a snapshot.

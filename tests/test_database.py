@@ -1,5 +1,6 @@
 """Unit tests for relations and databases (repro.datalog.database)."""
 
+import random
 import uuid
 from operator import itemgetter
 from unittest import mock
@@ -1296,3 +1297,165 @@ class TestCopyOnWriteUnderChurn:
                     high = self._window(rel, (), None, min(cut, n), n)
                     assert not low & high and low | high == model
                     self._check_windows(rel, model, 0, n, model)
+
+
+def _slots(rel):
+    """Everything a slot count taken on ``rel`` refers to."""
+    return (
+        rel.arity,
+        [list(column) for column in rel._columns or ()],
+        bytes(rel._live),
+        rel._dead,
+        list(rel._rowmap.items()),
+        rel.version,
+    )
+
+
+class TestRecycledSpare:
+    """A write to an owned relation a snapshot holds replays the
+    relation's journal onto the version it was split from, once no
+    snapshot holds that one, instead of cloning (``Database._writable``).
+    The collector is off: a released spare must be free by reference
+    count alone."""
+
+    @pytest.fixture(autouse=True)
+    def _collector_off(self):
+        with refcount_only():
+            yield
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_recycled_spare_is_slot_identical(self, seed):
+        """Random adds, discards and flips (a new snapshot replaces the
+        held one), across compactions.  Every recycled spare equals the
+        relation it replaces slot for slot: a replay that netted its
+        journal would hand out other slots or compact elsewhere."""
+        rng = random.Random(seed)
+        compacted = []
+        compact = Relation._compact
+
+        def counting(rel):
+            compacted.append(rel)
+            compact(rel)
+
+        db = Database()
+        db.relation("r").register_index((0,))
+        db.relation("r").register_index((1,))
+        held, recycled, replayed_compactions = None, 0, 0
+
+        def row():
+            value = rng.randrange(48)
+            return (c(value), c(value % 5))
+
+        with mock.patch.object(Relation, "_compact", counting):
+            for _ in range(400):
+                op = rng.random()
+                if op < 0.45:
+                    db.relation("r").add_many(
+                        [row() for _ in range(rng.randint(1, 6))]
+                    )
+                elif op < 0.8:
+                    db.retract_tuples(
+                        "r", [row() for _ in range(rng.randint(1, 12))]
+                    )
+                else:
+                    held = db.snapshot()
+                    before, spare = len(compacted), db.get("r")._spare
+                    rel = db.relation("r")  # the handoff, no write yet
+                    assert rel._spare is held.get("r")
+                    assert rel._spare._spare is None
+                    if rel is not spare:
+                        continue
+                    recycled += 1
+                    if any(done is rel for done in compacted[before:]):
+                        replayed_compactions += 1
+                    assert _slots(rel) == _slots(rel._spare)
+                    assert rel.check_invariants()
+                    assert rel._journal == [] and rel._spare._journal is None
+                copied = db.get("r").copy()
+                assert _slots(copied) == _slots(db.get("r"))
+                assert copied._spare is None and copied._journal is None
+        assert recycled > 20 and replayed_compactions
+        assert db.check_integrity() and held.check_integrity()
+
+    def test_the_lifecycle_of_a_spare(self):
+        db = Database()
+        log = db.start_mutation_log()
+        db.add_values("r", [(i, i % 3) for i in range(40)])
+        first = db.get("r")
+        changes = list(log)
+
+        def write(add=(), retract=()):
+            """Add then retract rows; check the log and the version
+            saw exactly the net changes."""
+            version, entries = db.version, len(log)
+            present = db.tuples("r")
+            added = db.add_values("r", add)
+            removed = db.retract_values("r", retract)
+            wrapped = {tuple(map(c, row)) for row in add}
+            assert added == len(wrapped - present)
+            assert db.version == version + added + removed
+            assert len(log) == entries + added + removed
+            changes.extend(log[entries:])
+
+        # the first handoff clones, and keeps the held version as spare
+        held = db.snapshot()
+        write(add=[(100, 1)])
+        second = db.get("r")
+        assert second is not first
+        assert second._spare is first and first._spare is None
+        assert second._journal == [
+            (1, (term_catalog().intern_row((c(100), c(1))),))
+        ]
+        # from then on the handoffs alternate between the same two
+        for step in range(6):
+            held = db.snapshot()  # releases the version before it
+            if step == 0:
+                # a reader's index on the held version is carried over
+                held.get("r").register_index((1,))
+            write(add=[(200 + step, 2)], retract=[(step, step % 3)])
+            current = db.get("r")
+            assert current is (first if step % 2 == 0 else second)
+            assert (1,) in current._indexes
+            assert current._spare is (second if step % 2 == 0 else first)
+            assert held.get("r") is current._spare
+            assert db.tuples("r") == (
+                held.tuples("r") | {(c(200 + step), c(2))}
+            ) - {(c(step), c(step % 3))}
+            assert db.check_integrity() and held.check_integrity()
+        # a pinned spare forces a clone; the pin still reads its rows
+        pinned, spare = held, db.get("r")._spare
+        assert pinned.get("r") is spare
+        frozen = pinned.tuples("r")
+        held = db.snapshot()
+        write(add=[(300, 0)])
+        cloned = db.get("r")
+        assert cloned not in (first, second)
+        assert cloned._spare is held.get("r") and cloned._spare._spare is None
+        assert pinned.get("r") is spare and pinned.tuples("r") == frozen
+        assert pinned.check_integrity() and held.check_integrity()
+        # once the journal holds more rows than the relation has live
+        # rows, the spare goes
+        live = len(cloned)
+        write(add=[(500, 0)], retract=[(500, 0)])
+        assert cloned._spare is not None
+        for i in range(live // 2):
+            write(add=[(501 + i, 0)], retract=[(501 + i, 0)])
+        assert db.get("r") is cloned and len(cloned) == live
+        assert cloned._spare is None and cloned._journal is None
+        # ... so the next handoff clones
+        held = db.snapshot()
+        write(retract=[(20, 2)])
+        assert db.get("r") is not cloned and db.get("r")._spare is cloned
+        # every net change reached the log once: replaying it rebuilds
+        # the relation
+        model = set()
+        for _, idrow, sign in changes:
+            if sign > 0:
+                assert idrow not in model
+                model.add(idrow)
+            else:
+                model.remove(idrow)
+        assert model == set(db.get("r").id_rows())
+        assert db.version == len(changes)
+        db.stop_mutation_log(log)
+        assert db.check_integrity()

@@ -1302,6 +1302,100 @@ class TestCowPublishedViews:
             assert handle.stats()["snapshots_live"] == baseline
             assert handle.server.session._materializer.check_consistency()
 
+    def test_the_writer_recycles_what_readers_released(self):
+        """Each write hands off the relations it touches; the version
+        handed out is the one before the current, caught up, once no
+        reader pins it.  A pinned version forces clones around it and
+        still answers as at pin time; the writer's handoffs then
+        alternate between two objects per relation.  Every view read
+        answers as a cold evaluation at its version."""
+        from repro.workloads import bom_program, bom_source
+
+        program = bom_program()
+
+        def cold(database, query):
+            with Session(program=program, database=database) as session:
+                return sorted_rows(
+                    session.query(query, method="seminaive").values()
+                )
+
+        def state(snap):
+            return {
+                side: {
+                    key: set(database.get(key).id_rows())
+                    for key in database.predicate_keys()
+                }
+                for side, database in (("db", snap.db), ("views", snap.views))
+            }
+
+        def read(query):
+            current = snapshots.current()
+            out = handle.request({"op": "query", "query": query})
+            assert out["served"] == "view" and out["version"] == current.version
+            assert out["rows"] == cold(current.db, query)
+            current.release()
+
+        rng = random.Random(5)
+        parent = {part: (part - 1) // 2 for part in range(7, 15)}
+        with refcount_only(), ServerHandle.start(
+            bom_source(4, 2, 0.2, 3), materialize=["clean"], listen=False
+        ) as handle:
+            server = handle.server
+            snapshots = server.snapshots
+            working = server.session._materializer.working
+            live = server.session.database
+            assert handle.stats()["snapshots_live"] == 1
+            pinned = snapshots.current()
+            frozen = state(pinned)
+            probes = ("clean(p1, S)?", "component(p2, S)?")
+            answers = [cold(pinned.db, query) for query in probes]
+            handed = []
+            for _ in range(3):
+                part = rng.choice(sorted(parent))
+                old = parent[part]
+                new = parent[part] = rng.choice(
+                    [p for p in range(3, 7) if p != old]
+                )
+                for op, at in (("retract", old), ("assert", new)):
+                    done = handle.request(
+                        {"op": op, "facts": [f"subpart(p{at}, p{part})."]}
+                    )
+                    assert done["changed"] == 1
+                    handed.append(
+                        (live.get("subpart"), working.get("component"))
+                    )
+                    read(f"clean(p{at}, S)?")
+                    read(f"component(p{part // 2}, S)?")
+            # the pinned version: what it was, at every relation
+            assert state(pinned) == frozen
+            assert [cold(pinned.db, query) for query in probes] == answers
+            assert pinned.db.check_integrity()
+            assert pinned.views.check_integrity()
+            held = pinned.db.get("subpart"), pinned.views.get("component")
+            # the first two writes cloned (the spare was pinned), the
+            # others alternated between those two clones
+            for objects in zip(*handed):
+                assert not set(objects) & set(held)
+                assert len(set(objects)) == 2
+                assert all(
+                    objects[i] is objects[i % 2] for i in range(len(objects))
+                )
+            assert handle.stats()["snapshots_live"] == 2
+            # released, the pinned version is freed: no spare keeps it
+            freed = [weakref.ref(pinned.db), weakref.ref(pinned.views)]
+            pinned.release()
+            del pinned, held
+            handle.request({"op": "assert", "facts": ["subpart(p3, p14)."]})
+            read("clean(p3, S)?")
+            assert handle.stats()["snapshots_live"] == 1
+            assert all(ref() is None for ref in freed)
+            for relation, objects in zip(
+                (live.get("subpart"), working.get("component")), zip(*handed)
+            ):
+                assert relation in objects and relation._spare in objects
+            assert server.session._materializer.check_consistency()
+            assert live.check_integrity() and working.check_integrity()
+
     def test_no_holder_outlives_the_last_published_view(self):
         with refcount_only():
             session = Session(TWO_VIEWS)
