@@ -52,9 +52,10 @@ def test_gsms_does_less_join_work_than_gms(benchmark):
         database=samegen_database(4, 6, flat_edges=10),
     )
 
+    cap = EvaluationBudget(max_iterations=2000)
     stats = {}
     for method in ("magic", "supplementary_magic"):
-        answer = session.query(query, method=method, max_iterations=2000)
+        answer = session.query(query, method=method, budget=cap)
         stats[method] = answer.stats
     claim(
         "E11.gsms.scans", "Sec. 11", "tuples scanned, GSMS vs GMS",
@@ -79,7 +80,7 @@ def test_gsms_does_less_join_work_than_gms(benchmark):
     benchmark(
         lambda: Session(
             program=session.program, database=session.database
-        ).query(query, method="supplementary_magic", max_iterations=2000)
+        ).query(query, method="supplementary_magic", budget=cap)
     )
 
 

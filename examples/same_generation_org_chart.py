@@ -18,7 +18,7 @@ Run::
     python examples/same_generation_org_chart.py
 """
 
-from repro import Session
+from repro import EvaluationBudget, Session
 from repro.workloads import samegen_database
 
 
@@ -52,7 +52,9 @@ def main() -> None:
         "supplementary_counting",
         "qsq",
     ):
-        answer = session.query(query, method=method, max_iterations=1000)
+        answer = session.query(
+            query, method=method, budget=EvaluationBudget(max_iterations=1000)
+        )
         assert answer.rows == baseline.rows
         stats = answer.stats
         print(

@@ -54,7 +54,7 @@ from .core.safety import counting_safety, magic_safety, negation_safety
 from .core.sips import build_chain_sip, build_empty_sip, build_full_sip
 from .datalog.analysis import stratify
 from .datalog.database import Database
-from .core.limits import BudgetExceeded
+from .core.limits import BudgetExceeded, EvaluationBudget
 from .datalog.errors import ReproError
 from .datalog.parser import parse_program, parse_query
 from .session import Session
@@ -363,6 +363,13 @@ def _cmd_query(args) -> int:
         database=database,
         sip_builder=_SIP_BUILDERS[args.sip],
     )
+    budget = EvaluationBudget(
+        max_iterations=args.max_iterations,
+        timeout=args.timeout,
+        max_facts=args.max_facts,
+    )
+    if budget == EvaluationBudget():
+        budget = None  # no limit flag: the query runs ungoverned
     repeat = max(1, args.repeat)
     result = None
     for _ in range(repeat):
@@ -371,10 +378,8 @@ def _cmd_query(args) -> int:
             method=args.method,
             semijoin=args.semijoin,
             optimize=not args.no_optimize,
-            max_iterations=args.max_iterations,
             workers=args.workers,
-            timeout=args.timeout,
-            max_facts=args.max_facts,
+            budget=budget,
         )
     free_vars = [v.name for v in query.free_variables()]
     if args.stats_json:

@@ -10,11 +10,12 @@ module supplies the vocabulary:
   :class:`CancellationToken` and :class:`FaultPlan`.  It is the one way
   to bound an evaluation.
 * :class:`BudgetMeter` -- the stateful runtime companion created by
-  ``budget.start()``.  Engines call ``meter.check_round(...)`` at
-  fixpoint-round boundaries and ``meter.check_batch(...)`` at batch/rule
-  boundaries, each handed the evaluation's ``EvaluationStats``; both
-  raise :class:`BudgetExceeded` or :class:`EvaluationCancelled`
-  carrying structured progress.
+  ``budget.start()``, or by :func:`governing_meter` at the governed
+  entry points (which adds any ``REPRO_FAULT_INJECT`` plan).  Engines
+  call ``meter.check_round(...)`` at fixpoint-round boundaries and
+  ``meter.check_batch(...)`` at batch/rule boundaries, each handed the
+  evaluation's ``EvaluationStats``; both raise :class:`BudgetExceeded`
+  or :class:`EvaluationCancelled` carrying structured progress.
 * :class:`FaultPlan` -- a deterministic fault injector that raises
   :class:`InjectedFault` at a chosen round/batch/install boundary, used
   by the atomicity property tests (and the ``REPRO_FAULT_INJECT`` env
@@ -34,7 +35,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..datalog.errors import EvaluationError, NonTerminationError, ReproError
@@ -48,6 +49,7 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "FAULT_ENV_VAR",
+    "governing_meter",
 ]
 
 FAULT_ENV_VAR = "REPRO_FAULT_INJECT"
@@ -236,48 +238,25 @@ class EvaluationBudget:
     fault_plan: Optional[FaultPlan] = None
     max_iterations: Optional[int] = None
 
-    @classmethod
-    def from_options(
-        cls,
-        budget=None,
-        timeout=None,
-        max_facts=None,
-        cancellation=None,
-        max_iterations=None,
-    ):
-        """Resolve one budget from per-call convenience options.
-
-        ``budget=`` wins and is mutually exclusive with the scalar
-        options; otherwise a budget is assembled from ``timeout`` /
-        ``max_facts`` / ``max_iterations`` / ``cancellation`` plus any
-        ``REPRO_FAULT_INJECT`` fault plan in the environment.  Returns
-        ``None`` when every input is unset -- the caller runs
-        ungoverned.  This is the one
-        assembly point shared by ``Session.query``, the query server's
-        cold reads and the incremental maintenance passes, so fault
-        injection reaches all three.
-        """
-        scalars = (timeout, max_facts, max_iterations, cancellation)
-        if budget is not None:
-            if any(value is not None for value in scalars):
-                raise ValueError(
-                    "pass budget=... or the individual timeout/max_facts/"
-                    "max_iterations/cancellation options, not both"
-                )
-            return budget
-        fault_plan = FaultPlan.from_env()
-        if fault_plan is None and all(value is None for value in scalars):
-            return None
-        return cls(
-            max_iterations=max_iterations,
-            timeout=timeout,
-            max_facts=max_facts,
-            token=cancellation,
-            fault_plan=fault_plan,
-        )
-
     def start(self):
         return BudgetMeter(self)
+
+
+def governing_meter(budget=None):
+    """The meter a governed entry point runs under, or ``None``.
+
+    The one place ``Session.query``, the implicit maintenance passes,
+    ``MaterializedView.refresh`` and the query server's cold reads get
+    their meter, so a ``REPRO_FAULT_INJECT`` plan reaches all of them:
+    the environment's plan joins ``budget`` when the budget has none of
+    its own.  Returns ``None`` when there is neither a budget nor a
+    plan -- the caller runs ungoverned.
+    """
+    if budget is None or budget.fault_plan is None:
+        fault_plan = FaultPlan.from_env()
+        if fault_plan is not None:
+            budget = replace(budget or EvaluationBudget(), fault_plan=fault_plan)
+    return None if budget is None else budget.start()
 
 
 class BudgetMeter:
@@ -322,8 +301,7 @@ class BudgetMeter:
         reads its ``iterations``, which already count this round.
         """
         self.iterations = stats.iterations
-        self.facts = facts = stats.facts_derived
-        self.tuples = tuples = stats.tuples_scanned
+        self.facts = stats.facts_derived
         self.stratum = stratum
         self.round = round_
         budget = self.budget
@@ -334,14 +312,10 @@ class BudgetMeter:
             self._trip("max_iterations")
         token = budget.token
         if token is not None and token.cancelled:
-            raise EvaluationCancelled(facts, stratum, round_, self.elapsed())
-        if budget.max_facts is not None and facts > budget.max_facts:
-            self._trip("max_facts")
-        if (
-            budget.max_tuples_scanned is not None
-            and tuples > budget.max_tuples_scanned
-        ):
-            self._trip("max_tuples_scanned")
+            raise EvaluationCancelled(
+                self.facts, stratum, round_, self.elapsed()
+            )
+        self.check_limits(stats)
         if self.deadline is not None and time.monotonic() > self.deadline:
             self._trip("wall_clock")
         if (
@@ -371,9 +345,9 @@ class BudgetMeter:
             self.budget.fault_plan.tick("batch")
 
     def check_limits(self, stats):
-        """The fact and tuple limits alone: :meth:`check_batch`'s
-        counters, and where a fixpoint returns -- rows its last round
-        installed cross no later boundary.  Not a boundary itself: it
+        """The fact and tuple limits alone: part of :meth:`check_round`
+        and :meth:`check_batch`, and called where a fixpoint returns --
+        rows its last round installed cross no later boundary.  Not a boundary itself: it
         counts no round and ticks no fault plan."""
         self.facts = facts = stats.facts_derived
         self.tuples = tuples = stats.tuples_scanned

@@ -69,6 +69,14 @@ QUERY_OPTION_FIELDS = ("method", "timeout", "max_facts")
 
 _OPS = ("query", "assert", "retract", "stats", "ping", "shutdown")
 
+#: the fields an op accepts beside ``id`` and ``op``; any other is a
+#: ``bad_request`` (a misplaced query option would be dropped silently)
+_OP_FIELDS = {
+    "query": ("query", "options"),
+    "assert": ("facts",),
+    "retract": ("facts",),
+}
+
 
 class ProtocolError(Exception):
     """A structured request-level failure.
@@ -200,6 +208,17 @@ def validate_request(obj: Dict[str, Any]) -> Dict[str, Any]:
     if op not in _OPS:
         raise ProtocolError(
             "bad_request", f"unknown op {op!r}; expected one of {_OPS}"
+        )
+    fields = ("id", "op") + _OP_FIELDS.get(op, ())
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        hint = ""
+        if op == "query" and set(unknown) & set(QUERY_OPTION_FIELDS):
+            hint = '; query options go inside "options"'
+        raise ProtocolError(
+            "bad_request",
+            f"unknown field(s) {unknown} for op {op!r}; supported: "
+            f"{list(fields)}{hint}",
         )
     out: Dict[str, Any] = {"id": obj.get("id"), "op": op}
     if op == "query":

@@ -36,9 +36,14 @@ import asyncio
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..core.limits import BudgetExceeded, EvaluationBudget, EvaluationCancelled
+from ..core.limits import (
+    BudgetExceeded,
+    EvaluationBudget,
+    EvaluationCancelled,
+    governing_meter,
+)
 from ..core.pipeline import QueryOptions, answer_query, unwrap_values
 from ..datalog.ast import Query
 from ..datalog.database import Database
@@ -80,6 +85,11 @@ def _to_protocol_error(exc: BaseException) -> ProtocolError:
     )
 
 
+def _capped(value, cap):
+    """``value`` clamped to ``cap``; either may be None (unlimited)."""
+    return value if cap is None else cap if value is None else min(value, cap)
+
+
 class QueryScheduler:
     """Executes reads against pinned snapshots, with memo + coalescing.
 
@@ -119,25 +129,17 @@ class QueryScheduler:
         self.coalesced = 0
         self.view_serves = 0
 
-    def _capped_budget_options(
+    def _capped_budget(
         self, options: Dict[str, Any]
-    ) -> Tuple[Optional[float], Optional[int]]:
-        """Client budget options clamped to the server's caps."""
-        timeout = options.get("timeout")
-        if self._max_timeout is not None:
-            timeout = (
-                self._max_timeout
-                if timeout is None
-                else min(timeout, self._max_timeout)
-            )
-        max_facts = options.get("max_facts")
-        if self._max_facts is not None:
-            max_facts = (
-                self._max_facts
-                if max_facts is None
-                else min(max_facts, self._max_facts)
-            )
-        return timeout, max_facts
+    ) -> Optional[EvaluationBudget]:
+        """The client's budget options clamped to the server's caps: a
+        client asking for more gets the cap, one asking for nothing gets
+        the cap too.  None when neither side sets a limit."""
+        timeout = _capped(options.get("timeout"), self._max_timeout)
+        max_facts = _capped(options.get("max_facts"), self._max_facts)
+        if timeout is None and max_facts is None:
+            return None
+        return EvaluationBudget(timeout=timeout, max_facts=max_facts)
 
     async def execute(
         self, query_text: str, options: Dict[str, Any]
@@ -213,7 +215,6 @@ class QueryScheduler:
         loop = asyncio.get_running_loop()
         future: "asyncio.Future" = loop.create_future()
         self._inflight[key] = future
-        timeout, max_facts = self._capped_budget_options(options)
         try:
             payload = await loop.run_in_executor(
                 self._pool,
@@ -221,8 +222,7 @@ class QueryScheduler:
                 base,
                 query,
                 query_options,
-                timeout,
-                max_facts,
+                self._capped_budget(options),
                 snapshot,
             )
         except BaseException as exc:
@@ -233,7 +233,13 @@ class QueryScheduler:
                 # consumed by every coalesced waiter via `await shield`;
                 # retrieve here too so lone failures do not warn
                 future.exception()
-            raise error
+            try:
+                raise error
+            finally:
+                # the error's traceback holds this frame: a cycle that
+                # would pin the snapshot until the collector runs, and
+                # make the writer clone what it could recycle
+                del error, future, snapshot
         else:
             self.cold_evaluations += 1
             self._remember(key, payload)
@@ -253,21 +259,17 @@ class QueryScheduler:
         base: Dict[str, Any],
         query: Query,
         query_options: QueryOptions,
-        timeout: Optional[float],
-        max_facts: Optional[int],
+        budget: Optional[EvaluationBudget],
         snapshot: Snapshot,
     ) -> Dict[str, Any]:
         """Worker-thread body: evaluate ``query`` cold on ``snapshot``."""
-        budget = EvaluationBudget.from_options(
-            timeout=timeout, max_facts=max_facts
-        )
         result = answer_query(
             self._program,
             snapshot.db,
             query,
             query_options,
             plan_cache=self._plan_cache,
-            meter=budget.start() if budget is not None else None,
+            meter=governing_meter(budget),
         )
         base.update(
             served="cold",

@@ -19,10 +19,10 @@ around it:
   machinery genuinely rejects the query's shape, with QSQ selectable
   explicitly;
 * answers are memoized across evaluations, keyed by
-  ``(query, QueryOptions, database version)``: a repeated identical
-  query on an unchanged database is a dictionary hit, and a mutation
-  drops exactly the entries whose relation footprint it touches
-  (out-of-band mutations still flush everything);
+  ``(query, QueryOptions)``: a repeated identical query is a dictionary
+  hit, and a mutation drops exactly the entries whose relation
+  footprint it touches (out-of-band mutations still flush everything),
+  so every surviving entry answers for the current version;
 * a cold query goes to :func:`~repro.core.pipeline.answer_query`, which
   keeps what depends only on the program and the query's *shape* -- its
   predicate, which arguments are ground, the sip builder, the method
@@ -62,7 +62,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .core.limits import CancellationToken, EvaluationBudget
+from .core.limits import EvaluationBudget, governing_meter
 from .core.pipeline import (
     BASELINE_METHODS,
     SESSION_METHODS,
@@ -150,10 +150,11 @@ class MaterializedView:
 
     def refresh(self) -> MaintenanceResult:
         """Run maintenance now.  Pending deltas are propagated; a stale
-        view is rebuilt by cold re-evaluation.  Propagates budget trips
-        and injected faults (unlike the implicit maintenance on
+        view is rebuilt by cold re-evaluation.  Runs under any
+        ``REPRO_FAULT_INJECT`` fault plan in the environment and
+        propagates its faults (unlike the implicit maintenance on
         mutations, which degrades to staleness)."""
-        return self._materializer().maintain()
+        return self._materializer().maintain(meter=governing_meter())
 
     def drop(self) -> None:
         """Unregister this view (idempotent)."""
@@ -449,8 +450,8 @@ class Session:
 
         ``touched`` is the set of relation names a Session-mediated
         mutation just changed: only entries whose recorded relation
-        footprint intersects it are dropped; the rest stay valid and
-        are re-keyed to the new version.  ``touched=None`` means the
+        footprint intersects it are dropped; the rest stay valid under
+        their ``(query, options)`` key.  ``touched=None`` means the
         provenance of the version move is unknown (an out-of-band
         mutation through direct ``Relation`` access), so every entry is
         dropped.  Dropped entries count toward ``memo_invalidations``;
@@ -467,22 +468,18 @@ class Session:
                 self._memo.clear()
             self._memo_version = version
             return
-        survivors: "OrderedDict[tuple, QueryResult]" = OrderedDict()
-        dropped = 0
-        for key, cached in self._memo.items():
-            if cached.footprint & touched:
-                dropped += 1
-                continue
-            # disjoint footprint: the rows cannot have changed, so the
-            # entry is re-keyed to the new version (the version is the
-            # last component of every memo key) and stays servable
-            survivors[key[:-1] + (version,)] = replace(
-                cached, db_version=version
-            )
-        self.memo_invalidations += dropped
-        if survivors:
+        # a disjoint footprint means the rows cannot have changed: the
+        # entry stays, and a hit stamps it with the current version
+        stale = [
+            key
+            for key, cached in self._memo.items()
+            if cached.footprint & touched
+        ]
+        for key in stale:
+            del self._memo[key]
+        self.memo_invalidations += len(stale)
+        if self._memo:
             self.memo_partial_invalidations += 1
-        self._memo = survivors
         self._memo_version = version
 
     # ------------------------------------------------------------------
@@ -592,10 +589,8 @@ class Session:
             return
         if not (m.pending or m.stale):
             return
-        budget = EvaluationBudget.from_options()
-        meter = budget.start() if budget is not None else None
         try:
-            m.maintain(meter=meter)
+            m.maintain(meter=governing_meter())
         except ReproError:
             pass  # state is stale; cold queries still answer correctly
 
@@ -662,11 +657,7 @@ class Session:
         *,
         optimize: bool = True,
         semijoin: bool = False,
-        max_iterations: Optional[int] = None,
-        max_facts: Optional[int] = None,
         workers: int = 1,
-        timeout: Optional[float] = None,
-        cancellation: Optional[CancellationToken] = None,
         budget: Optional[EvaluationBudget] = None,
     ) -> QueryResult:
         """Answer a query, consulting the cross-evaluation memo first.
@@ -679,20 +670,19 @@ class Session:
         that a cold query hands to :func:`repro.answer_query` and that
         keys the memo.  A rewrite is always evaluated semi-naive.
 
-        Resource governance: ``max_iterations`` (fixpoint rounds, summed
-        over strata), ``timeout`` (seconds of wall clock), ``max_facts``
-        (derived-fact cap), and ``cancellation`` (a
-        :class:`~repro.core.limits.CancellationToken`) assemble an
-        :class:`~repro.core.limits.EvaluationBudget`; pass ``budget=``
-        directly for the full option set (tuples scanned, memory
-        estimate, fault plan) -- but not both.  A budget trip raises
+        Resource governance: ``budget`` is an
+        :class:`~repro.core.limits.EvaluationBudget` (fixpoint rounds
+        summed over strata, wall-clock timeout, derived facts, tuples
+        scanned, memory estimate, cancellation token, fault plan); any
+        ``REPRO_FAULT_INJECT`` plan in the environment joins it when it
+        carries none of its own.  A budget trip raises
         :class:`~repro.core.limits.BudgetExceeded` carrying structured
         progress, except under graceful degradation: when ``"auto"``
         dispatched to a rewrite method that tripped, the compiled
         semi-naive fallback retries once under the same meter (the
         wall-clock deadline stays absolute; fact/tuple caps apply to the
         retry's fresh counters) and the result is marked ``degraded``.
-        Cancellation always propagates.  Budget options do not
+        Cancellation always propagates.  The budget does not
         participate in the memo key: a memo hit costs no evaluation, so
         it is served regardless of the budget, and aborted or degraded
         evaluations are never memoized.
@@ -706,14 +696,7 @@ class Session:
         produced them.
         """
         query = self._as_query(query)
-        budget = EvaluationBudget.from_options(
-            budget=budget,
-            timeout=timeout,
-            max_facts=max_facts,
-            cancellation=cancellation,
-            max_iterations=max_iterations,
-        )
-        meter = budget.start() if budget is not None else None
+        meter = governing_meter(budget)
         started = time.perf_counter()
         self._note_mutation()  # catch out-of-band database mutations
         # -- materialized-view fast path: a covering fresh view answers
@@ -744,7 +727,7 @@ class Session:
                         pass
         # an unknown method reaches this line too: QueryOptions rejects it
         options = QueryOptions(method, optimize, semijoin, workers)
-        key = (query, options, self._memo_version)
+        key = (query, options)
         cached = self._memo.get(key)
         if cached is not None:
             self._memo.move_to_end(key)
@@ -752,6 +735,7 @@ class Session:
             return replace(
                 cached,
                 from_memo=True,
+                db_version=self._memo_version,
                 elapsed=time.perf_counter() - started,
                 budget_spent=meter.spent() if meter is not None else None,
             )

@@ -131,7 +131,7 @@ class TestAbortsRestoreTheCollector:
             session.query(
                 "anc(n0, Y)?",
                 method="magic",
-                max_facts=5,
+                budget=EvaluationBudget(max_facts=5),
             )
         assert gc.isenabled() is enabled
         assert _raised_in_fixpoint(info)

@@ -127,6 +127,12 @@ GUARDS = [
           r"remaining_time|free_args|free_positions|bound_variables"
           r"|rename_apart|bound_constants|adorned_literal|has_id_row"
           r"|add_tuples", (SRC, TESTS, BENCHMARKS, "examples")),
+    # one way to bound a read: an EvaluationBudget, metered through
+    # limits.governing_meter; no scalar limit beside it
+    Guard(54, "BRE", "word", r"from_options",
+          (SRC, TESTS, BENCHMARKS, "examples")),
+    Guard(54, "ERE", "line", r"^ +(max_iterations|max_facts|timeout|cancellation):",
+          ("src/repro/session.py",)),
     # the claims ledger: benches read no knob and write no timing file
     Guard("ledger", "ERE", "word", r"environ|getenv|record_bench", (BENCHMARKS,)),
     Guard("ledger", "ERE", "line", r"BENCH_", (".github",)),

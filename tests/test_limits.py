@@ -7,6 +7,7 @@ cancellation, injected fault), leaves the database, its indexes, the
 version counters, and the Session memo exactly as they were.
 """
 
+import inspect
 import threading
 
 import pytest
@@ -31,7 +32,7 @@ from repro import (
     qsq_evaluate,
 )
 from repro.cli import main as cli_main
-from repro.core.limits import FAULT_ENV_VAR
+from repro.core.limits import FAULT_ENV_VAR, governing_meter
 from repro.datalog.ast import Program, Rule
 from repro.datalog.terms import Constant, Struct
 from repro.workloads import ancestor_program, ancestor_query, chain_database
@@ -348,7 +349,7 @@ class TestCancellation:
         with pytest.raises(EvaluationCancelled):
             session.query(
                 "anc(n0, Y)?",
-                cancellation=token,
+                budget=EvaluationBudget(token=token),
             )
         assert session.counters()["memo_entries"] == 0
 
@@ -417,18 +418,18 @@ class TestSessionBudgets:
     # fallback finish -- exactly the graceful-degradation scenario
     CAP_BETWEEN = 90
 
-    def test_budget_and_individual_options_conflict(self):
-        session = chain_session()
-        with pytest.raises(ValueError):
-            session.query(
-                "anc(n0, Y)?",
-                timeout=1.0,
-                budget=EvaluationBudget(max_facts=10),
-            )
+    def test_the_budget_is_the_only_limit_argument(self):
+        parameters = list(inspect.signature(Session.query).parameters)
+        assert parameters == [
+            "self", "query", "method", "optimize", "semijoin", "workers",
+            "budget",
+        ]
 
     def test_auto_degrades_to_seminaive(self):
         session = chain_session()
-        result = session.query("anc(n0, Y)?", max_facts=self.CAP_BETWEEN)
+        result = session.query(
+            "anc(n0, Y)?", budget=EvaluationBudget(max_facts=self.CAP_BETWEEN)
+        )
         assert result.degraded
         assert result.method == "seminaive"
         assert len(result.rows) == 12
@@ -439,10 +440,11 @@ class TestSessionBudgets:
 
     def test_degraded_results_are_never_memoized(self):
         session = chain_session()
-        degraded = session.query("anc(n0, Y)?", max_facts=self.CAP_BETWEEN)
+        cap = EvaluationBudget(max_facts=self.CAP_BETWEEN)
+        degraded = session.query("anc(n0, Y)?", budget=cap)
         assert degraded.degraded
         assert session.counters()["memo_entries"] == 0
-        again = session.query("anc(n0, Y)?", max_facts=self.CAP_BETWEEN)
+        again = session.query("anc(n0, Y)?", budget=cap)
         assert again.degraded and not again.from_memo
 
     def test_explicit_rewrite_method_raises_by_default(self):
@@ -451,7 +453,7 @@ class TestSessionBudgets:
             session.query(
                 "anc(n0, Y)?",
                 method="supplementary_magic",
-                max_facts=self.CAP_BETWEEN,
+                budget=EvaluationBudget(max_facts=self.CAP_BETWEEN),
             )
         assert info.value.method == "supplementary_magic"
         assert session.counters()["memo_entries"] == 0
@@ -462,7 +464,7 @@ class TestSessionBudgets:
             session.query(
                 "anc(n0, Y)?",
                 method="seminaive",
-                max_facts=5,
+                budget=EvaluationBudget(max_facts=5),
             )
 
     def test_memo_hit_is_served_regardless_of_budget(self):
@@ -470,13 +472,17 @@ class TestSessionBudgets:
         first = session.query("anc(n0, Y)?")
         assert not first.from_memo
         # a cap that would trip any evaluation is irrelevant on a hit
-        hit = session.query("anc(n0, Y)?", max_facts=1)
+        hit = session.query(
+            "anc(n0, Y)?", budget=EvaluationBudget(max_facts=1)
+        )
         assert hit.from_memo and hit.rows == first.rows
         assert hit.budget_spent is not None
 
     def test_budget_spent_reported_on_success(self):
         session = chain_session()
-        result = session.query("anc(n0, Y)?", timeout=60.0)
+        result = session.query(
+            "anc(n0, Y)?", budget=EvaluationBudget(timeout=60.0)
+        )
         assert not result.degraded and len(result.rows) == 12
         assert result.budget_spent["elapsed"] >= 0.0
         assert result.budget_spent["facts"] > 0
@@ -660,6 +666,44 @@ class TestFaultInjectionAtomicity:
         monkeypatch.delenv(FAULT_ENV_VAR)
         result = session.query("anc(n0, Y)?")
         assert len(result.rows) == 12
+
+    def test_env_knob_reaches_a_budgeted_query_and_a_refresh(
+        self, monkeypatch
+    ):
+        """The environment's plan joins a passed budget that has none,
+        and a forced refresh runs under it as the implicit passes do."""
+        monkeypatch.setenv(FAULT_ENV_VAR, "any:1")
+        session = chain_session()
+        with pytest.raises(InjectedFault):
+            session.query(
+                "anc(n0, Y)?", budget=EvaluationBudget(timeout=60.0)
+            )
+        assert session.counters()["memo_entries"] == 0
+        view = session.materialize("anc")
+        session.assert_("par(n12, n13)")  # the implicit pass aborts
+        assert view.stale
+        with pytest.raises(InjectedFault):
+            view.refresh()
+        assert view.stale and session.database.check_integrity()
+        monkeypatch.delenv(FAULT_ENV_VAR)
+        assert view.refresh().action == "rebuilt" and not view.stale
+        assert len(session.query("anc(n0, Y)?").rows) == 13
+
+    def test_governing_meter_adds_the_env_plan_only_where_none_is(
+        self, monkeypatch
+    ):
+        monkeypatch.delenv(FAULT_ENV_VAR, raising=False)
+        assert governing_meter() is None
+        budget = EvaluationBudget(max_facts=5)
+        assert governing_meter(budget).budget is budget
+        monkeypatch.setenv(FAULT_ENV_VAR, "round:2")
+        plan = governing_meter().budget.fault_plan
+        assert (plan.boundary, plan.after) == ("round", 2)
+        governed = governing_meter(budget).budget
+        assert governed.max_facts == 5
+        assert governed.fault_plan.boundary == "round"
+        own = EvaluationBudget(fault_plan=FaultPlan("batch", 1))
+        assert governing_meter(own).budget is own
 
     def test_install_fault_aborts_before_memoization(self):
         session = chain_session()

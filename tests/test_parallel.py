@@ -749,7 +749,9 @@ class TestSessionWorkers:
     def test_budgeted_parallel_query_degrades_like_serial(self):
         with Session(SESSION_SRC) as session:
             result = session.query(
-                "anc(a, X)?", workers=4, max_facts=10_000_000
+                "anc(a, X)?",
+                workers=4,
+                budget=EvaluationBudget(max_facts=10_000_000),
             )
             assert result.budget_spent is not None
             assert len(result.rows) == 4

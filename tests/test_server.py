@@ -250,6 +250,35 @@ class TestProtocol:
         assert err.value.code == "bad_request"
         assert "engine" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "request_,extra",
+        [
+            ({"op": "query", "query": "q(X)?", "method": "magic"}, "method"),
+            ({"op": "query", "query": "q(X)?", "timeout": 1.0}, "timeout"),
+            ({"op": "assert", "facts": ["p(a)."], "query": "q(X)?"}, "query"),
+            ({"op": "retract", "facts": ["p(a)."], "options": {}}, "options"),
+            ({"op": "stats", "verbose": True}, "verbose"),
+            ({"op": "ping", "facts": []}, "facts"),
+        ],
+    )
+    def test_unknown_top_level_field_rejected(self, request_, extra):
+        with pytest.raises(ProtocolError) as err:
+            validate_request(request_)
+        assert err.value.code == "bad_request"
+        assert repr(extra) in str(err.value)
+
+    def test_a_misplaced_query_option_points_to_options(self):
+        with ServerHandle.start(ANCESTOR, listen=False) as handle:
+            handle.request({"op": "query", "query": "anc(john, X)?"})
+            out = handle.request(
+                {"op": "query", "query": "anc(john, X)?",
+                 "method": "supplementary_magic"}
+            )
+            assert not out["ok"]
+            assert out["error"]["code"] == "bad_request"
+            assert "'method'" in out["error"]["message"]
+            assert '"options"' in out["error"]["message"]
+
     def test_option_types_checked(self):
         with pytest.raises(ProtocolError):
             normalize_options({"timeout": -1})
@@ -411,6 +440,41 @@ class TestServerHandle:
             assert version_db() is None
             assert not par._holders
             assert len(live_par._holders) == 1
+
+    def test_a_failed_cold_read_frees_its_snapshot(self, monkeypatch):
+        """A cold read that trips its budget leaves no cycle behind
+        either: once a write retires its version, the snapshot's
+        database is freed by reference count, and the writes after it
+        recycle the released version instead of cloning."""
+        copies = []
+        copy = Relation.copy
+
+        def counting_copy(relation):
+            copies.append(relation.name)
+            return copy(relation)
+
+        config = ServerConfig(max_facts=1)
+        with refcount_only(), ServerHandle.start(
+            ANCESTOR, config=config, listen=False
+        ) as handle:
+            pinned = handle.server.snapshots.current()
+            version_db = weakref.ref(pinned.db)
+            pinned.release()
+            del pinned
+            out = handle.request({"op": "query", "query": "anc(john, X)?"})
+            assert out["error"]["code"] == "budget_exceeded"
+            handle.request({"op": "assert", "facts": ["par(zoe, ann)."]})
+            # the reader thread may still be unwinding; with the
+            # collector off, a cycle would never pass this wait
+            deadline = time.monotonic() + 5
+            while version_db() is not None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert version_db() is None
+            assert handle.stats()["snapshots_live"] == 1
+            monkeypatch.setattr(Relation, "copy", counting_copy)
+            for fact in ("par(ann, bo).", "par(bo, cy).", "par(cy, di)."):
+                handle.request({"op": "assert", "facts": [fact]})
+            assert copies == []
 
     def test_drain_refuses_new_requests(self):
         with ServerHandle.start(ANCESTOR) as handle:

@@ -15,6 +15,7 @@ import pytest
 
 from repro import (
     Database,
+    EvaluationBudget,
     PlanCache,
     QueryOptions,
     QueryResult,
@@ -243,10 +244,12 @@ class TestMemo:
         assert not miss.from_memo
 
     def test_a_round_cap_shares_the_entry(self):
-        # max_iterations is a budget scalar, and budgets never key the memo
+        # max_iterations is a budget limit, and budgets never key the memo
         session = ancestor_session()
         session.query("anc(john, X)?")
-        hit = session.query("anc(john, X)?", max_iterations=50)
+        hit = session.query(
+            "anc(john, X)?", budget=EvaluationBudget(max_iterations=50)
+        )
         assert hit.from_memo
 
     def test_equal_query_text_hits(self):
