@@ -298,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--materialize", action="append", default=None, metavar="PRED",
-        help="maintain this derived predicate incrementally and serve "
-        "covering queries from the frozen view (repeatable)",
+        help="materialize this predicate (repeatable): the program is "
+        "then maintained incrementally, and reads of any derived "
+        "predicate are served from the frozen views",
     )
     return parser
 

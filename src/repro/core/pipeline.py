@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Set, Tuple
 
-from ..datalog.analysis import reachable_predicates, stratify
+from ..datalog.analysis import stratify
 from ..datalog.ast import Program, Query
 from ..datalog.database import Database
 from ..datalog.engine import EvaluationResult, EvaluationStats, evaluate
@@ -203,9 +203,7 @@ class QueryResult:
     the evaluation that *produced* the rows; ``rewritten`` and
     ``evaluation`` are the bound rewritten program and its evaluation
     (a rewrite method), ``qsq`` the QSQ result (its working snapshot
-    holds Q and F).  ``footprint`` names the relations the rows were
-    computed from: a :class:`~repro.session.Session` drops a memoized
-    result when one of them changes.  ``degraded`` marks a rewrite that
+    holds Q and F).  ``degraded`` marks a rewrite that
     tripped its budget and was answered by the compiled semi-naive
     fallback under the remaining budget (exact, but never memoized).
     ``db_version`` is the database version the rows are valid for,
@@ -228,7 +226,6 @@ class QueryResult:
     rewritten: Optional[RewrittenProgram] = None
     evaluation: Optional[EvaluationResult] = None
     qsq: Optional[QSQResult] = None
-    footprint: Optional[frozenset] = None
     degraded: bool = False
     from_memo: bool = False
     db_version: int = 0
@@ -274,9 +271,6 @@ class _QueryShape(NamedTuple):
     adorned: Optional[AdornedProgram]
     #: None under QSQ, which evaluates the adorned program itself
     rewritten: Optional[RewrittenProgram]
-    #: relation names an answer of this shape depends on (memo
-    #: invalidation)
-    footprint: frozenset
     #: the class and message of the error adorning or rewriting the
     #: shape raised (one of ``_SHAPE_REJECTIONS``), or None: ``auto``'s
     #: verdict, and what an explicit request for the method re-raises
@@ -327,13 +321,6 @@ def _build_shape(
 ) -> _QueryShape:
     """Adorn and rewrite a shape query (the plan-cache factory).
 
-    The footprint: a rewrite method reads the relations its rewritten
-    program mentions, plus every original name reachable from the
-    query predicate (``seeded_database`` mirrors facts asserted under
-    original derived names into the adorned relations) -- so mutating a
-    relation outside the query's cone leaves a memo entry valid.  QSQ
-    reads the adorned program's relations.
-
     A rewrite that generates a name the program already uses is
     rejected here; a clash with a database relation is checked per read
     (:func:`_generated_clash`).
@@ -341,12 +328,11 @@ def _build_shape(
     try:
         adorned = adorn_program(program, shape, sip_builder)
         if method == "qsq":
-            return _QueryShape(
-                adorned,
-                None,
-                frozenset(adorned.program.predicates())
-                | {adorned.query_literal.pred_key},
-            )
+            # .program is computed on first reading: read it before the
+            # entry is published, so that every bound copy carries the
+            # one Program object
+            adorned.program
+            return _QueryShape(adorned, None)
         rewritten = rewrite(
             program,
             shape,
@@ -372,18 +358,12 @@ def _build_shape(
                 "it or use --method seminaive"
             )
     except _SHAPE_REJECTIONS as exc:
-        return _QueryShape(None, None, frozenset(), (type(exc), str(exc)))
+        return _QueryShape(None, None, (type(exc), str(exc)))
     # .program and .mirror_targets are computed on first reading: read
     # both before the entry is published, so that every bound copy
     # carries the one Program object and the one table
-    rewritten_program, _ = rewritten.program, rewritten.mirror_targets
-    footprint = (
-        frozenset(rewritten_program.predicates())
-        | {rewritten.answer_pred_key}
-        | {seed.pred_key for seed in rewritten.seed_facts}
-        | reachable_predicates(program, [shape.literal.pred_key])
-    )
-    return _QueryShape(adorned, rewritten, footprint, generated=generated)
+    rewritten.program, rewritten.mirror_targets
+    return _QueryShape(adorned, rewritten, generated=generated)
 
 
 def _generated_clash(
@@ -518,9 +498,6 @@ def _evaluate(
                 query=query,
                 stats=result.stats,
                 evaluation=result,
-                footprint=frozenset(
-                    reachable_predicates(program, [query.literal.pred_key])
-                ),
             )
         if method == "qsq":
             adorned = shape.adorned.bind(query)
@@ -537,7 +514,6 @@ def _evaluate(
                 query=query,
                 stats=qsq.stats,
                 qsq=qsq,
-                footprint=shape.footprint,
             )
         rewritten = shape.rewritten.bind(query)
         result = evaluate(
@@ -554,7 +530,6 @@ def _evaluate(
             stats=result.stats,
             rewritten=rewritten,
             evaluation=result,
-            footprint=shape.footprint,
         )
     except BudgetExceeded as exc:
         if exc.method is None:

@@ -30,7 +30,7 @@ broken invariant, not a bad input).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .ast import Program
 from .errors import StratificationError
@@ -39,7 +39,6 @@ __all__ = [
     "dependency_graph",
     "polarity_edges",
     "strongly_connected_components",
-    "reachable_predicates",
     "Stratification",
     "stratify",
 ]
@@ -113,20 +112,6 @@ def strongly_connected_components(
         if node not in index:
             strongconnect(node)
     return components
-
-
-def reachable_predicates(program: Program, roots: Iterable[str]) -> Set[str]:
-    """Predicates reachable from the given roots in the dependency graph."""
-    graph = dependency_graph(program)
-    seen: Set[str] = set()
-    frontier = list(roots)
-    while frontier:
-        node = frontier.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(graph.get(node, ()))
-    return seen
 
 
 # ----------------------------------------------------------------------

@@ -35,16 +35,17 @@ actually performs -- the quantity the planner is built to shrink.
 **Execution.**  Plans execute in batches (:meth:`JoinPlan.execute_batch`):
 partial matches travel as columns of term IDs, one per live slot.  How a
 step runs is decided once, at plan build, from its ops and the liveness
-pass: it gets one of eight kernels and a tuple of operands -- ``scan``
+pass: it gets one of six kernels and a tuple of operands -- ``scan``
 (keyless, stores only: a delta window, the seed relation, a full scan;
 a window's column slices, or a delta batch's own columns, are the
 batch), ``chain`` (keyed, one live store), ``chain_merge`` (a ``chain``
 step after which frames merge: it merges them itself, see below),
-``stores`` (keyed, several), ``count`` (keyed, none), ``member``
-(keyed on every position: one C-level pass of rowmap membership tests,
-``count`` under a window or on a delta batch), ``anti`` (a negated
-literal's membership test) and ``general`` (per-row checks, ``_EVAL``
-keys); a QSQ step of any kind but ``member`` first registers its keys.
+``member`` (keyed on every position, no live store: one C-level pass
+of rowmap membership tests, ``general`` under a window or on a delta
+batch), ``anti`` (a negated literal's membership test) and ``general``
+(everything else: per-row checks, ``_EVAL`` keys, a keyed step with no
+or several live stores); a QSQ step of any kind but ``member`` first
+registers its keys.
 A dead store is never built.  Per call the executor only resolves each
 step's relation and window
 (an exact index is read as a dict, and a window cuts its buckets by
@@ -326,34 +327,16 @@ def _scan(outs, relation, window, keys, cols, n):
     return sel, [value * n for value in values], 1, m * n
 
 
-def _count(operands, relation, window, keys, cols, n):
-    """A keyed step that binds no live slot: every frame survives once
-    per matching row."""
-    positions, keys_of = operands
-    get = _slot_getter(relation, positions, window)
-    sel: List[int] = []
-    scanned = 0
-    nrows_of: Dict[object, int] = {}
-    for i, key in enumerate(keys or keys_of(cols, n)):
-        n_rows = nrows_of.get(key)
-        if n_rows is None:
-            n_rows = nrows_of[key] = len(get(key) or ())
-        if n_rows:
-            scanned += n_rows
-            sel.extend(_repeat(i, n_rows))
-    return sel, (), len(nrows_of), scanned
-
-
 def _member(operands, relation, window, keys, cols, n):
     """A keyed step on every position of its literal that stores
     nothing (``r(X)`` after ``q(X)``): the key is the candidate ID row,
     and a frame survives iff the relation's rowmap holds it -- one pass
-    at C level.  It counts what ``_count`` counts, a probe per distinct
-    key and a row per surviving frame, and runs ``_count`` for a slot
-    window and for a delta batch (which has no rowmap)."""
-    row_keys_of, count_operands = operands
+    at C level.  It counts what ``_general`` counts, a probe per
+    distinct key and a row per surviving frame, and runs ``_general``
+    for a slot window and for a delta batch (which has no rowmap)."""
+    row_keys_of, general_operands = operands
     if window is not None or type(relation) is not Relation:
-        return _count(count_operands, relation, window, keys, cols, n)
+        return _general(general_operands, relation, window, keys, cols, n)
     row_keys = row_keys_of(cols, n)
     sel = list(
         compress(range(n), map(relation._rowmap.__contains__, row_keys))
@@ -455,31 +438,6 @@ def _chain_merge(operands, relation, window, keys, cols, n, weights):
     return merged_cols, counts, n, len(vals_of), scanned
 
 
-def _stores(operands, relation, window, keys, cols, n):
-    """A keyed step with several live stores and no check."""
-    positions, keys_of, outs = operands
-    get = _slot_getter(relation, positions, window)
-    row_cols = [relation._columns[p] for p in outs]
-    sel: List[int] = []
-    stores: List[List[int]] = [[] for _ in outs]
-    scanned = 0
-    cols_of: Dict[object, List[List[int]]] = {}
-    for i, key in enumerate(keys or keys_of(cols, n)):
-        entry = cols_of.get(key)
-        if entry is None:
-            rows = get(key) or ()
-            entry = cols_of[key] = [
-                [col[r] for r in rows] for col in row_cols
-            ]
-        n_rows = len(entry[0])
-        if n_rows:
-            scanned += n_rows
-            sel.extend(_repeat(i, n_rows))
-            for store, values in zip(stores, entry):
-                store.extend(values)
-    return sel, stores, len(cols_of), scanned
-
-
 def _anti(keys_of, relation, window, keys, cols, n):
     """An anti-join: the key covers every position, so it *is* the
     candidate ID row, and a frame survives iff the (non-empty)
@@ -494,9 +452,10 @@ def _anti(keys_of, relation, window, keys, cols, n):
 
 
 def _general(operands, relation, window, keys, cols, n):
-    """Any other step: each candidate row runs the row ops (checks
-    among them) into a local buffer, and a row that passes them all
-    appends the buffer's live entries."""
+    """Any other step (checks, ``_EVAL`` keys, a keyed step with no or
+    several live stores): each candidate row runs the row ops into a
+    local buffer, and a row that passes them all appends the buffer's
+    live entries."""
     positions, keys_of, row_ops, n_locals, outs = operands
     keys = keys or (keys_of(cols, n) if keys_of else _repeat((), n))
     get = _slot_getter(relation, positions, window)
@@ -552,32 +511,35 @@ def _kernel_for(step):
     keys_of = key_ops and _key_builder(key_ops, step.negated, _CATALOG.id_of)
     if step.negated:
         return _anti, keys_of
-    if (
-        any(tag == _EVAL for tag, _ in key_ops)
-        or any(tag != _STORE for _, tag, _ in step.row_ops)
-    ):
-        return _general, (
-            step.index_positions, keys_of, step.row_ops,
-            len(step.store_slots), tuple(j for j, _ in step.store_out),
-        )
-    position_of = {j: pos for pos, _, j in step.row_ops}
-    outs = tuple(position_of[j] for j, _ in step.store_out)
-    if not key_ops:
-        return _scan, outs
-    operands = (step.index_positions, keys_of)
-    if not outs:
-        if len(key_ops) == len(step.literal.args) and step.input_key is None:
-            return _member, (
-                _key_builder(key_ops, True, _CATALOG.id_of), operands
-            )
-        return _count, operands
-    if len(outs) == 1:
+    stores_only = (
+        all(tag != _EVAL for tag, _ in key_ops)
+        and all(tag == _STORE for _, tag, _ in step.row_ops)
+    )
+    if stores_only and (not key_ops or len(step.store_out) == 1):
+        position_of = {j: pos for pos, _, j in step.row_ops}
+        outs = tuple(position_of[j] for j, _ in step.store_out)
+        if not key_ops:
+            return _scan, outs
+        operands = (step.index_positions, keys_of) + outs
         if step.merge:
-            return _chain_merge, operands + outs + (
+            return _chain_merge, operands + (
                 step.carry_out, step.store_out[0][1],
             )
-        return _chain, operands + outs
-    return _stores, operands + (outs,)
+        return _chain, operands
+    general = (
+        step.index_positions, keys_of, step.row_ops,
+        len(step.store_slots), tuple(j for j, _ in step.store_out),
+    )
+    if (
+        stores_only
+        and not step.store_out
+        and len(key_ops) == len(step.literal.args)
+        and step.input_key is None
+    ):
+        return _member, (
+            _key_builder(key_ops, True, _CATALOG.id_of), general
+        )
+    return _general, general
 
 
 def _register_subqueries(input_key, keys_of, single, database, cols, n):
@@ -847,8 +809,8 @@ class JoinStep:
     def kind(self) -> str:
         """The kernel the step runs as: ``scan``, ``chain``,
         ``chain_merge`` (a ``chain`` step with ``merge`` set, which
-        merges its frames itself), ``stores``, ``count``, ``member``,
-        ``anti`` or ``general``."""
+        merges its frames itself), ``member``, ``anti`` or
+        ``general``."""
         return self.kernel.__name__[1:]
 
     def __repr__(self):

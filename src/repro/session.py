@@ -11,7 +11,7 @@ around it:
 * :meth:`Session.query` returns the
   :class:`~repro.core.pipeline.QueryResult` that
   :func:`~repro.core.pipeline.answer_query` builds (rows, the method
-  actually run, work counters, the memo footprint) and accepts
+  actually run, work counters) and accepts
   ``method="auto"``: magic-family
   rewriting through the shared plan cache -- for positive *and*
   stratified programs (the conservative negation extension) -- falling
@@ -19,10 +19,10 @@ around it:
   machinery genuinely rejects the query's shape, with QSQ selectable
   explicitly;
 * answers are memoized across evaluations, keyed by
-  ``(query, QueryOptions)``: a repeated identical query is a dictionary
-  hit, and a mutation drops exactly the entries whose relation
-  footprint it touches (out-of-band mutations still flush everything),
-  so every surviving entry answers for the current version;
+  ``(query, QueryOptions)``, for one database version, as the query
+  server's memo is: a repeated identical query is a dictionary hit,
+  and any mutation (through the Session or out of band) drops every
+  entry;
 * a cold query goes to :func:`~repro.core.pipeline.answer_query`, which
   keeps what depends only on the program and the query's *shape* -- its
   predicate, which arguments are ground, the sip builder, the method
@@ -30,7 +30,7 @@ around it:
   :class:`~repro.datalog.planner.PlanCache`: the adorned program, the
   rewritten program with its one ``Program`` object (under which the
   compiled join/subquery plans are cached in turn), the mirror table
-  of ``seeded_database``, the memo footprint and ``auto``'s verdict.
+  of ``seeded_database`` and ``auto``'s verdict.
   The entry outlives the session and mutations, and every session and
   the query server's cold reads over the same program and cache share
   it.
@@ -60,7 +60,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .core.limits import EvaluationBudget, governing_meter
 from .core.pipeline import (
@@ -117,8 +117,9 @@ class MaterializedView:
         query: Optional[Query] = None,
     ):
         self._session = session
-        #: the predicate keys this view covers (query answering through
-        #: the view requires the query predicate to be one of these)
+        #: the predicate keys ``rows`` and ``tuples`` select among
+        #: (``session.query`` serves every derived predicate of the
+        #: shared materializer, whichever view asked for it)
         self.predicates = frozenset(predicates)
         #: the query this view answers, when created from one
         self.query = query
@@ -146,7 +147,9 @@ class MaterializedView:
         """Answer the view's query from maintained state (maintaining
         first if needed); a :class:`QueryResult` with
         ``maintained=True``."""
-        return self._session._view_result(self, self._query_literal())
+        return self._session._view_result(
+            self._materializer(), self._query_literal()
+        )
 
     def refresh(self) -> MaintenanceResult:
         """Run maintenance now.  Pending deltas are propagated; a stale
@@ -211,9 +214,10 @@ class Session:
 
     Facts are asserted and retracted between queries through
     :meth:`assert_` and :meth:`retract` (one fact, an iterable of
-    facts, or ``(pred, *values)``); every mutation bumps the database version and drops the
-    memoized answers whose relation footprint it touches (out-of-band
-    mutations through direct ``Relation`` access drop all of them).
+    facts, or ``(pred, *values)``); every mutation bumps the database
+    version and drops every memoized answer (so does an out-of-band
+    mutation through direct ``Relation`` access, on the next read or
+    write).
     ``session.query(...)`` accepts the query as text or as a parsed
     :class:`Query`, and ``method`` as one of :data:`SESSION_METHODS`
     (default ``"auto"``).
@@ -222,8 +226,10 @@ class Session:
     incremental view maintenance: derived relations are evaluated once
     and then maintained by delta propagation on every assert/retract
     (``with session.batch():`` coalesces N mutations into one pass),
-    and :meth:`query` answers from a covering fresh view before
-    consulting the memo.
+    and while a view is live :meth:`query` answers every derived
+    predicate of the program from the maintained state before
+    consulting the memo, as the query server serves its published
+    views.
     """
 
     def __init__(
@@ -262,9 +268,6 @@ class Session:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_invalidations = 0
-        #: mutations whose invalidation was footprint-targeted and kept
-        #: at least one entry alive (the finer invalidation paying off)
-        self.memo_partial_invalidations = 0
         self._memo_size = memo_size
         self._memo: "OrderedDict[tuple, QueryResult]" = OrderedDict()
         self._memo_version = database.version
@@ -302,7 +305,6 @@ class Session:
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "memo_invalidations": self.memo_invalidations,
-            "memo_partial_invalidations": self.memo_partial_invalidations,
             "memo_entries": len(self._memo),
             "plan_cache_hits": self._plan_cache.hits,
             "plan_cache_misses": self._plan_cache.misses,
@@ -317,7 +319,7 @@ class Session:
 
         Drops every live :class:`MaterializedView` (closing the shared
         materializer, which detaches its mutation log from the
-        database) and clears the answer memo and its footprints.  The
+        database) and clears the answer memo.  The
         program and database are untouched -- a closed session can be
         queried again (state simply rebuilds), which is what lets a
         server pool and recycle sessions without leaking materialized
@@ -373,9 +375,9 @@ class Session:
 
         Every shape bumps the database version (no-ops excepted: a
         re-assert of a present fact leaves the version and the memo
-        untouched), drops the memo entries whose footprint it touches,
-        and -- when materialized views exist and no :meth:`batch` is
-        open -- triggers one incremental maintenance pass.
+        untouched), drops every memo entry, and -- when materialized
+        views exist and no :meth:`batch` is open -- triggers one
+        incremental maintenance pass.
         """
         return self._mutate(True, args)
 
@@ -391,17 +393,14 @@ class Session:
         """The one dispatch point behind assert_/retract."""
         kind, payload = self._dispatch_mutation(args)
         db = self._database
-        self._note_mutation()  # reconcile out-of-band drift first
         if kind == "fact":
             result: Union[bool, int] = (
                 db.add_fact if asserting else db.retract_fact
             )(payload)
-            touched = {payload.pred_key}
         elif kind == "facts":
             result = (db.add_facts if asserting else db.retract_facts)(
                 payload
             )
-            touched = {lit.pred_key for lit in payload}
         else:  # one (pred, *values) row
             pred_key, row = payload
             result = bool(
@@ -409,8 +408,7 @@ class Session:
                     pred_key, [row]
                 )
             )
-            touched = {pred_key}
-        self._note_mutation(touched)
+        self._note_mutation()
         self._after_mutation()
         return result
 
@@ -445,41 +443,19 @@ class Session:
             fact = parse_literal(fact.rstrip().rstrip("."))
         return fact
 
-    def _note_mutation(self, touched: Optional[Set[str]] = None) -> None:
+    def _note_mutation(self) -> None:
         """Reconcile the memo with the database version.
 
-        ``touched`` is the set of relation names a Session-mediated
-        mutation just changed: only entries whose recorded relation
-        footprint intersects it are dropped; the rest stay valid under
-        their ``(query, options)`` key.  ``touched=None`` means the
-        provenance of the version move is unknown (an out-of-band
-        mutation through direct ``Relation`` access), so every entry is
-        dropped.  Dropped entries count toward ``memo_invalidations``;
-        a targeted pass that keeps at least one entry alive bumps
-        ``memo_partial_invalidations``.
+        The memo holds answers for one version: when the version has
+        moved -- a Session-mediated mutation, or an out-of-band one
+        through direct ``Relation`` access -- every entry is dropped and
+        counted in ``memo_invalidations``.
         """
         version = self._database.version
         if version == self._memo_version:
             return
-        if touched is None or not self._memo:
-            dropped = len(self._memo)
-            if dropped:
-                self.memo_invalidations += dropped
-                self._memo.clear()
-            self._memo_version = version
-            return
-        # a disjoint footprint means the rows cannot have changed: the
-        # entry stays, and a hit stamps it with the current version
-        stale = [
-            key
-            for key, cached in self._memo.items()
-            if cached.footprint & touched
-        ]
-        for key in stale:
-            del self._memo[key]
-        self.memo_invalidations += len(stale)
-        if self._memo:
-            self.memo_partial_invalidations += 1
+        self.memo_invalidations += len(self._memo)
+        self._memo.clear()
         self._memo_version = version
 
     # ------------------------------------------------------------------
@@ -500,9 +476,11 @@ class Session:
         counting-based deletion on non-recursive strata, DRed on
         recursive ones.  Subsequent views share that state.
 
-        ``session.query()`` answers from a covering fresh view before
-        consulting the memo; see :class:`MaterializedView` for the
-        handle's surface.
+        While any view is live, ``session.query()`` answers a query on
+        *any* derived predicate from the shared maintained state before
+        consulting the memo (the whole program is maintained, whatever
+        ``target`` names; the query server's rule too); see
+        :class:`MaterializedView` for the handle's surface.
         """
         query: Optional[Query] = None
         if target is None:
@@ -614,7 +592,7 @@ class Session:
 
     def _view_result(
         self,
-        view: MaterializedView,
+        m: MaterializedProgram,
         query: Query,
         meter=None,
         started: Optional[float] = None,
@@ -623,7 +601,6 @@ class Session:
         when mutations are pending or the state is stale)."""
         if started is None:
             started = time.perf_counter()
-        m = view._materializer()
         maintenance_elapsed = 0.0
         if m.stale or m.pending:
             m.maintain(meter=meter)
@@ -639,13 +616,14 @@ class Session:
             maintenance_elapsed=maintenance_elapsed,
         )
 
-    def _view_covering(self, query: Query) -> Optional[MaterializedView]:
-        """The first live view whose predicates cover the query."""
-        pred_key = query.literal.pred_key
-        for view in self._views:
-            if not view.dropped and pred_key in view.predicates:
-                return view
-        return None
+    def _view_covering(self, query: Query) -> Optional[MaterializedProgram]:
+        """The live materializer when the query's predicate is one of
+        its derived predicates -- the rule the query server serves
+        published views by -- else None."""
+        m = self._materializer
+        if m is None or not self._views:
+            return None
+        return m if query.literal.pred_key in m.derived_keys else None
 
     # ------------------------------------------------------------------
     # querying
@@ -699,32 +677,29 @@ class Session:
         meter = governing_meter(budget)
         started = time.perf_counter()
         self._note_mutation()  # catch out-of-band database mutations
-        # -- materialized-view fast path: a covering fresh view answers
-        # before the memo is even consulted (the view IS the cache, and
-        # unlike the memo it survives mutations by delta maintenance)
-        view = self._view_covering(query) if self._views else None
+        # -- materialized-view fast path: the maintained state answers a
+        # derived predicate before the memo is even consulted (the view
+        # IS the cache, and unlike the memo it survives mutations by
+        # delta maintenance)
+        m = self._view_covering(query)
         if method == "materialized":
-            if view is None:
+            if m is None:
                 raise ReproError(
                     "method='materialized' needs a covering view; call "
                     "session.materialize(...) first"
                 )
-            return self._view_result(view, query, meter, started)
-        if view is not None and method == "auto":
-            m = self._materializer
-            if m is not None and not m.stale:
-                if not m.pending:
-                    return self._view_result(view, query, meter, started)
-                if self._batch_depth == 0:
-                    try:
-                        return self._view_result(
-                            view, query, meter, started
-                        )
-                    except ReproError:
-                        # the serving maintenance pass aborted (budget
-                        # trip / injected fault): the state is stale
-                        # now, answer cold below
-                        pass
+            return self._view_result(m, query, meter, started)
+        if m is not None and method == "auto" and not m.stale:
+            if not m.pending:
+                return self._view_result(m, query, meter, started)
+            if self._batch_depth == 0:
+                try:
+                    return self._view_result(m, query, meter, started)
+                except ReproError:
+                    # the serving maintenance pass aborted (budget trip /
+                    # injected fault): the state is stale now, answer
+                    # cold below
+                    pass
         # an unknown method reaches this line too: QueryOptions rejects it
         options = QueryOptions(method, optimize, semijoin, workers)
         key = (query, options)

@@ -4,7 +4,6 @@ strata recurse."""
 from repro import CompiledProgram, parse_program
 from repro.datalog.analysis import (
     dependency_graph,
-    reachable_predicates,
     strongly_connected_components,
 )
 
@@ -79,7 +78,3 @@ class TestQueries:
             frozenset({"even", "odd"}), frozenset({"lone"})
         )
         assert compiled.flat == (False, True)
-
-    def test_reachable(self):
-        p = program("a(X) :- b(X).\nb(X) :- c(X).\nd(X) :- e(X).")
-        assert reachable_predicates(p, ["a"]) == {"a", "b", "c"}

@@ -133,6 +133,13 @@ GUARDS = [
           (SRC, TESTS, BENCHMARKS, "examples")),
     Guard(54, "ERE", "line", r"^ +(max_iterations|max_facts|timeout|cancellation):",
           ("src/repro/session.py",)),
+    # one memo rule: a Session's memo holds answers for one database
+    # version, with no relation footprint; and no count or stores
+    # kernel beside the general one
+    Guard(55, "ERE", "word",
+          r"footprint|memo_partial_invalidations|reachable_predicates", (SRC,)),
+    Guard(55, "ERE", "line", r"def _count\(|def _stores\(",
+          (DATALOG + "planner.py",)),
     # the claims ledger: benches read no knob and write no timing file
     Guard("ledger", "ERE", "word", r"environ|getenv|record_bench", (BENCHMARKS,)),
     Guard("ledger", "ERE", "line", r"BENCH_", (".github",)),

@@ -7,17 +7,17 @@ deterministic.  Each case below pins all of them, with literal values,
 and together they run every step kind (``JoinStep.kind``): keyless
 scans and keyed chain steps (the ancestor and same-generation point
 queries, and QSQ's, whose steps register their keys as subqueries
-first), anti-joins, count steps and full-width member steps (BOM,
-cold and through IVM's overdelete / rederive / insert phases, and a
-second IVM pass over the tombstones the first one left), keyed
-multi-store steps, chain steps that merge their frames themselves
-(``chain_merge``: the same-generation query, a rule with two merge
-points whose second gets weighted frames, and a maintained flat stratum
-whose derivation counts come from the merged multiplicities), and
-general steps -- counting's ``LinExpr`` arguments (matched with
-``semijoin=True``, probed as ``_EVAL`` keys without it) and the
-per-row ops (``Struct`` matching, a repeated variable, a constant
-outside the key).
+first), anti-joins, full-width member steps (BOM, cold and through
+IVM's overdelete / rederive / insert phases, and a second IVM pass
+over the tombstones the first one left), chain steps that merge their
+frames themselves (``chain_merge``: the same-generation query, a rule
+with two merge points whose second gets weighted frames, and a
+maintained flat stratum whose derivation counts come from the merged
+multiplicities), and general steps -- keyed steps with no or several
+live stores (BOM's, and the keyed multi-store case), counting's
+``LinExpr`` arguments (matched with ``semijoin=True``, probed as
+``_EVAL`` keys without it) and the per-row ops (``Struct`` matching, a
+repeated variable, a constant outside the key).
 
 A change to how steps execute must keep every number here; a change
 that moves one on purpose states the old and new value.

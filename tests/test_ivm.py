@@ -54,6 +54,7 @@ from repro import (
 )
 from repro.core.limits import BudgetExceeded
 from repro.datalog import engine, ivm
+from repro.server import ServerHandle
 from repro.workloads import (
     bom_database,
     bom_program,
@@ -553,13 +554,39 @@ class TestSessionViews:
         assert len(session._memo) == 0
         assert session.memo_hits == 0
 
-    def test_uncovered_query_uses_normal_path(self):
+    def test_base_predicate_query_uses_normal_path(self):
         session = Session(
             ANCESTOR + "other(X) :- par(X, Y). par(a, b)."
         )
         session.materialize("anc(a, X)?")
-        result = session.query("other(X)?")
+        result = session.query("par(a, X)?")
         assert not result.maintained
+        assert result.values() == {("b",)}
+        with pytest.raises(ReproError, match="covering view"):
+            session.query("par(a, X)?", method="materialized")
+
+    @pytest.mark.parametrize("method", ("auto", "materialized"))
+    def test_unmaterialized_derived_predicate_is_served_maintained(
+        self, method
+    ):
+        # the query server's rule: every derived predicate of the live
+        # materializer is served from it, whichever view was asked for
+        source = bom_source(5, 2, 0.05, 1)
+        session = Session(source)
+        session.materialize("clean")
+        result = session.query("component(p1, S)?", method=method)
+        assert result.maintained
+        cold = session.query("component(p1, S)?", method="seminaive")
+        assert not cold.maintained and result.rows == cold.rows
+        with ServerHandle.start(
+            source, materialize=["clean"], listen=False
+        ) as handle:
+            served = handle.request({
+                "op": "query", "query": "component(p1, S)?",
+                "options": {"method": method},
+            })
+        assert served["served"] == "view"
+        assert served["row_count"] == len(cold.rows)
 
     def test_drop_closes_materializer(self):
         session = Session(ANCESTOR + "par(a, b).")
